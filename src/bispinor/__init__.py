@@ -51,7 +51,6 @@ from .ideal import (
     to_ideal,
 )
 from .susy import (
-    BlockOperator4,
     pseudo_susy,
     supercharges,
     susy_hamiltonian,

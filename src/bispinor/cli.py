@@ -28,14 +28,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_grid(text: str):
     """Grid spec 'lo:hi:n' shared by both momentum axes, or
-    'lo:hi:n,lo:hi:n' for separate axes."""
+    'lo:hi:n,lo:hi:n' for separate ranges with the same point count."""
     axes = text.split(",")
     if len(axes) == 1:
         axes = [axes[0], axes[0]]
     if len(axes) != 2:
         raise ConfigError(f"bad grid spec: {text!r}")
     out = []
-    points = None
+    points = []
     for axis in axes:
         parts = axis.split(":")
         if len(parts) != 3:
@@ -45,8 +45,10 @@ def _parse_grid(text: str):
         except ValueError:
             raise ConfigError(f"bad grid axis: {axis!r}") from None
         out.append((lo, hi))
-        points = n if points is None else min(points, n)
-    return out[0], out[1], points
+        points.append(n)
+    if points[0] != points[1]:
+        raise ConfigError(f"grid axes need the same point count: {text!r}")
+    return out[0], out[1], points[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

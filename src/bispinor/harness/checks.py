@@ -13,7 +13,6 @@ import numpy as np
 
 from .. import biortho, ideal, momenta, spectrum, susy, timereversal
 from ..multivector import (
-    BASIS_NAMES,
     MATRIX_INVOLUTIONS,
     Multivector,
     from_matrix,
@@ -56,6 +55,11 @@ def _rand_matrix(rng, n=2) -> np.ndarray:
 
 def _maxabs(m) -> float:
     return float(np.abs(m).max())
+
+
+def _visibly_nonzero(witness: float) -> bool:
+    """A "must be nonzero" witness counts only if finite and at least 1e-6."""
+    return bool(np.isfinite(witness)) and witness >= 1e-6
 
 
 # ---------------------------------------------------------------- clifford
@@ -265,7 +269,7 @@ def check_magnetic_trs_convention(cfg, rng):
     field-reversed one; the check additionally demands that the fixed-field
     residual stays visibly nonzero so a silent convention flip is caught."""
     worst = 0.0
-    fixed_min = np.inf
+    all_visible = True
     n = 0
     for _ in range(max(cfg.samples // 4, 5)):
         g, b = _rand_gamma(cfg, rng), _rand_beta(cfg, rng)
@@ -279,9 +283,9 @@ def check_magnetic_trs_convention(cfg, rng):
             reversed_res = _maxabs(h_rev(-p) @ u - u @ h(p).T)
             fixed_res = timereversal.pseudo_hermitian_residual(h, p)
             worst = max(worst, reversed_res)
-            fixed_min = min(fixed_min, fixed_res)
+            all_visible = all_visible and _visibly_nonzero(fixed_res)
             n += 1
-    if fixed_min < 1e-6:
+    if not all_visible:
         worst = max(worst, 1.0)
     return worst, n
 
@@ -548,7 +552,7 @@ def check_noncommutation_witness(cfg, rng):
     """T-conjugation leaves R^+ invariant only at gamma = 0; a detectable
     commutator for gamma != 0 is what blocks a plain degeneracy argument."""
     worst = 0.0
-    min_nonzero = np.inf
+    all_visible = True
     n = 0
     for b in cfg.nonzero_betas():
         p = _rand_p(cfg, rng)
@@ -556,10 +560,10 @@ def check_noncommutation_witness(cfg, rng):
         for g in cfg.gamma_values:
             if g == 0.0:
                 continue
-            min_nonzero = min(min_nonzero,
-                              timereversal.noncommutation_witness(g, b, p))
+            witness = timereversal.noncommutation_witness(g, b, p)
+            all_visible = all_visible and _visibly_nonzero(witness)
             n += 1
-    if n and min_nonzero < 1e-6:
+    if not all_visible:
         worst = max(worst, 1.0)
     return worst, n + len(cfg.nonzero_betas())
 
@@ -690,17 +694,17 @@ def check_susy_algebra(cfg, rng):
         w = susy.witten_parity()
         worst = max(
             worst,
-            _maxabs((tp @ tp).matrix - z4),
-            _maxabs((tm @ tm).matrix - z4),
-            _maxabs(h.block(0, 0) - momenta.rashba(g, b, 1).evaluate(p)),
-            _maxabs(h.block(1, 1) - momenta.rashba(g, b, -1).evaluate(p)),
-            _maxabs(h.block(0, 1)), _maxabs(h.block(1, 0)),
-            _maxabs((h @ tp - tp @ h).matrix),
-            _maxabs((h @ tm - tm @ h).matrix),
-            _maxabs((w @ w).matrix - np.eye(4)),
-            _maxabs((w @ tp + tp @ w).matrix),
-            _maxabs((w @ tm + tm @ w).matrix),
-            _maxabs((w @ h - h @ w).matrix),
+            _maxabs(tp @ tp - z4),
+            _maxabs(tm @ tm - z4),
+            _maxabs(h[:2, :2] - momenta.rashba(g, b, 1).evaluate(p)),
+            _maxabs(h[2:, 2:] - momenta.rashba(g, b, -1).evaluate(p)),
+            _maxabs(h[:2, 2:]), _maxabs(h[2:, :2]),
+            _maxabs(h @ tp - tp @ h),
+            _maxabs(h @ tm - tm @ h),
+            _maxabs(w @ w - np.eye(4)),
+            _maxabs(w @ tp + tp @ w),
+            _maxabs(w @ tm + tm @ w),
+            _maxabs(w @ h - h @ w),
         )
     return worst, cfg.samples
 
@@ -712,14 +716,14 @@ def check_pseudo_susy(cfg, rng):
         p = _rand_p(cfg, rng)
         lp, lm, hps = susy.pseudo_susy(g, b, p)
         h = susy.susy_hamiltonian(g, b, p)
-        worst = max(worst, _maxabs(hps.matrix - h.matrix))
+        worst = max(worst, _maxabs(hps - h))
         r1, r2 = susy.intertwining_residuals(g, b, p)
         worst = max(worst, r1, r2)
         s = susy.super_time_reversal()
         worst = max(worst, _maxabs(s @ s + np.eye(4)))
-        sharp = susy.super_pseudo_adjoint(
-            lambda q, gg=g, bb=b: susy.pseudo_susy(gg, bb, q)[0].matrix, p)
-        worst = max(worst, _maxabs(sharp - lm.matrix))
+        sharp = timereversal.pseudo_adjoint(
+            lambda q, gg=g, bb=b: susy.pseudo_susy(gg, bb, q)[0], p)
+        worst = max(worst, _maxabs(sharp - lm))
     return worst, cfg.samples
 
 
@@ -736,7 +740,7 @@ def check_susy_sector_pairing(cfg, rng):
         for psi, lam in ((es.psi_plus, es.lambda_plus),
                          (es.psi_minus, es.lambda_minus)):
             v4 = np.concatenate([psi.amplitude_array(), np.zeros(2)])
-            mapped = (tm.matrix @ v4)[2:]
+            mapped = (tm @ v4)[2:]
             if np.abs(mapped).max() < 1e-8:
                 continue
             worst = max(worst, _maxabs(r_minus @ mapped - lam * mapped))
@@ -746,11 +750,10 @@ def check_susy_sector_pairing(cfg, rng):
 # ------------------------------------------------------------------ registry
 
 # (test_id, paper_ref, function, tolerance multiplier)
-# The spec'd per-criterion tolerances are 1e-12 for algebraic identities,
-# 1e-10 for eigenvalue/angle/Kramers checks and 1e-5 for the finite
-# difference continuity check; multipliers are relative to 1e-12 at the
-# default tolerance of 1e-10 they are applied to the configured value
-# scaled by tol_scale.
+# An entry passes when its max_residual <= cfg.tolerance * multiplier.
+# Multipliers above 1 cover rounding through eigen-solves and angles (10),
+# the finite-difference steps of the continuity and reversed-Schroedinger
+# checks (1e7, 1e6) and numpy's general eigensolver (1e4).
 REGISTRY = (
     ("clifford.matrix_homomorphism", "2", check_matrix_homomorphism, 1.0),
     ("clifford.involutions", "6.2.1", check_involutions, 1.0),

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 # Random gamma draws are clipped away from +-1 by this margin (1/omega
 # blows up as |gamma| -> 1).
@@ -47,6 +48,9 @@ class SuiteConfig:
             raise ConfigError("samples must be >= 1")
         if self.grid_points < 2:
             raise ConfigError("grid needs at least 2 points per axis")
+        numbers = (*self.beta_values, *self.p1_range, *self.p2_range, self.tolerance)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigError("beta, momentum range and tolerance must be finite")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         for lo, hi in (self.p1_range, self.p2_range):

@@ -19,11 +19,11 @@ from .multivector import (
     DeformedBasis,
     clifford_conjugation_matrix,
     reversion_matrix,
+    time_reverse_matrix,
 )
 from .spectrum import FiniteSpinor
 
 _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
-_E13_INV = np.linalg.inv(E13)
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,6 @@ def invariance_group_check(u: np.ndarray, tol: float = 1e-10) -> tuple[bool, boo
     u = np.asarray(u, dtype=complex).reshape(2, 2)
     i2 = np.eye(2)
     in_g = bool(np.abs(reversion_matrix(u) @ u - i2).max() <= tol)
-    u_flat_op = E13 @ np.conj(u) @ _E13_INV
-    in_gp = bool(np.abs(clifford_conjugation_matrix(u) @ u_flat_op - i2).max() <= tol)
+    u_flat = time_reverse_matrix(u)
+    in_gp = bool(np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max() <= tol)
     return in_g, in_gp

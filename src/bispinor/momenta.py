@@ -7,11 +7,11 @@ functions of the classical momentum label p (hbar = m = 1, unit charge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import make_deformed_basis
+from .multivector import deformation_omega, make_deformed_basis
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class LinearizationSet:
     m: tuple[np.ndarray, ...]           # M_1..M_5
     m_prime: tuple[np.ndarray, ...]     # M_1'..M_5'
     lam: np.ndarray                     # Lambda = offdiag(1, 1)
-    gamma_matrices: tuple[np.ndarray, ...]  # gamma_1..gamma_4
 
 
 def build_linearization(gamma: float = 0.0) -> LinearizationSet:
@@ -65,7 +64,7 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
 
     return LinearizationSet(
         l=l, l_prime=l_prime, n=n, n_prime=n_prime,
-        m=m, m_prime=m_prime, lam=lam, gamma_matrices=gammas + (gamma4,),
+        m=m, m_prime=m_prime, lam=lam,
     )
 
 
@@ -158,10 +157,7 @@ def rashba(gamma: float, beta: float, sign: int = 1) -> MomentumHamiltonian:
     sign=-1 flips beta.  The adjoint of the +gamma operator equals the
     -gamma one entrywise.
     """
-    if not abs(gamma) < 1.0:
-        raise ValueError(
-            "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
-        )
+    deformation_omega(gamma)  # rejects |gamma| >= 1
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     b3 = 1j * beta * sign
@@ -184,10 +180,7 @@ def magnetic(gamma: float, beta: float, a_vec, b3: float,
     realized as half the ordered product of the two shifted Clifford momenta
     p_j + A_j +- i beta delta_j3, plus the Zeeman coefficient.
     """
-    if not abs(gamma) < 1.0:
-        raise ValueError(
-            "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
-        )
+    deformation_omega(gamma)  # rejects |gamma| >= 1
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     a_vec = np.asarray(a_vec, dtype=float).reshape(2)

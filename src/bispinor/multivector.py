@@ -218,9 +218,26 @@ E13 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 
 def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
-    """Conjugation of a constant operator by time reversal: e13 conj(m) e13^-1."""
-    m = np.asarray(m, dtype=complex)
-    return E13 @ np.conj(m) @ np.linalg.inv(E13)
+    """Conjugation of a constant 2n x 2n operator by time reversal:
+    U conj(m) U^-1 with U = diag(e13, ..., e13).  As e13^-1 = -e13, each 2x2
+    block [[a, b], [c, d]] of conj(m) becomes [[d, -c], [-b, a]]."""
+    c = np.conj(np.asarray(m, dtype=complex))
+    out = np.empty_like(c)
+    out[0::2, 0::2] = c[1::2, 1::2]
+    out[0::2, 1::2] = -c[1::2, 0::2]
+    out[1::2, 0::2] = -c[0::2, 1::2]
+    out[1::2, 1::2] = c[0::2, 0::2]
+    return out
+
+
+def deformation_omega(gamma: float) -> float:
+    """omega = sqrt(1 - gamma^2), defined for deformation parameters |gamma| < 1."""
+    gamma = float(gamma)
+    if not abs(gamma) < 1.0:
+        raise ValueError(
+            "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
+        )
+    return float(np.sqrt(1.0 - gamma * gamma))
 
 
 @dataclass(frozen=True)
@@ -261,11 +278,7 @@ def make_deformed_basis(gamma: float) -> DeformedBasis:
     of the undeformed one.
     """
     gamma = float(gamma)
-    if not abs(gamma) < 1.0:
-        raise ValueError(
-            "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
-        )
-    omega = float(np.sqrt(1.0 - gamma * gamma))
+    omega = deformation_omega(gamma)
     t = deformation_transform(gamma)
     t_inv = np.linalg.inv(t)
     e1, e2, e3 = (t @ s @ t_inv for s in (SIGMA1, SIGMA2, SIGMA3))

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momenta import rashba
-from .multivector import SIGMA1, SIGMA2, SIGMA3
+from .multivector import SIGMA1, SIGMA2, SIGMA3, deformation_omega
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -93,7 +92,7 @@ def eigenvalue_oracle(h: np.ndarray) -> tuple[float, float]:
 
 def _phi_numden(gamma: float, p, branch: int) -> tuple[float, float]:
     p = np.asarray(p, dtype=float)
-    omega = np.sqrt(1.0 - gamma * gamma)
+    omega = deformation_omega(gamma)
     pnorm = np.hypot(p[0], p[1])
     num = omega * omega * p[0] * pnorm - branch * gamma * p[1] * p[1]
     den = omega * p[1] * pnorm + branch * gamma * omega * p[0] * p[1]
@@ -104,11 +103,8 @@ def phi_angles(gamma: float, p) -> tuple[float, float]:
     """The angles (phi_plus, phi_minus) with the quadrant fixed by the
     two-argument arctangent of (numerator, denominator); this is the branch
     under which the printed eigenspinors satisfy the eigen-identity."""
-    out = []
-    for branch in (1, -1):
-        num, den = _phi_numden(gamma, p, branch)
-        out.append(float(np.arctan2(num, den)))
-    return tuple(out)
+    return tuple(float(np.arctan2(*_phi_numden(gamma, p, branch)))
+                 for branch in (1, -1))
 
 
 def phi_angles_principal(gamma: float, p) -> tuple[float, float]:
@@ -118,13 +114,8 @@ def phi_angles_principal(gamma: float, p) -> tuple[float, float]:
     branch (they are tan-level identities); the eigen branch above can differ
     from it by pi.
     """
-    out = []
-    for branch in (1, -1):
-        num, den = _phi_numden(gamma, p, branch)
-        raw = float(np.arctan2(num, den))
-        folded = (raw + np.pi / 2.0) % np.pi - np.pi / 2.0
-        out.append(folded)
-    return tuple(out)
+    return tuple((raw + np.pi / 2.0) % np.pi - np.pi / 2.0
+                 for raw in phi_angles(gamma, p))
 
 
 def eigensystem(gamma: float, beta: float, p, wave_sign: int = 1) -> EigenSystem:
@@ -136,10 +127,6 @@ def eigensystem(gamma: float, beta: float, p, wave_sign: int = 1) -> EigenSystem
     +1 family evaluated at -p, which is the choice that keeps the
     eigen-identity exact.
     """
-    if not abs(gamma) < 1.0:
-        raise ValueError(
-            "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
-        )
     p = np.asarray(p, dtype=float).reshape(2)
     if np.hypot(p[0], p[1]) == 0.0 or beta == 0.0:
         raise ValueError("degenerate splitting")
@@ -252,15 +239,11 @@ def continuity_residual(gamma: float, beta: float, mix, sample_grid,
             out += c * sp.amplitude_array() * np.exp(1j * phase - 1j * energy * t)
         return out
 
-    return _continuity_residual_field(psi_at, sample_grid, dt, dx, t0,
-                                      gamma=gamma, beta=beta)
+    return _continuity_residual_field(psi_at, sample_grid, dt, dx, t0, gamma, beta)
 
 
-def _continuity_residual_field(psi_at, sample_grid, dt, dx, t0,
-                               gamma=None, beta=None):
-    if gamma is None or beta is None:
-        raise ValueError("model parameters required")
-    omega = np.sqrt(1.0 - gamma * gamma)
+def _continuity_residual_field(psi_at, sample_grid, dt, dx, t0, gamma, beta):
+    omega = deformation_omega(gamma)
 
     def rho(x, t):
         v = psi_at(x, t)
@@ -289,8 +272,3 @@ def _continuity_residual_field(psi_at, sample_grid, dt, dx, t0,
         div = (j1p - j1m) / (2.0 * dx) + (j2p - j2m) / (2.0 * dx)
         worst = max(worst, abs(drho + div))
     return worst
-
-
-def rashba_matrix(gamma: float, beta: float, p) -> np.ndarray:
-    """Convenience: the matrix R^+_gamma(p)."""
-    return rashba(gamma, beta, 1).evaluate(p)

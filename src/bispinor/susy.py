@@ -1,90 +1,47 @@
 """Supercharges, SUSY / pseudo-SUSY Hamiltonians, Witten parity and the
-super time-reversal operator, all as 4x4 block matrices over the two
-Rashba sectors R^+ (beta) and R^- (-beta).
+super time-reversal operator, all as plain 4x4 arrays over the two Rashba
+sectors R^+ (beta) and R^- (-beta); the sectors are h[:2, :2] and h[2:, 2:].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .momenta import momentum_factors, rashba
 from .multivector import E13
+from .timereversal import pseudo_adjoint
 
 _Z2 = np.zeros((2, 2), dtype=complex)
 _SQRT2 = np.sqrt(2.0)
 
 _SUPER_U = np.block([[E13, _Z2], [_Z2, E13]])
-_SUPER_U_INV = np.linalg.inv(_SUPER_U)
 
 
-@dataclass(frozen=True)
-class BlockOperator4:
-    """A 4x4 operator with a designated 2x2 block structure."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", np.asarray(self.matrix, dtype=complex).reshape(4, 4)
-        )
-
-    @classmethod
-    def from_blocks(cls, b11, b12, b21, b22) -> "BlockOperator4":
-        return cls(np.block([
-            [np.asarray(b11, dtype=complex), np.asarray(b12, dtype=complex)],
-            [np.asarray(b21, dtype=complex), np.asarray(b22, dtype=complex)],
-        ]))
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.matrix[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-
-    def __matmul__(self, other: "BlockOperator4") -> "BlockOperator4":
-        return BlockOperator4(self.matrix @ other.matrix)
-
-    def __add__(self, other: "BlockOperator4") -> "BlockOperator4":
-        return BlockOperator4(self.matrix + other.matrix)
-
-    def __sub__(self, other: "BlockOperator4") -> "BlockOperator4":
-        return BlockOperator4(self.matrix - other.matrix)
+def _offdiag(upper=_Z2, lower=_Z2) -> np.ndarray:
+    """The 4x4 operator [[0, upper], [lower, 0]]."""
+    return np.block([[_Z2, upper], [lower, _Z2]])
 
 
-def _factors(gamma: float, beta: float):
-    """The Clifford momentum factors (left, right) of R^+ = (1/2) P^B P^A."""
-    h = rashba(gamma, beta, 1)
-    return momentum_factors(h)
-
-
-def supercharges(gamma: float, beta: float, p) -> tuple[BlockOperator4, BlockOperator4]:
+def supercharges(gamma: float, beta: float, p) -> tuple[np.ndarray, np.ndarray]:
     """Theta^+ = (1/sqrt 2) offdiag-upper(P^B), Theta^- = lower(P^A)."""
-    pb, pa = _factors(gamma, beta)
+    pb, pa = momentum_factors(rashba(gamma, beta, 1))
     p = np.asarray(p, dtype=float)
-    theta_plus = BlockOperator4.from_blocks(_Z2, pb(p) / _SQRT2, _Z2, _Z2)
-    theta_minus = BlockOperator4.from_blocks(_Z2, _Z2, pa(p) / _SQRT2, _Z2)
-    return theta_plus, theta_minus
+    return _offdiag(upper=pb(p) / _SQRT2), _offdiag(lower=pa(p) / _SQRT2)
 
 
-def susy_hamiltonian(gamma: float, beta: float, p) -> BlockOperator4:
+def susy_hamiltonian(gamma: float, beta: float, p) -> np.ndarray:
     """H = {Theta+, Theta-} = diag(R^+(p), R^-(p))."""
     tp, tm = supercharges(gamma, beta, p)
     return tp @ tm + tm @ tp
 
 
-def witten_parity() -> BlockOperator4:
-    return BlockOperator4.from_blocks(np.eye(2), _Z2, _Z2, -np.eye(2))
+def witten_parity() -> np.ndarray:
+    return np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
 def super_time_reversal() -> np.ndarray:
     """Unitary part of the block time reversal, diag(e13, e13); squares to -1."""
     return _SUPER_U.copy()
-
-
-def super_pseudo_adjoint(x, p) -> np.ndarray:
-    """The block pseudo-adjoint X^#(p) = U X(-p)^T U^-1 with U = diag(e13, e13);
-    ``x`` is a callable p -> 4x4 matrix."""
-    p = np.asarray(p, dtype=float)
-    return _SUPER_U @ np.asarray(x(-p), dtype=complex).T @ _SUPER_U_INV
 
 
 def pseudo_susy(gamma: float, beta: float, p):
@@ -94,24 +51,22 @@ def pseudo_susy(gamma: float, beta: float, p):
     Lambda- its pseudo-adjoint (Delta^B)^# = P^A in the lower one, so the
     anticommutator reproduces the SUSY Hamiltonian.
     """
-    pb, pa = _factors(gamma, beta)
+    pb, _ = momentum_factors(rashba(gamma, beta, 1))
     p = np.asarray(p, dtype=float)
-
-    delta_sharp = E13 @ pb(-p).T @ np.linalg.inv(E13)
-    lambda_plus = BlockOperator4.from_blocks(_Z2, pb(p) / _SQRT2, _Z2, _Z2)
-    lambda_minus = BlockOperator4.from_blocks(_Z2, _Z2, delta_sharp / _SQRT2, _Z2)
+    lambda_plus = _offdiag(upper=pb(p) / _SQRT2)
+    lambda_minus = _offdiag(lower=pseudo_adjoint(pb, p) / _SQRT2)
     h_psusy = lambda_plus @ lambda_minus + lambda_minus @ lambda_plus
     return lambda_plus, lambda_minus, h_psusy
 
 
 def intertwining_residuals(gamma: float, beta: float, p) -> tuple[float, float]:
     """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+ at p."""
-    pb, _ = _factors(gamma, beta)
+    pb, _ = momentum_factors(rashba(gamma, beta, 1))
     p = np.asarray(p, dtype=float)
     r_plus = rashba(gamma, beta, 1).evaluate(p)
     r_minus = rashba(gamma, beta, -1).evaluate(p)
     delta = pb(p)
-    delta_sharp = E13 @ pb(-p).T @ np.linalg.inv(E13)
+    delta_sharp = pseudo_adjoint(pb, p)
     r1 = float(np.abs(r_plus @ delta - delta @ r_minus).max())
     r2 = float(np.abs(r_minus @ delta_sharp - delta_sharp @ r_plus).max())
     return r1, r2

@@ -16,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momenta import MomentumHamiltonian, rashba
-from .multivector import E13, DeformedBasis, make_deformed_basis, reversion_matrix
+from .multivector import (
+    E13,
+    DeformedBasis,
+    make_deformed_basis,
+    reversion_matrix,
+    time_reverse_matrix,
+)
 from .spectrum import EigenSystem, FiniteSpinor, eigensystem
-
-_U = E13
-_U_INV = np.linalg.inv(E13)
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class TimeReversal:
 
     @property
     def unitary_part(self) -> np.ndarray:
-        return _U.copy()
+        return E13.copy()
 
     def apply(self, psi: FiniteSpinor) -> FiniteSpinor:
         a1, a2 = psi.amplitudes
@@ -44,33 +47,29 @@ class TimeReversal:
 
     def on_matrix(self, m: np.ndarray) -> np.ndarray:
         """T-conjugation of a constant (momentum-independent) operator."""
-        return _U @ np.conj(np.asarray(m, dtype=complex)) @ _U_INV
+        return time_reverse_matrix(m)
 
 
 TIME_REVERSAL = TimeReversal()
 
 
-def apply(t: TimeReversal, psi: FiniteSpinor) -> FiniteSpinor:
-    return t.apply(psi)
-
-
 def conjugated_hamiltonian(h, p) -> np.ndarray:
     """The matrix realizing T^-1 H T at momentum label p: U conj(H(-p)) U^-1."""
-    p = np.asarray(p, dtype=float)
-    return _U @ np.conj(h(-p)) @ _U_INV
+    return time_reverse_matrix(h(-np.asarray(p, dtype=float)))
 
 
 def pseudo_hermitian_residual(h, p) -> float:
     """Max-entry residual of H(-p) U = U H(p)^T, the fixed-momentum form of
     T^-1 H T = H^dagger.  ``h`` is any callable p -> 2x2 matrix."""
     p = np.asarray(p, dtype=float)
-    return float(np.abs(h(-p) @ _U - _U @ h(p).T).max())
+    return float(np.abs(h(-p) @ E13 - E13 @ h(p).T).max())
 
 
 def pseudo_adjoint(x, p) -> np.ndarray:
-    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of an operator family."""
+    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of a family of 2n x 2n
+    operators, U = diag(e13, ..., e13): the T-conjugate of X(-p)^dagger."""
     p = np.asarray(p, dtype=float)
-    return _U @ np.asarray(x(-p), dtype=complex).T @ _U_INV
+    return time_reverse_matrix(np.conj(x(-p)).T)
 
 
 def generator_reversal(basis: DeformedBasis) -> dict[str, float]:
@@ -204,7 +203,7 @@ def reversed_schrodinger_check(h: MomentumHamiltonian, p, dt: float = 1e-3,
 
     def chi(t):
         # psi(-t) = exp(i lam t) v, then apply the antilinear operator.
-        return _U @ np.conj(np.exp(1j * lam * t) * v)
+        return E13 @ np.conj(np.exp(1j * lam * t) * v)
 
     h_adj = h(-p).conj().T
     worst = 0.0

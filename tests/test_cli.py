@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from bispinor import cli
-from bispinor.harness.checks import REGISTRY, run_all
+from bispinor.harness.checks import (
+    REGISTRY,
+    check_magnetic_trs_convention,
+    check_noncommutation_witness,
+    run_all,
+)
 from bispinor.harness.config import SuiteConfig
 from bispinor.spectrum import eigenvalues
 
@@ -44,6 +49,27 @@ class TestVerify:
         code, _, err = run(["verify", "--grid", "nonsense"], capsys)
         assert code == 2
         assert "grid" in err
+
+    def test_unequal_grid_point_counts_rejected(self, capsys):
+        code, _, err = run(["spectrum", "--grid=-1:1:2,-1:1:5"], capsys)
+        assert code == 2
+        assert "same point count" in err
+
+    @pytest.mark.parametrize("command, option", [
+        ("spectrum", "--beta=nan"),
+        ("verify", "--beta=nan"),
+        ("verify", "--beta=inf"),
+        ("verify", "--tol=nan"),
+        ("verify", "--tol=inf"),
+        ("verify", "--gamma=nan"),
+        ("spectrum", "--grid=-inf:3:5"),
+        ("texture", "--grid=0:nan:5"),
+    ])
+    def test_nonfinite_input_is_usage_error(self, command, option, capsys):
+        code, out, err = run([command, option], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
 
 class TestReport:
@@ -149,6 +175,15 @@ class TestRegistry:
                                      grid_points=5, seed=3))
         assert [e.test_id for e in report.entries] == ids
         assert all(e.paper_ref for e in report.entries)
+
+    def test_nonfinite_witnesses_fail(self):
+        # |p| ~ 1e160 overflows every matrix entry; a NaN witness must not
+        # count as "visibly nonzero"
+        cfg = SuiteConfig(p1_range=(-1e160, 1e160), p2_range=(-1e160, 1e160))
+        for check in (check_noncommutation_witness, check_magnetic_trs_convention):
+            with np.errstate(all="ignore"):
+                residual, _ = check(cfg, np.random.default_rng(7))
+            assert residual > cfg.tolerance
 
     def test_grid_equals_syntax_with_negative_bound(self, capsys):
         code, _, _ = run(["verify", "--gamma", "0.0", "--beta", "1.0",

@@ -142,10 +142,6 @@ class TestRashba:
         m = h(p)
         assert np.abs(m - m.conj().T).max() < TOL
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            rashba(1.0, 1.0, 1)
-
     def test_product_form(self):
         g, beta = -0.7, 0.9
         h = rashba(g, beta, 1)
@@ -192,10 +188,6 @@ class TestMagnetic:
                 e3 = make_deformed_basis(g).generators[3]
                 want = 0.5 * left(p) @ right(p) + b3 * e3
                 assert np.abs(h(p) - want).max() < 1e-11
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            magnetic(-1.2, 1.0, (0, 0), 0.0, 1)
 
 
 def test_levy_leblond_first_order_system():

@@ -17,8 +17,11 @@ from bispinor.multivector import (
     geometric_product,
     involute,
     make_deformed_basis,
+    time_reverse_matrix,
     to_matrix,
 )
+from bispinor.momenta import build_linearization, magnetic, rashba
+from bispinor.spectrum import eigensystem, phi_angles
 
 TOL = 1e-12
 
@@ -180,10 +183,30 @@ def test_deformed_adjoint_mirrors_gamma():
             assert np.abs(a.conj().T - b).max() < TOL
 
 
-def test_gamma_domain_error():
-    for bad in (1.0, -1.0, 1.2):
-        with pytest.raises(ValueError):
-            make_deformed_basis(bad)
+GAMMA_ENTRY_POINTS = {
+    "make_deformed_basis": make_deformed_basis,
+    "build_linearization": build_linearization,
+    "rashba": lambda g: rashba(g, 1.0, 1),
+    "magnetic": lambda g: magnetic(g, 1.0, (0.0, 0.0), 0.0, 1),
+    "eigensystem": lambda g: eigensystem(g, 1.0, (0.5, -0.3)),
+    "phi_angles": lambda g: phi_angles(g, (0.5, -0.3)),
+}
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0, 1.2, float("nan")])
+@pytest.mark.parametrize("entry", list(GAMMA_ENTRY_POINTS))
+def test_gamma_domain_error(entry, gamma):
+    with pytest.raises(ValueError, match=r"\|gamma\| < 1"):
+        GAMMA_ENTRY_POINTS[entry](gamma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_time_reverse_matrix_is_block_e13_conjugation(n):
+    rng = np.random.default_rng(40 + n)
+    m = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    u = np.kron(np.eye(n), E13)
+    want = u @ np.conj(m) @ np.linalg.inv(u)
+    assert np.abs(time_reverse_matrix(m) - want).max() < TOL
 
 
 def test_deformation_transform_reproduces_generators():

@@ -1,18 +1,16 @@
 import numpy as np
-import pytest
 
 from bispinor.momenta import rashba
 from bispinor.spectrum import eigenvalues
 from bispinor.susy import (
-    BlockOperator4,
     intertwining_residuals,
     pseudo_susy,
-    super_pseudo_adjoint,
     super_time_reversal,
     supercharges,
     susy_hamiltonian,
     witten_parity,
 )
+from bispinor.timereversal import pseudo_adjoint
 
 TOL = 1e-12
 
@@ -29,48 +27,48 @@ class TestAlgebra:
         rng = np.random.default_rng(163)
         for g, beta, p in _cases(rng, 30):
             tp, tm = supercharges(g, beta, p)
-            assert np.abs((tp @ tp).matrix).max() < TOL
-            assert np.abs((tm @ tm).matrix).max() < TOL
+            assert np.abs(tp @ tp).max() < TOL
+            assert np.abs(tm @ tm).max() < TOL
 
     def test_anticommutator_is_sector_diagonal(self):
         rng = np.random.default_rng(167)
         for g, beta, p in _cases(rng, 30):
             h = susy_hamiltonian(g, beta, p)
-            assert np.abs(h.block(0, 1)).max() < TOL
-            assert np.abs(h.block(1, 0)).max() < TOL
-            assert np.abs(h.block(0, 0) - rashba(g, beta, 1)(p)).max() < 1e-11
-            assert np.abs(h.block(1, 1) - rashba(g, beta, -1)(p)).max() < 1e-11
+            assert np.abs(h[:2, 2:]).max() < TOL
+            assert np.abs(h[2:, :2]).max() < TOL
+            assert np.abs(h[:2, :2] - rashba(g, beta, 1)(p)).max() < 1e-11
+            assert np.abs(h[2:, 2:] - rashba(g, beta, -1)(p)).max() < 1e-11
 
     def test_supercharges_commute_with_hamiltonian(self):
         rng = np.random.default_rng(173)
         for g, beta, p in _cases(rng, 30):
             h = susy_hamiltonian(g, beta, p)
             for q in supercharges(g, beta, p):
-                assert np.abs((h @ q - q @ h).matrix).max() < 1e-10
+                assert np.abs(h @ q - q @ h).max() < 1e-10
 
     def test_witten_parity_relations(self):
         w = witten_parity()
-        assert np.abs((w @ w).matrix - np.eye(4)).max() < TOL
+        assert np.abs(w @ w - np.eye(4)).max() < TOL
         g, beta, p = 0.4, 1.1, np.array([0.8, -0.5])
         tp, tm = supercharges(g, beta, p)
         for q in (tp, tm):
-            assert np.abs((w @ q + q @ w).matrix).max() < TOL
+            assert np.abs(w @ q + q @ w).max() < TOL
         h = susy_hamiltonian(g, beta, p)
-        assert np.abs((w @ h - h @ w).matrix).max() < TOL
+        assert np.abs(w @ h - h @ w).max() < TOL
 
 
 class TestSpectrum:
     def test_four_eigenvalues_are_two_rashba_doublets(self):
         rng = np.random.default_rng(179)
         for g, beta, p in _cases(rng, 30):
-            got = np.sort(np.linalg.eigvals(susy_hamiltonian(g, beta, p).matrix).real)
+            got = np.sort(np.linalg.eigvals(susy_hamiltonian(g, beta, p)).real)
             lp, lm = eigenvalues(beta, p)
             lp2, lm2 = eigenvalues(-beta, p)
             want = np.sort([lp, lm, lp2, lm2])
             assert np.abs(got - want).max() < 1e-10
 
     def test_gamma_zero_is_hermitian(self):
-        h = susy_hamiltonian(0.0, 1.0, np.array([0.7, 0.2])).matrix
+        h = susy_hamiltonian(0.0, 1.0, np.array([0.7, 0.2]))
         assert np.abs(h - h.conj().T).max() < TOL
 
 
@@ -80,17 +78,17 @@ class TestPseudoSusy:
         for g, beta, p in _cases(rng, 30):
             _, _, h_psusy = pseudo_susy(g, beta, p)
             h = susy_hamiltonian(g, beta, p)
-            assert np.abs((h_psusy - h).matrix).max() < 1e-11
+            assert np.abs(h_psusy - h).max() < 1e-11
 
     def test_lambda_minus_is_pseudo_adjoint_of_lambda_plus(self):
         g, beta = 0.6, 1.3
         p = np.array([1.2, -0.4])
 
         def lam_plus(q):
-            return pseudo_susy(g, beta, q)[0].matrix
+            return pseudo_susy(g, beta, q)[0]
 
-        lam_minus = pseudo_susy(g, beta, p)[1].matrix
-        sharp = super_pseudo_adjoint(lam_plus, p)
+        lam_minus = pseudo_susy(g, beta, p)[1]
+        sharp = pseudo_adjoint(lam_plus, p)
         assert np.abs(sharp - lam_minus).max() < TOL
 
     def test_intertwining(self):
@@ -108,10 +106,10 @@ class TestPseudoSusy:
         g, beta = 0.5, 0.9
 
         def h(q):
-            return susy_hamiltonian(g, beta, q).matrix
+            return susy_hamiltonian(g, beta, q)
 
         p = np.array([1.0, 1.5])
-        assert np.abs(super_pseudo_adjoint(h, p) - h(p)).max() < 1e-11
+        assert np.abs(pseudo_adjoint(h, p) - h(p)).max() < 1e-11
 
 
 class TestSectorPairing:
@@ -120,13 +118,13 @@ class TestSectorPairing:
         p = np.array([1.1, -0.7])
         h = susy_hamiltonian(g, beta, p)
         _, tm = supercharges(g, beta, p)
-        vals, vecs = np.linalg.eig(h.block(0, 0))
+        vals, vecs = np.linalg.eig(h[:2, :2])
         for k in range(2):
             v4 = np.concatenate([vecs[:, k], np.zeros(2)])
-            mapped = (tm.matrix @ v4)[2:]
+            mapped = (tm @ v4)[2:]
             if np.linalg.norm(mapped) < 1e-9:
                 continue
-            resid = h.block(1, 1) @ mapped - vals[k] * mapped
+            resid = h[2:, 2:] @ mapped - vals[k] * mapped
             assert np.abs(resid).max() < 1e-9
 
     def test_theta_plus_maps_minus_sector_to_plus_sector(self):
@@ -134,19 +132,11 @@ class TestSectorPairing:
         p = np.array([0.6, 1.4])
         h = susy_hamiltonian(g, beta, p)
         tp, _ = supercharges(g, beta, p)
-        vals, vecs = np.linalg.eig(h.block(1, 1))
+        vals, vecs = np.linalg.eig(h[2:, 2:])
         for k in range(2):
             v4 = np.concatenate([np.zeros(2), vecs[:, k]])
-            mapped = (tp.matrix @ v4)[:2]
+            mapped = (tp @ v4)[:2]
             if np.linalg.norm(mapped) < 1e-9:
                 continue
-            resid = h.block(0, 0) @ mapped - vals[k] * mapped
+            resid = h[:2, :2] @ mapped - vals[k] * mapped
             assert np.abs(resid).max() < 1e-9
-
-
-def test_block_operator_helpers():
-    b = BlockOperator4.from_blocks(np.eye(2), np.zeros((2, 2)),
-                                   np.zeros((2, 2)), 2 * np.eye(2))
-    assert np.abs(b.block(1, 1) - 2 * np.eye(2)).max() == 0.0
-    with pytest.raises(ValueError):
-        BlockOperator4(np.eye(3))
