@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import deformation_transform
+from .multivector import deformation_transform, matvec
+from .spectrum import amplitude_inner
 
 _SEED_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class BiorthoPair:
-    """A bi-orthogonal pair of bases of C^2 produced by one transform."""
+    """A bi-orthogonal pair of bases of C^2 produced by one transform; over
+    batched inputs each vector is (..., 2) and the transform (..., 2, 2)."""
 
     phi: tuple[np.ndarray, np.ndarray]
     chi: tuple[np.ndarray, np.ndarray]
@@ -28,30 +30,34 @@ class BiorthoPair:
     transform: np.ndarray
 
     def gram(self) -> np.ndarray:
-        """Matrix of inner products <phi_j | chi_k>."""
-        return np.array(
-            [[np.vdot(pj, ck) for ck in self.chi] for pj in self.phi]
-        )
+        """Matrices (..., 2, 2) of inner products <phi_j | chi_k>."""
+        phi = np.stack(self.phi, axis=-2)[..., :, None, :]
+        chi = np.stack(self.chi, axis=-2)[..., None, :, :]
+        return amplitude_inner(phi, chi)
 
 
 def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray) -> BiorthoPair:
-    """Construct the pair (T v_j, (T^-1)^dagger v_j) from orthonormal seeds."""
-    v1 = np.asarray(v1, dtype=complex).reshape(2)
-    v2 = np.asarray(v2, dtype=complex).reshape(2)
-    t = np.asarray(transform, dtype=complex).reshape(2, 2)
+    """Construct the pair (T v_j, (T^-1)^dagger v_j) from orthonormal seeds
+    v_j (..., 2) and transforms T (..., 2, 2)."""
+    v1 = np.asarray(v1, dtype=complex)
+    v2 = np.asarray(v2, dtype=complex)
+    t = np.asarray(transform, dtype=complex)
+    if v1.shape[-1:] != (2,) or v2.shape[-1:] != (2,) or t.shape[-2:] != (2, 2):
+        raise ValueError("need seed vectors in C^2 and 2x2 transforms")
 
-    scale = max(np.abs(t).max(), 1.0)
-    if abs(np.linalg.det(t)) < 1e-12 * scale * scale:
+    scale = np.maximum(np.abs(t).max(axis=(-1, -2)), 1.0)
+    if np.any(np.abs(np.linalg.det(t)) < 1e-12 * scale * scale):
         raise ValueError("non-invertible transform")
 
-    gram = np.array([[np.vdot(a, b) for b in (v1, v2)] for a in (v1, v2)])
-    if np.abs(gram - np.eye(2)).max() > _SEED_TOL:
+    seeds = np.stack((v1, v2), axis=-2)
+    gram = amplitude_inner(seeds[..., :, None, :], seeds[..., None, :, :])
+    if np.any(np.abs(gram - np.eye(2)) > _SEED_TOL):
         raise ValueError("seed vectors not orthonormal")
 
-    t_inv_dag = np.linalg.inv(t).conj().T
+    t_inv_dag = np.linalg.inv(t).conj().swapaxes(-1, -2)
     return BiorthoPair(
-        phi=(t @ v1, t @ v2),
-        chi=(t_inv_dag @ v1, t_inv_dag @ v2),
+        phi=(matvec(t, v1), matvec(t, v2)),
+        chi=(matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)),
         source=(v1, v2),
         transform=t,
     )

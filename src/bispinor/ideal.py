@@ -78,10 +78,18 @@ class IdealSpinor:
                 and self.momentum == other.momentum)
 
 
+def ideal_matrix(amps) -> np.ndarray:
+    """Ideal matrices (..., 2, 2) of amplitude arrays (..., 2): the amplitudes
+    as first column, the second column zero."""
+    amps = np.asarray(amps, dtype=complex)
+    out = np.zeros(amps.shape[:-1] + (2, 2), dtype=complex)
+    out[..., :, 0] = amps
+    return out
+
+
 def to_ideal(psi: FiniteSpinor) -> IdealSpinor:
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 0], m[1, 0] = psi.amplitudes
-    return IdealSpinor(matrix=m, momentum=psi.momentum, wave_sign=psi.wave_sign)
+    return IdealSpinor(matrix=ideal_matrix(psi.amplitudes),
+                       momentum=psi.momentum, wave_sign=psi.wave_sign)
 
 
 def from_ideal(s: IdealSpinor) -> FiniteSpinor:
@@ -98,7 +106,8 @@ def ideal_components(psi: FiniteSpinor) -> tuple[float, float, float, float]:
 
 
 def basis_flip(u: np.ndarray) -> np.ndarray:
-    """The flip anti-involution U -> e13 conj(U); squares to -identity."""
+    """The flip anti-involution U -> e13 conj(U) on (..., 2, 2) matrices;
+    squares to -identity."""
     return E13 @ np.conj(np.asarray(u, dtype=complex))
 
 
@@ -111,33 +120,43 @@ def flip_spinor(s: IdealSpinor) -> IdealSpinor:
     )
 
 
+def c1_form(a: np.ndarray, b: np.ndarray):
+    """C1 = tr(reversion(A) B) of ideal matrices (..., 2, 2) = a1* b1 + a2* b2."""
+    return np.trace(reversion_matrix(a) @ b, axis1=-2, axis2=-1)
+
+
+def c2_form(a: np.ndarray, b: np.ndarray):
+    """C2 = tr(e31 conj_cl(A) flip(B)) of ideal matrices (..., 2, 2)
+    = a1 b1* + a2 b2*."""
+    return np.trace(_E31 @ clifford_conjugation_matrix(a) @ basis_flip(b),
+                    axis1=-2, axis2=-1)
+
+
 def inner_c1(a: IdealSpinor, b: IdealSpinor) -> complex:
-    """C1 = tr(reversion(A) B) x delta factor = a1* b1 + a2* b2."""
+    """C1 x delta factor (label matching)."""
     if not a.same_label(b):
         return 0.0 + 0.0j
-    return complex(np.trace(reversion_matrix(a.matrix) @ b.matrix))
+    return complex(c1_form(a.matrix, b.matrix))
 
 
 def inner_c2(a: IdealSpinor, b: IdealSpinor) -> complex:
-    """C2 = tr(e31 conj_cl(A) flip(B)) x delta factor = a1 b1* + a2 b2*."""
+    """C2 x delta factor (label matching)."""
     if not a.same_label(b):
         return 0.0 + 0.0j
-    return complex(np.trace(
-        _E31 @ clifford_conjugation_matrix(a.matrix) @ basis_flip(b.matrix)
-    ))
+    return complex(c2_form(a.matrix, b.matrix))
 
 
-def invariance_group_check(u: np.ndarray, tol: float = 1e-10) -> tuple[bool, bool]:
-    """Membership in the two invariance groups.
+def invariance_group_check(u: np.ndarray, tol: float = 1e-10):
+    """Membership of (..., 2, 2) matrices in the two invariance groups.
 
     in_G: reversion(u) u = 1, equivalent to unitarity (preserves C1).
     in_Gprime: conj_cl(u) u_flat = 1 with the flip taken at operator level,
     u_flat = e13 conj(u) e13^-1 (preserves C2); on matrices this again
     carves out the unitary group.
     """
-    u = np.asarray(u, dtype=complex).reshape(2, 2)
+    u = np.asarray(u, dtype=complex)
     i2 = np.eye(2)
-    in_g = bool(np.abs(reversion_matrix(u) @ u - i2).max() <= tol)
+    in_g = np.abs(reversion_matrix(u) @ u - i2).max(axis=(-1, -2)) <= tol
     u_flat = time_reverse_matrix(u)
-    in_gp = bool(np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max() <= tol)
-    return in_g, in_gp
+    in_gp = np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max(axis=(-1, -2)) <= tol
+    return in_g[()], in_gp[()]

@@ -2,7 +2,8 @@
 factories (generalized, Rashba and magnetic/Zeeman variants).
 
 All operators act on plane waves, so they are realized as matrix-valued
-functions of the classical momentum label p (hbar = m = 1, unit charge).
+functions of the classical momentum label p (hbar = m = 1, unit charge),
+evaluated over leading batch axes of p, gamma and the shifts alike.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import deformation_omega, make_deformed_basis
+from .multivector import deformation_omega, deformed_generators, make_deformed_basis
 
 
 @dataclass(frozen=True)
@@ -68,30 +69,56 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
     )
 
 
+def _generators(gamma) -> np.ndarray:
+    """(..., 8, 2, 2) deformed generators; a single gamma is served from the
+    basis cache."""
+    if np.ndim(gamma) == 0:
+        return make_deformed_basis(float(gamma)).generators
+    return deformed_generators(gamma)
+
+
+def _pad3(p) -> np.ndarray:
+    """Momenta (..., 2) or (..., 3) as (..., 3), the third component 0 if absent."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] == (2,):
+        return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    if p.shape[-1:] != (3,):
+        raise ValueError("momentum must have 2 or 3 components")
+    return p
+
+
+def _vec3(x, y, z) -> np.ndarray:
+    """Broadcastable components stacked into (..., 3) complex vectors."""
+    return np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (x, y, z))),
+                    axis=-1)
+
+
+def _per_matrix(x) -> np.ndarray:
+    """Coefficients of shape (...) made to scale (..., 2, 2) matrices."""
+    return np.asarray(x)[..., None, None]
+
+
 @dataclass(frozen=True)
 class CliffordMomentum:
-    """The shifted momentum 1-blade p -> sum_j e_j^gamma (p_j + Q_j)."""
+    """The shifted momentum 1-blade p -> sum_j e_j^gamma (p_j + Q_j).
+
+    ``gamma`` may be an array and ``shift`` a (..., 3) array; evaluate(p)
+    broadcasts them against momenta of shape (..., 2) or (..., 3) and
+    returns (..., 2, 2) matrices.
+    """
 
     gamma: float
     shift: tuple[complex, complex, complex] = (0.0, 0.0, 0.0)
 
     def evaluate(self, p) -> np.ndarray:
-        p3 = _pad3(p)
-        e1, e2, e3 = make_deformed_basis(self.gamma).vectors
-        q = self.shift
-        return (e1 * (p3[0] + q[0]) + e2 * (p3[1] + q[1]) + e3 * (p3[2] + q[2]))
+        q = _pad3(p) + np.asarray(self.shift)
+        e = _generators(self.gamma)
+        return (e[..., 1, :, :] * _per_matrix(q[..., 0])
+                + e[..., 2, :, :] * _per_matrix(q[..., 1])
+                + e[..., 3, :, :] * _per_matrix(q[..., 2]))
 
     def __call__(self, p) -> np.ndarray:
         return self.evaluate(p)
-
-
-def _pad3(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.size == 2:
-        p = np.append(p, 0.0)
-    if p.size != 3:
-        raise ValueError("momentum must have 2 or 3 components")
-    return p
 
 
 @dataclass(frozen=True)
@@ -99,9 +126,12 @@ class MomentumHamiltonian:
     """Half the product of two Clifford momenta, stored structurally.
 
     evaluate(p) assembles the matrix from the structured coefficients:
-    a kinetic scalar, three bivector interaction coefficients, and an
-    optional Zeeman coefficient on e3^gamma.  ``left_shift`` belongs to the
-    left factor of the product and ``right_shift`` to the right one.
+    a kinetic scalar, three bivector interaction coefficients over
+    {e12, e23, e31}, and a Zeeman coefficient on e3^gamma.  ``left_shift``
+    belongs to the left factor of the product and ``right_shift`` to the
+    right one.  Like :class:`CliffordMomentum` it broadcasts array-valued
+    gamma, shifts and Zeeman coefficient against momenta (..., 2) or
+    (..., 3), returning (..., 2, 2) matrices.
     """
 
     gamma: float
@@ -111,31 +141,20 @@ class MomentumHamiltonian:
     beta: float = 0.0
     sign: int = 0
 
-    def kinetic(self, p) -> complex:
-        p3 = _pad3(p)
-        ls, rs = self.left_shift, self.right_shift
-        return 0.5 * sum((p3[j] + ls[j]) * (p3[j] + rs[j]) for j in range(3))
-
-    def interaction(self, p) -> dict[str, complex]:
-        """Coefficients over the bivector blades {e12, e23, e31}."""
-        p3 = _pad3(p)
-        l = [p3[j] + self.left_shift[j] for j in range(3)]
-        r = [p3[j] + self.right_shift[j] for j in range(3)]
-        return {
-            "e12": 0.5 * (l[0] * r[1] - l[1] * r[0]),
-            "e23": 0.5 * (l[1] * r[2] - l[2] * r[1]),
-            "e31": 0.5 * (l[2] * r[0] - l[0] * r[2]),
-        }
-
     def evaluate(self, p) -> np.ndarray:
-        basis = make_deformed_basis(self.gamma)
-        _, _, _, e3g, e12g, e23g, e31g, _ = basis.generators
-        coeffs = self.interaction(p)
-        out = self.kinetic(p) * np.eye(2, dtype=complex)
-        out = out + coeffs["e12"] * e12g + coeffs["e23"] * e23g + coeffs["e31"] * e31g
-        if self.zeeman != 0.0:
-            out = out + self.zeeman * e3g
-        return out
+        p3 = _pad3(p)
+        l = p3 + np.asarray(self.left_shift)
+        r = p3 + np.asarray(self.right_shift)
+        e = _generators(self.gamma)
+        kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
+        e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
+        e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
+        e31 = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
+        return (_per_matrix(kinetic) * e[..., 0, :, :]
+                + _per_matrix(e12) * e[..., 4, :, :]
+                + _per_matrix(e23) * e[..., 5, :, :]
+                + _per_matrix(e31) * e[..., 6, :, :]
+                + _per_matrix(self.zeeman) * e[..., 3, :, :])
 
     def __call__(self, p) -> np.ndarray:
         return self.evaluate(p)
@@ -143,15 +162,16 @@ class MomentumHamiltonian:
 
 def factorize(a: CliffordMomentum, b: CliffordMomentum):
     """Hamiltonians H^AB = (1/2) B(p) A(p) and H^BA = (1/2) A(p) B(p)."""
-    if a.gamma != b.gamma:
+    if np.any(np.asarray(a.gamma) != np.asarray(b.gamma)):
         raise ValueError("mismatched deformation parameters")
     h_ab = MomentumHamiltonian(gamma=a.gamma, left_shift=b.shift, right_shift=a.shift)
     h_ba = MomentumHamiltonian(gamma=a.gamma, left_shift=a.shift, right_shift=b.shift)
     return h_ab, h_ba
 
 
-def rashba(gamma: float, beta: float, sign: int = 1) -> MomentumHamiltonian:
-    """The deformed Rashba Hamiltonian R^sign_gamma.
+def rashba(gamma, beta, sign: int = 1) -> MomentumHamiltonian:
+    """The deformed Rashba Hamiltonian R^sign_gamma (gamma and beta may be
+    broadcastable arrays).
 
     sign=+1 gives (1/2) P^B P^A with A = -i(0,0,beta), B = +i(0,0,beta);
     sign=-1 flips beta.  The adjoint of the +gamma operator equals the
@@ -160,36 +180,38 @@ def rashba(gamma: float, beta: float, sign: int = 1) -> MomentumHamiltonian:
     deformation_omega(gamma)  # rejects |gamma| >= 1
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    b3 = 1j * beta * sign
+    b3 = 1j * np.asarray(beta) * sign
     return MomentumHamiltonian(
         gamma=gamma,
-        left_shift=(0.0, 0.0, b3),
-        right_shift=(0.0, 0.0, -b3),
+        left_shift=_vec3(0.0, 0.0, b3),
+        right_shift=_vec3(0.0, 0.0, -b3),
         beta=beta,
         sign=sign,
     )
 
 
-def magnetic(gamma: float, beta: float, a_vec, b3: float,
-             branch: int = 1) -> MomentumHamiltonian:
+def magnetic(gamma, beta, a_vec, b3, branch: int = 1) -> MomentumHamiltonian:
     """Rashba Hamiltonian with a constant in-plane gauge shift and Zeeman term.
 
     H^branch = (1/2)[(p1+A1)^2 + (p2+A2)^2 + beta^2]
                + branch * i beta [e31 (p1+A1) - e23 (p2+A2)] + e3 B3,
 
     realized as half the ordered product of the two shifted Clifford momenta
-    p_j + A_j +- i beta delta_j3, plus the Zeeman coefficient.
+    p_j + A_j +- i beta delta_j3, plus the Zeeman coefficient.  gamma, beta
+    and B3 may be broadcastable arrays and ``a_vec`` of shape (..., 2).
     """
     deformation_omega(gamma)  # rejects |gamma| >= 1
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    a_vec = np.asarray(a_vec, dtype=float).reshape(2)
-    shift3 = 1j * beta * branch
+    a_vec = np.asarray(a_vec, dtype=float)
+    if a_vec.shape[-1:] != (2,):
+        raise ValueError("gauge shift must have 2 components")
+    shift3 = 1j * np.asarray(beta) * branch
     return MomentumHamiltonian(
         gamma=gamma,
-        left_shift=(a_vec[0], a_vec[1], shift3),
-        right_shift=(a_vec[0], a_vec[1], -shift3),
-        zeeman=float(b3),
+        left_shift=_vec3(a_vec[..., 0], a_vec[..., 1], shift3),
+        right_shift=_vec3(a_vec[..., 0], a_vec[..., 1], -shift3),
+        zeeman=np.asarray(b3, dtype=float)[()],
         beta=beta,
         sign=branch,
     )

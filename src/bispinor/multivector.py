@@ -11,6 +11,11 @@ e31 -> i*sigma_2 and e123 -> i*1.
 The module also builds the gamma-deformed generator set (a similarity
 transform of the Pauli generators controlled by gamma = sin(theta),
 omega = sqrt(1 - gamma^2)) together with its time-reversed partner set.
+
+Shapes: every kernel works over leading batch axes.  Coefficient arrays are
+(..., 8), matrices (..., 2, 2) (or (..., 2n, 2n) for time reversal) and
+deformation parameters (...); a :class:`Multivector` is the single-element
+view, and the kernels return one when given one.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ BASIS_MATRICES = (
     1j * SIGMA2,   # e31 = e3 e1
     1j * _ID,      # e123
 )
+_BASIS_STACK = np.array(BASIS_MATRICES)
+PAULI = _BASIS_STACK[1:4]
 
 # Signs of the three classical involutions per grade 0..3.
 _INVOLUTION_SIGNS = {
@@ -51,32 +58,41 @@ _INVOLUTION_SIGNS = {
 }
 
 
-def _decompose(m: np.ndarray) -> np.ndarray:
-    """Coefficients of a 2x2 complex matrix over the 8 basis blades."""
+def mat2(a, b, c, d) -> np.ndarray:
+    """The (..., 2, 2) complex matrices [[a, b], [c, d]] from broadcastable entries."""
+    entries = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, c, d)))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
+def matvec(m, v) -> np.ndarray:
+    """Matrices (..., n, n) applied to vectors (..., n), broadcasting."""
+    return (np.asarray(m) @ np.asarray(v)[..., None])[..., 0]
+
+
+def decompose(m) -> np.ndarray:
+    """Coefficients (..., 8) of (..., 2, 2) complex matrices over the 8 basis blades."""
     m = np.asarray(m, dtype=complex)
-    a = (m[0, 0] + m[1, 1]) / 2.0          # 1, e123
-    b = (m[0, 1] + m[1, 0]) / 2.0          # e1, e23
-    c = 1j * (m[0, 1] - m[1, 0]) / 2.0     # e2, e31
-    d = (m[0, 0] - m[1, 1]) / 2.0          # e3, e12
-    return np.array(
-        [a.real, b.real, c.real, d.real, d.imag, b.imag, c.imag, a.imag]
+    a = (m[..., 0, 0] + m[..., 1, 1]) / 2.0          # 1, e123
+    b = (m[..., 0, 1] + m[..., 1, 0]) / 2.0          # e1, e23
+    c = 1j * (m[..., 0, 1] - m[..., 1, 0]) / 2.0     # e2, e31
+    d = (m[..., 0, 0] - m[..., 1, 1]) / 2.0          # e3, e12
+    return np.stack(
+        [a.real, b.real, c.real, d.real, d.imag, b.imag, c.imag, a.imag], axis=-1
     )
 
 
-def _build_cayley() -> tuple[np.ndarray, np.ndarray]:
-    """Structure constants: index and sign of each basis blade product."""
-    idx = np.zeros((8, 8), dtype=int)
-    sgn = np.zeros((8, 8))
-    for i in range(8):
-        for j in range(8):
-            coeffs = _decompose(BASIS_MATRICES[i] @ BASIS_MATRICES[j])
-            k = int(np.argmax(np.abs(coeffs)))
-            idx[i, j] = k
-            sgn[i, j] = round(coeffs[k])
-    return idx, sgn
+def _build_cayley() -> np.ndarray:
+    """Structure constants as a dense (8, 8, 8) tensor: blade_i blade_j =
+    sum_k C[i, j, k] blade_k, with one entry +-1 per (i, j)."""
+    return np.round(decompose(_BASIS_STACK[:, None] @ _BASIS_STACK[None, :]))
 
 
-_CAYLEY_INDEX, _CAYLEY_SIGN = _build_cayley()
+_CAYLEY = _build_cayley()
+
+
+_GRADE_OF = np.array(GRADES)
+_BLADE_SIGNS = {kind: np.array(signs, dtype=float)[_GRADE_OF]
+                for kind, signs in _INVOLUTION_SIGNS.items()}
 
 
 @dataclass(frozen=True)
@@ -86,10 +102,10 @@ class Multivector:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if len(coeffs) != 8:
+        coeffs = np.asarray(self.coefficients, dtype=float)
+        if coeffs.shape != (8,):
             raise ValueError("a multivector needs exactly 8 coefficients")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[float]) -> "Multivector":
@@ -101,38 +117,30 @@ class Multivector:
 
     @classmethod
     def blade(cls, name: str) -> "Multivector":
-        k = BASIS_NAMES.index(name)
-        return cls(tuple(1.0 if i == k else 0.0 for i in range(8)))
+        return cls(np.eye(8)[BASIS_NAMES.index(name)])
 
     def as_array(self) -> np.ndarray:
         return np.array(self.coefficients)
 
     def grade(self, k: int) -> "Multivector":
-        return Multivector(
-            tuple(c if GRADES[i] == k else 0.0
-                  for i, c in enumerate(self.coefficients))
-        )
+        return Multivector(np.where(_GRADE_OF == k, self.as_array(), 0.0))
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
+        return Multivector(self.as_array() + other.as_array())
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
+        return Multivector(self.as_array() - other.as_array())
 
     def __neg__(self) -> "Multivector":
-        return Multivector(tuple(-a for a in self.coefficients))
+        return Multivector(-self.as_array())
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        return Multivector(tuple(float(other) * a for a in self.coefficients))
+        return Multivector(float(other) * self.as_array())
 
     def __rmul__(self, other):
-        return Multivector(tuple(float(other) * a for a in self.coefficients))
+        return Multivector(float(other) * self.as_array())
 
     def __repr__(self):
         terms = [
@@ -143,68 +151,63 @@ class Multivector:
         return "Multivector(" + (" ".join(terms) if terms else "0") + ")"
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric (Clifford) product a*b computed from the structure constants."""
-    out = np.zeros(8)
-    ca, cb = a.coefficients, b.coefficients
-    for i in range(8):
-        if ca[i] == 0.0:
-            continue
-        for j in range(8):
-            if cb[j] == 0.0:
-                continue
-            out[_CAYLEY_INDEX[i, j]] += _CAYLEY_SIGN[i, j] * ca[i] * cb[j]
-    return Multivector(tuple(out))
+def _coeffs(a) -> np.ndarray:
+    return a.as_array() if isinstance(a, Multivector) else np.asarray(a, dtype=float)
 
 
-def to_matrix(a: Multivector) -> np.ndarray:
-    """2x2 complex matrix representative of a multivector."""
-    m = np.zeros((2, 2), dtype=complex)
-    for c, basis in zip(a.coefficients, BASIS_MATRICES):
-        if c != 0.0:
-            m = m + c * basis
-    return m
+def _like(a, coeffs: np.ndarray):
+    """``coeffs`` as a Multivector when ``a`` was one, else as the array."""
+    return Multivector(coeffs) if isinstance(a, Multivector) else coeffs
+
+
+def geometric_product(a, b):
+    """Geometric (Clifford) product a*b of multivectors or (..., 8) coefficient
+    arrays, contracted against the structure constants."""
+    return _like(a, np.einsum("...i,...j,ijk->...k", _coeffs(a), _coeffs(b), _CAYLEY))
+
+
+def to_matrix(a) -> np.ndarray:
+    """(..., 2, 2) complex matrix representative of a multivector or of
+    (..., 8) coefficient arrays."""
+    return np.einsum("...k,kij->...ij", _coeffs(a), _BASIS_STACK)
 
 
 def from_matrix(m: np.ndarray) -> Multivector:
-    """Inverse of :func:`to_matrix`; defined on all of M(2, C)."""
-    return Multivector(tuple(_decompose(m)))
+    """Inverse of :func:`to_matrix` on one matrix; defined on all of M(2, C).
+    :func:`decompose` is the same map over stacks."""
+    return Multivector(decompose(m))
 
 
-def involute(a: Multivector, kind: str) -> Multivector:
-    """Apply one of the three classical involutions.
+def involute(a, kind: str):
+    """Apply one of the three classical involutions to a multivector or to
+    (..., 8) coefficient arrays.
 
     kind is one of 'grade_inversion', 'reversion', 'clifford_conjugation';
     each multiplies the grade-k part by a fixed sign:
     (+,-,+,-), (+,+,-,-) and (+,-,-,+) respectively.
     """
     try:
-        signs = _INVOLUTION_SIGNS[kind]
+        signs = _BLADE_SIGNS[kind]
     except KeyError:
         raise ValueError(f"unknown involution kind: {kind!r}") from None
-    return Multivector(
-        tuple(signs[GRADES[i]] * c for i, c in enumerate(a.coefficients))
-    )
+    return _like(a, signs * _coeffs(a))
 
 
 def grade_inversion_matrix(m: np.ndarray) -> np.ndarray:
     """Matrix form of grade inversion: [[m22*, -m21*], [-m12*, m11*]]."""
-    m = np.asarray(m, dtype=complex)
-    return np.array(
-        [[np.conj(m[1, 1]), -np.conj(m[1, 0])],
-         [-np.conj(m[0, 1]), np.conj(m[0, 0])]]
-    )
+    m = np.conj(np.asarray(m, dtype=complex))
+    return mat2(m[..., 1, 1], -m[..., 1, 0], -m[..., 0, 1], m[..., 0, 0])
 
 
 def reversion_matrix(m: np.ndarray) -> np.ndarray:
     """Matrix form of reversion: the conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def clifford_conjugation_matrix(m: np.ndarray) -> np.ndarray:
     """Matrix form of Clifford conjugation: the adjugate [[m22,-m12],[-m21,m11]]."""
     m = np.asarray(m, dtype=complex)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    return mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
 
 
 MATRIX_INVOLUTIONS = {
@@ -218,26 +221,31 @@ E13 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 
 def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
-    """Conjugation of a constant 2n x 2n operator by time reversal:
+    """Conjugation of constant (..., 2n, 2n) operators by time reversal:
     U conj(m) U^-1 with U = diag(e13, ..., e13).  As e13^-1 = -e13, each 2x2
     block [[a, b], [c, d]] of conj(m) becomes [[d, -c], [-b, a]]."""
     c = np.conj(np.asarray(m, dtype=complex))
     out = np.empty_like(c)
-    out[0::2, 0::2] = c[1::2, 1::2]
-    out[0::2, 1::2] = -c[1::2, 0::2]
-    out[1::2, 0::2] = -c[0::2, 1::2]
-    out[1::2, 1::2] = c[0::2, 0::2]
+    out[..., 0::2, 0::2] = c[..., 1::2, 1::2]
+    out[..., 0::2, 1::2] = -c[..., 1::2, 0::2]
+    out[..., 1::2, 0::2] = -c[..., 0::2, 1::2]
+    out[..., 1::2, 1::2] = c[..., 0::2, 0::2]
     return out
 
 
-def deformation_omega(gamma: float) -> float:
-    """omega = sqrt(1 - gamma^2), defined for deformation parameters |gamma| < 1."""
-    gamma = float(gamma)
-    if not abs(gamma) < 1.0:
+def deformation_omega(gamma):
+    """omega = sqrt(1 - gamma^2), defined for deformation parameters |gamma| < 1;
+    a float for a scalar gamma, elementwise for an array."""
+    gamma = np.asarray(gamma, dtype=float)[()]
+    inside = abs(gamma) < 1.0
+    # a numpy bool for one gamma: skip the reduction, which costs more than
+    # the rest of this function on the single-point path
+    if not (inside if inside.ndim == 0 else inside.all()):
         raise ValueError(
             "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
         )
-    return float(np.sqrt(1.0 - gamma * gamma))
+    omega = np.sqrt(1.0 - gamma * gamma)
+    return float(omega) if omega.ndim == 0 else omega
 
 
 @dataclass(frozen=True)
@@ -246,47 +254,62 @@ class DeformedBasis:
 
     ``generators`` holds {1, e1^g, e2^g, e3^g, e12^g, e23^g, e31^g, e123^g}
     and ``reversed_generators`` the conjugated set e13 conj(g) e13^-1, in the
-    same blade order.
+    same blade order, each as a read-only (8, 2, 2) array.
     """
 
     gamma: float
     omega: float
-    generators: tuple[np.ndarray, ...] = field(repr=False)
-    reversed_generators: tuple[np.ndarray, ...] = field(repr=False)
+    generators: np.ndarray = field(repr=False)
+    reversed_generators: np.ndarray = field(repr=False)
 
     @property
-    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def vectors(self) -> np.ndarray:
         return self.generators[1:4]
 
 
-def deformation_transform(gamma: float) -> np.ndarray:
+def deformation_transform(gamma) -> np.ndarray:
     """Similarity witness for the deformation, gamma = sin(theta):
 
-    T(theta) = cos(theta/2) 1 + sin(theta/2) sigma2   (Hermitian, det = omega).
+    T(theta) = cos(theta/2) 1 + sin(theta/2) sigma2   (Hermitian, det = omega),
+
+    of shape (..., 2, 2) for gamma of shape (...).
     """
-    theta = np.arcsin(gamma)
-    return np.cos(theta / 2.0) * _ID + np.sin(theta / 2.0) * SIGMA2
+    half = np.arcsin(gamma)[..., None, None] / 2.0
+    return np.cos(half) * _ID + np.sin(half) * SIGMA2
+
+
+def deformed_generators(gamma) -> np.ndarray:
+    """The deformed generator set as a (..., 8, 2, 2) array for gamma of
+    shape (...), in blade order.
+
+    The three vector generators are sigma_m conjugated by the deformation
+    transform T, whose inverse is its adjugate over det T = omega,
+    (cos(theta/2) 1 - sin(theta/2) sigma2) / omega; this gives
+    e1 = (sigma1 - i gamma sigma3)/omega, e2 = sigma2 and
+    e3 = (sigma3 + i gamma sigma1)/omega.  Bivector and pseudoscalar slots
+    are rebuilt as products of the deformed vectors, which keeps every
+    algebraic relation a similarity image of the undeformed one.
+    """
+    omega = np.asarray(deformation_omega(gamma))[..., None, None]
+    t = deformation_transform(gamma)
+    t_inv = clifford_conjugation_matrix(t) / omega
+    e1, e2, e3 = (t @ s @ t_inv for s in PAULI)
+    one = np.broadcast_to(_ID, e1.shape)
+    return np.stack((one, e1, e2, e3, e1 @ e2, e2 @ e3, e3 @ e1, e1 @ e2 @ e3), axis=-3)
 
 
 @lru_cache(maxsize=256)
 def make_deformed_basis(gamma: float) -> DeformedBasis:
-    """Build the deformed generator set for |gamma| < 1.
-
-    The three vector generators are sigma_m conjugated by the deformation
-    transform; bivector and pseudoscalar slots are rebuilt as products of the
-    deformed vectors, which keeps every algebraic relation a similarity image
-    of the undeformed one.
-    """
+    """The deformed generator set for one |gamma| < 1 (cached): the
+    single-gamma view of :func:`deformed_generators`."""
     gamma = float(gamma)
-    omega = deformation_omega(gamma)
-    t = deformation_transform(gamma)
-    t_inv = np.linalg.inv(t)
-    e1, e2, e3 = (t @ s @ t_inv for s in (SIGMA1, SIGMA2, SIGMA3))
-    generators = (_ID, e1, e2, e3, e1 @ e2, e2 @ e3, e3 @ e1, e1 @ e2 @ e3)
-    reversed_generators = tuple(time_reverse_matrix(g) for g in generators)
+    generators = deformed_generators(gamma)
+    reversed_generators = time_reverse_matrix(generators)
+    generators.flags.writeable = False
+    reversed_generators.flags.writeable = False
     return DeformedBasis(
         gamma=gamma,
-        omega=omega,
+        omega=deformation_omega(gamma),
         generators=generators,
         reversed_generators=reversed_generators,
     )

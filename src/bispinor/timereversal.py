@@ -20,10 +20,25 @@ from .multivector import (
     E13,
     DeformedBasis,
     make_deformed_basis,
+    matvec,
     reversion_matrix,
     time_reverse_matrix,
 )
-from .spectrum import EigenSystem, FiniteSpinor, eigensystem
+from .spectrum import (
+    EigenSystem,
+    FiniteSpinor,
+    amplitude_inner,
+    eigen_amplitudes,
+    eigenvalues,
+    phi_angles,
+)
+
+
+def reverse_amplitudes(amps) -> np.ndarray:
+    """T on finite parts, (a1, a2) -> e13 conj(a) = (-a2*, a1*), over (..., 2)
+    amplitude arrays."""
+    c = np.conj(np.asarray(amps, dtype=complex))
+    return np.stack([-c[..., 1], c[..., 0]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -35,9 +50,8 @@ class TimeReversal:
         return E13.copy()
 
     def apply(self, psi: FiniteSpinor) -> FiniteSpinor:
-        a1, a2 = psi.amplitudes
         return FiniteSpinor(
-            (-np.conj(a2), np.conj(a1)),
+            tuple(reverse_amplitudes(psi.amplitude_array()).tolist()),
             (-psi.momentum[0], -psi.momentum[1]),
             psi.wave_sign,
         )
@@ -46,11 +60,16 @@ class TimeReversal:
         return self.apply(psi)
 
     def on_matrix(self, m: np.ndarray) -> np.ndarray:
-        """T-conjugation of a constant (momentum-independent) operator."""
+        """T-conjugation of constant (momentum-independent) operators."""
         return time_reverse_matrix(m)
 
 
 TIME_REVERSAL = TimeReversal()
+
+
+def _maxabs(x, axes):
+    """Largest |entry| over ``axes``, per leading index."""
+    return np.abs(x).max(axis=axes)[()]
 
 
 def conjugated_hamiltonian(h, p) -> np.ndarray:
@@ -58,18 +77,19 @@ def conjugated_hamiltonian(h, p) -> np.ndarray:
     return time_reverse_matrix(h(-np.asarray(p, dtype=float)))
 
 
-def pseudo_hermitian_residual(h, p) -> float:
+def pseudo_hermitian_residual(h, p):
     """Max-entry residual of H(-p) U = U H(p)^T, the fixed-momentum form of
-    T^-1 H T = H^dagger.  ``h`` is any callable p -> 2x2 matrix."""
+    T^-1 H T = H^dagger, per momentum of p (..., 2).  ``h`` is any callable
+    p -> (..., 2, 2) matrices."""
     p = np.asarray(p, dtype=float)
-    return float(np.abs(h(-p) @ E13 - E13 @ h(p).T).max())
+    return _maxabs(h(-p) @ E13 - E13 @ h(p).swapaxes(-1, -2), (-1, -2))
 
 
 def pseudo_adjoint(x, p) -> np.ndarray:
-    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of a family of 2n x 2n
+    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of a family of (..., 2n, 2n)
     operators, U = diag(e13, ..., e13): the T-conjugate of X(-p)^dagger."""
     p = np.asarray(p, dtype=float)
-    return time_reverse_matrix(np.conj(x(-p)).T)
+    return time_reverse_matrix(np.conj(x(-p)).swapaxes(-1, -2))
 
 
 def generator_reversal(basis: DeformedBasis) -> dict[str, float]:
@@ -83,41 +103,29 @@ def generator_reversal(basis: DeformedBasis) -> dict[str, float]:
     reversion image with a +, and the pseudoscalar flips.
     """
     mirrored = make_deformed_basis(-basis.gamma)
-    tr = TIME_REVERSAL
+    vector_rule = float(np.abs(
+        TIME_REVERSAL.on_matrix(basis.vectors) + mirrored.vectors).max())
 
-    vector_rule = max(
-        float(np.abs(tr.on_matrix(g) + gm).max())
-        for g, gm in zip(basis.generators[1:4], mirrored.generators[1:4])
-    )
-
-    rev = [reversion_matrix(g) for g in basis.generators]
-    expected = (
+    rev = reversion_matrix(basis.generators)
+    expected = np.stack((
         rev[0],                   # 1 is fixed
         -rev[1],                  # vector slots pick up a minus sign
         -rev[2],
         -rev[3],
-        _expected_even(basis, 0),  # e12 slot
-        _expected_even(basis, 1),  # e23 slot
-        _expected_even(basis, 2),  # e31 slot
+        # even slots: i * reversion of the matching deformed vector generator
+        1j * rev[3],              # e12 <- sigma3~
+        1j * rev[1],              # e23 <- sigma1~
+        1j * rev[2],              # e31 <- sigma2~
         -1j * np.eye(2, dtype=complex),
-    )
-    listed_set = max(
-        float(np.abs(br - want).max())
-        for br, want in zip(basis.reversed_generators, expected)
-    )
+    ))
+    listed_set = float(np.abs(basis.reversed_generators - expected).max())
     return {"vector_rule": vector_rule, "listed_set": listed_set}
-
-
-def _expected_even(basis: DeformedBasis, which: int) -> np.ndarray:
-    """Closed forms of the reversed even generators: i * reversion of the
-    matching deformed vector generator (e12 -> i sigma3~, e23 -> i sigma1~,
-    e31 -> i sigma2~)."""
-    vec = {0: 2, 1: 0, 2: 1}[which] + 1  # e12<-sigma3, e23<-sigma1, e31<-sigma2
-    return 1j * reversion_matrix(basis.generators[vec])
 
 
 @dataclass(frozen=True)
 class KramersResult:
+    """Kramers pairing residuals; fields are arrays over batched inputs."""
+
     n_plus: int
     n_minus: int
     residual: float
@@ -125,8 +133,9 @@ class KramersResult:
     flipped_p_residual: float
 
 
-def kramers_analogue(es: EigenSystem) -> KramersResult:
-    """Match T psi_pm against the dual family (eigenvectors of the adjoint).
+def kramers_pairing(gamma, beta, p, wave_sign: int = 1) -> KramersResult:
+    """Match T psi_pm against the dual family (eigenvectors of the adjoint),
+    elementwise over gamma, beta (...) and momenta (..., 2).
 
     At the amplitude level T psi_+ equals +- the dual_- finite part and
     T psi_- equals +- dual_+; the sign exponent n in the factor (-1)^n is
@@ -135,68 +144,64 @@ def kramers_analogue(es: EigenSystem) -> KramersResult:
     eigenvalue; amplitude-level matchings at p and at -p are both computed
     and reported.
     """
-    tr = TIME_REVERSAL
-    t_plus = tr.apply(es.psi_plus)
-    t_minus = tr.apply(es.psi_minus)
+    p = np.asarray(p, dtype=float)
+    amps = eigen_amplitudes(*phi_angles(gamma, wave_sign * p))
+    flipped = eigen_amplitudes(*phi_angles(-gamma, -wave_sign * p))
+    t_psi = reverse_amplitudes(amps[..., :2, :])          # T psi_+, T psi_-
 
-    flipped = eigensystem(-es.gamma, es.beta,
-                          (-es.momentum[0], -es.momentum[1]), es.wave_sign)
+    def match(target):
+        """Sign exponents and residuals of T psi_pm against target rows."""
+        r0 = _maxabs(t_psi - target, -1)
+        r1 = _maxabs(t_psi + target, -1)
+        return np.where(r0 <= r1, 0, 1), np.where(r0 <= r1, r0, r1).max(axis=-1)
 
-    def match(cand: np.ndarray, target: np.ndarray) -> tuple[int, float]:
-        r0 = float(np.abs(cand - target).max())
-        r1 = float(np.abs(cand + target).max())
-        return (0, r0) if r0 <= r1 else (1, r1)
-
-    # Matching against the duals carrying the same momentum label p:
-    n_plus, rp = match(t_plus.amplitude_array(), es.dual_minus.amplitude_array())
-    n_minus, rm = match(t_minus.amplitude_array(), es.dual_plus.amplitude_array())
-    same_p = max(rp, rm)
-
-    # Alternative: duals of the system at the flipped momentum label.
-    _, fp = match(t_plus.amplitude_array(), flipped.dual_minus.amplitude_array())
-    _, fm = match(t_minus.amplitude_array(), flipped.dual_plus.amplitude_array())
-    flipped_p = max(fp, fm)
+    # Matching against the duals carrying the same momentum label p
+    # (dual_-, dual_+), and against the duals of the system at -p.
+    n, same_p = match(amps[..., 3:1:-1, :])
+    _, flipped_p = match(flipped[..., 3:1:-1, :])
 
     # Orthogonality <T psi | psi> = 0 at amplitude level.
-    ortho = max(
-        abs(np.vdot(t_plus.amplitude_array(), es.psi_plus.amplitude_array())),
-        abs(np.vdot(t_minus.amplitude_array(), es.psi_minus.amplitude_array())),
-    )
+    ortho = np.abs(amplitude_inner(t_psi, amps[..., :2, :])).max(axis=-1)
 
     # Eigen-identity: the time-reversed state is an eigenvector of
     # R^+_{-gamma} at the flipped momentum with the unchanged eigenvalue.
-    r_flip = rashba(-es.gamma, es.beta, 1).evaluate(np.array(t_plus.momentum))
-    eig = max(
-        float(np.abs(r_flip @ t_plus.amplitude_array()
-                     - es.lambda_plus * t_plus.amplitude_array()).max()),
-        float(np.abs(r_flip @ t_minus.amplitude_array()
-                     - es.lambda_minus * t_minus.amplitude_array()).max()),
-    )
+    r_flip = rashba(-np.asarray(gamma), beta, 1).evaluate(-p)
+    lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
+    eig = _maxabs(matvec(r_flip[..., None, :, :], t_psi) - lam * t_psi, (-1, -2))
 
-    residual = max(min(same_p, flipped_p), ortho, eig)
+    residual = np.maximum.reduce([np.minimum(same_p, flipped_p), ortho, eig])
     return KramersResult(
-        n_plus=n_plus, n_minus=n_minus, residual=residual,
-        same_p_residual=same_p, flipped_p_residual=flipped_p,
+        n_plus=n[..., 0][()], n_minus=n[..., 1][()], residual=residual[()],
+        same_p_residual=same_p[()], flipped_p_residual=flipped_p[()],
     )
 
 
-def noncommutation_witness(gamma: float, beta: float, p) -> float:
+def kramers_analogue(es: EigenSystem) -> KramersResult:
+    """:func:`kramers_pairing` for one eigensystem."""
+    return kramers_pairing(es.gamma, es.beta, es.momentum, es.wave_sign)
+
+
+def noncommutation_witness(gamma, beta, p):
     """Norm of the difference between T-conjugation of R^+_gamma and
-    R^+_gamma itself at momentum p; nonzero for gamma != 0 (the reason a
-    plain Kramers degeneracy argument fails) and zero at gamma = 0."""
+    R^+_gamma itself at momentum p (elementwise over gamma, beta and
+    momenta (..., 2)); nonzero for gamma != 0 (the reason a plain Kramers
+    degeneracy argument fails) and zero at gamma = 0."""
     h = rashba(gamma, beta, 1)
-    return float(np.abs(conjugated_hamiltonian(h, p) - h(np.asarray(p))).max())
+    return _maxabs(conjugated_hamiltonian(h, p) - h(np.asarray(p)), (-1, -2))
 
 
 def reversed_schrodinger_check(h: MomentumHamiltonian, p, dt: float = 1e-3,
                                steps: int = 5) -> float:
     """Evolve an eigenstate under H at fixed p and verify that the
     time-reversed trajectory chi(t) = T psi(-t) obeys
-    i d(chi)/dt = H^dagger(-p) chi by central finite differences."""
+    i d(chi)/dt = H^dagger(-p) chi by central finite differences.  A
+    non-finite H gives an infinite residual."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     p = np.asarray(p, dtype=float)
     hp = h(p)
+    if not np.all(np.isfinite(hp)):
+        return float("inf")
     vals, vecs = np.linalg.eig(hp)
     lam = vals[0]
     v = vecs[:, 0]

@@ -1,0 +1,48 @@
+"""The registry against a stored reference, and its verdicts on overflow.
+
+tests/data/registry_reference.json holds, for three configurations, each
+check's status, sample count and max_residual as produced by the per-sample
+implementation the batched registry replaced (see
+tests/data/make_registry_reference.py).  Inputs are drawn in the same order,
+so statuses and sample counts must match exactly and residuals to within
+rounding: 1% of each check's tolerance.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bispinor.harness.checks import REGISTRY, run_all
+from bispinor.harness.config import SuiteConfig
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "registry_reference.json").read_text())
+MULTIPLIER = {test_id: mult for test_id, _, _, mult in REGISTRY}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_registry_matches_reference(name):
+    block = REFERENCE[name]
+    cfg = SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v
+                         for k, v in block["config"].items()})
+    report = run_all(cfg)
+    assert sorted(e.test_id for e in report.entries) == sorted(block["entries"])
+    for e in report.entries:
+        want = block["entries"][e.test_id]
+        assert (e.status, e.samples) == (want["status"], want["samples"]), e.test_id
+        bound = 0.01 * cfg.tolerance * MULTIPLIER[e.test_id]
+        assert abs(e.max_residual - want["max_residual"]) <= bound, e.test_id
+
+
+def test_overflowing_momenta_fail():
+    # |p| ~ 1e160 overflows the Hamiltonians to inf/NaN; such residuals must
+    # fail, and the run must still complete
+    cfg = SuiteConfig(p1_range=(-1e160, 1e160), p2_range=(-1e160, 1e160))
+    with np.errstate(all="ignore"):
+        report = run_all(cfg)
+    status = {e.test_id: e.status for e in report.entries}
+    for test_id in ("spectrum.eigen_identity", "timereversal.pseudo_hermiticity",
+                    "momenta.isospectrality", "momenta.factorization", "susy.algebra"):
+        assert status[test_id] == "fail", test_id

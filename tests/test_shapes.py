@@ -1,0 +1,159 @@
+"""Batched entry points on an (N, ...) stack equal the stack of their N = 1
+calls, to within 1e-14 of the operands' scale."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bispinor.momenta import magnetic, rashba
+from bispinor.multivector import (
+    MATRIX_INVOLUTIONS,
+    Multivector,
+    decompose,
+    deformed_generators,
+    from_matrix,
+    geometric_product,
+    involute,
+    make_deformed_basis,
+    time_reverse_matrix,
+    to_matrix,
+)
+from bispinor.spectrum import eigenvalue_oracle, eigenvalues, phi_angles
+from bispinor.susy import supercharges
+from bispinor.timereversal import pseudo_adjoint
+
+EPS = 1e-14
+EXAMPLES = settings(max_examples=40)
+
+sizes = st.integers(1, 5)
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def stack(shape, lo, hi):
+    return arrays(np.float64, shape, elements=reals(lo, hi))
+
+
+def complex_stack(shape, bound=5.0):
+    return stack(shape + (2,), -bound, bound).map(lambda z: z[..., 0] + 1j * z[..., 1])
+
+
+def assert_stacked(batched, singles, scale):
+    singles = np.array(singles)
+    assert np.shape(batched) == singles.shape
+    assert np.all(np.abs(batched - singles) <= EPS * scale)
+
+
+@st.composite
+def rashba_inputs(draw):
+    """(gamma, beta, p) stacks and the scale of the Hamiltonian entries."""
+    n = draw(sizes)
+    g = draw(stack((n,), -0.95, 0.95))
+    b = draw(stack((n,), 0.1, 4.0))
+    p = draw(stack((n, 2), -5.0, 5.0))
+    scale = (1.0 + np.abs(p).max() + b.max()) ** 2 / (1.0 - np.abs(g).max() ** 2)
+    return g, b, p, scale
+
+
+@EXAMPLES
+@given(sizes.flatmap(lambda n: st.tuples(stack((n, 8), -10, 10), stack((n, 8), -10, 10))))
+def test_geometric_product(ab):
+    a, b = ab
+    singles = [geometric_product(Multivector(x), Multivector(y)).as_array() for x, y in zip(a, b)]
+    assert_stacked(geometric_product(a, b), singles, 8 * (1 + np.abs(a).max()) * (1 + np.abs(b).max()))
+
+
+@EXAMPLES
+@given(sizes.flatmap(lambda n: stack((n, 8), -10, 10)))
+def test_to_matrix_and_decompose(a):
+    m = to_matrix(a)
+    assert_stacked(m, [to_matrix(Multivector(x)) for x in a], 8 * (1 + np.abs(a).max()))
+    assert_stacked(decompose(m), [from_matrix(x).as_array() for x in m], 8 * (1 + np.abs(a).max()))
+
+
+@EXAMPLES
+@given(sizes.flatmap(lambda n: stack((n, 8), -10, 10)))
+def test_involute(a):
+    for kind in MATRIX_INVOLUTIONS:
+        singles = [involute(Multivector(x), kind).as_array() for x in a]
+        assert_stacked(involute(a, kind), singles, 1 + np.abs(a).max())
+
+
+@EXAMPLES
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+def test_time_reverse_matrix(n, data):
+    m = data.draw(sizes.flatmap(lambda k: complex_stack((k, 2 * n, 2 * n))))
+    assert_stacked(time_reverse_matrix(m), [time_reverse_matrix(x) for x in m], 1.0)
+
+
+@EXAMPLES
+@given(sizes.flatmap(lambda n: stack((n,), -0.99, 0.99)))
+def test_generator_formula(g):
+    singles = [make_deformed_basis(float(x)).generators for x in g]
+    assert_stacked(deformed_generators(g), singles, 1.0 / (1.0 - np.abs(g).max() ** 2))
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_rashba_evaluate(inputs):
+    g, b, p, scale = inputs
+    for sign in (1, -1):
+        singles = [rashba(x, y, sign).evaluate(q) for x, y, q in zip(g, b, p)]
+        assert_stacked(rashba(g, b, sign).evaluate(p), singles, scale)
+
+
+@EXAMPLES
+@given(rashba_inputs(), st.data())
+def test_magnetic_evaluate(inputs, data):
+    g, b, p, scale = inputs
+    a_vec = data.draw(stack(p.shape, -2.0, 2.0))
+    b3 = data.draw(stack(b.shape, -2.0, 2.0))
+    for branch in (1, -1):
+        singles = [magnetic(*args, branch).evaluate(q)
+                   for *args, q in zip(g, b, a_vec, b3, p)]
+        assert_stacked(magnetic(g, b, a_vec, b3, branch).evaluate(p), singles, 4 * scale)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_eigenvalues_and_angles(inputs):
+    g, b, p, scale = inputs
+    assert_stacked(np.array(eigenvalues(b, p)).T,
+                   [eigenvalues(y, q) for y, q in zip(b, p)], scale)
+    batched = np.array(phi_angles(g, p)).T
+    singles = np.array([phi_angles(x, q) for x, q in zip(g, p)])
+    # angles are compared modulo 2 pi
+    assert_stacked(np.angle(np.exp(1j * (batched - singles))), np.zeros_like(singles), 10.0)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_eigenvalue_oracle(inputs):
+    g, b, p, scale = inputs
+    h = rashba(g, b, 1).evaluate(p)
+    assert_stacked(np.array(eigenvalue_oracle(h)).T,
+                   [eigenvalue_oracle(x) for x in h], scale)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_pseudo_adjoint(inputs):
+    g, b, p, scale = inputs
+    batched = pseudo_adjoint(lambda q: rashba(g, b, 1).evaluate(q), p)
+    singles = [pseudo_adjoint(lambda q, x=x, y=y: rashba(x, y, 1).evaluate(q), pp)
+               for x, y, pp in zip(g, b, p)]
+    assert_stacked(batched, singles, scale)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_supercharges(inputs):
+    g, b, p, scale = inputs
+    batched = np.stack(supercharges(g, b, p), axis=1)
+    singles = [np.stack(supercharges(x, y, q)) for x, y, q in zip(g, b, p)]
+    assert_stacked(batched, singles, scale)
