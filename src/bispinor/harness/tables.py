@@ -1,13 +1,12 @@
 """Tabular exporters: spectrum sweeps and spin-texture fields.
 
-Floats are serialized with 17 significant digits so CSV output round-trips
-double precision exactly.
+Each export evaluates its closed forms once over the stacked (gamma, beta,
+grid) arrays; rows are plain floats ordered gamma, beta, p1, p2, branch.
+Floats are written with 17 significant digits, which round-trips doubles.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -20,55 +19,55 @@ SPECTRUM_HEADER = ("gamma", "beta", "p1", "p2",
 TEXTURE_HEADER = ("branch", "gamma", "p1", "p2", "v1", "v2", "v3")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _grid(cfg: SuiteConfig):
-    """Momentum grid over the configured ranges, skipping the origin."""
+def _grid(cfg: SuiteConfig) -> np.ndarray:
+    """Momentum grid over the configured ranges as (N, 2), p1 outer,
+    skipping the origin."""
     p1s = np.linspace(*cfg.p1_range, cfg.grid_points)
     p2s = np.linspace(*cfg.p2_range, cfg.grid_points)
-    for p1 in p1s:
-        for p2 in p2s:
-            if np.hypot(p1, p2) > 1e-9:
-                yield float(p1), float(p2)
+    pts = np.stack(np.meshgrid(p1s, p2s, indexing="ij"), axis=-1).reshape(-1, 2)
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-9]
 
 
-def spectrum_rows(cfg: SuiteConfig):
-    for gamma in cfg.gamma_values:
-        for beta in cfg.nonzero_betas():
-            for p1, p2 in _grid(cfg):
-                es = spectrum.eigensystem(gamma, beta, (p1, p2))
-                yield (gamma, beta, p1, p2,
-                       es.lambda_plus, es.lambda_minus,
-                       es.phi_plus, es.phi_minus)
+def _table(name: str, *columns) -> list[list[float]]:
+    """One row per element of the broadcast columns; ValueError if any
+    value is not finite."""
+    cols = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    if not np.isfinite(cols).all():
+        raise ValueError(f"{name} export has non-finite values "
+                         "(momenta or beta too large for double precision)")
+    return cols.reshape(-1, len(columns)).tolist()
 
 
-def texture_rows(cfg: SuiteConfig):
-    beta = cfg.nonzero_betas()[0]
-    for gamma in cfg.gamma_values:
-        for p1, p2 in _grid(cfg):
-            es = spectrum.eigensystem(gamma, beta, (p1, p2))
-            for branch, psi in (("plus", es.psi_plus), ("minus", es.psi_minus)):
-                v = spectrum.spin_vector(psi)
-                yield (branch, gamma, p1, p2, v[0], v[1], v[2])
+def spectrum_rows(cfg: SuiteConfig) -> list[list[float]]:
+    gammas = np.array(cfg.gamma_values)[:, None, None]
+    betas = np.array(cfg.nonzero_betas())[None, :, None]
+    pts = _grid(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _table("spectrum", gammas, betas, pts[:, 0], pts[:, 1],
+                      *spectrum.eigenvalues(betas, pts), *spectrum.phi_angles(gammas, pts))
+
+
+def texture_rows(cfg: SuiteConfig) -> list[list]:
+    cfg.nonzero_betas()    # the texture needs a split spectrum, not beta itself
+    gammas = np.array(cfg.gamma_values)[:, None]
+    pts = _grid(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = spectrum.eigen_amplitudes(*spectrum.phi_angles(gammas, pts))
+        spins = spectrum.spin_expectations(amps[..., :2, :])    # (G, N, 2, 3)
+        rows = _table("texture", gammas[..., None], pts[:, :1], pts[:, 1:],
+                      spins[..., 0], spins[..., 1], spins[..., 2])
+    for i, row in enumerate(rows):
+        row.insert(0, ("plus", "minus")[i % 2])
+    return rows
 
 
 def render(header, rows, fmt: str) -> str:
-    rows = list(rows)
+    """Rows (any iterable of float and plain-word sequences) as CSV or JSON."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [c if isinstance(c, str) else _fmt(c) for c in row])
-        return buf.getvalue()
+        lines = [",".join([c if isinstance(c, str) else format(c, ".17g") for c in row])
+                 for row in rows]
+        return "\n".join([",".join(header), *lines, ""])
     if fmt == "json":
-        payload = [
-            {k: (c if isinstance(c, str) else float(c))
-             for k, c in zip(header, row)}
-            for row in rows
-        ]
+        payload = [dict(zip(header, row)) for row in rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format: {fmt!r}")

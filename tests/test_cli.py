@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,29 @@ class TestSpectrumExport:
         header = out_path.read_text().splitlines()[0]
         assert header.split(",")[:4] == ["gamma", "beta", "p1", "p2"]
 
+    def test_origin_skipped(self, capsys):
+        # a 3x3 grid on [-1, 1]^2 holds the origin: 8 points per (gamma, beta)
+        _, out, _ = run(["spectrum", "--gamma", "0.0,0.4", "--beta", "1.0,2.0",
+                         "--grid=-1:1:3", "--format", "csv"], capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2 * 2 * 8
+        assert not any(float(r["p1"]) == float(r["p2"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "texture"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nonfinite_export_is_rejected(command, fmt, capsys):
+    # |p| ~ 1e160 overflows p^2: the export must fail instead of writing
+    # inf/NaN (invalid JSON), and without a RuntimeWarning per row
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([command, "--grid=-1e160:1e160:2",
+                              f"--format={fmt}"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestTextureExport:
     def test_planar_texture(self, capsys):
@@ -164,6 +188,27 @@ class TestTextureExport:
             sign = 1.0 if row["branch"] == "plus" else -1.0
             assert abs(row["v1"] - sign * np.cos(phi)) < 1e-10
             assert abs(row["v2"] + sign * np.sin(phi)) < 1e-10
+
+    def test_csv_unit_spin_vectors(self, capsys):
+        code, out, _ = run(["texture", "--gamma", "0.0,0.6", "--beta", "1.0",
+                            "--grid=-1:1:3", "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2 * 2 * 8       # branch x gamma x grid off the origin
+        assert [r["branch"] for r in rows] == ["plus", "minus"] * (len(rows) // 2)
+        for r in rows:
+            v = np.array([float(r["v1"]), float(r["v2"]), float(r["v3"])])
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+    def test_output_file(self, tmp_path, capsys):
+        out_path = tmp_path / "texture.json"
+        code, out, _ = run(["texture", "--grid=-1:1:3", "--out", str(out_path),
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert out == ""
+        rows = json.loads(out_path.read_text())
+        assert len(rows) == 2 * len(SuiteConfig().gamma_values) * 8
+        assert set(rows[0]) == {"branch", "gamma", "p1", "p2", "v1", "v2", "v3"}
 
 
 class TestRegistry:
