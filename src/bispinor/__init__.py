@@ -23,32 +23,19 @@ from .momenta import (
 )
 from .spectrum import (
     EigenSystem,
-    FiniteSpinor,
-    ProjectorPair,
-    biortho_inner,
     continuity_residual,
     eigensystem,
     flip_relations,
-    projectors,
-    spin_vector,
 )
 from .timereversal import (
-    TimeReversal,
-    TIME_REVERSAL,
     generator_reversal,
-    kramers_analogue,
     pseudo_hermitian_residual,
 )
 from .ideal import (
     IdealBasis,
-    IdealSpinor,
     basis_flip,
     build_ideal_basis,
-    from_ideal,
-    inner_c1,
-    inner_c2,
     invariance_group_check,
-    to_ideal,
 )
 from .susy import (
     pseudo_susy,

@@ -66,11 +66,13 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray) -> Biortho
 # Coefficient tables c^(m)_{jk} of the rank-one synthesis
 # sigma_m = i^(m+1) sum_jk c^(m)_{jk} |phi_j><chi_k|,
 # pinned by the requirement that theta = 0 reproduces the Pauli matrices.
-_SYNTH_COEFFS = (
-    np.array([[-1.0, 0.0], [0.0, 1.0]]),   # m=1: (-1)^j delta_jk
-    np.array([[0.0, -1.0], [1.0, 0.0]]),   # m=2: (-1)^j (1 - delta_jk)
-    np.array([[0.0, 1.0], [1.0, 0.0]]),    # m=3: (1 - delta_jk)
-)
+_SYNTH_COEFFS = np.array([
+    [[-1.0, 0.0], [0.0, 1.0]],   # m=1: (-1)^j delta_jk
+    [[0.0, -1.0], [1.0, 0.0]],   # m=2: (-1)^j (1 - delta_jk)
+    [[0.0, 1.0], [1.0, 0.0]],    # m=3: (1 - delta_jk)
+])
+# i^(m+1) as exact Python powers (1j ** array rounds differently)
+_SYNTH_PHASES = np.array([(1j) ** (m + 1) for m in (1, 2, 3)])
 
 
 def synthesize_generators(pair: BiorthoPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,15 +89,10 @@ def synthesize_generators(pair: BiorthoPair) -> tuple[np.ndarray, np.ndarray, np
         if np.abs(v - want).max() > _SEED_TOL:
             raise ValueError("unsupported seed")
 
-    out = []
-    for m, coeffs in enumerate(_SYNTH_COEFFS, start=1):
-        acc = np.zeros((2, 2), dtype=complex)
-        for j in range(2):
-            for k in range(2):
-                if coeffs[j, k] != 0.0:
-                    acc += coeffs[j, k] * np.outer(pair.phi[j], np.conj(pair.chi[k]))
-        out.append((1j) ** (m + 1) * acc)
-    return tuple(out)
+    phi, chi = np.stack(pair.phi), np.stack(pair.chi)
+    outer = phi[:, None, :, None] * np.conj(chi)[None, :, None, :]   # |phi_j><chi_k|
+    return tuple(_SYNTH_PHASES[:, None, None]
+                 * np.einsum("mjk,jkab->mab", _SYNTH_COEFFS, outer))
 
 
 def canonical_pair(theta: float) -> BiorthoPair:

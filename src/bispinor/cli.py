@@ -132,9 +132,6 @@ def main(argv=None) -> int:
                                  tables.texture_rows(cfg), cfg.fmt)
             _write_or_print(text, cfg.output_path)
             return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

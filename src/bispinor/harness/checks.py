@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import biortho, ideal, momenta, spectrum, susy, timereversal
 from ..multivector import (
+    E13,
     GRADES,
     MATRIX_INVOLUTIONS,
     decompose,
@@ -273,13 +274,12 @@ def check_magnetic_trs_convention(cfg, rng):
         lambda: rng.normal(size=2) + np.array([0.5, -0.5]),
         lambda: float(rng.normal()) + 1.0,
         lambda: _rand_p(cfg, rng))
-    u = timereversal.TIME_REVERSAL.unitary_part
     residuals = []
     all_visible = True
     for branch in (1, -1):
         h = momenta.magnetic(g, b, a_vec, b3, branch)
         h_rev = momenta.magnetic(g, b, -a_vec, -b3, branch)
-        residuals.append(h_rev(-p) @ u - u @ h(p).swapaxes(-1, -2))
+        residuals.append(h_rev(-p) @ E13 - E13 @ h(p).swapaxes(-1, -2))
         fixed_res = timereversal.pseudo_hermitian_residual(h, p)
         all_visible = all_visible and _visibly_nonzero(fixed_res)
     worst = _worst(*residuals)
@@ -397,15 +397,15 @@ def check_continuity(cfg, rng):
     cases = []
     es = spectrum.eigensystem(0.0, 1.0, np.array([0.8, 0.5]))
     cases.append((0.0, 1.0, [
-        (0.7, es.psi_plus, es.lambda_plus),
-        (0.5j, es.psi_minus, es.lambda_minus),
+        (0.7, es.amplitudes[0], es.momentum, es.lambda_plus),
+        (0.5j, es.amplitudes[1], es.momentum, es.lambda_minus),
     ]))
     g = 0.6
     es1 = spectrum.eigensystem(g, 1.0, np.array([0.9, 0.4]))
     es2 = spectrum.eigensystem(g, 1.0, np.array([0.3, -0.4]))
     cases.append((g, 1.0, [
-        (0.6, es1.psi_plus, es1.lambda_plus),
-        (0.8, es2.psi_minus, es2.lambda_minus),
+        (0.6, es1.amplitudes[0], es1.momentum, es1.lambda_plus),
+        (0.8, es2.amplitudes[1], es2.momentum, es2.lambda_minus),
     ]))
     return _worst(*(spectrum.continuity_residual(gamma, beta, mix, grid, dt, dx)
                     for gamma, beta, mix in cases)), len(cases)
@@ -419,14 +419,13 @@ def check_gamma_zero_limit(cfg, rng):
         p = _rand_p(cfg, rng)
         es = spectrum.eigensystem(0.0, b, p)
         h = momenta.rashba(0.0, b, 1).evaluate(p)
-        pr = spectrum.projectors(es)
-        psi = es.psi_plus.amplitude_array()
-        dual = es.dual_plus.amplitude_array()
+        pi1, pi2, _ = spectrum.projector_matrices(es.phi_plus, es.phi_minus)
+        psi, psi_minus, dual, _ = es.amplitudes
         residuals += [
             h - reversion_matrix(h),
-            np.vdot(psi, es.psi_minus.amplitude_array()),
-            pr.pi1 - reversion_matrix(pr.pi1),
-            pr.pi2 - reversion_matrix(pr.pi2),
+            np.vdot(psi, psi_minus),
+            pi1 - reversion_matrix(pi1),
+            pi2 - reversion_matrix(pi2),
             psi - dual * np.vdot(dual, psi) / np.vdot(dual, dual),
         ]
     return _worst(*residuals), len(cfg.nonzero_betas())
@@ -434,8 +433,8 @@ def check_gamma_zero_limit(cfg, rng):
 
 # ------------------------------------------------------------ timereversal
 #
-# The momentum labels of time-reversed spinors are plain negations
-# (TimeReversal.apply); the sampled checks below test the amplitude map.
+# A time-reversed plane wave lives at momentum -p, a plain negation; the
+# sampled checks below test the amplitude map (reverse_amplitudes).
 
 def check_antiunitarity(cfg, rng):
     _, a, b = _draw(cfg.samples, lambda: _rand_p(cfg, rng),

@@ -2,7 +2,7 @@
 
 The primitive idempotent g0 = [[1,0],[0,0]] and its companions g1..g3 are
 built from gamma-deformed and time-reversed generators; the combinations
-are gamma-independent.  A finite spinor (a1, a2) is stored as the matrix
+are gamma-independent.  Amplitudes (a1, a2) are stored as the matrix
 with first column (a1, a2) and zero second column; the basis-flip
 anti-involution realizes time reversal on these matrices, and two inner
 products C1, C2 live on the ideal.
@@ -21,7 +21,6 @@ from .multivector import (
     reversion_matrix,
     time_reverse_matrix,
 )
-from .spectrum import FiniteSpinor
 
 _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
 
@@ -55,29 +54,6 @@ def build_ideal_basis(basis: DeformedBasis) -> IdealBasis:
     return IdealBasis(g0=g0, g1=g1, g2=g2, g3=g3)
 
 
-@dataclass(frozen=True)
-class IdealSpinor:
-    """Element of the minimal left ideal: zero second column, plus the
-    plane-wave label carried over from the finite spinor."""
-
-    matrix: np.ndarray
-    momentum: tuple[float, float]
-    wave_sign: int = 1
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).reshape(2, 2)
-        if np.abs(m[:, 1]).max() > 1e-12:
-            raise ValueError("ideal spinor must have zero second column")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(
-            self, "momentum", (float(self.momentum[0]), float(self.momentum[1]))
-        )
-
-    def same_label(self, other: "IdealSpinor") -> bool:
-        return (self.wave_sign == other.wave_sign
-                and self.momentum == other.momentum)
-
-
 def ideal_matrix(amps) -> np.ndarray:
     """Ideal matrices (..., 2, 2) of amplitude arrays (..., 2): the amplitudes
     as first column, the second column zero."""
@@ -87,37 +63,19 @@ def ideal_matrix(amps) -> np.ndarray:
     return out
 
 
-def to_ideal(psi: FiniteSpinor) -> IdealSpinor:
-    return IdealSpinor(matrix=ideal_matrix(psi.amplitudes),
-                       momentum=psi.momentum, wave_sign=psi.wave_sign)
-
-
-def from_ideal(s: IdealSpinor) -> FiniteSpinor:
-    return FiniteSpinor(
-        (s.matrix[0, 0], s.matrix[1, 0]), s.momentum, s.wave_sign
-    )
-
-
-def ideal_components(psi: FiniteSpinor) -> tuple[float, float, float, float]:
-    """Real weights (zeta0..zeta3) with a1 = z0 + i z3, a2 = -z2 + i z1,
-    so that sum_j zeta_j g_j reproduces the ideal matrix."""
-    a1, a2 = psi.amplitudes
-    return (a1.real, a2.imag, -a2.real, a1.imag)
+def ideal_components(amps) -> np.ndarray:
+    """Real weights (..., 4) = (zeta0..zeta3) of amplitude arrays (..., 2),
+    with a1 = z0 + i z3, a2 = -z2 + i z1, so that sum_j zeta_j g_j
+    reproduces the ideal matrix."""
+    a = np.asarray(amps, dtype=complex)
+    a1, a2 = a[..., 0], a[..., 1]
+    return np.stack([a1.real, a2.imag, -a2.real, a1.imag], axis=-1)
 
 
 def basis_flip(u: np.ndarray) -> np.ndarray:
     """The flip anti-involution U -> e13 conj(U) on (..., 2, 2) matrices;
     squares to -identity."""
     return E13 @ np.conj(np.asarray(u, dtype=complex))
-
-
-def flip_spinor(s: IdealSpinor) -> IdealSpinor:
-    """Flip with the label bookkeeping of time reversal (momentum negated)."""
-    return IdealSpinor(
-        matrix=basis_flip(s.matrix),
-        momentum=(-s.momentum[0], -s.momentum[1]),
-        wave_sign=s.wave_sign,
-    )
 
 
 def c1_form(a: np.ndarray, b: np.ndarray):
@@ -130,20 +88,6 @@ def c2_form(a: np.ndarray, b: np.ndarray):
     = a1 b1* + a2 b2*."""
     return np.trace(_E31 @ clifford_conjugation_matrix(a) @ basis_flip(b),
                     axis1=-2, axis2=-1)
-
-
-def inner_c1(a: IdealSpinor, b: IdealSpinor) -> complex:
-    """C1 x delta factor (label matching)."""
-    if not a.same_label(b):
-        return 0.0 + 0.0j
-    return complex(c1_form(a.matrix, b.matrix))
-
-
-def inner_c2(a: IdealSpinor, b: IdealSpinor) -> complex:
-    """C2 x delta factor (label matching)."""
-    if not a.same_label(b):
-        return 0.0 + 0.0j
-    return complex(c2_form(a.matrix, b.matrix))
 
 
 def invariance_group_check(u: np.ndarray, tol: float = 1e-10):

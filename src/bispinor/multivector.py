@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -106,10 +105,6 @@ class Multivector:
         if coeffs.shape != (8,):
             raise ValueError("a multivector needs exactly 8 coefficients")
         object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[float]) -> "Multivector":
-        return cls(tuple(coeffs))
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":

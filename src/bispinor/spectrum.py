@@ -1,6 +1,9 @@
 """Closed-form spectrum of the deformed Rashba Hamiltonian: eigenvalues,
 bi-orthogonal eigenspinors, projectors, angle (flip) relations, associated
 expectations, spin vectors and the current-density continuity check.
+
+Spinors are their finite parts, complex amplitude arrays (..., 2); the
+plane-wave factor e^{ip.x} is carried by the momentum p alongside them.
 """
 
 from __future__ import annotations
@@ -14,37 +17,6 @@ from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, mat2, matvec
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class FiniteSpinor:
-    """Two complex amplitudes tensored with a formal plane-wave label.
-
-    The plane-wave factor e^(i * wave_sign * p.x) is kept as a label
-    (momentum, wave_sign); inner products carry a delta factor realized as
-    label equality.
-    """
-
-    amplitudes: tuple[complex, complex]
-    momentum: tuple[float, float]
-    wave_sign: int = 1
-
-    def __post_init__(self):
-        amps = tuple(map(complex, self.amplitudes))
-        mom = tuple(map(float, self.momentum))
-        if len(amps) != 2 or len(mom) != 2:
-            raise ValueError("finite spinor needs 2 amplitudes and a 2d momentum")
-        if self.wave_sign not in (1, -1):
-            raise ValueError("wave_sign must be +1 or -1")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "momentum", mom)
-
-    def amplitude_array(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
-
-    def same_label(self, other: "FiniteSpinor") -> bool:
-        return (self.wave_sign == other.wave_sign
-                and self.momentum == other.momentum)
-
-
 def amplitude_inner(a, b):
     """<a|b> over the last axis of amplitude arrays (..., n), conjugate-linear
     in a; the same arithmetic as numpy.vdot on a single pair."""
@@ -52,17 +24,12 @@ def amplitude_inner(a, b):
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def biortho_inner(a: FiniteSpinor, b: FiniteSpinor) -> complex:
-    """Inner product, conjugate-linear in the first argument, with the
-    delta-normalized momentum factor reduced to label matching."""
-    if not a.same_label(b):
-        return 0.0 + 0.0j
-    return complex(amplitude_inner(a.amplitude_array(), b.amplitude_array()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Closed-form eigendata of R^+_gamma(p) and its adjoint partner."""
+    """Closed-form eigendata of R^+_gamma(p) and its adjoint partner; the
+    eigenspinors are the (4, 2) rows psi_+, psi_-, dual_+, dual_- of
+    ``amplitudes``.  Equality is identity: a field-wise ``==`` would
+    compare the amplitude array elementwise."""
 
     gamma: float
     beta: float
@@ -72,16 +39,7 @@ class EigenSystem:
     lambda_minus: float
     phi_plus: float
     phi_minus: float
-    psi_plus: FiniteSpinor
-    psi_minus: FiniteSpinor
-    dual_plus: FiniteSpinor
-    dual_minus: FiniteSpinor
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """The finite parts as the (4, 2) rows psi_+, psi_-, dual_+, dual_-."""
-        return np.array([self.psi_plus.amplitudes, self.psi_minus.amplitudes,
-                         self.dual_plus.amplitudes, self.dual_minus.amplitudes])
+    amplitudes: np.ndarray
 
 
 def _xy(p):
@@ -169,24 +127,12 @@ def eigensystem(gamma: float, beta: float, p, wave_sign: int = 1) -> EigenSystem
 
     fp, fm = phi_angles(gamma, wave_sign * p)
     lam_p, lam_m = eigenvalues(beta, p)
-    mom = (float(p[0]), float(p[1]))
-    psi_plus, psi_minus, dual_plus, dual_minus = (
-        FiniteSpinor(amps, mom, wave_sign)
-        for amps in eigen_amplitudes(fp, fm).tolist())
-
     return EigenSystem(
-        gamma=float(gamma), beta=float(beta), momentum=mom, wave_sign=wave_sign,
-        lambda_plus=float(lam_p), lambda_minus=float(lam_m),
+        gamma=float(gamma), beta=float(beta), momentum=(float(p[0]), float(p[1])),
+        wave_sign=wave_sign, lambda_plus=float(lam_p), lambda_minus=float(lam_m),
         phi_plus=float(fp), phi_minus=float(fm),
-        psi_plus=psi_plus, psi_minus=psi_minus,
-        dual_plus=dual_plus, dual_minus=dual_minus,
+        amplitudes=eigen_amplitudes(fp, fm),
     )
-
-
-@dataclass(frozen=True)
-class ProjectorPair:
-    pi1: np.ndarray
-    pi2: np.ndarray
 
 
 def projector_matrices(phi_plus, phi_minus):
@@ -201,14 +147,6 @@ def projector_matrices(phi_plus, phi_minus):
         pi1 = mat2(ep, ep * em, 1.0, em) / den[..., None, None]
         pi2 = mat2(em, -ep * em, -1.0, ep) / den[..., None, None]
     return pi1, pi2, den
-
-
-def projectors(es: EigenSystem) -> ProjectorPair:
-    """Finite parts of the bi-orthogonal spectral projectors of R^+_gamma(p)."""
-    pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
-    if abs(den) < 1e-9:
-        raise ValueError("projector singular")
-    return ProjectorPair(pi1=pi1, pi2=pi2)
 
 
 def flip_relations(gamma, p) -> dict:
@@ -253,12 +191,6 @@ def mixture_expectation(c_plus, c_minus, k, amps):
     return amplitude_inner(d, matvec(k, a)) / den
 
 
-def associated_expectation(c_plus: complex, c_minus: complex,
-                           k: np.ndarray, es: EigenSystem) -> complex:
-    """:func:`mixture_expectation` for one eigensystem."""
-    return complex(mixture_expectation(c_plus, c_minus, k, es.amplitudes))
-
-
 def spin_expectations(amps) -> np.ndarray:
     """Pauli expectations <a|sigma_k|a>, shape (..., 3), of amplitude arrays
     (..., 2) in the conventional inner product."""
@@ -266,32 +198,30 @@ def spin_expectations(amps) -> np.ndarray:
     return amplitude_inner(a[..., None, :], matvec(PAULI, a[..., None, :])).real
 
 
-def spin_vector(psi: FiniteSpinor) -> tuple[float, float, float]:
-    """Pauli expectations of the finite part of one spinor."""
-    return tuple(spin_expectations(psi.amplitude_array()).tolist())
-
-
 def continuity_residual(gamma: float, beta: float, mix, sample_grid,
                         dt: float, dx: float, t0: float = 0.2) -> float:
     """Finite-difference residual of d(rho)/dt + div<J> for a superposition
     of plane-wave eigenstates of the deformed Rashba model.
 
-    ``mix`` is a sequence of (coefficient, FiniteSpinor, energy) triples.
+    ``mix`` is a sequence of (coefficient, amplitudes (2,), momentum (2,),
+    energy) entries, each the plane wave c a e^{i(k.x - E t)}; the e^{-ip.x}
+    family is written with momentum -p.
     The current has the paramagnetic piece plus the beta-dependent spin piece
     with weights (-beta sigma2, beta/omega sigma1).  Central differences of
     step dt / dx give a second-order-accurate residual.
     """
     if dt <= 0 or dx <= 0:
         raise ValueError("steps must be positive")
-    mix = list(mix)
+    mix = [(c, np.asarray(amps, dtype=complex), np.asarray(k, dtype=float), energy)
+           for c, amps, k, energy in mix]
     if not mix:
         raise ValueError("empty mixture")
 
     def psi_at(x, t):
         out = np.zeros(2, dtype=complex)
-        for c, sp, energy in mix:
-            phase = sp.wave_sign * (sp.momentum[0] * x[0] + sp.momentum[1] * x[1])
-            out += c * sp.amplitude_array() * np.exp(1j * phase - 1j * energy * t)
+        for c, amps, k, energy in mix:
+            phase = k[0] * x[0] + k[1] * x[1]
+            out += c * amps * np.exp(1j * phase - 1j * energy * t)
         return out
 
     return _continuity_residual_field(psi_at, sample_grid, dt, dx, t0, gamma, beta)

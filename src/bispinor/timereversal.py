@@ -3,10 +3,10 @@ pseudo-Hermiticity residuals, time-reversed generators, the Kramers-type
 pairing of eigenspinors and the time-reversed Schroedinger check.
 
 The operator is T = e13 * K with K complex conjugation; on a plane-wave
-spinor it conjugates the amplitudes, applies the e13 matrix and flips the
-momentum label.  On a momentum-space operator family H(p) the identity
-T^-1 H T = H^dagger becomes the fixed-momentum matrix equation
-H(-p) U = U H(p)^T with U = e13.
+spinor it conjugates the amplitudes and applies the e13 matrix
+(:func:`reverse_amplitudes`), and the reversed wave lives at momentum -p.
+On a momentum-space operator family H(p) the identity T^-1 H T = H^dagger
+becomes the fixed-momentum matrix equation H(-p) U = U H(p)^T with U = e13.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from .multivector import (
     reversion_matrix,
     time_reverse_matrix,
 )
-from .spectrum import (
-    EigenSystem,
-    FiniteSpinor,
-    amplitude_inner,
-    eigen_amplitudes,
-    eigenvalues,
-    phi_angles,
-)
+from .spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
 
 
 def reverse_amplitudes(amps) -> np.ndarray:
@@ -39,32 +32,6 @@ def reverse_amplitudes(amps) -> np.ndarray:
     amplitude arrays."""
     c = np.conj(np.asarray(amps, dtype=complex))
     return np.stack([-c[..., 1], c[..., 0]], axis=-1)
-
-
-@dataclass(frozen=True)
-class TimeReversal:
-    """The fermionic time reversal operator T = e13 K, with T^2 = -1."""
-
-    @property
-    def unitary_part(self) -> np.ndarray:
-        return E13.copy()
-
-    def apply(self, psi: FiniteSpinor) -> FiniteSpinor:
-        return FiniteSpinor(
-            tuple(reverse_amplitudes(psi.amplitude_array()).tolist()),
-            (-psi.momentum[0], -psi.momentum[1]),
-            psi.wave_sign,
-        )
-
-    def __call__(self, psi: FiniteSpinor) -> FiniteSpinor:
-        return self.apply(psi)
-
-    def on_matrix(self, m: np.ndarray) -> np.ndarray:
-        """T-conjugation of constant (momentum-independent) operators."""
-        return time_reverse_matrix(m)
-
-
-TIME_REVERSAL = TimeReversal()
 
 
 def _maxabs(x, axes):
@@ -104,7 +71,7 @@ def generator_reversal(basis: DeformedBasis) -> dict[str, float]:
     """
     mirrored = make_deformed_basis(-basis.gamma)
     vector_rule = float(np.abs(
-        TIME_REVERSAL.on_matrix(basis.vectors) + mirrored.vectors).max())
+        time_reverse_matrix(basis.vectors) + mirrored.vectors).max())
 
     rev = reversion_matrix(basis.generators)
     expected = np.stack((
@@ -174,11 +141,6 @@ def kramers_pairing(gamma, beta, p, wave_sign: int = 1) -> KramersResult:
         n_plus=n[..., 0][()], n_minus=n[..., 1][()], residual=residual[()],
         same_p_residual=same_p[()], flipped_p_residual=flipped_p[()],
     )
-
-
-def kramers_analogue(es: EigenSystem) -> KramersResult:
-    """:func:`kramers_pairing` for one eigensystem."""
-    return kramers_pairing(es.gamma, es.beta, es.momentum, es.wave_sign)
 
 
 def noncommutation_witness(gamma, beta, p):

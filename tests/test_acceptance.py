@@ -10,29 +10,28 @@ import numpy as np
 from bispinor.ideal import (
     basis_flip,
     build_ideal_basis,
-    flip_spinor,
-    from_ideal,
-    inner_c1,
-    inner_c2,
-    to_ideal,
+    c1_form,
+    c2_form,
+    ideal_matrix,
 )
 from bispinor.momenta import build_linearization, rashba
 from bispinor.multivector import (
+    E13,
     SIGMA1,
     SIGMA2,
     SIGMA3,
     make_deformed_basis,
+    time_reverse_matrix,
 )
 from bispinor.spectrum import (
-    FiniteSpinor,
-    biortho_inner,
+    amplitude_inner,
     continuity_residual,
     eigensystem,
     eigenvalue_oracle,
     eigenvalues,
     flip_relations,
     phi_angles,
-    projectors,
+    projector_matrices,
 )
 from bispinor.susy import (
     intertwining_residuals,
@@ -42,10 +41,10 @@ from bispinor.susy import (
     witten_parity,
 )
 from bispinor.timereversal import (
-    TIME_REVERSAL,
-    kramers_analogue,
+    kramers_pairing,
     pseudo_adjoint,
     pseudo_hermitian_residual,
+    reverse_amplitudes,
 )
 
 GAMMAS = (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9)
@@ -100,14 +99,13 @@ def test_criterion_03_biorthogonality():
     rng = np.random.default_rng(2025)
     worst = 0.0
     for g, beta, p in _sweep(rng):
-        es = eigensystem(g, beta, p)
+        amps = eigensystem(g, beta, p).amplitudes
         worst = max(worst,
-                    abs(biortho_inner(es.dual_minus, es.psi_plus)),
-                    abs(biortho_inner(es.dual_plus, es.psi_minus)))
-        dm, pp = to_ideal(es.dual_minus), to_ideal(es.psi_plus)
-        dp, pm = to_ideal(es.dual_plus), to_ideal(es.psi_minus)
-        worst = max(worst, abs(inner_c1(dm, pp)), abs(inner_c1(dp, pm)),
-                    abs(inner_c2(dm, pp)), abs(inner_c2(dp, pm)))
+                    abs(amplitude_inner(amps[3], amps[0])),
+                    abs(amplitude_inner(amps[2], amps[1])))
+        pp, pm, dp, dm = ideal_matrix(amps)
+        worst = max(worst, abs(c1_form(dm, pp)), abs(c1_form(dp, pm)),
+                    abs(c2_form(dm, pp)), abs(c2_form(dp, pm)))
     _report("bi-orthogonality (direct, C1, C2)", worst, 1e-12)
 
 
@@ -116,16 +114,17 @@ def test_criterion_04_projectors():
     worst = 0.0
     for g, beta, p in _sweep(rng):
         es = eigensystem(g, beta, p)
-        pi = projectors(es)
+        pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
+        assert abs(den) >= 1e-9, "projector singular"
         h = rashba(g, beta, 1)(p)
         worst = max(
             worst,
-            float(np.abs(pi.pi1 + pi.pi2 - np.eye(2)).max()),
-            float(np.abs(pi.pi1 @ pi.pi2).max()),
-            float(np.abs(pi.pi1 @ pi.pi1 - pi.pi1).max()),
-            float(np.abs(pi.pi2 @ pi.pi2 - pi.pi2).max()),
-            float(np.abs(h - es.lambda_plus * pi.pi1
-                         - es.lambda_minus * pi.pi2).max())
+            float(np.abs(pi1 + pi2 - np.eye(2)).max()),
+            float(np.abs(pi1 @ pi2).max()),
+            float(np.abs(pi1 @ pi1 - pi1).max()),
+            float(np.abs(pi2 @ pi2 - pi2).max()),
+            float(np.abs(h - es.lambda_plus * pi1
+                         - es.lambda_minus * pi2).max())
             / max(1.0, abs(es.lambda_plus)),
         )
     _report("spectral projectors", worst, 1e-12)
@@ -148,30 +147,24 @@ def test_criterion_06_time_reversal():
     rng = np.random.default_rng(2028)
     worst = 0.0
     for _ in range(50):
-        p = rng.uniform(-3, 3, size=2)
-        amps = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
-        psi = FiniteSpinor(amps, tuple(p))
-        tpsi = TIME_REVERSAL(psi)
-        ttpsi = TIME_REVERSAL(tpsi)
+        rng.uniform(-3, 3, size=2)        # the momentum draw, kept for the stream
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        tpsi = reverse_amplitudes(psi)
         worst = max(worst,
-                    float(np.abs(ttpsi.amplitude_array()
-                                 + psi.amplitude_array()).max()),
-                    abs(np.vdot(tpsi.amplitude_array(), psi.amplitude_array())))
-        phi = FiniteSpinor(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)),
-                           tuple(p))
-        lhs = np.vdot(TIME_REVERSAL(phi).amplitude_array(),
-                      tpsi.amplitude_array())
-        rhs = np.vdot(psi.amplitude_array(), phi.amplitude_array())
-        worst = max(worst, abs(lhs - rhs))
+                    float(np.abs(reverse_amplitudes(tpsi) + psi).max()),
+                    abs(np.vdot(tpsi, psi)))
+        phi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        lhs = np.vdot(reverse_amplitudes(phi), tpsi)
+        worst = max(worst, abs(lhs - np.vdot(psi, phi)))
     for g in GAMMAS:
         basis = make_deformed_basis(g)
         mirror = make_deformed_basis(-g)
         for m in (1, 2, 3):
-            conj = TIME_REVERSAL.on_matrix(basis.generators[m])
+            conj = time_reverse_matrix(basis.generators[m])
             worst = max(worst,
                         float(np.abs(conj + mirror.generators[m]).max()))
     for g, beta, p in _sweep(rng, 100):
-        worst = max(worst, kramers_analogue(eigensystem(g, beta, p)).residual)
+        worst = max(worst, kramers_pairing(g, beta, p).residual)
     _report("time reversal and Kramers analogue", worst, 1e-10)
 
 
@@ -254,20 +247,17 @@ def test_criterion_10_ideal_layer():
             worst = max(worst, float(np.abs(got - want).max()))
     for _ in range(200):
         u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        amps = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
-        s = to_ideal(FiniteSpinor(amps, (1.0, 0.5)))
-        worst = max(worst, float(np.abs((u @ s.matrix)[:, 1]).max()))
+        s = ideal_matrix(rng.normal(size=2) + 1j * rng.normal(size=2))
+        worst = max(worst, float(np.abs((u @ s)[:, 1]).max()))
         worst = max(worst, float(np.abs(basis_flip(basis_flip(u)) + u).max()))
     for _ in range(100):
-        pa = tuple(rng.uniform(-3, 3, size=2))
-        a = FiniteSpinor(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), pa)
-        b = FiniteSpinor(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), pa)
-        worst = max(worst, abs(inner_c1(to_ideal(a), to_ideal(b))
-                               - biortho_inner(a, b)))
-        via_flip = from_ideal(flip_spinor(to_ideal(a)))
-        via_tr = TIME_REVERSAL(a)
-        worst = max(worst, float(np.abs(via_flip.amplitude_array()
-                                        - via_tr.amplitude_array()).max()))
+        rng.uniform(-3, 3, size=2)        # the momentum draw, kept for the stream
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        worst = max(worst, abs(c1_form(ideal_matrix(a), ideal_matrix(b))
+                               - amplitude_inner(a, b)))
+        via_flip = basis_flip(ideal_matrix(a))[:, 0]
+        worst = max(worst, float(np.abs(via_flip - reverse_amplitudes(a)).max()))
     _report("minimal-left-ideal spinor layer", worst, 1e-12)
 
 
@@ -277,8 +267,8 @@ def test_criterion_11_continuity():
     q = np.array([0.6, -0.8])
     es_p = eigensystem(g, beta, p)
     es_q = eigensystem(g, beta, q)
-    mix = ((0.8, es_p.psi_plus, es_p.lambda_plus),
-           (0.6, es_q.psi_plus, es_q.lambda_plus))
+    mix = ((0.8, es_p.amplitudes[0], p, es_p.lambda_plus),
+           (0.6, es_q.amplitudes[0], q, es_q.lambda_plus))
     grid = [(0.1 * i, 0.07 * j) for i in range(-2, 3) for j in range(-2, 3)]
     r1 = continuity_residual(g, beta, mix, grid, dt=1e-3, dx=1e-3)
     r2 = continuity_residual(g, beta, mix, grid, dt=5e-4, dx=5e-4)
@@ -294,13 +284,13 @@ def test_criterion_12_gamma_zero_degeneration():
         h = rashba(0.0, beta, 1)(p)
         worst = max(worst, float(np.abs(h - h.conj().T).max()))
         es = eigensystem(0.0, beta, p)
-        worst = max(worst, abs(np.vdot(es.psi_plus.amplitude_array(),
-                                       es.psi_minus.amplitude_array())))
-        pi = projectors(es)
+        worst = max(worst, abs(np.vdot(es.amplitudes[0], es.amplitudes[1])))
+        pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
+        assert abs(den) >= 1e-9, "projector singular"
         worst = max(worst,
-                    float(np.abs(pi.pi1 - pi.pi1.conj().T).max()),
-                    float(np.abs(pi.pi2 - pi.pi2.conj().T).max()))
-        u = TIME_REVERSAL.unitary_part
+                    float(np.abs(pi1 - pi1.conj().T).max()),
+                    float(np.abs(pi2 - pi2.conj().T).max()))
+        u = E13
         worst = max(worst,
                     float(np.abs(rashba(0.0, beta, 1)(-p) @ u
                                  - u @ h.T).max()))

@@ -92,3 +92,19 @@ def test_wrong_seed_family_rejected():
     pair = build_pair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.eye(2))
     with pytest.raises(ValueError, match="unsupported seed"):
         synthesize_generators(pair)
+
+
+def test_synthesis_equals_rank_one_loop():
+    """The contraction equals the sum of c^(m)_jk |phi_j><chi_k| written as a
+    loop over nonzero coefficients, bit for bit."""
+    coeffs = ([[-1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
+              [[0.0, 1.0], [1.0, 0.0]])
+    for g in np.linspace(-0.999, 0.999, 403):
+        pair = canonical_pair(np.arcsin(g))
+        for m, (made, c) in enumerate(zip(synthesize_generators(pair), coeffs), start=1):
+            acc = np.zeros((2, 2), dtype=complex)
+            for j in range(2):
+                for k in range(2):
+                    if c[j][k] != 0.0:
+                        acc += c[j][k] * np.outer(pair.phi[j], np.conj(pair.chi[k]))
+            assert made.tobytes() == ((1j) ** (m + 1) * acc).tobytes()

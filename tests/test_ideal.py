@@ -1,21 +1,17 @@
 import numpy as np
-import pytest
 
 from bispinor.ideal import (
-    IdealSpinor,
     basis_flip,
     build_ideal_basis,
-    flip_spinor,
-    from_ideal,
+    c1_form,
+    c2_form,
     ideal_components,
-    inner_c1,
-    inner_c2,
+    ideal_matrix,
     invariance_group_check,
-    to_ideal,
 )
 from bispinor.multivector import E13, make_deformed_basis
-from bispinor.spectrum import FiniteSpinor, biortho_inner, eigensystem
-from bispinor.timereversal import TIME_REVERSAL
+from bispinor.spectrum import amplitude_inner, eigensystem
+from bispinor.timereversal import reverse_amplitudes
 
 TOL = 1e-12
 
@@ -27,9 +23,8 @@ G_WANT = (
 )
 
 
-def random_spinor(rng, p=(1.0, 0.5)):
-    amps = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
-    return FiniteSpinor(amps, p)
+def random_spinor(rng):
+    return rng.normal(size=2) + 1j * rng.normal(size=2)
 
 
 class TestIdealBasis:
@@ -57,21 +52,19 @@ class TestIdealBasis:
 
 class TestConversion:
     def test_basis_spinor_maps_to_g0(self):
-        out = to_ideal(FiniteSpinor((1.0, 0.0), (0.0, 1.0)))
-        assert np.abs(out.matrix - G_WANT[0]).max() == 0.0
+        out = ideal_matrix([1.0, 0.0])
+        assert np.abs(out - G_WANT[0]).max() == 0.0
 
     def test_column_placement(self):
-        out = to_ideal(FiniteSpinor((1j, -1.0), (0.5, 0.5)))
+        out = ideal_matrix([1j, -1.0])
         want = np.array([[1j, 0], [-1, 0]])
-        assert np.abs(out.matrix - want).max() == 0.0
+        assert np.abs(out - want).max() == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(103)
         for _ in range(100):
             psi = random_spinor(rng)
-            back = from_ideal(to_ideal(psi))
-            assert back.amplitudes == psi.amplitudes
-            assert back.momentum == psi.momentum
+            assert np.array_equal(ideal_matrix(psi)[:, 0], psi)
 
     def test_component_decomposition(self):
         rng = np.random.default_rng(107)
@@ -81,11 +74,7 @@ class TestConversion:
             z = ideal_components(psi)
             recon = sum(zj * gj for zj, gj in
                         zip(z, (ib.g0, ib.g1, ib.g2, ib.g3)))
-            assert np.abs(recon - to_ideal(psi).matrix).max() < TOL
-
-    def test_nonzero_second_column_rejected(self):
-        with pytest.raises(ValueError):
-            IdealSpinor(np.eye(2), (0.0, 1.0))
+            assert np.abs(recon - ideal_matrix(psi)).max() < TOL
 
 
 class TestFlip:
@@ -101,12 +90,9 @@ class TestFlip:
     def test_consistent_with_time_reversal(self):
         rng = np.random.default_rng(113)
         for _ in range(50):
-            psi = random_spinor(rng, p=(1.3, -0.4))
-            via_flip = from_ideal(flip_spinor(to_ideal(psi)))
-            via_tr = TIME_REVERSAL(psi)
-            assert np.abs(via_flip.amplitude_array()
-                          - via_tr.amplitude_array()).max() < TOL
-            assert via_flip.momentum == via_tr.momentum
+            psi = random_spinor(rng)
+            via_flip = basis_flip(ideal_matrix(psi))[:, 0]
+            assert np.abs(via_flip - reverse_amplitudes(psi)).max() < TOL
 
 
 class TestClosure:
@@ -114,8 +100,7 @@ class TestClosure:
         rng = np.random.default_rng(127)
         for _ in range(200):
             u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            s = to_ideal(random_spinor(rng))
-            prod = u @ s.matrix
+            prod = u @ ideal_matrix(random_spinor(rng))
             assert np.abs(prod[:, 1]).max() == 0.0
 
 
@@ -124,50 +109,44 @@ class TestInnerProducts:
         rng = np.random.default_rng(131)
         for _ in range(100):
             a, b = random_spinor(rng), random_spinor(rng)
-            got = inner_c1(to_ideal(a), to_ideal(b))
-            assert abs(got - biortho_inner(a, b)) < TOL
+            got = c1_form(ideal_matrix(a), ideal_matrix(b))
+            assert abs(got - amplitude_inner(a, b)) < TOL
 
     def test_c1_normalization(self):
         es = eigensystem(0.4, 1.0, np.array([1.0, 0.7]))
-        s = to_ideal(es.psi_plus)
-        assert abs(inner_c1(s, s) - 1.0) < TOL
+        s = ideal_matrix(es.amplitudes[0])
+        assert abs(c1_form(s, s) - 1.0) < TOL
 
     def test_c1_biorthogonality(self):
         rng = np.random.default_rng(137)
         for _ in range(50):
             g = float(rng.uniform(-0.9, 0.9))
-            es = eigensystem(g, 1.0, rng.uniform(0.3, 2.0, size=2))
-            assert abs(inner_c1(to_ideal(es.dual_minus),
-                                to_ideal(es.psi_plus))) < TOL
+            psi_p, _, _, dual_m = ideal_matrix(
+                eigensystem(g, 1.0, rng.uniform(0.3, 2.0, size=2)).amplitudes)
+            assert abs(c1_form(dual_m, psi_p)) < TOL
 
     def test_c2_biorthogonality(self):
         rng = np.random.default_rng(139)
         for _ in range(50):
             g = float(rng.uniform(-0.9, 0.9))
-            es = eigensystem(g, 1.0, rng.uniform(0.3, 2.0, size=2))
-            assert abs(inner_c2(to_ideal(es.dual_minus),
-                                to_ideal(es.psi_plus))) < TOL
+            psi_p, _, _, dual_m = ideal_matrix(
+                eigensystem(g, 1.0, rng.uniform(0.3, 2.0, size=2)).amplitudes)
+            assert abs(c2_form(dual_m, psi_p)) < TOL
 
     def test_c2_conjugates_c1(self):
         rng = np.random.default_rng(149)
         for _ in range(50):
             a, b = random_spinor(rng), random_spinor(rng)
-            ia, ib = to_ideal(a), to_ideal(b)
-            assert abs(inner_c2(ia, ib) - np.conj(inner_c1(ia, ib))) < TOL
+            ia, ib = ideal_matrix(a), ideal_matrix(b)
+            assert abs(c2_form(ia, ib) - np.conj(c1_form(ia, ib))) < TOL
 
     def test_flip_antiunitarity(self):
         rng = np.random.default_rng(151)
         for _ in range(50):
             a, b = random_spinor(rng), random_spinor(rng)
-            ia, ib = to_ideal(a), to_ideal(b)
-            lhs = inner_c1(flip_spinor(ib), flip_spinor(ia))
-            assert abs(lhs - inner_c1(ia, ib)) < TOL
-
-    def test_label_mismatch_gives_zero(self):
-        a = to_ideal(FiniteSpinor((1.0, 0.0), (1.0, 0.0)))
-        b = to_ideal(FiniteSpinor((1.0, 0.0), (2.0, 0.0)))
-        assert inner_c1(a, b) == 0.0
-        assert inner_c2(a, b) == 0.0
+            ia, ib = ideal_matrix(a), ideal_matrix(b)
+            lhs = c1_form(basis_flip(ib), basis_flip(ia))
+            assert abs(lhs - c1_form(ia, ib)) < TOL
 
 
 class TestInvarianceGroups:
@@ -191,8 +170,7 @@ class TestInvarianceGroups:
             in_g, in_gp = invariance_group_check(q)
             assert in_g and in_gp
             a, b = random_spinor(rng), random_spinor(rng)
-            ia, ib = to_ideal(a), to_ideal(b)
-            ra = IdealSpinor(q @ ia.matrix, ia.momentum, ia.wave_sign)
-            rb = IdealSpinor(q @ ib.matrix, ib.momentum, ib.wave_sign)
-            assert abs(inner_c1(ra, rb) - inner_c1(ia, ib)) < 1e-11
-            assert abs(inner_c2(ra, rb) - inner_c2(ia, ib)) < 1e-11
+            ia, ib = ideal_matrix(a), ideal_matrix(b)
+            ra, rb = q @ ia, q @ ib
+            assert abs(c1_form(ra, rb) - c1_form(ia, ib)) < 1e-11
+            assert abs(c2_form(ra, rb) - c2_form(ia, ib)) < 1e-11

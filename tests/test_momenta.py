@@ -197,9 +197,7 @@ def test_levy_leblond_first_order_system():
         p = np.array([1.1, -0.6])
         es = spectrum.eigensystem(g, beta, p)
         left, right = momentum_factors(rashba(g, beta, 1))
-        for psi, energy in ((es.psi_plus, es.lambda_plus),
-                            (es.psi_minus, es.lambda_minus)):
-            v = psi.amplitude_array()
+        for v, energy in zip(es.amplitudes[:2], (es.lambda_plus, es.lambda_minus)):
             eta = 0.5j * right(p) @ v
             assert np.abs(right(p) @ v + 2j * eta).max() < TOL
             assert np.abs(left(p) @ eta - 1j * energy * v).max() < 1e-11

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bispinor.ideal import c1_form, c2_form, ideal_components, ideal_matrix
 from bispinor.momenta import magnetic, rashba
 from bispinor.multivector import (
     MATRIX_INVOLUTIONS,
@@ -20,9 +21,18 @@ from bispinor.multivector import (
     time_reverse_matrix,
     to_matrix,
 )
-from bispinor.spectrum import eigenvalue_oracle, eigenvalues, phi_angles
+from bispinor.spectrum import (
+    eigen_amplitudes,
+    eigensystem,
+    eigenvalue_oracle,
+    eigenvalues,
+    mixture_expectation,
+    phi_angles,
+    projector_matrices,
+    spin_expectations,
+)
 from bispinor.susy import supercharges
-from bispinor.timereversal import pseudo_adjoint
+from bispinor.timereversal import kramers_pairing, pseudo_adjoint, reverse_amplitudes
 
 EPS = 1e-14
 EXAMPLES = settings(max_examples=40)
@@ -157,3 +167,64 @@ def test_supercharges(inputs):
     batched = np.stack(supercharges(g, b, p), axis=1)
     singles = [np.stack(supercharges(x, y, q)) for x, y, q in zip(g, b, p)]
     assert_stacked(batched, singles, scale)
+
+
+@EXAMPLES
+@given(sizes.flatmap(lambda n: complex_stack((n, 2))))
+def test_spinor_maps(a):
+    scale = 1.0 + np.abs(a).max()
+    assert_stacked(reverse_amplitudes(a), [reverse_amplitudes(x) for x in a], 1.0)
+    assert_stacked(spin_expectations(a), [spin_expectations(x) for x in a], scale ** 2)
+    assert_stacked(ideal_components(a), [ideal_components(x) for x in a], 1.0)
+
+
+@EXAMPLES
+@given(sizes.flatmap(lambda n: st.tuples(complex_stack((n, 2)), complex_stack((n, 2)))))
+def test_ideal_forms(ab):
+    a, b = ideal_matrix(ab[0]), ideal_matrix(ab[1])
+    scale = (1.0 + np.abs(a).max()) * (1.0 + np.abs(b).max())
+    for form in (c1_form, c2_form):
+        assert_stacked(form(a, b), [form(x, y) for x, y in zip(a, b)], scale)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_projectors_and_expectation(inputs):
+    g, b, p, scale = inputs
+    # away from p = 0 the pair is regular, |e^{i phi+} + e^{i phi-}| >= 2 omega,
+    # so its entries stay below scale; at p = 0 the angles degenerate
+    p = np.where(np.hypot(p[:, :1], p[:, 1:]) < 1e-2, 1.0, p)
+    fp, fm = phi_angles(g, p)
+    pi1, pi2, den = projector_matrices(fp, fm)
+    singles = [projector_matrices(x, y) for x, y in zip(fp, fm)]
+    assert_stacked(np.stack((pi1, pi2), axis=1), [np.stack(s[:2]) for s in singles], scale)
+    assert_stacked(den, [s[2] for s in singles], 1.0)
+    amps = eigen_amplitudes(fp, fm)
+    h = rashba(g, b, 1).evaluate(p)
+    assert_stacked(mixture_expectation(0.6, 0.8j, h, amps),
+                   [mixture_expectation(0.6, 0.8j, k, x) for k, x in zip(h, amps)], scale)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_kramers_pairing(inputs):
+    g, b, p, scale = inputs
+    batched = kramers_pairing(g, b, p)
+    singles = [kramers_pairing(x, y, q) for x, y, q in zip(g, b, p)]
+    for field in ("n_plus", "n_minus"):
+        assert np.array_equal(getattr(batched, field), [getattr(s, field) for s in singles])
+    for field in ("residual", "same_p_residual", "flipped_p_residual"):
+        assert_stacked(getattr(batched, field), [getattr(s, field) for s in singles], scale)
+
+
+@pytest.mark.parametrize("wave_sign", [1, -1])
+@EXAMPLES
+@given(rashba_inputs())
+def test_eigensystem_is_single_point_view(wave_sign, inputs):
+    g, b, p, _ = inputs
+    for x, y, q in zip(g, b, p):
+        if not q.any():
+            continue                  # no eigensystem at p = 0
+        got = eigensystem(x, y, q, wave_sign).amplitudes
+        want = eigen_amplitudes(*phi_angles(x, wave_sign * q))
+        assert got.tobytes() == want.tobytes()

@@ -3,17 +3,16 @@ import pytest
 
 from bispinor.momenta import rashba
 from bispinor.spectrum import (
-    FiniteSpinor,
-    associated_expectation,
-    biortho_inner,
+    amplitude_inner,
     continuity_residual,
     eigensystem,
     eigenvalue_oracle,
     eigenvalues,
     flip_relations,
+    mixture_expectation,
     phi_angles,
-    projectors,
-    spin_vector,
+    projector_matrices,
+    spin_expectations,
 )
 
 TOL = 1e-12
@@ -85,13 +84,10 @@ class TestEigenSystem:
             es = eigensystem(g, beta, p)
             h = rashba(g, beta, 1)(p)
             h_dual = rashba(-g, beta, 1)(p)
-            for psi, lam in ((es.psi_plus, es.lambda_plus),
-                             (es.psi_minus, es.lambda_minus)):
-                v = psi.amplitude_array()
+            psi_p, psi_m, dual_p, dual_m = es.amplitudes
+            for v, lam in ((psi_p, es.lambda_plus), (psi_m, es.lambda_minus)):
                 assert np.abs(h @ v - lam * v).max() < 1e-10
-            for psi, lam in ((es.dual_plus, es.lambda_plus),
-                             (es.dual_minus, es.lambda_minus)):
-                v = psi.amplitude_array()
+            for v, lam in ((dual_p, es.lambda_plus), (dual_m, es.lambda_minus)):
                 assert np.abs(h_dual @ v - lam * v).max() < 1e-10
 
     def test_minus_wave_family(self):
@@ -100,26 +96,20 @@ class TestEigenSystem:
         es = eigensystem(g, beta, p, wave_sign=-1)
         # finite parts are built at the reflected momentum argument
         h = rashba(g, beta, 1)(-p)
-        for psi, lam in ((es.psi_plus, es.lambda_plus),
-                         (es.psi_minus, es.lambda_minus)):
-            v = psi.amplitude_array()
+        for v, lam in zip(es.amplitudes[:2], (es.lambda_plus, es.lambda_minus)):
             assert np.abs(h @ v - lam * v).max() < 1e-10
 
     def test_biorthogonality(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             g, beta, p = random_params(rng)
-            es = eigensystem(g, beta, p)
-            assert abs(biortho_inner(es.dual_minus, es.psi_plus)) < TOL
-            assert abs(biortho_inner(es.dual_plus, es.psi_minus)) < TOL
+            psi_p, psi_m, dual_p, dual_m = eigensystem(g, beta, p).amplitudes
+            assert abs(amplitude_inner(dual_m, psi_p)) < TOL
+            assert abs(amplitude_inner(dual_p, psi_m)) < TOL
 
     def test_norms_and_label_deltas(self):
-        es = eigensystem(0.4, 1.0, np.array([1.0, 0.5]))
-        assert abs(biortho_inner(es.psi_plus, es.psi_plus) - 1.0) < TOL
-        other = FiniteSpinor(es.psi_plus.amplitudes, (2.0, 2.0))
-        assert biortho_inner(other, es.psi_plus) == 0.0
-        flipped = FiniteSpinor(es.psi_plus.amplitudes, es.psi_plus.momentum, -1)
-        assert biortho_inner(flipped, es.psi_plus) == 0.0
+        psi = eigensystem(0.4, 1.0, np.array([1.0, 0.5])).amplitudes[0]
+        assert abs(amplitude_inner(psi, psi) - 1.0) < TOL
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError, match="degenerate splitting"):
@@ -129,8 +119,7 @@ class TestEigenSystem:
 
     def test_gamma_zero_orthogonality(self):
         es = eigensystem(0.0, 1.0, np.array([0.7, -0.2]))
-        assert abs(np.vdot(es.psi_plus.amplitude_array(),
-                           es.psi_minus.amplitude_array())) < TOL
+        assert abs(np.vdot(es.amplitudes[0], es.amplitudes[1])) < TOL
 
 
 class TestProjectors:
@@ -139,33 +128,32 @@ class TestProjectors:
         for _ in range(100):
             g, beta, p = random_params(rng)
             es = eigensystem(g, beta, p)
-            try:
-                pr = projectors(es)
-            except ValueError:
+            pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
+            if abs(den) < 1e-9:       # singular pair
                 continue
             h = rashba(g, beta, 1)(p)
-            assert np.abs(pr.pi1 + pr.pi2 - np.eye(2)).max() < 1e-11
-            assert np.abs(pr.pi1 @ pr.pi2).max() < 1e-11
-            assert np.abs(pr.pi1 @ pr.pi1 - pr.pi1).max() < 1e-11
-            assert np.abs(pr.pi2 @ pr.pi2 - pr.pi2).max() < 1e-11
-            assert np.abs(es.lambda_plus * pr.pi1
-                          + es.lambda_minus * pr.pi2 - h).max() < 1e-10
+            assert np.abs(pi1 + pi2 - np.eye(2)).max() < 1e-11
+            assert np.abs(pi1 @ pi2).max() < 1e-11
+            assert np.abs(pi1 @ pi1 - pi1).max() < 1e-11
+            assert np.abs(pi2 @ pi2 - pi2).max() < 1e-11
+            assert np.abs(es.lambda_plus * pi1
+                          + es.lambda_minus * pi2 - h).max() < 1e-10
 
     def test_hermitian_point(self):
         es = eigensystem(0.0, 1.0, np.array([1.0, 0.0]))
-        pr = projectors(es)
+        pi1, _, _ = projector_matrices(es.phi_plus, es.phi_minus)
         want = 0.5 * np.array([[1.0, 1j], [-1j, 1.0]])
-        assert np.abs(pr.pi1 - want).max() < TOL
+        assert np.abs(pi1 - want).max() < TOL
         # oracle: Hermitian spectral projector from the eigenvector
-        v = es.psi_plus.amplitude_array()
-        assert np.abs(pr.pi1 - np.outer(v, v.conj())).max() < TOL
+        v = es.amplitudes[0]
+        assert np.abs(pi1 - np.outer(v, v.conj())).max() < TOL
 
     def test_spectral_action(self):
         es = eigensystem(0.7, 2.0, np.array([0.5, 1.5]))
-        pr = projectors(es)
+        pi1, pi2, _ = projector_matrices(es.phi_plus, es.phi_minus)
         h = rashba(0.7, 2.0, 1)(np.array([0.5, 1.5]))
-        assert np.abs(h @ pr.pi1 - es.lambda_plus * pr.pi1).max() < 1e-11
-        assert np.abs(h @ pr.pi2 - es.lambda_minus * pr.pi2).max() < 1e-11
+        assert np.abs(h @ pi1 - es.lambda_plus * pi1).max() < 1e-11
+        assert np.abs(h @ pi2 - es.lambda_minus * pi2).max() < 1e-11
 
 
 class TestAssociated:
@@ -174,12 +162,13 @@ class TestAssociated:
         p = np.array([1.0, 2.0])
         es = eigensystem(g, beta, p)
         h = rashba(g, beta, 1)(p)
-        assert abs(associated_expectation(1.0, 0.0, h, es) - es.lambda_plus) < 1e-11
-        assert abs(associated_expectation(0.0, 1.0, h, es) - es.lambda_minus) < 1e-11
+        amps = es.amplitudes
+        assert abs(mixture_expectation(1.0, 0.0, h, amps) - es.lambda_plus) < 1e-11
+        assert abs(mixture_expectation(0.0, 1.0, h, amps) - es.lambda_minus) < 1e-11
 
     def test_normalization(self):
         es = eigensystem(0.3, 0.7, np.array([0.2, 1.4]))
-        val = associated_expectation(0.6, 0.8j, np.eye(2), es)
+        val = mixture_expectation(0.6, 0.8j, np.eye(2), es.amplitudes)
         assert abs(val - 1.0) < 1e-12
 
     def test_equal_mixture_gives_mean_energy(self):
@@ -188,33 +177,41 @@ class TestAssociated:
         es = eigensystem(g, beta, p)
         h = rashba(g, beta, 1)(p)
         c = 1.0 / np.sqrt(2.0)
-        val = associated_expectation(c, c, h, es)
+        val = mixture_expectation(c, c, h, es.amplitudes)
         assert abs(val - 0.5 * (es.lambda_plus + es.lambda_minus)) < 1e-11
 
 
 class TestSpinVector:
     def test_sigma1_eigenstate(self):
-        v = spin_vector(FiniteSpinor((1 / np.sqrt(2), 1 / np.sqrt(2)), (1.0, 0.0)))
-        assert np.abs(np.array(v) - np.array([1.0, 0.0, 0.0])).max() < TOL
+        v = spin_expectations(np.array([1.0, 1.0]) / np.sqrt(2))
+        assert np.abs(v - np.array([1.0, 0.0, 0.0])).max() < TOL
 
     def test_point_value(self):
         es = eigensystem(0.0, 1.0, np.array([1.0, 0.0]))
-        v = spin_vector(es.psi_plus)
-        assert np.abs(np.array(v) - np.array([0.0, -1.0, 0.0])).max() < TOL
+        v = spin_expectations(es.amplitudes[0])
+        assert np.abs(v - np.array([0.0, -1.0, 0.0])).max() < TOL
 
     def test_planar_for_eigenstates(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
             g, beta, p = random_params(rng)
             es = eigensystem(g, beta, p)
-            for psi in (es.psi_plus, es.psi_minus):
-                assert abs(spin_vector(psi)[2]) < TOL
+            for psi in es.amplitudes[:2]:
+                assert abs(spin_expectations(psi)[2]) < TOL
 
     def test_gamma_steers_direction(self):
         p = np.array([1.0, 1.0])
-        base = spin_vector(eigensystem(0.0, 1.0, p).psi_plus)
-        moved = spin_vector(eigensystem(0.8, 1.0, p).psi_plus)
-        assert np.abs(np.array(base) - np.array(moved)).max() > 0.05
+        base = spin_expectations(eigensystem(0.0, 1.0, p).amplitudes[0])
+        moved = spin_expectations(eigensystem(0.8, 1.0, p).amplitudes[0])
+        assert np.abs(base - moved).max() > 0.05
+
+
+def plus_wave(es):
+    return (es.amplitudes[0], es.momentum, es.lambda_plus)
+
+
+def minus_wave(es):
+    return (es.amplitudes[1], es.momentum, es.lambda_minus)
 
 
 class TestContinuity:
@@ -223,30 +220,26 @@ class TestContinuity:
     def test_single_eigenstate_stationary(self):
         es = eigensystem(0.5, 1.0, np.array([1.0, 0.4]))
         res = continuity_residual(
-            0.5, 1.0, [(1.0, es.psi_plus, es.lambda_plus)],
-            self.GRID, 1e-3, 1e-3)
+            0.5, 1.0, [(1.0, *plus_wave(es))], self.GRID, 1e-3, 1e-3)
         assert res < 1e-9
 
     def test_two_state_mixture_gamma_zero(self):
         es = eigensystem(0.0, 1.0, np.array([0.8, 0.5]))
-        mix = [(0.7, es.psi_plus, es.lambda_plus),
-               (0.5j, es.psi_minus, es.lambda_minus)]
+        mix = [(0.7, *plus_wave(es)), (0.5j, *minus_wave(es))]
         assert continuity_residual(0.0, 1.0, mix, self.GRID, 1e-3, 1e-3) < 1e-5
 
     def test_two_momentum_mixture_deformed(self):
         g = 0.6
         es1 = eigensystem(g, 1.0, np.array([0.9, 0.4]))
         es2 = eigensystem(g, 1.0, np.array([0.3, -0.4]))
-        mix = [(0.6, es1.psi_plus, es1.lambda_plus),
-               (0.8, es2.psi_minus, es2.lambda_minus)]
+        mix = [(0.6, *plus_wave(es1)), (0.8, *minus_wave(es2))]
         assert continuity_residual(g, 1.0, mix, self.GRID, 1e-3, 1e-3) < 1e-5
 
     def test_second_order_convergence(self):
         g = 0.6
         es1 = eigensystem(g, 1.0, np.array([0.9, 0.4]))
         es2 = eigensystem(g, 1.0, np.array([0.3, -0.4]))
-        mix = [(0.6, es1.psi_plus, es1.lambda_plus),
-               (0.8, es2.psi_minus, es2.lambda_minus)]
+        mix = [(0.6, *plus_wave(es1)), (0.8, *minus_wave(es2))]
         r1 = continuity_residual(g, 1.0, mix, self.GRID, 2e-3, 2e-3)
         r2 = continuity_residual(g, 1.0, mix, self.GRID, 1e-3, 1e-3)
         assert r2 < r1 / 2.5
@@ -254,14 +247,13 @@ class TestContinuity:
     def test_free_particle(self):
         es = eigensystem(0.0, 1e-6, np.array([1.0, 0.7]))
         # beta ~ 0: plain free-particle continuity at discretization error
-        mix = [(1.0, es.psi_plus, es.lambda_plus),
-               (0.4, es.psi_minus, es.lambda_minus)]
+        mix = [(1.0, *plus_wave(es)), (0.4, *minus_wave(es))]
         assert continuity_residual(0.0, 1e-6, mix, self.GRID, 1e-3, 1e-3) < 1e-5
 
     def test_bad_steps_rejected(self):
         es = eigensystem(0.0, 1.0, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            continuity_residual(0.0, 1.0, [(1.0, es.psi_plus, es.lambda_plus)],
+            continuity_residual(0.0, 1.0, [(1.0, *plus_wave(es))],
                                 self.GRID, -1e-3, 1e-3)
 
 
