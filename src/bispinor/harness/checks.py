@@ -9,8 +9,11 @@ per-check tolerance multiplier for that purpose.
 A sampled check first draws its inputs one sample at a time (so the
 generator's stream is consumed in a fixed per-sample order, see
 :func:`_draw`) and then evaluates its identity once over the stacked
-samples.  Every residual goes through :func:`_worst`, which turns any NaN
-or inf into an infinite residual, i.e. a failure.
+samples.  Uniform scalars come from :func:`_uniform`, which returns the
+bits ``rng.uniform(lo, hi)`` would and advances the stream by the same one
+double, at the cost of ``rng.random()``.  Every residual goes through
+:func:`_worst`, which turns any NaN or inf into an infinite residual, i.e.
+a failure.
 """
 
 from __future__ import annotations
@@ -41,8 +44,15 @@ from .report import ConformanceReport, ReportEntry
 _I2 = np.eye(2, dtype=complex)
 
 
+def _uniform(rng, lo: float, hi: float) -> float:
+    """One draw of ``rng.uniform(lo, hi)``: the same bits from the same
+    stream position, without its per-call overhead.  ``hi - lo`` must be
+    finite (the config rejects wider momentum ranges)."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _rand_gamma(rng) -> float:
-    return float(rng.uniform(-1.0 + GAMMA_MARGIN, 1.0 - GAMMA_MARGIN))
+    return _uniform(rng, -1.0 + GAMMA_MARGIN, 1.0 - GAMMA_MARGIN)
 
 
 def _rand_beta(betas: np.ndarray, rng) -> float:
@@ -50,13 +60,10 @@ def _rand_beta(betas: np.ndarray, rng) -> float:
     return float(betas[rng.integers(len(betas))])
 
 
-def _rand_p(cfg: SuiteConfig, rng) -> np.ndarray:
+def _rand_p(cfg: SuiteConfig, rng) -> tuple[float, float]:
     while True:
-        p = np.array([
-            rng.uniform(*cfg.p1_range),
-            rng.uniform(*cfg.p2_range),
-        ])
-        if np.hypot(p[0], p[1]) > 1e-2:
+        p = (_uniform(rng, *cfg.p1_range), _uniform(rng, *cfg.p2_range))
+        if math.hypot(*p) > 1e-2:
             return p
 
 

@@ -56,6 +56,8 @@ class SuiteConfig:
         for lo, hi in (self.p1_range, self.p2_range):
             if not lo < hi:
                 raise ConfigError("momentum range must satisfy lo < hi")
+            if not math.isfinite(hi - lo):
+                raise ConfigError("momentum range width hi - lo must be finite")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
 

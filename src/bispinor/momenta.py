@@ -9,6 +9,7 @@ evaluated over leading batch axes of p, gamma and the shifts alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,11 +71,26 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
 
 
 def _generators(gamma) -> np.ndarray:
-    """(..., 8, 2, 2) deformed generators; a single gamma is served from the
-    basis cache."""
+    """(..., 8, 2, 2) deformed generators, read-only.
+
+    A single gamma is served from the basis cache.  A gamma stack is served
+    from a cache keyed by its content (shape and float64 bytes, never its
+    identity, so a stack mutated in place is rebuilt).  The stack cache holds
+    two entries: a check alternates at most between gamma and -gamma, and
+    memory stays bounded at two stacks, 512 bytes per gamma each.  A failed
+    build (|gamma| >= 1 or NaN) raises and is never cached.
+    """
     if np.ndim(gamma) == 0:
         return make_deformed_basis(float(gamma)).generators
-    return deformed_generators(gamma)
+    gamma = np.ascontiguousarray(gamma, dtype=float)
+    return _stack_generators(gamma.shape, gamma.tobytes())
+
+
+@lru_cache(maxsize=2)
+def _stack_generators(shape: tuple[int, ...], data: bytes) -> np.ndarray:
+    generators = deformed_generators(np.frombuffer(data).reshape(shape))
+    generators.flags.writeable = False
+    return generators
 
 
 def _pad3(p) -> np.ndarray:

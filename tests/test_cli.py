@@ -72,6 +72,14 @@ class TestVerify:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "texture"])
+    def test_infinite_grid_width_is_usage_error(self, command, capsys):
+        # both bounds are finite, but hi - lo overflows to inf
+        code, out, err = run([command, "--grid=-1e308:1e308:12"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "width" in err
+        assert out == ""
+
 
 class TestReport:
     def test_written_report_round_trips(self, tmp_path, capsys):
