@@ -46,6 +46,8 @@ class SuiteConfig:
             raise ConfigError("at least one beta value is required")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.grid_points < 2:
             raise ConfigError("grid needs at least 2 points per axis")
         numbers = (*self.beta_values, *self.p1_range, *self.p2_range, self.tolerance)

@@ -70,15 +70,16 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
     )
 
 
-def _generators(gamma) -> np.ndarray:
+def cached_generators(gamma) -> np.ndarray:
     """(..., 8, 2, 2) deformed generators, read-only.
 
     A single gamma is served from the basis cache.  A gamma stack is served
     from a cache keyed by its content (shape and float64 bytes, never its
     identity, so a stack mutated in place is rebuilt).  The stack cache holds
     two entries: a check alternates at most between gamma and -gamma, and
-    memory stays bounded at two stacks, 512 bytes per gamma each.  A failed
-    build (|gamma| >= 1 or NaN) raises and is never cached.
+    memory stays bounded at two stacks, 512 bytes per gamma each.  The
+    registry reads its configured and drawn gamma stacks through it too.  A
+    failed build (|gamma| >= 1 or NaN) raises and is never cached.
     """
     if np.ndim(gamma) == 0:
         return make_deformed_basis(float(gamma)).generators
@@ -128,7 +129,7 @@ class CliffordMomentum:
 
     def evaluate(self, p) -> np.ndarray:
         q = _pad3(p) + np.asarray(self.shift)
-        e = _generators(self.gamma)
+        e = cached_generators(self.gamma)
         return (e[..., 1, :, :] * _per_matrix(q[..., 0])
                 + e[..., 2, :, :] * _per_matrix(q[..., 1])
                 + e[..., 3, :, :] * _per_matrix(q[..., 2]))
@@ -161,7 +162,7 @@ class MomentumHamiltonian:
         p3 = _pad3(p)
         l = p3 + np.asarray(self.left_shift)
         r = p3 + np.asarray(self.right_shift)
-        e = _generators(self.gamma)
+        e = cached_generators(self.gamma)
         kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
         e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
         e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])

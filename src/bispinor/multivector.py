@@ -278,17 +278,17 @@ def deformed_generators(gamma) -> np.ndarray:
     shape (...), in blade order.
 
     The three vector generators are sigma_m conjugated by the deformation
-    transform T, whose inverse is its adjugate over det T = omega,
-    (cos(theta/2) 1 - sin(theta/2) sigma2) / omega; this gives
+    transform T, evaluated in closed form entry by entry:
     e1 = (sigma1 - i gamma sigma3)/omega, e2 = sigma2 and
-    e3 = (sigma3 + i gamma sigma1)/omega.  Bivector and pseudoscalar slots
-    are rebuilt as products of the deformed vectors, which keeps every
-    algebraic relation a similarity image of the undeformed one.
+    e3 = (sigma3 + i gamma sigma1)/omega, one rounding per entry.  Bivector
+    and pseudoscalar slots are products of the deformed vectors, which keeps
+    every algebraic relation a similarity image of the undeformed one.
     """
     omega = np.asarray(deformation_omega(gamma))[..., None, None]
-    t = deformation_transform(gamma)
-    t_inv = clifford_conjugation_matrix(t) / omega
-    e1, e2, e3 = (t @ s @ t_inv for s in PAULI)
+    ig = 1j * np.asarray(gamma, dtype=float)[..., None, None]
+    e1 = (SIGMA1 - ig * SIGMA3) / omega
+    e3 = (SIGMA3 + ig * SIGMA1) / omega
+    e2 = np.broadcast_to(SIGMA2, e1.shape)
     one = np.broadcast_to(_ID, e1.shape)
     return np.stack((one, e1, e2, e3, e1 @ e2, e2 @ e3, e3 @ e1, e1 @ e2 @ e3), axis=-3)
 

@@ -1,12 +1,13 @@
 """Write the verify/report reference used by tests/test_verify_parity.py.
 
-Runs ``bispinor verify`` and ``bispinor report --out`` for each reference
-configuration with whichever ``bispinor`` is first on the path and prints,
-per configuration, its command-line options, the exit code, and the sha256
-and byte length of the ``verify`` standard output and of the written JSON
-report:
+Runs ``bispinor verify`` and ``bispinor report --out`` for each
+configuration in reference_configs.py, spelled as command-line options,
+with whichever ``bispinor`` is first on the path and prints, per
+configuration, the options, the exit code, and the sha256 and byte length
+of the ``verify`` standard output and of the written JSON report.
+Regenerate it together with registry_reference.json:
 
-    PYTHONPATH=<checkout>/src python tests/data/make_verify_reference.py \\
+    PYTHONPATH=src python tests/data/make_verify_reference.py \
         > tests/data/verify_reference.json
 """
 
@@ -18,19 +19,7 @@ import os
 import tempfile
 
 from bispinor import cli
-
-CONFIGS = {
-    "default": [],
-    "samples300_seed3": ["--samples=300", "--seed=3"],
-    # the benchmark's verify_deep inputs for seed 1
-    "verify_deep_seed1": [
-        "--gamma=0.0,-0.658144,0.625381,0.474794,-0.440876,-0.008217,-0.090916",
-        "--beta=1.477389,1.683085,0.640789",
-        "--grid=-3.471653:2.528347:12,-2.664235:3.335765:12",
-        "--samples=100",
-        "--seed=1",
-    ],
-}
+from reference_configs import CONFIGS, cli_args
 
 
 def digest(data: bytes) -> dict:
@@ -57,7 +46,8 @@ def report_json(args: list[str]) -> bytes:
 
 def main():
     out = {}
-    for name, args in CONFIGS.items():
+    for name, kwargs in CONFIGS.items():
+        args = cli_args(kwargs)
         code, text = verify_stdout(args)
         out[name] = {"args": args, "exit_code": code,
                      "verify_stdout": digest(text), "report_json": digest(report_json(args))}

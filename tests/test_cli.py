@@ -13,7 +13,7 @@ from bispinor.harness.checks import (
     check_noncommutation_witness,
     run_all,
 )
-from bispinor.harness.config import SuiteConfig
+from bispinor.harness.config import ConfigError, SuiteConfig
 from bispinor.spectrum import eigenvalues
 
 FAST = ["--gamma", "0.0,0.5", "--beta", "1.0", "--grid=-2:2:5",
@@ -71,6 +71,18 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "texture"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        code, out, err = run([command, "--seed=-1"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_config_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            SuiteConfig(seed=seed)
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "texture"])
     def test_infinite_grid_width_is_usage_error(self, command, capsys):

@@ -1,46 +1,60 @@
-"""The registry's uniform draw against numpy's own.
+"""The registry's draws: the momentum rejection step and per-check streams.
 
-``checks._uniform(rng, lo, hi)`` stands in for ``rng.uniform(lo, hi)``:
-it must return the same bits and leave the generator at the same stream
-position, or every stored reference would move.  A numpy release that
-changes either side of that identity fails here first.
+Each check owns the generator ``default_rng([seed, crc32(test_id)])`` and
+draws its inputs as whole arrays, so a ``run_all`` entry depends only on the
+configuration and the check's ID: run alone, or with the registry in another
+order, a check must give its entry bit for bit.
 """
 
-import struct
+import zlib
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
-from bispinor.harness.checks import _uniform
+from bispinor.harness import checks
+from bispinor.harness.checks import REGISTRY, _momenta, run_all
+from bispinor.harness.config import SuiteConfig
 
-finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
-ranges = st.tuples(finite, finite).filter(lambda r: r[0] < r[1])
-seeds = st.integers(min_value=0, max_value=2**63 - 1)
-steps = st.lists(st.sampled_from(("uniform", "integers", "normal")), min_size=1, max_size=30)
-
-
-def bits(x) -> bytes:
-    return struct.pack("<d", float(x))
+CFG = SuiteConfig(gamma_values=(0.0, 0.45, -0.8), beta_values=(0.7, 1.9),
+                  samples=24, seed=5)
 
 
-@given(seeds, ranges, steps)
-# the registry's own ranges: gamma, the default momentum box, verify_deep's
-# seed-1 box and the overflow test's box
-@example(seed=7, lo_hi=(-0.999, 0.999), ops=["uniform"] * 20)
-@example(seed=7, lo_hi=(-3.0, 3.0), ops=["uniform", "integers", "uniform", "normal"] * 5)
-@example(seed=1, lo_hi=(-3.471653, 2.528347), ops=["uniform", "integers"] * 10)
-@example(seed=3, lo_hi=(-1e160, 1e160), ops=["uniform", "normal"] * 10)
-def test_uniform_matches_numpy_bit_for_bit(seed, lo_hi, ops):
-    lo, hi = lo_hi
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for op in ops:
-        if op == "uniform":
-            assert bits(_uniform(rng_a, lo, hi)) == bits(rng_b.uniform(lo, hi))
-        elif op == "integers":
-            assert rng_a.integers(7) == rng_b.integers(7)
-        else:
-            assert bits(rng_a.normal()) == bits(rng_b.normal())
-    # both generators stay at the same stream position
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+@pytest.fixture(scope="module")
+def report():
+    return run_all(CFG)
 
+
+@pytest.mark.parametrize("box", [(-3.0, 3.0), (-0.011, 0.011)])
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_momenta_stay_in_box_and_off_the_origin(box, seed):
+    cfg = SuiteConfig(p1_range=box, p2_range=box)
+    p = _momenta(cfg, np.random.default_rng(seed), 200)
+    assert p.shape == (200, 2)
+    assert np.all((box[0] <= p) & (p < box[1]))
+    assert np.all(np.hypot(p[:, 0], p[:, 1]) > 1e-2)
+    # only the rows of the first draw that fell inside the disc are redrawn
+    first = np.random.default_rng(seed).uniform(box[0], box[1], size=(200, 2))
+    kept = np.hypot(first[:, 0], first[:, 1]) > 1e-2
+    assert np.array_equal(p[kept], first[kept])
+    if box == (-0.011, 0.011):
+        assert not kept.all()       # this box forces redraws
+
+
+@pytest.mark.parametrize("entry", REGISTRY, ids=[entry[0] for entry in REGISTRY])
+def test_check_alone_matches_its_run_all_entry(entry, report):
+    test_id, _, check, _ = entry
+    rng = np.random.default_rng([CFG.seed, zlib.crc32(test_id.encode())])
+    residual, samples = check(CFG, rng)
+    (want,) = [e for e in report.entries if e.test_id == test_id]
+    assert float(residual).hex() == want.max_residual.hex()
+    assert samples == want.samples
+
+
+def test_registry_order_does_not_change_entries(report, monkeypatch):
+    monkeypatch.setattr(checks, "REGISTRY", REGISTRY[::-1])
+    entries = run_all(CFG).entries
+    assert [e.test_id for e in entries] == [entry[0] for entry in REGISTRY[::-1]]
+    assert sorted(entries, key=lambda e: e.test_id) == sorted(report.entries,
+                                                              key=lambda e: e.test_id)

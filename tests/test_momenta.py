@@ -212,7 +212,7 @@ def test_levy_leblond_first_order_system():
 class TestGeneratorCache:
     def test_matches_a_fresh_build_and_is_read_only(self):
         g = np.array([0.0, 0.3, -0.7, 0.99])
-        got = momenta._generators(g)
+        got = momenta.cached_generators(g)
         assert got.tobytes() == deformed_generators(g).tobytes()
         assert not got.flags.writeable
         with pytest.raises(ValueError):
@@ -220,19 +220,19 @@ class TestGeneratorCache:
 
     def test_keyed_by_content_not_identity(self):
         g = np.array([0.1, 0.2, 0.3])
-        before = momenta._generators(g).copy()
+        before = momenta.cached_generators(g).copy()
         g[1] = -0.5                         # same object, new values
-        after = momenta._generators(g)
+        after = momenta.cached_generators(g)
         assert after.tobytes() == deformed_generators(g).tobytes()
         assert not np.array_equal(after, before)
         # equal content from another object (here a list) hits the same entry
-        assert momenta._generators(list(g)) is after
+        assert momenta.cached_generators(list(g)) is after
 
     @pytest.mark.parametrize("bad", [[0.2, 1.0], [-1.0, 0.0], [0.5, np.nan]])
     def test_invalid_gamma_raises_on_every_call(self, bad):
         for _ in range(3):
             with pytest.raises(ValueError):
-                momenta._generators(np.array(bad))
+                momenta.cached_generators(np.array(bad))
             with pytest.raises(ValueError):
                 rashba(np.array(bad), 1.0, 1)
 
@@ -240,6 +240,6 @@ class TestGeneratorCache:
         momenta._stack_generators.cache_clear()
         a, b, c = (np.full(4, x) for x in (0.1, 0.2, 0.3))
         for g in (a, b, a, b, c):
-            momenta._generators(g)
+            momenta.cached_generators(g)
         info = momenta._stack_generators.cache_info()
         assert (info.hits, info.misses, info.currsize, info.maxsize) == (2, 3, 2, 2)

@@ -7,12 +7,14 @@ from bispinor.multivector import (
     BASIS_NAMES,
     E13,
     MATRIX_INVOLUTIONS,
+    PAULI,
     SIGMA1,
     SIGMA2,
     SIGMA3,
     Multivector,
     clifford_conjugation_matrix,
     deformation_transform,
+    deformed_generators,
     from_matrix,
     geometric_product,
     involute,
@@ -219,6 +221,17 @@ def test_deformation_transform_reproduces_generators():
         # the witness is Hermitian with determinant omega
         assert np.abs(t - t.conj().T).max() < TOL
         assert abs(np.linalg.det(t) - basis.omega) < TOL
+
+
+@given(st.lists(st.floats(min_value=-1 + 1e-3, max_value=1 - 1e-3), min_size=1, max_size=8))
+def test_closed_form_generators_are_the_similarity_images(gammas):
+    # e_m = T sigma_m T^-1 with T^-1 from a general inverse, to within 1e-14
+    # of the operand scale 1/omega^2 (the conditioning of T as |gamma| -> 1)
+    g = np.array(gammas)
+    t = deformation_transform(g)[:, None]
+    want = t @ PAULI @ np.linalg.inv(t)
+    scale = 1.0 / (1.0 - g * g)[:, None, None, None]
+    assert np.all(np.abs(deformed_generators(g)[:, 1:4] - want) <= 1e-14 * scale)
 
 
 def test_e13_blade_matrix():

@@ -15,14 +15,26 @@ from pathlib import Path
 import pytest
 
 from bispinor import cli
+from bispinor.harness import SuiteConfig
 
-REFERENCE = json.loads(
-    (Path(__file__).parent / "data" / "verify_reference.json").read_text())
+DATA = Path(__file__).parent / "data"
+REFERENCE = json.loads((DATA / "verify_reference.json").read_text())
+REGISTRY_REFERENCE = json.loads((DATA / "registry_reference.json").read_text())
 
 
 def check(data: bytes, want: dict) -> None:
     assert len(data) == want["bytes"]
     assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_options_match_the_registry_reference_config(name):
+    # both references come from tests/data/reference_configs.py: the options
+    # stored here must give the configuration the registry reference ran
+    args = cli.build_parser().parse_args(["verify", *REFERENCE[name]["args"]])
+    kwargs = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in REGISTRY_REFERENCE[name]["config"].items()}
+    assert cli.config_from_args(args) == SuiteConfig(**kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
