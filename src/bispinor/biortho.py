@@ -76,7 +76,8 @@ _SYNTH_PHASES = np.array([(1j) ** (m + 1) for m in (1, 2, 3)])
 
 
 def synthesize_generators(pair: BiorthoPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the three deformed vector generators from rank-one projectors.
+    """Assemble the three deformed vector generators, each (..., 2, 2) over
+    the pair's batch axes, from rank-one projectors.
 
     Requires the canonical seed family v_j = (1, (-1)^(j-1))/sqrt(2); any
     other seed family is rejected.
@@ -89,14 +90,16 @@ def synthesize_generators(pair: BiorthoPair) -> tuple[np.ndarray, np.ndarray, np
         if np.abs(v - want).max() > _SEED_TOL:
             raise ValueError("unsupported seed")
 
-    phi, chi = np.stack(pair.phi), np.stack(pair.chi)
-    outer = phi[:, None, :, None] * np.conj(chi)[None, :, None, :]   # |phi_j><chi_k|
-    return tuple(_SYNTH_PHASES[:, None, None]
-                 * np.einsum("mjk,jkab->mab", _SYNTH_COEFFS, outer))
+    phi, chi = np.stack(pair.phi, axis=-2), np.stack(pair.chi, axis=-2)
+    # |phi_j><chi_k| over (..., j, k, a, b)
+    outer = phi[..., :, None, :, None] * np.conj(chi)[..., None, :, None, :]
+    made = _SYNTH_PHASES[:, None, None] * np.einsum("mjk,...jkab->...mab", _SYNTH_COEFFS, outer)
+    return tuple(np.moveaxis(made, -3, 0))
 
 
-def canonical_pair(theta: float) -> BiorthoPair:
-    """Pair from the canonical seeds and the deformation transform at angle theta."""
+def canonical_pair(theta) -> BiorthoPair:
+    """Pair from the canonical seeds and the deformation transforms at
+    angles theta (...)."""
     v1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     v2 = np.array([1.0, -1.0]) / np.sqrt(2.0)
     return build_pair(v1, v2, deformation_transform(np.sin(theta)))

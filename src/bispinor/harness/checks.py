@@ -32,13 +32,12 @@ from ..multivector import (
     deformation_transform,
     geometric_product,
     involute,
-    make_deformed_basis,
     matvec,
     reversion_matrix,
     to_matrix,
 )
 from ..spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
-from .config import GAMMA_MARGIN, SuiteConfig
+from .config import GAMMA_MARGIN, ConfigError, SuiteConfig
 from .report import ConformanceReport, ReportEntry
 
 _I2 = np.eye(2, dtype=complex)
@@ -56,14 +55,23 @@ def _betas(cfg: SuiteConfig, rng, n: int) -> np.ndarray:
 def _momenta(cfg: SuiteConfig, rng, n: int) -> np.ndarray:
     """n momenta (n, 2), uniform in the configured box with |p| > 1e-2:
     rows inside the small disc around the origin are redrawn until none is
-    left."""
+    left.  A box that lies wholly inside the disc has no such momenta and
+    raises ConfigError."""
     lo, hi = np.array([cfg.p1_range, cfg.p2_range]).T
+    if np.hypot(*np.maximum(np.abs(lo), np.abs(hi))) <= 1e-2:
+        raise ConfigError("the momentum box lies inside |p| <= 1e-2, "
+                          "where the registry draws no momenta")
     p = rng.uniform(lo, hi, size=(n, 2))
     small = np.hypot(p[:, 0], p[:, 1]) <= 1e-2
     while small.any():
         p[small] = rng.uniform(lo, hi, size=(int(small.sum()), 2))
         small = np.hypot(p[:, 0], p[:, 1]) <= 1e-2
     return p
+
+
+def _gamma_beta_pairs(gammas, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Every (gamma, beta) pair, gamma-major, as two flat arrays."""
+    return np.repeat(gammas, len(betas)), np.tile(betas, len(gammas))
 
 
 def _gamma_beta_p(cfg: SuiteConfig, rng, n: int) -> tuple[np.ndarray, ...]:
@@ -145,9 +153,8 @@ def check_even_subalgebra(cfg, rng):
 
 
 def check_reversed_generators(cfg, rng):
-    residuals = [value for g in cfg.gamma_values
-                 for value in timereversal.generator_reversal(make_deformed_basis(g)).values()]
-    return _worst(*residuals), len(cfg.gamma_values)
+    residuals = timereversal.generator_reversal(np.array(cfg.gamma_values))
+    return _worst(*residuals.values()), len(cfg.gamma_values)
 
 
 # ----------------------------------------------------------------- biortho
@@ -162,12 +169,11 @@ def check_biortho_gram(cfg, rng):
 
 
 def check_generator_synthesis(cfg, rng):
-    residuals = []
-    for g in cfg.gamma_values:
-        pair = biortho.canonical_pair(float(np.arcsin(g)))
-        made = np.array(biortho.synthesize_generators(pair))
-        residuals += [made - make_deformed_basis(g).vectors, made @ made - _I2]
-    return _worst(*residuals), len(cfg.gamma_values)
+    gammas = np.array(cfg.gamma_values)
+    pair = biortho.canonical_pair(np.arcsin(gammas))
+    made = np.stack(biortho.synthesize_generators(pair), axis=-3)
+    return _worst(made - momenta.cached_generators(gammas)[:, 1:4],
+                  made @ made - _I2), len(cfg.gamma_values)
 
 
 # ----------------------------------------------------------------- momenta
@@ -219,15 +225,14 @@ def check_isospectrality(cfg, rng):
 def check_levy_leblond_system(cfg, rng):
     """The first-order pair: P^A psi + 2i eta = 0 and P^B eta - iE psi = 0
     reproduces H psi = E psi on eigenstates."""
-    pairs = [(g, b) for g in cfg.gamma_values for b in cfg.nonzero_betas()]
-    p = _momenta(cfg, rng, len(pairs))
-    g, b = np.array(pairs).T
+    g, b = _gamma_beta_pairs(cfg.gamma_values, cfg.nonzero_betas())
+    p = _momenta(cfg, rng, len(g))
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
     left, right = momenta.momentum_factors(momenta.rashba(g, b, 1))   # P^B, P^A
     pa_psi = matvec(right(p)[:, None], psi)
     eta = (1j / 2.0) * pa_psi                                # from P^A psi = -2i eta
     return _worst(pa_psi + 2j * eta,
-                  matvec(left(p)[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi), 2 * len(pairs)
+                  matvec(left(p)[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi), 2 * len(g)
 
 
 def check_magnetic_consistency(cfg, rng):
@@ -319,15 +324,11 @@ def check_flip_relations(cfg, rng):
 
 def check_diagonal_momentum_angles(cfg, rng):
     """phi_pm depends only on the direction for p1 = +-p2."""
-    residuals = []
-    n = 0
-    for g in cfg.gamma_values:
-        for sign in (1.0, -1.0):
-            angles = [spectrum.phi_angles(g, np.array([r, sign * r]))
-                      for r in (0.5, 2.0, 7.0)]
-            residuals += [np.array(angles[0]) - np.array(other) for other in angles[1:]]
-            n += 1
-    return _worst(*residuals), n
+    radii = np.array([0.5, 2.0, 7.0])[:, None]
+    p = radii * np.array([[[1.0, 1.0]], [[1.0, -1.0]]])          # (sign, radius, 2)
+    gammas = np.array(cfg.gamma_values)[:, None, None]
+    angles = np.stack(phi_angles(gammas, p), axis=-1)            # (gamma, sign, radius, 2)
+    return _worst(angles[..., :1, :] - angles[..., 1:, :]), 2 * len(cfg.gamma_values)
 
 
 def check_isospectral_pairs_generic(cfg, rng):
@@ -394,21 +395,19 @@ def check_continuity(cfg, rng):
 def check_gamma_zero_limit(cfg, rng):
     """At gamma = 0 everything degenerates to the Hermitian model:
     orthogonal eigenvectors, Hermitian projectors, standard time reversal."""
-    residuals = []
-    betas = cfg.nonzero_betas()
-    for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
-        es = spectrum.eigensystem(0.0, b, p)
-        h = momenta.rashba(0.0, b, 1).evaluate(p)
-        pi1, pi2, _ = spectrum.projector_matrices(es.phi_plus, es.phi_minus)
-        psi, psi_minus, dual, _ = es.amplitudes
-        residuals += [
-            h - reversion_matrix(h),
-            np.vdot(psi, psi_minus),
-            pi1 - reversion_matrix(pi1),
-            pi2 - reversion_matrix(pi2),
-            psi - dual * np.vdot(dual, psi) / np.vdot(dual, dual),
-        ]
-    return _worst(*residuals), len(betas)
+    b = np.array(cfg.nonzero_betas())
+    p = _momenta(cfg, rng, len(b))
+    phi_plus, phi_minus = phi_angles(0.0, p)
+    h = momenta.rashba(0.0, b, 1).evaluate(p)
+    pi1, pi2, _ = spectrum.projector_matrices(phi_plus, phi_minus)
+    psi, psi_minus, dual, _ = np.moveaxis(eigen_amplitudes(phi_plus, phi_minus), 1, 0)
+    return _worst(
+        h - reversion_matrix(h),
+        amplitude_inner(psi, psi_minus),
+        pi1 - reversion_matrix(pi1),
+        pi2 - reversion_matrix(pi2),
+        psi - dual * amplitude_inner(dual, psi)[:, None] / amplitude_inner(dual, dual)[:, None],
+    ), len(b)
 
 
 # ------------------------------------------------------------ timereversal
@@ -446,37 +445,28 @@ def check_kramers(cfg, rng):
 def check_noncommutation_witness(cfg, rng):
     """T-conjugation leaves R^+ invariant only at gamma = 0; a detectable
     commutator for gamma != 0 is what blocks a plain degeneracy argument."""
-    residuals = []
-    all_visible = True
-    n = 0
-    betas = cfg.nonzero_betas()
-    for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
-        residuals.append(timereversal.noncommutation_witness(0.0, b, p))
-        for g in cfg.gamma_values:
-            if g == 0.0:
-                continue
-            witness = timereversal.noncommutation_witness(g, b, p)
-            all_visible = all_visible and _visibly_nonzero(witness)
-            n += 1
-    worst = _worst(*residuals)
-    if not all_visible:
+    betas = np.array(cfg.nonzero_betas())
+    p = _momenta(cfg, rng, len(betas))
+    gammas = np.array(cfg.gamma_values)
+    gammas = np.concatenate([[0.0], gammas[gammas != 0.0]])     # gamma = 0 first
+    witness = timereversal.noncommutation_witness(gammas, betas[:, None], p[:, None])
+    worst = _worst(witness[:, 0])
+    if not _visibly_nonzero(witness[:, 1:]):
         worst = max(worst, 1.0)
-    return worst, n + len(betas)
+    return worst, witness.size
 
 
 def check_reversed_schrodinger(cfg, rng):
-    pairs = [(g, b) for g in cfg.gamma_values[:3] for b in cfg.nonzero_betas()[:2]]
-    residuals = []
-    for (g, b), p in zip(pairs, _momenta(cfg, rng, len(pairs))):
-        h = momenta.rashba(g, b, 1)
-        r1 = timereversal.reversed_schrodinger_check(h, p, dt=1e-4)
-        r2 = timereversal.reversed_schrodinger_check(h, p, dt=5e-5)
-        residuals.append(r1)
-        # second-order differencing: halving dt should at least halve the
-        # residual whenever it sits above the rounding floor
-        if r1 > 1e-10 and not (r2 <= r1 / 2.0):
-            residuals.append(1.0)
-    return _worst(*residuals), len(pairs)
+    g, b = _gamma_beta_pairs(cfg.gamma_values[:3], cfg.nonzero_betas()[:2])
+    p = _momenta(cfg, rng, len(g))
+    r1, r2 = timereversal.reversed_schrodinger_check(momenta.rashba(g, b, 1), p,
+                                                     dt=np.array([[1e-4], [5e-5]]))
+    worst = _worst(r1)
+    # second-order differencing: halving dt should at least halve the
+    # residual whenever it sits above the rounding floor
+    if np.any((r1 > 1e-10) & ~(r2 <= r1 / 2.0)):
+        worst = max(worst, 1.0)
+    return worst, len(g)
 
 
 # -------------------------------------------------------------------- ideal
@@ -488,14 +478,10 @@ def check_ideal_basis(cfg, rng):
         np.array([[0, 0], [-1, 0]], dtype=complex),
         np.array([[1j, 0], [0, 0]], dtype=complex),
     )
-    gammas = list(cfg.gamma_values) + [float(x) for x in
-                                       rng.uniform(-0.99, 0.99, size=10)]
-    residuals = []
-    for g in gammas:
-        ib = ideal.build_ideal_basis(make_deformed_basis(g))
-        residuals += [got - ref for got, ref in zip((ib.g0, ib.g1, ib.g2, ib.g3), want)]
-        residuals.append(ib.g0 @ ib.g0 - ib.g0)
-    return _worst(*residuals), len(gammas)
+    gammas = np.concatenate([cfg.gamma_values, rng.uniform(-0.99, 0.99, size=10)])
+    ib = ideal.build_ideal_basis(gammas)
+    return _worst(*(got - ref for got, ref in zip((ib.g0, ib.g1, ib.g2, ib.g3), want)),
+                  ib.g0 @ ib.g0 - ib.g0), len(gammas)
 
 
 def check_left_ideal_closure(cfg, rng):

@@ -1,12 +1,14 @@
 """Conformance report data model and serialization (JSON and plain text).
 
 The report body is deterministic for a fixed configuration and seed: no
-timestamps or environment data are included.
+timestamps or environment data are included.  The JSON form is strict: a
+non-finite max_residual (always a failing entry) is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -17,6 +19,13 @@ class ReportEntry:
     status: str            # "pass" | "fail"
     max_residual: float
     samples: int
+
+
+def _finite_residual(entry: dict) -> dict:
+    """The entry with a non-finite max_residual replaced by None (JSON null)."""
+    if not math.isfinite(entry["max_residual"]):
+        entry["max_residual"] = None
+    return entry
 
 
 @dataclass(frozen=True)
@@ -46,11 +55,11 @@ class ConformanceReport:
                 "passed": self.passed,
                 "failed": self.failed,
             },
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [_finite_residual(asdict(e)) for e in self.entries],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = []

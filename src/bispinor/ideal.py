@@ -16,8 +16,9 @@ import numpy as np
 
 from .multivector import (
     E13,
-    DeformedBasis,
     clifford_conjugation_matrix,
+    deformation_omega,
+    deformed_generators,
     reversion_matrix,
     time_reverse_matrix,
 )
@@ -27,14 +28,17 @@ _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
 
 @dataclass(frozen=True)
 class IdealBasis:
+    """The four ideal generators, each (..., 2, 2) over the gamma axes."""
+
     g0: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
 
 
-def build_ideal_basis(basis: DeformedBasis) -> IdealBasis:
-    """The four ideal generators from the deformed / reversed generator sets.
+def build_ideal_basis(gamma) -> IdealBasis:
+    """The four ideal generators from the deformed / reversed generator sets
+    at deformation parameters gamma (...).
 
     g0 = 1/2 + (w/4)(e3 - ĕ3)        g1 = (1/2) e2 + (w/4)(e23 + ĕ23)
     g2 = (1/2) e31 - (w/4)(e1 - ĕ1)  g3 = (1/2) e123 + (w/4)(e12 + ĕ12)
@@ -42,10 +46,11 @@ def build_ideal_basis(basis: DeformedBasis) -> IdealBasis:
     The gamma-dependence cancels identically: the results are the constant
     matrices [[1,0],[0,0]], [[0,0],[i,0]], [[0,0],[-1,0]], [[i,0],[0,0]].
     """
-    w = basis.omega
+    generators = deformed_generators(gamma)
+    w = np.asarray(deformation_omega(gamma))[..., None, None]
     i2 = np.eye(2, dtype=complex)
-    _, e1, e2, e3, e12, e23, e31, e123 = basis.generators
-    _, r1, _, r3, r12, r23, _, _ = basis.reversed_generators
+    _, e1, e2, e3, e12, e23, e31, e123 = np.moveaxis(generators, -3, 0)
+    _, r1, _, r3, r12, r23, _, _ = np.moveaxis(time_reverse_matrix(generators), -3, 0)
 
     g0 = 0.5 * i2 + 0.25 * w * (e3 - r3)
     g1 = 0.5 * e2 + 0.25 * w * (e23 + r23)

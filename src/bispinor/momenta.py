@@ -106,8 +106,9 @@ def _pad3(p) -> np.ndarray:
 
 def _vec3(x, y, z) -> np.ndarray:
     """Broadcastable components stacked into (..., 3) complex vectors."""
-    return np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (x, y, z))),
-                    axis=-1)
+    out = np.empty(np.broadcast(x, y, z).shape + (3,), dtype=complex)
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
+    return out
 
 
 def _per_matrix(x) -> np.ndarray:

@@ -245,17 +245,14 @@ def deformation_omega(gamma):
 
 @dataclass(frozen=True)
 class DeformedBasis:
-    """Generator matrices of the deformed set and its time-reversed partner.
-
-    ``generators`` holds {1, e1^g, e2^g, e3^g, e12^g, e23^g, e31^g, e123^g}
-    and ``reversed_generators`` the conjugated set e13 conj(g) e13^-1, in the
-    same blade order, each as a read-only (8, 2, 2) array.
-    """
+    """Generator matrices of the deformed set: ``generators`` holds
+    {1, e1^g, e2^g, e3^g, e12^g, e23^g, e31^g, e123^g} as a read-only
+    (8, 2, 2) array.  Its time-reversed partner set is
+    ``time_reverse_matrix(generators)``."""
 
     gamma: float
     omega: float
     generators: np.ndarray = field(repr=False)
-    reversed_generators: np.ndarray = field(repr=False)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -299,12 +296,5 @@ def make_deformed_basis(gamma: float) -> DeformedBasis:
     single-gamma view of :func:`deformed_generators`."""
     gamma = float(gamma)
     generators = deformed_generators(gamma)
-    reversed_generators = time_reverse_matrix(generators)
     generators.flags.writeable = False
-    reversed_generators.flags.writeable = False
-    return DeformedBasis(
-        gamma=gamma,
-        omega=deformation_omega(gamma),
-        generators=generators,
-        reversed_generators=reversed_generators,
-    )
+    return DeformedBasis(gamma=gamma, omega=deformation_omega(gamma), generators=generators)

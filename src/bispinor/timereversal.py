@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momenta import MomentumHamiltonian, rashba
+from .momenta import MomentumHamiltonian, cached_generators, rashba
 from .multivector import (
     E13,
-    DeformedBasis,
-    make_deformed_basis,
     matvec,
     reversion_matrix,
     time_reverse_matrix,
 )
 from .spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
+
+_I2 = np.eye(2, dtype=complex)
 
 
 def reverse_amplitudes(amps) -> np.ndarray:
@@ -59,33 +59,34 @@ def pseudo_adjoint(x, p) -> np.ndarray:
     return time_reverse_matrix(np.conj(x(-p)).swapaxes(-1, -2))
 
 
-def generator_reversal(basis: DeformedBasis) -> dict[str, float]:
-    """Residual report for the time-reversed generator identities.
+def generator_reversal(gamma) -> dict[str, np.ndarray]:
+    """Residuals of the time-reversed generator identities at deformation
+    parameters gamma (...), each of shape (...).
 
     'vector_rule' covers T^-1 sigma_m^g T = -sigma_m^{-g} for m = 1, 2, 3;
     'listed_set' compares the conjugated generator set against its closed
-    form built from reversion of the mirrored basis.  The sign pattern on
+    form built from reversion of the deformed basis.  The sign pattern on
     the reversed vector slots is (-, -, -): all three vector generators pick
     up a minus sign under conjugation, while the even slots keep the
     reversion image with a +, and the pseudoscalar flips.
     """
-    mirrored = make_deformed_basis(-basis.gamma)
-    vector_rule = float(np.abs(
-        time_reverse_matrix(basis.vectors) + mirrored.vectors).max())
+    gamma = np.asarray(gamma, dtype=float)
+    generators = cached_generators(gamma)
+    mirrored = cached_generators(-gamma)
+    vector_rule = _maxabs(time_reverse_matrix(generators[..., 1:4, :, :])
+                          + mirrored[..., 1:4, :, :], (-1, -2, -3))
 
-    rev = reversion_matrix(basis.generators)
+    one, r1, r2, r3 = np.moveaxis(reversion_matrix(generators[..., :4, :, :]), -3, 0)
     expected = np.stack((
-        rev[0],                   # 1 is fixed
-        -rev[1],                  # vector slots pick up a minus sign
-        -rev[2],
-        -rev[3],
+        one,                      # 1 is fixed
+        -r1, -r2, -r3,            # vector slots pick up a minus sign
         # even slots: i * reversion of the matching deformed vector generator
-        1j * rev[3],              # e12 <- sigma3~
-        1j * rev[1],              # e23 <- sigma1~
-        1j * rev[2],              # e31 <- sigma2~
-        -1j * np.eye(2, dtype=complex),
-    ))
-    listed_set = float(np.abs(basis.reversed_generators - expected).max())
+        1j * r3,                  # e12 <- sigma3~
+        1j * r1,                  # e23 <- sigma1~
+        1j * r2,                  # e31 <- sigma2~
+        -1j * one,                # the pseudoscalar flips
+    ), axis=-3)
+    listed_set = _maxabs(time_reverse_matrix(generators) - expected, (-1, -2, -3))
     return {"vector_rule": vector_rule, "listed_set": listed_set}
 
 
@@ -152,30 +153,37 @@ def noncommutation_witness(gamma, beta, p):
     return _maxabs(conjugated_hamiltonian(h, p) - h(np.asarray(p)), (-1, -2))
 
 
-def reversed_schrodinger_check(h: MomentumHamiltonian, p, dt: float = 1e-3,
-                               steps: int = 5) -> float:
+def reversed_schrodinger_check(h: MomentumHamiltonian, p, dt=1e-3, steps: int = 5):
     """Evolve an eigenstate under H at fixed p and verify that the
     time-reversed trajectory chi(t) = T psi(-t) obeys
-    i d(chi)/dt = H^dagger(-p) chi by central finite differences.  A
-    non-finite H gives an infinite residual."""
-    if dt <= 0:
+    i d(chi)/dt = H^dagger(-p) chi by central finite differences.
+
+    One residual per momentum of p (..., 2), with h's gamma and beta
+    broadcasting against them, and per time step of ``dt``, which
+    broadcasts against the result: ``dt`` of shape (2, 1) over n momenta
+    gives residuals (2, n).  The eigenstate is the first eigenpair
+    numpy.linalg.eig returns.  A row whose H(p) or residual is not finite
+    gets an infinite residual.
+    """
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0):
         raise ValueError("time step must be positive")
     p = np.asarray(p, dtype=float)
     hp = h(p)
-    if not np.all(np.isfinite(hp)):
-        return float("inf")
-    vals, vecs = np.linalg.eig(hp)
-    lam = vals[0]
-    v = vecs[:, 0]
+    finite = np.isfinite(hp).all(axis=(-1, -2))
+    # eig rejects a stack holding any non-finite matrix; those rows get a
+    # placeholder here and an infinite residual below
+    vals, vecs = np.linalg.eig(np.where(finite[..., None, None], hp, _I2))
+    lam, v = vals[..., 0], vecs[..., :, 0]
 
     def chi(t):
         # psi(-t) = exp(i lam t) v, then apply the antilinear operator.
-        return E13 @ np.conj(np.exp(1j * lam * t) * v)
+        return matvec(E13, np.conj(np.exp(1j * lam * t)[..., None] * v))
 
-    h_adj = h(-p).conj().T
-    worst = 0.0
-    for k in range(1, steps + 1):
-        t = k * 10 * dt
-        deriv = (chi(t + dt) - chi(t - dt)) / (2.0 * dt)
-        worst = max(worst, float(np.abs(1j * deriv - h_adj @ chi(t)).max()))
-    return worst
+    h_adj = reversion_matrix(h(-p))
+    # sample times t = 10 k dt, k = 1..steps, on a new leading axis
+    k = np.arange(1, steps + 1).reshape((steps,) + (1,) * max(dt.ndim, lam.ndim))
+    t = 10 * k * dt
+    deriv = (chi(t + dt) - chi(t - dt)) / (2.0 * dt[..., None])
+    worst = np.abs(1j * deriv - matvec(h_adj, chi(t))).max(axis=(0, -1))
+    return np.where(finite & np.isfinite(worst), worst, np.inf)[()]

@@ -242,7 +242,7 @@ def test_criterion_10_ideal_layer():
     g_want = (np.array([[1, 0], [0, 0]]), np.array([[0, 0], [1j, 0]]),
               np.array([[0, 0], [-1, 0]]), np.array([[1j, 0], [0, 0]]))
     for g in rng.uniform(-0.99, 0.99, size=20):
-        ib = build_ideal_basis(make_deformed_basis(float(g)))
+        ib = build_ideal_basis(float(g))
         for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), g_want):
             worst = max(worst, float(np.abs(got - want).max()))
     for _ in range(200):

@@ -92,6 +92,19 @@ class TestVerify:
         assert err.startswith("error:") and "width" in err
         assert out == ""
 
+    def test_box_inside_the_small_disc_is_a_registry_usage_error(self, capsys):
+        # the registry draws momenta with |p| > 1e-2; none lie in this box
+        code, out, err = run(["verify", "--grid=-0.005:0.005:12", "--samples", "5"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "1e-2" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "texture"])
+    def test_exports_accept_a_box_inside_the_small_disc(self, command, capsys):
+        code, out, _ = run([command, "--grid=-0.005:0.005:12"], capsys)
+        assert code == 0
+        assert out
+
 
 class TestReport:
     def test_written_report_round_trips(self, tmp_path, capsys):
@@ -126,6 +139,21 @@ class TestReport:
             assert set(entry) >= {"test_id", "paper_ref", "status",
                                   "max_residual", "samples"}
             assert entry["status"] in ("pass", "fail")
+
+    def test_nonfinite_residuals_are_written_as_null(self, tmp_path, capsys):
+        out_path = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            code, out, _ = run(["report", "--grid=-1e160:1e160:12", "--samples", "5",
+                                "--out", str(out_path)], capsys)
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        entries = json.loads(out_path.read_text(), parse_constant=reject)["entries"]
+        nulls = [e for e in entries if e["max_residual"] is None]
+        assert len(nulls) == out.count("residual=inf") > 0
+        assert all(e["status"] == "fail" for e in nulls)
 
 
 class TestSpectrumExport:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bispinor.harness import checks
 from bispinor.harness.checks import REGISTRY, _momenta, run_all
-from bispinor.harness.config import SuiteConfig
+from bispinor.harness.config import ConfigError, SuiteConfig
 
 CFG = SuiteConfig(gamma_values=(0.0, 0.45, -0.8), beta_values=(0.7, 1.9),
                   samples=24, seed=5)
@@ -40,6 +40,13 @@ def test_momenta_stay_in_box_and_off_the_origin(box, seed):
     assert np.array_equal(p[kept], first[kept])
     if box == (-0.011, 0.011):
         assert not kept.all()       # this box forces redraws
+
+
+@pytest.mark.parametrize("box", [(-0.005, 0.005), (0.0, 0.007)])
+def test_box_inside_the_small_disc_is_rejected(box):
+    cfg = SuiteConfig(p1_range=box, p2_range=box)
+    with pytest.raises(ConfigError, match="inside"):
+        _momenta(cfg, np.random.default_rng(0), 5)
 
 
 @pytest.mark.parametrize("entry", REGISTRY, ids=[entry[0] for entry in REGISTRY])

@@ -9,7 +9,7 @@ from bispinor.ideal import (
     ideal_matrix,
     invariance_group_check,
 )
-from bispinor.multivector import E13, make_deformed_basis
+from bispinor.multivector import E13
 from bispinor.spectrum import amplitude_inner, eigensystem
 from bispinor.timereversal import reverse_amplitudes
 
@@ -29,24 +29,24 @@ def random_spinor(rng):
 
 class TestIdealBasis:
     def test_gamma_zero(self):
-        ib = build_ideal_basis(make_deformed_basis(0.0))
+        ib = build_ideal_basis(0.0)
         for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), G_WANT):
             assert np.abs(got - want).max() < TOL
 
     def test_gamma_half_same_constants(self):
-        ib = build_ideal_basis(make_deformed_basis(0.5))
+        ib = build_ideal_basis(0.5)
         for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), G_WANT):
             assert np.abs(got - want).max() < TOL
 
     def test_random_gamma_independence(self):
         rng = np.random.default_rng(101)
         for g in rng.uniform(-0.99, 0.99, size=20):
-            ib = build_ideal_basis(make_deformed_basis(float(g)))
+            ib = build_ideal_basis(float(g))
             for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), G_WANT):
                 assert np.abs(got - want).max() < TOL
 
     def test_idempotent(self):
-        ib = build_ideal_basis(make_deformed_basis(0.3))
+        ib = build_ideal_basis(0.3)
         assert np.abs(ib.g0 @ ib.g0 - ib.g0).max() < TOL
 
 
@@ -68,7 +68,7 @@ class TestConversion:
 
     def test_component_decomposition(self):
         rng = np.random.default_rng(107)
-        ib = build_ideal_basis(make_deformed_basis(0.2))
+        ib = build_ideal_basis(0.2)
         for _ in range(20):
             psi = random_spinor(rng)
             z = ideal_components(psi)

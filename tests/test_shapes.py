@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bispinor.ideal import c1_form, c2_form, ideal_components, ideal_matrix
+from bispinor.biortho import canonical_pair, synthesize_generators
+from bispinor.ideal import build_ideal_basis, c1_form, c2_form, ideal_components, ideal_matrix
 from bispinor.momenta import magnetic, rashba
 from bispinor.multivector import (
     MATRIX_INVOLUTIONS,
@@ -32,7 +33,13 @@ from bispinor.spectrum import (
     spin_expectations,
 )
 from bispinor.susy import supercharges
-from bispinor.timereversal import kramers_pairing, pseudo_adjoint, reverse_amplitudes
+from bispinor.timereversal import (
+    generator_reversal,
+    kramers_pairing,
+    pseudo_adjoint,
+    reversed_schrodinger_check,
+    reverse_amplitudes,
+)
 
 EPS = 1e-14
 EXAMPLES = settings(max_examples=40)
@@ -215,6 +222,55 @@ def test_kramers_pairing(inputs):
         assert np.array_equal(getattr(batched, field), [getattr(s, field) for s in singles])
     for field in ("residual", "same_p_residual", "flipped_p_residual"):
         assert_stacked(getattr(batched, field), [getattr(s, field) for s in singles], scale)
+
+
+gamma_stacks = sizes.flatmap(lambda n: stack((n,), -0.99, 0.99))
+
+
+@EXAMPLES
+@given(gamma_stacks)
+def test_generator_reversal(g):
+    batched = generator_reversal(g)
+    singles = [generator_reversal(float(x)) for x in g]
+    for name in ("vector_rule", "listed_set"):
+        assert_stacked(batched[name], [s[name] for s in singles], 0.0)
+
+
+@EXAMPLES
+@given(gamma_stacks)
+def test_ideal_basis(g):
+    batched = build_ideal_basis(g)
+    singles = [build_ideal_basis(float(x)) for x in g]
+    for name in ("g0", "g1", "g2", "g3"):
+        assert_stacked(getattr(batched, name), [getattr(s, name) for s in singles], 0.0)
+
+
+@EXAMPLES
+@given(gamma_stacks)
+def test_generator_synthesis(g):
+    theta = np.arcsin(g)
+    batched = np.stack(synthesize_generators(canonical_pair(theta)), axis=-3)
+    singles = [synthesize_generators(canonical_pair(float(x))) for x in theta]
+    assert_stacked(batched, singles, 0.0)
+
+
+@EXAMPLES
+@given(rashba_inputs())
+def test_reversed_schrodinger_check(inputs):
+    g, b, p, _ = inputs
+    dt = np.array([[1e-3], [5e-4]])
+    batched = reversed_schrodinger_check(rashba(g, b, 1), p, dt=dt)
+    singles = [[reversed_schrodinger_check(rashba(x, y, 1), q, dt=float(d))
+                for x, y, q in zip(g, b, p)] for d in dt[:, 0]]
+    assert_stacked(batched, singles, 0.0)
+
+
+def test_reversed_schrodinger_check_marks_nonfinite_rows():
+    p = np.array([[1.0, 0.5], [1e160, 1e160], [0.3, -2.0]])
+    with np.errstate(all="ignore"):
+        r = reversed_schrodinger_check(rashba(0.4, 1.0, 1), p, dt=1e-4)
+    assert r[1] == np.inf
+    assert np.all(r[[0, 2]] < 1e-4)
 
 
 @pytest.mark.parametrize("wave_sign", [1, -1])

@@ -103,7 +103,7 @@ class TestPseudoHermiticity:
 class TestGeneratorReversal:
     def test_report_small_residuals(self):
         for g in (0.0, 0.3, -0.85):
-            rep = generator_reversal(make_deformed_basis(g))
+            rep = generator_reversal(g)
             assert rep["vector_rule"] < TOL
             assert rep["listed_set"] < TOL
 
@@ -121,7 +121,7 @@ class TestGeneratorReversal:
     def test_random_gamma_sweep(self):
         rng = np.random.default_rng(89)
         for g in rng.uniform(-0.99, 0.99, size=20):
-            rep = generator_reversal(make_deformed_basis(float(g)))
+            rep = generator_reversal(float(g))
             assert max(rep.values()) < TOL
 
 
@@ -160,6 +160,14 @@ class TestDynamics:
         r1 = reversed_schrodinger_check(h, p, dt=1e-3)
         r2 = reversed_schrodinger_check(h, p, dt=5e-4)
         assert r2 < r1 / 2.0
+
+    def test_nan_residual_is_infinite(self):
+        # finite H whose first eigenvalue -1e300 i overflows exp(i lam t):
+        # every step residual is NaN, which must read as a failure
+        def h(p):
+            return np.diag([-1e300j, 1.0])
+        with np.errstate(all="ignore"):
+            assert reversed_schrodinger_check(h, np.array([1.0, 0.0]), dt=1e-4) == np.inf
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
