@@ -3,22 +3,20 @@ Rashba Hamiltonians and exact numerical verification of their closed-form
 spectral, time-reversal and SUSY structure."""
 
 from .multivector import (
-    DeformedBasis,
     Multivector,
+    deformed_generators,
     from_matrix,
     geometric_product,
     involute,
-    make_deformed_basis,
     to_matrix,
 )
 from .biortho import BiorthoPair, build_pair, synthesize_generators
 from .momenta import (
-    CliffordMomentum,
     LinearizationSet,
-    MomentumHamiltonian,
     build_linearization,
-    factorize,
+    clifford_momentum,
     magnetic,
+    momentum_product,
     rashba,
 )
 from .spectrum import (

@@ -1,9 +1,9 @@
 """Galilean linearization matrices, Clifford momenta and the Hamiltonian
 factories (generalized, Rashba and magnetic/Zeeman variants).
 
-All operators act on plane waves, so they are realized as matrix-valued
-functions of the classical momentum label p (hbar = m = 1, unit charge),
-evaluated over leading batch axes of p, gamma and the shifts alike.
+All operators act on plane waves, so each is a function that returns its
+(..., 2, 2) matrices at the classical momentum label p (hbar = m = 1, unit
+charge), evaluated over leading batch axes of p, gamma and the shifts alike.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multivector import deformation_omega, deformed_generators, make_deformed_basis
+from .multivector import deformed_generators
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
     hold for every deformation parameter since they are similarity images of
     the undeformed system.
     """
-    basis = make_deformed_basis(gamma)
-    e1, e2, e3 = basis.vectors
+    e1, e2, e3 = cached_generators(gamma)[1:4]
     z2 = np.zeros((2, 2), dtype=complex)
     i2 = np.eye(2, dtype=complex)
 
@@ -71,19 +70,17 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
 
 
 def cached_generators(gamma) -> np.ndarray:
-    """(..., 8, 2, 2) deformed generators, read-only.
+    """(..., 8, 2, 2) deformed generators for gamma of shape (...), read-only.
 
-    A single gamma is served from the basis cache.  A gamma stack is served
-    from a cache keyed by its content (shape and float64 bytes, never its
-    identity, so a stack mutated in place is rebuilt).  The stack cache holds
-    two entries: a check alternates at most between gamma and -gamma, and
-    memory stays bounded at two stacks, 512 bytes per gamma each.  The
-    registry reads its configured and drawn gamma stacks through it too.  A
-    failed build (|gamma| >= 1 or NaN) raises and is never cached.
+    One cache serves every gamma, a single value included.  It is keyed by
+    content (shape and float64 bytes, never identity, so a stack mutated in
+    place is rebuilt) and holds two entries: a check alternates at most
+    between gamma and -gamma, and memory stays bounded at two stacks, 512
+    bytes per gamma each.  A failed build (|gamma| >= 1 or NaN) raises and
+    is never cached.
     """
-    if np.ndim(gamma) == 0:
-        return make_deformed_basis(float(gamma)).generators
-    gamma = np.ascontiguousarray(gamma, dtype=float)
+    # np.asarray keeps a single gamma 0-d, so it gives (8, 2, 2)
+    gamma = np.asarray(gamma, dtype=float)
     return _stack_generators(gamma.shape, gamma.tobytes())
 
 
@@ -116,128 +113,81 @@ def _per_matrix(x) -> np.ndarray:
     return np.asarray(x)[..., None, None]
 
 
-@dataclass(frozen=True)
-class CliffordMomentum:
-    """The shifted momentum 1-blade p -> sum_j e_j^gamma (p_j + Q_j).
+def clifford_momentum(gamma, shift, p) -> np.ndarray:
+    """The shifted momentum 1-blade sum_j e_j^gamma (p_j + Q_j) at momenta p.
 
-    ``gamma`` may be an array and ``shift`` a (..., 3) array; evaluate(p)
-    broadcasts them against momenta of shape (..., 2) or (..., 3) and
-    returns (..., 2, 2) matrices.
+    gamma (...), shifts Q (..., 3) and momenta p (..., 2) or (..., 3)
+    broadcast; the result is (..., 2, 2).
     """
-
-    gamma: float
-    shift: tuple[complex, complex, complex] = (0.0, 0.0, 0.0)
-
-    def evaluate(self, p) -> np.ndarray:
-        q = _pad3(p) + np.asarray(self.shift)
-        e = cached_generators(self.gamma)
-        return (e[..., 1, :, :] * _per_matrix(q[..., 0])
-                + e[..., 2, :, :] * _per_matrix(q[..., 1])
-                + e[..., 3, :, :] * _per_matrix(q[..., 2]))
-
-    def __call__(self, p) -> np.ndarray:
-        return self.evaluate(p)
+    q = _pad3(p) + np.asarray(shift)
+    e = cached_generators(gamma)
+    return (e[..., 1, :, :] * _per_matrix(q[..., 0])
+            + e[..., 2, :, :] * _per_matrix(q[..., 1])
+            + e[..., 3, :, :] * _per_matrix(q[..., 2]))
 
 
-@dataclass(frozen=True)
-class MomentumHamiltonian:
-    """Half the product of two Clifford momenta, stored structurally.
-
-    evaluate(p) assembles the matrix from the structured coefficients:
-    a kinetic scalar, three bivector interaction coefficients over
-    {e12, e23, e31}, and a Zeeman coefficient on e3^gamma.  ``left_shift``
-    belongs to the left factor of the product and ``right_shift`` to the
-    right one.  Like :class:`CliffordMomentum` it broadcasts array-valued
-    gamma, shifts and Zeeman coefficient against momenta (..., 2) or
-    (..., 3), returning (..., 2, 2) matrices.
-    """
-
-    gamma: float
-    left_shift: tuple[complex, complex, complex]
-    right_shift: tuple[complex, complex, complex]
-    zeeman: float = 0.0
-    beta: float = 0.0
-    sign: int = 0
-
-    def evaluate(self, p) -> np.ndarray:
-        p3 = _pad3(p)
-        l = p3 + np.asarray(self.left_shift)
-        r = p3 + np.asarray(self.right_shift)
-        e = cached_generators(self.gamma)
-        kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
-        e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
-        e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
-        e31 = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
-        return (_per_matrix(kinetic) * e[..., 0, :, :]
-                + _per_matrix(e12) * e[..., 4, :, :]
-                + _per_matrix(e23) * e[..., 5, :, :]
-                + _per_matrix(e31) * e[..., 6, :, :]
-                + _per_matrix(self.zeeman) * e[..., 3, :, :])
-
-    def __call__(self, p) -> np.ndarray:
-        return self.evaluate(p)
+def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarray:
+    """(1/2) P_left(p) P_right(p) + zeeman e3^gamma, (..., 2, 2), assembled
+    from a kinetic scalar and the bivector coefficients over {e12, e23, e31}.
+    gamma and zeeman (...), the shifts (..., 3) and momenta p (..., 2) or
+    (..., 3) broadcast; H^AB = (1/2) P^B P^A takes (shift_b, shift_a)."""
+    p3 = _pad3(p)
+    l = p3 + np.asarray(left_shift)
+    r = p3 + np.asarray(right_shift)
+    e = cached_generators(gamma)
+    kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
+    e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
+    e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
+    e31 = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
+    return (_per_matrix(kinetic) * e[..., 0, :, :]
+            + _per_matrix(e12) * e[..., 4, :, :]
+            + _per_matrix(e23) * e[..., 5, :, :]
+            + _per_matrix(e31) * e[..., 6, :, :]
+            + _per_matrix(zeeman) * e[..., 3, :, :])
 
 
-def factorize(a: CliffordMomentum, b: CliffordMomentum):
-    """Hamiltonians H^AB = (1/2) B(p) A(p) and H^BA = (1/2) A(p) B(p)."""
-    if np.any(np.asarray(a.gamma) != np.asarray(b.gamma)):
-        raise ValueError("mismatched deformation parameters")
-    h_ab = MomentumHamiltonian(gamma=a.gamma, left_shift=b.shift, right_shift=a.shift)
-    h_ba = MomentumHamiltonian(gamma=a.gamma, left_shift=a.shift, right_shift=b.shift)
-    return h_ab, h_ba
-
-
-def rashba(gamma, beta, sign: int = 1) -> MomentumHamiltonian:
-    """The deformed Rashba Hamiltonian R^sign_gamma (gamma and beta may be
-    broadcastable arrays).
-
-    sign=+1 gives (1/2) P^B P^A with A = -i(0,0,beta), B = +i(0,0,beta);
-    sign=-1 flips beta.  The adjoint of the +gamma operator equals the
-    -gamma one entrywise.
-    """
-    deformation_omega(gamma)  # rejects |gamma| >= 1
+def rashba_shifts(beta, sign):
+    """The (left, right) shifts (..., 3) of R^sign, those of P^B and P^A:
+    B = +i(0, 0, sign beta), A = -i(0, 0, sign beta)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     b3 = 1j * np.asarray(beta) * sign
-    return MomentumHamiltonian(
-        gamma=gamma,
-        left_shift=_vec3(0.0, 0.0, b3),
-        right_shift=_vec3(0.0, 0.0, -b3),
-        beta=beta,
-        sign=sign,
-    )
+    return _vec3(0.0, 0.0, b3), _vec3(0.0, 0.0, -b3)
 
 
-def magnetic(gamma, beta, a_vec, b3, branch: int = 1) -> MomentumHamiltonian:
-    """Rashba Hamiltonian with a constant in-plane gauge shift and Zeeman term.
+def rashba(gamma, beta, p, *, sign: int = 1) -> np.ndarray:
+    """The deformed Rashba Hamiltonian R^sign_gamma(p) = (1/2) P^B P^A,
+    (..., 2, 2) for broadcastable gamma, beta (...) and momenta p (..., 2).
 
-    H^branch = (1/2)[(p1+A1)^2 + (p2+A2)^2 + beta^2]
-               + branch * i beta [e31 (p1+A1) - e23 (p2+A2)] + e3 B3,
-
-    realized as half the ordered product of the two shifted Clifford momenta
-    p_j + A_j +- i beta delta_j3, plus the Zeeman coefficient.  gamma, beta
-    and B3 may be broadcastable arrays and ``a_vec`` of shape (..., 2).
+    sign=-1 flips beta.  The adjoint of the +gamma operator equals the
+    -gamma one entrywise.
     """
-    deformation_omega(gamma)  # rejects |gamma| >= 1
+    return momentum_product(gamma, *rashba_shifts(beta, sign), p)
+
+
+def magnetic_shifts(beta, a_vec, branch):
+    """The (left, right) shifts (..., 3) of the magnetic Hamiltonian: the gauge
+    shift a_vec (..., 2) in plane and +-i branch beta on the third component."""
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[-1:] != (2,):
         raise ValueError("gauge shift must have 2 components")
     shift3 = 1j * np.asarray(beta) * branch
-    return MomentumHamiltonian(
-        gamma=gamma,
-        left_shift=_vec3(a_vec[..., 0], a_vec[..., 1], shift3),
-        right_shift=_vec3(a_vec[..., 0], a_vec[..., 1], -shift3),
-        zeeman=np.asarray(b3, dtype=float)[()],
-        beta=beta,
-        sign=branch,
-    )
+    return (_vec3(a_vec[..., 0], a_vec[..., 1], shift3),
+            _vec3(a_vec[..., 0], a_vec[..., 1], -shift3))
 
 
-def momentum_factors(h: MomentumHamiltonian) -> tuple[CliffordMomentum, CliffordMomentum]:
-    """The (left, right) Clifford momentum factors of a structured Hamiltonian."""
-    return (
-        CliffordMomentum(gamma=h.gamma, shift=h.left_shift),
-        CliffordMomentum(gamma=h.gamma, shift=h.right_shift),
-    )
+def magnetic(gamma, beta, a_vec, b3, p, *, branch: int = 1) -> np.ndarray:
+    """Rashba Hamiltonian with a constant in-plane gauge shift and Zeeman term,
+
+    H^branch = (1/2)[(p1+A1)^2 + (p2+A2)^2 + beta^2]
+               + branch * i beta [e31 (p1+A1) - e23 (p2+A2)] + e3 B3,
+
+    half the ordered product of the two shifted Clifford momenta
+    p_j + A_j +- i beta delta_j3, plus the Zeeman coefficient.  gamma, beta
+    and B3 (...), a_vec (..., 2) and momenta p (..., 2) broadcast; the
+    result is (..., 2, 2).
+    """
+    return momentum_product(gamma, *magnetic_shifts(beta, a_vec, branch), p,
+                            zeeman=np.asarray(b3, dtype=float))

@@ -10,7 +10,8 @@ e31 -> i*sigma_2 and e123 -> i*1.
 
 The module also builds the gamma-deformed generator set (a similarity
 transform of the Pauli generators controlled by gamma = sin(theta),
-omega = sqrt(1 - gamma^2)) together with its time-reversed partner set.
+omega = sqrt(1 - gamma^2)); its time-reversed partner set is
+time_reverse_matrix of it.
 
 Shapes: every kernel works over leading batch axes.  Coefficient arrays are
 (..., 8), matrices (..., 2, 2) (or (..., 2n, 2n) for time reversal) and
@@ -20,8 +21,7 @@ view, and the kernels return one when given one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,22 +243,6 @@ def deformation_omega(gamma):
     return float(omega) if omega.ndim == 0 else omega
 
 
-@dataclass(frozen=True)
-class DeformedBasis:
-    """Generator matrices of the deformed set: ``generators`` holds
-    {1, e1^g, e2^g, e3^g, e12^g, e23^g, e31^g, e123^g} as a read-only
-    (8, 2, 2) array.  Its time-reversed partner set is
-    ``time_reverse_matrix(generators)``."""
-
-    gamma: float
-    omega: float
-    generators: np.ndarray = field(repr=False)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.generators[1:4]
-
-
 def deformation_transform(gamma) -> np.ndarray:
     """Similarity witness for the deformation, gamma = sin(theta):
 
@@ -288,13 +272,3 @@ def deformed_generators(gamma) -> np.ndarray:
     e2 = np.broadcast_to(SIGMA2, e1.shape)
     one = np.broadcast_to(_ID, e1.shape)
     return np.stack((one, e1, e2, e3, e1 @ e2, e2 @ e3, e3 @ e1, e1 @ e2 @ e3), axis=-3)
-
-
-@lru_cache(maxsize=256)
-def make_deformed_basis(gamma: float) -> DeformedBasis:
-    """The deformed generator set for one |gamma| < 1 (cached): the
-    single-gamma view of :func:`deformed_generators`."""
-    gamma = float(gamma)
-    generators = deformed_generators(gamma)
-    generators.flags.writeable = False
-    return DeformedBasis(gamma=gamma, omega=deformation_omega(gamma), generators=generators)

@@ -139,14 +139,19 @@ def projector_matrices(phi_plus, phi_minus):
     """Finite parts (pi1, pi2) of the bi-orthogonal spectral projectors of
     R^+_gamma(p), (..., 2, 2) over angles of shape (...), and the
     normalization e^{i phi+} + e^{i phi-} they divide by; the pair is
-    singular where it vanishes."""
-    ep = np.exp(1j * np.asarray(phi_plus))
-    em = np.exp(1j * np.asarray(phi_minus))
+    singular where it vanishes.
+
+    Single angles are evaluated as one-element arrays: numpy's scalar
+    complex product rounds differently from its array loop, and this keeps
+    a single point bit-identical to the same point in a stack."""
+    shape = np.broadcast_shapes(np.shape(phi_plus), np.shape(phi_minus))
+    ep = np.exp(1j * np.atleast_1d(phi_plus))
+    em = np.exp(1j * np.atleast_1d(phi_minus))
     den = ep + em
     with np.errstate(divide="ignore", invalid="ignore"):
         pi1 = mat2(ep, ep * em, 1.0, em) / den[..., None, None]
         pi2 = mat2(em, -ep * em, -1.0, ep) / den[..., None, None]
-    return pi1, pi2, den
+    return pi1.reshape(shape + (2, 2)), pi2.reshape(shape + (2, 2)), den.reshape(shape)[()]
 
 
 def flip_relations(gamma, p) -> dict:

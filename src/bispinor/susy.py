@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .momenta import momentum_factors, rashba
+from .momenta import clifford_momentum, rashba, rashba_shifts
 from .multivector import E13
 from .timereversal import pseudo_adjoint
 
@@ -32,9 +32,9 @@ def _offdiag(upper=None, lower=None) -> np.ndarray:
 def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     """Theta^+ = (1/sqrt 2) offdiag-upper(P^B), Theta^- = lower(P^A), of shape
     (..., 4, 4) for gamma, beta (...) and momenta (..., 2)."""
-    pb, pa = momentum_factors(rashba(gamma, beta, 1))
-    p = np.asarray(p, dtype=float)
-    return _offdiag(upper=pb(p) / _SQRT2), _offdiag(lower=pa(p) / _SQRT2)
+    shift_b, shift_a = rashba_shifts(beta, 1)
+    return (_offdiag(upper=clifford_momentum(gamma, shift_b, p) / _SQRT2),
+            _offdiag(lower=clifford_momentum(gamma, shift_a, p) / _SQRT2))
 
 
 def susy_hamiltonian(gamma, beta, p) -> np.ndarray:
@@ -59,10 +59,11 @@ def pseudo_susy(gamma, beta, p):
     Lambda- its pseudo-adjoint (Delta^B)^# = P^A in the lower one, so the
     anticommutator reproduces the SUSY Hamiltonian.
     """
-    pb, _ = momentum_factors(rashba(gamma, beta, 1))
+    shift_b, _ = rashba_shifts(beta, 1)
     p = np.asarray(p, dtype=float)
-    lambda_plus = _offdiag(upper=pb(p) / _SQRT2)
-    lambda_minus = _offdiag(lower=pseudo_adjoint(pb, p) / _SQRT2)
+    lambda_plus = _offdiag(upper=clifford_momentum(gamma, shift_b, p) / _SQRT2)
+    delta_sharp = pseudo_adjoint(clifford_momentum(gamma, shift_b, -p))
+    lambda_minus = _offdiag(lower=delta_sharp / _SQRT2)
     h_psusy = lambda_plus @ lambda_minus + lambda_minus @ lambda_plus
     return lambda_plus, lambda_minus, h_psusy
 
@@ -70,12 +71,12 @@ def pseudo_susy(gamma, beta, p):
 def intertwining_residuals(gamma, beta, p):
     """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+ at p,
     per momentum of p (..., 2)."""
-    pb, _ = momentum_factors(rashba(gamma, beta, 1))
+    shift_b, _ = rashba_shifts(beta, 1)
     p = np.asarray(p, dtype=float)
-    r_plus = rashba(gamma, beta, 1).evaluate(p)
-    r_minus = rashba(gamma, beta, -1).evaluate(p)
-    delta = pb(p)
-    delta_sharp = pseudo_adjoint(pb, p)
+    r_plus = rashba(gamma, beta, p)
+    r_minus = rashba(gamma, beta, p, sign=-1)
+    delta = clifford_momentum(gamma, shift_b, p)
+    delta_sharp = pseudo_adjoint(clifford_momentum(gamma, shift_b, -p))
     r1 = np.abs(r_plus @ delta - delta @ r_minus).max(axis=(-1, -2))[()]
     r2 = np.abs(r_minus @ delta_sharp - delta_sharp @ r_plus).max(axis=(-1, -2))[()]
     return r1, r2

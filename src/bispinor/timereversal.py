@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momenta import MomentumHamiltonian, cached_generators, rashba
+from .momenta import cached_generators, rashba
 from .multivector import (
     E13,
     matvec,
@@ -39,24 +39,17 @@ def _maxabs(x, axes):
     return np.abs(x).max(axis=axes)[()]
 
 
-def conjugated_hamiltonian(h, p) -> np.ndarray:
-    """The matrix realizing T^-1 H T at momentum label p: U conj(H(-p)) U^-1."""
-    return time_reverse_matrix(h(-np.asarray(p, dtype=float)))
-
-
-def pseudo_hermitian_residual(h, p):
+def pseudo_hermitian_residual(h_minus_p, h_p):
     """Max-entry residual of H(-p) U = U H(p)^T, the fixed-momentum form of
-    T^-1 H T = H^dagger, per momentum of p (..., 2).  ``h`` is any callable
-    p -> (..., 2, 2) matrices."""
-    p = np.asarray(p, dtype=float)
-    return _maxabs(h(-p) @ E13 - E13 @ h(p).swapaxes(-1, -2), (-1, -2))
+    T^-1 H T = H^dagger, per matrix of the (..., 2, 2) stacks H(-p) and H(p)."""
+    return _maxabs(h_minus_p @ E13 - E13 @ np.swapaxes(h_p, -1, -2), (-1, -2))
 
 
-def pseudo_adjoint(x, p) -> np.ndarray:
-    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of a family of (..., 2n, 2n)
-    operators, U = diag(e13, ..., e13): the T-conjugate of X(-p)^dagger."""
-    p = np.asarray(p, dtype=float)
-    return time_reverse_matrix(np.conj(x(-p)).swapaxes(-1, -2))
+def pseudo_adjoint(x_minus_p) -> np.ndarray:
+    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of (..., 2n, 2n)
+    operators, given X(-p), with U = diag(e13, ..., e13): the T-conjugate of
+    X(-p)^dagger."""
+    return time_reverse_matrix(np.conj(x_minus_p).swapaxes(-1, -2))
 
 
 def generator_reversal(gamma) -> dict[str, np.ndarray]:
@@ -133,7 +126,7 @@ def kramers_pairing(gamma, beta, p, wave_sign: int = 1) -> KramersResult:
 
     # Eigen-identity: the time-reversed state is an eigenvector of
     # R^+_{-gamma} at the flipped momentum with the unchanged eigenvalue.
-    r_flip = rashba(-np.asarray(gamma), beta, 1).evaluate(-p)
+    r_flip = rashba(-np.asarray(gamma), beta, -p)
     lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
     eig = _maxabs(matvec(r_flip[..., None, :, :], t_psi) - lam * t_psi, (-1, -2))
 
@@ -149,38 +142,37 @@ def noncommutation_witness(gamma, beta, p):
     R^+_gamma itself at momentum p (elementwise over gamma, beta and
     momenta (..., 2)); nonzero for gamma != 0 (the reason a plain Kramers
     degeneracy argument fails) and zero at gamma = 0."""
-    h = rashba(gamma, beta, 1)
-    return _maxabs(conjugated_hamiltonian(h, p) - h(np.asarray(p)), (-1, -2))
+    p = np.asarray(p, dtype=float)
+    # U conj(H(-p)) U^-1 realizes T^-1 H T at momentum label p
+    return _maxabs(time_reverse_matrix(rashba(gamma, beta, -p))
+                   - rashba(gamma, beta, p), (-1, -2))
 
 
-def reversed_schrodinger_check(h: MomentumHamiltonian, p, dt=1e-3, steps: int = 5):
+def reversed_schrodinger_check(h_p, h_minus_p, dt=1e-3, steps: int = 5):
     """Evolve an eigenstate under H at fixed p and verify that the
     time-reversed trajectory chi(t) = T psi(-t) obeys
     i d(chi)/dt = H^dagger(-p) chi by central finite differences.
 
-    One residual per momentum of p (..., 2), with h's gamma and beta
-    broadcasting against them, and per time step of ``dt``, which
-    broadcasts against the result: ``dt`` of shape (2, 1) over n momenta
-    gives residuals (2, n).  The eigenstate is the first eigenpair
-    numpy.linalg.eig returns.  A row whose H(p) or residual is not finite
-    gets an infinite residual.
+    One residual per matrix of the (..., 2, 2) stacks H(p) and H(-p), and
+    per time step of ``dt``, which broadcasts against the result: ``dt`` of
+    shape (2, 1) over n momenta gives residuals (2, n).  The eigenstate is
+    the first eigenpair numpy.linalg.eig returns.  A row whose H(p) or
+    residual is not finite gets an infinite residual.
     """
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0):
         raise ValueError("time step must be positive")
-    p = np.asarray(p, dtype=float)
-    hp = h(p)
-    finite = np.isfinite(hp).all(axis=(-1, -2))
+    finite = np.isfinite(h_p).all(axis=(-1, -2))
     # eig rejects a stack holding any non-finite matrix; those rows get a
     # placeholder here and an infinite residual below
-    vals, vecs = np.linalg.eig(np.where(finite[..., None, None], hp, _I2))
+    vals, vecs = np.linalg.eig(np.where(finite[..., None, None], h_p, _I2))
     lam, v = vals[..., 0], vecs[..., :, 0]
 
     def chi(t):
         # psi(-t) = exp(i lam t) v, then apply the antilinear operator.
         return matvec(E13, np.conj(np.exp(1j * lam * t)[..., None] * v))
 
-    h_adj = reversion_matrix(h(-p))
+    h_adj = reversion_matrix(h_minus_p)
     # sample times t = 10 k dt, k = 1..steps, on a new leading axis
     k = np.arange(1, steps + 1).reshape((steps,) + (1,) * max(dt.ndim, lam.ndim))
     t = 10 * k * dt

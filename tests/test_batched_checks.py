@@ -7,19 +7,12 @@ stacked (gamma, beta, p) arrays, with the per-point helper bodies it called
 written out where those helpers have since become shape-generic.  Batching
 keeps every draw, eigen-solve and arithmetic step, so residuals must agree
 bit for bit (``float.hex``), not to a tolerance.
-
-One step cannot keep its old rounding: the gamma = 0 loop handed
-``projector_matrices`` Python floats, so its product e^{i phi+} e^{i phi-}
-ran in numpy's scalar arithmetic (two roundings per part), while any array,
-the stack the check now passes and the one ``spectrum.projectors`` has
-always passed, runs numpy's fused multiply-add loop.  The gamma = 0 oracle
-therefore evaluates the projectors at their N = 1 array view; everything
-else in that loop is as it was.
 """
 
 import sys
 import zlib
 from collections import Counter
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,7 +22,13 @@ from bispinor import biortho, momenta, multivector, spectrum, timereversal
 from bispinor.harness import checks
 from bispinor.harness.checks import _momenta, _visibly_nonzero, _worst, run_all
 from bispinor.harness.config import SuiteConfig
-from bispinor.multivector import E13, make_deformed_basis, reversion_matrix, time_reverse_matrix
+from bispinor.multivector import (
+    E13,
+    deformation_omega,
+    deformed_generators,
+    reversion_matrix,
+    time_reverse_matrix,
+)
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -58,22 +57,22 @@ def reversed_schrodinger_at(h, p, dt, steps=5):
 
 
 def generator_reversal_at(g):
-    basis = make_deformed_basis(g)
-    mirrored = make_deformed_basis(-basis.gamma)
-    vector_rule = float(np.abs(time_reverse_matrix(basis.vectors) + mirrored.vectors).max())
-    rev = reversion_matrix(basis.generators)
+    generators = deformed_generators(g)
+    mirrored = deformed_generators(-g)
+    vector_rule = float(np.abs(time_reverse_matrix(generators[1:4]) + mirrored[1:4]).max())
+    rev = reversion_matrix(generators)
     expected = np.stack((rev[0], -rev[1], -rev[2], -rev[3],
                          1j * rev[3], 1j * rev[1], 1j * rev[2],
                          -1j * np.eye(2, dtype=complex)))
-    listed_set = float(np.abs(time_reverse_matrix(basis.generators) - expected).max())
+    listed_set = float(np.abs(time_reverse_matrix(generators) - expected).max())
     return {"vector_rule": vector_rule, "listed_set": listed_set}
 
 
 def ideal_basis_at(g):
-    basis = make_deformed_basis(g)
-    w = basis.omega
-    _, e1, e2, e3, e12, e23, e31, e123 = basis.generators
-    _, r1, _, r3, r12, r23, _, _ = time_reverse_matrix(basis.generators)
+    w = deformation_omega(g)
+    generators = deformed_generators(g)
+    _, e1, e2, e3, e12, e23, e31, e123 = generators
+    _, r1, _, r3, r12, r23, _, _ = time_reverse_matrix(generators)
     return (0.5 * _I2 + 0.25 * w * (e3 - r3),
             0.5 * e2 + 0.25 * w * (e23 + r23),
             0.5 * e31 - 0.25 * w * (e1 - r1),
@@ -92,7 +91,7 @@ def loop_generator_synthesis(cfg, rng):
     for g in cfg.gamma_values:
         pair = biortho.canonical_pair(float(np.arcsin(g)))
         made = np.array(biortho.synthesize_generators(pair))
-        residuals += [made - make_deformed_basis(g).vectors, made @ made - _I2]
+        residuals += [made - deformed_generators(g)[1:4], made @ made - _I2]
     return _worst(*residuals), len(cfg.gamma_values)
 
 
@@ -112,10 +111,8 @@ def loop_gamma_zero_limit(cfg, rng):
     betas = cfg.nonzero_betas()
     for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
         es = spectrum.eigensystem(0.0, b, p)
-        h = momenta.rashba(0.0, b, 1).evaluate(p)
-        pi1, pi2, _ = spectrum.projector_matrices(np.array([es.phi_plus]),
-                                                  np.array([es.phi_minus]))
-        pi1, pi2 = pi1[0], pi2[0]
+        h = momenta.rashba(0.0, b, p)
+        pi1, pi2, _ = spectrum.projector_matrices(es.phi_plus, es.phi_minus)
         psi, psi_minus, dual, _ = es.amplitudes
         residuals += [
             h - reversion_matrix(h),
@@ -150,7 +147,7 @@ def loop_reversed_schrodinger(cfg, rng):
     pairs = [(g, b) for g in cfg.gamma_values[:3] for b in cfg.nonzero_betas()[:2]]
     residuals = []
     for (g, b), p in zip(pairs, _momenta(cfg, rng, len(pairs))):
-        h = momenta.rashba(g, b, 1)
+        h = partial(momenta.rashba, g, b)
         r1 = reversed_schrodinger_at(h, p, dt=1e-4)
         r2 = reversed_schrodinger_at(h, p, dt=5e-5)
         residuals.append(r1)
@@ -229,10 +226,10 @@ def test_batched_checks_equal_their_loops_on_overflow():
 
 def count_registry_calls(monkeypatch, cfg) -> Counter:
     """Calls one run_all makes to the counted functions, wrapped in every
-    bispinor namespace that holds them, starting from an empty basis cache.
-    The gamma-stack cache is bypassed, so every stack request is one
-    deformed_generators call: with it, two checks whose stacks happen to
-    hold the same gammas (one beta and at most three gammas) share a build."""
+    bispinor namespace that holds them.  The generator cache is bypassed, so
+    every generator request is one deformed_generators call: with it, two
+    checks whose stacks happen to hold the same gammas (one beta and at most
+    three gammas) share a build."""
     counts = Counter()
 
     def counted(name, fn):
@@ -241,17 +238,14 @@ def count_registry_calls(monkeypatch, cfg) -> Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    make_deformed_basis.cache_clear()
     modules = [m for name, m in sys.modules.items() if name.startswith("bispinor")]
     with monkeypatch.context() as patch:
-        for fn in (momenta.rashba, multivector.make_deformed_basis,
+        for fn in (momenta.rashba, momenta.momentum_product, momenta.clifford_momentum,
                    multivector.deformed_generators):
             for module in modules:
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         patch.setattr(module, attr, counted(fn.__name__, fn))
-        patch.setattr(momenta.MomentumHamiltonian, "evaluate",
-                      counted("evaluate", momenta.MomentumHamiltonian.evaluate))
         patch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
         patch.setattr(momenta, "_stack_generators", momenta._stack_generators.__wrapped__)
         run_all(cfg)
@@ -263,6 +257,6 @@ def test_call_counts_do_not_grow_with_the_config(monkeypatch):
     large = SuiteConfig(samples=200, gamma_values=(0.0, 0.1, -0.2, 0.3, -0.45, 0.6, -0.7, 0.85, -0.95),
                         beta_values=(0.5, 1.0, 2.0))
     small_counts = count_registry_calls(monkeypatch, small)
-    assert set(small_counts) == {"rashba", "make_deformed_basis", "deformed_generators",
-                                 "evaluate", "eig"}
+    assert set(small_counts) == {"rashba", "momentum_product", "clifford_momentum",
+                                 "deformed_generators", "eig"}
     assert count_registry_calls(monkeypatch, large) == small_counts

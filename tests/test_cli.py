@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,21 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:") and "1e-2" in err
         assert out == ""
+
+    @pytest.mark.parametrize("half_width, code", [("0.0071", 2), ("0.00708", 2), ("0.0075", 0)])
+    def test_redraws_of_small_momenta_are_bounded(self, half_width, code):
+        # 3e-5 and 2e-6 of the first two boxes lie outside |p| <= 1e-2, 7e-3 of
+        # the third: a usage error within the timeout, not minutes of redraws
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["verify", f"--grid=-{half_width}:{half_width}:12", "--samples", "5"]
+        proc = subprocess.run([sys.executable, "-m", "bispinor.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == code
+        if code == 2:
+            assert proc.stderr.startswith("error:") and "1e-2" in proc.stderr
+            assert proc.stdout == ""
 
     @pytest.mark.parametrize("command", ["spectrum", "texture"])
     def test_exports_accept_a_box_inside_the_small_disc(self, command, capsys):

@@ -3,19 +3,19 @@ import pytest
 
 from bispinor import momenta, spectrum
 from bispinor.momenta import (
-    CliffordMomentum,
     build_linearization,
-    factorize,
+    clifford_momentum,
     magnetic,
-    momentum_factors,
+    magnetic_shifts,
+    momentum_product,
     rashba,
+    rashba_shifts,
 )
 from bispinor.multivector import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
     deformed_generators,
-    make_deformed_basis,
 )
 
 TOL = 1e-12
@@ -68,25 +68,20 @@ class TestLinearization:
 
 class TestFactorize:
     def test_free_particle(self):
-        a = CliffordMomentum(gamma=0.3)
-        b = CliffordMomentum(gamma=0.3)
-        h_ab, h_ba = factorize(a, b)
         p = np.array([1.5, -2.0])
+        h = momentum_product(0.3, (0, 0, 0), (0, 0, 0), p)
         want = 0.5 * (p @ p) * np.eye(2)
-        assert np.abs(h_ab(p) - want).max() < TOL
-        assert np.abs(h_ba(p) - want).max() < TOL
+        assert np.abs(h - want).max() < TOL
 
     def test_rashba_shift_reproduces_printed_hamiltonian(self):
         g, beta = 0.4, 1.3
-        a = CliffordMomentum(gamma=g, shift=(0, 0, -1j * beta))
-        b = CliffordMomentum(gamma=g, shift=(0, 0, 1j * beta))
-        h_ab, _ = factorize(a, b)
-        basis = make_deformed_basis(g)
-        e23, e31 = basis.generators[5], basis.generators[6]
+        shift_a, shift_b = (0, 0, -1j * beta), (0, 0, 1j * beta)
         p = np.array([0.7, -1.1])
+        h_ab = momentum_product(g, shift_b, shift_a, p)
+        e23, e31 = deformed_generators(g)[5:7]
         want = (0.5 * (p @ p + beta**2) * np.eye(2)
                 + 1j * beta * (e31 * p[0] - e23 * p[1]))
-        assert np.abs(h_ab(p) - want).max() < TOL
+        assert np.abs(h_ab - want).max() < TOL
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(23)
@@ -94,31 +89,23 @@ class TestFactorize:
             g = float(rng.uniform(-0.95, 0.95))
             sa = tuple(rng.normal() + 1j * rng.normal() for _ in range(3))
             sb = tuple(rng.normal() + 1j * rng.normal() for _ in range(3))
-            a = CliffordMomentum(gamma=g, shift=sa)
-            b = CliffordMomentum(gamma=g, shift=sb)
-            h_ab, h_ba = factorize(a, b)
             p = rng.uniform(-3, 3, size=2)
-            assert np.abs(h_ab(p) - 0.5 * b(p) @ a(p)).max() < 1e-11
-            assert np.abs(h_ba(p) - 0.5 * a(p) @ b(p)).max() < 1e-11
-
-    def test_gamma_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            factorize(CliffordMomentum(gamma=0.1), CliffordMomentum(gamma=0.2))
+            a, b = clifford_momentum(g, sa, p), clifford_momentum(g, sb, p)
+            assert np.abs(momentum_product(g, sb, sa, p) - 0.5 * b @ a).max() < 1e-11
+            assert np.abs(momentum_product(g, sa, sb, p) - 0.5 * a @ b).max() < 1e-11
 
 
 class TestRashba:
     def test_undeformed_point_value(self):
-        h = rashba(0.0, 1.0, 1)
-        got = h(np.array([0.0, 1.0]))
+        got = rashba(0.0, 1.0, np.array([0.0, 1.0]))
         assert np.abs(got - np.ones((2, 2))).max() < TOL
 
     def test_undeformed_closed_form(self):
         beta = 0.8
-        h = rashba(0.0, beta, 1)
         p = np.array([1.2, -0.5])
         want = (0.5 * (p @ p + beta**2) * np.eye(2)
                 + beta * (SIGMA1 * p[1] - SIGMA2 * p[0]))
-        assert np.abs(h(p) - want).max() < TOL
+        assert np.abs(rashba(0.0, beta, p) - want).max() < TOL
 
     def test_adjoint_flips_gamma(self):
         rng = np.random.default_rng(29)
@@ -126,41 +113,38 @@ class TestRashba:
             g = float(rng.uniform(-0.95, 0.95))
             beta = float(rng.uniform(0.1, 3.0))
             p = rng.uniform(-3, 3, size=2)
-            lhs = rashba(g, beta, 1).evaluate(p).conj().T
-            rhs = rashba(-g, beta, 1).evaluate(p)
+            lhs = rashba(g, beta, p).conj().T
+            rhs = rashba(-g, beta, p)
             assert np.abs(lhs - rhs).max() < TOL
 
     def test_sign_flips_beta(self):
         g, beta = 0.5, 1.1
         p = np.array([0.4, 0.9])
-        minus = rashba(g, beta, -1)(p)
-        flipped = rashba(g, -beta, 1)(p)
+        minus = rashba(g, beta, p, sign=-1)
+        flipped = rashba(g, -beta, p)
         assert np.abs(minus - flipped).max() < TOL
 
     def test_beta_zero_is_free(self):
-        h = rashba(0.6, 0.0, 1)
         p = np.array([2.0, -1.0])
-        assert np.abs(h(p) - 0.5 * (p @ p) * np.eye(2)).max() < TOL
+        assert np.abs(rashba(0.6, 0.0, p) - 0.5 * (p @ p) * np.eye(2)).max() < TOL
 
     def test_hermitian_at_gamma_zero(self):
-        h = rashba(0.0, 2.0, 1)
-        p = np.array([0.3, 0.4])
-        m = h(p)
+        m = rashba(0.0, 2.0, np.array([0.3, 0.4]))
         assert np.abs(m - m.conj().T).max() < TOL
 
     def test_product_form(self):
         g, beta = -0.7, 0.9
-        h = rashba(g, beta, 1)
-        left, right = momentum_factors(h)
+        left, right = rashba_shifts(beta, 1)
         p = np.array([1.0, 2.0])
-        assert np.abs(h(p) - 0.5 * left(p) @ right(p)).max() < TOL
+        product = clifford_momentum(g, left, p) @ clifford_momentum(g, right, p)
+        assert np.abs(rashba(g, beta, p) - 0.5 * product).max() < TOL
 
     def test_isospectral_in_gamma(self):
         beta = 1.4
         p = np.array([0.9, -1.7])
-        base = sorted(np.linalg.eigvals(rashba(0.0, beta, 1)(p)).real)
+        base = sorted(np.linalg.eigvals(rashba(0.0, beta, p)).real)
         for g in (0.3, -0.6, 0.9):
-            vals = np.linalg.eigvals(rashba(g, beta, 1)(p))
+            vals = np.linalg.eigvals(rashba(g, beta, p))
             assert np.abs(vals.imag).max() < 1e-10
             got = sorted(vals.real)
             assert np.abs(np.array(got) - np.array(base)).max() < 1e-10
@@ -171,14 +155,13 @@ class TestMagnetic:
         g, beta = 0.45, 1.2
         p = np.array([0.8, -0.3])
         for sign in (1, -1):
-            h = magnetic(g, beta, (0.0, 0.0), 0.0, sign)
-            assert np.abs(h(p) - rashba(g, beta, sign)(p)).max() < TOL
+            h = magnetic(g, beta, (0.0, 0.0), 0.0, p, branch=sign)
+            assert np.abs(h - rashba(g, beta, p, sign=sign)).max() < TOL
 
     def test_zeeman_only(self):
-        h = magnetic(0.0, 0.0, (0.0, 0.0), 1.0, 1)
         p = np.array([1.0, 1.0])
         want = 0.5 * (p @ p) * np.eye(2) + SIGMA3
-        assert np.abs(h(p) - want).max() < TOL
+        assert np.abs(magnetic(0.0, 0.0, (0.0, 0.0), 1.0, p) - want).max() < TOL
 
     def test_product_form_with_fields(self):
         rng = np.random.default_rng(31)
@@ -189,11 +172,12 @@ class TestMagnetic:
             b3 = float(rng.normal())
             p = rng.uniform(-3, 3, size=2)
             for sign in (1, -1):
-                h = magnetic(g, beta, a_vec, b3, sign)
-                left, right = momentum_factors(h)
-                e3 = make_deformed_basis(g).generators[3]
-                want = 0.5 * left(p) @ right(p) + b3 * e3
-                assert np.abs(h(p) - want).max() < 1e-11
+                left, right = magnetic_shifts(beta, a_vec, sign)
+                e3 = deformed_generators(g)[3]
+                want = (0.5 * clifford_momentum(g, left, p) @ clifford_momentum(g, right, p)
+                        + b3 * e3)
+                h = magnetic(g, beta, a_vec, b3, p, branch=sign)
+                assert np.abs(h - want).max() < 1e-11
 
 
 def test_levy_leblond_first_order_system():
@@ -202,11 +186,11 @@ def test_levy_leblond_first_order_system():
     for g, beta in ((0.0, 1.0), (0.6, 0.7), (-0.8, 2.0)):
         p = np.array([1.1, -0.6])
         es = spectrum.eigensystem(g, beta, p)
-        left, right = momentum_factors(rashba(g, beta, 1))
+        left, right = (clifford_momentum(g, shift, p) for shift in rashba_shifts(beta, 1))
         for v, energy in zip(es.amplitudes[:2], (es.lambda_plus, es.lambda_minus)):
-            eta = 0.5j * right(p) @ v
-            assert np.abs(right(p) @ v + 2j * eta).max() < TOL
-            assert np.abs(left(p) @ eta - 1j * energy * v).max() < 1e-11
+            eta = 0.5j * right @ v
+            assert np.abs(right @ v + 2j * eta).max() < TOL
+            assert np.abs(left @ eta - 1j * energy * v).max() < 1e-11
 
 
 class TestGeneratorCache:
@@ -234,7 +218,14 @@ class TestGeneratorCache:
             with pytest.raises(ValueError):
                 momenta.cached_generators(np.array(bad))
             with pytest.raises(ValueError):
-                rashba(np.array(bad), 1.0, 1)
+                rashba(np.array(bad), 1.0, (0.5, -0.3))
+
+    def test_single_gamma_is_a_zero_d_stack(self):
+        for g in (0.0, 0.6, -0.37, np.float64(0.9), np.array(-0.25)):
+            got = momenta.cached_generators(g)
+            assert got.shape == (8, 2, 2)
+            assert not got.flags.writeable
+            assert got.tobytes() == deformed_generators(g).tobytes()
 
     def test_holds_two_stacks(self):
         momenta._stack_generators.cache_clear()

@@ -13,16 +13,16 @@ from bispinor.multivector import (
     SIGMA3,
     Multivector,
     clifford_conjugation_matrix,
+    deformation_omega,
     deformation_transform,
     deformed_generators,
     from_matrix,
     geometric_product,
     involute,
-    make_deformed_basis,
     time_reverse_matrix,
     to_matrix,
 )
-from bispinor.momenta import build_linearization, magnetic, rashba
+from bispinor.momenta import build_linearization, cached_generators, magnetic, rashba
 from bispinor.spectrum import eigensystem, phi_angles
 
 TOL = 1e-12
@@ -138,39 +138,37 @@ def test_unknown_involution_rejected():
 
 
 def test_deformed_basis_gamma_zero_is_pauli():
-    basis = make_deformed_basis(0.0)
     expected = [np.eye(2), SIGMA1, SIGMA2, SIGMA3,
                 1j * SIGMA3, 1j * SIGMA1, 1j * SIGMA2, 1j * np.eye(2)]
-    for got, want in zip(basis.generators, expected):
+    for got, want in zip(deformed_generators(0.0), expected):
         assert np.abs(got - want).max() < TOL
 
 
 def test_deformed_sigma3_printed_matrix():
-    basis = make_deformed_basis(0.6)
     want = np.array([[1.25, 0.75j], [0.75j, -1.25]])
-    assert np.abs(basis.generators[3] - want).max() < TOL
+    assert np.abs(deformed_generators(0.6)[3] - want).max() < TOL
 
 
 def test_deformed_sigma1_printed_matrix():
     g = 0.6
     w = 0.8
-    basis = make_deformed_basis(g)
+    generators = deformed_generators(g)
     want = np.array([[-1j * g, 1.0], [1.0, 1j * g]]) / w
-    assert np.abs(basis.generators[1] - want).max() < TOL
-    assert np.abs(basis.generators[2] - SIGMA2).max() < TOL
+    assert np.abs(generators[1] - want).max() < TOL
+    assert np.abs(generators[2] - SIGMA2).max() < TOL
 
 
 def test_deformed_vectors_square_to_identity():
     rng = np.random.default_rng(21)
     for g in rng.uniform(-0.99, 0.99, size=50):
-        e1, e2, e3 = make_deformed_basis(float(g)).vectors
+        e1, e2, e3 = deformed_generators(float(g))[1:4]
         for e in (e1, e2, e3):
             assert np.abs(e @ e - np.eye(2)).max() < TOL
 
 
 def test_clifford_relations_on_gamma_grid():
     for g in np.linspace(-0.95, 0.95, 13):
-        e = make_deformed_basis(float(g)).vectors
+        e = deformed_generators(float(g))[1:4]
         for i in range(3):
             for j in range(3):
                 anti = e[i] @ e[j] + e[j] @ e[i]
@@ -179,17 +177,17 @@ def test_clifford_relations_on_gamma_grid():
 
 def test_deformed_adjoint_mirrors_gamma():
     for g in (0.25, -0.7, 0.9):
-        plus = make_deformed_basis(g).vectors
-        minus = make_deformed_basis(-g).vectors
+        plus = deformed_generators(g)[1:4]
+        minus = deformed_generators(-g)[1:4]
         for a, b in zip(plus, minus):
             assert np.abs(a.conj().T - b).max() < TOL
 
 
 GAMMA_ENTRY_POINTS = {
-    "make_deformed_basis": make_deformed_basis,
+    "cached_generators": cached_generators,
     "build_linearization": build_linearization,
-    "rashba": lambda g: rashba(g, 1.0, 1),
-    "magnetic": lambda g: magnetic(g, 1.0, (0.0, 0.0), 0.0, 1),
+    "rashba": lambda g: rashba(g, 1.0, (0.5, -0.3)),
+    "magnetic": lambda g: magnetic(g, 1.0, (0.0, 0.0), 0.0, (0.5, -0.3)),
     "eigensystem": lambda g: eigensystem(g, 1.0, (0.5, -0.3)),
     "phi_angles": lambda g: phi_angles(g, (0.5, -0.3)),
 }
@@ -215,12 +213,11 @@ def test_deformation_transform_reproduces_generators():
     for g in (0.0, 0.3, -0.8):
         t = deformation_transform(g)
         t_inv = np.linalg.inv(t)
-        basis = make_deformed_basis(g)
-        for s, got in zip((SIGMA1, SIGMA2, SIGMA3), basis.vectors):
+        for s, got in zip((SIGMA1, SIGMA2, SIGMA3), deformed_generators(g)[1:4]):
             assert np.abs(t @ s @ t_inv - got).max() < TOL
         # the witness is Hermitian with determinant omega
         assert np.abs(t - t.conj().T).max() < TOL
-        assert abs(np.linalg.det(t) - basis.omega) < TOL
+        assert abs(np.linalg.det(t) - deformation_omega(g)) < TOL
 
 
 @given(st.lists(st.floats(min_value=-1 + 1e-3, max_value=1 - 1e-3), min_size=1, max_size=8))

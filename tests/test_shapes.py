@@ -3,13 +3,19 @@ calls, to within 1e-14 of the operands' scale."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bispinor.biortho import canonical_pair, synthesize_generators
 from bispinor.ideal import build_ideal_basis, c1_form, c2_form, ideal_components, ideal_matrix
-from bispinor.momenta import magnetic, rashba
+from bispinor.momenta import (
+    cached_generators,
+    clifford_momentum,
+    magnetic,
+    momentum_product,
+    rashba,
+)
 from bispinor.multivector import (
     MATRIX_INVOLUTIONS,
     Multivector,
@@ -18,7 +24,6 @@ from bispinor.multivector import (
     from_matrix,
     geometric_product,
     involute,
-    make_deformed_basis,
     time_reverse_matrix,
     to_matrix,
 )
@@ -111,8 +116,20 @@ def test_time_reverse_matrix(n, data):
 @EXAMPLES
 @given(sizes.flatmap(lambda n: stack((n,), -0.99, 0.99)))
 def test_generator_formula(g):
-    singles = [make_deformed_basis(float(x)).generators for x in g]
+    singles = [cached_generators(float(x)) for x in g]
     assert_stacked(deformed_generators(g), singles, 1.0 / (1.0 - np.abs(g).max() ** 2))
+
+
+@EXAMPLES
+@given(rashba_inputs(), st.data())
+def test_clifford_momentum_and_product(inputs, data):
+    g, b, p, scale = inputs
+    left, right = (data.draw(complex_stack(p.shape[:1] + (3,), 2.0)) for _ in range(2))
+    zeeman = data.draw(stack(b.shape, -2.0, 2.0))
+    singles = [clifford_momentum(x, s, q) for x, s, q in zip(g, left, p)]
+    assert_stacked(clifford_momentum(g, left, p), singles, scale)
+    singles = [momentum_product(x, l, r, q, z) for x, l, r, q, z in zip(g, left, right, p, zeeman)]
+    assert_stacked(momentum_product(g, left, right, p, zeeman), singles, 4 * scale)
 
 
 @EXAMPLES
@@ -120,8 +137,8 @@ def test_generator_formula(g):
 def test_rashba_evaluate(inputs):
     g, b, p, scale = inputs
     for sign in (1, -1):
-        singles = [rashba(x, y, sign).evaluate(q) for x, y, q in zip(g, b, p)]
-        assert_stacked(rashba(g, b, sign).evaluate(p), singles, scale)
+        singles = [rashba(x, y, q, sign=sign) for x, y, q in zip(g, b, p)]
+        assert_stacked(rashba(g, b, p, sign=sign), singles, scale)
 
 
 @EXAMPLES
@@ -131,9 +148,8 @@ def test_magnetic_evaluate(inputs, data):
     a_vec = data.draw(stack(p.shape, -2.0, 2.0))
     b3 = data.draw(stack(b.shape, -2.0, 2.0))
     for branch in (1, -1):
-        singles = [magnetic(*args, branch).evaluate(q)
-                   for *args, q in zip(g, b, a_vec, b3, p)]
-        assert_stacked(magnetic(g, b, a_vec, b3, branch).evaluate(p), singles, 4 * scale)
+        singles = [magnetic(*args, branch=branch) for args in zip(g, b, a_vec, b3, p)]
+        assert_stacked(magnetic(g, b, a_vec, b3, p, branch=branch), singles, 4 * scale)
 
 
 @EXAMPLES
@@ -152,7 +168,7 @@ def test_eigenvalues_and_angles(inputs):
 @given(rashba_inputs())
 def test_eigenvalue_oracle(inputs):
     g, b, p, scale = inputs
-    h = rashba(g, b, 1).evaluate(p)
+    h = rashba(g, b, p)
     assert_stacked(np.array(eigenvalue_oracle(h)).T,
                    [eigenvalue_oracle(x) for x in h], scale)
 
@@ -161,9 +177,8 @@ def test_eigenvalue_oracle(inputs):
 @given(rashba_inputs())
 def test_pseudo_adjoint(inputs):
     g, b, p, scale = inputs
-    batched = pseudo_adjoint(lambda q: rashba(g, b, 1).evaluate(q), p)
-    singles = [pseudo_adjoint(lambda q, x=x, y=y: rashba(x, y, 1).evaluate(q), pp)
-               for x, y, pp in zip(g, b, p)]
+    batched = pseudo_adjoint(rashba(g, b, -p))
+    singles = [pseudo_adjoint(rashba(x, y, -q)) for x, y, q in zip(g, b, p)]
     assert_stacked(batched, singles, scale)
 
 
@@ -207,7 +222,7 @@ def test_projectors_and_expectation(inputs):
     assert_stacked(np.stack((pi1, pi2), axis=1), [np.stack(s[:2]) for s in singles], scale)
     assert_stacked(den, [s[2] for s in singles], 1.0)
     amps = eigen_amplitudes(fp, fm)
-    h = rashba(g, b, 1).evaluate(p)
+    h = rashba(g, b, p)
     assert_stacked(mixture_expectation(0.6, 0.8j, h, amps),
                    [mixture_expectation(0.6, 0.8j, k, x) for k, x in zip(h, amps)], scale)
 
@@ -259,8 +274,8 @@ def test_generator_synthesis(g):
 def test_reversed_schrodinger_check(inputs):
     g, b, p, _ = inputs
     dt = np.array([[1e-3], [5e-4]])
-    batched = reversed_schrodinger_check(rashba(g, b, 1), p, dt=dt)
-    singles = [[reversed_schrodinger_check(rashba(x, y, 1), q, dt=float(d))
+    batched = reversed_schrodinger_check(rashba(g, b, p), rashba(g, b, -p), dt=dt)
+    singles = [[reversed_schrodinger_check(rashba(x, y, q), rashba(x, y, -q), dt=float(d))
                 for x, y, q in zip(g, b, p)] for d in dt[:, 0]]
     assert_stacked(batched, singles, 0.0)
 
@@ -268,7 +283,7 @@ def test_reversed_schrodinger_check(inputs):
 def test_reversed_schrodinger_check_marks_nonfinite_rows():
     p = np.array([[1.0, 0.5], [1e160, 1e160], [0.3, -2.0]])
     with np.errstate(all="ignore"):
-        r = reversed_schrodinger_check(rashba(0.4, 1.0, 1), p, dt=1e-4)
+        r = reversed_schrodinger_check(rashba(0.4, 1.0, p), rashba(0.4, 1.0, -p), dt=1e-4)
     assert r[1] == np.inf
     assert np.all(r[[0, 2]] < 1e-4)
 
@@ -284,3 +299,16 @@ def test_eigensystem_is_single_point_view(wave_sign, inputs):
         got = eigensystem(x, y, q, wave_sign).amplitudes
         want = eigen_amplitudes(*phi_angles(x, wave_sign * q))
         assert got.tobytes() == want.tobytes()
+
+
+@EXAMPLES
+@given(reals(-4.0, 4.0), reals(-4.0, 4.0))
+# numpy's scalar complex product rounded Pi1[0, 1] to 0.4949504024674745 here,
+# its array loop to 0.49495040246747446
+@example(0.14224092203885907, 0.14224092203885907)
+def test_single_point_projectors_equal_the_one_element_stack(phi_plus, phi_minus):
+    single = projector_matrices(phi_plus, phi_minus)
+    stacked = projector_matrices(np.array([phi_plus]), np.array([phi_minus]))
+    assert single[0].shape == (2, 2) and np.shape(single[2]) == ()
+    for got, want in zip(single, stacked):
+        assert got.tobytes() == want[0].tobytes()

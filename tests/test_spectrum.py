@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispinor.momenta import rashba
+from bispinor.multivector import deformation_omega
 from bispinor.spectrum import (
     amplitude_inner,
     continuity_residual,
@@ -38,7 +41,7 @@ class TestEigenvalues:
         for _ in range(200):
             g, beta, p = random_params(rng)
             lam_p, lam_m = eigenvalues(beta, p)
-            o1, o2 = eigenvalue_oracle(rashba(g, beta, 1)(p))
+            o1, o2 = eigenvalue_oracle(rashba(g, beta, p))
             assert abs(o1 - lam_p) < 1e-10
             assert abs(o2 - lam_m) < 1e-10
             assert abs(o1.imag) < 1e-10 and abs(o2.imag) < 1e-10
@@ -82,8 +85,8 @@ class TestEigenSystem:
         for _ in range(200):
             g, beta, p = random_params(rng)
             es = eigensystem(g, beta, p)
-            h = rashba(g, beta, 1)(p)
-            h_dual = rashba(-g, beta, 1)(p)
+            h = rashba(g, beta, p)
+            h_dual = rashba(-g, beta, p)
             psi_p, psi_m, dual_p, dual_m = es.amplitudes
             for v, lam in ((psi_p, es.lambda_plus), (psi_m, es.lambda_minus)):
                 assert np.abs(h @ v - lam * v).max() < 1e-10
@@ -95,7 +98,7 @@ class TestEigenSystem:
         p = np.array([0.8, -1.4])
         es = eigensystem(g, beta, p, wave_sign=-1)
         # finite parts are built at the reflected momentum argument
-        h = rashba(g, beta, 1)(-p)
+        h = rashba(g, beta, -p)
         for v, lam in zip(es.amplitudes[:2], (es.lambda_plus, es.lambda_minus)):
             assert np.abs(h @ v - lam * v).max() < 1e-10
 
@@ -131,13 +134,23 @@ class TestProjectors:
             pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
             if abs(den) < 1e-9:       # singular pair
                 continue
-            h = rashba(g, beta, 1)(p)
+            h = rashba(g, beta, p)
             assert np.abs(pi1 + pi2 - np.eye(2)).max() < 1e-11
             assert np.abs(pi1 @ pi2).max() < 1e-11
             assert np.abs(pi1 @ pi1 - pi1).max() < 1e-11
             assert np.abs(pi2 @ pi2 - pi2).max() < 1e-11
             assert np.abs(es.lambda_plus * pi1
                           + es.lambda_minus * pi2 - h).max() < 1e-10
+
+    @settings(max_examples=300)
+    @given(gamma=st.floats(-1 + 1e-6, 1 - 1e-6), log_r=st.floats(-3.5, 3.5),
+           angle=st.floats(-np.pi, np.pi))
+    def test_normalization_is_at_least_two_omega(self, gamma, log_r, angle):
+        # |e^{i phi+} + e^{i phi-}| >= 2 omega, with equality on the p2 axis
+        # (to rounding), so no pair drawn at |gamma| <= 1 - 1e-3 is singular
+        p = 10.0 ** log_r * np.array([np.cos(angle), np.sin(angle)])
+        den = projector_matrices(*phi_angles(gamma, p))[2]
+        assert abs(den) >= 2.0 * deformation_omega(gamma) * (1.0 - 1e-9)
 
     def test_hermitian_point(self):
         es = eigensystem(0.0, 1.0, np.array([1.0, 0.0]))
@@ -151,7 +164,7 @@ class TestProjectors:
     def test_spectral_action(self):
         es = eigensystem(0.7, 2.0, np.array([0.5, 1.5]))
         pi1, pi2, _ = projector_matrices(es.phi_plus, es.phi_minus)
-        h = rashba(0.7, 2.0, 1)(np.array([0.5, 1.5]))
+        h = rashba(0.7, 2.0, np.array([0.5, 1.5]))
         assert np.abs(h @ pi1 - es.lambda_plus * pi1).max() < 1e-11
         assert np.abs(h @ pi2 - es.lambda_minus * pi2).max() < 1e-11
 
@@ -161,7 +174,7 @@ class TestAssociated:
         g, beta = 0.5, 1.0
         p = np.array([1.0, 2.0])
         es = eigensystem(g, beta, p)
-        h = rashba(g, beta, 1)(p)
+        h = rashba(g, beta, p)
         amps = es.amplitudes
         assert abs(mixture_expectation(1.0, 0.0, h, amps) - es.lambda_plus) < 1e-11
         assert abs(mixture_expectation(0.0, 1.0, h, amps) - es.lambda_minus) < 1e-11
@@ -175,7 +188,7 @@ class TestAssociated:
         g, beta = -0.6, 1.5
         p = np.array([0.9, 0.4])
         es = eigensystem(g, beta, p)
-        h = rashba(g, beta, 1)(p)
+        h = rashba(g, beta, p)
         c = 1.0 / np.sqrt(2.0)
         val = mixture_expectation(c, c, h, es.amplitudes)
         assert abs(val - 0.5 * (es.lambda_plus + es.lambda_minus)) < 1e-11

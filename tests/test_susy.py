@@ -36,8 +36,8 @@ class TestAlgebra:
             h = susy_hamiltonian(g, beta, p)
             assert np.abs(h[:2, 2:]).max() < TOL
             assert np.abs(h[2:, :2]).max() < TOL
-            assert np.abs(h[:2, :2] - rashba(g, beta, 1)(p)).max() < 1e-11
-            assert np.abs(h[2:, 2:] - rashba(g, beta, -1)(p)).max() < 1e-11
+            assert np.abs(h[:2, :2] - rashba(g, beta, p)).max() < 1e-11
+            assert np.abs(h[2:, 2:] - rashba(g, beta, p, sign=-1)).max() < 1e-11
 
     def test_supercharges_commute_with_hamiltonian(self):
         rng = np.random.default_rng(173)
@@ -84,11 +84,8 @@ class TestPseudoSusy:
         g, beta = 0.6, 1.3
         p = np.array([1.2, -0.4])
 
-        def lam_plus(q):
-            return pseudo_susy(g, beta, q)[0]
-
         lam_minus = pseudo_susy(g, beta, p)[1]
-        sharp = pseudo_adjoint(lam_plus, p)
+        sharp = pseudo_adjoint(pseudo_susy(g, beta, -p)[0])
         assert np.abs(sharp - lam_minus).max() < TOL
 
     def test_intertwining(self):
@@ -105,11 +102,9 @@ class TestPseudoSusy:
     def test_hamiltonian_block_pseudo_hermitian(self):
         g, beta = 0.5, 0.9
 
-        def h(q):
-            return susy_hamiltonian(g, beta, q)
-
         p = np.array([1.0, 1.5])
-        assert np.abs(pseudo_adjoint(h, p) - h(p)).max() < 1e-11
+        h_p, h_minus_p = susy_hamiltonian(g, beta, p), susy_hamiltonian(g, beta, -p)
+        assert np.abs(pseudo_adjoint(h_minus_p) - h_p).max() < 1e-11
 
 
 class TestSectorPairing:
