@@ -15,6 +15,7 @@ import numpy as np
 from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, mat2, matvec
 
 _SQRT2 = np.sqrt(2.0)
+_T0 = 0.2                # the time at which continuity_residual is evaluated
 
 
 def amplitude_inner(a, b):
@@ -203,62 +204,34 @@ def spin_expectations(amps) -> np.ndarray:
     return amplitude_inner(a[..., None, :], matvec(PAULI, a[..., None, :])).real
 
 
-def continuity_residual(gamma: float, beta: float, mix, sample_grid,
-                        dt: float, dx: float, t0: float = 0.2) -> float:
-    """Finite-difference residual of d(rho)/dt + div<J> for a superposition
-    of plane-wave eigenstates of the deformed Rashba model.
+def continuity_residual(gamma: float, beta: float, mix, sample_grid) -> float:
+    """Residual of d(rho)/dt + div<J> = 0 for a superposition of plane-wave
+    eigenstates of the deformed Rashba model, largest over the points
+    ``sample_grid`` (n, 2) at the time t = 0.2.
 
     ``mix`` is a sequence of (coefficient, amplitudes (2,), momentum (2,),
     energy) entries, each the plane wave c a e^{i(k.x - E t)}; the e^{-ip.x}
     family is written with momentum -p.
-    The current has the paramagnetic piece plus the beta-dependent spin piece
-    with weights (-beta sigma2, beta/omega sigma1).  Central differences of
-    step dt / dx give a second-order-accurate residual.
+    The current has the paramagnetic piece Im psi^dagger d_j psi plus the
+    beta-dependent spin piece with weights (-beta sigma2, beta/omega sigma1).
+    A plane-wave sum has exact derivatives, so d(rho)/dt = 2 Re psi^dagger
+    d_t psi, d_j Im psi^dagger d_j psi = Im psi^dagger d_j^2 psi and
+    d_j (psi^dagger A psi) = 2 Re psi^dagger A d_j psi for Hermitian A.
     """
-    if dt <= 0 or dx <= 0:
-        raise ValueError("steps must be positive")
-    mix = [(c, np.asarray(amps, dtype=complex), np.asarray(k, dtype=float), energy)
-           for c, amps, k, energy in mix]
     if not mix:
         raise ValueError("empty mixture")
-
-    def psi_at(x, t):
-        out = np.zeros(2, dtype=complex)
-        for c, amps, k, energy in mix:
-            phase = k[0] * x[0] + k[1] * x[1]
-            out += c * amps * np.exp(1j * phase - 1j * energy * t)
-        return out
-
-    return _continuity_residual_field(psi_at, sample_grid, dt, dx, t0, gamma, beta)
-
-
-def _continuity_residual_field(psi_at, sample_grid, dt, dx, t0, gamma, beta):
+    c, amps, k, energy = zip(*mix)
+    c, amps = np.asarray(c, dtype=complex), np.asarray(amps, dtype=complex)
+    k, energy = np.asarray(k, dtype=float), np.asarray(energy, dtype=float)
+    x = np.asarray(sample_grid, dtype=float)
+    waves = (c[:, None] * amps) * np.exp(1j * (x @ k.T - energy * _T0))[..., None]
+    # per wave: the factors of psi, d_t psi, d_1 psi, d_2 psi and the Laplacian
+    factors = np.stack([np.ones_like(energy), -1j * energy, 1j * k[:, 0], 1j * k[:, 1],
+                        -(k * k).sum(axis=-1)])
+    psi, dt_psi, d1_psi, d2_psi, lap_psi = np.einsum("dw,pwi->dpi", factors, waves)
     omega = deformation_omega(gamma)
-
-    def rho(x, t):
-        v = psi_at(x, t)
-        return float(np.vdot(v, v).real)
-
-    def current(x, t):
-        v = psi_at(x, t)
-        vx1p = psi_at((x[0] + dx, x[1]), t)
-        vx1m = psi_at((x[0] - dx, x[1]), t)
-        vx2p = psi_at((x[0], x[1] + dx), t)
-        vx2m = psi_at((x[0], x[1] - dx), t)
-        d1 = (vx1p - vx1m) / (2.0 * dx)
-        d2 = (vx2p - vx2m) / (2.0 * dx)
-        j1 = float(np.vdot(v, d1).imag) - beta * float(np.vdot(v, SIGMA2 @ v).real)
-        j2 = float(np.vdot(v, d2).imag) + (beta / omega) * float(np.vdot(v, SIGMA1 @ v).real)
-        return j1, j2
-
-    worst = 0.0
-    for point in sample_grid:
-        x = (float(point[0]), float(point[1]))
-        drho = (rho(x, t0 + dt) - rho(x, t0 - dt)) / (2.0 * dt)
-        j1p, _ = current((x[0] + dx, x[1]), t0)
-        j1m, _ = current((x[0] - dx, x[1]), t0)
-        _, j2p = current((x[0], x[1] + dx), t0)
-        _, j2m = current((x[0], x[1] - dx), t0)
-        div = (j1p - j1m) / (2.0 * dx) + (j2p - j2m) / (2.0 * dx)
-        worst = max(worst, abs(drho + div))
-    return worst
+    residual = (2.0 * amplitude_inner(psi, dt_psi).real
+                + amplitude_inner(psi, lap_psi).imag
+                - 2.0 * beta * amplitude_inner(psi, matvec(SIGMA2, d1_psi)).real
+                + 2.0 * beta / omega * amplitude_inner(psi, matvec(SIGMA1, d2_psi)).real)
+    return float(np.abs(residual).max())

@@ -12,7 +12,6 @@ bit for bit (``float.hex``), not to a tolerance.
 import sys
 import zlib
 from collections import Counter
-from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,7 +22,6 @@ from bispinor.harness import checks
 from bispinor.harness.checks import _momenta, _visibly_nonzero, _worst, run_all
 from bispinor.harness.config import SuiteConfig
 from bispinor.multivector import (
-    E13,
     deformation_omega,
     deformed_generators,
     reversion_matrix,
@@ -34,27 +32,6 @@ _I2 = np.eye(2, dtype=complex)
 
 
 # ------------------------------------------------------ per-point helpers
-
-def reversed_schrodinger_at(h, p, dt, steps=5):
-    p = np.asarray(p, dtype=float)
-    hp = h(p)
-    if not np.all(np.isfinite(hp)):
-        return float("inf")
-    vals, vecs = np.linalg.eig(hp)
-    lam = vals[0]
-    v = vecs[:, 0]
-
-    def chi(t):
-        return E13 @ np.conj(np.exp(1j * lam * t) * v)
-
-    h_adj = h(-p).conj().T
-    worst = 0.0
-    for k in range(1, steps + 1):
-        t = k * 10 * dt
-        deriv = (chi(t + dt) - chi(t - dt)) / (2.0 * dt)
-        worst = max(worst, float(np.abs(1j * deriv - h_adj @ chi(t)).max()))
-    return worst
-
 
 def generator_reversal_at(g):
     generators = deformed_generators(g)
@@ -143,19 +120,6 @@ def loop_noncommutation_witness(cfg, rng):
     return worst, n + len(betas)
 
 
-def loop_reversed_schrodinger(cfg, rng):
-    pairs = [(g, b) for g in cfg.gamma_values[:3] for b in cfg.nonzero_betas()[:2]]
-    residuals = []
-    for (g, b), p in zip(pairs, _momenta(cfg, rng, len(pairs))):
-        h = partial(momenta.rashba, g, b)
-        r1 = reversed_schrodinger_at(h, p, dt=1e-4)
-        r2 = reversed_schrodinger_at(h, p, dt=5e-5)
-        residuals.append(r1)
-        if r1 > 1e-10 and not (r2 <= r1 / 2.0):
-            residuals.append(1.0)
-    return _worst(*residuals), len(pairs)
-
-
 def loop_ideal_basis(cfg, rng):
     want = (
         np.array([[1, 0], [0, 0]], dtype=complex),
@@ -178,7 +142,6 @@ ORACLES = {
     "spectrum.diagonal_momentum_angles": loop_diagonal_momentum_angles,
     "spectrum.gamma_zero_limit": loop_gamma_zero_limit,
     "timereversal.noncommutation_witness": loop_noncommutation_witness,
-    "timereversal.reversed_schrodinger": loop_reversed_schrodinger,
     "ideal.basis_reproduction": loop_ideal_basis,
 }
 CHECKS = {test_id: fn for test_id, _, fn, _ in checks.REGISTRY}

@@ -118,6 +118,13 @@ class TestVerify:
             assert proc.stderr.startswith("error:") and "1e-2" in proc.stderr
             assert proc.stdout == ""
 
+    def test_wide_box_passes(self, capsys):
+        # eigenvalues near 900 once broke the reversed-Schroedinger check's
+        # fixed finite-difference step; the exact identity holds at any |p|
+        code, out, _ = run(["verify", "--grid=-30:30:12"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"{len(REGISTRY)}/{len(REGISTRY)} checks passed")
+
     @pytest.mark.parametrize("command", ["spectrum", "texture"])
     def test_exports_accept_a_box_inside_the_small_disc(self, command, capsys):
         code, out, _ = run([command, "--grid=-0.005:0.005:12"], capsys)

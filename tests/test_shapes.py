@@ -42,7 +42,7 @@ from bispinor.timereversal import (
     generator_reversal,
     kramers_pairing,
     pseudo_adjoint,
-    reversed_schrodinger_check,
+    reversed_schrodinger_residual,
     reverse_amplitudes,
 )
 
@@ -272,20 +272,18 @@ def test_generator_synthesis(g):
 @EXAMPLES
 @given(rashba_inputs())
 def test_reversed_schrodinger_check(inputs):
-    g, b, p, _ = inputs
-    dt = np.array([[1e-3], [5e-4]])
-    batched = reversed_schrodinger_check(rashba(g, b, p), rashba(g, b, -p), dt=dt)
-    singles = [[reversed_schrodinger_check(rashba(x, y, q), rashba(x, y, -q), dt=float(d))
-                for x, y, q in zip(g, b, p)] for d in dt[:, 0]]
-    assert_stacked(batched, singles, 0.0)
+    g, b, p, scale = inputs
+    batched = reversed_schrodinger_residual(g, b, p)
+    singles = [reversed_schrodinger_residual(float(x), float(y), q) for x, y, q in zip(g, b, p)]
+    assert_stacked(batched, singles, scale)
 
 
 def test_reversed_schrodinger_check_marks_nonfinite_rows():
     p = np.array([[1.0, 0.5], [1e160, 1e160], [0.3, -2.0]])
     with np.errstate(all="ignore"):
-        r = reversed_schrodinger_check(rashba(0.4, 1.0, p), rashba(0.4, 1.0, -p), dt=1e-4)
+        r = reversed_schrodinger_residual(0.4, 1.0, p)
     assert r[1] == np.inf
-    assert np.all(r[[0, 2]] < 1e-4)
+    assert np.all(r[[0, 2]] < 1e-12)
 
 
 @pytest.mark.parametrize("wave_sign", [1, -1])

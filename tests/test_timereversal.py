@@ -1,6 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from bispinor import timereversal
+from bispinor.harness import checks
+from bispinor.harness.config import SuiteConfig
 from bispinor.momenta import magnetic, rashba
 from bispinor.multivector import E13, deformed_generators, time_reverse_matrix
 from bispinor.timereversal import (
@@ -9,7 +14,7 @@ from bispinor.timereversal import (
     noncommutation_witness,
     pseudo_adjoint,
     pseudo_hermitian_residual,
-    reversed_schrodinger_check,
+    reversed_schrodinger_residual,
     reverse_amplitudes,
 )
 
@@ -148,28 +153,21 @@ class TestKramers:
 
 class TestDynamics:
     def test_reversed_schrodinger_residual(self):
-        p = np.array([1.0, 0.5])
-        h_p, h_minus_p = rashba(0.5, 1.0, p), rashba(0.5, 1.0, -p)
-        assert reversed_schrodinger_check(h_p, h_minus_p, dt=1e-4) < 1e-4
-
-    def test_convergence_in_dt(self):
-        p = np.array([1.5, -1.0])
-        h_p, h_minus_p = rashba(0.6, 2.0, p), rashba(0.6, 2.0, -p)
-        r1 = reversed_schrodinger_check(h_p, h_minus_p, dt=1e-3)
-        r2 = reversed_schrodinger_check(h_p, h_minus_p, dt=5e-4)
-        assert r2 < r1 / 2.0
+        assert reversed_schrodinger_residual(0.5, 1.0, np.array([1.0, 0.5])) < TOL
+        assert reversed_schrodinger_residual(0.6, 2.0, np.array([30.0, -20.0])) < 1e-10
 
     def test_nan_residual_is_infinite(self):
-        # finite H whose first eigenvalue -1e300 i overflows exp(i lam t):
-        # every step residual is NaN, which must read as a failure
-        h = np.diag([-1e300j, 1.0])
+        # a NaN momentum gives NaN entries, which must read as a failure
         with np.errstate(all="ignore"):
-            assert reversed_schrodinger_check(h, h, dt=1e-4) == np.inf
+            assert reversed_schrodinger_residual(0.5, 1.0, np.array([np.nan, 1.0])) == np.inf
 
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            h = rashba(0.0, 1.0, np.array([1.0, 0.0]))
-            reversed_schrodinger_check(h, h, dt=0.0)
+    def test_undaggered_hamiltonian_fails(self, monkeypatch):
+        # with H(-p) in place of H^dagger(-p) the registry's default draws
+        # miss the identity by about 0.76
+        monkeypatch.setattr(timereversal, "reversion_matrix", lambda m: m)
+        cfg = SuiteConfig()
+        rng = np.random.default_rng([cfg.seed, zlib.crc32(b"timereversal.reversed_schrodinger")])
+        assert checks.check_reversed_schrodinger(cfg, rng)[0] == pytest.approx(0.76, abs=0.01)
 
 
 class TestWitness:
