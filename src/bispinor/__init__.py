@@ -3,9 +3,8 @@ Rashba Hamiltonians and exact numerical verification of their closed-form
 spectral, time-reversal and SUSY structure."""
 
 from .multivector import (
-    Multivector,
+    decompose,
     deformed_generators,
-    from_matrix,
     geometric_product,
     involute,
     to_matrix,

@@ -29,6 +29,7 @@ from ..multivector import (
     MATRIX_INVOLUTIONS,
     decompose,
     deformation_transform,
+    deformed_generators,
     geometric_product,
     involute,
     matvec,
@@ -141,7 +142,7 @@ def check_involutions(cfg, rng):
 
 
 def check_deformed_relations(cfg, rng):
-    e = momenta.cached_generators(np.array(cfg.gamma_values))[:, 1:4]
+    e = deformed_generators(np.array(cfg.gamma_values))[:, 1:4]
     anti = e[:, :, None] @ e[:, None, :] + e[:, None, :] @ e[:, :, None]
     return _worst(anti - 2.0 * np.eye(3)[..., None, None] * _I2), len(cfg.gamma_values)
 
@@ -151,7 +152,7 @@ def check_even_subalgebra(cfg, rng):
     span; checked by undoing the similarity and decomposing into blades."""
     gammas = np.array(cfg.gamma_values)
     t = deformation_transform(gammas)[:, None, None]
-    even = momenta.cached_generators(gammas)[:, [0, 4, 5, 6]]
+    even = deformed_generators(gammas)[:, [0, 4, 5, 6]]
     prod = np.linalg.inv(t) @ even[:, :, None] @ even[:, None, :] @ t
     odd = np.isin(GRADES, (1, 3))
     return _worst(decompose(prod)[..., odd]), len(cfg.gamma_values)
@@ -177,7 +178,7 @@ def check_generator_synthesis(cfg, rng):
     gammas = np.array(cfg.gamma_values)
     pair = biortho.canonical_pair(np.arcsin(gammas))
     made = np.stack(biortho.synthesize_generators(pair), axis=-3)
-    return _worst(made - momenta.cached_generators(gammas)[:, 1:4],
+    return _worst(made - deformed_generators(gammas)[:, 1:4],
                   made @ made - _I2), len(cfg.gamma_values)
 
 
@@ -243,7 +244,7 @@ def check_levy_leblond_system(cfg, rng):
 def check_magnetic_consistency(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     a_vec, b3 = rng.normal(size=(cfg.samples, 2)), rng.normal(size=cfg.samples)
-    e3g = momenta.cached_generators(g)[:, 3]
+    e3g = deformed_generators(g)[:, 3]
     residuals = []
     for branch in (1, -1):
         left, right = momenta.magnetic_shifts(b, a_vec, branch)
@@ -356,9 +357,15 @@ def check_isospectral_pairs_generic(cfg, rng):
 
 
 def check_spin_vector(cfg, rng):
+    """The spin vectors of the printed spinors in closed form: <sigma> =
+    +-(cos phi, -sin phi, 0) for psi_pm at phi = phi_pm and for dual_pm at
+    phi = phi_mp, planar throughout."""
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    amps = eigen_amplitudes(*phi_angles(g, p))
-    return _worst(spectrum.spin_expectations(amps)[..., 2]), cfg.samples
+    phi_plus, phi_minus = phi_angles(g, p)
+    spin = spectrum.spin_expectations(eigen_amplitudes(phi_plus, phi_minus))
+    phi = np.stack([phi_plus, phi_minus, phi_minus, phi_plus], axis=-1)
+    want = np.stack([np.cos(phi), -np.sin(phi), np.zeros_like(phi)], axis=-1)
+    return _worst(spin - np.array([1.0, -1.0, 1.0, -1.0])[:, None] * want), cfg.samples
 
 
 def check_associated_expectation(cfg, rng):

@@ -9,7 +9,6 @@ charge), evaluated over leading batch axes of p, gamma and the shifts alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +37,7 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
     hold for every deformation parameter since they are similarity images of
     the undeformed system.
     """
-    e1, e2, e3 = cached_generators(gamma)[1:4]
+    e1, e2, e3 = deformed_generators(gamma)[1:4]
     z2 = np.zeros((2, 2), dtype=complex)
     i2 = np.eye(2, dtype=complex)
 
@@ -67,28 +66,6 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
         l=l, l_prime=l_prime, n=n, n_prime=n_prime,
         m=m, m_prime=m_prime, lam=lam,
     )
-
-
-def cached_generators(gamma) -> np.ndarray:
-    """(..., 8, 2, 2) deformed generators for gamma of shape (...), read-only.
-
-    One cache serves every gamma, a single value included.  It is keyed by
-    content (shape and float64 bytes, never identity, so a stack mutated in
-    place is rebuilt) and holds two entries: a check alternates at most
-    between gamma and -gamma, and memory stays bounded at two stacks, 512
-    bytes per gamma each.  A failed build (|gamma| >= 1 or NaN) raises and
-    is never cached.
-    """
-    # np.asarray keeps a single gamma 0-d, so it gives (8, 2, 2)
-    gamma = np.asarray(gamma, dtype=float)
-    return _stack_generators(gamma.shape, gamma.tobytes())
-
-
-@lru_cache(maxsize=2)
-def _stack_generators(shape: tuple[int, ...], data: bytes) -> np.ndarray:
-    generators = deformed_generators(np.frombuffer(data).reshape(shape))
-    generators.flags.writeable = False
-    return generators
 
 
 def _pad3(p) -> np.ndarray:
@@ -120,7 +97,7 @@ def clifford_momentum(gamma, shift, p) -> np.ndarray:
     broadcast; the result is (..., 2, 2).
     """
     q = _pad3(p) + np.asarray(shift)
-    e = cached_generators(gamma)
+    e = deformed_generators(gamma)
     return (e[..., 1, :, :] * _per_matrix(q[..., 0])
             + e[..., 2, :, :] * _per_matrix(q[..., 1])
             + e[..., 3, :, :] * _per_matrix(q[..., 2]))
@@ -134,7 +111,7 @@ def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarra
     p3 = _pad3(p)
     l = p3 + np.asarray(left_shift)
     r = p3 + np.asarray(right_shift)
-    e = cached_generators(gamma)
+    e = deformed_generators(gamma)
     kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
     e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
     e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])

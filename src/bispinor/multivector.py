@@ -1,6 +1,6 @@
 """Real Clifford algebra Cl3 with a faithful 2x2 complex matrix representation.
 
-Multivectors are stored as 8 real coefficients over the ordered basis
+Elements of Cl3 are plain (..., 8) real coefficient arrays over the ordered basis
 
     {1, e1, e2, e3, e12, e23, e31, e123}
 
@@ -8,20 +8,18 @@ and are represented by 2x2 complex matrices through the identification
 e_m -> sigma_m (Pauli matrices), so that e12 -> i*sigma_3, e23 -> i*sigma_1,
 e31 -> i*sigma_2 and e123 -> i*1.
 
-The module also builds the gamma-deformed generator set (a similarity
-transform of the Pauli generators controlled by gamma = sin(theta),
-omega = sqrt(1 - gamma^2)); its time-reversed partner set is
-time_reverse_matrix of it.
+The module also builds the gamma-deformed generator set, the similarity
+image T sigma_m T^-1 of the Pauli generators with gamma = sin(theta) and
+omega = sqrt(1 - gamma^2), in closed form; its time-reversed partner set
+is time_reverse_matrix of it.
 
 Shapes: every kernel works over leading batch axes.  Coefficient arrays are
 (..., 8), matrices (..., 2, 2) (or (..., 2n, 2n) for time reversal) and
-deformation parameters (...); a :class:`Multivector` is the single-element
-view, and the kernels return one when given one.
+deformation parameters (...).  A single multivector is an (8,) array, e.g.
+the blade e12 is np.eye(8)[BASIS_NAMES.index("e12")].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,93 +87,25 @@ def _build_cayley() -> np.ndarray:
 _CAYLEY = _build_cayley()
 
 
-_GRADE_OF = np.array(GRADES)
-_BLADE_SIGNS = {kind: np.array(signs, dtype=float)[_GRADE_OF]
+_BLADE_SIGNS = {kind: np.array(signs, dtype=float)[list(GRADES)]
                 for kind, signs in _INVOLUTION_SIGNS.items()}
 
 
-@dataclass(frozen=True)
-class Multivector:
-    """Element of Cl3 as 8 real coefficients in the standard blade order."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != (8,):
-            raise ValueError("a multivector needs exactly 8 coefficients")
-        object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
-
-    @classmethod
-    def scalar(cls, value: float) -> "Multivector":
-        return cls((float(value), 0, 0, 0, 0, 0, 0, 0))
-
-    @classmethod
-    def blade(cls, name: str) -> "Multivector":
-        return cls(np.eye(8)[BASIS_NAMES.index(name)])
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coefficients)
-
-    def grade(self, k: int) -> "Multivector":
-        return Multivector(np.where(_GRADE_OF == k, self.as_array(), 0.0))
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.as_array() + other.as_array())
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.as_array() - other.as_array())
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(-self.as_array())
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
-        return Multivector(float(other) * self.as_array())
-
-    def __rmul__(self, other):
-        return Multivector(float(other) * self.as_array())
-
-    def __repr__(self):
-        terms = [
-            f"{c:+g}*{name}" if name != "1" else f"{c:+g}"
-            for c, name in zip(self.coefficients, BASIS_NAMES)
-            if c != 0.0
-        ]
-        return "Multivector(" + (" ".join(terms) if terms else "0") + ")"
-
-
-def _coeffs(a) -> np.ndarray:
-    return a.as_array() if isinstance(a, Multivector) else np.asarray(a, dtype=float)
-
-
-def _like(a, coeffs: np.ndarray):
-    """``coeffs`` as a Multivector when ``a`` was one, else as the array."""
-    return Multivector(coeffs) if isinstance(a, Multivector) else coeffs
-
-
-def geometric_product(a, b):
-    """Geometric (Clifford) product a*b of multivectors or (..., 8) coefficient
-    arrays, contracted against the structure constants."""
-    return _like(a, np.einsum("...i,...j,ijk->...k", _coeffs(a), _coeffs(b), _CAYLEY))
+def geometric_product(a, b) -> np.ndarray:
+    """Geometric (Clifford) product a*b of (..., 8) coefficient arrays,
+    contracted against the structure constants."""
+    return np.einsum("...i,...j,ijk->...k", a, b, _CAYLEY)
 
 
 def to_matrix(a) -> np.ndarray:
-    """(..., 2, 2) complex matrix representative of a multivector or of
-    (..., 8) coefficient arrays."""
-    return np.einsum("...k,kij->...ij", _coeffs(a), _BASIS_STACK)
+    """(..., 2, 2) complex matrix representatives of (..., 8) coefficient
+    arrays; :func:`decompose` is its inverse."""
+    return np.einsum("...k,kij->...ij", a, _BASIS_STACK)
 
 
-def from_matrix(m: np.ndarray) -> Multivector:
-    """Inverse of :func:`to_matrix` on one matrix; defined on all of M(2, C).
-    :func:`decompose` is the same map over stacks."""
-    return Multivector(decompose(m))
-
-
-def involute(a, kind: str):
-    """Apply one of the three classical involutions to a multivector or to
-    (..., 8) coefficient arrays.
+def involute(a, kind: str) -> np.ndarray:
+    """Apply one of the three classical involutions to (..., 8) coefficient
+    arrays.
 
     kind is one of 'grade_inversion', 'reversion', 'clifford_conjugation';
     each multiplies the grade-k part by a fixed sign:
@@ -185,7 +115,7 @@ def involute(a, kind: str):
         signs = _BLADE_SIGNS[kind]
     except KeyError:
         raise ValueError(f"unknown involution kind: {kind!r}") from None
-    return _like(a, signs * _coeffs(a))
+    return signs * a
 
 
 def grade_inversion_matrix(m: np.ndarray) -> np.ndarray:
@@ -256,19 +186,25 @@ def deformation_transform(gamma) -> np.ndarray:
 
 def deformed_generators(gamma) -> np.ndarray:
     """The deformed generator set as a (..., 8, 2, 2) array for gamma of
-    shape (...), in blade order.
+    shape (...), in blade order, every slot in closed form.
 
-    The three vector generators are sigma_m conjugated by the deformation
-    transform T, evaluated in closed form entry by entry:
-    e1 = (sigma1 - i gamma sigma3)/omega, e2 = sigma2 and
-    e3 = (sigma3 + i gamma sigma1)/omega, one rounding per entry.  Bivector
-    and pseudoscalar slots are products of the deformed vectors, which keeps
-    every algebraic relation a similarity image of the undeformed one.
+    With a = 1/omega and b = i gamma/omega, the vector generators
+    e_m = T sigma_m T^-1 are
+
+        e1 = [[-b, a], [a, b]],  e2 = sigma2,  e3 = [[a, b], [b, -a]],
+
+    one rounding per entry.  Being a similarity image of the Pauli set, the
+    higher blades are exactly e12 = i e3, e23 = i e1, e31 = i e2 and
+    e123 = i.  |gamma| >= 1 or NaN raises (see :func:`deformation_omega`).
     """
-    omega = np.asarray(deformation_omega(gamma))[..., None, None]
-    ig = 1j * np.asarray(gamma, dtype=float)[..., None, None]
-    e1 = (SIGMA1 - ig * SIGMA3) / omega
-    e3 = (SIGMA3 + ig * SIGMA1) / omega
-    e2 = np.broadcast_to(SIGMA2, e1.shape)
-    one = np.broadcast_to(_ID, e1.shape)
-    return np.stack((one, e1, e2, e3, e1 @ e2, e2 @ e3, e3 @ e1, e1 @ e2 @ e3), axis=-3)
+    omega = deformation_omega(gamma)
+    a = 1.0 / omega
+    b = 1j * np.asarray(gamma, dtype=float) / omega
+    e = np.empty(np.shape(a) + (8, 2, 2), dtype=complex)
+    e[..., 0, :, :], e[..., 2, :, :] = _ID, SIGMA2
+    e[..., 1, 0, 0], e[..., 1, 1, 1] = -b, b               # e1 = [[-b, a], [a, b]]
+    e[..., 1, 0, 1] = e[..., 1, 1, 0] = a
+    e[..., 3, 0, 0], e[..., 3, 1, 1] = a, -a               # e3 = [[a, b], [b, -a]]
+    e[..., 3, 0, 1] = e[..., 3, 1, 0] = b
+    e[..., 4:, :, :] = 1j * e[..., [3, 1, 2, 0], :, :]     # i (e3, e1, e2, 1)
+    return e

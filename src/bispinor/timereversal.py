@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momenta import cached_generators, rashba
+from .momenta import rashba
 from .multivector import (
     E13,
+    deformed_generators,
     matvec,
     reversion_matrix,
     time_reverse_matrix,
@@ -63,8 +64,8 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     reversion image with a +, and the pseudoscalar flips.
     """
     gamma = np.asarray(gamma, dtype=float)
-    generators = cached_generators(gamma)
-    mirrored = cached_generators(-gamma)
+    generators = deformed_generators(gamma)
+    mirrored = deformed_generators(-gamma)
     vector_rule = _maxabs(time_reverse_matrix(generators[..., 1:4, :, :])
                           + mirrored[..., 1:4, :, :], (-1, -2, -3))
 

@@ -189,10 +189,7 @@ def test_batched_checks_equal_their_loops_on_overflow():
 
 def count_registry_calls(monkeypatch, cfg) -> Counter:
     """Calls one run_all makes to the counted functions, wrapped in every
-    bispinor namespace that holds them.  The generator cache is bypassed, so
-    every generator request is one deformed_generators call: with it, two
-    checks whose stacks happen to hold the same gammas (one beta and at most
-    three gammas) share a build."""
+    bispinor namespace that holds them."""
     counts = Counter()
 
     def counted(name, fn):
@@ -210,7 +207,6 @@ def count_registry_calls(monkeypatch, cfg) -> Counter:
                     if value is fn:
                         patch.setattr(module, attr, counted(fn.__name__, fn))
         patch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
-        patch.setattr(momenta, "_stack_generators", momenta._stack_generators.__wrapped__)
         run_all(cfg)
     return counts
 

@@ -1,0 +1,62 @@
+"""Named broken implementations that a registry check must FAIL.
+
+Some checks read exactly 0 on correct code, or test only part of a closed
+form; each mutant below is a plausible slip in the library, patched in where
+the check looks it up, and the check's entry at the default configuration
+must turn to "fail".
+"""
+
+import numpy as np
+import pytest
+
+from bispinor import momenta, multivector, spectrum, timereversal
+from bispinor.harness import run_all
+from bispinor.harness.config import SuiteConfig
+
+
+def entry(test_id):
+    (got,) = [e for e in run_all(SuiteConfig()).entries if e.test_id == test_id]
+    return got
+
+
+_spin_expectations = spectrum.spin_expectations     # the original, kept across patches
+
+
+def spin_without_plane(amps):
+    return _spin_expectations(amps) * [0.0, 0.0, 1.0]
+
+
+def spin_with_x_and_y_swapped(amps):
+    return _spin_expectations(amps)[..., [1, 0, 2]]
+
+
+def time_reversal_without_conjugation(m):
+    return multivector.time_reverse_matrix(np.conj(m))
+
+
+def rashba_with_stray_zeeman(gamma, beta, p, *, sign=1):
+    return momenta.momentum_product(gamma, *momenta.rashba_shifts(beta, sign), p, zeeman=0.3)
+
+
+MUTANTS = {
+    # (test_id, module, attribute, broken implementation)
+    "spin_without_plane": ("spectrum.spin_vector_planar", spectrum,
+                           "spin_expectations", spin_without_plane),
+    "spin_with_x_and_y_swapped": ("spectrum.spin_vector_planar", spectrum,
+                                  "spin_expectations", spin_with_x_and_y_swapped),
+    "time_reversal_without_conjugation": ("clifford.reversed_generators", timereversal,
+                                          "time_reverse_matrix",
+                                          time_reversal_without_conjugation),
+    "rashba_with_stray_zeeman": ("timereversal.pseudo_hermiticity", momenta,
+                                 "rashba", rashba_with_stray_zeeman),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_check_fails_under_mutant(name, monkeypatch):
+    test_id, module, attribute, broken = MUTANTS[name]
+    assert entry(test_id).status == "pass"
+    monkeypatch.setattr(module, attribute, broken)
+    got = entry(test_id)
+    assert got.status == "fail"
+    assert got.max_residual > 0.5

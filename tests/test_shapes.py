@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from bispinor.biortho import canonical_pair, synthesize_generators
 from bispinor.ideal import build_ideal_basis, c1_form, c2_form, ideal_components, ideal_matrix
 from bispinor.momenta import (
-    cached_generators,
     clifford_momentum,
     magnetic,
     momentum_product,
@@ -18,10 +17,8 @@ from bispinor.momenta import (
 )
 from bispinor.multivector import (
     MATRIX_INVOLUTIONS,
-    Multivector,
     decompose,
     deformed_generators,
-    from_matrix,
     geometric_product,
     involute,
     time_reverse_matrix,
@@ -85,7 +82,7 @@ def rashba_inputs(draw):
 @given(sizes.flatmap(lambda n: st.tuples(stack((n, 8), -10, 10), stack((n, 8), -10, 10))))
 def test_geometric_product(ab):
     a, b = ab
-    singles = [geometric_product(Multivector(x), Multivector(y)).as_array() for x, y in zip(a, b)]
+    singles = [geometric_product(x, y) for x, y in zip(a, b)]
     assert_stacked(geometric_product(a, b), singles, 8 * (1 + np.abs(a).max()) * (1 + np.abs(b).max()))
 
 
@@ -93,15 +90,15 @@ def test_geometric_product(ab):
 @given(sizes.flatmap(lambda n: stack((n, 8), -10, 10)))
 def test_to_matrix_and_decompose(a):
     m = to_matrix(a)
-    assert_stacked(m, [to_matrix(Multivector(x)) for x in a], 8 * (1 + np.abs(a).max()))
-    assert_stacked(decompose(m), [from_matrix(x).as_array() for x in m], 8 * (1 + np.abs(a).max()))
+    assert_stacked(m, [to_matrix(x) for x in a], 8 * (1 + np.abs(a).max()))
+    assert_stacked(decompose(m), [decompose(x) for x in m], 8 * (1 + np.abs(a).max()))
 
 
 @EXAMPLES
 @given(sizes.flatmap(lambda n: stack((n, 8), -10, 10)))
 def test_involute(a):
     for kind in MATRIX_INVOLUTIONS:
-        singles = [involute(Multivector(x), kind).as_array() for x in a]
+        singles = [involute(x, kind) for x in a]
         assert_stacked(involute(a, kind), singles, 1 + np.abs(a).max())
 
 
@@ -116,7 +113,7 @@ def test_time_reverse_matrix(n, data):
 @EXAMPLES
 @given(sizes.flatmap(lambda n: stack((n,), -0.99, 0.99)))
 def test_generator_formula(g):
-    singles = [cached_generators(float(x)) for x in g]
+    singles = [deformed_generators(float(x)) for x in g]
     assert_stacked(deformed_generators(g), singles, 1.0 / (1.0 - np.abs(g).max() ** 2))
 
 
