@@ -629,11 +629,20 @@ REGISTRY = (
 
 def run_all(cfg: SuiteConfig) -> ConformanceReport:
     """Run every registered check, each on its own generator keyed by the
-    seed and the check ID, so a check's draws depend on nothing else."""
+    seed and the check ID, so a check's draws depend on nothing else.  A
+    check that raises (other than a ConfigError, a usage error) becomes a
+    FAIL entry with an infinite residual, no samples and the exception
+    named, and the run goes on."""
     entries = []
     for test_id, ref, fn, tol_scale in REGISTRY:
         rng = np.random.default_rng([cfg.seed, zlib.crc32(test_id.encode())])
-        residual, samples = fn(cfg, rng)
+        error = None
+        try:
+            residual, samples = fn(cfg, rng)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            residual, samples, error = math.inf, 0, f"{type(exc).__name__}: {exc}"
         tol = cfg.tolerance * tol_scale
         entries.append(ReportEntry(
             test_id=test_id,
@@ -641,6 +650,7 @@ def run_all(cfg: SuiteConfig) -> ConformanceReport:
             status="pass" if residual <= tol else "fail",
             max_residual=float(residual),
             samples=int(samples),
+            error=error,
         ))
     return ConformanceReport(
         entries=tuple(entries), tolerance=cfg.tolerance, seed=cfg.seed

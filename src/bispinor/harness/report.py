@@ -2,7 +2,8 @@
 
 The report body is deterministic for a fixed configuration and seed: no
 timestamps or environment data are included.  The JSON form is strict: a
-non-finite max_residual (always a failing entry) is written as null.
+non-finite max_residual (always a failing entry) is written as null.  An
+entry's error, the exception a check raised, is written only when set.
 """
 
 from __future__ import annotations
@@ -19,13 +20,18 @@ class ReportEntry:
     status: str            # "pass" | "fail"
     max_residual: float
     samples: int
+    error: str | None = None   # the exception of a check that raised
 
 
-def _finite_residual(entry: dict) -> dict:
-    """The entry with a non-finite max_residual replaced by None (JSON null)."""
-    if not math.isfinite(entry["max_residual"]):
-        entry["max_residual"] = None
-    return entry
+def _entry_dict(entry: ReportEntry) -> dict:
+    """The entry as JSON-ready fields: a non-finite max_residual becomes
+    None (JSON null), and an unset error is left out."""
+    out = asdict(entry)
+    if not math.isfinite(out["max_residual"]):
+        out["max_residual"] = None
+    if out["error"] is None:
+        del out["error"]
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class ConformanceReport:
                 "passed": self.passed,
                 "failed": self.failed,
             },
-            "entries": [_finite_residual(asdict(e)) for e in self.entries],
+            "entries": [_entry_dict(e) for e in self.entries],
         }
 
     def to_json(self) -> str:
@@ -68,6 +74,7 @@ class ConformanceReport:
                 f"{e.status.upper():4s} {e.test_id:40s} "
                 f"residual={e.max_residual:.3e} samples={e.samples} "
                 f"[ref {e.paper_ref}]"
+                + (f" error={e.error}" if e.error is not None else "")
             )
         lines.append(
             f"{self.passed}/{len(self.entries)} checks passed "

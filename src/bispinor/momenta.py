@@ -4,6 +4,8 @@ factories (generalized, Rashba and magnetic/Zeeman variants).
 All operators act on plane waves, so each is a function that returns its
 (..., 2, 2) matrices at the classical momentum label p (hbar = m = 1, unit
 charge), evaluated over leading batch axes of p, gamma and the shifts alike.
+Each operator is a multivector: it fills its (..., 8) coefficients and
+hands them to :func:`~bispinor.multivector.to_matrix` at gamma.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import deformed_generators
+from .multivector import deformed_generators, to_matrix
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,6 @@ def _vec3(x, y, z) -> np.ndarray:
     return out
 
 
-def _per_matrix(x) -> np.ndarray:
-    """Coefficients of shape (...) made to scale (..., 2, 2) matrices."""
-    return np.asarray(x)[..., None, None]
-
-
 def clifford_momentum(gamma, shift, p) -> np.ndarray:
     """The shifted momentum 1-blade sum_j e_j^gamma (p_j + Q_j) at momenta p.
 
@@ -97,30 +94,28 @@ def clifford_momentum(gamma, shift, p) -> np.ndarray:
     broadcast; the result is (..., 2, 2).
     """
     q = _pad3(p) + np.asarray(shift)
-    e = deformed_generators(gamma)
-    return (e[..., 1, :, :] * _per_matrix(q[..., 0])
-            + e[..., 2, :, :] * _per_matrix(q[..., 1])
-            + e[..., 3, :, :] * _per_matrix(q[..., 2]))
+    coeffs = np.zeros(q.shape[:-1] + (8,), dtype=complex)
+    coeffs[..., 1:4] = q
+    return to_matrix(coeffs, gamma)
 
 
 def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarray:
-    """(1/2) P_left(p) P_right(p) + zeeman e3^gamma, (..., 2, 2), assembled
-    from a kinetic scalar and the bivector coefficients over {e12, e23, e31}.
+    """(1/2) P_left(p) P_right(p) + zeeman e3^gamma, (..., 2, 2): with
+    l = p + left_shift and r = p + right_shift, the kinetic scalar l.r / 2,
+    the Zeeman e3 term and the bivector l ^ r / 2 over {e12, e23, e31}.
     gamma and zeeman (...), the shifts (..., 3) and momenta p (..., 2) or
     (..., 3) broadcast; H^AB = (1/2) P^B P^A takes (shift_b, shift_a)."""
     p3 = _pad3(p)
     l = p3 + np.asarray(left_shift)
     r = p3 + np.asarray(right_shift)
-    e = deformed_generators(gamma)
-    kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
-    e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
-    e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
-    e31 = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
-    return (_per_matrix(kinetic) * e[..., 0, :, :]
-            + _per_matrix(e12) * e[..., 4, :, :]
-            + _per_matrix(e23) * e[..., 5, :, :]
-            + _per_matrix(e31) * e[..., 6, :, :]
-            + _per_matrix(zeeman) * e[..., 3, :, :])
+    coeffs = np.zeros(np.broadcast_shapes(l.shape[:-1], r.shape[:-1], np.shape(zeeman)) + (8,),
+                      dtype=complex)
+    coeffs[..., 0] = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
+    coeffs[..., 3] = zeeman
+    coeffs[..., 4] = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
+    coeffs[..., 5] = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
+    coeffs[..., 6] = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
+    return to_matrix(coeffs, gamma)
 
 
 def rashba_shifts(beta, sign):

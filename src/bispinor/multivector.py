@@ -8,10 +8,11 @@ and are represented by 2x2 complex matrices through the identification
 e_m -> sigma_m (Pauli matrices), so that e12 -> i*sigma_3, e23 -> i*sigma_1,
 e31 -> i*sigma_2 and e123 -> i*1.
 
-The module also builds the gamma-deformed generator set, the similarity
-image T sigma_m T^-1 of the Pauli generators with gamma = sin(theta) and
-omega = sqrt(1 - gamma^2), in closed form; its time-reversed partner set
-is time_reverse_matrix of it.
+The same map at a deformation parameter gamma = sin(theta), with
+omega = sqrt(1 - gamma^2), is the similarity image T (.) T^-1 of the Pauli
+one: to_matrix(a, gamma) gives any multivector over the gamma-deformed
+generators in closed form, and the generator set itself is the image of the
+unit blades; its time-reversed partner set is time_reverse_matrix of it.
 
 Shapes: every kernel works over leading batch axes.  Coefficient arrays are
 (..., 8), matrices (..., 2, 2) (or (..., 2n, 2n) for time reversal) and
@@ -33,19 +34,7 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# Matrix representatives of the 8 basis blades, in storage order.
-BASIS_MATRICES = (
-    _ID,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    1j * SIGMA3,   # e12 = e1 e2
-    1j * SIGMA1,   # e23 = e2 e3
-    1j * SIGMA2,   # e31 = e3 e1
-    1j * _ID,      # e123
-)
-_BASIS_STACK = np.array(BASIS_MATRICES)
-PAULI = _BASIS_STACK[1:4]
+PAULI = np.array([SIGMA1, SIGMA2, SIGMA3])
 
 # Signs of the three classical involutions per grade 0..3.
 _INVOLUTION_SIGNS = {
@@ -78,29 +67,8 @@ def decompose(m) -> np.ndarray:
     )
 
 
-def _build_cayley() -> np.ndarray:
-    """Structure constants as a dense (8, 8, 8) tensor: blade_i blade_j =
-    sum_k C[i, j, k] blade_k, with one entry +-1 per (i, j)."""
-    return np.round(decompose(_BASIS_STACK[:, None] @ _BASIS_STACK[None, :]))
-
-
-_CAYLEY = _build_cayley()
-
-
 _BLADE_SIGNS = {kind: np.array(signs, dtype=float)[list(GRADES)]
                 for kind, signs in _INVOLUTION_SIGNS.items()}
-
-
-def geometric_product(a, b) -> np.ndarray:
-    """Geometric (Clifford) product a*b of (..., 8) coefficient arrays,
-    contracted against the structure constants."""
-    return np.einsum("...i,...j,ijk->...k", a, b, _CAYLEY)
-
-
-def to_matrix(a) -> np.ndarray:
-    """(..., 2, 2) complex matrix representatives of (..., 8) coefficient
-    arrays; :func:`decompose` is its inverse."""
-    return np.einsum("...k,kij->...ij", a, _BASIS_STACK)
 
 
 def involute(a, kind: str) -> np.ndarray:
@@ -184,27 +152,54 @@ def deformation_transform(gamma) -> np.ndarray:
     return np.cos(half) * _ID + np.sin(half) * SIGMA2
 
 
+def to_matrix(a, gamma=0.0) -> np.ndarray:
+    """(..., 2, 2) complex matrices of (..., 8) coefficient arrays, real or
+    complex (the complexified algebra), over the generators at deformation
+    parameter gamma (...).
+
+    With e12 = i e3, e23 = i e1, e31 = i e2 and e123 = i, the coefficients
+    a are the multivector s + v.e with
+
+        s = a_1 + i a_123,  v = (a_e1 + i a_e23, a_e2 + i a_e31, a_e3 + i a_e12),
+
+    and with A = 1/omega and B = i gamma/omega its matrix T (s + v.sigma) T^-1
+    (see :func:`deformation_transform`) is, in closed form,
+
+        [[s + A v3 - B v1,     A v1 + B v3 - i v2],
+         [A v1 + B v3 + i v2,  s - A v3 + B v1   ]].
+
+    At gamma = 0 this is the Pauli map, whose inverse is :func:`decompose`.
+    |gamma| >= 1 or NaN raises (see :func:`deformation_omega`).
+    """
+    a = np.asarray(a)
+    omega = deformation_omega(gamma)
+    big_a = 1.0 / omega
+    big_b = 1j * np.asarray(gamma, dtype=float) / omega
+    s = a[..., 0] + 1j * a[..., 7]
+    v1 = a[..., 1] + 1j * a[..., 5]
+    v2 = a[..., 2] + 1j * a[..., 6]
+    v3 = a[..., 3] + 1j * a[..., 4]
+    diag = big_a * v3 - big_b * v1
+    off = big_a * v1 + big_b * v3
+    return mat2(s + diag, off - 1j * v2, off + 1j * v2, s - diag)
+
+
 def deformed_generators(gamma) -> np.ndarray:
     """The deformed generator set as a (..., 8, 2, 2) array for gamma of
-    shape (...), in blade order, every slot in closed form.
-
-    With a = 1/omega and b = i gamma/omega, the vector generators
-    e_m = T sigma_m T^-1 are
-
-        e1 = [[-b, a], [a, b]],  e2 = sigma2,  e3 = [[a, b], [b, -a]],
-
-    one rounding per entry.  Being a similarity image of the Pauli set, the
-    higher blades are exactly e12 = i e3, e23 = i e1, e31 = i e2 and
-    e123 = i.  |gamma| >= 1 or NaN raises (see :func:`deformation_omega`).
+    shape (...), in blade order: the images of the unit blades under
+    :func:`to_matrix`, e.g. e1 = [[-B, A], [A, B]] and e3 = [[A, B], [B, -A]].
+    |gamma| >= 1 or NaN raises (see :func:`deformation_omega`).
     """
-    omega = deformation_omega(gamma)
-    a = 1.0 / omega
-    b = 1j * np.asarray(gamma, dtype=float) / omega
-    e = np.empty(np.shape(a) + (8, 2, 2), dtype=complex)
-    e[..., 0, :, :], e[..., 2, :, :] = _ID, SIGMA2
-    e[..., 1, 0, 0], e[..., 1, 1, 1] = -b, b               # e1 = [[-b, a], [a, b]]
-    e[..., 1, 0, 1] = e[..., 1, 1, 0] = a
-    e[..., 3, 0, 0], e[..., 3, 1, 1] = a, -a               # e3 = [[a, b], [b, -a]]
-    e[..., 3, 0, 1] = e[..., 3, 1, 0] = b
-    e[..., 4:, :, :] = 1j * e[..., [3, 1, 2, 0], :, :]     # i (e3, e1, e2, 1)
-    return e
+    return to_matrix(np.eye(8), np.asarray(gamma, dtype=float)[..., None])
+
+
+# Structure constants as a dense (8, 8, 8) tensor: blade_i blade_j =
+# sum_k C[i, j, k] blade_k, with one entry +-1 per (i, j).
+_BLADES = to_matrix(np.eye(8))
+_CAYLEY = np.round(decompose(_BLADES[:, None] @ _BLADES[None, :]))
+
+
+def geometric_product(a, b) -> np.ndarray:
+    """Geometric (Clifford) product a*b of (..., 8) coefficient arrays,
+    contracted against the structure constants."""
+    return np.einsum("...i,...j,ijk->...k", a, b, _CAYLEY)

@@ -181,6 +181,28 @@ class TestReport:
         assert len(nulls) == out.count("residual=inf") > 0
         assert all(e["status"] == "fail" for e in nulls)
 
+    def test_raising_check_fails_alone(self, tmp_path, monkeypatch, capsys):
+        # a check that raises is one FAIL entry naming the exception: the
+        # rest still run, and the exit code is 1 (a failed check), not 2
+        def vanishing(*args):
+            raise ValueError("vanishing associated norm")
+
+        monkeypatch.setattr("bispinor.spectrum.mixture_expectation", vanishing)
+        out_path = tmp_path / "r.json"
+        code, out, _ = run(["report", "--out", str(out_path)], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == len(REGISTRY) + 1
+        (failed,) = [ln for ln in lines if ln.startswith("FAIL")]
+        assert "spectrum.associated_expectation" in failed
+        assert "residual=inf samples=0" in failed
+        assert failed.endswith(" error=ValueError: vanishing associated norm")
+        entries = json.loads(out_path.read_text())["entries"]
+        (entry,) = [e for e in entries if "error" in e]
+        assert entry == {"test_id": "spectrum.associated_expectation", "paper_ref": "5",
+                         "status": "fail", "max_residual": None, "samples": 0,
+                         "error": "ValueError: vanishing associated norm"}
+
 
 class TestSpectrumExport:
     def test_csv_matches_closed_form(self, capsys):

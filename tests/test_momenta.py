@@ -211,3 +211,24 @@ class TestGeneratorCache:
             got = deformed_generators(g)
             assert got.shape == (8, 2, 2)
             assert got.tobytes() == deformed_generators(np.reshape(g, 1))[0].tobytes()
+
+    def test_operators_need_no_generator_stack(self, monkeypatch):
+        # each operator is to_matrix of its coefficients: none of them builds
+        # the (..., 8, 2, 2) generator stack, and none changes without it
+        g, p = np.array([0.0, 0.4, -0.7]), np.array([[0.3, -1.2], [2.0, 0.5], [-0.8, 0.1]])
+        shift = (0.2, -0.1, 0.5j)
+        calls = {
+            "rashba": lambda: rashba(g, 1.3, p, sign=-1),
+            "magnetic": lambda: magnetic(g, 0.8, (0.3, -0.2), 0.5, p, branch=-1),
+            "clifford_momentum": lambda: clifford_momentum(g, shift, p),
+            "momentum_product": lambda: momentum_product(g, shift, (0.0, 1.0, -0.5j), p, 0.25),
+        }
+        want = {name: call() for name, call in calls.items()}
+
+        def no_stack(gamma):
+            raise AssertionError("generator stack built")
+
+        monkeypatch.setattr("bispinor.multivector.deformed_generators", no_stack)
+        monkeypatch.setattr("bispinor.momenta.deformed_generators", no_stack)
+        for name, call in calls.items():
+            assert np.array_equal(call(), want[name]), name

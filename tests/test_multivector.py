@@ -33,6 +33,13 @@ coeff_lists = st.lists(
 )
 
 
+# The matrix of each basis blade in storage order, written out by hand:
+# 1, sigma_1, sigma_2, sigma_3, e12 = i sigma_3, e23 = i sigma_1,
+# e31 = i sigma_2 and e123 = i.
+BASIS_MATRICES = (np.eye(2), SIGMA1, SIGMA2, SIGMA3,
+                  1j * SIGMA3, 1j * SIGMA1, 1j * SIGMA2, 1j * np.eye(2))
+
+
 def mv(name):
     """The (8,) coefficient array of one basis blade."""
     return np.eye(8)[BASIS_NAMES.index(name)]
@@ -134,17 +141,20 @@ def test_unknown_involution_rejected():
 
 
 def test_deformed_basis_gamma_zero_is_pauli():
-    expected = [np.eye(2), SIGMA1, SIGMA2, SIGMA3,
-                1j * SIGMA3, 1j * SIGMA1, 1j * SIGMA2, 1j * np.eye(2)]
-    for got, want in zip(deformed_generators(0.0), expected):
+    for got, want in zip(deformed_generators(0.0), BASIS_MATRICES):
         assert np.abs(got - want).max() < TOL
+
+
+def test_to_matrix_unit_blades():
+    assert np.array_equal(to_matrix(np.eye(8)), np.array(BASIS_MATRICES))
 
 
 @given(st.lists(st.floats(min_value=-1 + 1e-3, max_value=1 - 1e-3), min_size=1, max_size=8))
 def test_blades_are_i_times_vectors(gammas):
-    # e12, e23, e31, e123 = i (e3, e1, e2, 1) of the same stack, bit for bit
+    # e12, e23, e31, e123 = i (e3, e1, e2, 1) of the same stack, exactly; the
+    # bytes differ only in signed zeros: 1j * (-1+0j) has real part -0.0
     e = deformed_generators(np.array(gammas))
-    assert e[:, 4:].tobytes() == (1j * e[:, [3, 1, 2, 0]]).tobytes()
+    assert np.array_equal(e[:, 4:], 1j * e[:, [3, 1, 2, 0]])
 
 
 def test_deformed_sigma3_printed_matrix():

@@ -19,7 +19,8 @@ def entry(test_id):
     return got
 
 
-_spin_expectations = spectrum.spin_expectations     # the original, kept across patches
+_spin_expectations = spectrum.spin_expectations     # the originals, kept across patches
+_to_matrix = multivector.to_matrix
 
 
 def spin_without_plane(amps):
@@ -38,6 +39,18 @@ def rashba_with_stray_zeeman(gamma, beta, p, *, sign=1):
     return momenta.momentum_product(gamma, *momenta.rashba_shifts(beta, sign), p, zeeman=0.3)
 
 
+def map_with_gamma_mirrored(a, gamma=0.0):
+    return _to_matrix(a, -np.asarray(gamma))
+
+
+def map_with_e2_flipped(a, gamma=0.0):
+    return _to_matrix(np.asarray(a) * [1, 1, -1, 1, 1, 1, 1, 1], gamma)
+
+
+def map_with_e23_and_e31_swapped(a, gamma=0.0):
+    return _to_matrix(np.asarray(a)[..., [0, 1, 2, 3, 4, 6, 5, 7]], gamma)
+
+
 MUTANTS = {
     # (test_id, module, attribute, broken implementation)
     "spin_without_plane": ("spectrum.spin_vector_planar", spectrum,
@@ -49,6 +62,14 @@ MUTANTS = {
                                           time_reversal_without_conjugation),
     "rashba_with_stray_zeeman": ("timereversal.pseudo_hermiticity", momenta,
                                  "rashba", rashba_with_stray_zeeman),
+    # the coefficient map every momenta operator goes through (reads 36)
+    "map_with_gamma_mirrored": ("spectrum.eigen_identity", momenta,
+                                "to_matrix", map_with_gamma_mirrored),
+    "map_with_e2_flipped": ("momenta.factorization", momenta,
+                            "to_matrix", map_with_e2_flipped),
+    # the map the generators are built with (reads 2.5)
+    "map_with_e23_and_e31_swapped": ("clifford.reversed_generators", multivector,
+                                     "to_matrix", map_with_e23_and_e31_swapped),
 }
 
 
