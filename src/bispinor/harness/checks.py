@@ -1,19 +1,18 @@
 """The check registry: one entry per declared library invariant.
 
-Every check is a pure function (config, rng) -> (max_residual, samples);
-the runner turns residuals into pass/fail entries against the configured
-tolerance.  Angle-relation and eigenvalue checks use a relaxed internal
-scale only where the spec'd tolerance differs -- the registry stores a
-per-check tolerance multiplier for that purpose.
+Every check is a pure function (config, rng) -> (terms, samples): ``terms``
+maps the name of each sub-identity it tests to a residual array (the sample
+axis first where it samples).  The runner reduces terms through :func:`worst_term`, the one
+place a residual becomes a verdict, against the configured tolerance times
+the check's multiplier in the registry.
 
 Each check draws from its own generator, ``default_rng([seed,
 crc32(test_id)])``, so its samples depend only on the seed and its ID: a
 check gives the same numbers run alone or in any registry order.  A sampled
 check draws each input as one array over all its samples (momenta inside
 the small disc around the origin are redrawn row by row) and then
-evaluates its identity once over the stack.  Every residual goes through
-:func:`_worst`, which turns any NaN or inf into an infinite residual, i.e.
-a failure.
+evaluates its identity once over the stack.  A "must be nonzero" witness
+is an ordinary term (:func:`_nonzero_witness`).
 """
 
 from __future__ import annotations
@@ -97,18 +96,26 @@ def _rand_mv_pairs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, 0], u[:, 1]
 
 
-def _worst(*residuals) -> float:
-    """The largest |entry| over all residual arrays (0 for none).  Any NaN
-    or inf makes it inf, so a non-finite residual can never pass."""
-    worst = np.max([np.max(np.abs(r), initial=0.0) for r in residuals], initial=0.0)
-    return float(worst) if np.isfinite(worst) else math.inf
+def worst_term(terms: dict) -> tuple[float, str | None]:
+    """A check's residual and its worst term: the largest |entry| per term,
+    any NaN or inf read as inf so that it can never pass.  The worst term is
+    the first non-finite one in check order, else the first with the
+    largest residual (0.0 and None for no terms)."""
+    worst, name = 0.0, None
+    for key, residual in terms.items():
+        largest = float(np.max(np.abs(residual), initial=0.0))
+        if not math.isfinite(largest):
+            return math.inf, key
+        if name is None or largest > worst:
+            worst, name = largest, key
+    return worst, name
 
 
-def _visibly_nonzero(witness) -> bool:
-    """A "must be nonzero" witness counts only if all its entries are finite
-    and at least 1e-6."""
+def _nonzero_witness(witness) -> np.ndarray:
+    """The term of a "must be nonzero" witness: 1.0 on each entry that is
+    not finite or is below 1e-6, else 0.0."""
     witness = np.asarray(witness)
-    return bool(np.all(np.isfinite(witness) & (witness >= 1e-6)))
+    return np.where(np.isfinite(witness) & (witness >= 1e-6), 0.0, 1.0)
 
 
 def _eigen_lambdas(beta, p) -> np.ndarray:
@@ -121,30 +128,30 @@ def _eigen_lambdas(beta, p) -> np.ndarray:
 def check_matrix_homomorphism(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
     lhs = to_matrix(geometric_product(a, b))
-    return _worst(lhs - to_matrix(a) @ to_matrix(b),
-                  decompose(to_matrix(a)) - a), cfg.samples
+    return {"product": lhs - to_matrix(a) @ to_matrix(b),
+            "decompose_inverts": decompose(to_matrix(a)) - a}, cfg.samples
 
 
 def check_involutions(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
     ab = geometric_product(a, b)
-    residuals = []
+    terms = {}
     for kind, matrix_form in MATRIX_INVOLUTIONS.items():
         ia, ib = involute(a, kind), involute(b, kind)
         if kind == "grade_inversion":
             want = geometric_product(ia, ib)
         else:
             want = geometric_product(ib, ia)
-        residuals += [involute(ab, kind) - want,
-                      involute(ia, kind) - a,
-                      to_matrix(ia) - matrix_form(to_matrix(a))]
-    return _worst(*residuals), cfg.samples
+        terms[f"{kind}_product"] = involute(ab, kind) - want
+        terms[f"{kind}_twice"] = involute(ia, kind) - a
+        terms[f"{kind}_matrix"] = to_matrix(ia) - matrix_form(to_matrix(a))
+    return terms, cfg.samples
 
 
 def check_deformed_relations(cfg, rng):
     e = deformed_generators(np.array(cfg.gamma_values))[:, 1:4]
     anti = e[:, :, None] @ e[:, None, :] + e[:, None, :] @ e[:, :, None]
-    return _worst(anti - 2.0 * np.eye(3)[..., None, None] * _I2), len(cfg.gamma_values)
+    return {"anticommutators": anti - 2.0 * np.eye(3)[..., None, None] * _I2}, len(e)
 
 
 def check_even_subalgebra(cfg, rng):
@@ -155,12 +162,11 @@ def check_even_subalgebra(cfg, rng):
     even = deformed_generators(gammas)[:, [0, 4, 5, 6]]
     prod = np.linalg.inv(t) @ even[:, :, None] @ even[:, None, :] @ t
     odd = np.isin(GRADES, (1, 3))
-    return _worst(decompose(prod)[..., odd]), len(cfg.gamma_values)
+    return {"odd_part": decompose(prod)[..., odd]}, len(cfg.gamma_values)
 
 
 def check_reversed_generators(cfg, rng):
-    residuals = timereversal.generator_reversal(np.array(cfg.gamma_values))
-    return _worst(*residuals.values()), len(cfg.gamma_values)
+    return timereversal.generator_reversal(np.array(cfg.gamma_values)), len(cfg.gamma_values)
 
 
 # ----------------------------------------------------------------- biortho
@@ -171,15 +177,15 @@ def check_biortho_gram(cfg, rng):
     t = m[:, 1]
     t = np.where((np.abs(np.linalg.det(t)) < 1e-3)[:, None, None], t + 2.0 * _I2, t)
     pair = biortho.build_pair(q[..., :, 0], q[..., :, 1], t)
-    return _worst(pair.gram() - np.eye(2)), cfg.samples
+    return {"gram": pair.gram() - np.eye(2)}, cfg.samples
 
 
 def check_generator_synthesis(cfg, rng):
     gammas = np.array(cfg.gamma_values)
     pair = biortho.canonical_pair(np.arcsin(gammas))
     made = np.stack(biortho.synthesize_generators(pair), axis=-3)
-    return _worst(made - deformed_generators(gammas)[:, 1:4],
-                  made @ made - _I2), len(cfg.gamma_values)
+    return {"generators": made - deformed_generators(gammas)[:, 1:4],
+            "squares": made @ made - _I2}, len(cfg.gamma_values)
 
 
 # ----------------------------------------------------------------- momenta
@@ -190,14 +196,14 @@ def check_linearization(cfg, rng):
     # The L/N cross relations involve the three spatial M's; M4 and M5 are
     # built out of L and N themselves and join only the condensed relation.
     anti = m_prime[:, None] @ m[None, :] + m_prime[None, :] @ m[:, None]
-    return _worst(
-        lin.l_prime @ lin.l,
-        lin.n_prime @ lin.n,
-        lin.l_prime @ lin.n + lin.n_prime @ lin.l - 2 * np.eye(4),
-        lin.l_prime @ m[:3] + m_prime[:3] @ lin.l,
-        lin.n_prime @ m[:3] + m_prime[:3] @ lin.n,
-        anti + 2.0 * np.eye(5)[..., None, None] * np.eye(4),
-    ), 1
+    return {
+        "l_nilpotent": lin.l_prime @ lin.l,
+        "n_nilpotent": lin.n_prime @ lin.n,
+        "l_n_cross": lin.l_prime @ lin.n + lin.n_prime @ lin.l - 2 * np.eye(4),
+        "l_m_cross": lin.l_prime @ m[:3] + m_prime[:3] @ lin.l,
+        "n_m_cross": lin.n_prime @ m[:3] + m_prime[:3] @ lin.n,
+        "m_anticommutators": anti + 2.0 * np.eye(5)[..., None, None] * np.eye(4),
+    }, 1
 
 
 def check_factorization(cfg, rng):
@@ -206,8 +212,8 @@ def check_factorization(cfg, rng):
     p = _momenta(cfg, rng, cfg.samples)
     shift_b = np.conj(shift_a)
     pa, pb = (momenta.clifford_momentum(g, shift, p) for shift in (shift_a, shift_b))
-    return _worst(momenta.momentum_product(g, shift_b, shift_a, p) - 0.5 * pb @ pa,
-                  momenta.momentum_product(g, shift_a, shift_b, p) - 0.5 * pa @ pb), cfg.samples
+    return {"pb_pa": momenta.momentum_product(g, shift_b, shift_a, p) - 0.5 * pb @ pa,
+            "pa_pb": momenta.momentum_product(g, shift_a, shift_b, p) - 0.5 * pa @ pb}, cfg.samples
 
 
 def check_rashba_product_form(cfg, rng):
@@ -216,15 +222,15 @@ def check_rashba_product_form(cfg, rng):
     hp = momenta.rashba(g, b, p)
     product = momenta.clifford_momentum(g, left, p) @ momenta.clifford_momentum(g, right, p)
     # reversion_matrix is the conjugate transpose
-    return _worst(hp - 0.5 * product,
-                  reversion_matrix(hp) - momenta.rashba(-g, b, p)), cfg.samples
+    return {"product_form": hp - 0.5 * product,
+            "adjoint_mirrors_gamma": reversion_matrix(hp) - momenta.rashba(-g, b, p)}, cfg.samples
 
 
 def check_isospectrality(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     lam = np.array(spectrum.eigenvalue_oracle(momenta.rashba(g, b, p)))
-    return _worst(*(lam - np.array(spectrum.eigenvalue_oracle(momenta.rashba(g2, b, p)))
-                    for g2 in (-g, 0.0))), cfg.samples
+    return {name: lam - np.array(spectrum.eigenvalue_oracle(momenta.rashba(g2, b, p)))
+            for name, g2 in (("mirrored_gamma", -g), ("gamma_zero", 0.0))}, cfg.samples
 
 
 def check_levy_leblond_system(cfg, rng):
@@ -238,46 +244,43 @@ def check_levy_leblond_system(cfg, rng):
     pa_psi = matvec(momenta.clifford_momentum(g, shift_a, p)[:, None], psi)
     eta = (1j / 2.0) * pa_psi                                # from P^A psi = -2i eta
     pb = momenta.clifford_momentum(g, shift_b, p)
-    return _worst(matvec(pb[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi), 2 * len(g)
+    residual = matvec(pb[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi
+    return {"second_equation": residual}, 2 * len(g)
 
 
 def check_magnetic_consistency(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     a_vec, b3 = rng.normal(size=(cfg.samples, 2)), rng.normal(size=cfg.samples)
     e3g = deformed_generators(g)[:, 3]
-    residuals = []
-    for branch in (1, -1):
+    terms = {}
+    for name, branch in (("branch_plus", 1), ("branch_minus", -1)):
         left, right = momenta.magnetic_shifts(b, a_vec, branch)
         product = momenta.clifford_momentum(g, left, p) @ momenta.clifford_momentum(g, right, p)
-        residuals.append(momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
-                         - (0.5 * product + b3[:, None, None] * e3g))
-    residuals.append(momenta.magnetic(g, b, (0.0, 0.0), 0.0, p) - momenta.rashba(g, b, p))
-    return _worst(*residuals), cfg.samples
+        terms[name] = (momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
+                       - (0.5 * product + b3[:, None, None] * e3g))
+    terms["zero_field"] = momenta.magnetic(g, b, (0.0, 0.0), 0.0, p) - momenta.rashba(g, b, p)
+    return terms, cfg.samples
 
 
 def check_magnetic_trs_convention(cfg, rng):
     """Pseudo-Hermiticity of the magnetic Hamiltonian holds under the
     field-reversal convention (A -> -A, B3 -> -B3); the fixed-field
-    convention fails for generic fields.  The reported residual is the
-    field-reversed one; the check additionally demands that the fixed-field
-    residual stays visibly nonzero so a silent convention flip is caught."""
+    convention fails for generic fields.  The field-reversed residuals are
+    terms, and so is a witness that the fixed-field residual stays visibly
+    nonzero, so a silent convention flip is caught."""
     n = max(cfg.samples // 4, 5)
     g, b, p = _gamma_beta_p(cfg, rng, n)
     a_vec = rng.normal(size=(n, 2)) + np.array([0.5, -0.5])
     b3 = rng.normal(size=n) + 1.0
-    residuals = []
-    all_visible = True
-    for branch in (1, -1):
+    terms = {}
+    for name, branch in (("plus", 1), ("minus", -1)):
         h_p = momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
-        reversed_field = momenta.magnetic(g, b, -a_vec, -b3, -p, branch=branch)
-        fixed_field = momenta.magnetic(g, b, a_vec, b3, -p, branch=branch)
-        residuals.append(timereversal.pseudo_hermitian_residual(reversed_field, h_p))
-        fixed_res = timereversal.pseudo_hermitian_residual(fixed_field, h_p)
-        all_visible = all_visible and _visibly_nonzero(fixed_res)
-    worst = _worst(*residuals)
-    if not all_visible:
-        worst = max(worst, 1.0)
-    return worst, 2 * n
+        h_reversed = momenta.magnetic(g, b, -a_vec, -b3, -p, branch=branch)
+        h_fixed = momenta.magnetic(g, b, a_vec, b3, -p, branch=branch)
+        terms[f"reversed_field_{name}"] = timereversal.pseudo_hermitian_residual(h_reversed, h_p)
+        terms[f"witness_fixed_field_{name}"] = _nonzero_witness(
+            timereversal.pseudo_hermitian_residual(h_fixed, h_p))
+    return terms, 2 * n
 
 
 # ---------------------------------------------------------------- spectrum
@@ -289,23 +292,25 @@ def check_eigen_identity(cfg, rng):
     lam = _eigen_lambdas(b, p)
     h = momenta.rashba(g, b, p)
     h_dual = momenta.rashba(-g, b, p)
-    return _worst(matvec(h[:, None], psi) - lam * psi,
-                  matvec(h_dual[:, None], dual) - lam * dual), cfg.samples
+    return {"right": matvec(h[:, None], psi) - lam * psi,
+            "dual": matvec(h_dual[:, None], dual) - lam * dual}, cfg.samples
 
 
 def check_eigenvalue_oracle(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     lam_p, lam_m = eigenvalues(b, p)
     o1, o2 = spectrum.eigenvalue_oracle(momenta.rashba(g, b, p))
-    return _worst(o1 - lam_p, o2 - lam_m, o1.imag, o2.imag), cfg.samples
+    return {"lambda_plus": o1 - lam_p, "lambda_minus": o2 - lam_m,
+            "lambda_plus_real": o1.imag, "lambda_minus_real": o2.imag}, cfg.samples
 
 
 def check_biorthogonality(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     psi_p, psi_m, dual_p, dual_m = np.moveaxis(eigen_amplitudes(*phi_angles(g, p)), 1, 0)
     a, bb = ideal.ideal_matrix(dual_m), ideal.ideal_matrix(psi_p)
-    return _worst(amplitude_inner(dual_m, psi_p), amplitude_inner(dual_p, psi_m),
-                  ideal.c1_form(a, bb), ideal.c2_form(a, bb)), cfg.samples
+    return {"dual_minus_psi_plus": amplitude_inner(dual_m, psi_p),
+            "dual_plus_psi_minus": amplitude_inner(dual_p, psi_m),
+            "c1": ideal.c1_form(a, bb), "c2": ideal.c2_form(a, bb)}, cfg.samples
 
 
 def check_projectors(cfg, rng):
@@ -314,18 +319,18 @@ def check_projectors(cfg, rng):
     pi1, pi2, _ = spectrum.projector_matrices(*phi_angles(g, p))
     lam_p, lam_m = eigenvalues(b, p)
     h = momenta.rashba(g, b, p)
-    return _worst(
-        pi1 + pi2 - _I2,
-        pi1 @ pi2,
-        pi1 @ pi1 - pi1,
-        pi2 @ pi2 - pi2,
-        lam_p[:, None, None] * pi1 + lam_m[:, None, None] * pi2 - h,
-    ), cfg.samples
+    return {
+        "completeness": pi1 + pi2 - _I2,
+        "orthogonality": pi1 @ pi2,
+        "pi1_idempotent": pi1 @ pi1 - pi1,
+        "pi2_idempotent": pi2 @ pi2 - pi2,
+        "spectral_decomposition": lam_p[:, None, None] * pi1 + lam_m[:, None, None] * pi2 - h,
+    }, cfg.samples
 
 
 def check_flip_relations(cfg, rng):
     g, p = _gammas(rng, cfg.samples), _momenta(cfg, rng, cfg.samples)
-    return _worst(*spectrum.flip_relations(g, p).values()), cfg.samples
+    return spectrum.flip_relations(g, p), cfg.samples
 
 
 def check_diagonal_momentum_angles(cfg, rng):
@@ -334,7 +339,7 @@ def check_diagonal_momentum_angles(cfg, rng):
     p = radii * np.array([[[1.0, 1.0]], [[1.0, -1.0]]])          # (sign, radius, 2)
     gammas = np.array(cfg.gamma_values)[:, None, None]
     angles = np.stack(phi_angles(gammas, p), axis=-1)            # (gamma, sign, radius, 2)
-    return _worst(angles[..., :1, :] - angles[..., 1:, :]), 2 * len(cfg.gamma_values)
+    return {"radius_independence": angles[..., :1, :] - angles[..., 1:, :]}, 2 * gammas.size
 
 
 def check_isospectral_pairs_generic(cfg, rng):
@@ -352,8 +357,8 @@ def check_isospectral_pairs_generic(cfg, rng):
     vals_l, left = np.linalg.eig(reversion_matrix(h))
     r = np.take_along_axis(right, np.argsort(vals_r.real, axis=-1)[:, None, :], axis=-1)
     l = np.take_along_axis(left, np.argsort(vals_l.real, axis=-1)[:, None, :], axis=-1)
-    return _worst(amplitude_inner(l[..., 0], r[..., 1]),
-                  amplitude_inner(l[..., 1], r[..., 0])), cfg.samples
+    return {"left0_right1": amplitude_inner(l[..., 0], r[..., 1]),
+            "left1_right0": amplitude_inner(l[..., 1], r[..., 0])}, cfg.samples
 
 
 def check_spin_vector(cfg, rng):
@@ -365,7 +370,7 @@ def check_spin_vector(cfg, rng):
     spin = spectrum.spin_expectations(eigen_amplitudes(phi_plus, phi_minus))
     phi = np.stack([phi_plus, phi_minus, phi_minus, phi_plus], axis=-1)
     want = np.stack([np.cos(phi), -np.sin(phi), np.zeros_like(phi)], axis=-1)
-    return _worst(spin - np.array([1.0, -1.0, 1.0, -1.0])[:, None] * want), cfg.samples
+    return {"closed_form": spin - np.array([1.0, -1.0, 1.0, -1.0])[:, None] * want}, cfg.samples
 
 
 def check_associated_expectation(cfg, rng):
@@ -374,11 +379,11 @@ def check_associated_expectation(cfg, rng):
     lam_p, lam_m = eigenvalues(b, p)
     h = momenta.rashba(g, b, p)
     c = 1 / np.sqrt(2)
-    return _worst(
-        spectrum.mixture_expectation(1.0, 0.0, h, amps) - lam_p,
-        spectrum.mixture_expectation(c, c, h, amps) - 0.5 * (lam_p + lam_m),
-        spectrum.mixture_expectation(0.3, 0.7j, _I2, amps) - 1.0,
-    ), cfg.samples
+    return {
+        "pure_plus": spectrum.mixture_expectation(1.0, 0.0, h, amps) - lam_p,
+        "even_mixture": spectrum.mixture_expectation(c, c, h, amps) - 0.5 * (lam_p + lam_m),
+        "identity": spectrum.mixture_expectation(0.3, 0.7j, _I2, amps) - 1.0,
+    }, cfg.samples
 
 
 def check_continuity(cfg, rng):
@@ -395,9 +400,9 @@ def check_continuity(cfg, rng):
     amps = eigen_amplitudes(*phi_angles(g, p))[wave, branch]
     lam = np.stack(eigenvalues(1.0, p), axis=-1)[wave, branch]
     mix = list(zip((0.7, 0.5j, 0.6, 0.8), amps, p, lam))
-    cases = ((0.0, mix[:2]), (0.6, mix[2:]))
-    return _worst(*(spectrum.continuity_residual(gamma, 1.0, waves, grid)
-                    for gamma, waves in cases)), len(cases)
+    cases = {"gamma_zero_mixture": (0.0, mix[:2]), "opposite_p2_pair": (0.6, mix[2:])}
+    return {name: spectrum.continuity_residual(gamma, 1.0, waves, grid)
+            for name, (gamma, waves) in cases.items()}, len(cases)
 
 
 def check_gamma_zero_limit(cfg, rng):
@@ -409,13 +414,14 @@ def check_gamma_zero_limit(cfg, rng):
     h = momenta.rashba(0.0, b, p)
     pi1, pi2, _ = spectrum.projector_matrices(phi_plus, phi_minus)
     psi, psi_minus, dual, _ = np.moveaxis(eigen_amplitudes(phi_plus, phi_minus), 1, 0)
-    return _worst(
-        h - reversion_matrix(h),
-        amplitude_inner(psi, psi_minus),
-        pi1 - reversion_matrix(pi1),
-        pi2 - reversion_matrix(pi2),
-        psi - dual * amplitude_inner(dual, psi)[:, None] / amplitude_inner(dual, dual)[:, None],
-    ), len(b)
+    return {
+        "hermitian_h": h - reversion_matrix(h),
+        "orthogonal_psi": amplitude_inner(psi, psi_minus),
+        "hermitian_pi1": pi1 - reversion_matrix(pi1),
+        "hermitian_pi2": pi2 - reversion_matrix(pi2),
+        "dual_is_psi": psi - dual * amplitude_inner(dual, psi)[:, None]
+        / amplitude_inner(dual, dual)[:, None],
+    }, len(b)
 
 
 # ------------------------------------------------------------ timereversal
@@ -426,28 +432,31 @@ def check_gamma_zero_limit(cfg, rng):
 def check_antiunitarity(cfg, rng):
     a, b = _complex_normal(rng, (2, cfg.samples, 2))
     ta, tb = timereversal.reverse_amplitudes(a), timereversal.reverse_amplitudes(b)
-    return _worst(amplitude_inner(ta, tb) - amplitude_inner(b, a),
-                  np.linalg.norm(ta, axis=-1) - np.linalg.norm(a, axis=-1)), cfg.samples
+    return {"inner_product": amplitude_inner(ta, tb) - amplitude_inner(b, a),
+            "norm": np.linalg.norm(ta, axis=-1) - np.linalg.norm(a, axis=-1)}, cfg.samples
 
 
 def check_anti_involution(cfg, rng):
     a = _complex_normal(rng, (cfg.samples, 2))
     tta = timereversal.reverse_amplitudes(timereversal.reverse_amplitudes(a))
-    return _worst(tta + a), cfg.samples
+    return {"t_squared": tta + a}, cfg.samples
 
 
 def check_pseudo_hermiticity(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    residuals = [timereversal.pseudo_hermitian_residual(momenta.rashba(gg, b, -p, sign=sign),
-                                                        momenta.rashba(gg, b, p, sign=sign))
-                 for gg in (g, -g) for sign in (1, -1)]
-    residuals.append(reversion_matrix(momenta.rashba(g, b, p)) - momenta.rashba(-g, b, p))
-    return _worst(*residuals), cfg.samples
+    terms = {f"r_{sname}_{gname}": timereversal.pseudo_hermitian_residual(
+                 momenta.rashba(gg, b, -p, sign=sign), momenta.rashba(gg, b, p, sign=sign))
+             for gname, gg in (("gamma", g), ("mirrored_gamma", -g))
+             for sname, sign in (("plus", 1), ("minus", -1))}
+    adjoint = reversion_matrix(momenta.rashba(g, b, p)) - momenta.rashba(-g, b, p)
+    return {**terms, "adjoint_mirrors_gamma": adjoint}, cfg.samples
 
 
 def check_kramers(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    return _worst(timereversal.kramers_pairing(g, b, p).residual), cfg.samples
+    _, terms = timereversal.kramers_pairing(g, b, p)      # dual matching at p or -p
+    return {"dual_matching": np.minimum(terms.pop("same_p"), terms.pop("flipped_p")),
+            **terms}, cfg.samples
 
 
 def check_noncommutation_witness(cfg, rng):
@@ -458,38 +467,36 @@ def check_noncommutation_witness(cfg, rng):
     gammas = np.array(cfg.gamma_values)
     gammas = np.concatenate([[0.0], gammas[gammas != 0.0]])     # gamma = 0 first
     witness = timereversal.noncommutation_witness(gammas, betas[:, None], p[:, None])
-    worst = _worst(witness[:, 0])
-    if not _visibly_nonzero(witness[:, 1:]):
-        worst = max(worst, 1.0)
-    return worst, witness.size
+    return {"commutes_at_gamma_zero": witness[:, 0],
+            "witness_nonzero_gamma": _nonzero_witness(witness[:, 1:])}, witness.size
 
 
 def check_reversed_schrodinger(cfg, rng):
     g, b = _gamma_beta_pairs(cfg.gamma_values[:3], cfg.nonzero_betas()[:2])
     p = _momenta(cfg, rng, len(g))
-    return _worst(timereversal.reversed_schrodinger_residual(g, b, p)), len(g)
+    return {"reversed_eigen_identity": timereversal.reversed_schrodinger_residual(g, b, p)}, len(g)
 
 
 # -------------------------------------------------------------------- ideal
 
 def check_ideal_basis(cfg, rng):
-    want = (
-        np.array([[1, 0], [0, 0]], dtype=complex),
-        np.array([[0, 0], [1j, 0]], dtype=complex),
-        np.array([[0, 0], [-1, 0]], dtype=complex),
-        np.array([[1j, 0], [0, 0]], dtype=complex),
-    )
+    want = {
+        "g0": np.array([[1, 0], [0, 0]], dtype=complex),
+        "g1": np.array([[0, 0], [1j, 0]], dtype=complex),
+        "g2": np.array([[0, 0], [-1, 0]], dtype=complex),
+        "g3": np.array([[1j, 0], [0, 0]], dtype=complex),
+    }
     gammas = np.concatenate([cfg.gamma_values, rng.uniform(-0.99, 0.99, size=10)])
     ib = ideal.build_ideal_basis(gammas)
-    return _worst(*(got - ref for got, ref in zip((ib.g0, ib.g1, ib.g2, ib.g3), want)),
-                  ib.g0 @ ib.g0 - ib.g0), len(gammas)
+    return {**{name: getattr(ib, name) - ref for name, ref in want.items()},
+            "g0_idempotent": ib.g0 @ ib.g0 - ib.g0}, len(gammas)
 
 
 def check_left_ideal_closure(cfg, rng):
     u = _complex_normal(rng, (cfg.samples, 2, 2))
     amps = _complex_normal(rng, (cfg.samples, 2))
     prod = u @ ideal.ideal_matrix(amps)
-    return _worst(prod[..., :, 1]), cfg.samples
+    return {"second_column": prod[..., :, 1]}, cfg.samples
 
 
 def check_flip_consistency(cfg, rng):
@@ -497,21 +504,21 @@ def check_flip_consistency(cfg, rng):
     amps = _complex_normal(rng, (cfg.samples, 2))
     via_ideal = ideal.basis_flip(ideal.ideal_matrix(amps))[..., :, 0]
     via_tr = timereversal.reverse_amplitudes(amps)
-    return _worst(ideal.basis_flip(ideal.basis_flip(u)) + u,
-                  via_ideal - via_tr), cfg.samples
+    return {"flip_squared": ideal.basis_flip(ideal.basis_flip(u)) + u,
+            "flip_is_time_reversal": via_ideal - via_tr}, cfg.samples
 
 
 def check_inner_products(cfg, rng):
     a, b = _complex_normal(rng, (2, cfg.samples, 2))
     ia, ib = ideal.ideal_matrix(a), ideal.ideal_matrix(b)
     c1 = ideal.c1_form(ia, ib)
-    return _worst(
-        c1 - amplitude_inner(a, b),
+    return {
+        "c1_inner": c1 - amplitude_inner(a, b),
         # the second product conjugates the first with swapped arguments
-        ideal.c2_form(ia, ib) - np.conj(c1),
+        "c2_conjugates_c1": ideal.c2_form(ia, ib) - np.conj(c1),
         # anti-unitarity of the flip in terms of C1
-        ideal.c1_form(ideal.basis_flip(ib), ideal.basis_flip(ia)) - c1,
-    ), cfg.samples
+        "flip_antiunitary": ideal.c1_form(ideal.basis_flip(ib), ideal.basis_flip(ia)) - c1,
+    }, cfg.samples
 
 
 def check_invariance_groups(cfg, rng):
@@ -521,12 +528,12 @@ def check_invariance_groups(cfg, rng):
     in_g, in_gp = ideal.invariance_group_check(q)
     ia, ib = ideal.ideal_matrix(a), ideal.ideal_matrix(b)
     rot_a, rot_b = q @ ia, q @ ib
-    worst = _worst(ideal.c1_form(rot_a, rot_b) - ideal.c1_form(ia, ib),
-                   ideal.c2_form(rot_a, rot_b) - ideal.c2_form(ia, ib))
     in_g_bad, _ = ideal.invariance_group_check(np.diag([2.0, 1.0]))
-    if not np.all(in_g & in_gp) or in_g_bad:
-        worst = max(worst, 1.0)
-    return worst, cfg.samples
+    return {"c1_preserved": ideal.c1_form(rot_a, rot_b) - ideal.c1_form(ia, ib),
+            "c2_preserved": ideal.c2_form(rot_a, rot_b) - ideal.c2_form(ia, ib),
+            "unitary_in_g": np.where(in_g, 0.0, 1.0),
+            "unitary_in_gprime": np.where(in_gp, 0.0, 1.0),
+            "nonunitary_rejected": np.where(in_g_bad, 1.0, 0.0)}, cfg.samples
 
 
 # --------------------------------------------------------------------- susy
@@ -536,19 +543,19 @@ def check_susy_algebra(cfg, rng):
     tp, tm = susy.supercharges(g, b, p)
     h = susy.susy_hamiltonian(g, b, p)
     w = susy.witten_parity()
-    return _worst(
-        tp @ tp,
-        tm @ tm,
-        h[:, :2, :2] - momenta.rashba(g, b, p),
-        h[:, 2:, 2:] - momenta.rashba(g, b, p, sign=-1),
-        h[:, :2, 2:], h[:, 2:, :2],
-        h @ tp - tp @ h,
-        h @ tm - tm @ h,
-        w @ w - np.eye(4),
-        w @ tp + tp @ w,
-        w @ tm + tm @ w,
-        w @ h - h @ w,
-    ), cfg.samples
+    return {
+        "theta_plus_nilpotent": tp @ tp,
+        "theta_minus_nilpotent": tm @ tm,
+        "upper_block": h[:, :2, :2] - momenta.rashba(g, b, p),
+        "lower_block": h[:, 2:, 2:] - momenta.rashba(g, b, p, sign=-1),
+        "upper_right_block": h[:, :2, 2:], "lower_left_block": h[:, 2:, :2],
+        "h_commutes_theta_plus": h @ tp - tp @ h,
+        "h_commutes_theta_minus": h @ tm - tm @ h,
+        "parity_squared": w @ w - np.eye(4),
+        "parity_anticommutes_theta_plus": w @ tp + tp @ w,
+        "parity_anticommutes_theta_minus": w @ tm + tm @ w,
+        "parity_commutes_h": w @ h - h @ w,
+    }, cfg.samples
 
 
 def check_pseudo_susy(cfg, rng):
@@ -556,12 +563,14 @@ def check_pseudo_susy(cfg, rng):
     _, lm, hps = susy.pseudo_susy(g, b, p)
     s = susy.super_time_reversal()
     sharp = timereversal.pseudo_adjoint(susy.pseudo_susy(g, b, -p)[0])
-    return _worst(
-        hps - susy.susy_hamiltonian(g, b, p),
-        *susy.intertwining_residuals(g, b, p),
-        s @ s + np.eye(4),
-        sharp - lm,
-    ), cfg.samples
+    intertwine_plus, intertwine_minus = susy.intertwining_residuals(g, b, p)
+    return {
+        "hamiltonian": hps - susy.susy_hamiltonian(g, b, p),
+        "intertwining_r_plus": intertwine_plus,
+        "intertwining_r_minus": intertwine_minus,
+        "s_squared": s @ s + np.eye(4),
+        "pseudo_adjoint": sharp - lm,
+    }, cfg.samples
 
 
 def check_susy_sector_pairing(cfg, rng):
@@ -575,7 +584,7 @@ def check_susy_sector_pairing(cfg, rng):
     mapped = matvec(tm[:, None], np.concatenate([psi, np.zeros_like(psi)], axis=-1))[..., 2:]
     residual = matvec(r_minus[:, None], mapped) - _eigen_lambdas(b, p) * mapped
     keep = ~(np.abs(mapped).max(axis=-1) < 1e-8)      # zero modes are skipped
-    return _worst(residual[keep]), n
+    return {"eigen_identity": residual[keep]}, n
 
 
 # ------------------------------------------------------------------ registry
@@ -629,27 +638,30 @@ REGISTRY = (
 
 def run_all(cfg: SuiteConfig) -> ConformanceReport:
     """Run every registered check, each on its own generator keyed by the
-    seed and the check ID, so a check's draws depend on nothing else.  A
-    check that raises (other than a ConfigError, a usage error) becomes a
-    FAIL entry with an infinite residual, no samples and the exception
-    named, and the run goes on."""
+    seed and the check ID, so a check's draws depend on nothing else, and
+    reduce its terms with :func:`worst_term`; a FAIL entry names its worst
+    term.  A check that raises (other than a ConfigError, a usage error)
+    becomes a FAIL entry with an infinite residual, no samples and the
+    exception named, and the run goes on."""
     entries = []
     for test_id, ref, fn, tol_scale in REGISTRY:
         rng = np.random.default_rng([cfg.seed, zlib.crc32(test_id.encode())])
         error = None
         try:
-            residual, samples = fn(cfg, rng)
+            terms, samples = fn(cfg, rng)
+            residual, term = worst_term(terms)
         except ConfigError:
             raise
         except Exception as exc:
-            residual, samples, error = math.inf, 0, f"{type(exc).__name__}: {exc}"
-        tol = cfg.tolerance * tol_scale
+            residual, term, samples, error = math.inf, None, 0, f"{type(exc).__name__}: {exc}"
+        passed = residual <= cfg.tolerance * tol_scale
         entries.append(ReportEntry(
             test_id=test_id,
             paper_ref=ref,
-            status="pass" if residual <= tol else "fail",
-            max_residual=float(residual),
+            status="pass" if passed else "fail",
+            max_residual=residual,
             samples=int(samples),
+            term=None if passed else term,
             error=error,
         ))
     return ConformanceReport(

@@ -44,12 +44,12 @@ class SuiteConfig:
                 )
         if not self.beta_values:
             raise ConfigError("at least one beta value is required")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.grid_points < 2:
-            raise ConfigError("grid needs at least 2 points per axis")
+        for count, minimum, message in (
+                (self.samples, 1, "samples must be an integer >= 1"),
+                (self.seed, 0, "seed must be a non-negative integer"),
+                (self.grid_points, 2, "grid needs an integer of at least 2 points per axis")):
+            if isinstance(count, bool) or not isinstance(count, int) or count < minimum:
+                raise ConfigError(message)
         numbers = (*self.beta_values, *self.p1_range, *self.p2_range, self.tolerance)
         if not all(math.isfinite(x) for x in numbers):
             raise ConfigError("beta, momentum range and tolerance must be finite")

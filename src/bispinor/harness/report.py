@@ -3,7 +3,8 @@
 The report body is deterministic for a fixed configuration and seed: no
 timestamps or environment data are included.  The JSON form is strict: a
 non-finite max_residual (always a failing entry) is written as null.  An
-entry's error, the exception a check raised, is written only when set.
+entry's term, the worst sub-identity of a failing check, and its error, the
+exception a check raised, are written only when set.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ class ReportEntry:
     status: str            # "pass" | "fail"
     max_residual: float
     samples: int
+    term: str | None = None    # the worst term of a failing check
     error: str | None = None   # the exception of a check that raised
 
 
 def _entry_dict(entry: ReportEntry) -> dict:
     """The entry as JSON-ready fields: a non-finite max_residual becomes
-    None (JSON null), and an unset error is left out."""
-    out = asdict(entry)
+    None (JSON null), and an unset term or error is left out."""
+    out = {key: value for key, value in asdict(entry).items() if value is not None}
     if not math.isfinite(out["max_residual"]):
         out["max_residual"] = None
-    if out["error"] is None:
-        del out["error"]
     return out
 
 
@@ -74,6 +74,7 @@ class ConformanceReport:
                 f"{e.status.upper():4s} {e.test_id:40s} "
                 f"residual={e.max_residual:.3e} samples={e.samples} "
                 f"[ref {e.paper_ref}]"
+                + (f" term={e.term}" if e.term is not None else "")
                 + (f" error={e.error}" if e.error is not None else "")
             )
         lines.append(

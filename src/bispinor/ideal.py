@@ -25,6 +25,9 @@ from .multivector import (
 
 _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
 
+# Largest entry of the defect a group member may show (rounding only).
+GROUP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class IdealBasis:
@@ -95,17 +98,17 @@ def c2_form(a: np.ndarray, b: np.ndarray):
                     axis1=-2, axis2=-1)
 
 
-def invariance_group_check(u: np.ndarray, tol: float = 1e-10):
+def invariance_group_check(u: np.ndarray):
     """Membership of (..., 2, 2) matrices in the two invariance groups.
 
     in_G: reversion(u) u = 1, equivalent to unitarity (preserves C1).
     in_Gprime: conj_cl(u) u_flat = 1 with the flip taken at operator level,
     u_flat = e13 conj(u) e13^-1 (preserves C2); on matrices this again
-    carves out the unitary group.
+    carves out the unitary group.  A defect up to GROUP_TOL is rounding.
     """
     u = np.asarray(u, dtype=complex)
     i2 = np.eye(2)
-    in_g = np.abs(reversion_matrix(u) @ u - i2).max(axis=(-1, -2)) <= tol
+    in_g = np.abs(reversion_matrix(u) @ u - i2).max(axis=(-1, -2)) <= GROUP_TOL
     u_flat = time_reverse_matrix(u)
-    in_gp = np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max(axis=(-1, -2)) <= tol
+    in_gp = np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max(axis=(-1, -2)) <= GROUP_TOL
     return in_g[()], in_gp[()]

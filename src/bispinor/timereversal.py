@@ -12,8 +12,6 @@ becomes the fixed-momentum matrix equation H(-p) U = U H(p)^T with U = e13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .momenta import rashba
@@ -83,27 +81,18 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     return {"vector_rule": vector_rule, "listed_set": listed_set}
 
 
-@dataclass(frozen=True)
-class KramersResult:
-    """Kramers pairing residuals; fields are arrays over batched inputs."""
-
-    n_plus: int
-    n_minus: int
-    residual: float
-    same_p_residual: float
-    flipped_p_residual: float
-
-
-def kramers_pairing(gamma, beta, p, wave_sign: int = 1) -> KramersResult:
+def kramers_pairing(gamma, beta, p, wave_sign: int = 1):
     """Match T psi_pm against the dual family (eigenvectors of the adjoint),
     elementwise over gamma, beta (...) and momenta (..., 2).
 
     At the amplitude level T psi_+ equals +- the dual_- finite part and
     T psi_- equals +- dual_+; the sign exponent n in the factor (-1)^n is
-    measured per branch.  The full time-reversed state lives at momentum -p
-    and is checked to be an eigenvector of R^+_{-gamma}(-p) with the same
-    eigenvalue; amplitude-level matchings at p and at -p are both computed
-    and reported.
+    measured per branch.  Returns the exponents (..., 2) of the + and -
+    branch and a dict of residual terms, each (...): 'same_p' and
+    'flipped_p', the matchings against the duals at p and at -p;
+    'orthogonality', <T psi | psi> = 0; and 'eigen_identity', that the
+    time-reversed state, which lives at -p, is an eigenvector of
+    R^+_{-gamma}(-p) with the same eigenvalue.
     """
     p = np.asarray(p, dtype=float)
     amps = eigen_amplitudes(*phi_angles(gamma, wave_sign * p))
@@ -130,11 +119,8 @@ def kramers_pairing(gamma, beta, p, wave_sign: int = 1) -> KramersResult:
     lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
     eig = _maxabs(matvec(r_flip[..., None, :, :], t_psi) - lam * t_psi, (-1, -2))
 
-    residual = np.maximum.reduce([np.minimum(same_p, flipped_p), ortho, eig])
-    return KramersResult(
-        n_plus=n[..., 0][()], n_minus=n[..., 1][()], residual=residual[()],
-        same_p_residual=same_p[()], flipped_p_residual=flipped_p[()],
-    )
+    return n, {"same_p": same_p[()], "flipped_p": flipped_p[()],
+               "orthogonality": ortho[()], "eigen_identity": eig[()]}
 
 
 def noncommutation_witness(gamma, beta, p):
@@ -156,14 +142,12 @@ def reversed_schrodinger_residual(gamma, beta, p):
     chi(t) = T psi(-t) = e^{-i lambda t} e13 psi*, so i d(chi)/dt =
     H^dagger(-p) chi holds exactly when H^dagger(-p) e13 psi* = lambda e13
     psi*.  The residual is the largest entry of H^dagger(-p) e13 psi_pm* -
-    lambda_pm e13 psi_pm* over both branches, one per row; a row that is
-    not finite reads inf.  Since R^+_{-gamma}(-p) = H^dagger(-p), this is
-    the eigen-identity term of :func:`kramers_pairing` reached through the
-    dynamics.
+    lambda_pm e13 psi_pm* over both branches, one per row.  Since
+    R^+_{-gamma}(-p) = H^dagger(-p), this is the eigen-identity term of
+    :func:`kramers_pairing` reached through the dynamics.
     """
     p = np.asarray(p, dtype=float)
     chi = reverse_amplitudes(eigen_amplitudes(*phi_angles(gamma, p))[..., :2, :])
     h_adj = reversion_matrix(rashba(gamma, beta, -p))
     lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
-    worst = _maxabs(matvec(h_adj[..., None, :, :], chi) - lam * chi, (-1, -2))
-    return np.where(np.isfinite(worst), worst, np.inf)[()]
+    return _maxabs(matvec(h_adj[..., None, :, :], chi) - lam * chi, (-1, -2))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from bispinor import biortho, momenta, multivector, spectrum, timereversal
 from bispinor.harness import checks
-from bispinor.harness.checks import _momenta, _visibly_nonzero, _worst, run_all
+from bispinor.harness.checks import _momenta, _nonzero_witness, run_all, worst_term
 from bispinor.harness.config import SuiteConfig
 from bispinor.multivector import (
     deformation_omega,
@@ -57,19 +57,24 @@ def ideal_basis_at(g):
 
 
 # ------------------------------------------------------------ the loops
+#
+# Each loop returns the check's terms, with the same names in the same order,
+# each term a list of per-point residuals.
 
 def loop_reversed_generators(cfg, rng):
-    residuals = [value for g in cfg.gamma_values for value in generator_reversal_at(g).values()]
-    return _worst(*residuals), len(cfg.gamma_values)
+    per_point = [generator_reversal_at(g) for g in cfg.gamma_values]
+    return {name: [r[name] for r in per_point] for name in ("vector_rule", "listed_set")}, \
+        len(cfg.gamma_values)
 
 
 def loop_generator_synthesis(cfg, rng):
-    residuals = []
+    terms = {"generators": [], "squares": []}
     for g in cfg.gamma_values:
         pair = biortho.canonical_pair(float(np.arcsin(g)))
         made = np.array(biortho.synthesize_generators(pair))
-        residuals += [made - deformed_generators(g)[1:4], made @ made - _I2]
-    return _worst(*residuals), len(cfg.gamma_values)
+        terms["generators"].append(made - deformed_generators(g)[1:4])
+        terms["squares"].append(made @ made - _I2)
+    return terms, len(cfg.gamma_values)
 
 
 def loop_diagonal_momentum_angles(cfg, rng):
@@ -80,44 +85,35 @@ def loop_diagonal_momentum_angles(cfg, rng):
             angles = [spectrum.phi_angles(g, np.array([r, sign * r])) for r in (0.5, 2.0, 7.0)]
             residuals += [np.array(angles[0]) - np.array(other) for other in angles[1:]]
             n += 1
-    return _worst(*residuals), n
+    return {"radius_independence": residuals}, n
 
 
 def loop_gamma_zero_limit(cfg, rng):
-    residuals = []
+    terms = {name: [] for name in ("hermitian_h", "orthogonal_psi", "hermitian_pi1",
+                                   "hermitian_pi2", "dual_is_psi")}
     betas = cfg.nonzero_betas()
     for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
         es = spectrum.eigensystem(0.0, b, p)
         h = momenta.rashba(0.0, b, p)
         pi1, pi2, _ = spectrum.projector_matrices(es.phi_plus, es.phi_minus)
         psi, psi_minus, dual, _ = es.amplitudes
-        residuals += [
-            h - reversion_matrix(h),
-            np.vdot(psi, psi_minus),
-            pi1 - reversion_matrix(pi1),
-            pi2 - reversion_matrix(pi2),
-            psi - dual * np.vdot(dual, psi) / np.vdot(dual, dual),
-        ]
-    return _worst(*residuals), len(betas)
+        terms["hermitian_h"].append(h - reversion_matrix(h))
+        terms["orthogonal_psi"].append(np.vdot(psi, psi_minus))
+        terms["hermitian_pi1"].append(pi1 - reversion_matrix(pi1))
+        terms["hermitian_pi2"].append(pi2 - reversion_matrix(pi2))
+        terms["dual_is_psi"].append(psi - dual * np.vdot(dual, psi) / np.vdot(dual, dual))
+    return terms, len(betas)
 
 
 def loop_noncommutation_witness(cfg, rng):
-    residuals = []
-    all_visible = True
-    n = 0
+    residuals, witnesses = [], []
     betas = cfg.nonzero_betas()
     for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
         residuals.append(timereversal.noncommutation_witness(0.0, b, p))
-        for g in cfg.gamma_values:
-            if g == 0.0:
-                continue
-            witness = timereversal.noncommutation_witness(g, b, p)
-            all_visible = all_visible and _visibly_nonzero(witness)
-            n += 1
-    worst = _worst(*residuals)
-    if not all_visible:
-        worst = max(worst, 1.0)
-    return worst, n + len(betas)
+        witnesses += [timereversal.noncommutation_witness(g, b, p)
+                      for g in cfg.gamma_values if g != 0.0]
+    return {"commutes_at_gamma_zero": residuals,
+            "witness_nonzero_gamma": _nonzero_witness(witnesses)}, len(witnesses) + len(betas)
 
 
 def loop_ideal_basis(cfg, rng):
@@ -128,12 +124,13 @@ def loop_ideal_basis(cfg, rng):
         np.array([[1j, 0], [0, 0]], dtype=complex),
     )
     gammas = list(cfg.gamma_values) + [float(x) for x in rng.uniform(-0.99, 0.99, size=10)]
-    residuals = []
+    terms = {name: [] for name in ("g0", "g1", "g2", "g3", "g0_idempotent")}
     for g in gammas:
         ib = ideal_basis_at(g)
-        residuals += [got - ref for got, ref in zip(ib, want)]
-        residuals.append(ib[0] @ ib[0] - ib[0])
-    return _worst(*residuals), len(gammas)
+        for name, got, ref in zip(("g0", "g1", "g2", "g3"), ib, want):
+            terms[name].append(got - ref)
+        terms["g0_idempotent"].append(ib[0] @ ib[0] - ib[0])
+    return terms, len(gammas)
 
 
 ORACLES = {
@@ -148,12 +145,18 @@ CHECKS = {test_id: fn for test_id, _, fn, _ in checks.REGISTRY}
 
 
 def assert_matches_loops(cfg):
+    """The reducer gives the same residual bits and the same worst term on a
+    check's terms as on its loop's."""
     for test_id, oracle in ORACLES.items():
         def rng():
             return np.random.default_rng([cfg.seed, zlib.crc32(test_id.encode())])
-        residual, samples = CHECKS[test_id](cfg, rng())
-        want_residual, want_samples = oracle(cfg, rng())
+        terms, samples = CHECKS[test_id](cfg, rng())
+        want_terms, want_samples = oracle(cfg, rng())
+        assert list(terms) == list(want_terms), test_id
+        residual, term = worst_term(terms)
+        want_residual, want_term = worst_term(want_terms)
         assert float(residual).hex() == float(want_residual).hex(), test_id
+        assert term == want_term, test_id
         assert samples == want_samples, test_id
 
 
@@ -182,7 +185,8 @@ def test_batched_checks_equal_their_loops_on_overflow():
     with np.errstate(all="ignore"):
         assert_matches_loops(cfg)
         rng = np.random.default_rng([cfg.seed, zlib.crc32(b"timereversal.reversed_schrodinger")])
-        assert checks.check_reversed_schrodinger(cfg, rng)[0] == np.inf
+        terms, _ = checks.check_reversed_schrodinger(cfg, rng)
+        assert worst_term(terms) == (np.inf, "reversed_eigen_identity")
 
 
 # ------------------------------------------------------------ call counts

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 from bispinor import cli
+from bispinor.harness import checks
 from bispinor.harness.checks import (
     REGISTRY,
     check_magnetic_trs_convention,
     check_noncommutation_witness,
     run_all,
+    worst_term,
 )
 from bispinor.harness.config import ConfigError, SuiteConfig
 from bispinor.spectrum import eigenvalues
@@ -28,6 +31,16 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(argv, capsys):
+    """The exit code of ``bispinor argv``, whether main returns it or
+    argparse exits with it."""
+    try:
+        return run(argv, capsys)[0]
+    except SystemExit as exc:
+        capsys.readouterr()
+        return exc.code
 
 
 class TestVerify:
@@ -87,6 +100,21 @@ class TestVerify:
     def test_config_rejects_seed_that_is_not_a_non_negative_int(self, seed):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             SuiteConfig(seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", True), ("samples", 0),
+        ("grid_points", 3.5), ("grid_points", True), ("grid_points", 1),
+    ])
+    def test_config_rejects_counts_that_are_not_ints(self, field, value):
+        # a float count used to reach the checks and fail them with a
+        # TypeError; the seed has its own test above
+        with pytest.raises(ConfigError, match="integer"):
+            SuiteConfig(**{field: value})
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("option", ["--samples=2.5", "--seed=1.5", "--grid=-1:1:3.5"])
+    def test_non_integer_count_is_usage_error(self, command, option, capsys):
+        assert exit_code([command, option], capsys) == 2
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "texture"])
     def test_infinite_grid_width_is_usage_error(self, command, capsys):
@@ -204,6 +232,29 @@ class TestReport:
                          "error": "ValueError: vanishing associated norm"}
 
 
+    def test_failing_entry_names_its_worst_term(self, tmp_path, monkeypatch, capsys):
+        # break one sub-identity of spectrum.projectors, Pi1 Pi2 = 0
+        def broken(cfg, rng):
+            terms, samples = checks.check_projectors(cfg, rng)
+            return {**terms, "orthogonality": terms["orthogonality"] + 1e-3}, samples
+
+        monkeypatch.setattr(checks, "REGISTRY", tuple(
+            (test_id, ref, broken if fn is checks.check_projectors else fn, scale)
+            for test_id, ref, fn, scale in REGISTRY))
+        out_path = tmp_path / "r.json"
+        code, out, _ = run(["report", "--out", str(out_path)], capsys)
+        assert code == 1
+        (failed,) = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert "spectrum.projectors" in failed
+        assert failed.endswith("[ref 5] term=orthogonality")
+        assert " term=" not in out.replace(failed, "")
+        entries = json.loads(out_path.read_text())["entries"]
+        (entry,) = [e for e in entries if "term" in e]
+        assert entry["test_id"] == "spectrum.projectors"
+        assert entry["term"] == "orthogonality" and entry["status"] == "fail"
+        assert entry["max_residual"] == pytest.approx(1e-3)
+
+
 class TestSpectrumExport:
     def test_csv_matches_closed_form(self, capsys):
         code, out, _ = run(
@@ -319,12 +370,23 @@ class TestRegistry:
 
     def test_nonfinite_witnesses_fail(self):
         # |p| ~ 1e160 overflows every matrix entry; a NaN witness must not
-        # count as "visibly nonzero"
+        # count as "visibly nonzero": its term reads 1.0
         cfg = SuiteConfig(p1_range=(-1e160, 1e160), p2_range=(-1e160, 1e160))
         for check in (check_noncommutation_witness, check_magnetic_trs_convention):
             with np.errstate(all="ignore"):
-                residual, _ = check(cfg, np.random.default_rng(7))
-            assert residual > cfg.tolerance
+                terms, _ = check(cfg, np.random.default_rng(7))
+            assert worst_term(terms)[0] > cfg.tolerance
+            witnesses = {name: t for name, t in terms.items() if name.startswith("witness")}
+            assert witnesses and worst_term(witnesses)[0] == 1.0
+
+    def test_worst_term_rule(self):
+        # max |.| per term; the first non-finite term wins, else the first
+        # with the largest residual
+        assert worst_term({}) == (0.0, None)
+        assert worst_term({"a": [0.0], "b": np.zeros(0)}) == (0.0, "a")
+        assert worst_term({"a": [0.5], "b": [-2.0, 1.0], "c": [2.0]}) == (2.0, "b")
+        assert worst_term({"a": [3.0], "b": [np.nan], "c": [np.inf]}) == (math.inf, "b")
+        assert worst_term({"a": [1j * np.inf], "b": [1.0]}) == (math.inf, "a")
 
     def test_grid_equals_syntax_with_negative_bound(self, capsys):
         code, _, _ = run(["verify", "--gamma", "0.0", "--beta", "1.0",

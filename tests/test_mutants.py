@@ -3,7 +3,7 @@
 Some checks read exactly 0 on correct code, or test only part of a closed
 form; each mutant below is a plausible slip in the library, patched in where
 the check looks it up, and the check's entry at the default configuration
-must turn to "fail".
+must turn to "fail" and name the sub-identity (term) that caught it.
 """
 
 import numpy as np
@@ -52,32 +52,33 @@ def map_with_e23_and_e31_swapped(a, gamma=0.0):
 
 
 MUTANTS = {
-    # (test_id, module, attribute, broken implementation)
-    "spin_without_plane": ("spectrum.spin_vector_planar", spectrum,
+    # (test_id, term, module, attribute, broken implementation)
+    "spin_without_plane": ("spectrum.spin_vector_planar", "closed_form", spectrum,
                            "spin_expectations", spin_without_plane),
-    "spin_with_x_and_y_swapped": ("spectrum.spin_vector_planar", spectrum,
+    "spin_with_x_and_y_swapped": ("spectrum.spin_vector_planar", "closed_form", spectrum,
                                   "spin_expectations", spin_with_x_and_y_swapped),
-    "time_reversal_without_conjugation": ("clifford.reversed_generators", timereversal,
-                                          "time_reverse_matrix",
+    "time_reversal_without_conjugation": ("clifford.reversed_generators", "listed_set",
+                                          timereversal, "time_reverse_matrix",
                                           time_reversal_without_conjugation),
-    "rashba_with_stray_zeeman": ("timereversal.pseudo_hermiticity", momenta,
+    "rashba_with_stray_zeeman": ("timereversal.pseudo_hermiticity", "r_plus_gamma", momenta,
                                  "rashba", rashba_with_stray_zeeman),
     # the coefficient map every momenta operator goes through (reads 36)
-    "map_with_gamma_mirrored": ("spectrum.eigen_identity", momenta,
+    "map_with_gamma_mirrored": ("spectrum.eigen_identity", "right", momenta,
                                 "to_matrix", map_with_gamma_mirrored),
-    "map_with_e2_flipped": ("momenta.factorization", momenta,
+    "map_with_e2_flipped": ("momenta.factorization", "pb_pa", momenta,
                             "to_matrix", map_with_e2_flipped),
     # the map the generators are built with (reads 2.5)
-    "map_with_e23_and_e31_swapped": ("clifford.reversed_generators", multivector,
+    "map_with_e23_and_e31_swapped": ("clifford.reversed_generators", "listed_set", multivector,
                                      "to_matrix", map_with_e23_and_e31_swapped),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_check_fails_under_mutant(name, monkeypatch):
-    test_id, module, attribute, broken = MUTANTS[name]
+    test_id, term, module, attribute, broken = MUTANTS[name]
     assert entry(test_id).status == "pass"
     monkeypatch.setattr(module, attribute, broken)
     got = entry(test_id)
     assert got.status == "fail"
     assert got.max_residual > 0.5
+    assert got.term == term

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bispinor.biortho import canonical_pair, synthesize_generators
+from bispinor.harness.checks import worst_term
 from bispinor.ideal import build_ideal_basis, c1_form, c2_form, ideal_components, ideal_matrix
 from bispinor.momenta import (
     clifford_momentum,
@@ -228,12 +229,12 @@ def test_projectors_and_expectation(inputs):
 @given(rashba_inputs())
 def test_kramers_pairing(inputs):
     g, b, p, scale = inputs
-    batched = kramers_pairing(g, b, p)
+    n, terms = kramers_pairing(g, b, p)
     singles = [kramers_pairing(x, y, q) for x, y, q in zip(g, b, p)]
-    for field in ("n_plus", "n_minus"):
-        assert np.array_equal(getattr(batched, field), [getattr(s, field) for s in singles])
-    for field in ("residual", "same_p_residual", "flipped_p_residual"):
-        assert_stacked(getattr(batched, field), [getattr(s, field) for s in singles], scale)
+    assert np.array_equal(n, [s_n for s_n, _ in singles])
+    assert list(terms) == ["same_p", "flipped_p", "orthogonality", "eigen_identity"]
+    for name in terms:
+        assert_stacked(terms[name], [s_terms[name] for _, s_terms in singles], scale)
 
 
 gamma_stacks = sizes.flatmap(lambda n: stack((n,), -0.99, 0.99))
@@ -276,10 +277,12 @@ def test_reversed_schrodinger_check(inputs):
 
 
 def test_reversed_schrodinger_check_marks_nonfinite_rows():
+    # the overflowing row stays non-finite; the registry's reducer reads it as inf
     p = np.array([[1.0, 0.5], [1e160, 1e160], [0.3, -2.0]])
     with np.errstate(all="ignore"):
         r = reversed_schrodinger_residual(0.4, 1.0, p)
-    assert r[1] == np.inf
+    assert not np.isfinite(r[1])
+    assert worst_term({"reversed_eigen_identity": r}) == (np.inf, "reversed_eigen_identity")
     assert np.all(r[[0, 2]] < 1e-12)
 
 

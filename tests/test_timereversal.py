@@ -137,18 +137,19 @@ class TestKramers:
             p = rng.uniform(-3, 3, size=2)
             if np.hypot(*p) < 0.05:
                 continue
-            out = kramers_pairing(g, beta, p)
-            assert out.residual < 1e-10
-            assert out.n_plus in (0, 1) and out.n_minus in (0, 1)
+            n, terms = kramers_pairing(g, beta, p)
+            assert min(terms["same_p"], terms["flipped_p"]) < 1e-10
+            assert terms["orthogonality"] < 1e-10 and terms["eigen_identity"] < 1e-10
+            assert set(n) <= {0, 1}
 
     def test_same_momentum_matching_wins(self):
-        out = kramers_pairing(0.6, 1.0, np.array([1.2, -0.8]))
-        assert out.same_p_residual < 1e-10
+        _, terms = kramers_pairing(0.6, 1.0, np.array([1.2, -0.8]))
+        assert terms["same_p"] < 1e-10
 
     def test_sign_pattern(self):
-        out = kramers_pairing(0.3, 1.0, np.array([0.9, 0.4]))
+        n, _ = kramers_pairing(0.3, 1.0, np.array([0.9, 0.4]))
         # plus branch maps with +, minus branch with -
-        assert (out.n_plus, out.n_minus) == (0, 1)
+        assert tuple(n) == (0, 1)
 
 
 class TestDynamics:
@@ -157,9 +158,11 @@ class TestDynamics:
         assert reversed_schrodinger_residual(0.6, 2.0, np.array([30.0, -20.0])) < 1e-10
 
     def test_nan_residual_is_infinite(self):
-        # a NaN momentum gives NaN entries, which must read as a failure
+        # a NaN momentum gives NaN entries, which the registry's reducer
+        # must read as an infinite residual, a failure
         with np.errstate(all="ignore"):
-            assert reversed_schrodinger_residual(0.5, 1.0, np.array([np.nan, 1.0])) == np.inf
+            r = reversed_schrodinger_residual(0.5, 1.0, np.array([np.nan, 1.0]))
+        assert checks.worst_term({"reversed_eigen_identity": r})[0] == np.inf
 
     def test_undaggered_hamiltonian_fails(self, monkeypatch):
         # with H(-p) in place of H^dagger(-p) the registry's default draws
@@ -167,7 +170,8 @@ class TestDynamics:
         monkeypatch.setattr(timereversal, "reversion_matrix", lambda m: m)
         cfg = SuiteConfig()
         rng = np.random.default_rng([cfg.seed, zlib.crc32(b"timereversal.reversed_schrodinger")])
-        assert checks.check_reversed_schrodinger(cfg, rng)[0] == pytest.approx(0.76, abs=0.01)
+        residual, _ = checks.worst_term(checks.check_reversed_schrodinger(cfg, rng)[0])
+        assert residual == pytest.approx(0.76, abs=0.01)
 
 
 class TestWitness:
