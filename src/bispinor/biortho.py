@@ -5,11 +5,10 @@ Given orthonormal seed vectors v1, v2 and an invertible transform T, the
 families phi_j = T v_j and chi_j = (T^-1)^dagger v_j satisfy
 <phi_j | chi_k> = <v_j | v_k> identically, so orthonormal seeds give a
 bi-orthogonal system for any invertible T (Hermiticity of T is not needed).
+A pair is two arrays (phi, chi), each (..., 2, 2) with rows phi_j and chi_j.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +17,19 @@ from .spectrum import amplitude_inner
 
 _SEED_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class BiorthoPair:
-    """A bi-orthogonal pair of bases of C^2 produced by one transform; over
-    batched inputs each vector is (..., 2) and the transform (..., 2, 2)."""
-
-    phi: tuple[np.ndarray, np.ndarray]
-    chi: tuple[np.ndarray, np.ndarray]
-    source: tuple[np.ndarray, np.ndarray]
-    transform: np.ndarray
-
-    def gram(self) -> np.ndarray:
-        """Matrices (..., 2, 2) of inner products <phi_j | chi_k>."""
-        phi = np.stack(self.phi, axis=-2)[..., :, None, :]
-        chi = np.stack(self.chi, axis=-2)[..., None, :, :]
-        return amplitude_inner(phi, chi)
+# The canonical seeds v_j = (1, (-1)^(j-1))/sqrt(2), one per row.
+_CANONICAL_SEEDS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray) -> BiorthoPair:
-    """Construct the pair (T v_j, (T^-1)^dagger v_j) from orthonormal seeds
-    v_j (..., 2) and transforms T (..., 2, 2)."""
+def gram(phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Matrices (..., 2, 2) of inner products <phi_j | chi_k> of the rows of
+    phi and chi (..., 2, 2)."""
+    return amplitude_inner(phi[..., :, None, :], chi[..., None, :, :])
+
+
+def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
+    """The pair (phi, chi) with rows T v_j and (T^-1)^dagger v_j, from
+    orthonormal seeds v_j (..., 2) and transforms T (..., 2, 2)."""
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     t = np.asarray(transform, dtype=complex)
@@ -50,17 +41,19 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray) -> Biortho
         raise ValueError("non-invertible transform")
 
     seeds = np.stack((v1, v2), axis=-2)
-    gram = amplitude_inner(seeds[..., :, None, :], seeds[..., None, :, :])
-    if np.any(np.abs(gram - np.eye(2)) > _SEED_TOL):
+    if np.any(np.abs(gram(seeds, seeds) - np.eye(2)) > _SEED_TOL):
         raise ValueError("seed vectors not orthonormal")
 
     t_inv_dag = np.linalg.inv(t).conj().swapaxes(-1, -2)
-    return BiorthoPair(
-        phi=(matvec(t, v1), matvec(t, v2)),
-        chi=(matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)),
-        source=(v1, v2),
-        transform=t,
-    )
+    return (np.stack((matvec(t, v1), matvec(t, v2)), axis=-2),
+            np.stack((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
+
+
+def canonical_pair(theta):
+    """The pair (phi, chi) from the canonical seeds and the deformation
+    transforms at angles theta (...)."""
+    v1, v2 = _CANONICAL_SEEDS
+    return build_pair(v1, v2, deformation_transform(np.sin(theta)))
 
 
 # Coefficient tables c^(m)_{jk} of the rank-one synthesis
@@ -75,31 +68,11 @@ _SYNTH_COEFFS = np.array([
 _SYNTH_PHASES = np.array([(1j) ** (m + 1) for m in (1, 2, 3)])
 
 
-def synthesize_generators(pair: BiorthoPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the three deformed vector generators, each (..., 2, 2) over
-    the pair's batch axes, from rank-one projectors.
-
-    Requires the canonical seed family v_j = (1, (-1)^(j-1))/sqrt(2); any
-    other seed family is rejected.
-    """
-    expected = (
-        np.array([1.0, 1.0]) / np.sqrt(2.0),
-        np.array([1.0, -1.0]) / np.sqrt(2.0),
-    )
-    for v, want in zip(pair.source, expected):
-        if np.abs(v - want).max() > _SEED_TOL:
-            raise ValueError("unsupported seed")
-
-    phi, chi = np.stack(pair.phi, axis=-2), np.stack(pair.chi, axis=-2)
+def synthesize_generators(theta) -> np.ndarray:
+    """The three deformed vector generators at angles theta (...), stacked
+    (..., 3, 2, 2), assembled from the rank-one projectors of the canonical
+    pair."""
+    phi, chi = canonical_pair(theta)
     # |phi_j><chi_k| over (..., j, k, a, b)
     outer = phi[..., :, None, :, None] * np.conj(chi)[..., None, :, None, :]
-    made = _SYNTH_PHASES[:, None, None] * np.einsum("mjk,...jkab->...mab", _SYNTH_COEFFS, outer)
-    return tuple(np.moveaxis(made, -3, 0))
-
-
-def canonical_pair(theta) -> BiorthoPair:
-    """Pair from the canonical seeds and the deformation transforms at
-    angles theta (...)."""
-    v1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    v2 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    return build_pair(v1, v2, deformation_transform(np.sin(theta)))
+    return _SYNTH_PHASES[:, None, None] * np.einsum("mjk,...jkab->...mab", _SYNTH_COEFFS, outer)

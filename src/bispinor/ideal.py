@@ -10,8 +10,6 @@ products C1, C2 live on the ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .multivector import (
@@ -25,23 +23,10 @@ from .multivector import (
 
 _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
 
-# Largest entry of the defect a group member may show (rounding only).
-GROUP_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class IdealBasis:
-    """The four ideal generators, each (..., 2, 2) over the gamma axes."""
-
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-
-
-def build_ideal_basis(gamma) -> IdealBasis:
-    """The four ideal generators from the deformed / reversed generator sets
-    at deformation parameters gamma (...).
+def build_ideal_basis(gamma) -> np.ndarray:
+    """The four ideal generators g0..g3, stacked (..., 4, 2, 2), from the
+    deformed / reversed generator sets at deformation parameters gamma (...).
 
     g0 = 1/2 + (w/4)(e3 - ĕ3)        g1 = (1/2) e2 + (w/4)(e23 + ĕ23)
     g2 = (1/2) e31 - (w/4)(e1 - ĕ1)  g3 = (1/2) e123 + (w/4)(e12 + ĕ12)
@@ -59,7 +44,7 @@ def build_ideal_basis(gamma) -> IdealBasis:
     g1 = 0.5 * e2 + 0.25 * w * (e23 + r23)
     g2 = 0.5 * e31 - 0.25 * w * (e1 - r1)
     g3 = 0.5 * e123 + 0.25 * w * (e12 + r12)
-    return IdealBasis(g0=g0, g1=g1, g2=g2, g3=g3)
+    return np.stack((g0, g1, g2, g3), axis=-3)
 
 
 def ideal_matrix(amps) -> np.ndarray:
@@ -98,17 +83,17 @@ def c2_form(a: np.ndarray, b: np.ndarray):
                     axis1=-2, axis2=-1)
 
 
-def invariance_group_check(u: np.ndarray):
-    """Membership of (..., 2, 2) matrices in the two invariance groups.
+def invariance_group_defects(u: np.ndarray):
+    """The defects (...) of (..., 2, 2) matrices from the two invariance groups,
+    the largest entry of each defining product minus the identity.
 
-    in_G: reversion(u) u = 1, equivalent to unitarity (preserves C1).
-    in_Gprime: conj_cl(u) u_flat = 1 with the flip taken at operator level,
+    G: reversion(u) u = 1, equivalent to unitarity (preserves C1).
+    G': conj_cl(u) u_flat = 1 with the flip taken at operator level,
     u_flat = e13 conj(u) e13^-1 (preserves C2); on matrices this again
-    carves out the unitary group.  A defect up to GROUP_TOL is rounding.
+    carves out the unitary group.
     """
     u = np.asarray(u, dtype=complex)
     i2 = np.eye(2)
-    in_g = np.abs(reversion_matrix(u) @ u - i2).max(axis=(-1, -2)) <= GROUP_TOL
     u_flat = time_reverse_matrix(u)
-    in_gp = np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max(axis=(-1, -2)) <= GROUP_TOL
-    return in_g[()], in_gp[()]
+    return (np.abs(reversion_matrix(u) @ u - i2).max(axis=(-1, -2)),
+            np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max(axis=(-1, -2)))

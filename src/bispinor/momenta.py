@@ -10,28 +10,15 @@ hands them to :func:`~bispinor.multivector.to_matrix` at gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .multivector import deformed_generators, to_matrix
 
 
-@dataclass(frozen=True)
-class LinearizationSet:
-    """The 4x4 matrices of the first-order (linearized) Schroedinger system."""
-
-    l: np.ndarray
-    l_prime: np.ndarray
-    n: np.ndarray
-    n_prime: np.ndarray
-    m: tuple[np.ndarray, ...]           # M_1..M_5
-    m_prime: tuple[np.ndarray, ...]     # M_1'..M_5'
-    lam: np.ndarray                     # Lambda = offdiag(1, 1)
-
-
-def build_linearization(gamma: float = 0.0) -> LinearizationSet:
-    """Construct the linearization matrices; the defining relations
+def build_linearization(gamma: float = 0.0):
+    """The 4x4 matrices (l, l_prime, n, n_prime, m, m_prime) of the
+    first-order (linearized) Schroedinger system, with m = M_1..M_5 and
+    m_prime = M_1'..M_5' stacked (5, 4, 4); the defining relations
 
     L'L = 0,  N'N = 0,  L'N + N'L = 2,  L'M_j + M_j'L = 0,
     N'M_i + M_i'N = 0,  M_i'M_j + M_j'M_i = -2 delta_ij
@@ -55,8 +42,8 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
     m5_prime = -1j * lam_inv
     m4 = lam @ gamma4
     m4_prime = -gamma4 @ lam_inv
-    m = tuple(lam @ g for g in gammas) + (m4, m5)
-    m_prime = tuple(-g @ lam_inv for g in gammas) + (m4_prime, m5_prime)
+    m = np.array([lam @ g for g in gammas] + [m4, m5])
+    m_prime = np.array([-g @ lam_inv for g in gammas] + [m4_prime, m5_prime])
 
     # Invert the identifications M4 = i(L + N/2), M5 = L - N/2.
     l = (m5 - 1j * m4) / 2.0
@@ -64,10 +51,7 @@ def build_linearization(gamma: float = 0.0) -> LinearizationSet:
     l_prime = (m5_prime - 1j * m4_prime) / 2.0
     n_prime = -1j * m4_prime - m5_prime
 
-    return LinearizationSet(
-        l=l, l_prime=l_prime, n=n, n_prime=n_prime,
-        m=m, m_prime=m_prime, lam=lam,
-    )
+    return l, l_prime, n, n_prime, m, m_prime
 
 
 def _pad3(p) -> np.ndarray:

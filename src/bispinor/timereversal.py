@@ -81,7 +81,7 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     return {"vector_rule": vector_rule, "listed_set": listed_set}
 
 
-def kramers_pairing(gamma, beta, p, wave_sign: int = 1):
+def kramers_pairing(gamma, beta, p):
     """Match T psi_pm against the dual family (eigenvectors of the adjoint),
     elementwise over gamma, beta (...) and momenta (..., 2).
 
@@ -95,8 +95,8 @@ def kramers_pairing(gamma, beta, p, wave_sign: int = 1):
     R^+_{-gamma}(-p) with the same eigenvalue.
     """
     p = np.asarray(p, dtype=float)
-    amps = eigen_amplitudes(*phi_angles(gamma, wave_sign * p))
-    flipped = eigen_amplitudes(*phi_angles(-gamma, -wave_sign * p))
+    amps = eigen_amplitudes(*phi_angles(gamma, p))
+    flipped = eigen_amplitudes(*phi_angles(-gamma, -p))
     t_psi = reverse_amplitudes(amps[..., :2, :])          # T psi_+, T psi_-
 
     def match(target):

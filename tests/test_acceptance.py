@@ -186,22 +186,18 @@ def test_criterion_07_flip_relations():
 def test_criterion_08_linearization():
     worst = 0.0
     for g in (0.0, 0.5):
-        lin = build_linearization(g)
+        l, l_prime, n, n_prime, m, m_prime = build_linearization(g)
         worst = max(worst,
-                    float(np.abs(lin.l_prime @ lin.l).max()),
-                    float(np.abs(lin.n_prime @ lin.n).max()),
-                    float(np.abs(lin.l_prime @ lin.n + lin.n_prime @ lin.l
-                                 - 2.0 * np.eye(4)).max()))
+                    float(np.abs(l_prime @ l).max()),
+                    float(np.abs(n_prime @ n).max()),
+                    float(np.abs(l_prime @ n + n_prime @ l - 2.0 * np.eye(4)).max()))
         for i in range(3):
-            worst = max(
-                worst,
-                float(np.abs(lin.l_prime @ lin.m[i]
-                             + lin.m_prime[i] @ lin.l).max()),
-                float(np.abs(lin.n_prime @ lin.m[i]
-                             + lin.m_prime[i] @ lin.n).max()))
+            worst = max(worst,
+                        float(np.abs(l_prime @ m[i] + m_prime[i] @ l).max()),
+                        float(np.abs(n_prime @ m[i] + m_prime[i] @ n).max()))
         for i in range(5):
             for j in range(5):
-                anti = lin.m_prime[i] @ lin.m[j] + lin.m_prime[j] @ lin.m[i]
+                anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
                 anti += 2.0 * (i == j) * np.eye(4)
                 worst = max(worst, float(np.abs(anti).max()))
     _report("first-order linearization relations", worst, 1e-12)
@@ -239,12 +235,10 @@ def test_criterion_09_susy():
 def test_criterion_10_ideal_layer():
     rng = np.random.default_rng(2031)
     worst = 0.0
-    g_want = (np.array([[1, 0], [0, 0]]), np.array([[0, 0], [1j, 0]]),
-              np.array([[0, 0], [-1, 0]]), np.array([[1j, 0], [0, 0]]))
+    g_want = np.array([[[1, 0], [0, 0]], [[0, 0], [1j, 0]],
+                       [[0, 0], [-1, 0]], [[1j, 0], [0, 0]]])
     for g in rng.uniform(-0.99, 0.99, size=20):
-        ib = build_ideal_basis(float(g))
-        for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), g_want):
-            worst = max(worst, float(np.abs(got - want).max()))
+        worst = max(worst, float(np.abs(build_ideal_basis(float(g)) - g_want).max()))
     for _ in range(200):
         u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         s = ideal_matrix(rng.normal(size=2) + 1j * rng.normal(size=2))

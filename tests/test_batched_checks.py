@@ -70,8 +70,7 @@ def loop_reversed_generators(cfg, rng):
 def loop_generator_synthesis(cfg, rng):
     terms = {"generators": [], "squares": []}
     for g in cfg.gamma_values:
-        pair = biortho.canonical_pair(float(np.arcsin(g)))
-        made = np.array(biortho.synthesize_generators(pair))
+        made = biortho.synthesize_generators(float(np.arcsin(g)))
         terms["generators"].append(made - deformed_generators(g)[1:4])
         terms["squares"].append(made @ made - _I2)
     return terms, len(cfg.gamma_values)

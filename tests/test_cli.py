@@ -33,6 +33,16 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_process(argv, timeout):
+    """``python -m bispinor.cli argv`` in a fresh interpreter with the
+    checkout's ``src`` first on the path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bispinor.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def exit_code(argv, capsys):
     """The exit code of ``bispinor argv``, whether main returns it or
     argparse exits with it."""
@@ -135,16 +145,25 @@ class TestVerify:
     def test_redraws_of_small_momenta_are_bounded(self, half_width, code):
         # 3e-5 and 2e-6 of the first two boxes lie outside |p| <= 1e-2, 7e-3 of
         # the third: a usage error within the timeout, not minutes of redraws
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["verify", f"--grid=-{half_width}:{half_width}:12", "--samples", "5"]
-        proc = subprocess.run([sys.executable, "-m", "bispinor.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=20)
+        proc = run_process(["verify", f"--grid=-{half_width}:{half_width}:12", "--samples", "5"],
+                           timeout=20)
         assert proc.returncode == code
         if code == 2:
             assert proc.stderr.startswith("error:") and "1e-2" in proc.stderr
             assert proc.stdout == ""
+
+    def test_overflowing_box_fails_without_warnings(self, capsys):
+        # |p| ~ 1e160 overflows most checks to residual inf, which the report
+        # already shows as FAIL; the run prints no floating-point warnings
+        argv = ["verify", "--grid=-1e160:1e160:12"]
+        proc = run_process(argv, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        with np.errstate(all="ignore"):
+            code, out, _ = run(argv, capsys)
+        assert code == 1
+        assert proc.stdout == out
+        assert out.count("residual=inf") > 0
 
     def test_wide_box_passes(self, capsys):
         # eigenvalues near 900 once broke the reversed-Schroedinger check's

@@ -7,7 +7,7 @@ from bispinor.ideal import (
     c2_form,
     ideal_components,
     ideal_matrix,
-    invariance_group_check,
+    invariance_group_defects,
 )
 from bispinor.multivector import E13
 from bispinor.spectrum import amplitude_inner, eigensystem
@@ -15,12 +15,8 @@ from bispinor.timereversal import reverse_amplitudes
 
 TOL = 1e-12
 
-G_WANT = (
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    np.array([[0, 0], [1j, 0]], dtype=complex),
-    np.array([[0, 0], [-1, 0]], dtype=complex),
-    np.array([[1j, 0], [0, 0]], dtype=complex),
-)
+G_WANT = np.array([[[1, 0], [0, 0]], [[0, 0], [1j, 0]],
+                   [[0, 0], [-1, 0]], [[1j, 0], [0, 0]]], dtype=complex)
 
 
 def random_spinor(rng):
@@ -29,25 +25,19 @@ def random_spinor(rng):
 
 class TestIdealBasis:
     def test_gamma_zero(self):
-        ib = build_ideal_basis(0.0)
-        for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), G_WANT):
-            assert np.abs(got - want).max() < TOL
+        assert np.abs(build_ideal_basis(0.0) - G_WANT).max() < TOL
 
     def test_gamma_half_same_constants(self):
-        ib = build_ideal_basis(0.5)
-        for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), G_WANT):
-            assert np.abs(got - want).max() < TOL
+        assert np.abs(build_ideal_basis(0.5) - G_WANT).max() < TOL
 
     def test_random_gamma_independence(self):
         rng = np.random.default_rng(101)
         for g in rng.uniform(-0.99, 0.99, size=20):
-            ib = build_ideal_basis(float(g))
-            for got, want in zip((ib.g0, ib.g1, ib.g2, ib.g3), G_WANT):
-                assert np.abs(got - want).max() < TOL
+            assert np.abs(build_ideal_basis(float(g)) - G_WANT).max() < TOL
 
     def test_idempotent(self):
-        ib = build_ideal_basis(0.3)
-        assert np.abs(ib.g0 @ ib.g0 - ib.g0).max() < TOL
+        g0 = build_ideal_basis(0.3)[0]
+        assert np.abs(g0 @ g0 - g0).max() < TOL
 
 
 class TestConversion:
@@ -68,12 +58,10 @@ class TestConversion:
 
     def test_component_decomposition(self):
         rng = np.random.default_rng(107)
-        ib = build_ideal_basis(0.2)
+        g = build_ideal_basis(0.2)
         for _ in range(20):
             psi = random_spinor(rng)
-            z = ideal_components(psi)
-            recon = sum(zj * gj for zj, gj in
-                        zip(z, (ib.g0, ib.g1, ib.g2, ib.g3)))
+            recon = sum(zj * gj for zj, gj in zip(ideal_components(psi), g))
             assert np.abs(recon - ideal_matrix(psi)).max() < TOL
 
 
@@ -154,21 +142,27 @@ class TestInvarianceGroups:
         alpha = 0.6
         u = np.cos(alpha) * np.eye(2) + 1j * np.sin(alpha) * np.array(
             [[0.0, -1j], [1j, 0.0]])
-        in_g, in_gp = invariance_group_check(u)
-        assert in_g and in_gp
+        assert max(invariance_group_defects(u)) < TOL
 
     def test_nonunitary_rejected(self):
-        in_g, in_gp = invariance_group_check(np.diag([2.0, 1.0]))
-        assert not in_g
-        assert not in_gp
+        # reversion(u) u - 1 = diag(3, 0) for u = diag(2, 1), in both groups
+        assert invariance_group_defects(np.diag([2.0, 1.0])) == (3.0, 3.0)
+
+    def test_scaled_unitary_defect(self):
+        # (1+eps) Q is off the groups by (1+eps)^2 - 1, about 2 eps
+        rng = np.random.default_rng(163)
+        q, _ = np.linalg.qr(rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2)))
+        for eps in (1e-3, -1e-6, 0.1):
+            for defect in invariance_group_defects((1 + eps) * q):
+                assert defect.shape == (20,)
+                assert np.abs(defect - abs(2 * eps + eps * eps)).max() < 1e-12
 
     def test_members_preserve_inner_products(self):
         rng = np.random.default_rng(157)
         for _ in range(50):
             z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             q, _ = np.linalg.qr(z)
-            in_g, in_gp = invariance_group_check(q)
-            assert in_g and in_gp
+            assert max(invariance_group_defects(q)) < TOL
             a, b = random_spinor(rng), random_spinor(rng)
             ia, ib = ideal_matrix(a), ideal_matrix(b)
             ra, rb = q @ ia, q @ ib

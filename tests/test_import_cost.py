@@ -29,3 +29,12 @@ def test_cli_import_leaves_the_registry_unloaded():
             "from bispinor.harness import run_all; "
             "print(run_all.__module__)")
     assert run_python(code).split() == ["False", "bispinor.harness.checks"]
+
+
+def test_cli_import_leaves_the_physics_modules_unloaded():
+    # the exporters need only multivector and spectrum; the package init
+    # imports no submodule
+    code = ("import sys, bispinor.cli; "
+            "print(sorted(m for m in ('biortho', 'momenta', 'timereversal', 'ideal', 'susy') "
+            "if 'bispinor.' + m in sys.modules))")
+    assert run_python(code).strip() == "[]"

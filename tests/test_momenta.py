@@ -23,46 +23,46 @@ TOL = 1e-12
 
 class TestLinearization:
     def test_condensed_relation_full_sweep(self):
-        lin = build_linearization()
+        l, l_prime, n, n_prime, m, m_prime = build_linearization()
         for i in range(5):
             for j in range(5):
-                anti = lin.m_prime[i] @ lin.m[j] + lin.m_prime[j] @ lin.m[i]
+                anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
                 want = -2.0 * (i == j) * np.eye(4)
                 assert np.abs(anti - want).max() < TOL
 
     def test_m5_diagonal_relation(self):
-        lin = build_linearization()
-        anti = lin.m_prime[4] @ lin.m[4] + lin.m_prime[4] @ lin.m[4]
+        l, l_prime, n, n_prime, m, m_prime = build_linearization()
+        anti = m_prime[4] @ m[4] + m_prime[4] @ m[4]
         assert np.abs(anti + 2.0 * np.eye(4)).max() < TOL
 
     def test_nilpotency(self):
-        lin = build_linearization()
-        assert np.abs(lin.l_prime @ lin.l).max() < TOL
-        assert np.abs(lin.n_prime @ lin.n).max() < TOL
+        l, l_prime, n, n_prime, m, m_prime = build_linearization()
+        assert np.abs(l_prime @ l).max() < TOL
+        assert np.abs(n_prime @ n).max() < TOL
 
     def test_ln_cross_relation(self):
-        lin = build_linearization()
-        expr = lin.l_prime @ lin.n + lin.n_prime @ lin.l
+        l, l_prime, n, n_prime, m, m_prime = build_linearization()
+        expr = l_prime @ n + n_prime @ l
         assert np.abs(expr - 2.0 * np.eye(4)).max() < TOL
 
     def test_spatial_m_cross_relations(self):
-        lin = build_linearization()
+        l, l_prime, n, n_prime, m, m_prime = build_linearization()
         for i in range(3):
-            assert np.abs(lin.l_prime @ lin.m[i] + lin.m_prime[i] @ lin.l).max() < TOL
-            assert np.abs(lin.n_prime @ lin.m[i] + lin.m_prime[i] @ lin.n).max() < TOL
+            assert np.abs(l_prime @ m[i] + m_prime[i] @ l).max() < TOL
+            assert np.abs(n_prime @ m[i] + m_prime[i] @ n).max() < TOL
 
     def test_m4_m5_consistent_with_l_n(self):
-        lin = build_linearization()
-        assert np.abs(lin.m[3] - 1j * (lin.l + lin.n / 2.0)).max() < TOL
-        assert np.abs(lin.m[4] - (lin.l - lin.n / 2.0)).max() < TOL
-        assert np.abs(lin.m_prime[3] - 1j * (lin.l_prime + lin.n_prime / 2.0)).max() < TOL
-        assert np.abs(lin.m_prime[4] - (lin.l_prime - lin.n_prime / 2.0)).max() < TOL
+        l, l_prime, n, n_prime, m, m_prime = build_linearization()
+        assert np.abs(m[3] - 1j * (l + n / 2.0)).max() < TOL
+        assert np.abs(m[4] - (l - n / 2.0)).max() < TOL
+        assert np.abs(m_prime[3] - 1j * (l_prime + n_prime / 2.0)).max() < TOL
+        assert np.abs(m_prime[4] - (l_prime - n_prime / 2.0)).max() < TOL
 
     def test_relations_survive_deformation(self):
-        lin = build_linearization(0.7)
+        l, l_prime, n, n_prime, m, m_prime = build_linearization(0.7)
         for i in range(5):
             for j in range(5):
-                anti = lin.m_prime[i] @ lin.m[j] + lin.m_prime[j] @ lin.m[i]
+                anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
                 assert np.abs(anti + 2.0 * (i == j) * np.eye(4)).max() < TOL
 
 

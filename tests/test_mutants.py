@@ -9,7 +9,7 @@ must turn to "fail" and name the sub-identity (term) that caught it.
 import numpy as np
 import pytest
 
-from bispinor import momenta, multivector, spectrum, timereversal
+from bispinor import biortho, ideal, momenta, multivector, spectrum, timereversal
 from bispinor.harness import run_all
 from bispinor.harness.config import SuiteConfig
 
@@ -21,6 +21,9 @@ def entry(test_id):
 
 _spin_expectations = spectrum.spin_expectations     # the originals, kept across patches
 _to_matrix = multivector.to_matrix
+_build_ideal_basis = ideal.build_ideal_basis
+_synthesize_generators = biortho.synthesize_generators
+_build_linearization = momenta.build_linearization
 
 
 def spin_without_plane(amps):
@@ -51,6 +54,23 @@ def map_with_e23_and_e31_swapped(a, gamma=0.0):
     return _to_matrix(np.asarray(a)[..., [0, 1, 2, 3, 4, 6, 5, 7]], gamma)
 
 
+def group_defects_zeroed(u):
+    return np.zeros(np.shape(u)[:-2]), np.zeros(np.shape(u)[:-2])
+
+
+def ideal_basis_with_g1_and_g2_swapped(gamma):
+    return _build_ideal_basis(gamma)[..., [0, 2, 1, 3], :, :]
+
+
+def generators_conjugated(theta):
+    return np.conj(_synthesize_generators(theta))
+
+
+def linearization_with_m_prime_flipped(gamma=0.0):
+    *rest, m_prime = _build_linearization(gamma)
+    return (*rest, -m_prime)
+
+
 MUTANTS = {
     # (test_id, term, module, attribute, broken implementation)
     "spin_without_plane": ("spectrum.spin_vector_planar", "closed_form", spectrum,
@@ -70,6 +90,17 @@ MUTANTS = {
     # the map the generators are built with (reads 2.5)
     "map_with_e23_and_e31_swapped": ("clifford.reversed_generators", "listed_set", multivector,
                                      "to_matrix", map_with_e23_and_e31_swapped),
+    # one per array builder
+    "group_defects_zeroed": ("ideal.invariance_groups", "nonunitary_rejected", ideal,
+                             "invariance_group_defects", group_defects_zeroed),
+    "ideal_basis_with_g1_and_g2_swapped": ("ideal.basis_reproduction", "g1", ideal,
+                                           "build_ideal_basis",
+                                           ideal_basis_with_g1_and_g2_swapped),
+    "generators_conjugated": ("biortho.generator_synthesis", "generators", biortho,
+                              "synthesize_generators", generators_conjugated),
+    "linearization_with_m_prime_flipped": ("momenta.linearization_relations", "n_m_cross",
+                                           momenta, "build_linearization",
+                                           linearization_with_m_prime_flipped),
 }
 
 
