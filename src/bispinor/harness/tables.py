@@ -2,12 +2,23 @@
 
 Each export evaluates its closed forms once over the stacked (gamma, beta,
 grid) arrays; rows are plain floats ordered gamma, beta, p1, p2, branch.
-Floats are written with 17 significant digits, which round-trips doubles.
+``_table`` is the single finiteness guard: an export with a NaN or inf
+raises there, before any row is written.
+
+``render`` writes every row through one %-template built once per table.
+CSV floats are written with 17 significant digits, which round-trips
+doubles.  JSON is byte-identical to ``json.dumps(rows_as_dicts, indent=2,
+sort_keys=True)``: the sorted, encoded keys and the indentation are literal
+text in the template, floats go through ``float.__repr__`` and words
+through ``json``'s own string encoder, as ``json`` itself does.  So
+``render`` takes finite floats and words only, one kind per column.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain, cycle
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,18 +67,34 @@ def texture_rows(cfg: SuiteConfig) -> list[list]:
         spins = spectrum.spin_expectations(amps[..., :2, :])    # (G, N, 2, 3)
         rows = _table("texture", gammas[..., None], pts[:, :1], pts[:, 1:],
                       spins[..., 0], spins[..., 1], spins[..., 2])
-    for i, row in enumerate(rows):
-        row.insert(0, ("plus", "minus")[i % 2])
-    return rows
+    return [[branch, *row] for branch, row in zip(cycle(("plus", "minus")), rows)]
 
 
 def render(header, rows, fmt: str) -> str:
-    """Rows (any iterable of float and plain-word sequences) as CSV or JSON."""
+    """Rows (any iterable of sequences of finite floats and words, one kind
+    per column, as the first row shows) as CSV or JSON."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format: {fmt!r}")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return ",".join(header) + "\n" if fmt == "csv" else "[]\n"
+    rows = chain((first,), rows)
+    words = [isinstance(c, str) for c in first]
     if fmt == "csv":
-        lines = [",".join([c if isinstance(c, str) else format(c, ".17g") for c in row])
-                 for row in rows]
-        return "\n".join([",".join(header), *lines, ""])
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format: {fmt!r}")
+        template = ",".join(["%s" if w else "%.17g" for w in words])
+        return "\n".join([",".join(header), *[template % tuple(r) for r in rows], ""])
+    order = sorted(range(len(header)), key=header.__getitem__)
+    template = "  {\n%s\n  }" % ",\n".join([
+        "    %s: %s" % (_json_str(header[i]).replace("%", "%%"), "%s" if words[i] else "%r")
+        for i in order])
+    pick = itemgetter(*order)
+    encoded = [i for i in order if words[i]]
+
+    def encode_words(row):
+        row = list(row)
+        for i in encoded:
+            row[i] = _json_str(row[i])
+        return pick(row)
+    cells = encode_words if encoded else pick
+    return "[\n%s\n]\n" % ",\n".join([template % cells(r) for r in rows])

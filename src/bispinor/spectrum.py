@@ -188,13 +188,14 @@ def mixture_expectation(c_plus, c_minus, k, amps):
     """Expectation <assoc | K | psi> / <assoc | psi> for the mixture
     psi = c+ psi_+ + c- psi_- and its associated state built from the duals,
     over (..., 4, 2) stacks of :func:`eigen_amplitudes` rows and operators
-    K of shape (..., 2, 2)."""
+    K of shape (..., 2, 2).  NaN where the associated norm <assoc | psi>
+    vanishes (below 1e-12)."""
     a = c_plus * amps[..., 0, :] + c_minus * amps[..., 1, :]
     d = c_plus * amps[..., 2, :] + c_minus * amps[..., 3, :]
     den = amplitude_inner(d, a)
-    if np.any(np.abs(den) < 1e-12):
-        raise ValueError("vanishing associated norm")
-    return amplitude_inner(d, matvec(k, a)) / den
+    vanishing = np.abs(den) < 1e-12
+    return np.where(vanishing, np.nan,
+                    amplitude_inner(d, matvec(k, a)) / np.where(vanishing, 1.0, den))
 
 
 def spin_expectations(amps) -> np.ndarray:

@@ -231,10 +231,10 @@ class TestReport:
     def test_raising_check_fails_alone(self, tmp_path, monkeypatch, capsys):
         # a check that raises is one FAIL entry naming the exception: the
         # rest still run, and the exit code is 1 (a failed check), not 2
-        def vanishing(*args):
-            raise ValueError("vanishing associated norm")
+        def raising(*args):
+            raise ValueError("injected failure")
 
-        monkeypatch.setattr("bispinor.spectrum.mixture_expectation", vanishing)
+        monkeypatch.setattr("bispinor.spectrum.mixture_expectation", raising)
         out_path = tmp_path / "r.json"
         code, out, _ = run(["report", "--out", str(out_path)], capsys)
         assert code == 1
@@ -243,13 +243,29 @@ class TestReport:
         (failed,) = [ln for ln in lines if ln.startswith("FAIL")]
         assert "spectrum.associated_expectation" in failed
         assert "residual=inf samples=0" in failed
-        assert failed.endswith(" error=ValueError: vanishing associated norm")
+        assert failed.endswith(" error=ValueError: injected failure")
         entries = json.loads(out_path.read_text())["entries"]
         (entry,) = [e for e in entries if "error" in e]
         assert entry == {"test_id": "spectrum.associated_expectation", "paper_ref": "5",
                          "status": "fail", "max_residual": None, "samples": 0,
-                         "error": "ValueError: vanishing associated norm"}
+                         "error": "ValueError: injected failure"}
 
+
+    def test_vanishing_associated_norm_fails_its_check(self, monkeypatch, capsys):
+        # with the duals zeroed every associated norm vanishes: the NaN the
+        # library returns must fail the check through worst_term, not raise
+        real = checks.spectrum.mixture_expectation
+
+        def no_duals(c_plus, c_minus, k, amps):
+            return real(c_plus, c_minus, k, amps * [[1.0], [1.0], [0.0], [0.0]])
+
+        monkeypatch.setattr("bispinor.spectrum.mixture_expectation", no_duals)
+        code, out, _ = run(["verify"], capsys)
+        assert code == 1
+        (failed,) = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert "spectrum.associated_expectation" in failed
+        assert "residual=inf" in failed
+        assert failed.endswith(" term=pure_plus")
 
     def test_failing_entry_names_its_worst_term(self, tmp_path, monkeypatch, capsys):
         # break one sub-identity of spectrum.projectors, Pi1 Pi2 = 0

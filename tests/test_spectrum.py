@@ -193,6 +193,14 @@ class TestAssociated:
         val = mixture_expectation(c, c, h, es.amplitudes)
         assert abs(val - 0.5 * (es.lambda_plus + es.lambda_minus)) < 1e-11
 
+    def test_vanishing_associated_norm_is_nan(self):
+        # zero dual rows give <assoc | psi> = 0 on the second stack element only
+        es = eigensystem(0.4, 1.2, np.array([0.7, -0.3]))
+        amps = np.stack([es.amplitudes, es.amplitudes * [[1.0], [1.0], [0.0], [0.0]]])
+        val = mixture_expectation(1.0, 0.0, rashba(0.4, 1.2, np.array([0.7, -0.3])), amps)
+        assert abs(val[0] - es.lambda_plus) < 1e-11
+        assert np.isnan(val[1])
+
 
 class TestSpinVector:
     def test_sigma1_eigenstate(self):

@@ -1,8 +1,14 @@
-"""The exporters' row contract: row counts per configuration, and
-``render`` consuming a one-shot iterable exactly like a list."""
+"""The exporters' row contract: row counts per configuration, ``render``
+consuming a one-shot iterable exactly like a list, and ``render`` against
+the plain ``json``/``format`` encoders it replaced, which live here only
+as oracles."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bispinor.harness import tables
 from bispinor.harness.config import SuiteConfig
@@ -51,3 +57,46 @@ def test_render_consumes_a_generator(header, make_rows, fmt):
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
         tables.render(tables.SPECTRUM_HEADER, [], "xml")
+
+
+def oracle(header, rows, fmt):
+    """The encoders ``render`` replaced: one dict per row through
+    ``json.dumps``, and ``format(c, ".17g")`` per CSV cell."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows], indent=2, sort_keys=True) + "\n"
+    lines = [",".join([c if isinstance(c, str) else format(c, ".17g") for c in r]) for r in rows]
+    return "\n".join([",".join(header), *lines, ""])
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.0, -3.0, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.integers(-2**60, 2**60).map(float),
+                   st.floats(allow_nan=False, allow_infinity=False))
+WORDS = st.one_of(st.sampled_from(["plus", "minus"]), st.text(max_size=6))
+
+
+@st.composite
+def drawn_tables(draw):
+    """A header of distinct names (any text, so seldom sorted) and rows of
+    floats and words, one kind per column."""
+    header = draw(st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True))
+    kinds = draw(st.lists(st.sampled_from([FLOATS, WORDS]),
+                          min_size=len(header), max_size=len(header)))
+    return tuple(header), draw(st.lists(st.tuples(*kinds).map(list), max_size=6))
+
+
+@given(drawn_tables())
+@example((tables.SPECTRUM_HEADER, []))
+@example((tables.TEXTURE_HEADER, [["minus", *EDGE_FLOATS[:6]], ["plus", *EDGE_FLOATS[6:]]]))
+@example((("z%s", "a%%", "m\u00e9"), [[1.0, 'x%s "\u00e9\\', -0.0]]))
+def test_render_matches_the_plain_encoders(table):
+    header, rows = table
+    for fmt in ("json", "csv"):
+        assert tables.render(header, (r for r in rows), fmt) == oracle(header, rows, fmt)
+
+
+def test_render_of_no_rows():
+    assert tables.render(tables.TEXTURE_HEADER, iter([]), "json") == "[]\n"
+    assert tables.render(tables.TEXTURE_HEADER, iter([]), "csv") == \
+        "branch,gamma,p1,p2,v1,v2,v3\n"
