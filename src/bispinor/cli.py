@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None)
+                       default="csv")
     return parser
 
 
@@ -90,10 +90,6 @@ def config_from_args(args) -> SuiteConfig:
         kwargs["seed"] = args.seed
     if args.tol is not None:
         kwargs["tolerance"] = args.tol
-    if args.out is not None:
-        kwargs["output_path"] = args.out
-    if args.fmt is not None:
-        kwargs["fmt"] = args.fmt
     return SuiteConfig(**kwargs)
 
 
@@ -119,18 +115,18 @@ def main(argv=None) -> int:
             from .harness.checks import run_all     # the registry loads only here
             report = run_all(cfg)
             sys.stdout.write(report.to_text())
-            if cfg.output_path:
-                report.write(cfg.output_path)
+            if args.out:
+                report.write(args.out)
             return 0 if report.all_passed else 1
         if args.command == "spectrum":
             text = tables.render(tables.SPECTRUM_HEADER,
-                                 tables.spectrum_rows(cfg), cfg.fmt)
-            _write_or_print(text, cfg.output_path)
+                                 tables.spectrum_rows(cfg), args.fmt)
+            _write_or_print(text, args.out)
             return 0
         if args.command == "texture":
             text = tables.render(tables.TEXTURE_HEADER,
-                                 tables.texture_rows(cfg), cfg.fmt)
-            _write_or_print(text, cfg.output_path)
+                                 tables.texture_rows(cfg), args.fmt)
+            _write_or_print(text, args.out)
             return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -298,7 +298,9 @@ def check_eigenvalue_oracle(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     lam_p, lam_m = eigenvalues(b, p)
     o1, o2 = spectrum.eigenvalue_oracle(momenta.rashba(g, b, p))
-    return {"lambda_plus": o1 - lam_p, "lambda_minus": o2 - lam_m,
+    # the oracle sorts descending; lambda_+ is the lower root when beta < 0
+    return {"lambda_plus": o1 - np.maximum(lam_p, lam_m),
+            "lambda_minus": o2 - np.minimum(lam_p, lam_m),
             "lambda_plus_real": o1.imag, "lambda_minus_real": o2.imag}, cfg.samples
 
 

@@ -24,8 +24,6 @@ class SuiteConfig:
     samples: int = 50
     seed: int = 7
     tolerance: float = 1e-10
-    output_path: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_values",
@@ -60,8 +58,6 @@ class SuiteConfig:
                 raise ConfigError("momentum range must satisfy lo < hi")
             if not math.isfinite(hi - lo):
                 raise ConfigError("momentum range width hi - lo must be finite")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
 
     def nonzero_betas(self) -> tuple[float, ...]:
         betas = tuple(b for b in self.beta_values if b != 0.0)

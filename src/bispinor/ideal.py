@@ -35,7 +35,7 @@ def build_ideal_basis(gamma) -> np.ndarray:
     matrices [[1,0],[0,0]], [[0,0],[i,0]], [[0,0],[-1,0]], [[i,0],[0,0]].
     """
     generators = deformed_generators(gamma)
-    w = np.asarray(deformation_omega(gamma))[..., None, None]
+    w = deformation_omega(gamma)[..., None, None]
     i2 = np.eye(2, dtype=complex)
     _, e1, e2, e3, e12, e23, e31, e123 = np.moveaxis(generators, -3, 0)
     _, r1, _, r3, r12, r23, _, _ = np.moveaxis(time_reverse_matrix(generators), -3, 0)

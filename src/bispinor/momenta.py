@@ -55,13 +55,11 @@ def build_linearization(gamma: float = 0.0):
 
 
 def _pad3(p) -> np.ndarray:
-    """Momenta (..., 2) or (..., 3) as (..., 3), the third component 0 if absent."""
+    """Momenta (..., 2) as (..., 3), the third component 0."""
     p = np.asarray(p, dtype=float)
-    if p.shape[-1:] == (2,):
-        return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
-    if p.shape[-1:] != (3,):
-        raise ValueError("momentum must have 2 or 3 components")
-    return p
+    if p.shape[-1:] != (2,):
+        raise ValueError("momentum must have 2 components")
+    return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
 
 
 def _vec3(x, y, z) -> np.ndarray:
@@ -74,8 +72,8 @@ def _vec3(x, y, z) -> np.ndarray:
 def clifford_momentum(gamma, shift, p) -> np.ndarray:
     """The shifted momentum 1-blade sum_j e_j^gamma (p_j + Q_j) at momenta p.
 
-    gamma (...), shifts Q (..., 3) and momenta p (..., 2) or (..., 3)
-    broadcast; the result is (..., 2, 2).
+    gamma (...), shifts Q (..., 3) and momenta p (..., 2) broadcast; the
+    result is (..., 2, 2).
     """
     q = _pad3(p) + np.asarray(shift)
     coeffs = np.zeros(q.shape[:-1] + (8,), dtype=complex)
@@ -87,8 +85,8 @@ def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarra
     """(1/2) P_left(p) P_right(p) + zeeman e3^gamma, (..., 2, 2): with
     l = p + left_shift and r = p + right_shift, the kinetic scalar l.r / 2,
     the Zeeman e3 term and the bivector l ^ r / 2 over {e12, e23, e31}.
-    gamma and zeeman (...), the shifts (..., 3) and momenta p (..., 2) or
-    (..., 3) broadcast; H^AB = (1/2) P^B P^A takes (shift_b, shift_a)."""
+    gamma and zeeman (...), the shifts (..., 3) and momenta p (..., 2)
+    broadcast; H^AB = (1/2) P^B P^A takes (shift_b, shift_a)."""
     p3 = _pad3(p)
     l = p3 + np.asarray(left_shift)
     r = p3 + np.asarray(right_shift)

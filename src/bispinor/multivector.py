@@ -127,18 +127,14 @@ def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def deformation_omega(gamma):
-    """omega = sqrt(1 - gamma^2), defined for deformation parameters |gamma| < 1;
-    a float for a scalar gamma, elementwise for an array."""
-    gamma = np.asarray(gamma, dtype=float)[()]
-    inside = abs(gamma) < 1.0
-    # a numpy bool for one gamma: skip the reduction, which costs more than
-    # the rest of this function on the single-point path
-    if not (inside if inside.ndim == 0 else inside.all()):
+    """omega = sqrt(1 - gamma^2), elementwise, defined for deformation
+    parameters |gamma| < 1."""
+    gamma = np.asarray(gamma, dtype=float)
+    if not (abs(gamma) < 1.0).all():
         raise ValueError(
             "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
         )
-    omega = np.sqrt(1.0 - gamma * gamma)
-    return float(omega) if omega.ndim == 0 else omega
+    return np.sqrt(1.0 - gamma * gamma)
 
 
 def deformation_transform(gamma) -> np.ndarray:

@@ -8,8 +8,6 @@ plane-wave factor e^{ip.x} is carried by the momentum p alongside them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, mat2, matvec
@@ -23,24 +21,6 @@ def amplitude_inner(a, b):
     in a; the same arithmetic as numpy.vdot on a single pair."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Closed-form eigendata of R^+_gamma(p) and its adjoint partner; the
-    eigenspinors are the (4, 2) rows psi_+, psi_-, dual_+, dual_- of
-    ``amplitudes``.  Equality is identity: a field-wise ``==`` would
-    compare the amplitude array elementwise."""
-
-    gamma: float
-    beta: float
-    momentum: tuple[float, float]
-    wave_sign: int
-    lambda_plus: float
-    lambda_minus: float
-    phi_plus: float
-    phi_minus: float
-    amplitudes: np.ndarray
 
 
 def _xy(p):
@@ -108,32 +88,6 @@ def eigen_amplitudes(phi_plus, phi_minus) -> np.ndarray:
     out[..., 3, 0] = -1.0 / _SQRT2
     out[..., 3, 1] = np.exp(-1j * phi_plus) / _SQRT2
     return out
-
-
-def eigensystem(gamma: float, beta: float, p, wave_sign: int = 1) -> EigenSystem:
-    """Closed-form eigensystem of R^+_gamma at momentum label p.
-
-    psi_pm are eigenvectors of R^+_gamma(p); dual_pm are the bi-orthogonal
-    partners, eigenvectors of R^+_{-gamma}(p) = (R^+_gamma(p))^dagger.  For
-    wave_sign = -1 (the e^{-ip.x} family) the finite parts are those of the
-    +1 family evaluated at -p, which is the choice that keeps the
-    eigen-identity exact.  This is the single-point view of
-    :func:`eigenvalues`, :func:`phi_angles` and :func:`eigen_amplitudes`.
-    """
-    p = np.asarray(p, dtype=float).reshape(2)
-    if np.hypot(p[0], p[1]) == 0.0 or beta == 0.0:
-        raise ValueError("degenerate splitting")
-    if wave_sign not in (1, -1):
-        raise ValueError("wave_sign must be +1 or -1")
-
-    fp, fm = phi_angles(gamma, wave_sign * p)
-    lam_p, lam_m = eigenvalues(beta, p)
-    return EigenSystem(
-        gamma=float(gamma), beta=float(beta), momentum=(float(p[0]), float(p[1])),
-        wave_sign=wave_sign, lambda_plus=float(lam_p), lambda_minus=float(lam_m),
-        phi_plus=float(fp), phi_minus=float(fm),
-        amplitudes=eigen_amplitudes(fp, fm),
-    )
 
 
 def projector_matrices(phi_plus, phi_minus):

@@ -26,7 +26,7 @@ from bispinor.multivector import (
 from bispinor.spectrum import (
     amplitude_inner,
     continuity_residual,
-    eigensystem,
+    eigen_amplitudes,
     eigenvalue_oracle,
     eigenvalues,
     flip_relations,
@@ -99,7 +99,7 @@ def test_criterion_03_biorthogonality():
     rng = np.random.default_rng(2025)
     worst = 0.0
     for g, beta, p in _sweep(rng):
-        amps = eigensystem(g, beta, p).amplitudes
+        amps = eigen_amplitudes(*phi_angles(g, p))
         worst = max(worst,
                     abs(amplitude_inner(amps[3], amps[0])),
                     abs(amplitude_inner(amps[2], amps[1])))
@@ -113,19 +113,18 @@ def test_criterion_04_projectors():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for g, beta, p in _sweep(rng):
-        es = eigensystem(g, beta, p)
-        pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
+        pi1, pi2, den = projector_matrices(*phi_angles(g, p))
         assert abs(den) >= 1e-9, "projector singular"
         h = rashba(g, beta, p)
+        lam_p, lam_m = eigenvalues(beta, p)
         worst = max(
             worst,
             float(np.abs(pi1 + pi2 - np.eye(2)).max()),
             float(np.abs(pi1 @ pi2).max()),
             float(np.abs(pi1 @ pi1 - pi1).max()),
             float(np.abs(pi2 @ pi2 - pi2).max()),
-            float(np.abs(h - es.lambda_plus * pi1
-                         - es.lambda_minus * pi2).max())
-            / max(1.0, abs(es.lambda_plus)),
+            float(np.abs(h - lam_p * pi1 - lam_m * pi2).max())
+            / max(1.0, abs(lam_p)),
         )
     _report("spectral projectors", worst, 1e-12)
 
@@ -259,10 +258,8 @@ def test_criterion_11_continuity():
     g, beta = 0.4, 1.0
     p = np.array([1.1, 0.8])
     q = np.array([0.6, -0.8])
-    es_p = eigensystem(g, beta, p)
-    es_q = eigensystem(g, beta, q)
-    mix = ((0.8, es_p.amplitudes[0], p, es_p.lambda_plus),
-           (0.6, es_q.amplitudes[0], q, es_q.lambda_plus))
+    mix = ((0.8, eigen_amplitudes(*phi_angles(g, p))[0], p, eigenvalues(beta, p)[0]),
+           (0.6, eigen_amplitudes(*phi_angles(g, q))[0], q, eigenvalues(beta, q)[0]))
     grid = [(0.1 * i, 0.07 * j) for i in range(-2, 3) for j in range(-2, 3)]
     _report("probability continuity", continuity_residual(g, beta, mix, grid), 1e-12)
 
@@ -273,9 +270,10 @@ def test_criterion_12_gamma_zero_degeneration():
     for _, beta, p in _sweep(rng, 50):
         h = rashba(0.0, beta, p)
         worst = max(worst, float(np.abs(h - h.conj().T).max()))
-        es = eigensystem(0.0, beta, p)
-        worst = max(worst, abs(np.vdot(es.amplitudes[0], es.amplitudes[1])))
-        pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
+        angles = phi_angles(0.0, p)
+        amps = eigen_amplitudes(*angles)
+        worst = max(worst, abs(np.vdot(amps[0], amps[1])))
+        pi1, pi2, den = projector_matrices(*angles)
         assert abs(den) >= 1e-9, "projector singular"
         worst = max(worst,
                     float(np.abs(pi1 - pi1.conj().T).max()),

@@ -92,10 +92,10 @@ def loop_gamma_zero_limit(cfg, rng):
                                    "hermitian_pi2", "dual_is_psi")}
     betas = cfg.nonzero_betas()
     for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
-        es = spectrum.eigensystem(0.0, b, p)
+        angles = spectrum.phi_angles(0.0, p)
         h = momenta.rashba(0.0, b, p)
-        pi1, pi2, _ = spectrum.projector_matrices(es.phi_plus, es.phi_minus)
-        psi, psi_minus, dual, _ = es.amplitudes
+        pi1, pi2, _ = spectrum.projector_matrices(*angles)
+        psi, psi_minus, dual, _ = spectrum.eigen_amplitudes(*angles)
         terms["hermitian_h"].append(h - reversion_matrix(h))
         terms["orthogonal_psi"].append(np.vdot(psi, psi_minus))
         terms["hermitian_pi1"].append(pi1 - reversion_matrix(pi1))

@@ -172,6 +172,15 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1].startswith(f"{len(REGISTRY)}/{len(REGISTRY)} checks passed")
 
+    @pytest.mark.parametrize("argv", [["--beta=-0.5,-1,-2"],
+                                      ["--beta=-2", "--seed", "3", "--samples", "200"]])
+    def test_negative_beta_passes(self, argv, capsys):
+        # lambda_+ = (p^2 + beta^2)/2 + beta |p| is the lower root when
+        # beta < 0; the oracle's descending roots once failed it by ~14
+        code, out, _ = run(["verify", *argv], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"{len(REGISTRY)}/{len(REGISTRY)} checks passed")
+
     @pytest.mark.parametrize("command", ["spectrum", "texture"])
     def test_exports_accept_a_box_inside_the_small_disc(self, command, capsys):
         code, out, _ = run([command, "--grid=-0.005:0.005:12"], capsys)

@@ -10,7 +10,7 @@ from bispinor.ideal import (
     invariance_group_defects,
 )
 from bispinor.multivector import E13
-from bispinor.spectrum import amplitude_inner, eigensystem
+from bispinor.spectrum import amplitude_inner, eigen_amplitudes, phi_angles
 from bispinor.timereversal import reverse_amplitudes
 
 TOL = 1e-12
@@ -101,8 +101,7 @@ class TestInnerProducts:
             assert abs(got - amplitude_inner(a, b)) < TOL
 
     def test_c1_normalization(self):
-        es = eigensystem(0.4, 1.0, np.array([1.0, 0.7]))
-        s = ideal_matrix(es.amplitudes[0])
+        s = ideal_matrix(eigen_amplitudes(*phi_angles(0.4, np.array([1.0, 0.7])))[0])
         assert abs(c1_form(s, s) - 1.0) < TOL
 
     def test_c1_biorthogonality(self):
@@ -110,7 +109,7 @@ class TestInnerProducts:
         for _ in range(50):
             g = float(rng.uniform(-0.9, 0.9))
             psi_p, _, _, dual_m = ideal_matrix(
-                eigensystem(g, 1.0, rng.uniform(0.3, 2.0, size=2)).amplitudes)
+                eigen_amplitudes(*phi_angles(g, rng.uniform(0.3, 2.0, size=2))))
             assert abs(c1_form(dual_m, psi_p)) < TOL
 
     def test_c2_biorthogonality(self):
@@ -118,7 +117,7 @@ class TestInnerProducts:
         for _ in range(50):
             g = float(rng.uniform(-0.9, 0.9))
             psi_p, _, _, dual_m = ideal_matrix(
-                eigensystem(g, 1.0, rng.uniform(0.3, 2.0, size=2)).amplitudes)
+                eigen_amplitudes(*phi_angles(g, rng.uniform(0.3, 2.0, size=2))))
             assert abs(c2_form(dual_m, psi_p)) < TOL
 
     def test_c2_conjugates_c1(self):

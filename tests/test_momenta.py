@@ -185,12 +185,27 @@ def test_levy_leblond_first_order_system():
     with eta = (i/2) P^A psi, the pair satisfies P^B eta = i E psi."""
     for g, beta in ((0.0, 1.0), (0.6, 0.7), (-0.8, 2.0)):
         p = np.array([1.1, -0.6])
-        es = spectrum.eigensystem(g, beta, p)
+        amps = spectrum.eigen_amplitudes(*spectrum.phi_angles(g, p))
         left, right = (clifford_momentum(g, shift, p) for shift in rashba_shifts(beta, 1))
-        for v, energy in zip(es.amplitudes[:2], (es.lambda_plus, es.lambda_minus)):
+        for v, energy in zip(amps[:2], spectrum.eigenvalues(beta, p)):
             eta = 0.5j * right @ v
             assert np.abs(right @ v + 2j * eta).max() < TOL
             assert np.abs(left @ eta - 1j * energy * v).max() < 1e-11
+
+
+MOMENTUM_ENTRY_POINTS = {
+    "clifford_momentum": lambda p: clifford_momentum(0.3, (0.0, 0.0, 0.5j), p),
+    "momentum_product": lambda p: momentum_product(0.3, (0.0, 0.0, 0.5j),
+                                                   (0.0, 0.0, -0.5j), p),
+    "rashba": lambda p: rashba(0.3, 1.0, p),
+}
+
+
+@pytest.mark.parametrize("shape", [(1,), (4, 3), (2, 5, 4)])
+@pytest.mark.parametrize("entry", list(MOMENTUM_ENTRY_POINTS))
+def test_momentum_needs_two_components(entry, shape):
+    with pytest.raises(ValueError, match="momentum must have 2 components"):
+        MOMENTUM_ENTRY_POINTS[entry](np.ones(shape))
 
 
 class TestGeneratorCache:

@@ -23,7 +23,7 @@ from bispinor.multivector import (
     to_matrix,
 )
 from bispinor.momenta import build_linearization, magnetic, rashba
-from bispinor.spectrum import eigensystem, phi_angles
+from bispinor.spectrum import phi_angles
 
 TOL = 1e-12
 
@@ -201,7 +201,6 @@ GAMMA_ENTRY_POINTS = {
     "build_linearization": build_linearization,
     "rashba": lambda g: rashba(g, 1.0, (0.5, -0.3)),
     "magnetic": lambda g: magnetic(g, 1.0, (0.0, 0.0), 0.0, (0.5, -0.3)),
-    "eigensystem": lambda g: eigensystem(g, 1.0, (0.5, -0.3)),
     "phi_angles": lambda g: phi_angles(g, (0.5, -0.3)),
 }
 
@@ -211,6 +210,15 @@ GAMMA_ENTRY_POINTS = {
 def test_gamma_domain_error(entry, gamma):
     with pytest.raises(ValueError, match=r"\|gamma\| < 1"):
         GAMMA_ENTRY_POINTS[entry](gamma)
+
+
+@given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_deformation_omega_is_one_path(gamma):
+    # a float, a 0-d array and a one-element array give the same bits
+    want = deformation_omega(gamma)
+    assert isinstance(want, float)
+    assert np.asarray(deformation_omega(np.array(gamma))).tobytes() == np.float64(want).tobytes()
+    assert deformation_omega(np.array([gamma])).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -27,7 +27,6 @@ from bispinor.multivector import (
 )
 from bispinor.spectrum import (
     eigen_amplitudes,
-    eigensystem,
     eigenvalue_oracle,
     eigenvalues,
     mixture_expectation,
@@ -280,19 +279,6 @@ def test_reversed_schrodinger_check_marks_nonfinite_rows():
     assert not np.isfinite(r[1])
     assert worst_term({"reversed_eigen_identity": r}) == (np.inf, "reversed_eigen_identity")
     assert np.all(r[[0, 2]] < 1e-12)
-
-
-@pytest.mark.parametrize("wave_sign", [1, -1])
-@EXAMPLES
-@given(rashba_inputs())
-def test_eigensystem_is_single_point_view(wave_sign, inputs):
-    g, b, p, _ = inputs
-    for x, y, q in zip(g, b, p):
-        if not q.any():
-            continue                  # no eigensystem at p = 0
-        got = eigensystem(x, y, q, wave_sign).amplitudes
-        want = eigen_amplitudes(*phi_angles(x, wave_sign * q))
-        assert got.tobytes() == want.tobytes()
 
 
 @EXAMPLES

@@ -8,7 +8,7 @@ from bispinor.multivector import deformation_omega
 from bispinor.spectrum import (
     amplitude_inner,
     continuity_residual,
-    eigensystem,
+    eigen_amplitudes,
     eigenvalue_oracle,
     eigenvalues,
     flip_relations,
@@ -84,45 +84,40 @@ class TestEigenSystem:
         rng = np.random.default_rng(47)
         for _ in range(200):
             g, beta, p = random_params(rng)
-            es = eigensystem(g, beta, p)
+            lam_p, lam_m = eigenvalues(beta, p)
             h = rashba(g, beta, p)
             h_dual = rashba(-g, beta, p)
-            psi_p, psi_m, dual_p, dual_m = es.amplitudes
-            for v, lam in ((psi_p, es.lambda_plus), (psi_m, es.lambda_minus)):
+            psi_p, psi_m, dual_p, dual_m = eigen_amplitudes(*phi_angles(g, p))
+            for v, lam in ((psi_p, lam_p), (psi_m, lam_m)):
                 assert np.abs(h @ v - lam * v).max() < 1e-10
-            for v, lam in ((dual_p, es.lambda_plus), (dual_m, es.lambda_minus)):
+            for v, lam in ((dual_p, lam_p), (dual_m, lam_m)):
                 assert np.abs(h_dual @ v - lam * v).max() < 1e-10
 
     def test_minus_wave_family(self):
         g, beta = 0.6, 1.1
         p = np.array([0.8, -1.4])
-        es = eigensystem(g, beta, p, wave_sign=-1)
-        # finite parts are built at the reflected momentum argument
+        # the e^{-ip.x} family's finite parts are built at the reflected
+        # momentum argument, with the same eigenvalues
+        amps = eigen_amplitudes(*phi_angles(g, -p))
         h = rashba(g, beta, -p)
-        for v, lam in zip(es.amplitudes[:2], (es.lambda_plus, es.lambda_minus)):
+        for v, lam in zip(amps[:2], eigenvalues(beta, p)):
             assert np.abs(h @ v - lam * v).max() < 1e-10
 
     def test_biorthogonality(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
             g, beta, p = random_params(rng)
-            psi_p, psi_m, dual_p, dual_m = eigensystem(g, beta, p).amplitudes
+            psi_p, psi_m, dual_p, dual_m = eigen_amplitudes(*phi_angles(g, p))
             assert abs(amplitude_inner(dual_m, psi_p)) < TOL
             assert abs(amplitude_inner(dual_p, psi_m)) < TOL
 
     def test_norms_and_label_deltas(self):
-        psi = eigensystem(0.4, 1.0, np.array([1.0, 0.5])).amplitudes[0]
+        psi = eigen_amplitudes(*phi_angles(0.4, np.array([1.0, 0.5])))[0]
         assert abs(amplitude_inner(psi, psi) - 1.0) < TOL
 
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError, match="degenerate splitting"):
-            eigensystem(0.3, 0.0, np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="degenerate splitting"):
-            eigensystem(0.3, 1.0, np.array([0.0, 0.0]))
-
     def test_gamma_zero_orthogonality(self):
-        es = eigensystem(0.0, 1.0, np.array([0.7, -0.2]))
-        assert abs(np.vdot(es.amplitudes[0], es.amplitudes[1])) < TOL
+        amps = eigen_amplitudes(*phi_angles(0.0, np.array([0.7, -0.2])))
+        assert abs(np.vdot(amps[0], amps[1])) < TOL
 
 
 class TestProjectors:
@@ -130,17 +125,16 @@ class TestProjectors:
         rng = np.random.default_rng(59)
         for _ in range(100):
             g, beta, p = random_params(rng)
-            es = eigensystem(g, beta, p)
-            pi1, pi2, den = projector_matrices(es.phi_plus, es.phi_minus)
+            pi1, pi2, den = projector_matrices(*phi_angles(g, p))
             if abs(den) < 1e-9:       # singular pair
                 continue
             h = rashba(g, beta, p)
+            lam_p, lam_m = eigenvalues(beta, p)
             assert np.abs(pi1 + pi2 - np.eye(2)).max() < 1e-11
             assert np.abs(pi1 @ pi2).max() < 1e-11
             assert np.abs(pi1 @ pi1 - pi1).max() < 1e-11
             assert np.abs(pi2 @ pi2 - pi2).max() < 1e-11
-            assert np.abs(es.lambda_plus * pi1
-                          + es.lambda_minus * pi2 - h).max() < 1e-10
+            assert np.abs(lam_p * pi1 + lam_m * pi2 - h).max() < 1e-10
 
     @settings(max_examples=300)
     @given(gamma=st.floats(-1 + 1e-6, 1 - 1e-6), log_r=st.floats(-3.5, 3.5),
@@ -153,52 +147,53 @@ class TestProjectors:
         assert abs(den) >= 2.0 * deformation_omega(gamma) * (1.0 - 1e-9)
 
     def test_hermitian_point(self):
-        es = eigensystem(0.0, 1.0, np.array([1.0, 0.0]))
-        pi1, _, _ = projector_matrices(es.phi_plus, es.phi_minus)
+        angles = phi_angles(0.0, np.array([1.0, 0.0]))
+        pi1, _, _ = projector_matrices(*angles)
         want = 0.5 * np.array([[1.0, 1j], [-1j, 1.0]])
         assert np.abs(pi1 - want).max() < TOL
         # oracle: Hermitian spectral projector from the eigenvector
-        v = es.amplitudes[0]
+        v = eigen_amplitudes(*angles)[0]
         assert np.abs(pi1 - np.outer(v, v.conj())).max() < TOL
 
     def test_spectral_action(self):
-        es = eigensystem(0.7, 2.0, np.array([0.5, 1.5]))
-        pi1, pi2, _ = projector_matrices(es.phi_plus, es.phi_minus)
-        h = rashba(0.7, 2.0, np.array([0.5, 1.5]))
-        assert np.abs(h @ pi1 - es.lambda_plus * pi1).max() < 1e-11
-        assert np.abs(h @ pi2 - es.lambda_minus * pi2).max() < 1e-11
+        p = np.array([0.5, 1.5])
+        pi1, pi2, _ = projector_matrices(*phi_angles(0.7, p))
+        lam_p, lam_m = eigenvalues(2.0, p)
+        h = rashba(0.7, 2.0, p)
+        assert np.abs(h @ pi1 - lam_p * pi1).max() < 1e-11
+        assert np.abs(h @ pi2 - lam_m * pi2).max() < 1e-11
 
 
 class TestAssociated:
     def test_eigenstate_expectation(self):
         g, beta = 0.5, 1.0
         p = np.array([1.0, 2.0])
-        es = eigensystem(g, beta, p)
+        lam_p, lam_m = eigenvalues(beta, p)
         h = rashba(g, beta, p)
-        amps = es.amplitudes
-        assert abs(mixture_expectation(1.0, 0.0, h, amps) - es.lambda_plus) < 1e-11
-        assert abs(mixture_expectation(0.0, 1.0, h, amps) - es.lambda_minus) < 1e-11
+        amps = eigen_amplitudes(*phi_angles(g, p))
+        assert abs(mixture_expectation(1.0, 0.0, h, amps) - lam_p) < 1e-11
+        assert abs(mixture_expectation(0.0, 1.0, h, amps) - lam_m) < 1e-11
 
     def test_normalization(self):
-        es = eigensystem(0.3, 0.7, np.array([0.2, 1.4]))
-        val = mixture_expectation(0.6, 0.8j, np.eye(2), es.amplitudes)
+        amps = eigen_amplitudes(*phi_angles(0.3, np.array([0.2, 1.4])))
+        val = mixture_expectation(0.6, 0.8j, np.eye(2), amps)
         assert abs(val - 1.0) < 1e-12
 
     def test_equal_mixture_gives_mean_energy(self):
         g, beta = -0.6, 1.5
         p = np.array([0.9, 0.4])
-        es = eigensystem(g, beta, p)
         h = rashba(g, beta, p)
         c = 1.0 / np.sqrt(2.0)
-        val = mixture_expectation(c, c, h, es.amplitudes)
-        assert abs(val - 0.5 * (es.lambda_plus + es.lambda_minus)) < 1e-11
+        val = mixture_expectation(c, c, h, eigen_amplitudes(*phi_angles(g, p)))
+        assert abs(val - 0.5 * sum(eigenvalues(beta, p))) < 1e-11
 
     def test_vanishing_associated_norm_is_nan(self):
         # zero dual rows give <assoc | psi> = 0 on the second stack element only
-        es = eigensystem(0.4, 1.2, np.array([0.7, -0.3]))
-        amps = np.stack([es.amplitudes, es.amplitudes * [[1.0], [1.0], [0.0], [0.0]]])
-        val = mixture_expectation(1.0, 0.0, rashba(0.4, 1.2, np.array([0.7, -0.3])), amps)
-        assert abs(val[0] - es.lambda_plus) < 1e-11
+        p = np.array([0.7, -0.3])
+        one = eigen_amplitudes(*phi_angles(0.4, p))
+        amps = np.stack([one, one * [[1.0], [1.0], [0.0], [0.0]]])
+        val = mixture_expectation(1.0, 0.0, rashba(0.4, 1.2, p), amps)
+        assert abs(val[0] - eigenvalues(1.2, p)[0]) < 1e-11
         assert np.isnan(val[1])
 
 
@@ -208,66 +203,63 @@ class TestSpinVector:
         assert np.abs(v - np.array([1.0, 0.0, 0.0])).max() < TOL
 
     def test_point_value(self):
-        es = eigensystem(0.0, 1.0, np.array([1.0, 0.0]))
-        v = spin_expectations(es.amplitudes[0])
+        v = spin_expectations(eigen_amplitudes(*phi_angles(0.0, np.array([1.0, 0.0])))[0])
         assert np.abs(v - np.array([0.0, -1.0, 0.0])).max() < TOL
 
     def test_planar_for_eigenstates(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
             g, beta, p = random_params(rng)
-            es = eigensystem(g, beta, p)
-            for psi in es.amplitudes[:2]:
+            for psi in eigen_amplitudes(*phi_angles(g, p))[:2]:
                 assert abs(spin_expectations(psi)[2]) < TOL
 
     def test_gamma_steers_direction(self):
         p = np.array([1.0, 1.0])
-        base = spin_expectations(eigensystem(0.0, 1.0, p).amplitudes[0])
-        moved = spin_expectations(eigensystem(0.8, 1.0, p).amplitudes[0])
+        base = spin_expectations(eigen_amplitudes(*phi_angles(0.0, p))[0])
+        moved = spin_expectations(eigen_amplitudes(*phi_angles(0.8, p))[0])
         assert np.abs(base - moved).max() > 0.05
 
 
-def plus_wave(es):
-    return (es.amplitudes[0], es.momentum, es.lambda_plus)
-
-
-def minus_wave(es):
-    return (es.amplitudes[1], es.momentum, es.lambda_minus)
+def waves(gamma, beta, p):
+    """The plus and minus plane waves (amplitudes, momentum, energy) of
+    R^+_gamma at momentum p."""
+    p = np.asarray(p)
+    amps = eigen_amplitudes(*phi_angles(gamma, p))
+    lam_p, lam_m = eigenvalues(beta, p)
+    return (amps[0], p, lam_p), (amps[1], p, lam_m)
 
 
 class TestContinuity:
     GRID = [(0.2, -0.4), (1.0, 0.6), (-0.7, 1.1)]
 
     def test_single_eigenstate_stationary(self):
-        es = eigensystem(0.5, 1.0, np.array([1.0, 0.4]))
-        assert continuity_residual(0.5, 1.0, [(1.0, *plus_wave(es))], self.GRID) < TOL
+        plus, _ = waves(0.5, 1.0, [1.0, 0.4])
+        assert continuity_residual(0.5, 1.0, [(1.0, *plus)], self.GRID) < TOL
 
     def test_two_state_mixture_gamma_zero(self):
-        es = eigensystem(0.0, 1.0, np.array([0.8, 0.5]))
-        mix = [(0.7, *plus_wave(es)), (0.5j, *minus_wave(es))]
+        plus, minus = waves(0.0, 1.0, [0.8, 0.5])
+        mix = [(0.7, *plus), (0.5j, *minus)]
         assert continuity_residual(0.0, 1.0, mix, self.GRID) < TOL
 
     def test_two_momentum_mixture_deformed(self):
         g = 0.6
-        es1 = eigensystem(g, 1.0, np.array([0.9, 0.4]))
-        es2 = eigensystem(g, 1.0, np.array([0.3, -0.4]))
-        mix = [(0.6, *plus_wave(es1)), (0.8, *minus_wave(es2))]
+        mix = [(0.6, *waves(g, 1.0, [0.9, 0.4])[0]),
+               (0.8, *waves(g, 1.0, [0.3, -0.4])[1])]
         assert continuity_residual(g, 1.0, mix, self.GRID) < TOL
 
     def test_same_p2_pair_fails(self):
         # at gamma != 0 the identity needs opposite p2; a same-p2 pair
         # misses it by about 0.56 on the registry's grid
         g = 0.6
-        es1 = eigensystem(g, 1.0, np.array([0.9, 0.4]))
-        es2 = eigensystem(g, 1.0, np.array([0.3, 0.4]))
-        mix = [(0.6, *plus_wave(es1)), (0.8, *minus_wave(es2))]
+        mix = [(0.6, *waves(g, 1.0, [0.9, 0.4])[0]),
+               (0.8, *waves(g, 1.0, [0.3, 0.4])[1])]
         grid = [(0.3, -0.2), (1.1, 0.7), (-0.4, 0.9)]
         assert continuity_residual(g, 1.0, mix, grid) == pytest.approx(0.56, abs=0.01)
 
     def test_free_particle(self):
-        es = eigensystem(0.0, 1e-6, np.array([1.0, 0.7]))
+        plus, minus = waves(0.0, 1e-6, [1.0, 0.7])
         # beta ~ 0: plain free-particle continuity
-        mix = [(1.0, *plus_wave(es)), (0.4, *minus_wave(es))]
+        mix = [(1.0, *plus), (0.4, *minus)]
         assert continuity_residual(0.0, 1e-6, mix, self.GRID) < TOL
 
 
