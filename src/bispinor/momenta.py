@@ -102,11 +102,9 @@ def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarra
 
 def rashba_shifts(beta, sign):
     """The (left, right) shifts (..., 3) of R^sign, those of P^B and P^A:
-    B = +i(0, 0, sign beta), A = -i(0, 0, sign beta)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    b3 = 1j * np.asarray(beta) * sign
-    return _vec3(0.0, 0.0, b3), _vec3(0.0, 0.0, -b3)
+    B = +i(0, 0, sign beta), A = -i(0, 0, sign beta): the zero-field
+    magnetic shifts."""
+    return magnetic_shifts(beta, (0.0, 0.0), sign)
 
 
 def rashba(gamma, beta, p, *, sign: int = 1) -> np.ndarray:
@@ -123,7 +121,7 @@ def magnetic_shifts(beta, a_vec, branch):
     """The (left, right) shifts (..., 3) of the magnetic Hamiltonian: the gauge
     shift a_vec (..., 2) in plane and +-i branch beta on the third component."""
     if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
+        raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[-1:] != (2,):
         raise ValueError("gauge shift must have 2 components")

@@ -86,28 +86,10 @@ def involute(a, kind: str) -> np.ndarray:
     return signs * a
 
 
-def grade_inversion_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix form of grade inversion: [[m22*, -m21*], [-m12*, m11*]]."""
-    m = np.conj(np.asarray(m, dtype=complex))
-    return mat2(m[..., 1, 1], -m[..., 1, 0], -m[..., 0, 1], m[..., 0, 0])
-
-
 def reversion_matrix(m: np.ndarray) -> np.ndarray:
     """Matrix form of reversion: the conjugate transpose."""
     return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
-
-def clifford_conjugation_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix form of Clifford conjugation: the adjugate [[m22,-m12],[-m21,m11]]."""
-    m = np.asarray(m, dtype=complex)
-    return mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
-
-
-MATRIX_INVOLUTIONS = {
-    "grade_inversion": grade_inversion_matrix,
-    "reversion": reversion_matrix,
-    "clifford_conjugation": clifford_conjugation_matrix,
-}
 
 # Unitary part of the fermionic time reversal operator: the e13 blade.
 E13 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -116,7 +98,8 @@ E13 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
     """Conjugation of constant (..., 2n, 2n) operators by time reversal:
     U conj(m) U^-1 with U = diag(e13, ..., e13).  As e13^-1 = -e13, each 2x2
-    block [[a, b], [c, d]] of conj(m) becomes [[d, -c], [-b, a]]."""
+    block [[a, b], [c, d]] of conj(m) becomes [[d, -c], [-b, a]].  On 2x2
+    matrices this is the matrix form of grade inversion."""
     c = np.conj(np.asarray(m, dtype=complex))
     out = np.empty_like(c)
     out[..., 0::2, 0::2] = c[..., 1::2, 1::2]
@@ -124,6 +107,19 @@ def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
     out[..., 1::2, 0::2] = -c[..., 0::2, 1::2]
     out[..., 1::2, 1::2] = c[..., 0::2, 0::2]
     return out
+
+
+def clifford_conjugation_matrix(m: np.ndarray) -> np.ndarray:
+    """Matrix form of Clifford conjugation, reversion after grade inversion:
+    the adjugate [[m22, -m12], [-m21, m11]]."""
+    return reversion_matrix(time_reverse_matrix(m))
+
+
+MATRIX_INVOLUTIONS = {
+    "grade_inversion": time_reverse_matrix,
+    "reversion": reversion_matrix,
+    "clifford_conjugation": clifford_conjugation_matrix,
+}
 
 
 def deformation_omega(gamma):

@@ -1,7 +1,8 @@
-"""Supercharges, SUSY / pseudo-SUSY Hamiltonians, Witten parity and the
-super time-reversal operator, all as plain (..., 4, 4) arrays over the two
-Rashba sectors R^+ (beta) and R^- (-beta); the sectors are h[..., :2, :2]
-and h[..., 2:, 2:].
+"""Supercharges, SUSY / pseudo-SUSY Hamiltonians and the Witten parity, all
+as plain (..., 4, 4) arrays over the two Rashba sectors R^+ (beta) and R^-
+(-beta); the sectors are h[..., :2, :2] and h[..., 2:, 2:].  The pseudo-SUSY
+charge Lambda- is the T-pseudo-adjoint of Lambda+, with time reversal acting
+blockwise as diag(e13, e13) (:func:`~bispinor.timereversal.pseudo_adjoint`).
 """
 
 from __future__ import annotations
@@ -9,12 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .momenta import clifford_momentum, rashba, rashba_shifts
-from .multivector import E13
 from .timereversal import pseudo_adjoint
 
 _SQRT2 = np.sqrt(2.0)
-
-_SUPER_U = np.kron(np.eye(2), E13)
 
 
 def _offdiag(upper=None, lower=None) -> np.ndarray:
@@ -47,23 +45,16 @@ def witten_parity() -> np.ndarray:
     return np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
-def super_time_reversal() -> np.ndarray:
-    """Unitary part of the block time reversal, diag(e13, e13); squares to -1."""
-    return _SUPER_U.copy()
-
-
 def pseudo_susy(gamma, beta, p):
     """Pseudo-SUSY data (Lambda+, Lambda-, H_pSUSY), each (..., 4, 4).
 
-    Lambda+ carries Delta^B = P^B in the upper off-diagonal block and
-    Lambda- its pseudo-adjoint (Delta^B)^# = P^A in the lower one, so the
-    anticommutator reproduces the SUSY Hamiltonian.
+    Lambda+ = Theta+ carries Delta^B = P^B in the upper off-diagonal block
+    and Lambda- = (Lambda+)^#, its pseudo-adjoint, carries (Delta^B)^# = P^A
+    in the lower one, so the anticommutator reproduces the SUSY Hamiltonian.
     """
-    shift_b, _ = rashba_shifts(beta, 1)
     p = np.asarray(p, dtype=float)
-    lambda_plus = _offdiag(upper=clifford_momentum(gamma, shift_b, p) / _SQRT2)
-    delta_sharp = pseudo_adjoint(clifford_momentum(gamma, shift_b, -p))
-    lambda_minus = _offdiag(lower=delta_sharp / _SQRT2)
+    lambda_plus = supercharges(gamma, beta, p)[0]
+    lambda_minus = pseudo_adjoint(supercharges(gamma, beta, -p)[0])
     h_psusy = lambda_plus @ lambda_minus + lambda_minus @ lambda_plus
     return lambda_plus, lambda_minus, h_psusy
 

@@ -7,7 +7,8 @@ The operator is T = e13 * K with K complex conjugation; on a plane-wave
 spinor it conjugates the amplitudes and applies the e13 matrix
 (:func:`reverse_amplitudes`), and the reversed wave lives at momentum -p.
 On a momentum-space operator family H(p) the identity T^-1 H T = H^dagger
-becomes the fixed-momentum matrix equation H(-p) U = U H(p)^T with U = e13.
+becomes the fixed-momentum matrix equation H(p) = H^#(p) = U H(-p)^T U^-1
+with U = e13 (:func:`pseudo_adjoint`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .momenta import rashba
 from .multivector import (
-    E13,
     deformed_generators,
     matvec,
     reversion_matrix,
@@ -37,17 +37,17 @@ def _maxabs(x, axes):
     return np.abs(x).max(axis=axes)[()]
 
 
-def pseudo_hermitian_residual(h_minus_p, h_p):
-    """Max-entry residual of H(-p) U = U H(p)^T, the fixed-momentum form of
-    T^-1 H T = H^dagger, per matrix of the (..., 2, 2) stacks H(-p) and H(p)."""
-    return _maxabs(h_minus_p @ E13 - E13 @ np.swapaxes(h_p, -1, -2), (-1, -2))
-
-
 def pseudo_adjoint(x_minus_p) -> np.ndarray:
     """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of (..., 2n, 2n)
     operators, given X(-p), with U = diag(e13, ..., e13): the T-conjugate of
     X(-p)^dagger."""
-    return time_reverse_matrix(np.conj(x_minus_p).swapaxes(-1, -2))
+    return time_reverse_matrix(reversion_matrix(x_minus_p))
+
+
+def pseudo_hermitian_residual(h_minus_p, h_p):
+    """Max-entry residual of H(p) = H^#(p), the fixed-momentum form of
+    T^-1 H T = H^dagger, per matrix of the (..., 2, 2) stacks H(-p) and H(p)."""
+    return _maxabs(h_p - pseudo_adjoint(h_minus_p), (-1, -2))
 
 
 def generator_reversal(gamma) -> dict[str, np.ndarray]:
@@ -92,7 +92,8 @@ def kramers_pairing(gamma, beta, p):
     'flipped_p', the matchings against the duals at p and at -p;
     'orthogonality', <T psi | psi> = 0; and 'eigen_identity', that the
     time-reversed state, which lives at -p, is an eigenvector of
-    R^+_{-gamma}(-p) with the same eigenvalue.
+    R^+_{-gamma}(-p) = H^dagger(-p) with the same eigenvalue
+    (:func:`reversed_schrodinger_residual`).
     """
     p = np.asarray(p, dtype=float)
     amps = eigen_amplitudes(*phi_angles(gamma, p))
@@ -113,14 +114,9 @@ def kramers_pairing(gamma, beta, p):
     # Orthogonality <T psi | psi> = 0 at amplitude level.
     ortho = np.abs(amplitude_inner(t_psi, amps[..., :2, :])).max(axis=-1)
 
-    # Eigen-identity: the time-reversed state is an eigenvector of
-    # R^+_{-gamma} at the flipped momentum with the unchanged eigenvalue.
-    r_flip = rashba(-np.asarray(gamma), beta, -p)
-    lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
-    eig = _maxabs(matvec(r_flip[..., None, :, :], t_psi) - lam * t_psi, (-1, -2))
-
     return n, {"same_p": same_p[()], "flipped_p": flipped_p[()],
-               "orthogonality": ortho[()], "eigen_identity": eig[()]}
+               "orthogonality": ortho[()],
+               "eigen_identity": reversed_schrodinger_residual(gamma, beta, p)}
 
 
 def noncommutation_witness(gamma, beta, p):
@@ -143,8 +139,8 @@ def reversed_schrodinger_residual(gamma, beta, p):
     H^dagger(-p) chi holds exactly when H^dagger(-p) e13 psi* = lambda e13
     psi*.  The residual is the largest entry of H^dagger(-p) e13 psi_pm* -
     lambda_pm e13 psi_pm* over both branches, one per row.  Since
-    R^+_{-gamma}(-p) = H^dagger(-p), this is the eigen-identity term of
-    :func:`kramers_pairing` reached through the dynamics.
+    R^+_{-gamma}(-p) = H^dagger(-p), it is also the eigen-identity term of
+    :func:`kramers_pairing`.
     """
     p = np.asarray(p, dtype=float)
     chi = reverse_amplitudes(eigen_amplitudes(*phi_angles(gamma, p))[..., :2, :])

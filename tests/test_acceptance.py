@@ -42,7 +42,6 @@ from bispinor.susy import (
 )
 from bispinor.timereversal import (
     kramers_pairing,
-    pseudo_adjoint,
     pseudo_hermitian_residual,
     reverse_amplitudes,
 )
@@ -223,11 +222,11 @@ def test_criterion_09_susy():
             float(np.abs(w @ tp + tp @ w).max()) / scale,
             float(np.abs(w @ h - h @ w).max()) / scale,
         )
-        lam_plus, lam_minus, h_psusy = pseudo_susy(g, beta, p)
+        _, lam_minus, h_psusy = pseudo_susy(g, beta, p)
         worst = max(worst, float(np.abs(h_psusy - h).max()) / scale)
         worst = max(worst, *(r / scale for r in intertwining_residuals(g, beta, p)))
-        sharp = pseudo_adjoint(pseudo_susy(g, beta, -p)[0])
-        worst = max(worst, float(np.abs(sharp - lam_minus).max()))
+        # (P^B(-p))^# = P^A(p): Lambda- = (Lambda+)^# is Theta-
+        worst = max(worst, float(np.abs(lam_minus - tm).max()))
     _report("SUSY and pseudo-SUSY structure", worst, 1e-12)
 
 

@@ -247,3 +247,17 @@ class TestGeneratorCache:
         monkeypatch.setattr("bispinor.momenta.deformed_generators", no_stack)
         for name, call in calls.items():
             assert np.array_equal(call(), want[name]), name
+
+
+SIGNED_ENTRY_POINTS = {
+    "rashba": lambda s: rashba(0.3, 1.0, (0.5, -0.3), sign=s),
+    "magnetic": lambda s: magnetic(0.3, 1.0, (0.2, 0.1), 0.4, (0.5, -0.3), branch=s),
+}
+
+
+@pytest.mark.parametrize("s", [0, 2, -2])
+@pytest.mark.parametrize("entry", list(SIGNED_ENTRY_POINTS))
+def test_branch_sign_must_be_plus_or_minus_one(entry, s):
+    # rashba(sign=) and magnetic(branch=) share the one validator in magnetic_shifts
+    with pytest.raises(ValueError, match=rf"branch sign must be \+1 or -1, got {s}"):
+        SIGNED_ENTRY_POINTS[entry](s)

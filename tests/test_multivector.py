@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bispinor.multivector import (
     BASIS_NAMES,
@@ -228,6 +229,16 @@ def test_time_reverse_matrix_is_block_e13_conjugation(n):
     u = np.kron(np.eye(n), E13)
     want = u @ np.conj(m) @ np.linalg.inv(u)
     assert np.abs(time_reverse_matrix(m) - want).max() < TOL
+
+
+@given(hnp.arrays(float, hnp.array_shapes(max_dims=2).map(lambda s: s + (8,)),
+                  elements=st.floats(-10, 10)),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_time_reversal_is_grade_inversion_at_mirrored_gamma(a, gamma):
+    # the identity that lets time_reverse_matrix stand for grade inversion,
+    # at every gamma, not only the gamma = 0 the registry draws at
+    assert np.array_equal(time_reverse_matrix(to_matrix(a, gamma)),
+                          to_matrix(involute(a, "grade_inversion"), -gamma))
 
 
 def test_deformation_transform_reproduces_generators():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bispinor import biortho, ideal, momenta, multivector, spectrum, timereversal
-from bispinor.harness import run_all
+from bispinor.harness import checks, run_all
 from bispinor.harness.config import SuiteConfig
 
 
@@ -24,6 +24,9 @@ _to_matrix = multivector.to_matrix
 _build_ideal_basis = ideal.build_ideal_basis
 _synthesize_generators = biortho.synthesize_generators
 _build_linearization = momenta.build_linearization
+_magnetic_shifts = momenta.magnetic_shifts
+_eigen_amplitudes = spectrum.eigen_amplitudes
+_c2_form = ideal.c2_form
 
 
 def spin_without_plane(amps):
@@ -71,6 +74,33 @@ def linearization_with_m_prime_flipped(gamma=0.0):
     return (*rest, -m_prime)
 
 
+def reversal_without_minus(amps):
+    c = np.conj(np.asarray(amps, dtype=complex))
+    return np.stack([c[..., 1], c[..., 0]], axis=-1)
+
+
+def flip_without_conjugation(u):
+    return multivector.E13 @ np.asarray(u, dtype=complex)
+
+
+def pseudo_adjoint_without_transpose(x_minus_p):
+    return multivector.time_reverse_matrix(np.conj(x_minus_p))
+
+
+def c2_with_arguments_swapped(a, b):
+    return _c2_form(b, a)
+
+
+def amplitudes_with_dual_angles_swapped(phi_plus, phi_minus):
+    amps = _eigen_amplitudes(phi_plus, phi_minus)
+    amps[..., 2:, 1] = _eigen_amplitudes(phi_minus, phi_plus)[..., 2:, 1]
+    return amps
+
+
+def magnetic_shifts_without_branch(beta, a_vec, branch):
+    return _magnetic_shifts(beta, a_vec, 1)
+
+
 MUTANTS = {
     # (test_id, term, module, attribute, broken implementation)
     "spin_without_plane": ("spectrum.spin_vector_planar", "closed_form", spectrum,
@@ -101,6 +131,26 @@ MUTANTS = {
     "linearization_with_m_prime_flipped": ("momenta.linearization_relations", "n_m_cross",
                                            momenta, "build_linearization",
                                            linearization_with_m_prime_flipped),
+    # sign, conjugation and argument-order slips in the time reversal, the
+    # flip and the inner products
+    "reversal_without_minus": ("timereversal.anti_involution", "t_squared", timereversal,
+                               "reverse_amplitudes", reversal_without_minus),
+    "flip_without_conjugation": ("ideal.flip_consistency", "flip_is_time_reversal", ideal,
+                                 "basis_flip", flip_without_conjugation),
+    "pseudo_adjoint_without_transpose": ("timereversal.pseudo_hermiticity", "r_plus_gamma",
+                                         timereversal, "pseudo_adjoint",
+                                         pseudo_adjoint_without_transpose),
+    "c2_with_arguments_swapped": ("ideal.inner_products", "c2_conjugates_c1", ideal,
+                                  "c2_form", c2_with_arguments_swapped),
+    "amplitudes_with_dual_angles_swapped": ("spectrum.eigen_identity", "dual", checks,
+                                            "eigen_amplitudes",
+                                            amplitudes_with_dual_angles_swapped),
+    # the one +-1 branch behind rashba(sign=) and magnetic(branch=)
+    "magnetic_shifts_without_branch": ("susy.algebra", "lower_block", momenta,
+                                       "magnetic_shifts", magnetic_shifts_without_branch),
+    "involutions_with_grade_inversion_unconjugated": (
+        "clifford.involutions", "grade_inversion_matrix", checks, "MATRIX_INVOLUTIONS",
+        {**multivector.MATRIX_INVOLUTIONS, "grade_inversion": time_reversal_without_conjugation}),
 }
 
 

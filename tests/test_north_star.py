@@ -1,5 +1,6 @@
 """The physics modules are formulas over plain arrays: none of them defines
-a class or imports dataclasses."""
+a class or imports dataclasses, and none conjugates by time reversal except
+through multivector.time_reverse_matrix."""
 
 import ast
 from pathlib import Path
@@ -18,3 +19,18 @@ def test_physics_module_is_plain_functions(module):
     imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert classes == []
     assert not any(name and name.split(".")[0] == "dataclasses" for name in imported)
+
+
+def _e13_products(module):
+    """Line numbers of the ``@`` products with E13 as an operand."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+            and any(getattr(x, "id", getattr(x, "attr", None)) == "E13"
+                    for x in (n.left, n.right))]
+
+
+@pytest.mark.parametrize("module", PHYSICS)
+def test_no_hand_written_time_reversal(module):
+    # only ideal's one-sided flip e13 conj(U) multiplies by e13 itself
+    assert len(_e13_products(module)) == (1 if module == "ideal" else 0)
