@@ -127,24 +127,26 @@ def _eigen_lambdas(beta, p) -> np.ndarray:
 
 def check_matrix_homomorphism(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
-    lhs = to_matrix(geometric_product(a, b))
-    return {"product": lhs - to_matrix(a) @ to_matrix(b),
-            "decompose_inverts": decompose(to_matrix(a)) - a}, cfg.samples
+    lhs, ma, mb = to_matrix(np.stack([geometric_product(a, b), a, b]))
+    return {"product": lhs - ma @ mb,
+            "decompose_inverts": decompose(ma) - a}, cfg.samples
 
 
 def check_involutions(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
     ab = geometric_product(a, b)
+    images = [involute(a, kind) for kind in MATRIX_INVOLUTIONS]
+    ma, *m_images = to_matrix(np.stack([a, *images]))
     terms = {}
-    for kind, matrix_form in MATRIX_INVOLUTIONS.items():
-        ia, ib = involute(a, kind), involute(b, kind)
+    for (kind, matrix_form), ia, m_ia in zip(MATRIX_INVOLUTIONS.items(), images, m_images):
+        ib = involute(b, kind)
         if kind == "grade_inversion":
             want = geometric_product(ia, ib)
         else:
             want = geometric_product(ib, ia)
         terms[f"{kind}_product"] = involute(ab, kind) - want
         terms[f"{kind}_twice"] = involute(ia, kind) - a
-        terms[f"{kind}_matrix"] = to_matrix(ia) - matrix_form(to_matrix(a))
+        terms[f"{kind}_matrix"] = m_ia - matrix_form(ma)
     return terms, cfg.samples
 
 
@@ -209,24 +211,26 @@ def check_factorization(cfg, rng):
     shift_a = _complex_normal(rng, (cfg.samples, 3))
     p = _momenta(cfg, rng, cfg.samples)
     shift_b = np.conj(shift_a)
-    pa, pb = (momenta.clifford_momentum(g, shift, p) for shift in (shift_a, shift_b))
-    return {"pb_pa": momenta.momentum_product(g, shift_b, shift_a, p) - 0.5 * pb @ pa,
-            "pa_pb": momenta.momentum_product(g, shift_a, shift_b, p) - 0.5 * pa @ pb}, cfg.samples
+    pa, pb = momenta.clifford_momentum(g, np.stack([shift_a, shift_b]), p)
+    h_ba, h_ab = momenta.momentum_product(g, np.stack([shift_b, shift_a]),
+                                          np.stack([shift_a, shift_b]), p)
+    return {"pb_pa": h_ba - 0.5 * pb @ pa, "pa_pb": h_ab - 0.5 * pa @ pb}, cfg.samples
 
 
 def check_rashba_product_form(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    left, right = momenta.rashba_shifts(b, 1)
     hp = momenta.rashba(g, b, p)
-    product = momenta.clifford_momentum(g, left, p) @ momenta.clifford_momentum(g, right, p)
-    return {"product_form": hp - 0.5 * product}, cfg.samples
+    left, right = momenta.clifford_momentum(g, np.stack(momenta.rashba_shifts(b, 1)), p)
+    return {"product_form": hp - 0.5 * (left @ right)}, cfg.samples
 
 
 def check_isospectrality(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    lam = np.array(spectrum.eigenvalue_oracle(momenta.rashba(g, b, p)))
-    return {name: lam - np.array(spectrum.eigenvalue_oracle(momenta.rashba(g2, b, p)))
-            for name, g2 in (("mirrored_gamma", -g), ("gamma_zero", 0.0))}, cfg.samples
+    # the oracle runs per variant: on the stack, numpy's vector loops and their
+    # scalar tails meet other entries, and overflowed NaNs come out with other signs
+    lam, lam_mirrored, lam_zero = (np.array(spectrum.eigenvalue_oracle(h)) for h in
+                                   momenta.rashba(np.stack([g, -g, np.zeros(cfg.samples)]), b, p))
+    return {"mirrored_gamma": lam - lam_mirrored, "gamma_zero": lam - lam_zero}, cfg.samples
 
 
 def check_levy_leblond_system(cfg, rng):
@@ -236,10 +240,9 @@ def check_levy_leblond_system(cfg, rng):
     g, b = _gamma_beta_pairs(cfg.gamma_values, cfg.nonzero_betas())
     p = _momenta(cfg, rng, len(g))
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
-    shift_b, shift_a = momenta.rashba_shifts(b, 1)
-    pa_psi = matvec(momenta.clifford_momentum(g, shift_a, p)[:, None], psi)
+    pb, pa = momenta.clifford_momentum(g, np.stack(momenta.rashba_shifts(b, 1)), p)
+    pa_psi = matvec(pa[:, None], psi)
     eta = (1j / 2.0) * pa_psi                                # from P^A psi = -2i eta
-    pb = momenta.clifford_momentum(g, shift_b, p)
     residual = matvec(pb[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi
     return {"second_equation": residual}, 2 * len(g)
 
@@ -249,11 +252,12 @@ def check_magnetic_consistency(cfg, rng):
     a_vec, b3 = rng.normal(size=(cfg.samples, 2)), rng.normal(size=cfg.samples)
     e3g = deformed_generators(g)[:, 3]
     terms = {}
-    for name, branch in (("branch_plus", 1), ("branch_minus", -1)):
-        left, right = momenta.magnetic_shifts(b, a_vec, branch)
-        product = momenta.clifford_momentum(g, left, p) @ momenta.clifford_momentum(g, right, p)
+    branches = (("branch_plus", 1), ("branch_minus", -1))
+    shifts = np.stack([momenta.magnetic_shifts(b, a_vec, branch) for _, branch in branches])
+    factors = momenta.clifford_momentum(g, shifts, p)          # (branch, left/right, n, 2, 2)
+    for (name, branch), (left, right) in zip(branches, factors):
         terms[name] = (momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
-                       - (0.5 * product + b3[:, None, None] * e3g))
+                       - (0.5 * (left @ right) + b3[:, None, None] * e3g))
     return terms, cfg.samples
 
 
@@ -267,11 +271,12 @@ def check_magnetic_trs_convention(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, n)
     a_vec = rng.normal(size=(n, 2)) + np.array([0.5, -0.5])
     b3 = rng.normal(size=n) + 1.0
+    # the fields and momenta of H(p), the field-reversed H(-p) and the fixed-field H(-p)
+    a_vecs, b3s = np.stack([a_vec, -a_vec, a_vec]), np.stack([b3, -b3, b3])
+    ps = np.stack([p, -p, -p])
     terms = {}
     for name, branch in (("plus", 1), ("minus", -1)):
-        h_p = momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
-        h_reversed = momenta.magnetic(g, b, -a_vec, -b3, -p, branch=branch)
-        h_fixed = momenta.magnetic(g, b, a_vec, b3, -p, branch=branch)
+        h_p, h_reversed, h_fixed = momenta.magnetic(g, b, a_vecs, b3s, ps, branch=branch)
         terms[f"reversed_field_{name}"] = timereversal.pseudo_hermitian_residual(h_reversed, h_p)
         terms[f"witness_fixed_field_{name}"] = _nonzero_witness(
             timereversal.pseudo_hermitian_residual(h_fixed, h_p))
@@ -285,8 +290,7 @@ def check_eigen_identity(cfg, rng):
     amps = eigen_amplitudes(*phi_angles(g, p))
     psi, dual = amps[:, :2], amps[:, 2:]
     lam = _eigen_lambdas(b, p)
-    h = momenta.rashba(g, b, p)
-    h_dual = momenta.rashba(-g, b, p)
+    h, h_dual = momenta.rashba(np.stack([g, -g]), b, p)
     return {"right": matvec(h[:, None], psi) - lam * psi,
             "dual": matvec(h_dual[:, None], dual) - lam * dual}, cfg.samples
 
@@ -441,11 +445,13 @@ def check_anti_involution(cfg, rng):
 
 def check_pseudo_hermiticity(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    terms = {f"r_{sname}_{gname}": timereversal.pseudo_hermitian_residual(
-                 momenta.rashba(gg, b, -p, sign=sign), momenta.rashba(gg, b, p, sign=sign))
-             for gname, gg in (("gamma", g), ("mirrored_gamma", -g))
-             for sname, sign in (("plus", 1), ("minus", -1))}
-    adjoint = reversion_matrix(momenta.rashba(g, b, p)) - momenta.rashba(-g, b, p)
+    # H(-p), H(p) at gamma, then at -gamma, for each sign
+    gammas, mirrored = np.stack([g, g, -g, -g]), np.stack([-p, p, -p, p])
+    h = {sname: momenta.rashba(gammas, b, mirrored, sign=sign)
+         for sname, sign in (("plus", 1), ("minus", -1))}
+    terms = {f"r_{sname}_{gname}": timereversal.pseudo_hermitian_residual(*h[sname][k:k + 2])
+             for gname, k in (("gamma", 0), ("mirrored_gamma", 2)) for sname in h}
+    adjoint = reversion_matrix(h["plus"][1]) - h["plus"][3]
     return {**terms, "adjoint_mirrors_gamma": adjoint}, cfg.samples
 
 

@@ -46,8 +46,19 @@ _INVOLUTION_SIGNS = {
 
 def mat2(a, b, c, d) -> np.ndarray:
     """The (..., 2, 2) complex matrices [[a, b], [c, d]] from broadcastable entries."""
-    entries = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, c, d)))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def stack_variants(variants, ndim: int, core: int = 0) -> np.ndarray:
+    """Variants of one operand, each of shape (...) + ``core`` trailing
+    axes, stacked on a new leading axis, with unit axes inserted behind it
+    up to ``ndim`` batch axes.  The stack then broadcasts against the other
+    operands of a call (at most ``ndim`` batch axes), so one call evaluates
+    every variant, with the same arithmetic per entry as separate calls."""
+    x = np.stack(variants)
+    return x.reshape(x.shape[:1] + (1,) * (ndim + core + 1 - x.ndim) + x.shape[1:])
 
 
 def matvec(m, v) -> np.ndarray:
@@ -171,9 +182,10 @@ def to_matrix(a, gamma=0.0) -> np.ndarray:
     v1 = a[..., 1] + 1j * a[..., 5]
     v2 = a[..., 2] + 1j * a[..., 6]
     v3 = a[..., 3] + 1j * a[..., 4]
+    iv2 = 1j * v2
     diag = big_a * v3 - big_b * v1
     off = big_a * v1 + big_b * v3
-    return mat2(s + diag, off - 1j * v2, off + 1j * v2, s - diag)
+    return mat2(s + diag, off - iv2, off + iv2, s - diag)
 
 
 def deformed_generators(gamma) -> np.ndarray:

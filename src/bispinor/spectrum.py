@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, mat2, matvec
+from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, mat2, matvec, stack_variants
 
 _SQRT2 = np.sqrt(2.0)
 _T0 = 0.2                # the time at which continuity_residual is evaluated
@@ -65,7 +65,7 @@ def phi_angles(gamma, p):
 
 
 def phi_angles_principal(gamma, p):
-    """Principal-branch angles tan^-1(num/den), folded into (-pi/2, pi/2].
+    """Principal-branch angles tan^-1(num/den), folded into [-pi/2, pi/2).
 
     The angle relations under momentum and gamma flips hold exactly on this
     branch (they are tan-level identities); the eigen branch above can differ
@@ -123,12 +123,13 @@ def flip_relations(gamma, p) -> dict:
     def wrap(x):
         return np.abs(np.angle(np.exp(1j * x)))
 
-    fp, fm = phi_angles_principal(gamma, p)
-    fp_mp, fm_mp = phi_angles_principal(gamma, -p)
-    fp_mg, fm_mg = phi_angles_principal(-gamma, p)
-    fp_mpmg, fm_mpmg = phi_angles_principal(-gamma, -p)
-    fp_m1, fm_m1 = phi_angles_principal(gamma, p * [-1.0, 1.0])
-    fp_m2, fm_m2 = phi_angles_principal(gamma, p * [1.0, -1.0])
+    # the angles at (p, g), (-p, g), (p, -g), (-p, -g), (-p1, p2) and (p1, -p2)
+    ndim = np.broadcast(gamma, p[..., 0]).ndim
+    gammas = stack_variants((gamma, gamma, -gamma, -gamma, gamma, gamma), ndim)
+    flipped = stack_variants((p, -p, p, -p, p * [-1.0, 1.0], p * [1.0, -1.0]), ndim, core=1)
+    plus, minus = phi_angles_principal(gammas, flipped)
+    fp, fp_mp, fp_mg, fp_mpmg, fp_m1, fp_m2 = plus
+    fm, fm_mp, fm_mg, fm_mpmg, fm_m1, fm_m2 = minus
 
     res_a = np.maximum.reduce([wrap(fm - fp_mp), wrap(fm - fp_mg),
                                wrap(fp - fm_mp), wrap(fp - fm_mg)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .momenta import clifford_momentum, rashba, rashba_shifts
+from .multivector import stack_variants
 from .timereversal import pseudo_adjoint
 
 _SQRT2 = np.sqrt(2.0)
@@ -27,12 +28,23 @@ def _offdiag(upper=None, lower=None) -> np.ndarray:
     return out
 
 
+def _batch_ndim(gamma, beta, p) -> int:
+    return np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
+
+
+def _mirrored_deltas(gamma, beta, p) -> np.ndarray:
+    """Delta^B = P^B at p and at -p, stacked (2, ..., 2, 2) from one call."""
+    shift_b, _ = rashba_shifts(beta, 1)
+    mirrored = stack_variants((p, -p), _batch_ndim(gamma, beta, p), core=1)
+    return clifford_momentum(gamma, shift_b, mirrored)
+
+
 def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     """Theta^+ = (1/sqrt 2) offdiag-upper(P^B), Theta^- = lower(P^A), of shape
     (..., 4, 4) for gamma, beta (...) and momenta (..., 2)."""
-    shift_b, shift_a = rashba_shifts(beta, 1)
-    return (_offdiag(upper=clifford_momentum(gamma, shift_b, p) / _SQRT2),
-            _offdiag(lower=clifford_momentum(gamma, shift_a, p) / _SQRT2))
+    shifts = stack_variants(rashba_shifts(beta, 1), _batch_ndim(gamma, beta, p), core=1)
+    p_b, p_a = clifford_momentum(gamma, shifts, p) / _SQRT2
+    return _offdiag(upper=p_b), _offdiag(lower=p_a)
 
 
 def susy_hamiltonian(gamma, beta, p) -> np.ndarray:
@@ -52,9 +64,9 @@ def pseudo_susy(gamma, beta, p):
     and Lambda- = (Lambda+)^#, its pseudo-adjoint, carries (Delta^B)^# = P^A
     in the lower one, so the anticommutator reproduces the SUSY Hamiltonian.
     """
-    p = np.asarray(p, dtype=float)
-    lambda_plus = supercharges(gamma, beta, p)[0]
-    lambda_minus = pseudo_adjoint(supercharges(gamma, beta, -p)[0])
+    delta, delta_minus_p = _mirrored_deltas(gamma, beta, np.asarray(p, dtype=float)) / _SQRT2
+    lambda_plus = _offdiag(upper=delta)
+    lambda_minus = pseudo_adjoint(_offdiag(upper=delta_minus_p))
     h_psusy = lambda_plus @ lambda_minus + lambda_minus @ lambda_plus
     return lambda_plus, lambda_minus, h_psusy
 
@@ -62,12 +74,11 @@ def pseudo_susy(gamma, beta, p):
 def intertwining_residuals(gamma, beta, p):
     """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+ at p,
     per momentum of p (..., 2)."""
-    shift_b, _ = rashba_shifts(beta, 1)
     p = np.asarray(p, dtype=float)
     r_plus = rashba(gamma, beta, p)
     r_minus = rashba(gamma, beta, p, sign=-1)
-    delta = clifford_momentum(gamma, shift_b, p)
-    delta_sharp = pseudo_adjoint(clifford_momentum(gamma, shift_b, -p))
+    delta, delta_minus_p = _mirrored_deltas(gamma, beta, p)
+    delta_sharp = pseudo_adjoint(delta_minus_p)
     r1 = np.abs(r_plus @ delta - delta @ r_minus).max(axis=(-1, -2))[()]
     r2 = np.abs(r_minus @ delta_sharp - delta_sharp @ r_plus).max(axis=(-1, -2))[()]
     return r1, r2

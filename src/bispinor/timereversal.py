@@ -20,6 +20,7 @@ from .multivector import (
     deformed_generators,
     matvec,
     reversion_matrix,
+    stack_variants,
     time_reverse_matrix,
 )
 from .spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
@@ -62,8 +63,7 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     reversion image with a +, and the pseudoscalar flips.
     """
     gamma = np.asarray(gamma, dtype=float)
-    generators = deformed_generators(gamma)
-    mirrored = deformed_generators(-gamma)
+    generators, mirrored = deformed_generators(np.stack([gamma, -gamma]))
     vector_rule = _maxabs(time_reverse_matrix(generators[..., 1:4, :, :])
                           + mirrored[..., 1:4, :, :], (-1, -2, -3))
 
@@ -96,8 +96,9 @@ def kramers_pairing(gamma, beta, p):
     (:func:`reversed_schrodinger_residual`).
     """
     p = np.asarray(p, dtype=float)
-    amps = eigen_amplitudes(*phi_angles(gamma, p))
-    flipped = eigen_amplitudes(*phi_angles(-gamma, -p))
+    ndim = np.broadcast(gamma, p[..., 0]).ndim
+    amps, flipped = eigen_amplitudes(*phi_angles(stack_variants((gamma, -gamma), ndim),
+                                                 stack_variants((p, -p), ndim, core=1)))
     t_psi = reverse_amplitudes(amps[..., :2, :])          # T psi_+, T psi_-
 
     def match(target):
@@ -116,7 +117,7 @@ def kramers_pairing(gamma, beta, p):
 
     return n, {"same_p": same_p[()], "flipped_p": flipped_p[()],
                "orthogonality": ortho[()],
-               "eigen_identity": reversed_schrodinger_residual(gamma, beta, p)}
+               "eigen_identity": _reversed_eigen_residual(gamma, beta, p, t_psi)}
 
 
 def noncommutation_witness(gamma, beta, p):
@@ -125,9 +126,10 @@ def noncommutation_witness(gamma, beta, p):
     momenta (..., 2)); nonzero for gamma != 0 (the reason a plain Kramers
     degeneracy argument fails) and zero at gamma = 0."""
     p = np.asarray(p, dtype=float)
+    mirrored = stack_variants((-p, p), np.broadcast(gamma, beta, p[..., 0]).ndim, core=1)
+    h_minus_p, h_p = rashba(gamma, beta, mirrored)
     # U conj(H(-p)) U^-1 realizes T^-1 H T at momentum label p
-    return _maxabs(time_reverse_matrix(rashba(gamma, beta, -p))
-                   - rashba(gamma, beta, p), (-1, -2))
+    return _maxabs(time_reverse_matrix(h_minus_p) - h_p, (-1, -2))
 
 
 def reversed_schrodinger_residual(gamma, beta, p):
@@ -144,6 +146,12 @@ def reversed_schrodinger_residual(gamma, beta, p):
     """
     p = np.asarray(p, dtype=float)
     chi = reverse_amplitudes(eigen_amplitudes(*phi_angles(gamma, p))[..., :2, :])
+    return _reversed_eigen_residual(gamma, beta, p, chi)
+
+
+def _reversed_eigen_residual(gamma, beta, p, chi):
+    """The residual of :func:`reversed_schrodinger_residual` given the
+    reversed eigenstates chi = T psi_pm, (..., 2, 2)."""
     h_adj = reversion_matrix(rashba(gamma, beta, -p))
     lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
     return _maxabs(matvec(h_adj[..., None, :, :], chi) - lam * chi, (-1, -2))

@@ -190,9 +190,13 @@ def test_batched_checks_equal_their_loops_on_overflow():
 
 # ------------------------------------------------------------ call counts
 
-def count_registry_calls(monkeypatch, cfg) -> Counter:
-    """Calls one run_all makes to the counted functions, wrapped in every
-    bispinor namespace that holds them."""
+COUNTED = (momenta.rashba, momenta.momentum_product, momenta.clifford_momentum,
+           multivector.deformed_generators)
+
+
+def count_registry_calls(monkeypatch, cfg, counted_fns=COUNTED) -> Counter:
+    """Calls one run_all makes to the counted functions (and to numpy's
+    eig), each wrapped in every bispinor namespace that holds it."""
     counts = Counter()
 
     def counted(name, fn):
@@ -203,8 +207,7 @@ def count_registry_calls(monkeypatch, cfg) -> Counter:
 
     modules = [m for name, m in sys.modules.items() if name.startswith("bispinor")]
     with monkeypatch.context() as patch:
-        for fn in (momenta.rashba, momenta.momentum_product, momenta.clifford_momentum,
-                   multivector.deformed_generators):
+        for fn in counted_fns:
             for module in modules:
                 for attr, value in list(vars(module).items()):
                     if value is fn:
@@ -222,3 +225,13 @@ def test_call_counts_do_not_grow_with_the_config(monkeypatch):
     assert set(small_counts) == {"rashba", "momentum_product", "clifford_momentum",
                                  "deformed_generators", "eig"}
     assert count_registry_calls(monkeypatch, large) == small_counts
+
+
+def test_call_budget_at_the_default_config(monkeypatch):
+    # Each family of operator variants is one stacked call.  Per default
+    # run_all, to_matrix ran 83 times and momentum_product 39 times with a
+    # call per variant (8d4469a); stacked, 42 and 22.
+    counts = count_registry_calls(monkeypatch, SuiteConfig(),
+                                  (multivector.to_matrix, momenta.momentum_product))
+    assert counts["to_matrix"] <= 50
+    assert counts["momentum_product"] <= 25
