@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformation_transform, matvec
+from .multivector import deformation_transform, det2, inv2, matvec
 from .spectrum import amplitude_inner
 
 _SEED_TOL = 1e-10
@@ -37,14 +37,14 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
         raise ValueError("need seed vectors in C^2 and 2x2 transforms")
 
     scale = np.maximum(np.abs(t).max(axis=(-1, -2)), 1.0)
-    if np.any(np.abs(np.linalg.det(t)) < 1e-12 * scale * scale):
+    if np.any(np.abs(det2(t)) < 1e-12 * scale * scale):
         raise ValueError("non-invertible transform")
 
     seeds = np.stack((v1, v2), axis=-2)
     if np.any(np.abs(gram(seeds, seeds) - np.eye(2)) > _SEED_TOL):
         raise ValueError("seed vectors not orthonormal")
 
-    t_inv_dag = np.linalg.inv(t).conj().swapaxes(-1, -2)
+    t_inv_dag = inv2(t).conj().swapaxes(-1, -2)
     return (np.stack((matvec(t, v1), matvec(t, v2)), axis=-2),
             np.stack((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
 

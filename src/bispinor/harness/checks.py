@@ -29,8 +29,11 @@ from ..multivector import (
     decompose,
     deformation_transform,
     deformed_generators,
+    det2,
     geometric_product,
+    inv2,
     involute,
+    matmul2,
     matvec,
     reversion_matrix,
     to_matrix,
@@ -103,7 +106,7 @@ def worst_term(terms: dict) -> tuple[float, str | None]:
     largest residual (0.0 and None for no terms)."""
     worst, name = 0.0, None
     for key, residual in terms.items():
-        largest = float(np.max(np.abs(residual), initial=0.0))
+        largest = float(np.abs(residual).max(initial=0.0))
         if not math.isfinite(largest):
             return math.inf, key
         if name is None or largest > worst:
@@ -128,7 +131,7 @@ def _eigen_lambdas(beta, p) -> np.ndarray:
 def check_matrix_homomorphism(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
     lhs, ma, mb = to_matrix(np.stack([geometric_product(a, b), a, b]))
-    return {"product": lhs - ma @ mb,
+    return {"product": lhs - matmul2(ma, mb),
             "decompose_inverts": decompose(ma) - a}, cfg.samples
 
 
@@ -152,7 +155,7 @@ def check_involutions(cfg, rng):
 
 def check_deformed_relations(cfg, rng):
     e = deformed_generators(np.array(cfg.gamma_values))[:, 1:4]
-    anti = e[:, :, None] @ e[:, None, :] + e[:, None, :] @ e[:, :, None]
+    anti = matmul2(e[:, :, None], e[:, None, :]) + matmul2(e[:, None, :], e[:, :, None])
     return {"anticommutators": anti - 2.0 * np.eye(3)[..., None, None] * _I2}, len(e)
 
 
@@ -162,7 +165,7 @@ def check_even_subalgebra(cfg, rng):
     gammas = np.array(cfg.gamma_values)
     t = deformation_transform(gammas)[:, None, None]
     even = deformed_generators(gammas)[:, [0, 4, 5, 6]]
-    prod = np.linalg.inv(t) @ even[:, :, None] @ even[:, None, :] @ t
+    prod = matmul2(matmul2(matmul2(inv2(t), even[:, :, None]), even[:, None, :]), t)
     odd = np.isin(GRADES, (1, 3))
     return {"odd_part": decompose(prod)[..., odd]}, len(cfg.gamma_values)
 
@@ -177,7 +180,7 @@ def check_biortho_gram(cfg, rng):
     m = _complex_normal(rng, (cfg.samples, 2, 2, 2))   # per sample: seed, transform
     q, _ = np.linalg.qr(m[:, 0])
     t = m[:, 1]
-    t = np.where((np.abs(np.linalg.det(t)) < 1e-3)[:, None, None], t + 2.0 * _I2, t)
+    t = np.where((np.abs(det2(t)) < 1e-3)[:, None, None], t + 2.0 * _I2, t)
     phi, chi = biortho.build_pair(q[..., :, 0], q[..., :, 1], t)
     return {"gram": biortho.gram(phi, chi) - np.eye(2)}, cfg.samples
 
@@ -186,7 +189,7 @@ def check_generator_synthesis(cfg, rng):
     gammas = np.array(cfg.gamma_values)
     made = biortho.synthesize_generators(np.arcsin(gammas))
     return {"generators": made - deformed_generators(gammas)[:, 1:4],
-            "squares": made @ made - _I2}, len(cfg.gamma_values)
+            "squares": matmul2(made, made) - _I2}, len(cfg.gamma_values)
 
 
 # ----------------------------------------------------------------- momenta
@@ -214,14 +217,15 @@ def check_factorization(cfg, rng):
     pa, pb = momenta.clifford_momentum(g, np.stack([shift_a, shift_b]), p)
     h_ba, h_ab = momenta.momentum_product(g, np.stack([shift_b, shift_a]),
                                           np.stack([shift_a, shift_b]), p)
-    return {"pb_pa": h_ba - 0.5 * pb @ pa, "pa_pb": h_ab - 0.5 * pa @ pb}, cfg.samples
+    return {"pb_pa": h_ba - matmul2(0.5 * pb, pa),
+            "pa_pb": h_ab - matmul2(0.5 * pa, pb)}, cfg.samples
 
 
 def check_rashba_product_form(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     hp = momenta.rashba(g, b, p)
     left, right = momenta.clifford_momentum(g, np.stack(momenta.rashba_shifts(b, 1)), p)
-    return {"product_form": hp - 0.5 * (left @ right)}, cfg.samples
+    return {"product_form": hp - 0.5 * matmul2(left, right)}, cfg.samples
 
 
 def check_isospectrality(cfg, rng):
@@ -257,7 +261,7 @@ def check_magnetic_consistency(cfg, rng):
     factors = momenta.clifford_momentum(g, shifts, p)          # (branch, left/right, n, 2, 2)
     for (name, branch), (left, right) in zip(branches, factors):
         terms[name] = (momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
-                       - (0.5 * (left @ right) + b3[:, None, None] * e3g))
+                       - (0.5 * matmul2(left, right) + b3[:, None, None] * e3g))
     return terms, cfg.samples
 
 
@@ -322,9 +326,9 @@ def check_projectors(cfg, rng):
     h = momenta.rashba(g, b, p)
     return {
         "completeness": pi1 + pi2 - _I2,
-        "orthogonality": pi1 @ pi2,
-        "pi1_idempotent": pi1 @ pi1 - pi1,
-        "pi2_idempotent": pi2 @ pi2 - pi2,
+        "orthogonality": matmul2(pi1, pi2),
+        "pi1_idempotent": matmul2(pi1, pi1) - pi1,
+        "pi2_idempotent": matmul2(pi2, pi2) - pi2,
         "spectral_decomposition": lam_p[:, None, None] * pi1 + lam_m[:, None, None] * pi2 - h,
     }, cfg.samples
 
@@ -348,18 +352,16 @@ def check_isospectral_pairs_generic(cfg, rng):
     spectrum: the cross left/right eigenvector inner products vanish."""
     m = _complex_normal(rng, (cfg.samples, 2, 2, 2))   # per sample: seed, similarity
     herm = m[:, 0] + reversion_matrix(m[:, 0])
-    vals = np.linalg.eigvalsh(herm)
-    herm = np.where((vals[:, 1] - vals[:, 0] < 0.1)[:, None, None],
-                    herm + np.diag([1.0, -1.0]), herm)
+    high, low = spectrum.eigenvalue_oracle(herm)
+    herm = np.where(((high - low).real < 0.1)[:, None, None], herm + np.diag([1.0, -1.0]), herm)
     s = m[:, 1]
-    s = np.where((np.abs(np.linalg.det(s)) < 1e-2)[:, None, None], s + 2.0 * _I2, s)
-    h = s @ herm @ np.linalg.inv(s)
-    vals_r, right = np.linalg.eig(h)
-    vals_l, left = np.linalg.eig(reversion_matrix(h))
-    r = np.take_along_axis(right, np.argsort(vals_r.real, axis=-1)[:, None, :], axis=-1)
-    l = np.take_along_axis(left, np.argsort(vals_l.real, axis=-1)[:, None, :], axis=-1)
-    return {"left0_right1": amplitude_inner(l[..., 0], r[..., 1]),
-            "left1_right0": amplitude_inner(l[..., 1], r[..., 0])}, cfg.samples
+    s = np.where((np.abs(det2(s)) < 1e-2)[:, None, None], s + 2.0 * _I2, s)
+    h = matmul2(matmul2(s, herm), inv2(s))
+    # unit eigenvectors (2, n, 2) at the higher, then the lower eigenvalue
+    right, left = (spectrum.eigenvector_oracle(x, np.stack(spectrum.eigenvalue_oracle(x)))
+                   for x in (h, reversion_matrix(h)))
+    return {"left0_right1": amplitude_inner(left[1], right[0]),
+            "left1_right0": amplitude_inner(left[0], right[1])}, cfg.samples
 
 
 def check_spin_vector(cfg, rng):
@@ -447,8 +449,7 @@ def check_pseudo_hermiticity(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     # H(-p), H(p) at gamma, then at -gamma, for each sign
     gammas, mirrored = np.stack([g, g, -g, -g]), np.stack([-p, p, -p, p])
-    h = {sname: momenta.rashba(gammas, b, mirrored, sign=sign)
-         for sname, sign in (("plus", 1), ("minus", -1))}
+    h = dict(zip(("plus", "minus"), momenta.rashba_signs(gammas, b, mirrored)))
     terms = {f"r_{sname}_{gname}": timereversal.pseudo_hermitian_residual(*h[sname][k:k + 2])
              for gname, k in (("gamma", 0), ("mirrored_gamma", 2)) for sname in h}
     adjoint = reversion_matrix(h["plus"][1]) - h["plus"][3]
@@ -488,13 +489,13 @@ def check_ideal_basis(cfg, rng):
     gammas = np.concatenate([cfg.gamma_values, rng.uniform(-0.99, 0.99, size=10)])
     g = ideal.build_ideal_basis(gammas)
     return {**{f"g{j}": g[:, j] - want[j] for j in range(4)},
-            "g0_idempotent": g[:, 0] @ g[:, 0] - g[:, 0]}, len(gammas)
+            "g0_idempotent": matmul2(g[:, 0], g[:, 0]) - g[:, 0]}, len(gammas)
 
 
 def check_left_ideal_closure(cfg, rng):
     u = _complex_normal(rng, (cfg.samples, 2, 2))
     amps = _complex_normal(rng, (cfg.samples, 2))
-    prod = u @ ideal.ideal_matrix(amps)
+    prod = matmul2(u, ideal.ideal_matrix(amps))
     return {"second_column": prod[..., :, 1]}, cfg.samples
 
 
@@ -526,7 +527,7 @@ def check_invariance_groups(cfg, rng):
     q, _ = np.linalg.qr(m)
     defect_g, defect_gp = ideal.invariance_group_defects(q)
     ia, ib = ideal.ideal_matrix(a), ideal.ideal_matrix(b)
-    rot_a, rot_b = q @ ia, q @ ib
+    rot_a, rot_b = matmul2(q, ia), matmul2(q, ib)
     defect_bad, _ = ideal.invariance_group_defects(np.diag([2.0, 1.0]))
     return {"c1_preserved": ideal.c1_form(rot_a, rot_b) - ideal.c1_form(ia, ib),
             "c2_preserved": ideal.c2_form(rot_a, rot_b) - ideal.c2_form(ia, ib),
@@ -540,10 +541,11 @@ def check_invariance_groups(cfg, rng):
 def check_susy_algebra(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     tp, tm = susy.supercharges(g, b, p)
-    h = susy.susy_hamiltonian(g, b, p)
+    h = susy.anticommutator(tp, tm)
+    r_plus, r_minus = momenta.rashba_signs(g, b, p)
     return {
-        "upper_block": h[:, :2, :2] - momenta.rashba(g, b, p),
-        "lower_block": h[:, 2:, 2:] - momenta.rashba(g, b, p, sign=-1),
+        "upper_block": h[:, :2, :2] - r_plus,
+        "lower_block": h[:, 2:, 2:] - r_minus,
         "h_commutes_theta_plus": h @ tp - tp @ h,
         "h_commutes_theta_minus": h @ tm - tm @ h,
     }, cfg.samples
@@ -552,13 +554,14 @@ def check_susy_algebra(cfg, rng):
 def check_pseudo_susy(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     _, lm, hps = susy.pseudo_susy(g, b, p)
+    tp, tm = susy.supercharges(g, b, p)
     intertwine_plus, intertwine_minus = susy.intertwining_residuals(g, b, p)
     return {
-        "hamiltonian": hps - susy.susy_hamiltonian(g, b, p),
+        "hamiltonian": hps - susy.anticommutator(tp, tm),
         "intertwining_r_plus": intertwine_plus,
         "intertwining_r_minus": intertwine_minus,
         # (P^B(-p))^# = P^A(p): Lambda- against Theta-
-        "pseudo_adjoint": lm - susy.supercharges(g, b, p)[1],
+        "pseudo_adjoint": lm - tm,
     }, cfg.samples
 
 
@@ -581,7 +584,8 @@ def check_susy_sector_pairing(cfg, rng):
 # (test_id, paper_ref, function, tolerance multiplier)
 # An entry passes when its max_residual <= cfg.tolerance * multiplier.
 # Multipliers above 1 cover rounding through eigen-solves and angles (10)
-# and numpy's general eigensolver (1e4).
+# and the closed-form eigenvectors of random non-normal similarity images,
+# whose conditioning amplifies that rounding (1e4).
 REGISTRY = (
     ("clifford.matrix_homomorphism", "2", check_matrix_homomorphism, 1.0),
     ("clifford.involutions", "6.2.1", check_involutions, 1.0),

@@ -17,6 +17,7 @@ from .multivector import (
     clifford_conjugation_matrix,
     deformation_omega,
     deformed_generators,
+    matmul2,
     reversion_matrix,
     time_reverse_matrix,
 )
@@ -68,18 +69,18 @@ def ideal_components(amps) -> np.ndarray:
 def basis_flip(u: np.ndarray) -> np.ndarray:
     """The flip anti-involution U -> e13 conj(U) on (..., 2, 2) matrices;
     squares to -identity."""
-    return E13 @ np.conj(np.asarray(u, dtype=complex))
+    return matmul2(E13, np.conj(np.asarray(u, dtype=complex)))
 
 
 def c1_form(a: np.ndarray, b: np.ndarray):
     """C1 = tr(reversion(A) B) of ideal matrices (..., 2, 2) = a1* b1 + a2* b2."""
-    return np.trace(reversion_matrix(a) @ b, axis1=-2, axis2=-1)
+    return np.trace(matmul2(reversion_matrix(a), b), axis1=-2, axis2=-1)
 
 
 def c2_form(a: np.ndarray, b: np.ndarray):
     """C2 = tr(e31 conj_cl(A) flip(B)) of ideal matrices (..., 2, 2)
     = a1 b1* + a2 b2*."""
-    return np.trace(_E31 @ clifford_conjugation_matrix(a) @ basis_flip(b),
+    return np.trace(matmul2(matmul2(_E31, clifford_conjugation_matrix(a)), basis_flip(b)),
                     axis1=-2, axis2=-1)
 
 
@@ -95,5 +96,5 @@ def invariance_group_defects(u: np.ndarray):
     u = np.asarray(u, dtype=complex)
     i2 = np.eye(2)
     u_flat = time_reverse_matrix(u)
-    return (np.abs(reversion_matrix(u) @ u - i2).max(axis=(-1, -2)),
-            np.abs(clifford_conjugation_matrix(u) @ u_flat - i2).max(axis=(-1, -2)))
+    return (np.abs(matmul2(reversion_matrix(u), u) - i2).max(axis=(-1, -2)),
+            np.abs(matmul2(clifford_conjugation_matrix(u), u_flat) - i2).max(axis=(-1, -2)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformed_generators, to_matrix
+from .multivector import deformed_generators, stack_variants, to_matrix
 
 
 def build_linearization(gamma: float = 0.0):
@@ -111,16 +111,24 @@ def rashba(gamma, beta, p, *, sign: int = 1) -> np.ndarray:
     """The deformed Rashba Hamiltonian R^sign_gamma(p) = (1/2) P^B P^A,
     (..., 2, 2) for broadcastable gamma, beta (...) and momenta p (..., 2).
 
-    sign=-1 flips beta.  The adjoint of the +gamma operator equals the
-    -gamma one entrywise.
+    sign=-1 flips beta; an array of signs broadcasts with beta.  The adjoint
+    of the +gamma operator equals the -gamma one entrywise.
     """
     return momentum_product(gamma, *rashba_shifts(beta, sign), p)
 
 
+def rashba_signs(gamma, beta, p) -> np.ndarray:
+    """R^+ and R^- stacked (2, ..., 2, 2) from one :func:`rashba` call over
+    both signs; each slice equals its single-sign call bit for bit."""
+    ndim = np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
+    return rashba(gamma, beta, p, sign=stack_variants((1, -1), ndim))
+
+
 def magnetic_shifts(beta, a_vec, branch):
     """The (left, right) shifts (..., 3) of the magnetic Hamiltonian: the gauge
-    shift a_vec (..., 2) in plane and +-i branch beta on the third component."""
-    if branch not in (1, -1):
+    shift a_vec (..., 2) in plane and +-i branch beta on the third component;
+    branch is +1, -1 or an array of them that broadcasts with beta."""
+    if not np.all((branch == 1) | (branch == -1)):
         raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[-1:] != (2,):

@@ -61,6 +61,26 @@ def stack_variants(variants, ndim: int, core: int = 0) -> np.ndarray:
     return x.reshape(x.shape[:1] + (1,) * (ndim + core + 1 - x.ndim) + x.shape[1:])
 
 
+def matmul2(a, b) -> np.ndarray:
+    """Products a b of (..., 2, 2) matrices, broadcasting, in closed form:
+    entry (i, k) is a_i0 b_0k + a_i1 b_1k, as whole-array operations rather
+    than one BLAS call per matrix.  Same error bound as np.matmul, not the
+    same bits."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def det2(m) -> np.ndarray:
+    """Determinants (...) of (..., 2, 2) matrices: m00 m11 - m01 m10."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def inv2(m) -> np.ndarray:
+    """Inverses of (..., 2, 2) matrices: the adjugate over the determinant
+    (inf or NaN entries where it vanishes)."""
+    adjugate = mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
+    return adjugate / det2(m)[..., None, None]
+
+
 def matvec(m, v) -> np.ndarray:
     """Matrices (..., n, n) applied to vectors (..., n), broadcasting."""
     return (np.asarray(m) @ np.asarray(v)[..., None])[..., 0]

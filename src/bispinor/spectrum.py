@@ -50,6 +50,19 @@ def eigenvalue_oracle(h: np.ndarray):
     return np.where(swap, r2, r1)[()], np.where(swap, r1, r2)[()]
 
 
+def eigenvector_oracle(h: np.ndarray, lam) -> np.ndarray:
+    """Unit eigenvectors (..., 2) of (..., 2, 2) matrices h at their
+    eigenvalues lam (...): of the two closed-form null vectors (b, lam - a)
+    and (lam - d, c) of h - lam = [[a - lam, b], [c, d - lam]], the longer,
+    scaled to unit length (the phase is left as it comes)."""
+    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+    first, second = (b, lam - a), (lam - d, c)
+    n1, n2 = (np.hypot(np.abs(x), np.abs(y)) for x, y in (first, second))
+    longer = n1 >= n2
+    norm = np.where(longer, n1, n2)
+    return np.stack([np.where(longer, x, y) / norm for x, y in zip(first, second)], axis=-1)
+
+
 def phi_angles(gamma, p):
     """The angles (phi_plus, phi_minus) with the quadrant fixed by the
     two-argument arctangent of (numerator, denominator); this is the branch

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .momenta import clifford_momentum, rashba, rashba_shifts
-from .multivector import stack_variants
+from .momenta import clifford_momentum, rashba_shifts, rashba_signs
+from .multivector import matmul2, stack_variants
 from .timereversal import pseudo_adjoint
 
 _SQRT2 = np.sqrt(2.0)
@@ -47,10 +47,14 @@ def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     return _offdiag(upper=p_b), _offdiag(lower=p_a)
 
 
+def anticommutator(a, b) -> np.ndarray:
+    """{a, b} = a b + b a of (..., 4, 4) operators."""
+    return a @ b + b @ a
+
+
 def susy_hamiltonian(gamma, beta, p) -> np.ndarray:
     """H = {Theta+, Theta-} = diag(R^+(p), R^-(p))."""
-    tp, tm = supercharges(gamma, beta, p)
-    return tp @ tm + tm @ tp
+    return anticommutator(*supercharges(gamma, beta, p))
 
 
 def witten_parity() -> np.ndarray:
@@ -67,18 +71,17 @@ def pseudo_susy(gamma, beta, p):
     delta, delta_minus_p = _mirrored_deltas(gamma, beta, np.asarray(p, dtype=float)) / _SQRT2
     lambda_plus = _offdiag(upper=delta)
     lambda_minus = pseudo_adjoint(_offdiag(upper=delta_minus_p))
-    h_psusy = lambda_plus @ lambda_minus + lambda_minus @ lambda_plus
-    return lambda_plus, lambda_minus, h_psusy
+    return lambda_plus, lambda_minus, anticommutator(lambda_plus, lambda_minus)
 
 
 def intertwining_residuals(gamma, beta, p):
     """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+ at p,
     per momentum of p (..., 2)."""
     p = np.asarray(p, dtype=float)
-    r_plus = rashba(gamma, beta, p)
-    r_minus = rashba(gamma, beta, p, sign=-1)
+    r_plus, r_minus = rashba_signs(gamma, beta, p)
     delta, delta_minus_p = _mirrored_deltas(gamma, beta, p)
     delta_sharp = pseudo_adjoint(delta_minus_p)
-    r1 = np.abs(r_plus @ delta - delta @ r_minus).max(axis=(-1, -2))[()]
-    r2 = np.abs(r_minus @ delta_sharp - delta_sharp @ r_plus).max(axis=(-1, -2))[()]
+    r1 = np.abs(matmul2(r_plus, delta) - matmul2(delta, r_minus)).max(axis=(-1, -2))[()]
+    r2 = np.abs(matmul2(r_minus, delta_sharp)
+                - matmul2(delta_sharp, r_plus)).max(axis=(-1, -2))[()]
     return r1, r2

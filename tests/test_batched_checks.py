@@ -24,6 +24,7 @@ from bispinor.harness.config import SuiteConfig
 from bispinor.multivector import (
     deformation_omega,
     deformed_generators,
+    matmul2,
     reversion_matrix,
     time_reverse_matrix,
 )
@@ -72,7 +73,7 @@ def loop_generator_synthesis(cfg, rng):
     for g in cfg.gamma_values:
         made = biortho.synthesize_generators(float(np.arcsin(g)))
         terms["generators"].append(made - deformed_generators(g)[1:4])
-        terms["squares"].append(made @ made - _I2)
+        terms["squares"].append(matmul2(made, made) - _I2)
     return terms, len(cfg.gamma_values)
 
 
@@ -128,7 +129,7 @@ def loop_ideal_basis(cfg, rng):
         ib = ideal_basis_at(g)
         for name, got, ref in zip(("g0", "g1", "g2", "g3"), ib, want):
             terms[name].append(got - ref)
-        terms["g0_idempotent"].append(ib[0] @ ib[0] - ib[0])
+        terms["g0_idempotent"].append(matmul2(ib[0], ib[0]) - ib[0])
     return terms, len(gammas)
 
 
@@ -222,8 +223,9 @@ def test_call_counts_do_not_grow_with_the_config(monkeypatch):
     large = SuiteConfig(samples=200, gamma_values=(0.0, 0.1, -0.2, 0.3, -0.45, 0.6, -0.7, 0.85, -0.95),
                         beta_values=(0.5, 1.0, 2.0))
     small_counts = count_registry_calls(monkeypatch, small)
+    # no check calls numpy's eig any more, so it is counted but never seen
     assert set(small_counts) == {"rashba", "momentum_product", "clifford_momentum",
-                                 "deformed_generators", "eig"}
+                                 "deformed_generators"}
     assert count_registry_calls(monkeypatch, large) == small_counts
 
 

@@ -1,0 +1,153 @@
+"""The closed-form 2x2 kernels: matmul2, det2, inv2 and the eigenpair
+oracles, and the registry's independence from numpy's LAPACK wrappers.
+
+matmul2 is the entrywise formula a_i0 b_0k + a_i1 b_1k evaluated as
+whole-array operations, so it is held to that formula bit for bit and to
+np.matmul (one BLAS call per matrix) within the two-term rounding bound.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from bispinor.harness import checks
+from bispinor.harness.config import SuiteConfig
+from bispinor.multivector import det2, inv2, matmul2
+from bispinor.spectrum import eigenvalue_oracle, eigenvector_oracle
+
+EPS = np.finfo(float).eps
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+
+def complex_from(re, im):
+    """re + i im entry by entry, with no arithmetic on inf or NaN."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def complex_arrays(shape, elements):
+    return st.tuples(hnp.arrays(np.float64, shape, elements=elements),
+                     hnp.arrays(np.float64, shape, elements=elements)).map(lambda z: complex_from(*z))
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+special = st.one_of(finite, st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0]))
+# two batch shapes of sides 1..5 that broadcast together (possibly 0-d)
+batch_pairs = hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2,
+                                                min_side=1, max_side=5)
+
+
+@st.composite
+def operand_pair(draw, elements):
+    (sa, sb), _ = draw(batch_pairs)
+    return (draw(complex_arrays(sa + (2, 2), elements)),
+            draw(complex_arrays(sb + (2, 2), elements)))
+
+
+def entrywise_product(a, b):
+    """Entry (i, k) = a_i0 b_0k + a_i1 b_1k, one entry at a time."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape, dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = a[..., i, 0] * b[..., 0, k] + a[..., i, 1] * b[..., 1, k]
+    return out
+
+
+def bits(z):
+    """The bytes of a complex array with every NaN made the same NaN: the
+    sign of a NaN from 0 * inf depends on the machine loop that made it."""
+    re, im = z.real.copy(), z.imag.copy()
+    re[np.isnan(re)], im[np.isnan(im)] = np.nan, np.nan
+    return complex_from(re, im).tobytes()
+
+
+@EXAMPLES
+@given(operand_pair(special))
+def test_matmul2_is_the_entrywise_formula(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        got, want = matmul2(a, b), entrywise_product(a, b)
+    assert got.shape == np.broadcast_shapes(a.shape, b.shape)
+    assert bits(got) == bits(want)
+
+
+def frobenius(m):
+    """Frobenius norms (...) of (..., 2, 2) matrices, without underflow."""
+    return np.hypot.reduce(np.abs(m).reshape(m.shape[:-2] + (4,)), axis=-1)
+
+
+@EXAMPLES
+@given(operand_pair(finite))
+def test_matmul2_agrees_with_matmul(pair):
+    a, b = pair
+    # 4 ulp relative, plus a few units of the gradual-underflow spacing
+    bound = 4 * EPS * frobenius(a) * frobenius(b) + 8 * np.finfo(float).smallest_subnormal
+    assert (np.abs(matmul2(a, b) - a @ b).max(axis=(-1, -2)) <= bound).all()
+
+
+def test_matmul2_keeps_real_dtype_and_broadcasts_a_constant():
+    e13 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    u = np.arange(12.0).reshape(3, 2, 2)
+    assert matmul2(e13, u).dtype == np.float64
+    assert np.array_equal(matmul2(e13, u), e13 @ u)
+
+
+# entries on a 1e-3 grid in [-10, 10], clear of LAPACK's own trouble near underflow
+well_posed = st.integers(-10_000, 10_000).map(lambda k: k / 1000)
+
+
+@EXAMPLES
+@given(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=5).flatmap(
+    lambda shape: complex_arrays(shape + (2, 2), well_posed)))
+def test_det2_and_inv2(m):
+    scale = frobenius(m) ** 2
+    det = det2(m)
+    assert (np.abs(det - np.linalg.det(m)) <= 8 * EPS * scale).all()
+    assume((np.abs(det) > 1e-3 * scale).all())
+    residual = np.abs(matmul2(inv2(m), m) - np.eye(2)).max(axis=(-1, -2))
+    assert (residual <= 64 * EPS * scale / np.abs(det)).all()
+
+
+def test_inv2_of_a_singular_matrix_is_not_finite():
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(inv2(np.array([[1.0, 2.0], [2.0, 4.0]]))).any()
+
+
+@EXAMPLES
+@given(hnp.array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=5).flatmap(
+    lambda shape: complex_arrays(shape + (2, 2), well_posed)))
+def test_closed_form_eigenpairs(h):
+    lam = np.stack(eigenvalue_oracle(h))                     # (2, n), descending
+    gap = np.abs(lam[0] - lam[1])
+    norm = frobenius(h)
+    assume((gap > 1e-3 * np.maximum(norm, 1.0)).all())
+    v = eigenvector_oracle(h, lam)                           # (2, n, 2)
+    assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=4 * EPS)
+    residual = np.abs((h @ v[..., None])[..., 0] - lam[..., None] * v).max(axis=-1)
+    assert (residual <= 64 * EPS * norm * (1.0 + norm / gap)).all()
+
+
+def test_eigenvector_oracle_picks_the_longer_candidate():
+    # b = 0: the first candidate (b, lam - a) vanishes at lam = a
+    h = np.array([[2.0, 0.0], [1.0, -1.0]], dtype=complex)
+    high, low = eigenvalue_oracle(h)
+    v = eigenvector_oracle(h, np.array([high, low]))
+    # unit vectors along (3, 1) at lambda = 2 and (0, 1) at lambda = -1, up to phase
+    assert np.isclose(abs(np.vdot(v[0], [3.0, 1.0])), np.sqrt(10.0))
+    assert np.isclose(abs(np.vdot(v[1], [0.0, 1.0])), 1.0)
+
+
+@pytest.mark.parametrize("cfg", [SuiteConfig(), SuiteConfig(samples=300, seed=3)],
+                         ids=["default", "samples300_seed3"])
+def test_registry_needs_no_lapack_eigensolver_inverse_or_determinant(cfg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the registry calls a LAPACK routine on 2x2 matrices")
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    report = checks.run_all(cfg)
+    assert [e.test_id for e in report.entries if e.status != "pass" or e.error] == []

@@ -98,7 +98,8 @@ def amplitudes_with_dual_angles_swapped(phi_plus, phi_minus):
 
 
 def magnetic_shifts_without_branch(beta, a_vec, branch):
-    return _magnetic_shifts(beta, a_vec, 1)
+    # every branch, a stacked array of them too, becomes +1
+    return _magnetic_shifts(beta, a_vec, np.ones_like(branch))
 
 
 MUTANTS = {

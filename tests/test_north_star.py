@@ -22,12 +22,19 @@ def test_physics_module_is_plain_functions(module):
 
 
 def _e13_products(module):
-    """Line numbers of the ``@`` products with E13 as an operand."""
+    """Line numbers of the products with E13 as an operand, as ``@`` or
+    through the closed-form ``matmul2``."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    def operands(n):
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult):
+            return (n.left, n.right)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "matmul2":
+            return n.args
+        return ()
+
     return [n.lineno for n in ast.walk(tree)
-            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
-            and any(getattr(x, "id", getattr(x, "attr", None)) == "E13"
-                    for x in (n.left, n.right))]
+            if any(getattr(x, "id", getattr(x, "attr", None)) == "E13" for x in operands(n))]
 
 
 @pytest.mark.parametrize("module", PHYSICS)

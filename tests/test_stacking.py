@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba
+from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba, rashba_signs
 from bispinor.multivector import mat2, stack_variants, to_matrix
 from bispinor.spectrum import eigen_amplitudes, phi_angles
 from bispinor.susy import supercharges
@@ -109,6 +109,15 @@ def test_momentum_product(call):
 @given(variant_call(["gamma", "beta", "p"]), st.sampled_from([1, -1]))
 def test_rashba(call, sign):
     check_stacking(rashba, call, sign=sign)
+
+
+@EXAMPLES
+@given(variant_call(["gamma", "beta", "p"]))
+def test_rashba_signs(call):
+    # both signs from one call over a stacked sign, each as its own call
+    operands, _ = call
+    assert_slices_equal(rashba_signs(*operands),
+                        [rashba(*operands, sign=sign) for sign in (1, -1)])
 
 
 @EXAMPLES
