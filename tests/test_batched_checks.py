@@ -232,7 +232,9 @@ def test_call_counts_do_not_grow_with_the_config(monkeypatch):
 def test_call_budget_at_the_default_config(monkeypatch):
     # Each family of operator variants is one stacked call.  Per default
     # run_all, to_matrix ran 83 times and momentum_product 39 times with a
-    # call per variant (8d4469a); stacked, 42 and 22.
+    # call per variant (8d4469a); stacked, 42 and 22 (bf2ef8c); with both
+    # Rashba signs in one call and the supercharges built once per check, 37
+    # and 19.
     counts = count_registry_calls(monkeypatch, SuiteConfig(),
                                   (multivector.to_matrix, momenta.momentum_product))
     assert counts["to_matrix"] <= 50
