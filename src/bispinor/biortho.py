@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformation_transform, det2, inv2, matvec
+from .multivector import deformation_transform, det2, inv2, matvec, reversion_matrix
 from .spectrum import amplitude_inner
 
 _SEED_TOL = 1e-10
@@ -44,7 +44,7 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
     if np.any(np.abs(gram(seeds, seeds) - np.eye(2)) > _SEED_TOL):
         raise ValueError("seed vectors not orthonormal")
 
-    t_inv_dag = inv2(t).conj().swapaxes(-1, -2)
+    t_inv_dag = reversion_matrix(inv2(t))
     return (np.stack((matvec(t, v1), matvec(t, v2)), axis=-2),
             np.stack((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
 

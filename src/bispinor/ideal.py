@@ -57,15 +57,6 @@ def ideal_matrix(amps) -> np.ndarray:
     return out
 
 
-def ideal_components(amps) -> np.ndarray:
-    """Real weights (..., 4) = (zeta0..zeta3) of amplitude arrays (..., 2),
-    with a1 = z0 + i z3, a2 = -z2 + i z1, so that sum_j zeta_j g_j
-    reproduces the ideal matrix."""
-    a = np.asarray(amps, dtype=complex)
-    a1, a2 = a[..., 0], a[..., 1]
-    return np.stack([a1.real, a2.imag, -a2.real, a1.imag], axis=-1)
-
-
 def basis_flip(u: np.ndarray) -> np.ndarray:
     """The flip anti-involution U -> e13 conj(U) on (..., 2, 2) matrices;
     squares to -identity."""

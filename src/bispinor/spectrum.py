@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, mat2, matvec, stack_variants
+from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, det2, mat2, matvec, stack_variants
 
 _SQRT2 = np.sqrt(2.0)
 _T0 = 0.2                # the time at which continuity_residual is evaluated
@@ -43,8 +43,7 @@ def eigenvalue_oracle(h: np.ndarray):
     quadratic formula (independent of the closed-form eigenvalue formula);
     returned sorted descending by real part."""
     tr = h[..., 0, 0] + h[..., 1, 1]
-    det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
-    disc = np.sqrt(tr * tr / 4.0 - det + 0j)
+    disc = np.sqrt(tr * tr / 4.0 - det2(h) + 0j)
     r1, r2 = tr / 2.0 + disc, tr / 2.0 - disc
     swap = r2.real > r1.real
     return np.where(swap, r2, r1)[()], np.where(swap, r1, r2)[()]

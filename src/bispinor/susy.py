@@ -1,8 +1,9 @@
-"""Supercharges, SUSY / pseudo-SUSY Hamiltonians and the Witten parity, all
-as plain (..., 4, 4) arrays over the two Rashba sectors R^+ (beta) and R^-
-(-beta); the sectors are h[..., :2, :2] and h[..., 2:, 2:].  The pseudo-SUSY
-charge Lambda- is the T-pseudo-adjoint of Lambda+, with time reversal acting
-blockwise as diag(e13, e13) (:func:`~bispinor.timereversal.pseudo_adjoint`).
+"""Supercharges and the pseudo-SUSY charge, all as plain (..., 4, 4) arrays
+over the two Rashba sectors R^+ (beta) and R^- (-beta): the SUSY
+Hamiltonian {Theta+, Theta-} holds them as h[..., :2, :2] and
+h[..., 2:, 2:].  Pseudo-SUSY keeps Lambda+ = Theta+ and adds Lambda-, the
+T-pseudo-adjoint of Lambda+, with time reversal acting blockwise as
+diag(e13, e13) (:func:`~bispinor.timereversal.pseudo_adjoint`).
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ def _batch_ndim(gamma, beta, p) -> int:
     return np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
 
 
-def _mirrored_deltas(gamma, beta, p) -> np.ndarray:
-    """Delta^B = P^B at p and at -p, stacked (2, ..., 2, 2) from one call."""
-    shift_b, _ = rashba_shifts(beta, 1)
-    mirrored = stack_variants((p, -p), _batch_ndim(gamma, beta, p), core=1)
-    return clifford_momentum(gamma, shift_b, mirrored)
-
-
 def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     """Theta^+ = (1/sqrt 2) offdiag-upper(P^B), Theta^- = lower(P^A), of shape
     (..., 4, 4) for gamma, beta (...) and momenta (..., 2)."""
@@ -52,26 +46,12 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def susy_hamiltonian(gamma, beta, p) -> np.ndarray:
-    """H = {Theta+, Theta-} = diag(R^+(p), R^-(p))."""
-    return anticommutator(*supercharges(gamma, beta, p))
-
-
-def witten_parity() -> np.ndarray:
-    return np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-
-
-def pseudo_susy(gamma, beta, p):
-    """Pseudo-SUSY data (Lambda+, Lambda-, H_pSUSY), each (..., 4, 4).
-
-    Lambda+ = Theta+ carries Delta^B = P^B in the upper off-diagonal block
-    and Lambda- = (Lambda+)^#, its pseudo-adjoint, carries (Delta^B)^# = P^A
-    in the lower one, so the anticommutator reproduces the SUSY Hamiltonian.
-    """
-    delta, delta_minus_p = _mirrored_deltas(gamma, beta, np.asarray(p, dtype=float)) / _SQRT2
-    lambda_plus = _offdiag(upper=delta)
-    lambda_minus = pseudo_adjoint(_offdiag(upper=delta_minus_p))
-    return lambda_plus, lambda_minus, anticommutator(lambda_plus, lambda_minus)
+def pseudo_susy(gamma, beta, p) -> np.ndarray:
+    """The pseudo-SUSY charge Lambda- = (Lambda+)^# (..., 4, 4): the
+    pseudo-adjoint of Lambda+ = Theta+ taken at -p.  It carries
+    (Delta^B)^# = P^A in the lower off-diagonal block, so it is Theta- and
+    {Lambda+, Lambda-} is the SUSY Hamiltonian."""
+    return pseudo_adjoint(supercharges(gamma, beta, -np.asarray(p, dtype=float))[0])
 
 
 def intertwining_residuals(gamma, beta, p):
@@ -79,7 +59,10 @@ def intertwining_residuals(gamma, beta, p):
     per momentum of p (..., 2)."""
     p = np.asarray(p, dtype=float)
     r_plus, r_minus = rashba_signs(gamma, beta, p)
-    delta, delta_minus_p = _mirrored_deltas(gamma, beta, p)
+    shift_b, _ = rashba_shifts(beta, 1)
+    # Delta^B = P^B at p and at -p from one call
+    mirrored = stack_variants((p, -p), _batch_ndim(gamma, beta, p), core=1)
+    delta, delta_minus_p = clifford_momentum(gamma, shift_b, mirrored)
     delta_sharp = pseudo_adjoint(delta_minus_p)
     r1 = np.abs(matmul2(r_plus, delta) - matmul2(delta, r_minus)).max(axis=(-1, -2))[()]
     r2 = np.abs(matmul2(r_minus, delta_sharp)

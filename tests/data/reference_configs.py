@@ -1,8 +1,9 @@
 """The configurations both stored registry references are made from.
 
 Each entry is a set of ``SuiteConfig`` keyword arguments; ``cli_args``
-spells the same configuration as ``bispinor`` options, so the registry
-reference and the verify/report reference cannot pin different inputs.
+spells the same configuration as ``bispinor`` options, so the term digest
+and the verify/report reference cannot pin different inputs.  Both are
+written by make_registry_references.py.
 """
 
 from bispinor.harness import SuiteConfig

@@ -5,7 +5,6 @@ from bispinor.ideal import (
     build_ideal_basis,
     c1_form,
     c2_form,
-    ideal_components,
     ideal_matrix,
     invariance_group_defects,
 )
@@ -55,14 +54,6 @@ class TestConversion:
         for _ in range(100):
             psi = random_spinor(rng)
             assert np.array_equal(ideal_matrix(psi)[:, 0], psi)
-
-    def test_component_decomposition(self):
-        rng = np.random.default_rng(107)
-        g = build_ideal_basis(0.2)
-        for _ in range(20):
-            psi = random_spinor(rng)
-            recon = sum(zj * gj for zj, gj in zip(ideal_components(psi), g))
-            assert np.abs(recon - ideal_matrix(psi)).max() < TOL
 
 
 class TestFlip:

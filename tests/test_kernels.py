@@ -4,11 +4,16 @@ oracles, and the registry's independence from numpy's LAPACK wrappers.
 matmul2 is the entrywise formula a_i0 b_0k + a_i1 b_1k evaluated as
 whole-array operations, so it is held to that formula bit for bit and to
 np.matmul (one BLAS call per matrix) within the two-term rounding bound.
+The bit claim covers the formula on operands broadcast to the product's
+shape, as matmul2 sees them: numpy picks its complex-multiply inner loop by
+operand layout, and on hosts with FMA some loops fuse the multiply and the
+subtract of a c - b d while others round twice, so the same product on
+another layout (batch shapes (1, 1) against (1,)) can differ by 1 ulp.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -48,9 +53,10 @@ def operand_pair(draw, elements):
 
 
 def entrywise_product(a, b):
-    """Entry (i, k) = a_i0 b_0k + a_i1 b_1k, one entry at a time."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.empty(shape, dtype=complex)
+    """Entry (i, k) = a_i0 b_0k + a_i1 b_1k, one entry at a time, on the
+    operands broadcast to the product's shape."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=complex)
     for i in range(2):
         for k in range(2):
             out[..., i, k] = a[..., i, 0] * b[..., 0, k] + a[..., i, 1] * b[..., 1, k]
@@ -67,6 +73,10 @@ def bits(z):
 
 @EXAMPLES
 @given(operand_pair(special))
+# batch shapes (1, 1) and (1,): an unbroadcast oracle rounds a c - b d twice
+# here, 1 ulp from the fused result
+@example((np.full((1, 1, 2, 2), 370727.76953125 + 1j),
+          np.full((1, 2, 2), 370727.76953125 + 125630j)))
 def test_matmul2_is_the_entrywise_formula(pair):
     a, b = pair
     with np.errstate(all="ignore"):

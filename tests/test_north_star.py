@@ -1,6 +1,8 @@
 """The physics modules are formulas over plain arrays: none of them defines
-a class or imports dataclasses, and none conjugates by time reversal except
-through multivector.time_reverse_matrix."""
+a class or imports dataclasses, none conjugates by time reversal except
+through multivector.time_reverse_matrix, and none takes a conjugate
+transpose except through multivector.reversion_matrix.  Every public
+function of the package has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -21,6 +23,10 @@ def test_physics_module_is_plain_functions(module):
     assert not any(name and name.split(".")[0] == "dataclasses" for name in imported)
 
 
+def _is_call_to(n, names):
+    return isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) in names
+
+
 def _e13_products(module):
     """Line numbers of the products with E13 as an operand, as ``@`` or
     through the closed-form ``matmul2``."""
@@ -29,7 +35,7 @@ def _e13_products(module):
     def operands(n):
         if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult):
             return (n.left, n.right)
-        if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "matmul2":
+        if _is_call_to(n, ("matmul2",)):
             return n.args
         return ()
 
@@ -41,3 +47,66 @@ def _e13_products(module):
 def test_no_hand_written_time_reversal(module):
     # only ideal's one-sided flip e13 conj(U) multiplies by e13 itself
     assert len(_e13_products(module)) == (1 if module == "ideal" else 0)
+
+
+def _operand(call_or_attribute):
+    """The array a transpose or conjugation acts on: ``x`` in ``x.T``,
+    ``x.conj()``, ``np.conj(x)`` and ``np.swapaxes(x, ...)``."""
+    n = call_or_attribute
+    if isinstance(n, ast.Attribute):
+        return n.value
+    if isinstance(n.func, ast.Attribute) and getattr(n.func.value, "id", None) != "np":
+        return n.func.value
+    return n.args[0] if n.args else None
+
+
+def _is_transpose(n):
+    return ((isinstance(n, ast.Attribute) and n.attr in ("T", "mT"))
+            or _is_call_to(n, ("swapaxes", "transpose", "matrix_transpose")))
+
+
+def _is_conjugation(n):
+    return _is_call_to(n, ("conj", "conjugate"))
+
+
+def _conjugate_transposes(module):
+    """(function, line) of every transpose of a conjugate and conjugate of a
+    transpose, by the top-level function it sits in (None at module level)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for n in ast.walk(top):
+            if ((_is_transpose(n) and _is_conjugation(_operand(n)))
+                    or (_is_conjugation(n) and _is_transpose(_operand(n)))):
+                found.append((owner, n.lineno))
+    return found
+
+
+@pytest.mark.parametrize("module", PHYSICS)
+def test_one_conjugate_transpose(module):
+    owners = [owner for owner, _ in _conjugate_transposes(module)]
+    assert owners == (["reversion_matrix"] if module == "multivector" else [])
+
+
+def _references(node):
+    """Every name ``node`` mentions: names, attributes and imported names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+
+
+def test_every_public_function_has_a_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))]
+    tops = [top for tree in trees for top in tree.body]
+    uncalled = []
+    for top in tops:
+        if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and not top.name.startswith("_")
+                and not any(top.name in _references(other) for other in tops if other is not top)):
+            uncalled.append(top.name)
+    assert uncalled == []

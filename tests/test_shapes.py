@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from bispinor.biortho import synthesize_generators
 from bispinor.harness.checks import worst_term
-from bispinor.ideal import build_ideal_basis, c1_form, c2_form, ideal_components, ideal_matrix
+from bispinor.ideal import build_ideal_basis, c1_form, c2_form, ideal_matrix
 from bispinor.momenta import (
     clifford_momentum,
     magnetic,
@@ -194,7 +194,6 @@ def test_spinor_maps(a):
     scale = 1.0 + np.abs(a).max()
     assert_stacked(reverse_amplitudes(a), [reverse_amplitudes(x) for x in a], 1.0)
     assert_stacked(spin_expectations(a), [spin_expectations(x) for x in a], scale ** 2)
-    assert_stacked(ideal_components(a), [ideal_components(x) for x in a], 1.0)
 
 
 @EXAMPLES

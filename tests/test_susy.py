@@ -2,16 +2,14 @@ import numpy as np
 
 from bispinor.momenta import rashba
 from bispinor.spectrum import eigenvalues
-from bispinor.susy import (
-    intertwining_residuals,
-    pseudo_susy,
-    supercharges,
-    susy_hamiltonian,
-    witten_parity,
-)
+from bispinor.susy import anticommutator, intertwining_residuals, pseudo_susy, supercharges
 from bispinor.timereversal import pseudo_adjoint
 
 TOL = 1e-12
+
+
+def susy_hamiltonian(g, beta, p):
+    return anticommutator(*supercharges(g, beta, p))
 
 
 def _cases(rng, n):
@@ -46,7 +44,7 @@ class TestAlgebra:
                 assert np.abs(h @ q - q @ h).max() < 1e-10
 
     def test_witten_parity_relations(self):
-        w = witten_parity()
+        w = np.diag([1.0, 1.0, -1.0, -1.0])    # the Witten parity: +1 on R^+, -1 on R^-
         assert np.abs(w @ w - np.eye(4)).max() < TOL
         g, beta, p = 0.4, 1.1, np.array([0.8, -0.5])
         tp, tm = supercharges(g, beta, p)
@@ -75,16 +73,19 @@ class TestPseudoSusy:
     def test_reproduces_susy_hamiltonian(self):
         rng = np.random.default_rng(181)
         for g, beta, p in _cases(rng, 30):
-            _, _, h_psusy = pseudo_susy(g, beta, p)
-            h = susy_hamiltonian(g, beta, p)
-            assert np.abs(h_psusy - h).max() < 1e-11
+            # {Lambda+, Lambda-} with Lambda+ = Theta+
+            h_psusy = anticommutator(supercharges(g, beta, p)[0], pseudo_susy(g, beta, p))
+            assert np.abs(h_psusy[:2, 2:]).max() < TOL
+            assert np.abs(h_psusy[2:, :2]).max() < TOL
+            assert np.abs(h_psusy[:2, :2] - rashba(g, beta, p)).max() < 1e-11
+            assert np.abs(h_psusy[2:, 2:] - rashba(g, beta, p, sign=-1)).max() < 1e-11
 
     def test_lambda_minus_is_pseudo_adjoint_of_lambda_plus(self):
         g, beta = 0.6, 1.3
         p = np.array([1.2, -0.4])
 
         # (P^B(-p))^# = P^A(p): Lambda- is Theta-, bit for bit
-        lam_minus = pseudo_susy(g, beta, p)[1]
+        lam_minus = pseudo_susy(g, beta, p)
         assert np.array_equal(lam_minus, supercharges(g, beta, p)[1])
 
     def test_intertwining(self):

@@ -1,12 +1,17 @@
 """Every registry term against a stored digest, bit for bit.
 
-tests/data/term_digest.json holds, for the default configuration and the
-benchmark's verify_deep inputs at seed 1, each check's term names and the
-sha256 of their residual arrays' ``tobytes()`` in term order (see
-tests/data/make_term_digest.py).  The registry reference pins only each
-check's largest residual and the verify reference its printed digits; this
-pins every entry of every term, so a refactor that must not move residuals
-(batching, stacking variants into one call) is held to the same bits.
+tests/data/term_digest.json holds, for each configuration in
+tests/data/reference_configs.py, each check's sample count, its term names
+and the sha256 of their residual arrays' ``tobytes()`` in term order.  The
+verify reference pins only the printed digits; this pins every entry of
+every term, so a refactor that must not move residuals (batching, stacking
+variants into one call) is held to the same bits, and a moved residual is
+named by its check.  A change that moves residuals on purpose regenerates
+both references with
+
+    PYTHONPATH=src python tests/data/make_registry_references.py
+
+and says so in CHANGES.md.
 """
 
 import hashlib
@@ -34,7 +39,7 @@ def test_run_all_terms_match_the_digest(name, monkeypatch):
     monkeypatch.setattr(checks, "worst_term", capture)
     cfg = SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v
                          for k, v in DIGEST[name]["config"].items()})
-    checks.run_all(cfg)
+    samples = {e.test_id: e.samples for e in checks.run_all(cfg).entries}
     want = DIGEST[name]["checks"]
     assert sorted(test_id for test_id, *_ in checks.REGISTRY) == sorted(want)
     assert len(captured) == len(want)          # no check raised
@@ -42,5 +47,5 @@ def test_run_all_terms_match_the_digest(name, monkeypatch):
         h = hashlib.sha256()
         for residual in terms.values():
             h.update(np.asarray(residual).tobytes())
-        assert (list(terms), h.hexdigest()) == (want[test_id]["terms"],
-                                                want[test_id]["sha256"]), test_id
+        assert (samples[test_id], list(terms), h.hexdigest()) == (
+            want[test_id]["samples"], want[test_id]["terms"], want[test_id]["sha256"]), test_id

@@ -2,10 +2,13 @@
 
 tests/data/verify_reference.json holds, for three configurations, the exit
 code and the sha256 and byte length of the ``verify`` standard output and of
-the JSON file ``report --out`` writes (see tests/data/make_verify_reference.py).
-Changes meant to leave every draw and residual as it was must reproduce both
-byte for byte; a change that moves residuals on purpose regenerates this
-file with that script and says so.
+the JSON file ``report --out`` writes.  Changes meant to leave every draw
+and residual as it was must reproduce both byte for byte; a change that
+moves residuals on purpose regenerates this file and the term digest with
+
+    PYTHONPATH=src python tests/data/make_registry_references.py
+
+and says so in CHANGES.md.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ from bispinor.harness import SuiteConfig
 
 DATA = Path(__file__).parent / "data"
 REFERENCE = json.loads((DATA / "verify_reference.json").read_text())
-REGISTRY_REFERENCE = json.loads((DATA / "registry_reference.json").read_text())
+DIGEST = json.loads((DATA / "term_digest.json").read_text())
 
 
 def check(data: bytes, want: dict) -> None:
@@ -30,10 +33,11 @@ def check(data: bytes, want: dict) -> None:
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_options_match_the_registry_reference_config(name):
     # both references come from tests/data/reference_configs.py: the options
-    # stored here must give the configuration the registry reference ran
+    # stored here must give the configuration the term digest ran
+    assert sorted(REFERENCE) == sorted(DIGEST)
     args = cli.build_parser().parse_args(["verify", *REFERENCE[name]["args"]])
     kwargs = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in REGISTRY_REFERENCE[name]["config"].items()}
+              for k, v in DIGEST[name]["config"].items()}
     assert cli.config_from_args(args) == SuiteConfig(**kwargs)
 
 
