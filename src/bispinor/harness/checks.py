@@ -36,6 +36,7 @@ from ..multivector import (
     matmul2,
     matvec,
     reversion_matrix,
+    stack_variants,
     to_matrix,
 )
 from ..spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
@@ -64,12 +65,14 @@ def _momenta(cfg: SuiteConfig, rng, n: int) -> np.ndarray:
     _REDRAW_ROUNDS rounds.  A box with too little area outside the disc
     (all of it inside, or a sliver outside) raises ConfigError."""
     lo, hi = np.array([cfg.p1_range, cfg.p2_range]).T
-    p = rng.uniform(lo, hi, size=(n, 2))
+    # lo + (hi - lo) u, the draw and the stream of rng.uniform(lo, hi, size)
+    width = hi - lo
+    p = lo + width * rng.random((n, 2))
     small = np.hypot(p[:, 0], p[:, 1]) <= 1e-2
     for _ in range(_REDRAW_ROUNDS):
         if not small.any():
             break
-        p[small] = rng.uniform(lo, hi, size=(int(small.sum()), 2))
+        p[small] = lo + width * rng.random((int(small.sum()), 2))
         small = np.hypot(p[:, 0], p[:, 1]) <= 1e-2
     if small.any():
         raise ConfigError(f"the momentum box lies (almost) wholly inside |p| <= 1e-2: "
@@ -130,23 +133,23 @@ def _eigen_lambdas(beta, p) -> np.ndarray:
 
 def check_matrix_homomorphism(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
-    lhs, ma, mb = to_matrix(np.stack([geometric_product(a, b), a, b]))
+    lhs, ma, mb = to_matrix(np.array([geometric_product(a, b), a, b]))
     return {"product": lhs - matmul2(ma, mb),
             "decompose_inverts": decompose(ma) - a}, cfg.samples
 
 
 def check_involutions(cfg, rng):
     a, b = _rand_mv_pairs(rng, cfg.samples)
-    ab = geometric_product(a, b)
     images = [involute(a, kind) for kind in MATRIX_INVOLUTIONS]
-    ma, *m_images = to_matrix(np.stack([a, *images]))
+    images_b = [involute(b, kind) for kind in MATRIX_INVOLUTIONS]
+    # a b, then the image of a b each involution predicts: ia ib for grade
+    # inversion, ib ia for the two reversing ones; one call over the stack
+    ab, *wants = geometric_product(np.array([a, images[0], images_b[1], images_b[2]]),
+                                   np.array([b, images_b[0], images[1], images[2]]))
+    ma, *m_images = to_matrix(np.array([a, *images]))
     terms = {}
-    for (kind, matrix_form), ia, m_ia in zip(MATRIX_INVOLUTIONS.items(), images, m_images):
-        ib = involute(b, kind)
-        if kind == "grade_inversion":
-            want = geometric_product(ia, ib)
-        else:
-            want = geometric_product(ib, ia)
+    for (kind, matrix_form), ia, m_ia, want in zip(MATRIX_INVOLUTIONS.items(), images,
+                                                   m_images, wants):
         terms[f"{kind}_product"] = involute(ab, kind) - want
         terms[f"{kind}_twice"] = involute(ia, kind) - a
         terms[f"{kind}_matrix"] = m_ia - matrix_form(ma)
@@ -214,9 +217,9 @@ def check_factorization(cfg, rng):
     shift_a = _complex_normal(rng, (cfg.samples, 3))
     p = _momenta(cfg, rng, cfg.samples)
     shift_b = np.conj(shift_a)
-    pa, pb = momenta.clifford_momentum(g, np.stack([shift_a, shift_b]), p)
-    h_ba, h_ab = momenta.momentum_product(g, np.stack([shift_b, shift_a]),
-                                          np.stack([shift_a, shift_b]), p)
+    pa, pb = momenta.clifford_momentum(g, np.array([shift_a, shift_b]), p)
+    h_ba, h_ab = momenta.momentum_product(g, np.array([shift_b, shift_a]),
+                                          np.array([shift_a, shift_b]), p)
     return {"pb_pa": h_ba - matmul2(0.5 * pb, pa),
             "pa_pb": h_ab - matmul2(0.5 * pa, pb)}, cfg.samples
 
@@ -224,7 +227,7 @@ def check_factorization(cfg, rng):
 def check_rashba_product_form(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     hp = momenta.rashba(g, b, p)
-    left, right = momenta.clifford_momentum(g, np.stack(momenta.rashba_shifts(b, 1)), p)
+    left, right = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1), p)
     return {"product_form": hp - 0.5 * matmul2(left, right)}, cfg.samples
 
 
@@ -233,7 +236,7 @@ def check_isospectrality(cfg, rng):
     # the oracle runs per variant: on the stack, numpy's vector loops and their
     # scalar tails meet other entries, and overflowed NaNs come out with other signs
     lam, lam_mirrored, lam_zero = (np.array(spectrum.eigenvalue_oracle(h)) for h in
-                                   momenta.rashba(np.stack([g, -g, np.zeros(cfg.samples)]), b, p))
+                                   momenta.rashba(np.array([g, -g, np.zeros(cfg.samples)]), b, p))
     return {"mirrored_gamma": lam - lam_mirrored, "gamma_zero": lam - lam_zero}, cfg.samples
 
 
@@ -244,7 +247,7 @@ def check_levy_leblond_system(cfg, rng):
     g, b = _gamma_beta_pairs(cfg.gamma_values, cfg.nonzero_betas())
     p = _momenta(cfg, rng, len(g))
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
-    pb, pa = momenta.clifford_momentum(g, np.stack(momenta.rashba_shifts(b, 1)), p)
+    pb, pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1), p)
     pa_psi = matvec(pa[:, None], psi)
     eta = (1j / 2.0) * pa_psi                                # from P^A psi = -2i eta
     residual = matvec(pb[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi
@@ -255,14 +258,11 @@ def check_magnetic_consistency(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     a_vec, b3 = rng.normal(size=(cfg.samples, 2)), rng.normal(size=cfg.samples)
     e3g = deformed_generators(g)[:, 3]
-    terms = {}
-    branches = (("branch_plus", 1), ("branch_minus", -1))
-    shifts = np.stack([momenta.magnetic_shifts(b, a_vec, branch) for _, branch in branches])
-    factors = momenta.clifford_momentum(g, shifts, p)          # (branch, left/right, n, 2, 2)
-    for (name, branch), (left, right) in zip(branches, factors):
-        terms[name] = (momenta.magnetic(g, b, a_vec, b3, p, branch=branch)
+    branches = stack_variants((1, -1), 1)                     # (branch, 1)
+    left, right = momenta.clifford_momentum(g, momenta.magnetic_shifts(b, a_vec, branches), p)
+    h_plus, h_minus = (momenta.magnetic(g, b, a_vec, b3, p, branch=branches)
                        - (0.5 * matmul2(left, right) + b3[:, None, None] * e3g))
-    return terms, cfg.samples
+    return {"branch_plus": h_plus, "branch_minus": h_minus}, cfg.samples
 
 
 def check_magnetic_trs_convention(cfg, rng):
@@ -276,11 +276,11 @@ def check_magnetic_trs_convention(cfg, rng):
     a_vec = rng.normal(size=(n, 2)) + np.array([0.5, -0.5])
     b3 = rng.normal(size=n) + 1.0
     # the fields and momenta of H(p), the field-reversed H(-p) and the fixed-field H(-p)
-    a_vecs, b3s = np.stack([a_vec, -a_vec, a_vec]), np.stack([b3, -b3, b3])
-    ps = np.stack([p, -p, -p])
+    a_vecs, b3s = np.array([a_vec, -a_vec, a_vec]), np.array([b3, -b3, b3])
+    ps = np.array([p, -p, -p])
     terms = {}
-    for name, branch in (("plus", 1), ("minus", -1)):
-        h_p, h_reversed, h_fixed = momenta.magnetic(g, b, a_vecs, b3s, ps, branch=branch)
+    both = momenta.magnetic(g, b, a_vecs, b3s, ps, branch=stack_variants((1, -1), 2))
+    for name, (h_p, h_reversed, h_fixed) in zip(("plus", "minus"), both):
         terms[f"reversed_field_{name}"] = timereversal.pseudo_hermitian_residual(h_reversed, h_p)
         terms[f"witness_fixed_field_{name}"] = _nonzero_witness(
             timereversal.pseudo_hermitian_residual(h_fixed, h_p))
@@ -294,7 +294,7 @@ def check_eigen_identity(cfg, rng):
     amps = eigen_amplitudes(*phi_angles(g, p))
     psi, dual = amps[:, :2], amps[:, 2:]
     lam = _eigen_lambdas(b, p)
-    h, h_dual = momenta.rashba(np.stack([g, -g]), b, p)
+    h, h_dual = momenta.rashba(np.array([g, -g]), b, p)
     return {"right": matvec(h[:, None], psi) - lam * psi,
             "dual": matvec(h_dual[:, None], dual) - lam * dual}, cfg.samples
 
@@ -358,7 +358,7 @@ def check_isospectral_pairs_generic(cfg, rng):
     s = np.where((np.abs(det2(s)) < 1e-2)[:, None, None], s + 2.0 * _I2, s)
     h = matmul2(matmul2(s, herm), inv2(s))
     # unit eigenvectors (2, n, 2) at the higher, then the lower eigenvalue
-    right, left = (spectrum.eigenvector_oracle(x, np.stack(spectrum.eigenvalue_oracle(x)))
+    right, left = (spectrum.eigenvector_oracle(x, np.array(spectrum.eigenvalue_oracle(x)))
                    for x in (h, reversion_matrix(h)))
     return {"left0_right1": amplitude_inner(left[1], right[0]),
             "left1_right0": amplitude_inner(left[0], right[1])}, cfg.samples
@@ -448,7 +448,7 @@ def check_anti_involution(cfg, rng):
 def check_pseudo_hermiticity(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     # H(-p), H(p) at gamma, then at -gamma, for each sign
-    gammas, mirrored = np.stack([g, g, -g, -g]), np.stack([-p, p, -p, p])
+    gammas, mirrored = np.array([g, g, -g, -g]), np.array([-p, p, -p, p])
     h = dict(zip(("plus", "minus"), momenta.rashba_signs(gammas, b, mirrored)))
     terms = {f"r_{sname}_{gname}": timereversal.pseudo_hermitian_residual(*h[sname][k:k + 2])
              for gname, k in (("gamma", 0), ("mirrored_gamma", 2)) for sname in h}
@@ -553,13 +553,16 @@ def check_susy_algebra(cfg, rng):
 
 def check_pseudo_susy(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    _, tm = susy.supercharges(g, b, p)
-    intertwine_plus, intertwine_minus = susy.intertwining_residuals(g, b, p)
+    # P^B at p and -p and P^A at p, from one call
+    p_b, p_b_minus_p, p_a = momenta.clifford_momentum(
+        g, momenta.rashba_shifts(b, 1)[[0, 0, 1]], np.array([p, -p, p]))
+    intertwine_plus, intertwine_minus = susy.intertwining_residuals(
+        *momenta.rashba_signs(g, b, p), p_b, p_b_minus_p)
     return {
         "intertwining_r_plus": intertwine_plus,
         "intertwining_r_minus": intertwine_minus,
         # (P^B(-p))^# = P^A(p): Lambda- against Theta-
-        "pseudo_adjoint": susy.pseudo_susy(g, b, p) - tm,
+        "pseudo_adjoint": susy.pseudo_susy(p_b_minus_p) - susy.theta_minus(p_a),
     }, cfg.samples
 
 

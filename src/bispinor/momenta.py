@@ -4,15 +4,15 @@ factories (generalized, Rashba and magnetic/Zeeman variants).
 All operators act on plane waves, so each is a function that returns its
 (..., 2, 2) matrices at the classical momentum label p (hbar = m = 1, unit
 charge), evaluated over leading batch axes of p, gamma and the shifts alike.
-Each operator is a multivector: it fills its (..., 8) coefficients and
-hands them to :func:`~bispinor.multivector.to_matrix` at gamma.
+Each operator is a multivector, a scalar s plus a vector v, which it hands
+straight to :func:`~bispinor.multivector.pauli_matrix` at gamma.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformed_generators, stack_variants, to_matrix
+from .multivector import deformed_generators, pauli_matrix, stack_variants
 
 
 def build_linearization(gamma: float = 0.0):
@@ -62,48 +62,40 @@ def _pad3(p) -> np.ndarray:
     return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
 
 
-def _vec3(x, y, z) -> np.ndarray:
-    """Broadcastable components stacked into (..., 3) complex vectors."""
-    out = np.empty(np.broadcast(x, y, z).shape + (3,), dtype=complex)
-    out[..., 0], out[..., 1], out[..., 2] = x, y, z
-    return out
-
-
 def clifford_momentum(gamma, shift, p) -> np.ndarray:
     """The shifted momentum 1-blade sum_j e_j^gamma (p_j + Q_j) at momenta p.
 
     gamma (...), shifts Q (..., 3) and momenta p (..., 2) broadcast; the
     result is (..., 2, 2).
     """
-    q = _pad3(p) + np.asarray(shift)
-    coeffs = np.zeros(q.shape[:-1] + (8,), dtype=complex)
-    coeffs[..., 1:4] = q
-    return to_matrix(coeffs, gamma)
+    # + 0j is the zero imaginary part to_matrix adds to each coefficient: it
+    # turns -0 into +0, so the matrices keep its bits
+    q = _pad3(p) + np.asarray(shift) + 0j
+    return pauli_matrix(0j, q[..., 0], q[..., 1], q[..., 2], gamma)
 
 
 def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarray:
     """(1/2) P_left(p) P_right(p) + zeeman e3^gamma, (..., 2, 2): with
-    l = p + left_shift and r = p + right_shift, the kinetic scalar l.r / 2,
-    the Zeeman e3 term and the bivector l ^ r / 2 over {e12, e23, e31}.
+    l = p + left_shift and r = p + right_shift, the multivector
+    s + v.e with s = l.r / 2 and v = (i/2) l x r + zeeman e3 (the bivector
+    l ^ r / 2 over {e12, e23, e31} is i/2 times l x r).
     gamma and zeeman (...), the shifts (..., 3) and momenta p (..., 2)
     broadcast; H^AB = (1/2) P^B P^A takes (shift_b, shift_a)."""
     p3 = _pad3(p)
     l = p3 + np.asarray(left_shift)
     r = p3 + np.asarray(right_shift)
-    coeffs = np.zeros(np.broadcast_shapes(l.shape[:-1], r.shape[:-1], np.shape(zeeman)) + (8,),
-                      dtype=complex)
-    coeffs[..., 0] = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
-    coeffs[..., 3] = zeeman
-    coeffs[..., 4] = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
-    coeffs[..., 5] = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
-    coeffs[..., 6] = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
-    return to_matrix(coeffs, gamma)
+    kinetic = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
+    e12 = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
+    e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
+    e31 = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
+    # each as to_matrix forms it from the coefficients, + 0j included
+    return pauli_matrix(kinetic + 0j, 1j * e23 + 0j, 1j * e31 + 0j, zeeman + 1j * e12, gamma)
 
 
 def rashba_shifts(beta, sign):
-    """The (left, right) shifts (..., 3) of R^sign, those of P^B and P^A:
-    B = +i(0, 0, sign beta), A = -i(0, 0, sign beta): the zero-field
-    magnetic shifts."""
+    """The left and right shifts of R^sign, those of P^B and P^A, stacked
+    (2, ..., 3): B = +i(0, 0, sign beta), A = -i(0, 0, sign beta), the
+    zero-field magnetic shifts."""
     return magnetic_shifts(beta, (0.0, 0.0), sign)
 
 
@@ -125,17 +117,21 @@ def rashba_signs(gamma, beta, p) -> np.ndarray:
 
 
 def magnetic_shifts(beta, a_vec, branch):
-    """The (left, right) shifts (..., 3) of the magnetic Hamiltonian: the gauge
-    shift a_vec (..., 2) in plane and +-i branch beta on the third component;
-    branch is +1, -1 or an array of them that broadcasts with beta."""
-    if not np.all((branch == 1) | (branch == -1)):
+    """The left and right shifts of the magnetic Hamiltonian, stacked
+    (2, ..., 3): the gauge shift a_vec (..., 2) in plane and +-i branch beta
+    on the third component; branch is +1, -1 or an array of them that
+    broadcasts with beta."""
+    if not (branch in (1, -1) if np.isscalar(branch) else np.all((branch == 1) | (branch == -1))):
         raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
     a_vec = np.asarray(a_vec, dtype=float)
     if a_vec.shape[-1:] != (2,):
         raise ValueError("gauge shift must have 2 components")
     shift3 = 1j * np.asarray(beta) * branch
-    return (_vec3(a_vec[..., 0], a_vec[..., 1], shift3),
-            _vec3(a_vec[..., 0], a_vec[..., 1], -shift3))
+    shifts = np.empty((2,) + np.broadcast(a_vec[..., 0], shift3).shape + (3,), dtype=complex)
+    shifts[..., :2] = a_vec
+    shifts[0, ..., 2] = shift3
+    np.negative(shift3, out=shifts[1, ..., 2])
+    return shifts
 
 
 def magnetic(gamma, beta, a_vec, b3, p, *, branch: int = 1) -> np.ndarray:

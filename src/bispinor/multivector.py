@@ -10,9 +10,11 @@ e31 -> i*sigma_2 and e123 -> i*1.
 
 The same map at a deformation parameter gamma = sin(theta), with
 omega = sqrt(1 - gamma^2), is the similarity image T (.) T^-1 of the Pauli
-one: to_matrix(a, gamma) gives any multivector over the gamma-deformed
-generators in closed form, and the generator set itself is the image of the
-unit blades; its time-reversed partner set is time_reverse_matrix of it.
+one.  pauli_matrix(s, v1, v2, v3, gamma) is its one closed form, for a
+multivector given as a scalar s plus a vector v (complex parts carry the
+bivector and the pseudoscalar); to_matrix(a, gamma) is its front end for
+(..., 8) coefficients.  The generator set is the image of the unit blades;
+its time-reversed partner set is time_reverse_matrix of it.
 
 Shapes: every kernel works over leading batch axes.  Coefficient arrays are
 (..., 8), matrices (..., 2, 2) (or (..., 2n, 2n) for time reversal) and
@@ -57,7 +59,7 @@ def stack_variants(variants, ndim: int, core: int = 0) -> np.ndarray:
     up to ``ndim`` batch axes.  The stack then broadcasts against the other
     operands of a call (at most ``ndim`` batch axes), so one call evaluates
     every variant, with the same arithmetic per entry as separate calls."""
-    x = np.stack(variants)
+    x = np.array(variants)
     return x.reshape(x.shape[:1] + (1,) * (ndim + core + 1 - x.ndim) + x.shape[1:])
 
 
@@ -157,11 +159,13 @@ def deformation_omega(gamma):
     """omega = sqrt(1 - gamma^2), elementwise, defined for deformation
     parameters |gamma| < 1."""
     gamma = np.asarray(gamma, dtype=float)
-    if not (abs(gamma) < 1.0).all():
+    omega_squared = 1.0 - gamma * gamma
+    # for a double, 1 - gamma^2 > 0 exactly when |gamma| < 1 (false on NaN)
+    if not (omega_squared > 0.0).all():
         raise ValueError(
             "deformation parameter must satisfy |gamma| < 1 (omega would vanish)"
         )
-    return np.sqrt(1.0 - gamma * gamma)
+    return np.sqrt(omega_squared)
 
 
 def deformation_transform(gamma) -> np.ndarray:
@@ -175,37 +179,46 @@ def deformation_transform(gamma) -> np.ndarray:
     return np.cos(half) * _ID + np.sin(half) * SIGMA2
 
 
-def to_matrix(a, gamma=0.0) -> np.ndarray:
-    """(..., 2, 2) complex matrices of (..., 8) coefficient arrays, real or
-    complex (the complexified algebra), over the generators at deformation
-    parameter gamma (...).
-
-    With e12 = i e3, e23 = i e1, e31 = i e2 and e123 = i, the coefficients
-    a are the multivector s + v.e with
-
-        s = a_1 + i a_123,  v = (a_e1 + i a_e23, a_e2 + i a_e31, a_e3 + i a_e12),
-
-    and with A = 1/omega and B = i gamma/omega its matrix T (s + v.sigma) T^-1
-    (see :func:`deformation_transform`) is, in closed form,
+def pauli_matrix(s, v1, v2, v3, gamma=0.0) -> np.ndarray:
+    """(..., 2, 2) complex matrices of the multivectors s + v.e over the
+    generators at deformation parameter gamma, for broadcastable complex (or
+    real) s, v1, v2, v3 and gamma (...): with A = 1/omega and B = i gamma/omega
+    the similarity image T (s + v.sigma) T^-1 (see
+    :func:`deformation_transform`) is, in closed form,
 
         [[s + A v3 - B v1,     A v1 + B v3 - i v2],
          [A v1 + B v3 + i v2,  s - A v3 + B v1   ]].
 
-    At gamma = 0 this is the Pauli map, whose inverse is :func:`decompose`.
-    |gamma| >= 1 or NaN raises (see :func:`deformation_omega`).
+    Each entry is written straight into the result.  |gamma| >= 1 or NaN
+    raises (see :func:`deformation_omega`).
     """
-    a = np.asarray(a)
     omega = deformation_omega(gamma)
     big_a = 1.0 / omega
     big_b = 1j * np.asarray(gamma, dtype=float) / omega
-    s = a[..., 0] + 1j * a[..., 7]
-    v1 = a[..., 1] + 1j * a[..., 5]
-    v2 = a[..., 2] + 1j * a[..., 6]
-    v3 = a[..., 3] + 1j * a[..., 4]
     iv2 = 1j * v2
     diag = big_a * v3 - big_b * v1
     off = big_a * v1 + big_b * v3
-    return mat2(s + diag, off - iv2, off + iv2, s - diag)
+    out = np.empty(np.broadcast(s, diag, iv2).shape + (2, 2), dtype=complex)
+    np.add(s, diag, out=out[..., 0, 0])
+    np.subtract(off, iv2, out=out[..., 0, 1])
+    np.add(off, iv2, out=out[..., 1, 0])
+    np.subtract(s, diag, out=out[..., 1, 1])
+    return out
+
+
+def to_matrix(a, gamma=0.0) -> np.ndarray:
+    """(..., 2, 2) complex matrices of (..., 8) coefficient arrays, real or
+    complex (the complexified algebra), over the generators at deformation
+    parameter gamma (...): the :func:`pauli_matrix` of
+
+        s = a_1 + i a_123,  v = (a_e1 + i a_e23, a_e2 + i a_e31, a_e3 + i a_e12),
+
+    as e12 = i e3, e23 = i e1, e31 = i e2 and e123 = i.  At gamma = 0 this
+    is the Pauli map, whose inverse is :func:`decompose`.
+    """
+    a = np.asarray(a)
+    return pauli_matrix(a[..., 0] + 1j * a[..., 7], a[..., 1] + 1j * a[..., 5],
+                        a[..., 2] + 1j * a[..., 6], a[..., 3] + 1j * a[..., 4], gamma)
 
 
 def deformed_generators(gamma) -> np.ndarray:
@@ -221,9 +234,14 @@ def deformed_generators(gamma) -> np.ndarray:
 # sum_k C[i, j, k] blade_k, with one entry +-1 per (i, j).
 _BLADES = to_matrix(np.eye(8))
 _CAYLEY = np.round(decompose(_BLADES[:, None] @ _BLADES[None, :]))
+_CAYLEY_64 = _CAYLEY.reshape(64, 8)
 
 
 def geometric_product(a, b) -> np.ndarray:
-    """Geometric (Clifford) product a*b of (..., 8) coefficient arrays,
-    contracted against the structure constants."""
-    return np.einsum("...i,...j,ijk->...k", a, b, _CAYLEY)
+    """Geometric (Clifford) product a*b of (..., 8) coefficient arrays: the
+    products a_i b_j, as (..., 64), contracted against the structure
+    constants with one matrix product.  Each term a_i b_j C[i, j, k] is
+    exact beyond the product a_i b_j (C is +-1 or 0), and the terms are
+    summed in (i, j) order, as the einsum over the (8, 8, 8) table does."""
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (64,)) @ _CAYLEY_64

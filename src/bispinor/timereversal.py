@@ -63,7 +63,7 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     reversion image with a +, and the pseudoscalar flips.
     """
     gamma = np.asarray(gamma, dtype=float)
-    generators, mirrored = deformed_generators(np.stack([gamma, -gamma]))
+    generators, mirrored = deformed_generators(np.array([gamma, -gamma]))
     vector_rule = _maxabs(time_reverse_matrix(generators[..., 1:4, :, :])
                           + mirrored[..., 1:4, :, :], (-1, -2, -3))
 

@@ -14,7 +14,13 @@ from bispinor.ideal import (
     c2_form,
     ideal_matrix,
 )
-from bispinor.momenta import build_linearization, rashba
+from bispinor.momenta import (
+    build_linearization,
+    clifford_momentum,
+    rashba,
+    rashba_shifts,
+    rashba_signs,
+)
 from bispinor.multivector import (
     E13,
     SIGMA1,
@@ -216,9 +222,12 @@ def test_criterion_09_susy():
             float(np.abs(w @ tp + tp @ w).max()) / scale,
             float(np.abs(w @ h - h @ w).max()) / scale,
         )
-        lam_minus = pseudo_susy(g, beta, p)
+        # P^B at p and -p
+        p_b = clifford_momentum(g, rashba_shifts(beta, 1)[0], np.array([p, -p]))
+        lam_minus = pseudo_susy(p_b[1])
         worst = max(worst, float(np.abs(anticommutator(tp, lam_minus) - h).max()) / scale)
-        worst = max(worst, *(r / scale for r in intertwining_residuals(g, beta, p)))
+        intertwining = intertwining_residuals(*rashba_signs(g, beta, p), *p_b)
+        worst = max(worst, *(r / scale for r in intertwining))
         # (P^B(-p))^# = P^A(p): Lambda- = (Lambda+)^# is Theta-
         worst = max(worst, float(np.abs(lam_minus - tm).max()))
     _report("SUSY and pseudo-SUSY structure", worst, 1e-12)

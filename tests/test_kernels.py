@@ -1,5 +1,6 @@
-"""The closed-form 2x2 kernels: matmul2, det2, inv2 and the eigenpair
-oracles, and the registry's independence from numpy's LAPACK wrappers.
+"""The closed-form kernels: matmul2, det2, inv2, the eigenpair oracles,
+the geometric product, the operator assembly and the momentum draw, and the
+registry's independence from numpy's LAPACK wrappers and einsum.
 
 matmul2 is the entrywise formula a_i0 b_0k + a_i1 b_1k evaluated as
 whole-array operations, so it is held to that formula bit for bit and to
@@ -9,7 +10,14 @@ shape, as matmul2 sees them: numpy picks its complex-multiply inner loop by
 operand layout, and on hosts with FMA some loops fuse the multiply and the
 subtract of a c - b d while others round twice, so the same product on
 another layout (batch shapes (1, 1) against (1,)) can differ by 1 ulp.
+
+The geometric product, the Clifford momenta and the momentum draw replaced
+slower forms of the same arithmetic, which the tests keep as their oracles
+and match bit for bit: the einsum over the Cayley table, to_matrix of the
+operators' explicit 8 coefficients, and rng.uniform.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +25,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bispinor import multivector
 from bispinor.harness import checks
 from bispinor.harness.config import SuiteConfig
-from bispinor.multivector import det2, inv2, matmul2
+from bispinor.momenta import clifford_momentum, momentum_product
+from bispinor.multivector import det2, geometric_product, inv2, matmul2, to_matrix
 from bispinor.spectrum import eigenvalue_oracle, eigenvector_oracle
 
 EPS = np.finfo(float).eps
@@ -159,5 +169,131 @@ def test_registry_needs_no_lapack_eigensolver_inverse_or_determinant(cfg, monkey
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh", "inv", "det"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    # the multivector kernel (geometric_product) calls no einsum; the two
+    # other library einsums (continuity_residual, synthesize_generators) may
+    einsum = np.einsum
+
+    def einsum_outside_the_kernel(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == multivector.__name__:
+            raise AssertionError("the multivector kernel calls np.einsum")
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum_outside_the_kernel)
     report = checks.run_all(cfg)
     assert [e.test_id for e in report.entries if e.status != "pass" or e.error] == []
+
+
+# ------------------------------------------- geometric product and momenta
+
+def einsum_product(a, b):
+    """The geometric product as the contraction of the (8, 8, 8) table."""
+    return np.einsum("...i,...j,ijk->...k", a, b, multivector._CAYLEY)
+
+
+# batch shapes of sides 1..4 and 1..3 axes that broadcast together: (1,),
+# (1, 1), (N,) and stacked variants (k, N) or (k, 1, N) among them
+def broadcastable(num_shapes):
+    return hnp.mutually_broadcastable_shapes(num_shapes=num_shapes, min_dims=1, max_dims=3,
+                                             min_side=1, max_side=4)
+
+
+# -0.0 included: the assembly must keep each sign of zero the coefficient map gives
+signed = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@EXAMPLES
+@given(broadcastable(2).flatmap(lambda shapes: st.tuples(
+    *(hnp.arrays(np.float64, shape + (8,), elements=special) for shape in shapes.input_shapes))))
+@example((np.full((1, 1, 8), 0.5), np.full((1, 8), -2.0)))
+def test_geometric_product_is_the_einsum(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        got, want = geometric_product(a, b), einsum_product(a, b)
+    assert got.shape == want.shape
+    assert bits(got) == bits(want)
+
+
+def explicit_momentum(shift, p):
+    """The 8 coefficients of the 1-blade (p + shift).e."""
+    p3 = np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    q = p3 + shift
+    coeffs = np.zeros(q.shape[:-1] + (8,), dtype=complex)
+    coeffs[..., 1:4] = q
+    return coeffs
+
+
+def explicit_product(left_shift, right_shift, p, zeeman):
+    """The 8 coefficients of (1/2) P_l P_r + zeeman e3: the scalar l.r / 2,
+    the e3 Zeeman term and the bivector l ^ r / 2 over {e12, e23, e31}."""
+    p3 = np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    l, r = p3 + left_shift, p3 + right_shift
+    coeffs = np.zeros(np.broadcast_shapes(l.shape[:-1], r.shape[:-1], np.shape(zeeman)) + (8,),
+                      dtype=complex)
+    coeffs[..., 0] = 0.5 * (l[..., 0] * r[..., 0] + l[..., 1] * r[..., 1] + l[..., 2] * r[..., 2])
+    coeffs[..., 3] = zeeman
+    coeffs[..., 4] = 0.5 * (l[..., 0] * r[..., 1] - l[..., 1] * r[..., 0])
+    coeffs[..., 5] = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
+    coeffs[..., 6] = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
+    return coeffs
+
+
+def shifts(shape):
+    return complex_arrays(shape + (3,), signed)
+
+
+@EXAMPLES
+@given(broadcastable(3).flatmap(lambda shapes: st.tuples(
+    hnp.arrays(np.float64, shapes.input_shapes[0], elements=st.floats(-0.99, 0.99)),
+    shifts(shapes.input_shapes[1]),
+    hnp.arrays(np.float64, shapes.input_shapes[2] + (2,), elements=signed))))
+# a -0 in p1 + Q1 that the map's + i 0 turns into +0, seen in the (0, 1) entry
+@example((np.array([0.3]), complex_from(np.array([[-0.0, 0.0, -1.0]]), np.array([[1.0, 0.0, 0.0]])),
+          np.array([[-0.0, 1.0]])))
+def test_clifford_momentum_is_the_map_of_its_coefficients(operands):
+    gamma, shift, p = operands
+    got = clifford_momentum(gamma, shift, p)
+    want = to_matrix(explicit_momentum(shift, p), gamma)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@EXAMPLES
+@given(broadcastable(5).flatmap(lambda shapes: st.tuples(
+    hnp.arrays(np.float64, shapes.input_shapes[0], elements=st.floats(-0.99, 0.99)),
+    shifts(shapes.input_shapes[1]),
+    shifts(shapes.input_shapes[2]),
+    hnp.arrays(np.float64, shapes.input_shapes[3] + (2,), elements=signed),
+    hnp.arrays(np.float64, shapes.input_shapes[4], elements=signed))))
+@example((np.array([0.3]), np.full((1, 1, 3), -0.0 + 0.0j), np.full((1, 3), 0.0 - 0.0j),
+          np.full((1, 1, 2), -0.0), np.array([-0.0])))
+def test_momentum_product_is_the_map_of_its_coefficients(operands):
+    gamma, left, right, p, zeeman = operands
+    got = momentum_product(gamma, left, right, p, zeeman)
+    want = to_matrix(explicit_product(left, right, p, zeeman), gamma)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def uniform_momenta(cfg, rng, n):
+    """The draw of checks._momenta through rng.uniform, redraws included."""
+    lo, hi = np.array([cfg.p1_range, cfg.p2_range]).T
+    p = rng.uniform(lo, hi, size=(n, 2))
+    small = np.hypot(p[:, 0], p[:, 1]) <= 1e-2
+    while small.any():
+        p[small] = rng.uniform(lo, hi, size=(int(small.sum()), 2))
+        small = np.hypot(p[:, 0], p[:, 1]) <= 1e-2
+    return p
+
+
+# boxes from wide to a few times the excluded disc, where most rows are redrawn
+edges = st.sampled_from([3.0, 0.5, 0.05, 0.02, 0.015])
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), p1=edges, p2=edges,
+       shift=st.floats(-0.5, 0.5))
+def test_momentum_draw_is_rng_uniform(seed, n, p1, p2, shift):
+    cfg = SuiteConfig(p1_range=(-p1 + shift * p1, p1 + shift * p1), p2_range=(-p2, p2))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = checks._momenta(cfg, rng, n), uniform_momenta(cfg, oracle_rng, n)
+    assert got.tobytes() == want.tobytes()
+    # the same stream consumed: the next draws agree too
+    assert rng.random(4).tobytes() == oracle_rng.random(4).tobytes()

@@ -21,6 +21,7 @@ def entry(test_id):
 
 _spin_expectations = spectrum.spin_expectations     # the originals, kept across patches
 _to_matrix = multivector.to_matrix
+_pauli_matrix = multivector.pauli_matrix
 _build_ideal_basis = ideal.build_ideal_basis
 _synthesize_generators = biortho.synthesize_generators
 _build_linearization = momenta.build_linearization
@@ -45,12 +46,12 @@ def rashba_with_stray_zeeman(gamma, beta, p, *, sign=1):
     return momenta.momentum_product(gamma, *momenta.rashba_shifts(beta, sign), p, zeeman=0.3)
 
 
-def map_with_gamma_mirrored(a, gamma=0.0):
-    return _to_matrix(a, -np.asarray(gamma))
+def map_with_gamma_mirrored(s, v1, v2, v3, gamma=0.0):
+    return _pauli_matrix(s, v1, v2, v3, -np.asarray(gamma))
 
 
-def map_with_e2_flipped(a, gamma=0.0):
-    return _to_matrix(np.asarray(a) * [1, 1, -1, 1, 1, 1, 1, 1], gamma)
+def map_with_e2_flipped(s, v1, v2, v3, gamma=0.0):
+    return _pauli_matrix(s, v1, -v2, v3, gamma)
 
 
 def map_with_e23_and_e31_swapped(a, gamma=0.0):
@@ -113,11 +114,11 @@ MUTANTS = {
                                           time_reversal_without_conjugation),
     "rashba_with_stray_zeeman": ("timereversal.pseudo_hermiticity", "r_plus_gamma", momenta,
                                  "rashba", rashba_with_stray_zeeman),
-    # the coefficient map every momenta operator goes through (reads 36)
+    # the closed form every momenta operator hands its (s, v) to (reads 36)
     "map_with_gamma_mirrored": ("spectrum.eigen_identity", "right", momenta,
-                                "to_matrix", map_with_gamma_mirrored),
+                                "pauli_matrix", map_with_gamma_mirrored),
     "map_with_e2_flipped": ("momenta.factorization", "pb_pa", momenta,
-                            "to_matrix", map_with_e2_flipped),
+                            "pauli_matrix", map_with_e2_flipped),
     # the map the generators are built with (reads 2.5)
     "map_with_e23_and_e31_swapped": ("clifford.reversed_generators", "listed_set", multivector,
                                      "to_matrix", map_with_e23_and_e31_swapped),

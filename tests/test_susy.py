@@ -1,6 +1,6 @@
 import numpy as np
 
-from bispinor.momenta import rashba
+from bispinor.momenta import clifford_momentum, rashba, rashba_shifts, rashba_signs
 from bispinor.spectrum import eigenvalues
 from bispinor.susy import anticommutator, intertwining_residuals, pseudo_susy, supercharges
 from bispinor.timereversal import pseudo_adjoint
@@ -10,6 +10,19 @@ TOL = 1e-12
 
 def susy_hamiltonian(g, beta, p):
     return anticommutator(*supercharges(g, beta, p))
+
+
+def p_b_mirrored(g, beta, p):
+    """P^B at p and at -p."""
+    return clifford_momentum(g, rashba_shifts(beta, 1)[0], np.array([p, -p]))
+
+
+def lambda_minus(g, beta, p):
+    return pseudo_susy(p_b_mirrored(g, beta, p)[1])
+
+
+def intertwining(g, beta, p):
+    return intertwining_residuals(*rashba_signs(g, beta, p), *p_b_mirrored(g, beta, p))
 
 
 def _cases(rng, n):
@@ -74,7 +87,7 @@ class TestPseudoSusy:
         rng = np.random.default_rng(181)
         for g, beta, p in _cases(rng, 30):
             # {Lambda+, Lambda-} with Lambda+ = Theta+
-            h_psusy = anticommutator(supercharges(g, beta, p)[0], pseudo_susy(g, beta, p))
+            h_psusy = anticommutator(supercharges(g, beta, p)[0], lambda_minus(g, beta, p))
             assert np.abs(h_psusy[:2, 2:]).max() < TOL
             assert np.abs(h_psusy[2:, :2]).max() < TOL
             assert np.abs(h_psusy[:2, :2] - rashba(g, beta, p)).max() < 1e-11
@@ -85,13 +98,13 @@ class TestPseudoSusy:
         p = np.array([1.2, -0.4])
 
         # (P^B(-p))^# = P^A(p): Lambda- is Theta-, bit for bit
-        lam_minus = pseudo_susy(g, beta, p)
+        lam_minus = lambda_minus(g, beta, p)
         assert np.array_equal(lam_minus, supercharges(g, beta, p)[1])
 
     def test_intertwining(self):
         rng = np.random.default_rng(191)
         for g, beta, p in _cases(rng, 30):
-            r1, r2 = intertwining_residuals(g, beta, p)
+            r1, r2 = intertwining(g, beta, p)
             assert r1 < 1e-10
             assert r2 < 1e-10
 

@@ -1,17 +1,22 @@
-"""Exact symbolic proof of the closed-form coefficient map, checked against
-the library.
+"""Exact symbolic proofs of the closed-form map and of the momentum
+product, checked against the library.
 
 For gamma = sin(theta) with |theta| < pi/2 (so omega = sqrt(1 - gamma^2) =
 cos(theta)), the similarity witness is T = cos(theta/2) + sin(theta/2) sigma_2
 and the multivector s + v.e^gamma is T (s + v.sigma) T^-1.  sympy proves that
-this equals the closed form :func:`bispinor.multivector.to_matrix` evaluates,
-for symbolic complex s and v; sympy stays a test-only dependency.
+this equals the closed form :func:`bispinor.multivector.pauli_matrix`
+evaluates (behind :func:`~bispinor.multivector.to_matrix`), for symbolic
+complex s and v, and that the closed form at s = l.r / 2 and
+v = (i/2) l x r + B3 e3 is (1/2) P_l P_r + B3 e3^gamma, the product of the two
+shifted Clifford momenta that :func:`bispinor.momenta.momentum_product`
+evaluates.  sympy stays a test-only dependency.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from bispinor.momenta import momentum_product
 from bispinor.multivector import to_matrix
 
 C, S = sp.symbols("c s", real=True)               # cos(theta/2), sin(theta/2)
@@ -62,3 +67,61 @@ def test_library_matches_the_proof(gamma):
                          row[2] + 1j * row[6], row[3] + 1j * row[4])
         want = np.array(image(s, v1, v2, v3), dtype=complex)
         assert np.abs(got - want).max() < 1e-13 * (1 + np.abs(row).max()) / (1 - gamma**2)
+
+
+# ---------------------------------------------------- the momentum product
+
+L = sp.symbols("l1:4")                            # complex l = p + left shift
+R = sp.symbols("r1:4")                            # complex r = p + right shift
+B3 = sp.Symbol("b3")
+
+
+def similarity(m) -> sp.Matrix:
+    """T m T^-1 with T = c + s sigma_2."""
+    t = C * I2 + S * PAULI[1]
+    return t * m * t.adjugate() / t.det()
+
+
+def product_form() -> sp.Matrix:
+    """(1/2) P_l P_r + B3 e3^gamma, each factor the similarity image of its
+    Pauli matrix: P_l = T (l.sigma) T^-1 and e3^gamma = T sigma_3 T^-1."""
+    p_l = similarity(sum((x * sigma for x, sigma in zip(L, PAULI)), sp.zeros(2)))
+    p_r = similarity(sum((x * sigma for x, sigma in zip(R, PAULI)), sp.zeros(2)))
+    return p_l * p_r / 2 + B3 * similarity(PAULI[2])
+
+
+def momentum_closed_form() -> sp.Matrix:
+    """The closed form at s = l.r / 2 and v = (i/2) l x r + B3 e3."""
+    cross = (L[1] * R[2] - L[2] * R[1], L[2] * R[0] - L[0] * R[2], L[0] * R[1] - L[1] * R[0])
+    return closed_form().subs({
+        SCALAR: (L[0] * R[0] + L[1] * R[1] + L[2] * R[2]) / 2,
+        V1: sp.I * cross[0] / 2,
+        V2: sp.I * cross[1] / 2,
+        V3: sp.I * cross[2] / 2 + B3,
+    }, simultaneous=True)
+
+
+def test_momentum_product_is_half_the_product_of_the_momenta():
+    # the numerator of each entry of the difference vanishes modulo
+    # c^2 + s^2 = 1, so the closed form equals the product for every theta
+    for entry in momentum_closed_form() - product_form():
+        numerator = sp.expand(sp.numer(sp.together(entry)))
+        assert sp.expand(sp.rem(numerator, S**2 + C**2 - 1, S)) == 0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.45, -0.8])
+def test_momentum_product_matches_the_proof(gamma):
+    rng = np.random.default_rng(11)
+    n = 4
+    p = rng.normal(size=(n, 2))
+    left = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    right = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    zeeman = rng.normal(size=n)
+    half = np.arcsin(gamma) / 2.0
+    image = sp.lambdify((*L, *R, B3), product_form().subs({C: np.cos(half), S: np.sin(half)}))
+    got = momentum_product(gamma, left, right, p, zeeman)
+    p3 = np.concatenate([p, np.zeros((n, 1))], axis=-1)
+    for l, r, b3, h in zip(p3 + left, p3 + right, zeeman, got):
+        want = np.array(image(*l, *r, b3), dtype=complex)
+        scale = 1 + np.abs(l).max() * np.abs(r).max() + abs(b3)
+        assert np.abs(h - want).max() < 1e-13 * scale / (1 - gamma**2)
