@@ -35,6 +35,7 @@ from ..multivector import (
     involute,
     matmul2,
     matvec,
+    pauli_matrix,
     reversion_matrix,
     stack_variants,
     to_matrix,
@@ -257,7 +258,7 @@ def check_levy_leblond_system(cfg, rng):
 def check_magnetic_consistency(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     a_vec, b3 = rng.normal(size=(cfg.samples, 2)), rng.normal(size=cfg.samples)
-    e3g = deformed_generators(g)[:, 3]
+    e3g = pauli_matrix(0j, 0j, 0j, 1 + 0j, g)
     branches = stack_variants((1, -1), 1)                     # (branch, 1)
     left, right = momenta.clifford_momentum(g, momenta.magnetic_shifts(b, a_vec, branches), p)
     h_plus, h_minus = (momenta.magnetic(g, b, a_vec, b3, p, branch=branches)
@@ -539,16 +540,18 @@ def check_invariance_groups(cfg, rng):
 # --------------------------------------------------------------------- susy
 
 def check_susy_algebra(cfg, rng):
+    """H = {Theta+, Theta-} is diag((1/2) P^B P^A, (1/2) P^A P^B): the lower
+    block against R^-, and the 4x4 anticommutator against the block
+    diagonal of the two products.  The upper block is R^+, which
+    momenta.rashba_product_form checks with the same operands."""
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    tp, tm = susy.supercharges(g, b, p)
-    h = susy.anticommutator(tp, tm)
-    r_plus, r_minus = momenta.rashba_signs(g, b, p)
-    return {
-        "upper_block": h[:, :2, :2] - r_plus,
-        "lower_block": h[:, 2:, 2:] - r_minus,
-        "h_commutes_theta_plus": h @ tp - tp @ h,
-        "h_commutes_theta_minus": h @ tm - tm @ h,
-    }, cfg.samples
+    pb_pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1), p)
+    upper, lower = 0.5 * matmul2(pb_pa, pb_pa[::-1])
+    h = susy.anticommutator(*susy.supercharges(g, b, p))
+    diagonal = np.zeros_like(h)
+    diagonal[:, :2, :2], diagonal[:, 2:, 2:] = upper, lower
+    return {"lower_block": lower - momenta.rashba(g, b, p, sign=-1),
+            "assembled": h - diagonal}, cfg.samples
 
 
 def check_pseudo_susy(cfg, rng):
@@ -561,20 +564,20 @@ def check_pseudo_susy(cfg, rng):
     return {
         "intertwining_r_plus": intertwine_plus,
         "intertwining_r_minus": intertwine_minus,
-        # (P^B(-p))^# = P^A(p): Lambda- against Theta-
-        "pseudo_adjoint": susy.pseudo_susy(p_b_minus_p) - susy.theta_minus(p_a),
+        # (P^B(-p))^# = P^A(p), so Lambda- = (Lambda+)^# is Theta-
+        "pseudo_adjoint": timereversal.pseudo_adjoint(p_b_minus_p) - p_a,
     }, cfg.samples
 
 
 def check_susy_sector_pairing(cfg, rng):
-    """Theta^- maps upper-sector eigenvectors to lower-sector ones with the
-    same energy (nonzero modes)."""
+    """Theta^- maps an upper-sector eigenvector psi to the lower-sector
+    eigenvector P^A psi / sqrt 2 with the same energy (nonzero modes)."""
     n = cfg.samples // 2 + 1
     g, b, p = _gamma_beta_p(cfg, rng, n)
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
-    _, tm = susy.supercharges(g, b, p)
+    p_a = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1)[1], p)
     r_minus = momenta.rashba(g, b, p, sign=-1)
-    mapped = matvec(tm[:, None], np.concatenate([psi, np.zeros_like(psi)], axis=-1))[..., 2:]
+    mapped = matvec(p_a[:, None], psi) / np.sqrt(2.0)
     residual = matvec(r_minus[:, None], mapped) - _eigen_lambdas(b, p) * mapped
     keep = ~(np.abs(mapped).max(axis=-1) < 1e-8)      # zero modes are skipped
     return {"eigen_identity": residual[keep]}, n

@@ -1,13 +1,15 @@
-"""Supercharges and the pseudo-SUSY charge, all as plain (..., 4, 4) arrays
-over the two Rashba sectors R^+ (beta) and R^- (-beta): the SUSY
-Hamiltonian {Theta+, Theta-} holds them as h[..., :2, :2] and
-h[..., 2:, 2:].  Pseudo-SUSY keeps Lambda+ = Theta+ and adds Lambda-, the
-T-pseudo-adjoint of Lambda+, with time reversal acting blockwise as
-diag(e13, e13) (:func:`~bispinor.timereversal.pseudo_adjoint`).
+"""Supercharges over the two Rashba sectors R^+ (beta) and R^- (-beta).
 
-Each charge is built from Clifford-momentum arrays P^B and P^A (..., 2, 2),
-so a caller that needs several evaluates the momenta once;
-:func:`supercharges` is the front end at (gamma, beta, p).
+Theta+ = offdiag-upper(P^B) / sqrt 2 and Theta- = offdiag-lower(P^A) / sqrt 2
+are (..., 4, 4) arrays built from the Clifford momenta P^B and P^A
+(..., 2, 2), so every SUSY statement is an identity between 2x2 blocks:
+
+    H = {Theta+, Theta-} = diag((1/2) P^B P^A, (1/2) P^A P^B) = diag(R^+, R^-),
+
+and [H, Theta+-] = 0 holds for any blocks.  Pseudo-SUSY keeps
+Lambda+ = Theta+; its T-pseudo-adjoint Lambda- is Theta- because
+(P^B(-p))^# = P^A(p) (:func:`~bispinor.timereversal.pseudo_adjoint`), and
+P^B intertwines the sectors: R^+ P^B = P^B R^-, R^- (P^B)^# = (P^B)^# R^+.
 """
 
 from __future__ import annotations
@@ -33,37 +35,18 @@ def _offdiag(upper=None, lower=None) -> np.ndarray:
     return out
 
 
-def theta_plus(p_b) -> np.ndarray:
-    """Theta^+ = (1/sqrt 2) offdiag-upper(P^B), (..., 4, 4), from the
-    Clifford momenta P^B (..., 2, 2)."""
-    return _offdiag(upper=p_b / _SQRT2)
-
-
-def theta_minus(p_a) -> np.ndarray:
-    """Theta^- = (1/sqrt 2) offdiag-lower(P^A), (..., 4, 4), from P^A."""
-    return _offdiag(lower=p_a / _SQRT2)
-
-
 def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     """Theta^+ and Theta^-, of shape (..., 4, 4) for gamma, beta (...) and
     momenta (..., 2), from one Clifford-momentum call."""
     ndim = np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
     shifts = stack_variants(rashba_shifts(beta, 1), ndim, core=1)
     p_b, p_a = clifford_momentum(gamma, shifts, p)
-    return theta_plus(p_b), theta_minus(p_a)
+    return _offdiag(upper=p_b / _SQRT2), _offdiag(lower=p_a / _SQRT2)
 
 
 def anticommutator(a, b) -> np.ndarray:
     """{a, b} = a b + b a of (..., 4, 4) operators."""
     return a @ b + b @ a
-
-
-def pseudo_susy(p_b_minus_p) -> np.ndarray:
-    """The pseudo-SUSY charge Lambda- = (Lambda+)^# (..., 4, 4), given P^B
-    at -p: the pseudo-adjoint of Lambda+ = Theta+ taken at -p.  It carries
-    (Delta^B)^# = P^A in the lower off-diagonal block, so it is Theta- and
-    {Lambda+, Lambda-} is the SUSY Hamiltonian."""
-    return pseudo_adjoint(theta_plus(p_b_minus_p))
 
 
 def intertwining_residuals(r_plus, r_minus, p_b, p_b_minus_p):

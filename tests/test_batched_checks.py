@@ -234,7 +234,9 @@ def test_call_budget_at_the_default_config(monkeypatch):
     # run_all, to_matrix ran 83 times and momentum_product 39 times with a
     # call per variant (8d4469a); stacked, 42 and 22 (bf2ef8c); with both
     # Rashba signs in one call and the supercharges built once per check, 37
-    # and 19.
+    # and 19; with the momenta handing their Pauli form to pauli_matrix
+    # (c89519a), 9 and 17; with e3^gamma taken from pauli_matrix and the
+    # SUSY checks on 2x2 blocks, 8 and 17.
     counts = count_registry_calls(monkeypatch, SuiteConfig(),
                                   (multivector.to_matrix, momenta.momentum_product))
     assert counts["to_matrix"] <= 50

@@ -9,7 +9,7 @@ must turn to "fail" and name the sub-identity (term) that caught it.
 import numpy as np
 import pytest
 
-from bispinor import biortho, ideal, momenta, multivector, spectrum, timereversal
+from bispinor import biortho, ideal, momenta, multivector, spectrum, susy, timereversal
 from bispinor.harness import checks, run_all
 from bispinor.harness.config import SuiteConfig
 
@@ -150,6 +150,12 @@ MUTANTS = {
     # the one +-1 branch behind rashba(sign=) and magnetic(branch=)
     "magnetic_shifts_without_branch": ("susy.algebra", "lower_block", momenta,
                                        "magnetic_shifts", magnetic_shifts_without_branch),
+    # the SUSY checks on 2x2 blocks: the 1/sqrt 2 of the supercharges, which
+    # the 4x4 anticommutator alone sees (reads 17), and the transpose in the
+    # pseudo-adjoint behind Lambda- = Theta- (reads 5.9)
+    "supercharges_without_sqrt2": ("susy.algebra", "assembled", susy, "_SQRT2", 1.0),
+    "lambda_minus_without_transpose": ("susy.pseudo_susy", "pseudo_adjoint", timereversal,
+                                       "pseudo_adjoint", pseudo_adjoint_without_transpose),
     "involutions_with_grade_inversion_unconjugated": (
         "clifford.involutions", "grade_inversion_matrix", checks, "MATRIX_INVOLUTIONS",
         {**multivector.MATRIX_INVOLUTIONS, "grade_inversion": time_reversal_without_conjugation}),

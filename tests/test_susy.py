@@ -2,7 +2,7 @@ import numpy as np
 
 from bispinor.momenta import clifford_momentum, rashba, rashba_shifts, rashba_signs
 from bispinor.spectrum import eigenvalues
-from bispinor.susy import anticommutator, intertwining_residuals, pseudo_susy, supercharges
+from bispinor.susy import anticommutator, intertwining_residuals, supercharges
 from bispinor.timereversal import pseudo_adjoint
 
 TOL = 1e-12
@@ -18,7 +18,8 @@ def p_b_mirrored(g, beta, p):
 
 
 def lambda_minus(g, beta, p):
-    return pseudo_susy(p_b_mirrored(g, beta, p)[1])
+    """Lambda- = (Lambda+)^#, the pseudo-adjoint of Lambda+ = Theta+ at -p."""
+    return pseudo_adjoint(supercharges(g, beta, -p)[0])
 
 
 def intertwining(g, beta, p):
@@ -48,13 +49,6 @@ class TestAlgebra:
             assert np.abs(h[2:, :2]).max() < TOL
             assert np.abs(h[:2, :2] - rashba(g, beta, p)).max() < 1e-11
             assert np.abs(h[2:, 2:] - rashba(g, beta, p, sign=-1)).max() < 1e-11
-
-    def test_supercharges_commute_with_hamiltonian(self):
-        rng = np.random.default_rng(173)
-        for g, beta, p in _cases(rng, 30):
-            h = susy_hamiltonian(g, beta, p)
-            for q in supercharges(g, beta, p):
-                assert np.abs(h @ q - q @ h).max() < 1e-10
 
     def test_witten_parity_relations(self):
         w = np.diag([1.0, 1.0, -1.0, -1.0])    # the Witten parity: +1 on R^+, -1 on R^-

@@ -1,5 +1,5 @@
-"""Exact symbolic proofs of the closed-form map and of the momentum
-product, checked against the library.
+"""Exact symbolic proofs of the closed-form map, of the momentum product and
+of the SUSY block identities, checked against the library.
 
 For gamma = sin(theta) with |theta| < pi/2 (so omega = sqrt(1 - gamma^2) =
 cos(theta)), the similarity witness is T = cos(theta/2) + sin(theta/2) sigma_2
@@ -9,15 +9,25 @@ evaluates (behind :func:`~bispinor.multivector.to_matrix`), for symbolic
 complex s and v, and that the closed form at s = l.r / 2 and
 v = (i/2) l x r + B3 e3 is (1/2) P_l P_r + B3 e3^gamma, the product of the two
 shifted Clifford momenta that :func:`bispinor.momenta.momentum_product`
-evaluates.  sympy stays a test-only dependency.
+evaluates.
+
+For symbolic 2x2 blocks P^A and P^B, sympy also proves that the supercharges
+Theta+ = offdiag-upper(P^B) / sqrt 2 and Theta- = offdiag-lower(P^A) / sqrt 2
+anticommute to diag((1/2) P^B P^A, (1/2) P^A P^B) and commute with it, so
+[H, Theta+-] = 0 holds for any blocks and needs no sampled check, and that
+the intertwinings follow from the block products; and, for
+symbolic gamma, p and beta, that (P^B(-p))^# = P^A(p), so the pseudo-SUSY
+charge Lambda- = (Lambda+)^# is Theta-.  sympy stays a test-only dependency.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from bispinor.momenta import momentum_product
+from bispinor.momenta import clifford_momentum, momentum_product, rashba_shifts
 from bispinor.multivector import to_matrix
+from bispinor.susy import anticommutator, supercharges
+from bispinor.timereversal import pseudo_adjoint
 
 C, S = sp.symbols("c s", real=True)               # cos(theta/2), sin(theta/2)
 SCALAR, V1, V2, V3 = sp.symbols("scalar v1 v2 v3")  # complex
@@ -82,12 +92,15 @@ def similarity(m) -> sp.Matrix:
     return t * m * t.adjugate() / t.det()
 
 
+def clifford_momentum_of(q) -> sp.Matrix:
+    """The deformed 1-blade q.e^gamma = T (q.sigma) T^-1."""
+    return similarity(sum((x * sigma for x, sigma in zip(q, PAULI)), sp.zeros(2)))
+
+
 def product_form() -> sp.Matrix:
     """(1/2) P_l P_r + B3 e3^gamma, each factor the similarity image of its
     Pauli matrix: P_l = T (l.sigma) T^-1 and e3^gamma = T sigma_3 T^-1."""
-    p_l = similarity(sum((x * sigma for x, sigma in zip(L, PAULI)), sp.zeros(2)))
-    p_r = similarity(sum((x * sigma for x, sigma in zip(R, PAULI)), sp.zeros(2)))
-    return p_l * p_r / 2 + B3 * similarity(PAULI[2])
+    return clifford_momentum_of(L) * clifford_momentum_of(R) / 2 + B3 * similarity(PAULI[2])
 
 
 def momentum_closed_form() -> sp.Matrix:
@@ -125,3 +138,86 @@ def test_momentum_product_matches_the_proof(gamma):
         want = np.array(image(*l, *r, b3), dtype=complex)
         scale = 1 + np.abs(l).max() * np.abs(r).max() + abs(b3)
         assert np.abs(h - want).max() < 1e-13 * scale / (1 - gamma**2)
+
+
+# ----------------------------------------------------- the SUSY identities
+
+A_BLOCK = sp.Matrix(2, 2, sp.symbols("a:4"))      # complex P^A
+B_BLOCK = sp.Matrix(2, 2, sp.symbols("b:4"))      # complex P^B
+
+
+def offdiag(upper, lower) -> sp.Matrix:
+    """[[0, upper], [lower, 0]] of 2x2 blocks."""
+    return sp.Matrix(sp.BlockMatrix([[sp.zeros(2), upper], [lower, sp.zeros(2)]]))
+
+
+def supercharges_of_blocks() -> tuple[sp.Matrix, sp.Matrix]:
+    """Theta+ = offdiag-upper(P^B) / sqrt 2 and Theta- = offdiag-lower(P^A) / sqrt 2."""
+    return (offdiag(B_BLOCK, sp.zeros(2)) / sp.sqrt(2),
+            offdiag(sp.zeros(2), A_BLOCK) / sp.sqrt(2))
+
+
+def test_susy_hamiltonian_is_the_block_diagonal_of_the_two_products():
+    # for any blocks, so susy.algebra tests the 4x4 layout and the lower
+    # block R^- = (1/2) P^A P^B, not [H, Theta+-] = 0
+    tp, tm = supercharges_of_blocks()
+    h = tp * tm + tm * tp
+    assert sp.expand(h - sp.diag(B_BLOCK * A_BLOCK / 2, A_BLOCK * B_BLOCK / 2)) == sp.zeros(4)
+    for q in (tp, tm):
+        assert sp.expand(h * q - q * h) == sp.zeros(4)
+
+
+def test_intertwinings_hold_for_any_blocks():
+    # with R^+ = (1/2) P^B P^A, R^- = (1/2) P^A P^B and (P^B)^# = P^A,
+    # R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+ are associativity
+    r_plus, r_minus = B_BLOCK * A_BLOCK / 2, A_BLOCK * B_BLOCK / 2
+    assert sp.expand(r_plus * B_BLOCK - B_BLOCK * r_minus) == sp.zeros(2)
+    assert sp.expand(r_minus * A_BLOCK - A_BLOCK * r_plus) == sp.zeros(2)
+
+
+@pytest.mark.parametrize("gamma, beta, p", [(0.0, 1.0, (0.3, -1.2)),
+                                            (0.7, 2.5, (-2.0, 0.4)),
+                                            (-0.9, 0.6, (1.5, 1.5))])
+def test_supercharges_match_the_proof(gamma, beta, p):
+    p_b, p_a = clifford_momentum(gamma, rashba_shifts(beta, 1), np.array(p))
+    tp, tm = supercharges_of_blocks()
+    blocks = (*A_BLOCK, *B_BLOCK)
+    values = (*p_a.ravel(), *p_b.ravel())
+    got_tp, got_tm = supercharges(gamma, beta, np.array(p))
+    want_tp, want_tm = (np.array(sp.lambdify(blocks, q)(*values), dtype=complex) for q in (tp, tm))
+    want_h = np.array(sp.lambdify(blocks, tp * tm + tm * tp)(*values), dtype=complex)
+    scale = 1 + np.abs(p_a).max() * np.abs(p_b).max()
+    assert np.abs(got_tp - want_tp).max() < 1e-14 * scale
+    assert np.abs(got_tm - want_tm).max() < 1e-14 * scale
+    assert np.abs(anticommutator(got_tp, got_tm) - want_h).max() < 1e-14 * scale
+
+
+P1, P2, BETA = sp.symbols("p1 p2 beta", real=True)
+E13_SYM = sp.Matrix([[0, -1], [1, 0]])
+
+
+def pseudo_adjoint_of(x_minus_p) -> sp.Matrix:
+    """X^#(p), the T-conjugate U conj(Y) U^-1 of Y = X(-p)^dagger, U = e13."""
+    return E13_SYM * x_minus_p.H.conjugate() * E13_SYM.inv()
+
+
+def test_pseudo_adjoint_of_p_b_at_minus_p_is_p_a():
+    # P^B(-p) has q = (-p1, -p2, i beta), P^A(p) has q = (p1, p2, -i beta)
+    p_b_minus_p = clifford_momentum_of((-P1, -P2, sp.I * BETA))
+    p_a = clifford_momentum_of((P1, P2, -sp.I * BETA))
+    for entry in pseudo_adjoint_of(p_b_minus_p) - p_a:
+        numerator = sp.expand(sp.numer(sp.together(entry)))
+        assert sp.expand(sp.rem(numerator, S**2 + C**2 - 1, S)) == 0
+
+
+@pytest.mark.parametrize("gamma, beta, p", [(0.0, 1.0, (0.3, -1.2)),
+                                            (0.55, 2.5, (-2.0, 0.4)),
+                                            (-0.85, 0.6, (1.5, 1.5))])
+def test_pseudo_adjoint_matches_the_proof(gamma, beta, p):
+    half = np.arcsin(gamma) / 2.0
+    sharp = sp.lambdify((P1, P2, BETA), pseudo_adjoint_of(
+        clifford_momentum_of((-P1, -P2, sp.I * BETA))).subs({C: np.cos(half), S: np.sin(half)}))
+    p_b_minus_p = clifford_momentum(gamma, rashba_shifts(beta, 1)[0], -np.array(p))
+    want = np.array(sharp(*p, beta), dtype=complex)
+    scale = 1 + np.abs(p).max() + beta
+    assert np.abs(pseudo_adjoint(p_b_minus_p) - want).max() < 1e-13 * scale / (1 - gamma**2)
