@@ -6,7 +6,8 @@ Subcommands:
   spectrum  export the eigenvalue sweep as CSV/JSON
   texture   export the spin-texture field as CSV/JSON
 
-Exit codes: 0 success, 1 at least one check failed, 2 usage/config error.
+Exit codes: 0 success, 1 at least one check failed, 2 usage/config error
+(an export too large to allocate included).
 """
 
 from __future__ import annotations
@@ -118,23 +119,20 @@ def main(argv=None) -> int:
             if args.out:
                 report.write(args.out)
             return 0 if report.all_passed else 1
-        if args.command == "spectrum":
-            text = tables.render(tables.SPECTRUM_HEADER,
-                                 tables.spectrum_rows(cfg), args.fmt)
-            _write_or_print(text, args.out)
-            return 0
-        if args.command == "texture":
-            text = tables.render(tables.TEXTURE_HEADER,
-                                 tables.texture_rows(cfg), args.fmt)
-            _write_or_print(text, args.out)
-            return 0
+        header, columns = {"spectrum": (tables.SPECTRUM_HEADER, tables.spectrum_columns),
+                           "texture": (tables.TEXTURE_HEADER, tables.texture_columns)}[args.command]
+        rows = tables.cells(args.command, columns(cfg), args.fmt)
+        _write_or_print(tables.render(header, rows, args.fmt), args.out)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,22 +1,23 @@
 """Tabular exporters: spectrum sweeps and spin-texture fields.
 
 Each export evaluates its closed forms once over the stacked (gamma, beta,
-grid) arrays; rows are plain floats ordered gamma, beta, p1, p2, branch.
-``_table`` is the single finiteness guard: an export with a NaN or inf
-raises there, before any row is written.
+grid) arrays and returns the table's columns, which broadcast to one row
+per element in the order gamma, beta, p1, p2, branch.  ``cells`` turns the
+columns into rows of text.  It is the single finiteness guard: an export
+with a NaN or inf raises there, before any row is written.  It formats each
+distinct value of a column once, telling values apart by their bits so that
+0.0 and -0.0 stay apart: CSV floats with 17 significant digits, which
+round-trips doubles; JSON floats through ``float.__repr__`` and words
+through ``json``'s own string encoder, as ``json`` itself does.
 
-``render`` writes every row through one %-template built once per table.
-CSV floats are written with 17 significant digits, which round-trips
-doubles.  JSON is byte-identical to ``json.dumps(rows_as_dicts, indent=2,
+``render`` only lays the text out, through one %-template built once per
+table.  Its JSON is byte-identical to ``json.dumps(rows_as_dicts, indent=2,
 sort_keys=True)``: the sorted, encoded keys and the indentation are literal
-text in the template, floats go through ``float.__repr__`` and words
-through ``json``'s own string encoder, as ``json`` itself does.  So
-``render`` takes finite floats and words only, one kind per column.
+text in the template.
 """
 
 from __future__ import annotations
 
-from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
@@ -28,6 +29,7 @@ from .config import SuiteConfig
 SPECTRUM_HEADER = ("gamma", "beta", "p1", "p2",
                    "lambda_plus", "lambda_minus", "phi_plus", "phi_minus")
 TEXTURE_HEADER = ("branch", "gamma", "p1", "p2", "v1", "v2", "v3")
+BRANCHES = np.array(["plus", "minus"])
 
 
 def _grid(cfg: SuiteConfig) -> np.ndarray:
@@ -39,62 +41,55 @@ def _grid(cfg: SuiteConfig) -> np.ndarray:
     return pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-9]
 
 
-def _table(name: str, *columns) -> list[list[float]]:
-    """One row per element of the broadcast columns; ValueError if any
-    value is not finite."""
-    cols = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    if not np.isfinite(cols).all():
-        raise ValueError(f"{name} export has non-finite values "
-                         "(momenta or beta too large for double precision)")
-    return cols.reshape(-1, len(columns)).tolist()
-
-
-def spectrum_rows(cfg: SuiteConfig) -> list[list[float]]:
+def spectrum_columns(cfg: SuiteConfig) -> tuple[np.ndarray, ...]:
     gammas = np.array(cfg.gamma_values)[:, None, None]
     betas = np.array(cfg.nonzero_betas())[None, :, None]
     pts = _grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _table("spectrum", gammas, betas, pts[:, 0], pts[:, 1],
-                      *spectrum.eigenvalues(betas, pts), *spectrum.phi_angles(gammas, pts))
+        return (gammas, betas, pts[:, 0], pts[:, 1],
+                *spectrum.eigenvalues(betas, pts), *spectrum.phi_angles(gammas, pts))
 
 
-def texture_rows(cfg: SuiteConfig) -> list[list]:
+def texture_columns(cfg: SuiteConfig) -> tuple[np.ndarray, ...]:
     cfg.nonzero_betas()    # the texture needs a split spectrum, not beta itself
     gammas = np.array(cfg.gamma_values)[:, None]
     pts = _grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         amps = spectrum.eigen_amplitudes(*spectrum.phi_angles(gammas, pts))
         spins = spectrum.spin_expectations(amps[..., :2, :])    # (G, N, 2, 3)
-        rows = _table("texture", gammas[..., None], pts[:, :1], pts[:, 1:],
-                      spins[..., 0], spins[..., 1], spins[..., 2])
-    return [[branch, *row] for branch, row in zip(cycle(("plus", "minus")), rows)]
+    return (BRANCHES, gammas[..., None], pts[:, :1], pts[:, 1:], *np.moveaxis(spins, -1, 0))
+
+
+def cells(name: str, columns, fmt: str):
+    """Rows of text, one per element of the broadcast columns (float64 or
+    word arrays), for ``render`` in format ``fmt``; ValueError if any float
+    is not finite."""
+    columns = [np.asarray(c) for c in columns]
+    if not all(np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
+        raise ValueError(f"{name} export has non-finite values "
+                         "(momenta or beta too large for double precision)")
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    number, word = (float.__repr__, _json_str) if fmt == "json" else ("%.17g".__mod__, str)
+    text = []
+    for c in columns:
+        floats = c.dtype.kind == "f"
+        keys, inverse = np.unique((c.view(np.int64) if floats else c).ravel(),
+                                  return_inverse=True)
+        keys = (keys.view(np.float64) if floats else keys).tolist()
+        strings = np.array(list(map(number if floats else word, keys)), dtype=object)
+        text.append(strings[np.broadcast_to(inverse.reshape(c.shape), shape)].ravel().tolist())
+    return zip(*text)
 
 
 def render(header, rows, fmt: str) -> str:
-    """Rows (any iterable of sequences of finite floats and words, one kind
-    per column, as the first row shows) as CSV or JSON."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format: {fmt!r}")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return ",".join(header) + "\n" if fmt == "csv" else "[]\n"
-    rows = chain((first,), rows)
-    words = [isinstance(c, str) for c in first]
+    """Rows of text cells (any iterable, read once) laid out as CSV or JSON."""
     if fmt == "csv":
-        template = ",".join(["%s" if w else "%.17g" for w in words])
-        return "\n".join([",".join(header), *[template % tuple(r) for r in rows], ""])
+        return "\n".join([",".join(header), *map(",".join, rows), ""])
+    if fmt != "json":
+        raise ValueError(f"unknown format: {fmt!r}")
     order = sorted(range(len(header)), key=header.__getitem__)
-    template = "  {\n%s\n  }" % ",\n".join([
-        "    %s: %s" % (_json_str(header[i]).replace("%", "%%"), "%s" if words[i] else "%r")
-        for i in order])
+    template = "  {\n%s\n  }" % ",\n".join(
+        ["    %s: %%s" % _json_str(header[i]).replace("%", "%%") for i in order])
     pick = itemgetter(*order)
-    encoded = [i for i in order if words[i]]
-
-    def encode_words(row):
-        row = list(row)
-        for i in encoded:
-            row[i] = _json_str(row[i])
-        return pick(row)
-    cells = encode_words if encoded else pick
-    return "[\n%s\n]\n" % ",\n".join([template % cells(r) for r in rows])
+    body = ",\n".join([template % pick(r) for r in rows])
+    return "[\n%s\n]\n" % body if body else "[]\n"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bispinor import cli
-from bispinor.harness import checks
+from bispinor.harness import checks, tables
 from bispinor.harness.checks import (
     REGISTRY,
     check_magnetic_trs_convention,
@@ -362,6 +362,22 @@ def test_nonfinite_export_is_rejected(command, fmt, capsys):
     assert err.startswith("error:")
     assert out == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command, builder", [("spectrum", "spectrum_columns"),
+                                              ("texture", "texture_columns")])
+@pytest.mark.parametrize("message, printed", [
+    ("Unable to allocate 80.5 GiB for an array", "Unable to allocate 80.5 GiB for an array"),
+    ("", "out of memory")])
+def test_export_out_of_memory_is_usage_error(command, builder, message, printed,
+                                             monkeypatch, capsys):
+    # a grid too large to allocate is a configuration error (2), not a
+    # failed check (1); the exporter raises as numpy would, no grid is built
+    def too_large(cfg):
+        raise MemoryError(message)
+    monkeypatch.setattr(tables, builder, too_large)
+    code, out, err = run([command, "--grid=-3:3:100000"], capsys)
+    assert (code, out, err) == (2, "", f"error: {printed}\n")
 
 
 class TestTextureExport:

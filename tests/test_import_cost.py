@@ -31,6 +31,17 @@ def test_cli_import_leaves_the_registry_unloaded():
     assert run_python(code).split() == ["False", "bispinor.harness.checks"]
 
 
+def test_cli_import_leaves_the_report_unloaded():
+    # the exporters write no conformance report; the package serves the
+    # report classes on first use
+    code = ("import sys, bispinor.cli; "
+            "print('bispinor.harness.report' in sys.modules); "
+            "from bispinor.harness import ConformanceReport, ReportEntry; "
+            "print(ConformanceReport.__module__, ReportEntry.__module__)")
+    assert run_python(code).split() == ["False", "bispinor.harness.report",
+                                        "bispinor.harness.report"]
+
+
 def test_cli_import_leaves_the_physics_modules_unloaded():
     # the exporters need only multivector and spectrum; the package init
     # imports no submodule

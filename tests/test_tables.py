@@ -1,7 +1,7 @@
 """The exporters' row contract: row counts per configuration, ``render``
-consuming a one-shot iterable exactly like a list, and ``render`` against
-the plain ``json``/``format`` encoders it replaced, which live here only
-as oracles."""
+consuming a one-shot iterable exactly like a list, and ``cells`` plus
+``render`` against the plain ``json``/``format`` encoders they replaced,
+which live here only as oracles."""
 
 import json
 
@@ -19,8 +19,8 @@ CONFIGS = [
     SuiteConfig(gamma_values=(0.0, 0.8, -0.3), beta_values=(1.0, 0.0, 2.5),
                 p1_range=(-2.0, 2.0), p2_range=(-2.0, 2.0), grid_points=5),
 ]
-TABLES = [(tables.SPECTRUM_HEADER, tables.spectrum_rows),
-          (tables.TEXTURE_HEADER, tables.texture_rows)]
+TABLES = [(tables.SPECTRUM_HEADER, tables.spectrum_columns),
+          (tables.TEXTURE_HEADER, tables.texture_columns)]
 
 
 def grid_size(cfg):
@@ -35,14 +35,14 @@ def test_row_counts(cfg):
     n = grid_size(cfg)
     g = len(cfg.gamma_values)
     b = sum(1 for beta in cfg.beta_values if beta != 0.0)
-    assert len(tables.spectrum_rows(cfg)) == g * b * n
-    assert len(tables.texture_rows(cfg)) == 2 * g * n
+    assert len(list(tables.cells("spectrum", tables.spectrum_columns(cfg), "csv"))) == g * b * n
+    assert len(list(tables.cells("texture", tables.texture_columns(cfg), "json"))) == 2 * g * n
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("header, make_rows", TABLES)
-def test_render_consumes_a_generator(header, make_rows, fmt):
-    rows = make_rows(CONFIGS[1])
+@pytest.mark.parametrize("header, make_columns", TABLES)
+def test_render_consumes_a_generator(header, make_columns, fmt):
+    rows = list(tables.cells("table", make_columns(CONFIGS[1]), fmt))
     seen = []
 
     def one_shot():
@@ -86,14 +86,33 @@ def drawn_tables(draw):
     return tuple(header), draw(st.lists(st.tuples(*kinds).map(list), max_size=6))
 
 
+def columns_of(header, rows):
+    """The drawn rows as columns: float64 arrays, and object arrays for
+    words (a numpy string array would drop trailing NULs)."""
+    kinds = [isinstance(c, str) for c in rows[0]] if rows else [False] * len(header)
+    return [np.array([r[i] for r in rows], dtype=object if word else float)
+            for i, word in enumerate(kinds)]
+
+
 @given(drawn_tables())
 @example((tables.SPECTRUM_HEADER, []))
 @example((tables.TEXTURE_HEADER, [["minus", *EDGE_FLOATS[:6]], ["plus", *EDGE_FLOATS[6:]]]))
+# signed zeros and signed subnormals: equal or near as floats, apart as bits
+@example((("zero", "tiny"), [[0.0, 5e-324], [-0.0, -5e-324], [0.0, 5e-324]]))
+# one value repeated across rows, in a float and in a word column
+@example((("x", "w"), [[0.1, "plus"], [0.1, "plus"], [2.0, "minus"], [0.1, "plus"]]))
 @example((("z%s", "a%%", "m\u00e9"), [[1.0, 'x%s "\u00e9\\', -0.0]]))
 def test_render_matches_the_plain_encoders(table):
     header, rows = table
     for fmt in ("json", "csv"):
-        assert tables.render(header, (r for r in rows), fmt) == oracle(header, rows, fmt)
+        cells = tables.cells("drawn", columns_of(header, rows), fmt)
+        assert tables.render(header, cells, fmt) == oracle(header, rows, fmt)
+
+
+def test_cells_rejects_non_finite_values():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^drawn export has non-finite values"):
+            tables.cells("drawn", [np.array(["plus"], dtype=object), np.array([1.0, bad])], "csv")
 
 
 def test_render_of_no_rows():
