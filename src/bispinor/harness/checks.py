@@ -39,6 +39,7 @@ from ..multivector import (
     reversion_matrix,
     stack_variants,
     to_matrix,
+    unitary2,
 )
 from ..spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
 from .config import GAMMA_MARGIN, ConfigError, SuiteConfig
@@ -182,7 +183,7 @@ def check_reversed_generators(cfg, rng):
 
 def check_biortho_gram(cfg, rng):
     m = _complex_normal(rng, (cfg.samples, 2, 2, 2))   # per sample: seed, transform
-    q, _ = np.linalg.qr(m[:, 0])
+    q = unitary2(m[:, 0])
     t = m[:, 1]
     t = np.where((np.abs(det2(t)) < 1e-3)[:, None, None], t + 2.0 * _I2, t)
     phi, chi = biortho.build_pair(q[..., :, 0], q[..., :, 1], t)
@@ -436,8 +437,11 @@ def check_gamma_zero_limit(cfg, rng):
 def check_antiunitarity(cfg, rng):
     a, b = _complex_normal(rng, (2, cfg.samples, 2))
     ta, tb = timereversal.reverse_amplitudes(a), timereversal.reverse_amplitudes(b)
+    # |x| as the root of the summed squared moduli
+    both = np.array([ta, a])
+    norm_ta, norm_a = np.sqrt((np.conj(both) * both).real.sum(axis=-1))
     return {"inner_product": amplitude_inner(ta, tb) - amplitude_inner(b, a),
-            "norm": np.linalg.norm(ta, axis=-1) - np.linalg.norm(a, axis=-1)}, cfg.samples
+            "norm": norm_ta - norm_a}, cfg.samples
 
 
 def check_anti_involution(cfg, rng):
@@ -525,7 +529,7 @@ def check_inner_products(cfg, rng):
 def check_invariance_groups(cfg, rng):
     m = _complex_normal(rng, (cfg.samples, 2, 2))
     a, b = _complex_normal(rng, (2, cfg.samples, 2))
-    q, _ = np.linalg.qr(m)
+    q = unitary2(m)
     defect_g, defect_gp = ideal.invariance_group_defects(q)
     ia, ib = ideal.ideal_matrix(a), ideal.ideal_matrix(b)
     rot_a, rot_b = matmul2(q, ia), matmul2(q, ib)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformed_generators, pauli_matrix, stack_variants
+from .multivector import deformed_generators, offdiag, pauli_matrix, stack_variants
 
 
 def build_linearization(gamma: float = 0.0):
@@ -26,15 +26,10 @@ def build_linearization(gamma: float = 0.0):
     hold for every deformation parameter since they are similarity images of
     the undeformed system.
     """
-    e1, e2, e3 = deformed_generators(gamma)[1:4]
-    z2 = np.zeros((2, 2), dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-
-    def offdiag(a, b):
-        return np.block([[z2, a], [b, z2]])
-
-    gammas = tuple(offdiag(e, e) for e in (e1, e2, e3))
+    e = deformed_generators(gamma)[1:4]
+    gammas = offdiag(e, e)
     gamma4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    i2 = np.eye(2, dtype=complex)
     lam = offdiag(i2, i2)
     lam_inv = lam  # Lambda is its own inverse
 
@@ -54,12 +49,26 @@ def build_linearization(gamma: float = 0.0):
     return l, l_prime, n, n_prime, m, m_prime
 
 
+def _plane(x, name: str) -> np.ndarray:
+    """In-plane vectors (..., 2) as floats; any other shape raises."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"{name} must have 2 components")
+    return x
+
+
 def _pad3(p) -> np.ndarray:
     """Momenta (..., 2) as (..., 3), the third component 0."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1:] != (2,):
-        raise ValueError("momentum must have 2 components")
+    p = _plane(p, "momentum")
     return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+
+
+def _branch_sign(branch):
+    """The branch of rashba(sign=) and magnetic(branch=), once checked to be
+    +1, -1 or an array of them."""
+    if not (branch in (1, -1) if np.isscalar(branch) else np.all((branch == 1) | (branch == -1))):
+        raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
+    return branch
 
 
 def clifford_momentum(gamma, shift, p) -> np.ndarray:
@@ -74,12 +83,11 @@ def clifford_momentum(gamma, shift, p) -> np.ndarray:
     return pauli_matrix(0j, q[..., 0], q[..., 1], q[..., 2], gamma)
 
 
-def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarray:
-    """(1/2) P_left(p) P_right(p) + zeeman e3^gamma, (..., 2, 2): with
-    l = p + left_shift and r = p + right_shift, the multivector
-    s + v.e with s = l.r / 2 and v = (i/2) l x r + zeeman e3 (the bivector
-    l ^ r / 2 over {e12, e23, e31} is i/2 times l x r).
-    gamma and zeeman (...), the shifts (..., 3) and momenta p (..., 2)
+def momentum_product(gamma, left_shift, right_shift, p) -> np.ndarray:
+    """(1/2) P_left(p) P_right(p), (..., 2, 2): with l = p + left_shift and
+    r = p + right_shift, the multivector s + v.e with s = l.r / 2 and
+    v = (i/2) l x r (the bivector l ^ r / 2 over {e12, e23, e31} is i/2
+    times l x r).  gamma (...), the shifts (..., 3) and momenta p (..., 2)
     broadcast; H^AB = (1/2) P^B P^A takes (shift_b, shift_a)."""
     p3 = _pad3(p)
     l = p3 + np.asarray(left_shift)
@@ -89,7 +97,7 @@ def momentum_product(gamma, left_shift, right_shift, p, zeeman=0.0) -> np.ndarra
     e23 = 0.5 * (l[..., 1] * r[..., 2] - l[..., 2] * r[..., 1])
     e31 = 0.5 * (l[..., 2] * r[..., 0] - l[..., 0] * r[..., 2])
     # each as to_matrix forms it from the coefficients, + 0j included
-    return pauli_matrix(kinetic + 0j, 1j * e23 + 0j, 1j * e31 + 0j, zeeman + 1j * e12, gamma)
+    return pauli_matrix(kinetic + 0j, 1j * e23 + 0j, 1j * e31 + 0j, 1j * e12 + 0j, gamma)
 
 
 def rashba_shifts(beta, sign):
@@ -101,12 +109,13 @@ def rashba_shifts(beta, sign):
 
 def rashba(gamma, beta, p, *, sign: int = 1) -> np.ndarray:
     """The deformed Rashba Hamiltonian R^sign_gamma(p) = (1/2) P^B P^A,
-    (..., 2, 2) for broadcastable gamma, beta (...) and momenta p (..., 2).
+    (..., 2, 2) for broadcastable gamma, beta (...) and momenta p (..., 2):
+    the zero-field magnetic Hamiltonian.
 
     sign=-1 flips beta; an array of signs broadcasts with beta.  The adjoint
     of the +gamma operator equals the -gamma one entrywise.
     """
-    return momentum_product(gamma, *rashba_shifts(beta, sign), p)
+    return magnetic(gamma, beta, (0.0, 0.0), 0.0, p, branch=sign)
 
 
 def rashba_signs(gamma, beta, p) -> np.ndarray:
@@ -121,12 +130,8 @@ def magnetic_shifts(beta, a_vec, branch):
     (2, ..., 3): the gauge shift a_vec (..., 2) in plane and +-i branch beta
     on the third component; branch is +1, -1 or an array of them that
     broadcasts with beta."""
-    if not (branch in (1, -1) if np.isscalar(branch) else np.all((branch == 1) | (branch == -1))):
-        raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
-    a_vec = np.asarray(a_vec, dtype=float)
-    if a_vec.shape[-1:] != (2,):
-        raise ValueError("gauge shift must have 2 components")
-    shift3 = 1j * np.asarray(beta) * branch
+    a_vec = _plane(a_vec, "gauge shift")
+    shift3 = 1j * np.asarray(beta) * _branch_sign(branch)
     shifts = np.empty((2,) + np.broadcast(a_vec[..., 0], shift3).shape + (3,), dtype=complex)
     shifts[..., :2] = a_vec
     shifts[0, ..., 2] = shift3
@@ -138,12 +143,21 @@ def magnetic(gamma, beta, a_vec, b3, p, *, branch: int = 1) -> np.ndarray:
     """Rashba Hamiltonian with a constant in-plane gauge shift and Zeeman term,
 
     H^branch = (1/2)[(p1+A1)^2 + (p2+A2)^2 + beta^2]
-               + branch * i beta [e31 (p1+A1) - e23 (p2+A2)] + e3 B3,
+               + branch beta [(p2+A2) e1 - (p1+A1) e2] + B3 e3,
 
-    half the ordered product of the two shifted Clifford momenta
-    p_j + A_j +- i beta delta_j3, plus the Zeeman coefficient.  gamma, beta
-    and B3 (...), a_vec (..., 2) and momenta p (..., 2) broadcast; the
-    result is (..., 2, 2).
+    the real closed form of (1/2) P_l P_r + B3 e3 for the two shifted
+    Clifford momenta l, r = p + A +- i branch beta e3 (their shifts are
+    :func:`magnetic_shifts`), handed to pauli_matrix as s and v.  At
+    B3 = 0 it has the bits of :func:`momentum_product` of those shifts on
+    finite inputs whose products do not overflow.  gamma, beta and B3
+    (...), a_vec (..., 2) and momenta p (..., 2) broadcast; the result is
+    (..., 2, 2).
     """
-    return momentum_product(gamma, *magnetic_shifts(beta, a_vec, branch), p,
-                            zeeman=np.asarray(b3, dtype=float))
+    q = _plane(p, "momentum") + _plane(a_vec, "gauge shift")
+    u, w = q[..., 0], q[..., 1]
+    beta = np.asarray(beta, dtype=float)
+    b_beta = _branch_sign(branch) * beta
+    # + 0.0 turns a -0 in v1 into +0, as the product form's + 0j does; with
+    # v1 at +0, a -0 in v2 or v3 does not reach the matrix
+    return pauli_matrix(0.5 * (u * u + w * w + beta * beta), b_beta * w + 0.0,
+                        -b_beta * u, np.asarray(b3, dtype=float), gamma)

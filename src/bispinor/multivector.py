@@ -83,6 +83,32 @@ def inv2(m) -> np.ndarray:
     return adjugate / det2(m)[..., None, None]
 
 
+def unitary2(m) -> np.ndarray:
+    """The unitary factor Q of m = QR, R upper triangular with a positive
+    diagonal, for (..., 2, 2) matrices: Gram-Schmidt on the two columns.
+    The first column of Q is m's first over its norm; in C^2 the second is
+    the unit normal (-conj(q10), conj(q00)) of the first times the phase of
+    det m, the direction Gram-Schmidt leaves.  R itself is not formed (NaN
+    where m is singular)."""
+    first = m[..., :, 0] / np.hypot(np.abs(m[..., 0, 0]), np.abs(m[..., 1, 0]))[..., None]
+    det = det2(m)
+    phase = det / np.abs(det)
+    return mat2(first[..., 0], -np.conj(first[..., 1]) * phase,
+                first[..., 1], np.conj(first[..., 0]) * phase)
+
+
+def offdiag(upper=None, lower=None) -> np.ndarray:
+    """The (..., 4, 4) operators [[0, upper], [lower, 0]] for (..., 2, 2)
+    blocks (a missing block is zero)."""
+    block = upper if upper is not None else lower
+    out = np.zeros(np.shape(block)[:-2] + (4, 4), dtype=complex)
+    if upper is not None:
+        out[..., :2, 2:] = upper
+    if lower is not None:
+        out[..., 2:, :2] = lower
+    return out
+
+
 def matvec(m, v) -> np.ndarray:
     """Matrices (..., n, n) applied to vectors (..., n), broadcasting."""
     return (np.asarray(m) @ np.asarray(v)[..., None])[..., 0]

@@ -17,22 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .momenta import clifford_momentum, rashba_shifts
-from .multivector import matmul2, stack_variants
+from .multivector import matmul2, offdiag, stack_variants
 from .timereversal import pseudo_adjoint
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def _offdiag(upper=None, lower=None) -> np.ndarray:
-    """The (..., 4, 4) operators [[0, upper], [lower, 0]] for (..., 2, 2)
-    blocks (a missing block is zero)."""
-    block = upper if upper is not None else lower
-    out = np.zeros(np.shape(block)[:-2] + (4, 4), dtype=complex)
-    if upper is not None:
-        out[..., :2, 2:] = upper
-    if lower is not None:
-        out[..., 2:, :2] = lower
-    return out
 
 
 def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +29,7 @@ def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     ndim = np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
     shifts = stack_variants(rashba_shifts(beta, 1), ndim, core=1)
     p_b, p_a = clifford_momentum(gamma, shifts, p)
-    return _offdiag(upper=p_b / _SQRT2), _offdiag(lower=p_a / _SQRT2)
+    return offdiag(upper=p_b / _SQRT2), offdiag(lower=p_a / _SQRT2)
 
 
 def anticommutator(a, b) -> np.ndarray:

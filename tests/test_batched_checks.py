@@ -236,8 +236,9 @@ def test_call_budget_at_the_default_config(monkeypatch):
     # Rashba signs in one call and the supercharges built once per check, 37
     # and 19; with the momenta handing their Pauli form to pauli_matrix
     # (c89519a), 9 and 17; with e3^gamma taken from pauli_matrix and the
-    # SUSY checks on 2x2 blocks, 8 and 17.
+    # SUSY checks on 2x2 blocks, 8 and 17; with rashba and magnetic in their
+    # real closed form, 8 and 1, the one check_factorization makes.
     counts = count_registry_calls(monkeypatch, SuiteConfig(),
                                   (multivector.to_matrix, momenta.momentum_product))
     assert counts["to_matrix"] <= 50
-    assert counts["momentum_product"] <= 25
+    assert counts["momentum_product"] <= 1

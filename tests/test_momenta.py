@@ -236,7 +236,7 @@ class TestGeneratorCache:
             "rashba": lambda: rashba(g, 1.3, p, sign=-1),
             "magnetic": lambda: magnetic(g, 0.8, (0.3, -0.2), 0.5, p, branch=-1),
             "clifford_momentum": lambda: clifford_momentum(g, shift, p),
-            "momentum_product": lambda: momentum_product(g, shift, (0.0, 1.0, -0.5j), p, 0.25),
+            "momentum_product": lambda: momentum_product(g, shift, (0.0, 1.0, -0.5j), p),
         }
         want = {name: call() for name, call in calls.items()}
 
@@ -258,6 +258,7 @@ SIGNED_ENTRY_POINTS = {
 @pytest.mark.parametrize("s", [0, 2, -2])
 @pytest.mark.parametrize("entry", list(SIGNED_ENTRY_POINTS))
 def test_branch_sign_must_be_plus_or_minus_one(entry, s):
-    # rashba(sign=) and magnetic(branch=) share the one validator in magnetic_shifts
+    # rashba(sign=), through magnetic, and magnetic(branch=) share the one
+    # validator, momenta._branch_sign, which magnetic_shifts also calls
     with pytest.raises(ValueError, match=rf"branch sign must be \+1 or -1, got {s}"):
         SIGNED_ENTRY_POINTS[entry](s)

@@ -43,7 +43,15 @@ def time_reversal_without_conjugation(m):
 
 
 def rashba_with_stray_zeeman(gamma, beta, p, *, sign=1):
-    return momenta.momentum_product(gamma, *momenta.rashba_shifts(beta, sign), p, zeeman=0.3)
+    return momenta.magnetic(gamma, beta, (0.0, 0.0), 0.3, p, branch=sign)
+
+
+def magnetic_with_v1_and_v2_swapped(gamma, beta, a_vec, b3, p, *, branch=1):
+    # the closed form with the e1 and e2 coefficients trading places
+    q = np.asarray(p) + a_vec
+    b_beta = branch * np.asarray(beta)
+    return _pauli_matrix(0.5 * (q[..., 0] ** 2 + q[..., 1] ** 2 + b_beta ** 2),
+                         -b_beta * q[..., 0], b_beta * q[..., 1], b3, gamma)
 
 
 def map_with_gamma_mirrored(s, v1, v2, v3, gamma=0.0):
@@ -147,9 +155,13 @@ MUTANTS = {
     "amplitudes_with_dual_angles_swapped": ("spectrum.eigen_identity", "dual", checks,
                                             "eigen_amplitudes",
                                             amplitudes_with_dual_angles_swapped),
-    # the one +-1 branch behind rashba(sign=) and magnetic(branch=)
-    "magnetic_shifts_without_branch": ("susy.algebra", "lower_block", momenta,
+    # the branch of the shifts the closed form is checked against
+    "magnetic_shifts_without_branch": ("momenta.magnetic_consistency", "branch_minus", momenta,
                                        "magnetic_shifts", magnetic_shifts_without_branch),
+    # the closed form behind rashba and magnetic, against the product of the
+    # two Clifford momenta
+    "magnetic_with_v1_and_v2_swapped": ("momenta.rashba_product_form", "product_form", momenta,
+                                        "magnetic", magnetic_with_v1_and_v2_swapped),
     # the SUSY checks on 2x2 blocks: the 1/sqrt 2 of the supercharges, which
     # the 4x4 anticommutator alone sees (reads 17), and the transpose in the
     # pseudo-adjoint behind Lambda- = Theta- (reads 5.9)

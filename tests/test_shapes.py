@@ -122,11 +122,10 @@ def test_generator_formula(g):
 def test_clifford_momentum_and_product(inputs, data):
     g, b, p, scale = inputs
     left, right = (data.draw(complex_stack(p.shape[:1] + (3,), 2.0)) for _ in range(2))
-    zeeman = data.draw(stack(b.shape, -2.0, 2.0))
     singles = [clifford_momentum(x, s, q) for x, s, q in zip(g, left, p)]
     assert_stacked(clifford_momentum(g, left, p), singles, scale)
-    singles = [momentum_product(x, l, r, q, z) for x, l, r, q, z in zip(g, left, right, p, zeeman)]
-    assert_stacked(momentum_product(g, left, right, p, zeeman), singles, 4 * scale)
+    singles = [momentum_product(x, l, r, q) for x, l, r, q in zip(g, left, right, p)]
+    assert_stacked(momentum_product(g, left, right, p), singles, 4 * scale)
 
 
 @EXAMPLES

@@ -100,7 +100,7 @@ def test_clifford_momentum(call):
 
 
 @EXAMPLES
-@given(variant_call(["gamma", "shift", "shift", "p", "field"]))
+@given(variant_call(["gamma", "shift", "shift", "p"]))
 def test_momentum_product(call):
     check_stacking(momentum_product, call)
 

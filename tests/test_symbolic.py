@@ -7,9 +7,12 @@ and the multivector s + v.e^gamma is T (s + v.sigma) T^-1.  sympy proves that
 this equals the closed form :func:`bispinor.multivector.pauli_matrix`
 evaluates (behind :func:`~bispinor.multivector.to_matrix`), for symbolic
 complex s and v, and that the closed form at s = l.r / 2 and
-v = (i/2) l x r + B3 e3 is (1/2) P_l P_r + B3 e3^gamma, the product of the two
-shifted Clifford momenta that :func:`bispinor.momenta.momentum_product`
-evaluates.
+v = (i/2) l x r is (1/2) P_l P_r, the product of the two shifted Clifford
+momenta that :func:`bispinor.momenta.momentum_product` evaluates.  For
+symbolic p, A, beta, B3 and each branch b = +-1, it proves that
+(1/2) P_l P_r + B3 e3^gamma with l, r = p + A +- i b beta e3 is the real
+closed form :func:`bispinor.momenta.magnetic` evaluates (and
+:func:`~bispinor.momenta.rashba` at A = 0, B3 = 0).
 
 For symbolic 2x2 blocks P^A and P^B, sympy also proves that the supercharges
 Theta+ = offdiag-upper(P^B) / sqrt 2 and Theta- = offdiag-lower(P^A) / sqrt 2
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bispinor.momenta import clifford_momentum, momentum_product, rashba_shifts
+from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba_shifts
 from bispinor.multivector import to_matrix
 from bispinor.susy import anticommutator, supercharges
 from bispinor.timereversal import pseudo_adjoint
@@ -83,7 +86,6 @@ def test_library_matches_the_proof(gamma):
 
 L = sp.symbols("l1:4")                            # complex l = p + left shift
 R = sp.symbols("r1:4")                            # complex r = p + right shift
-B3 = sp.Symbol("b3")
 
 
 def similarity(m) -> sp.Matrix:
@@ -97,29 +99,33 @@ def clifford_momentum_of(q) -> sp.Matrix:
     return similarity(sum((x * sigma for x, sigma in zip(q, PAULI)), sp.zeros(2)))
 
 
-def product_form() -> sp.Matrix:
-    """(1/2) P_l P_r + B3 e3^gamma, each factor the similarity image of its
-    Pauli matrix: P_l = T (l.sigma) T^-1 and e3^gamma = T sigma_3 T^-1."""
-    return clifford_momentum_of(L) * clifford_momentum_of(R) / 2 + B3 * similarity(PAULI[2])
+def product_form(l, r) -> sp.Matrix:
+    """(1/2) P_l P_r, each factor the similarity image of its Pauli matrix,
+    P_l = T (l.sigma) T^-1."""
+    return clifford_momentum_of(l) * clifford_momentum_of(r) / 2
+
+
+def closed_form_at(s, v) -> sp.Matrix:
+    """The library's closed form at the scalar s and the vector v."""
+    return closed_form().subs({SCALAR: s, V1: v[0], V2: v[1], V3: v[2]}, simultaneous=True)
 
 
 def momentum_closed_form() -> sp.Matrix:
-    """The closed form at s = l.r / 2 and v = (i/2) l x r + B3 e3."""
+    """The closed form at s = l.r / 2 and v = (i/2) l x r."""
     cross = (L[1] * R[2] - L[2] * R[1], L[2] * R[0] - L[0] * R[2], L[0] * R[1] - L[1] * R[0])
-    return closed_form().subs({
-        SCALAR: (L[0] * R[0] + L[1] * R[1] + L[2] * R[2]) / 2,
-        V1: sp.I * cross[0] / 2,
-        V2: sp.I * cross[1] / 2,
-        V3: sp.I * cross[2] / 2 + B3,
-    }, simultaneous=True)
+    return closed_form_at((L[0] * R[0] + L[1] * R[1] + L[2] * R[2]) / 2,
+                          [sp.I * x / 2 for x in cross])
+
+
+def holds_for_every_theta(difference) -> bool:
+    """The numerator of each entry vanishes modulo c^2 + s^2 = 1, so the
+    difference is zero for every theta."""
+    return all(sp.expand(sp.rem(sp.expand(sp.numer(sp.together(entry))), S**2 + C**2 - 1, S)) == 0
+               for entry in difference)
 
 
 def test_momentum_product_is_half_the_product_of_the_momenta():
-    # the numerator of each entry of the difference vanishes modulo
-    # c^2 + s^2 = 1, so the closed form equals the product for every theta
-    for entry in momentum_closed_form() - product_form():
-        numerator = sp.expand(sp.numer(sp.together(entry)))
-        assert sp.expand(sp.rem(numerator, S**2 + C**2 - 1, S)) == 0
+    assert holds_for_every_theta(momentum_closed_form() - product_form(L, R))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.45, -0.8])
@@ -129,15 +135,53 @@ def test_momentum_product_matches_the_proof(gamma):
     p = rng.normal(size=(n, 2))
     left = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     right = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    zeeman = rng.normal(size=n)
     half = np.arcsin(gamma) / 2.0
-    image = sp.lambdify((*L, *R, B3), product_form().subs({C: np.cos(half), S: np.sin(half)}))
-    got = momentum_product(gamma, left, right, p, zeeman)
+    image = sp.lambdify((*L, *R), product_form(L, R).subs({C: np.cos(half), S: np.sin(half)}))
+    got = momentum_product(gamma, left, right, p)
     p3 = np.concatenate([p, np.zeros((n, 1))], axis=-1)
-    for l, r, b3, h in zip(p3 + left, p3 + right, zeeman, got):
-        want = np.array(image(*l, *r, b3), dtype=complex)
-        scale = 1 + np.abs(l).max() * np.abs(r).max() + abs(b3)
+    for l, r, h in zip(p3 + left, p3 + right, got):
+        want = np.array(image(*l, *r), dtype=complex)
+        scale = 1 + np.abs(l).max() * np.abs(r).max()
         assert np.abs(h - want).max() < 1e-13 * scale / (1 - gamma**2)
+
+
+# ------------------------------------------- the magnetic closed form
+
+P1, P2, BETA = sp.symbols("p1 p2 beta", real=True)
+A1, A2, B3 = sp.symbols("a1 a2 b3", real=True)    # the gauge shift A and the Zeeman term
+
+
+def magnetic_product(branch) -> sp.Matrix:
+    """(1/2) P_l P_r + B3 e3^gamma with l, r = p + A +- i branch beta e3."""
+    u, w = P1 + A1, P2 + A2
+    return (product_form((u, w, sp.I * branch * BETA), (u, w, -sp.I * branch * BETA))
+            + B3 * similarity(PAULI[2]))
+
+
+def magnetic_closed_form(branch) -> sp.Matrix:
+    """s = ((p1+A1)^2 + (p2+A2)^2 + beta^2) / 2 and
+    v = (b beta (p2+A2), -b beta (p1+A1), B3)."""
+    u, w = P1 + A1, P2 + A2
+    return closed_form_at((u**2 + w**2 + BETA**2) / 2, (branch * BETA * w, -branch * BETA * u, B3))
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_magnetic_is_the_closed_form_of_the_product(branch):
+    assert holds_for_every_theta(magnetic_closed_form(branch) - magnetic_product(branch))
+
+
+@pytest.mark.parametrize("gamma, beta, a_vec, b3, p", [(0.0, 1.0, (0.0, 0.0), 0.0, (0.3, -1.2)),
+                                                       (0.6, 2.5, (0.4, -0.7), 1.3, (-2.0, 0.4)),
+                                                       (-0.9, -0.6, (-1.1, 0.2), -0.8, (1.5, 1.5))])
+def test_magnetic_matches_the_proof(gamma, beta, a_vec, b3, p):
+    half = np.arcsin(gamma) / 2.0
+    for branch in (1, -1):
+        image = sp.lambdify((P1, P2, A1, A2, BETA, B3), magnetic_product(branch).subs(
+            {C: np.cos(half), S: np.sin(half)}))
+        want = np.array(image(*p, *a_vec, beta, b3), dtype=complex)
+        got = magnetic(gamma, beta, a_vec, b3, np.array(p), branch=branch)
+        scale = 1 + (np.abs(p).max() + np.abs(a_vec).max() + abs(beta)) ** 2 + abs(b3)
+        assert np.abs(got - want).max() < 1e-13 * scale / (1 - gamma**2)
 
 
 # ----------------------------------------------------- the SUSY identities
@@ -192,7 +236,6 @@ def test_supercharges_match_the_proof(gamma, beta, p):
     assert np.abs(anticommutator(got_tp, got_tm) - want_h).max() < 1e-14 * scale
 
 
-P1, P2, BETA = sp.symbols("p1 p2 beta", real=True)
 E13_SYM = sp.Matrix([[0, -1], [1, 0]])
 
 
