@@ -49,16 +49,16 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
             np.stack((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
 
 
-def canonical_pair(theta):
+def canonical_pair(gamma):
     """The pair (phi, chi) from the canonical seeds and the deformation
-    transforms at angles theta (...)."""
+    transforms at deformation parameters gamma (...)."""
     v1, v2 = _CANONICAL_SEEDS
-    return build_pair(v1, v2, deformation_transform(np.sin(theta)))
+    return build_pair(v1, v2, deformation_transform(gamma))
 
 
 # Coefficient tables c^(m)_{jk} of the rank-one synthesis
 # sigma_m = i^(m+1) sum_jk c^(m)_{jk} |phi_j><chi_k|,
-# pinned by the requirement that theta = 0 reproduces the Pauli matrices.
+# pinned by the requirement that gamma = 0 reproduces the Pauli matrices.
 _SYNTH_COEFFS = np.array([
     [[-1.0, 0.0], [0.0, 1.0]],   # m=1: (-1)^j delta_jk
     [[0.0, -1.0], [1.0, 0.0]],   # m=2: (-1)^j (1 - delta_jk)
@@ -68,11 +68,11 @@ _SYNTH_COEFFS = np.array([
 _SYNTH_PHASES = np.array([(1j) ** (m + 1) for m in (1, 2, 3)])
 
 
-def synthesize_generators(theta) -> np.ndarray:
-    """The three deformed vector generators at angles theta (...), stacked
-    (..., 3, 2, 2), assembled from the rank-one projectors of the canonical
-    pair."""
-    phi, chi = canonical_pair(theta)
+def synthesize_generators(gamma) -> np.ndarray:
+    """The three deformed vector generators at deformation parameters gamma
+    (...), stacked (..., 3, 2, 2), assembled from the rank-one projectors of
+    the canonical pair."""
+    phi, chi = canonical_pair(gamma)
     # |phi_j><chi_k| over (..., j, k, a, b)
     outer = phi[..., :, None, :, None] * np.conj(chi)[..., None, :, None, :]
     return _SYNTH_PHASES[:, None, None] * np.einsum("mjk,...jkab->...mab", _SYNTH_COEFFS, outer)

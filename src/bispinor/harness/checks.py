@@ -26,6 +26,7 @@ from .. import biortho, ideal, momenta, spectrum, susy, timereversal
 from ..multivector import (
     GRADES,
     MATRIX_INVOLUTIONS,
+    clifford_conjugation_matrix,
     decompose,
     deformation_transform,
     deformed_generators,
@@ -192,7 +193,7 @@ def check_biortho_gram(cfg, rng):
 
 def check_generator_synthesis(cfg, rng):
     gammas = np.array(cfg.gamma_values)
-    made = biortho.synthesize_generators(np.arcsin(gammas))
+    made = biortho.synthesize_generators(gammas)
     return {"generators": made - deformed_generators(gammas)[:, 1:4],
             "squares": matmul2(made, made) - _I2}, len(cfg.gamma_values)
 
@@ -229,7 +230,7 @@ def check_factorization(cfg, rng):
 def check_rashba_product_form(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     hp = momenta.rashba(g, b, p)
-    left, right = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1), p)
+    left, right = momenta.clifford_momentum(g, momenta.rashba_shifts(b), p)
     return {"product_form": hp - 0.5 * matmul2(left, right)}, cfg.samples
 
 
@@ -249,7 +250,7 @@ def check_levy_leblond_system(cfg, rng):
     g, b = _gamma_beta_pairs(cfg.gamma_values, cfg.nonzero_betas())
     p = _momenta(cfg, rng, len(g))
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
-    pb, pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1), p)
+    pb, pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b), p)
     pa_psi = matvec(pa[:, None], psi)
     eta = (1j / 2.0) * pa_psi                                # from P^A psi = -2i eta
     residual = matvec(pb[:, None], eta) - 1j * _eigen_lambdas(b, p) * psi
@@ -549,7 +550,7 @@ def check_susy_algebra(cfg, rng):
     diagonal of the two products.  The upper block is R^+, which
     momenta.rashba_product_form checks with the same operands."""
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    pb_pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1), p)
+    pb_pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b), p)
     upper, lower = 0.5 * matmul2(pb_pa, pb_pa[::-1])
     h = susy.anticommutator(*susy.supercharges(g, b, p))
     diagonal = np.zeros_like(h)
@@ -559,18 +560,12 @@ def check_susy_algebra(cfg, rng):
 
 
 def check_pseudo_susy(cfg, rng):
+    """The Clifford conjugate of P^B(-p) is P^A(p), so Lambda- = (Lambda+)^#
+    is Theta-.  With the products rashba_product_form and susy.algebra check,
+    the intertwinings R^+ P^B = P^B R^- and R^- P^A = P^A R^+ are associativity."""
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    # P^B at p and -p and P^A at p, from one call
-    p_b, p_b_minus_p, p_a = momenta.clifford_momentum(
-        g, momenta.rashba_shifts(b, 1)[[0, 0, 1]], np.array([p, -p, p]))
-    intertwine_plus, intertwine_minus = susy.intertwining_residuals(
-        *momenta.rashba_signs(g, b, p), p_b, p_b_minus_p)
-    return {
-        "intertwining_r_plus": intertwine_plus,
-        "intertwining_r_minus": intertwine_minus,
-        # (P^B(-p))^# = P^A(p), so Lambda- = (Lambda+)^# is Theta-
-        "pseudo_adjoint": timereversal.pseudo_adjoint(p_b_minus_p) - p_a,
-    }, cfg.samples
+    p_b_minus_p, p_a = momenta.clifford_momentum(g, momenta.rashba_shifts(b), np.array([-p, p]))
+    return {"pseudo_adjoint": clifford_conjugation_matrix(p_b_minus_p) - p_a}, cfg.samples
 
 
 def check_susy_sector_pairing(cfg, rng):
@@ -579,7 +574,7 @@ def check_susy_sector_pairing(cfg, rng):
     n = cfg.samples // 2 + 1
     g, b, p = _gamma_beta_p(cfg, rng, n)
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
-    p_a = momenta.clifford_momentum(g, momenta.rashba_shifts(b, 1)[1], p)
+    p_a = momenta.clifford_momentum(g, momenta.rashba_shifts(b)[1], p)
     r_minus = momenta.rashba(g, b, p, sign=-1)
     mapped = matvec(p_a[:, None], psi) / np.sqrt(2.0)
     residual = matvec(r_minus[:, None], mapped) - _eigen_lambdas(b, p) * mapped

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformed_generators, offdiag, pauli_matrix, stack_variants
+from .multivector import deformed_generators, in_plane, offdiag, pauli_matrix, stack_variants
 
 
 def build_linearization(gamma: float = 0.0):
@@ -49,17 +49,9 @@ def build_linearization(gamma: float = 0.0):
     return l, l_prime, n, n_prime, m, m_prime
 
 
-def _plane(x, name: str) -> np.ndarray:
-    """In-plane vectors (..., 2) as floats; any other shape raises."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (2,):
-        raise ValueError(f"{name} must have 2 components")
-    return x
-
-
 def _pad3(p) -> np.ndarray:
     """Momenta (..., 2) as (..., 3), the third component 0."""
-    p = _plane(p, "momentum")
+    p = in_plane(p, "momentum")
     return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
 
 
@@ -100,11 +92,11 @@ def momentum_product(gamma, left_shift, right_shift, p) -> np.ndarray:
     return pauli_matrix(kinetic + 0j, 1j * e23 + 0j, 1j * e31 + 0j, 1j * e12 + 0j, gamma)
 
 
-def rashba_shifts(beta, sign):
-    """The left and right shifts of R^sign, those of P^B and P^A, stacked
-    (2, ..., 3): B = +i(0, 0, sign beta), A = -i(0, 0, sign beta), the
-    zero-field magnetic shifts."""
-    return magnetic_shifts(beta, (0.0, 0.0), sign)
+def rashba_shifts(beta):
+    """The left and right shifts of R^+, those of P^B and P^A, stacked
+    (2, ..., 3): B = +i(0, 0, beta), A = -i(0, 0, beta), the zero-field
+    magnetic shifts."""
+    return magnetic_shifts(beta, (0.0, 0.0), 1)
 
 
 def rashba(gamma, beta, p, *, sign: int = 1) -> np.ndarray:
@@ -130,7 +122,7 @@ def magnetic_shifts(beta, a_vec, branch):
     (2, ..., 3): the gauge shift a_vec (..., 2) in plane and +-i branch beta
     on the third component; branch is +1, -1 or an array of them that
     broadcasts with beta."""
-    a_vec = _plane(a_vec, "gauge shift")
+    a_vec = in_plane(a_vec, "gauge shift")
     shift3 = 1j * np.asarray(beta) * _branch_sign(branch)
     shifts = np.empty((2,) + np.broadcast(a_vec[..., 0], shift3).shape + (3,), dtype=complex)
     shifts[..., :2] = a_vec
@@ -153,7 +145,7 @@ def magnetic(gamma, beta, a_vec, b3, p, *, branch: int = 1) -> np.ndarray:
     (...), a_vec (..., 2) and momenta p (..., 2) broadcast; the result is
     (..., 2, 2).
     """
-    q = _plane(p, "momentum") + _plane(a_vec, "gauge shift")
+    q = in_plane(p, "momentum") + in_plane(a_vec, "gauge shift")
     u, w = q[..., 0], q[..., 1]
     beta = np.asarray(beta, dtype=float)
     b_beta = _branch_sign(branch) * beta

@@ -170,7 +170,10 @@ def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
 
 def clifford_conjugation_matrix(m: np.ndarray) -> np.ndarray:
     """Matrix form of Clifford conjugation, reversion after grade inversion:
-    the adjugate [[m22, -m12], [-m21, m11]]."""
+    U m^T U^-1 with U = diag(e13, ..., e13) on (..., 2n, 2n) operators, on
+    2x2 matrices the adjugate [[m22, -m12], [-m21, m11]].  For an operator
+    family X(p), the T-pseudo-adjoint X^#(p) is the Clifford conjugate of
+    X(-p)."""
     return reversion_matrix(time_reverse_matrix(m))
 
 
@@ -194,13 +197,24 @@ def deformation_omega(gamma):
     return np.sqrt(omega_squared)
 
 
+def in_plane(x, name: str) -> np.ndarray:
+    """In-plane vectors (..., 2), such as momenta, as floats; any other
+    shape raises."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"{name} must have 2 components")
+    return x
+
+
 def deformation_transform(gamma) -> np.ndarray:
     """Similarity witness for the deformation, gamma = sin(theta):
 
     T(theta) = cos(theta/2) 1 + sin(theta/2) sigma2   (Hermitian, det = omega),
 
-    of shape (..., 2, 2) for gamma of shape (...).
+    of shape (..., 2, 2) for gamma of shape (...).  |gamma| >= 1 or NaN
+    raises (see :func:`deformation_omega`).
     """
+    deformation_omega(gamma)
     half = np.arcsin(gamma)[..., None, None] / 2.0
     return np.cos(half) * _ID + np.sin(half) * SIGMA2
 

@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import PAULI, SIGMA1, SIGMA2, deformation_omega, det2, mat2, matvec, stack_variants
+from .multivector import (
+    PAULI,
+    SIGMA1,
+    SIGMA2,
+    deformation_omega,
+    det2,
+    in_plane,
+    mat2,
+    matvec,
+    stack_variants,
+)
 
 _SQRT2 = np.sqrt(2.0)
 _T0 = 0.2                # the time at which continuity_residual is evaluated
@@ -25,8 +35,9 @@ def amplitude_inner(a, b):
 
 def _xy(p):
     """Components (p1, p2) of momenta (..., 2): numpy scalars for a single
-    momentum, which keeps single-point calls on numpy's scalar fast path."""
-    p = np.asarray(p, dtype=float)
+    momentum, which keeps single-point calls on numpy's scalar fast path.
+    Any other shape raises."""
+    p = in_plane(p, "momentum")
     return p[..., 0][()], p[..., 1][()]
 
 
@@ -130,7 +141,7 @@ def flip_relations(gamma, p) -> dict:
     (b) phi_pm(-p, -g) = phi_pm(p, g)
     (c) phi_pm(-p1, p2) + phi_-+(p1, p2) = 0 = phi_pm(p1, -p2) + phi_pm(p1, p2)
     """
-    p = np.asarray(p, dtype=float)
+    p = in_plane(p, "momentum")
 
     def wrap(x):
         return np.abs(np.angle(np.exp(1j * x)))

@@ -8,8 +8,10 @@ are (..., 4, 4) arrays built from the Clifford momenta P^B and P^A
 
 and [H, Theta+-] = 0 holds for any blocks.  Pseudo-SUSY keeps
 Lambda+ = Theta+; its T-pseudo-adjoint Lambda- is Theta- because
-(P^B(-p))^# = P^A(p) (:func:`~bispinor.timereversal.pseudo_adjoint`), and
-P^B intertwines the sectors: R^+ P^B = P^B R^-, R^- (P^B)^# = (P^B)^# R^+.
+(P^B)^#(p), the Clifford conjugate of P^B(-p)
+(:func:`~bispinor.multivector.clifford_conjugation_matrix`), is P^A(p).
+The intertwinings R^+ P^B = P^B R^- and R^- P^A = P^A R^+ then hold by
+associativity.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .momenta import clifford_momentum, rashba_shifts
-from .multivector import matmul2, offdiag, stack_variants
-from .timereversal import pseudo_adjoint
+from .multivector import offdiag, stack_variants
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -27,7 +28,7 @@ def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
     """Theta^+ and Theta^-, of shape (..., 4, 4) for gamma, beta (...) and
     momenta (..., 2), from one Clifford-momentum call."""
     ndim = np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
-    shifts = stack_variants(rashba_shifts(beta, 1), ndim, core=1)
+    shifts = stack_variants(rashba_shifts(beta), ndim, core=1)
     p_b, p_a = clifford_momentum(gamma, shifts, p)
     return offdiag(upper=p_b / _SQRT2), offdiag(lower=p_a / _SQRT2)
 
@@ -35,13 +36,3 @@ def supercharges(gamma, beta, p) -> tuple[np.ndarray, np.ndarray]:
 def anticommutator(a, b) -> np.ndarray:
     """{a, b} = a b + b a of (..., 4, 4) operators."""
     return a @ b + b @ a
-
-
-def intertwining_residuals(r_plus, r_minus, p_b, p_b_minus_p):
-    """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+, per
-    matrix, from R^+, R^- and P^B at p and at -p (..., 2, 2)."""
-    p_b_sharp = pseudo_adjoint(p_b_minus_p)
-    r1 = np.abs(matmul2(r_plus, p_b) - matmul2(p_b, r_minus)).max(axis=(-1, -2))[()]
-    r2 = np.abs(matmul2(r_minus, p_b_sharp)
-                - matmul2(p_b_sharp, r_plus)).max(axis=(-1, -2))[()]
-    return r1, r2

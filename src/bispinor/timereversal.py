@@ -8,7 +8,8 @@ spinor it conjugates the amplitudes and applies the e13 matrix
 (:func:`reverse_amplitudes`), and the reversed wave lives at momentum -p.
 On a momentum-space operator family H(p) the identity T^-1 H T = H^dagger
 becomes the fixed-momentum matrix equation H(p) = H^#(p) = U H(-p)^T U^-1
-with U = e13 (:func:`pseudo_adjoint`).
+with U = e13: the T-pseudo-adjoint H^#(p) is the Clifford conjugate of
+H(-p) (:func:`~bispinor.multivector.clifford_conjugation_matrix`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .momenta import rashba
 from .multivector import (
+    clifford_conjugation_matrix,
     deformed_generators,
     matvec,
     reversion_matrix,
@@ -38,17 +40,10 @@ def _maxabs(x, axes):
     return np.abs(x).max(axis=axes)[()]
 
 
-def pseudo_adjoint(x_minus_p) -> np.ndarray:
-    """The T-pseudo-adjoint X^#(p) = U X(-p)^T U^-1 of (..., 2n, 2n)
-    operators, given X(-p), with U = diag(e13, ..., e13): the T-conjugate of
-    X(-p)^dagger."""
-    return time_reverse_matrix(reversion_matrix(x_minus_p))
-
-
 def pseudo_hermitian_residual(h_minus_p, h_p):
     """Max-entry residual of H(p) = H^#(p), the fixed-momentum form of
     T^-1 H T = H^dagger, per matrix of the (..., 2, 2) stacks H(-p) and H(p)."""
-    return _maxabs(h_p - pseudo_adjoint(h_minus_p), (-1, -2))
+    return _maxabs(h_p - clifford_conjugation_matrix(h_minus_p), (-1, -2))
 
 
 def generator_reversal(gamma) -> dict[str, np.ndarray]:

@@ -26,7 +26,9 @@ from bispinor.multivector import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    clifford_conjugation_matrix,
     deformed_generators,
+    matmul2,
     time_reverse_matrix,
 )
 from bispinor.spectrum import (
@@ -39,10 +41,9 @@ from bispinor.spectrum import (
     phi_angles,
     projector_matrices,
 )
-from bispinor.susy import anticommutator, intertwining_residuals, supercharges
+from bispinor.susy import anticommutator, supercharges
 from bispinor.timereversal import (
     kramers_pairing,
-    pseudo_adjoint,
     pseudo_hermitian_residual,
     reverse_amplitudes,
 )
@@ -223,13 +224,17 @@ def test_criterion_09_susy():
             float(np.abs(w @ tp + tp @ w).max()) / scale,
             float(np.abs(w @ h - h @ w).max()) / scale,
         )
-        # Lambda- = (Lambda+)^#, the pseudo-adjoint of Lambda+ = Theta+ at -p
-        lam_minus = pseudo_adjoint(supercharges(g, beta, -p)[0])
+        # Lambda- = (Lambda+)^#, the Clifford conjugate of Lambda+ = Theta+ at -p
+        lam_minus = clifford_conjugation_matrix(supercharges(g, beta, -p)[0])
         worst = max(worst, float(np.abs(anticommutator(tp, lam_minus) - h).max()) / scale)
-        # P^B at p and -p
-        p_b = clifford_momentum(g, rashba_shifts(beta, 1)[0], np.array([p, -p]))
-        intertwining = intertwining_residuals(*rashba_signs(g, beta, p), *p_b)
-        worst = max(worst, *(r / scale for r in intertwining))
+        # the intertwinings R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+
+        r_plus, r_minus = rashba_signs(g, beta, p)
+        p_b, p_b_minus_p = clifford_momentum(g, rashba_shifts(beta)[0], np.array([p, -p]))
+        p_b_sharp = clifford_conjugation_matrix(p_b_minus_p)
+        worst = max(worst,
+                    float(np.abs(matmul2(r_plus, p_b) - matmul2(p_b, r_minus)).max()) / scale,
+                    float(np.abs(matmul2(r_minus, p_b_sharp)
+                                 - matmul2(p_b_sharp, r_plus)).max()) / scale)
         # (P^B(-p))^# = P^A(p): Lambda- = (Lambda+)^# is Theta-
         worst = max(worst, float(np.abs(lam_minus - tm).max()))
     _report("SUSY and pseudo-SUSY structure", worst, 1e-12)

@@ -71,7 +71,7 @@ def loop_reversed_generators(cfg, rng):
 def loop_generator_synthesis(cfg, rng):
     terms = {"generators": [], "squares": []}
     for g in cfg.gamma_values:
-        made = biortho.synthesize_generators(float(np.arcsin(g)))
+        made = biortho.synthesize_generators(g)
         terms["generators"].append(made - deformed_generators(g)[1:4])
         terms["squares"].append(matmul2(made, made) - _I2)
     return terms, len(cfg.gamma_values)

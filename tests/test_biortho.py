@@ -16,7 +16,7 @@ def test_identity_transform_fixed_points():
 
 
 def test_canonical_seeds_with_deformation_transform():
-    assert np.abs(gram(*canonical_pair(np.pi / 6)) - np.eye(2)).max() < TOL
+    assert np.abs(gram(*canonical_pair(0.5)) - np.eye(2)).max() < TOL
 
 
 def test_random_gram_identity():
@@ -34,7 +34,7 @@ def test_hermitian_transform_branch():
     # transform equal to its own adjoint: the construction of the theorem
     t = deformation_transform(0.45)
     assert np.abs(t - t.conj().T).max() < TOL
-    assert np.abs(gram(*canonical_pair(np.arcsin(0.45))) - np.eye(2)).max() < TOL
+    assert np.abs(gram(*canonical_pair(0.45)) - np.eye(2)).max() < TOL
 
 
 def test_singular_transform_rejected():
@@ -57,15 +57,14 @@ def test_synthesis_theta_zero_gives_pauli():
 
 
 def test_synthesis_printed_sigma3():
-    theta = np.arcsin(0.6)
-    made = synthesize_generators(theta)
+    made = synthesize_generators(0.6)
     want = np.array([[1.25, 0.75j], [0.75j, -1.25]])
     assert np.abs(made[2] - want).max() < TOL
 
 
 def test_synthesis_matches_deformed_basis():
     for g in (-0.9, -0.3, 0.0, 0.5, 0.95):
-        made = synthesize_generators(np.arcsin(g))
+        made = synthesize_generators(g)
         want = deformed_generators(g)[1:4]
         for a, b in zip(made, want):
             assert np.abs(a - b).max() < TOL
@@ -91,9 +90,8 @@ def test_synthesis_equals_rank_one_loop():
     coeffs = ([[-1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
               [[0.0, 1.0], [1.0, 0.0]])
     for g in np.linspace(-0.999, 0.999, 403):
-        theta = np.arcsin(g)
-        phi, chi = canonical_pair(theta)
-        for m, (made, c) in enumerate(zip(synthesize_generators(theta), coeffs), start=1):
+        phi, chi = canonical_pair(g)
+        for m, (made, c) in enumerate(zip(synthesize_generators(g), coeffs), start=1):
             acc = np.zeros((2, 2), dtype=complex)
             for j in range(2):
                 for k in range(2):

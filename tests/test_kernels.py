@@ -36,7 +36,6 @@ from bispinor.momenta import (
     magnetic_shifts,
     momentum_product,
     rashba,
-    rashba_shifts,
 )
 from bispinor.multivector import det2, geometric_product, inv2, matmul2, to_matrix, unitary2
 from bispinor.spectrum import eigenvalue_oracle, eigenvector_oracle
@@ -370,7 +369,7 @@ def test_rashba_and_magnetic_are_the_product_of_their_factors(operands):
     want = momentum_product(gamma, *magnetic_shifts(beta, a_vec, branch), p)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     got = rashba(gamma, beta, p, sign=branch)
-    want = momentum_product(gamma, *rashba_shifts(beta, branch), p)
+    want = momentum_product(gamma, *magnetic_shifts(beta, (0.0, 0.0), branch), p)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

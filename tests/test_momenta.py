@@ -134,7 +134,7 @@ class TestRashba:
 
     def test_product_form(self):
         g, beta = -0.7, 0.9
-        left, right = rashba_shifts(beta, 1)
+        left, right = rashba_shifts(beta)
         p = np.array([1.0, 2.0])
         product = clifford_momentum(g, left, p) @ clifford_momentum(g, right, p)
         assert np.abs(rashba(g, beta, p) - 0.5 * product).max() < TOL
@@ -186,7 +186,7 @@ def test_levy_leblond_first_order_system():
     for g, beta in ((0.0, 1.0), (0.6, 0.7), (-0.8, 2.0)):
         p = np.array([1.1, -0.6])
         amps = spectrum.eigen_amplitudes(*spectrum.phi_angles(g, p))
-        left, right = (clifford_momentum(g, shift, p) for shift in rashba_shifts(beta, 1))
+        left, right = (clifford_momentum(g, shift, p) for shift in rashba_shifts(beta))
         for v, energy in zip(amps[:2], spectrum.eigenvalues(beta, p)):
             eta = 0.5j * right @ v
             assert np.abs(right @ v + 2j * eta).max() < TOL
@@ -198,6 +198,10 @@ MOMENTUM_ENTRY_POINTS = {
     "momentum_product": lambda p: momentum_product(0.3, (0.0, 0.0, 0.5j),
                                                    (0.0, 0.0, -0.5j), p),
     "rashba": lambda p: rashba(0.3, 1.0, p),
+    # the spectrum reads momenta through the same guard
+    "eigenvalues": lambda p: spectrum.eigenvalues(1.0, p),
+    "phi_angles": lambda p: spectrum.phi_angles(0.3, p),
+    "flip_relations": lambda p: spectrum.flip_relations(0.3, p),
 }
 
 

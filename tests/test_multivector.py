@@ -23,6 +23,7 @@ from bispinor.multivector import (
     time_reverse_matrix,
     to_matrix,
 )
+from bispinor.biortho import synthesize_generators
 from bispinor.momenta import build_linearization, magnetic, rashba
 from bispinor.spectrum import phi_angles
 
@@ -203,6 +204,7 @@ GAMMA_ENTRY_POINTS = {
     "rashba": lambda g: rashba(g, 1.0, (0.5, -0.3)),
     "magnetic": lambda g: magnetic(g, 1.0, (0.0, 0.0), 0.0, (0.5, -0.3)),
     "phi_angles": lambda g: phi_angles(g, (0.5, -0.3)),
+    "synthesize_generators": synthesize_generators,
 }
 
 

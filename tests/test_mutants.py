@@ -92,8 +92,10 @@ def flip_without_conjugation(u):
     return multivector.E13 @ np.asarray(u, dtype=complex)
 
 
-def pseudo_adjoint_without_transpose(x_minus_p):
-    return multivector.time_reverse_matrix(np.conj(x_minus_p))
+def pseudo_adjoint_without_transpose(m):
+    # Clifford conjugation, which forms the pseudo-adjoint, with the
+    # conjugate taken but not the transpose
+    return multivector.time_reverse_matrix(np.conj(m))
 
 
 def c2_with_arguments_swapped(a, b):
@@ -148,7 +150,7 @@ MUTANTS = {
     "flip_without_conjugation": ("ideal.flip_consistency", "flip_is_time_reversal", ideal,
                                  "basis_flip", flip_without_conjugation),
     "pseudo_adjoint_without_transpose": ("timereversal.pseudo_hermiticity", "r_plus_gamma",
-                                         timereversal, "pseudo_adjoint",
+                                         timereversal, "clifford_conjugation_matrix",
                                          pseudo_adjoint_without_transpose),
     "c2_with_arguments_swapped": ("ideal.inner_products", "c2_conjugates_c1", ideal,
                                   "c2_form", c2_with_arguments_swapped),
@@ -164,10 +166,11 @@ MUTANTS = {
                                         "magnetic", magnetic_with_v1_and_v2_swapped),
     # the SUSY checks on 2x2 blocks: the 1/sqrt 2 of the supercharges, which
     # the 4x4 anticommutator alone sees (reads 17), and the transpose in the
-    # pseudo-adjoint behind Lambda- = Theta- (reads 5.9)
+    # Clifford conjugation behind Lambda- = Theta- (reads 5.9)
     "supercharges_without_sqrt2": ("susy.algebra", "assembled", susy, "_SQRT2", 1.0),
-    "lambda_minus_without_transpose": ("susy.pseudo_susy", "pseudo_adjoint", timereversal,
-                                       "pseudo_adjoint", pseudo_adjoint_without_transpose),
+    "lambda_minus_without_transpose": ("susy.pseudo_susy", "pseudo_adjoint", checks,
+                                       "clifford_conjugation_matrix",
+                                       pseudo_adjoint_without_transpose),
     "involutions_with_grade_inversion_unconjugated": (
         "clifford.involutions", "grade_inversion_matrix", checks, "MATRIX_INVOLUTIONS",
         {**multivector.MATRIX_INVOLUTIONS, "grade_inversion": time_reversal_without_conjugation}),

@@ -1,8 +1,10 @@
 """The physics modules are formulas over plain arrays: none of them defines
 a class or imports dataclasses, none conjugates by time reversal except
 through multivector.time_reverse_matrix, and none takes a conjugate
-transpose except through multivector.reversion_matrix.  Every public
-function of the package has a caller in the package."""
+transpose except through multivector.reversion_matrix.  The one adjoint
+that composes the two, Clifford conjugation (the T-pseudo-adjoint), is
+multivector.clifford_conjugation_matrix.  Every public function of the
+package has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -87,6 +89,29 @@ def _conjugate_transposes(module):
 def test_one_conjugate_transpose(module):
     owners = [owner for owner, _ in _conjugate_transposes(module)]
     assert owners == (["reversion_matrix"] if module == "multivector" else [])
+
+
+def _involution_compositions(path):
+    """(function, line) of every call of time_reverse_matrix on a call of
+    reversion_matrix, or the other way round, by the top-level function it
+    sits in (None at module level)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    pair = {"time_reverse_matrix": "reversion_matrix", "reversion_matrix": "time_reverse_matrix"}
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for n in ast.walk(top):
+            outer = getattr(n, "func", None)
+            name = getattr(outer, "id", getattr(outer, "attr", None))
+            if name in pair and any(_is_call_to(a, (pair[name],)) for a in n.args):
+                found.append((owner, n.lineno))
+    return found
+
+
+def test_one_clifford_conjugation():
+    found = [(path.name, owner) for path in sorted(PACKAGE.rglob("*.py"))
+             for owner, _ in _involution_compositions(path)]
+    assert found == [("multivector.py", "clifford_conjugation_matrix")]
 
 
 def _references(node):

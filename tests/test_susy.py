@@ -1,9 +1,9 @@
 import numpy as np
 
 from bispinor.momenta import clifford_momentum, rashba, rashba_shifts, rashba_signs
+from bispinor.multivector import clifford_conjugation_matrix, matmul2
 from bispinor.spectrum import eigenvalues
-from bispinor.susy import anticommutator, intertwining_residuals, supercharges
-from bispinor.timereversal import pseudo_adjoint
+from bispinor.susy import anticommutator, supercharges
 
 TOL = 1e-12
 
@@ -12,18 +12,19 @@ def susy_hamiltonian(g, beta, p):
     return anticommutator(*supercharges(g, beta, p))
 
 
-def p_b_mirrored(g, beta, p):
-    """P^B at p and at -p."""
-    return clifford_momentum(g, rashba_shifts(beta, 1)[0], np.array([p, -p]))
-
-
 def lambda_minus(g, beta, p):
-    """Lambda- = (Lambda+)^#, the pseudo-adjoint of Lambda+ = Theta+ at -p."""
-    return pseudo_adjoint(supercharges(g, beta, -p)[0])
+    """Lambda- = (Lambda+)^#, the Clifford conjugate of Lambda+ = Theta+ at -p."""
+    return clifford_conjugation_matrix(supercharges(g, beta, -p)[0])
 
 
 def intertwining(g, beta, p):
-    return intertwining_residuals(*rashba_signs(g, beta, p), *p_b_mirrored(g, beta, p))
+    """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+, with
+    (P^B)^#(p) the Clifford conjugate of P^B(-p)."""
+    r_plus, r_minus = rashba_signs(g, beta, p)
+    p_b, p_b_minus_p = clifford_momentum(g, rashba_shifts(beta)[0], np.array([p, -p]))
+    p_b_sharp = clifford_conjugation_matrix(p_b_minus_p)
+    return (np.abs(matmul2(r_plus, p_b) - matmul2(p_b, r_minus)).max(),
+            np.abs(matmul2(r_minus, p_b_sharp) - matmul2(p_b_sharp, r_plus)).max())
 
 
 def _cases(rng, n):
@@ -107,7 +108,7 @@ class TestPseudoSusy:
 
         p = np.array([1.0, 1.5])
         h_p, h_minus_p = susy_hamiltonian(g, beta, p), susy_hamiltonian(g, beta, -p)
-        assert np.abs(pseudo_adjoint(h_minus_p) - h_p).max() < 1e-11
+        assert np.abs(clifford_conjugation_matrix(h_minus_p) - h_p).max() < 1e-11
 
 
 class TestSectorPairing:

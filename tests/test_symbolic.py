@@ -18,9 +18,12 @@ For symbolic 2x2 blocks P^A and P^B, sympy also proves that the supercharges
 Theta+ = offdiag-upper(P^B) / sqrt 2 and Theta- = offdiag-lower(P^A) / sqrt 2
 anticommute to diag((1/2) P^B P^A, (1/2) P^A P^B) and commute with it, so
 [H, Theta+-] = 0 holds for any blocks and needs no sampled check, and that
-the intertwinings follow from the block products; and, for
-symbolic gamma, p and beta, that (P^B(-p))^# = P^A(p), so the pseudo-SUSY
-charge Lambda- = (Lambda+)^# is Theta-.  sympy stays a test-only dependency.
+the intertwinings follow from the block products.  It proves that the
+T-pseudo-adjoint U X^T U^-1 (U = e13) of a symbolic 2x2 X is its adjugate,
+the Clifford conjugate :func:`~bispinor.multivector.clifford_conjugation_matrix`
+forms; and, for symbolic gamma, p and beta, that (P^B)^#(p) = P^A(p), so the
+pseudo-SUSY charge Lambda- = (Lambda+)^# is Theta-.  sympy stays a test-only
+dependency.
 """
 
 import numpy as np
@@ -28,9 +31,8 @@ import pytest
 import sympy as sp
 
 from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba_shifts
-from bispinor.multivector import to_matrix
+from bispinor.multivector import clifford_conjugation_matrix, to_matrix
 from bispinor.susy import anticommutator, supercharges
-from bispinor.timereversal import pseudo_adjoint
 
 C, S = sp.symbols("c s", real=True)               # cos(theta/2), sin(theta/2)
 SCALAR, V1, V2, V3 = sp.symbols("scalar v1 v2 v3")  # complex
@@ -223,7 +225,7 @@ def test_intertwinings_hold_for_any_blocks():
                                             (0.7, 2.5, (-2.0, 0.4)),
                                             (-0.9, 0.6, (1.5, 1.5))])
 def test_supercharges_match_the_proof(gamma, beta, p):
-    p_b, p_a = clifford_momentum(gamma, rashba_shifts(beta, 1), np.array(p))
+    p_b, p_a = clifford_momentum(gamma, rashba_shifts(beta), np.array(p))
     tp, tm = supercharges_of_blocks()
     blocks = (*A_BLOCK, *B_BLOCK)
     values = (*p_a.ravel(), *p_b.ravel())
@@ -244,6 +246,12 @@ def pseudo_adjoint_of(x_minus_p) -> sp.Matrix:
     return E13_SYM * x_minus_p.H.conjugate() * E13_SYM.inv()
 
 
+def test_pseudo_adjoint_is_the_adjugate():
+    # so X^#(p) is the Clifford conjugate of X(-p), and one function forms both
+    x = sp.Matrix(2, 2, sp.symbols("x:4"))
+    assert sp.expand(pseudo_adjoint_of(x) - x.adjugate()) == sp.zeros(2)
+
+
 def test_pseudo_adjoint_of_p_b_at_minus_p_is_p_a():
     # P^B(-p) has q = (-p1, -p2, i beta), P^A(p) has q = (p1, p2, -i beta)
     p_b_minus_p = clifford_momentum_of((-P1, -P2, sp.I * BETA))
@@ -260,7 +268,8 @@ def test_pseudo_adjoint_matches_the_proof(gamma, beta, p):
     half = np.arcsin(gamma) / 2.0
     sharp = sp.lambdify((P1, P2, BETA), pseudo_adjoint_of(
         clifford_momentum_of((-P1, -P2, sp.I * BETA))).subs({C: np.cos(half), S: np.sin(half)}))
-    p_b_minus_p = clifford_momentum(gamma, rashba_shifts(beta, 1)[0], -np.array(p))
+    p_b_minus_p = clifford_momentum(gamma, rashba_shifts(beta)[0], -np.array(p))
     want = np.array(sharp(*p, beta), dtype=complex)
     scale = 1 + np.abs(p).max() + beta
-    assert np.abs(pseudo_adjoint(p_b_minus_p) - want).max() < 1e-13 * scale / (1 - gamma**2)
+    got = clifford_conjugation_matrix(p_b_minus_p)
+    assert np.abs(got - want).max() < 1e-13 * scale / (1 - gamma**2)

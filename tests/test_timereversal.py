@@ -7,12 +7,16 @@ from bispinor import timereversal
 from bispinor.harness import checks
 from bispinor.harness.config import SuiteConfig
 from bispinor.momenta import magnetic, rashba
-from bispinor.multivector import E13, deformed_generators, time_reverse_matrix
+from bispinor.multivector import (
+    E13,
+    clifford_conjugation_matrix,
+    deformed_generators,
+    time_reverse_matrix,
+)
 from bispinor.timereversal import (
     generator_reversal,
     kramers_pairing,
     noncommutation_witness,
-    pseudo_adjoint,
     pseudo_hermitian_residual,
     reversed_schrodinger_residual,
     reverse_amplitudes,
@@ -96,11 +100,12 @@ class TestPseudoHermiticity:
         # H^#(p) = U H(-p)^T U^-1 = H(p) characterizes pseudo-Hermiticity
         g, beta = -0.4, 0.8
         p = np.array([1.1, 0.2])
-        assert np.abs(pseudo_adjoint(rashba(g, beta, -p)) - rashba(g, beta, p)).max() < TOL
+        h_sharp = clifford_conjugation_matrix(rashba(g, beta, -p))
+        assert np.abs(h_sharp - rashba(g, beta, p)).max() < TOL
 
     def test_generic_matrix_is_not_a_fixed_point(self):
         m = np.array([[1.0, 2.0], [0.5j, -1.0]])
-        res = np.abs(pseudo_adjoint(m) - m).max()
+        res = np.abs(clifford_conjugation_matrix(m) - m).max()
         assert res > 0.1
 
 
