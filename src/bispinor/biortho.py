@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformation_transform, det2, inv2, matvec, reversion_matrix
+from .multivector import deformation_transform, det2, inv2, matvec, reversion_matrix, stacked
 from .spectrum import amplitude_inner
 
 _SEED_TOL = 1e-10
+_I2 = np.eye(2)
 
 # The canonical seeds v_j = (1, (-1)^(j-1))/sqrt(2), one per row.
 _CANONICAL_SEEDS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -37,16 +38,16 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
         raise ValueError("need seed vectors in C^2 and 2x2 transforms")
 
     scale = np.maximum(np.abs(t).max(axis=(-1, -2)), 1.0)
-    if np.any(np.abs(det2(t)) < 1e-12 * scale * scale):
+    if (np.abs(det2(t)) < 1e-12 * scale * scale).any():
         raise ValueError("non-invertible transform")
 
-    seeds = np.stack((v1, v2), axis=-2)
-    if np.any(np.abs(gram(seeds, seeds) - np.eye(2)) > _SEED_TOL):
+    seeds = stacked((v1, v2), axis=-2)
+    if (np.abs(gram(seeds, seeds) - _I2) > _SEED_TOL).any():
         raise ValueError("seed vectors not orthonormal")
 
     t_inv_dag = reversion_matrix(inv2(t))
-    return (np.stack((matvec(t, v1), matvec(t, v2)), axis=-2),
-            np.stack((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
+    return (stacked((matvec(t, v1), matvec(t, v2)), axis=-2),
+            stacked((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
 
 
 def canonical_pair(gamma):

@@ -8,7 +8,9 @@ the check's multiplier in the registry.
 
 Each check draws from its own generator, ``default_rng([seed,
 crc32(test_id)])``, so its samples depend only on the seed and its ID: a
-check gives the same numbers run alone or in any registry order.  A sampled
+check gives the same numbers run alone or in any registry order.  The
+runner hands ``default_rng`` the uint32 words NumPy's ``SeedSequence``
+makes of that list, which gives the same stream.  A sampled
 check draws each input as one array over all its samples (momenta inside
 the small disc around the origin are redrawn row by row) and then
 evaluates its identity once over the stack.  A "must be nonzero" witness
@@ -39,6 +41,7 @@ from ..multivector import (
     pauli_matrix,
     reversion_matrix,
     stack_variants,
+    stacked,
     to_matrix,
     unitary2,
 )
@@ -47,6 +50,16 @@ from .config import GAMMA_MARGIN, ConfigError, SuiteConfig
 from .report import ConformanceReport, ReportEntry
 
 _I2 = np.eye(2, dtype=complex)
+_TWO_DELTA_3 = 2.0 * np.eye(3)[..., None, None] * _I2      # 2 delta_ij, (3, 3, 2, 2)
+_TWO_I4 = 2.0 * np.eye(4)
+_TWO_DELTA_5 = 2.0 * np.eye(5)[..., None, None] * np.eye(4)  # 2 delta_ij, (5, 5, 4, 4)
+_ODD_BLADES = np.isin(GRADES, (1, 3))
+_SPLIT = np.diag([1.0, -1.0])
+_NONUNITARY = np.diag([2.0, 1.0])
+# the momenta (sign, radius, 2) on the diagonals p1 = +-p2 at radii 0.5, 2 and 7
+_DIAGONAL_MOMENTA = np.array([0.5, 2.0, 7.0])[:, None] * np.array([[[1.0, 1.0]], [[1.0, -1.0]]])
+_IDEAL_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [1j, 0]],
+                         [[0, 0], [-1, 0]], [[1j, 0], [0, 0]]], dtype=complex)
 
 # Redraw rounds before a box is rejected: the default box needs at most one,
 # a box 0.7% outside |p| <= 1e-2 about a thousand, 3e-5 outside about 2e5.
@@ -85,7 +98,7 @@ def _momenta(cfg: SuiteConfig, rng, n: int) -> np.ndarray:
 
 def _gamma_beta_pairs(gammas, betas) -> tuple[np.ndarray, np.ndarray]:
     """Every (gamma, beta) pair, gamma-major, as two flat arrays."""
-    return np.repeat(gammas, len(betas)), np.tile(betas, len(gammas))
+    return stacked((np.array(gammas)[:, None], np.array(betas)), axis=-3).reshape(2, -1)
 
 
 def _gamma_beta_p(cfg: SuiteConfig, rng, n: int) -> tuple[np.ndarray, ...]:
@@ -129,7 +142,7 @@ def _nonzero_witness(witness) -> np.ndarray:
 
 def _eigen_lambdas(beta, p) -> np.ndarray:
     """(lambda_+, lambda_-) stacked as (..., 2, 1), to scale rows psi_+, psi_-."""
-    return np.stack(eigenvalues(beta, p), axis=-1)[..., None]
+    return stacked(eigenvalues(beta, p))[..., None]
 
 
 # ---------------------------------------------------------------- clifford
@@ -162,7 +175,7 @@ def check_involutions(cfg, rng):
 def check_deformed_relations(cfg, rng):
     e = deformed_generators(np.array(cfg.gamma_values))[:, 1:4]
     anti = matmul2(e[:, :, None], e[:, None, :]) + matmul2(e[:, None, :], e[:, :, None])
-    return {"anticommutators": anti - 2.0 * np.eye(3)[..., None, None] * _I2}, len(e)
+    return {"anticommutators": anti - _TWO_DELTA_3}, len(e)
 
 
 def check_even_subalgebra(cfg, rng):
@@ -172,8 +185,7 @@ def check_even_subalgebra(cfg, rng):
     t = deformation_transform(gammas)[:, None, None]
     even = deformed_generators(gammas)[:, [0, 4, 5, 6]]
     prod = matmul2(matmul2(matmul2(inv2(t), even[:, :, None]), even[:, None, :]), t)
-    odd = np.isin(GRADES, (1, 3))
-    return {"odd_part": decompose(prod)[..., odd]}, len(cfg.gamma_values)
+    return {"odd_part": decompose(prod)[..., _ODD_BLADES]}, len(cfg.gamma_values)
 
 
 def check_reversed_generators(cfg, rng):
@@ -188,7 +200,7 @@ def check_biortho_gram(cfg, rng):
     t = m[:, 1]
     t = np.where((np.abs(det2(t)) < 1e-3)[:, None, None], t + 2.0 * _I2, t)
     phi, chi = biortho.build_pair(q[..., :, 0], q[..., :, 1], t)
-    return {"gram": biortho.gram(phi, chi) - np.eye(2)}, cfg.samples
+    return {"gram": biortho.gram(phi, chi) - _I2}, cfg.samples
 
 
 def check_generator_synthesis(cfg, rng):
@@ -208,10 +220,10 @@ def check_linearization(cfg, rng):
     return {
         "l_nilpotent": l_prime @ l,
         "n_nilpotent": n_prime @ n,
-        "l_n_cross": l_prime @ n + n_prime @ l - 2 * np.eye(4),
+        "l_n_cross": l_prime @ n + n_prime @ l - _TWO_I4,
         "l_m_cross": l_prime @ m[:3] + m_prime[:3] @ l,
         "n_m_cross": n_prime @ m[:3] + m_prime[:3] @ n,
-        "m_anticommutators": anti + 2.0 * np.eye(5)[..., None, None] * np.eye(4),
+        "m_anticommutators": anti + _TWO_DELTA_5,
     }, 1
 
 
@@ -314,7 +326,7 @@ def check_eigenvalue_oracle(cfg, rng):
 
 def check_biorthogonality(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    psi_p, psi_m, dual_p, dual_m = np.moveaxis(eigen_amplitudes(*phi_angles(g, p)), 1, 0)
+    psi_p, psi_m, dual_p, dual_m = eigen_amplitudes(*phi_angles(g, p)).swapaxes(0, 1)
     a, bb = ideal.ideal_matrix(dual_m), ideal.ideal_matrix(psi_p)
     return {"dual_minus_psi_plus": amplitude_inner(dual_m, psi_p),
             "dual_plus_psi_minus": amplitude_inner(dual_p, psi_m),
@@ -343,10 +355,8 @@ def check_flip_relations(cfg, rng):
 
 def check_diagonal_momentum_angles(cfg, rng):
     """phi_pm depends only on the direction for p1 = +-p2."""
-    radii = np.array([0.5, 2.0, 7.0])[:, None]
-    p = radii * np.array([[[1.0, 1.0]], [[1.0, -1.0]]])          # (sign, radius, 2)
     gammas = np.array(cfg.gamma_values)[:, None, None]
-    angles = np.stack(phi_angles(gammas, p), axis=-1)            # (gamma, sign, radius, 2)
+    angles = stacked(phi_angles(gammas, _DIAGONAL_MOMENTA))       # (gamma, sign, radius, 2)
     return {"radius_independence": angles[..., :1, :] - angles[..., 1:, :]}, 2 * gammas.size
 
 
@@ -356,7 +366,7 @@ def check_isospectral_pairs_generic(cfg, rng):
     m = _complex_normal(rng, (cfg.samples, 2, 2, 2))   # per sample: seed, similarity
     herm = m[:, 0] + reversion_matrix(m[:, 0])
     high, low = spectrum.eigenvalue_oracle(herm)
-    herm = np.where(((high - low).real < 0.1)[:, None, None], herm + np.diag([1.0, -1.0]), herm)
+    herm = np.where(((high - low).real < 0.1)[:, None, None], herm + _SPLIT, herm)
     s = m[:, 1]
     s = np.where((np.abs(det2(s)) < 1e-2)[:, None, None], s + 2.0 * _I2, s)
     h = matmul2(matmul2(s, herm), inv2(s))
@@ -374,8 +384,8 @@ def check_spin_vector(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     phi_plus, phi_minus = phi_angles(g, p)
     spin = spectrum.spin_expectations(eigen_amplitudes(phi_plus, phi_minus))
-    phi = np.stack([phi_plus, phi_minus, phi_minus, phi_plus], axis=-1)
-    want = np.stack([np.cos(phi), -np.sin(phi), np.zeros_like(phi)], axis=-1)
+    phi = stacked((phi_plus, phi_minus, phi_minus, phi_plus))
+    want = stacked((np.cos(phi), -np.sin(phi), 0.0))
     return {"closed_form": spin - np.array([1.0, -1.0, 1.0, -1.0])[:, None] * want}, cfg.samples
 
 
@@ -404,7 +414,7 @@ def check_continuity(cfg, rng):
     p = np.array([[0.8, 0.5], [0.8, 0.5], [0.9, 0.4], [0.3, -0.4]])
     wave, branch = np.arange(4), np.array([0, 1, 0, 1])
     amps = eigen_amplitudes(*phi_angles(g, p))[wave, branch]
-    lam = np.stack(eigenvalues(1.0, p), axis=-1)[wave, branch]
+    lam = stacked(eigenvalues(1.0, p))[wave, branch]
     mix = list(zip((0.7, 0.5j, 0.6, 0.8), amps, p, lam))
     cases = {"gamma_zero_mixture": (0.0, mix[:2]), "opposite_p2_pair": (0.6, mix[2:])}
     return {name: spectrum.continuity_residual(gamma, 1.0, waves, grid)
@@ -419,7 +429,7 @@ def check_gamma_zero_limit(cfg, rng):
     phi_plus, phi_minus = phi_angles(0.0, p)
     h = momenta.rashba(0.0, b, p)
     pi1, pi2, _ = spectrum.projector_matrices(phi_plus, phi_minus)
-    psi, psi_minus, dual, _ = np.moveaxis(eigen_amplitudes(phi_plus, phi_minus), 1, 0)
+    psi, psi_minus, dual, _ = eigen_amplitudes(phi_plus, phi_minus).swapaxes(0, 1)
     return {
         "hermitian_h": h - reversion_matrix(h),
         "orthogonal_psi": amplitude_inner(psi, psi_minus),
@@ -490,11 +500,9 @@ def check_reversed_schrodinger(cfg, rng):
 # -------------------------------------------------------------------- ideal
 
 def check_ideal_basis(cfg, rng):
-    want = np.array([[[1, 0], [0, 0]], [[0, 0], [1j, 0]],
-                     [[0, 0], [-1, 0]], [[1j, 0], [0, 0]]], dtype=complex)
     gammas = np.concatenate([cfg.gamma_values, rng.uniform(-0.99, 0.99, size=10)])
     g = ideal.build_ideal_basis(gammas)
-    return {**{f"g{j}": g[:, j] - want[j] for j in range(4)},
+    return {**{f"g{j}": g[:, j] - _IDEAL_BASIS[j] for j in range(4)},
             "g0_idempotent": matmul2(g[:, 0], g[:, 0]) - g[:, 0]}, len(gammas)
 
 
@@ -534,7 +542,7 @@ def check_invariance_groups(cfg, rng):
     defect_g, defect_gp = ideal.invariance_group_defects(q)
     ia, ib = ideal.ideal_matrix(a), ideal.ideal_matrix(b)
     rot_a, rot_b = matmul2(q, ia), matmul2(q, ib)
-    defect_bad, _ = ideal.invariance_group_defects(np.diag([2.0, 1.0]))
+    defect_bad, _ = ideal.invariance_group_defects(_NONUNITARY)
     return {"c1_preserved": ideal.c1_form(rot_a, rot_b) - ideal.c1_form(ia, ib),
             "c2_preserved": ideal.c2_form(rot_a, rot_b) - ideal.c2_form(ia, ib),
             "unitary_in_g": defect_g,
@@ -553,7 +561,7 @@ def check_susy_algebra(cfg, rng):
     pb_pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b), p)
     upper, lower = 0.5 * matmul2(pb_pa, pb_pa[::-1])
     h = susy.anticommutator(*susy.supercharges(g, b, p))
-    diagonal = np.zeros_like(h)
+    diagonal = np.zeros(h.shape, dtype=complex)
     diagonal[:, :2, :2], diagonal[:, 2:, 2:] = upper, lower
     return {"lower_block": lower - momenta.rashba(g, b, p, sign=-1),
             "assembled": h - diagonal}, cfg.samples
@@ -640,28 +648,30 @@ def run_all(cfg: SuiteConfig) -> ConformanceReport:
     becomes a FAIL entry with an infinite residual, no samples and the
     exception named, and the run goes on.  Floating-point warnings are
     silenced: a non-finite residual already fails its entry."""
+    # default_rng([seed, crc32(test_id)])'s uint32 words: the seed's, lowest first, then the CRC
+    seed_words = [(cfg.seed >> k) & 0xFFFFFFFF for k in range(0, cfg.seed.bit_length() or 1, 32)]
     entries = []
-    for test_id, ref, fn, tol_scale in REGISTRY:
-        rng = np.random.default_rng([cfg.seed, zlib.crc32(test_id.encode())])
-        error = None
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                terms, samples = fn(cfg, rng)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for test_id, ref, fn, tol_scale in REGISTRY:
+            words = np.array([*seed_words, zlib.crc32(test_id.encode())], dtype=np.uint32)
+            error = None
+            try:
+                terms, samples = fn(cfg, np.random.default_rng(words))
                 residual, term = worst_term(terms)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            residual, term, samples, error = math.inf, None, 0, f"{type(exc).__name__}: {exc}"
-        passed = residual <= cfg.tolerance * tol_scale
-        entries.append(ReportEntry(
-            test_id=test_id,
-            paper_ref=ref,
-            status="pass" if passed else "fail",
-            max_residual=residual,
-            samples=int(samples),
-            term=None if passed else term,
-            error=error,
-        ))
+            except ConfigError:
+                raise
+            except Exception as exc:
+                residual, term, samples, error = math.inf, None, 0, f"{type(exc).__name__}: {exc}"
+            passed = residual <= cfg.tolerance * tol_scale
+            entries.append(ReportEntry(
+                test_id=test_id,
+                paper_ref=ref,
+                status="pass" if passed else "fail",
+                max_residual=residual,
+                samples=int(samples),
+                term=None if passed else term,
+                error=error,
+            ))
     return ConformanceReport(
         entries=tuple(entries), tolerance=cfg.tolerance, seed=cfg.seed
     )

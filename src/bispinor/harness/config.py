@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 # Random gamma draws are clipped away from +-1 by this margin (1/omega
 # blows up as |gamma| -> 1).
@@ -12,6 +13,20 @@ GAMMA_MARGIN = 1e-3
 
 class ConfigError(ValueError):
     """Raised for invalid suite configurations (CLI exit code 2)."""
+
+
+def _floats(name: str, values, size: int | None = None) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; ConfigError for a string, a non-iterable,
+    an entry that is not a real number or a length other than ``size``."""
+    try:
+        entries = None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        entries = None
+    if (entries is None or size not in (None, len(entries))
+            or not all(isinstance(x, Real) for x in entries)):
+        shape = "a pair (lo, hi)" if size else "a sequence"
+        raise ConfigError(f"{name} must be {shape} of numbers")
+    return tuple(float(x) for x in entries)
 
 
 @dataclass(frozen=True)
@@ -26,10 +41,9 @@ class SuiteConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_values",
-                           tuple(float(g) for g in self.gamma_values))
-        object.__setattr__(self, "beta_values",
-                           tuple(float(b) for b in self.beta_values))
+        for name in ("gamma_values", "beta_values", "p1_range", "p2_range"):
+            size = 2 if name.endswith("_range") else None
+            object.__setattr__(self, name, _floats(name, getattr(self, name), size))
         self.validate()
 
     def validate(self) -> None:
@@ -48,6 +62,8 @@ class SuiteConfig:
                 (self.grid_points, 2, "grid needs an integer of at least 2 points per axis")):
             if isinstance(count, bool) or not isinstance(count, int) or count < minimum:
                 raise ConfigError(message)
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, Real):
+            raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         numbers = (*self.beta_values, *self.p1_range, *self.p2_range, self.tolerance)
         if not all(math.isfinite(x) for x in numbers):
             raise ConfigError("beta, momentum range and tolerance must be finite")

@@ -19,10 +19,12 @@ from .multivector import (
     deformed_generators,
     matmul2,
     reversion_matrix,
+    stacked,
     time_reverse_matrix,
 )
 
 _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
+_I2 = np.eye(2, dtype=complex)
 
 
 def build_ideal_basis(gamma) -> np.ndarray:
@@ -37,15 +39,13 @@ def build_ideal_basis(gamma) -> np.ndarray:
     """
     generators = deformed_generators(gamma)
     w = deformation_omega(gamma)[..., None, None]
-    i2 = np.eye(2, dtype=complex)
-    _, e1, e2, e3, e12, e23, e31, e123 = np.moveaxis(generators, -3, 0)
-    _, r1, _, r3, r12, r23, _, _ = np.moveaxis(time_reverse_matrix(generators), -3, 0)
-
-    g0 = 0.5 * i2 + 0.25 * w * (e3 - r3)
-    g1 = 0.5 * e2 + 0.25 * w * (e23 + r23)
-    g2 = 0.5 * e31 - 0.25 * w * (e1 - r1)
-    g3 = 0.5 * e123 + 0.25 * w * (e12 + r12)
-    return np.stack((g0, g1, g2, g3), axis=-3)
+    _, e1, e2, e3, e12, e23, e31, e123 = (generators[..., k, :, :] for k in range(8))
+    reversed_set = time_reverse_matrix(generators)
+    r1, r3, r12, r23 = (reversed_set[..., k, :, :] for k in (1, 3, 4, 5))
+    return stacked((0.5 * _I2 + 0.25 * w * (e3 - r3),
+                    0.5 * e2 + 0.25 * w * (e23 + r23),
+                    0.5 * e31 - 0.25 * w * (e1 - r1),
+                    0.5 * e123 + 0.25 * w * (e12 + r12)), axis=-3)
 
 
 def ideal_matrix(amps) -> np.ndarray:
@@ -65,14 +65,14 @@ def basis_flip(u: np.ndarray) -> np.ndarray:
 
 def c1_form(a: np.ndarray, b: np.ndarray):
     """C1 = tr(reversion(A) B) of ideal matrices (..., 2, 2) = a1* b1 + a2* b2."""
-    return np.trace(matmul2(reversion_matrix(a), b), axis1=-2, axis2=-1)
+    return matmul2(reversion_matrix(a), b).trace(axis1=-2, axis2=-1)
 
 
 def c2_form(a: np.ndarray, b: np.ndarray):
     """C2 = tr(e31 conj_cl(A) flip(B)) of ideal matrices (..., 2, 2)
     = a1 b1* + a2 b2*."""
-    return np.trace(matmul2(matmul2(_E31, clifford_conjugation_matrix(a)), basis_flip(b)),
-                    axis1=-2, axis2=-1)
+    return matmul2(matmul2(_E31, clifford_conjugation_matrix(a)), basis_flip(b)).trace(
+        axis1=-2, axis2=-1)
 
 
 def invariance_group_defects(u: np.ndarray):
@@ -85,7 +85,6 @@ def invariance_group_defects(u: np.ndarray):
     carves out the unitary group.
     """
     u = np.asarray(u, dtype=complex)
-    i2 = np.eye(2)
     u_flat = time_reverse_matrix(u)
-    return (np.abs(matmul2(reversion_matrix(u), u) - i2).max(axis=(-1, -2)),
-            np.abs(matmul2(clifford_conjugation_matrix(u), u_flat) - i2).max(axis=(-1, -2)))
+    return (np.abs(matmul2(reversion_matrix(u), u) - _I2).max(axis=(-1, -2)),
+            np.abs(matmul2(clifford_conjugation_matrix(u), u_flat) - _I2).max(axis=(-1, -2)))

@@ -14,6 +14,9 @@ import numpy as np
 
 from .multivector import deformed_generators, in_plane, offdiag, pauli_matrix, stack_variants
 
+_GAMMA4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+_LAMBDA = offdiag(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+
 
 def build_linearization(gamma: float = 0.0):
     """The 4x4 matrices (l, l_prime, n, n_prime, m, m_prime) of the
@@ -28,16 +31,13 @@ def build_linearization(gamma: float = 0.0):
     """
     e = deformed_generators(gamma)[1:4]
     gammas = offdiag(e, e)
-    gamma4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    i2 = np.eye(2, dtype=complex)
-    lam = offdiag(i2, i2)
-    lam_inv = lam  # Lambda is its own inverse
+    lam_inv = _LAMBDA  # Lambda is its own inverse
 
-    m5 = -1j * lam
+    m5 = -1j * _LAMBDA
     m5_prime = -1j * lam_inv
-    m4 = lam @ gamma4
-    m4_prime = -gamma4 @ lam_inv
-    m = np.array([lam @ g for g in gammas] + [m4, m5])
+    m4 = _LAMBDA @ _GAMMA4
+    m4_prime = -_GAMMA4 @ lam_inv
+    m = np.array([_LAMBDA @ g for g in gammas] + [m4, m5])
     m_prime = np.array([-g @ lam_inv for g in gammas] + [m4_prime, m5_prime])
 
     # Invert the identifications M4 = i(L + N/2), M5 = L - N/2.
@@ -58,7 +58,8 @@ def _pad3(p) -> np.ndarray:
 def _branch_sign(branch):
     """The branch of rashba(sign=) and magnetic(branch=), once checked to be
     +1, -1 or an array of them."""
-    if not (branch in (1, -1) if np.isscalar(branch) else np.all((branch == 1) | (branch == -1))):
+    if not (branch in (1, -1) if np.isscalar(branch)
+            else np.logical_or(branch == 1, branch == -1).all()):
         raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
     return branch
 

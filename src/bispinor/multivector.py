@@ -32,6 +32,7 @@ BASIS_NAMES = ("1", "e1", "e2", "e3", "e12", "e23", "e31", "e123")
 GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 
 _ID = np.eye(2, dtype=complex)
+_UNIT_BLADES = np.eye(8)          # the coefficients of the eight unit blades
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -50,6 +51,18 @@ def mat2(a, b, c, d) -> np.ndarray:
     """The (..., 2, 2) complex matrices [[a, b], [c, d]] from broadcastable entries."""
     out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def stacked(parts, axis: int = -1) -> np.ndarray:
+    """np.stack(parts, axis) of broadcastable array or scalar parts at a
+    negative axis, each written into one np.empty result without np.stack's
+    per-part Python work."""
+    shape = np.broadcast(*parts).shape
+    cut = len(shape) + axis + 1
+    out = np.empty(shape[:cut] + (len(parts),) + shape[cut:], dtype=np.result_type(*parts))
+    for k, part in enumerate(parts):
+        out[(..., k) + (slice(None),) * (-1 - axis)] = part
     return out
 
 
@@ -121,9 +134,7 @@ def decompose(m) -> np.ndarray:
     b = (m[..., 0, 1] + m[..., 1, 0]) / 2.0          # e1, e23
     c = 1j * (m[..., 0, 1] - m[..., 1, 0]) / 2.0     # e2, e31
     d = (m[..., 0, 0] - m[..., 1, 1]) / 2.0          # e3, e12
-    return np.stack(
-        [a.real, b.real, c.real, d.real, d.imag, b.imag, c.imag, a.imag], axis=-1
-    )
+    return stacked((a.real, b.real, c.real, d.real, d.imag, b.imag, c.imag, a.imag))
 
 
 _BLADE_SIGNS = {kind: np.array(signs, dtype=float)[list(GRADES)]
@@ -162,8 +173,8 @@ def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
     c = np.conj(np.asarray(m, dtype=complex))
     out = np.empty_like(c)
     out[..., 0::2, 0::2] = c[..., 1::2, 1::2]
-    out[..., 0::2, 1::2] = -c[..., 1::2, 0::2]
-    out[..., 1::2, 0::2] = -c[..., 0::2, 1::2]
+    np.negative(c[..., 1::2, 0::2], out=out[..., 0::2, 1::2])
+    np.negative(c[..., 0::2, 1::2], out=out[..., 1::2, 0::2])
     out[..., 1::2, 1::2] = c[..., 0::2, 0::2]
     return out
 
@@ -267,12 +278,12 @@ def deformed_generators(gamma) -> np.ndarray:
     :func:`to_matrix`, e.g. e1 = [[-B, A], [A, B]] and e3 = [[A, B], [B, -A]].
     |gamma| >= 1 or NaN raises (see :func:`deformation_omega`).
     """
-    return to_matrix(np.eye(8), np.asarray(gamma, dtype=float)[..., None])
+    return to_matrix(_UNIT_BLADES, np.asarray(gamma, dtype=float)[..., None])
 
 
 # Structure constants as a dense (8, 8, 8) tensor: blade_i blade_j =
 # sum_k C[i, j, k] blade_k, with one entry +-1 per (i, j).
-_BLADES = to_matrix(np.eye(8))
+_BLADES = to_matrix(_UNIT_BLADES)
 _CAYLEY = np.round(decompose(_BLADES[:, None] @ _BLADES[None, :]))
 _CAYLEY_64 = _CAYLEY.reshape(64, 8)
 

@@ -20,6 +20,7 @@ from .multivector import (
     mat2,
     matvec,
     stack_variants,
+    stacked,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -70,7 +71,7 @@ def eigenvector_oracle(h: np.ndarray, lam) -> np.ndarray:
     n1, n2 = (np.hypot(np.abs(x), np.abs(y)) for x, y in (first, second))
     longer = n1 >= n2
     norm = np.where(longer, n1, n2)
-    return np.stack([np.where(longer, x, y) / norm for x, y in zip(first, second)], axis=-1)
+    return stacked([np.where(longer, x, y) / norm for x, y in zip(first, second)])
 
 
 def phi_angles(gamma, p):
@@ -81,10 +82,9 @@ def phi_angles(gamma, p):
     p1, p2 = _xy(p)
     omega = deformation_omega(gamma)
     pnorm = np.hypot(p1, p2)
-    return (np.arctan2(omega * omega * p1 * pnorm - gamma * p2 * p2,
-                       omega * p2 * pnorm + gamma * omega * p1 * p2),
-            np.arctan2(omega * omega * p1 * pnorm + gamma * p2 * p2,
-                       omega * p2 * pnorm - gamma * omega * p1 * p2))
+    num, num_g = omega * omega * p1 * pnorm, gamma * p2 * p2
+    den, den_g = omega * p2 * pnorm, gamma * omega * p1 * p2
+    return np.arctan2(num - num_g, den + den_g), np.arctan2(num + num_g, den - den_g)
 
 
 def phi_angles_principal(gamma, p):
@@ -104,11 +104,11 @@ def eigen_amplitudes(phi_plus, phi_minus) -> np.ndarray:
 
     psi_pm = (+-e^{i phi_pm}, 1)/sqrt2,  dual_pm = (+-1, e^{-i phi_mp})/sqrt2.
     """
-    out = np.full(np.shape(phi_plus) + (4, 2), 1.0 / _SQRT2, dtype=complex)
+    out = np.empty(np.shape(phi_plus) + (4, 2), dtype=complex)
     out[..., 0, 0] = np.exp(1j * phi_plus) / _SQRT2
     out[..., 1, 0] = -np.exp(1j * phi_minus) / _SQRT2
+    out[..., :2, 1], out[..., 2:, 0] = 1.0 / _SQRT2, (1.0 / _SQRT2, -1.0 / _SQRT2)
     out[..., 2, 1] = np.exp(-1j * phi_minus) / _SQRT2
-    out[..., 3, 0] = -1.0 / _SQRT2
     out[..., 3, 1] = np.exp(-1j * phi_plus) / _SQRT2
     return out
 
@@ -122,7 +122,7 @@ def projector_matrices(phi_plus, phi_minus):
     Single angles are evaluated as one-element arrays: numpy's scalar
     complex product rounds differently from its array loop, and this keeps
     a single point bit-identical to the same point in a stack."""
-    shape = np.broadcast_shapes(np.shape(phi_plus), np.shape(phi_minus))
+    shape = np.broadcast(phi_plus, phi_minus).shape
     ep = np.exp(1j * np.atleast_1d(phi_plus))
     em = np.exp(1j * np.atleast_1d(phi_minus))
     den = ep + em
@@ -205,8 +205,8 @@ def continuity_residual(gamma: float, beta: float, mix, sample_grid) -> float:
     x = np.asarray(sample_grid, dtype=float)
     waves = (c[:, None] * amps) * np.exp(1j * (x @ k.T - energy * _T0))[..., None]
     # per wave: the factors of psi, d_t psi, d_1 psi, d_2 psi and the Laplacian
-    factors = np.stack([np.ones_like(energy), -1j * energy, 1j * k[:, 0], 1j * k[:, 1],
-                        -(k * k).sum(axis=-1)])
+    factors = stacked((1.0, -1j * energy, 1j * k[:, 0], 1j * k[:, 1], -(k * k).sum(axis=-1)),
+                      axis=-2)
     psi, dt_psi, d1_psi, d2_psi, lap_psi = np.einsum("dw,pwi->dpi", factors, waves)
     omega = deformation_omega(gamma)
     residual = (2.0 * amplitude_inner(psi, dt_psi).real

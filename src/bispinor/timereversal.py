@@ -23,6 +23,7 @@ from .multivector import (
     matvec,
     reversion_matrix,
     stack_variants,
+    stacked,
     time_reverse_matrix,
 )
 from .spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
@@ -32,7 +33,7 @@ def reverse_amplitudes(amps) -> np.ndarray:
     """T on finite parts, (a1, a2) -> e13 conj(a) = (-a2*, a1*), over (..., 2)
     amplitude arrays."""
     c = np.conj(np.asarray(amps, dtype=complex))
-    return np.stack([-c[..., 1], c[..., 0]], axis=-1)
+    return stacked((-c[..., 1], c[..., 0]))
 
 
 def _maxabs(x, axes):
@@ -62,8 +63,9 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     vector_rule = _maxabs(time_reverse_matrix(generators[..., 1:4, :, :])
                           + mirrored[..., 1:4, :, :], (-1, -2, -3))
 
-    one, r1, r2, r3 = np.moveaxis(reversion_matrix(generators[..., :4, :, :]), -3, 0)
-    expected = np.stack((
+    reversed_vectors = reversion_matrix(generators[..., :4, :, :])
+    one, r1, r2, r3 = (reversed_vectors[..., k, :, :] for k in range(4))
+    expected = stacked((
         one,                      # 1 is fixed
         -r1, -r2, -r3,            # vector slots pick up a minus sign
         # even slots: i * reversion of the matching deformed vector generator
@@ -148,5 +150,5 @@ def _reversed_eigen_residual(gamma, beta, p, chi):
     """The residual of :func:`reversed_schrodinger_residual` given the
     reversed eigenstates chi = T psi_pm, (..., 2, 2)."""
     h_adj = reversion_matrix(rashba(gamma, beta, -p))
-    lam = np.stack(eigenvalues(beta, p), axis=-1)[..., None]
+    lam = stacked(eigenvalues(beta, p))[..., None]
     return _maxabs(matvec(h_adj[..., None, :, :], chi) - lam * chi, (-1, -2))

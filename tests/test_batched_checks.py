@@ -242,3 +242,31 @@ def test_call_budget_at_the_default_config(monkeypatch):
                                   (multivector.to_matrix, momenta.momentum_product))
     assert counts["to_matrix"] <= 50
     assert counts["momentum_product"] <= 1
+
+
+# numpy's Python-level builders, each 3-30 us a call against about 1 us for
+# a ufunc
+BUILDERS = ("stack", "moveaxis", "full", "isin", "tile", "repeat", "zeros_like", "eye")
+
+
+def test_builder_budget_at_the_default_config(monkeypatch):
+    # Calls one default run_all makes from bispinor code to numpy's list
+    # builders.  There were 69 (701df11): np.stack over known shapes, np.full,
+    # np.moveaxis to unpack, np.repeat and np.tile for the (gamma, beta)
+    # pairs, and constants such as np.eye(8) and np.isin(GRADES, (1, 3))
+    # rebuilt per call.  Writing known shapes into np.empty, unpacking by
+    # indexing and building the constants once at import took them to 0.
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("bispinor"):
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in BUILDERS:
+            patch.setattr(np, name, counted(name, getattr(np, name)))
+        run_all(SuiteConfig())
+    assert sum(counts.values()) <= 12, counts

@@ -121,6 +121,32 @@ class TestVerify:
         with pytest.raises(ConfigError, match="integer"):
             SuiteConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("p1_range", (0.0, 1.0, 2.0), "p1_range must be a pair"),
+        ("p1_range", 3.0, "p1_range must be a pair"),
+        ("p2_range", "ab", "p2_range must be a pair"),
+        ("p2_range", (0.0, "1"), "p2_range must be a pair"),
+        ("tolerance", "1e-3", "tolerance must be a number"),
+        ("tolerance", True, "tolerance must be a number"),
+        ("beta_values", ("x",), "beta_values must be a sequence of numbers"),
+        ("gamma_values", "0.3", "gamma_values must be a sequence of numbers"),
+        ("gamma_values", None, "gamma_values must be a sequence of numbers"),
+    ])
+    def test_config_rejects_values_that_are_not_numbers(self, field, value, message):
+        # these used to escape as a bare ValueError ("too many values to
+        # unpack", float()'s) or TypeError from inside the validation
+        with pytest.raises(ConfigError, match=message):
+            SuiteConfig(**{field: value})
+
+    def test_config_holds_ranges_as_float_pairs(self):
+        # a list range used to be kept as a list, so the frozen config could
+        # not be hashed
+        cfg = SuiteConfig(p1_range=[-1, 2], p2_range=np.array([-3.0, 3.0]), beta_values=[1])
+        assert cfg.p1_range == (-1.0, 2.0) and type(cfg.p1_range[0]) is float
+        assert cfg.p2_range == (-3.0, 3.0) and type(cfg.p2_range[0]) is float
+        assert cfg.beta_values == (1.0,)
+        assert hash(cfg) == hash(SuiteConfig(p1_range=(-1.0, 2.0), beta_values=(1.0,)))
+
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize("option", ["--samples=2.5", "--seed=1.5", "--grid=-1:1:3.5"])
     def test_non_integer_count_is_usage_error(self, command, option, capsys):

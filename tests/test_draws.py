@@ -1,9 +1,10 @@
 """The registry's draws: the momentum rejection step and per-check streams.
 
-Each check owns the generator ``default_rng([seed, crc32(test_id)])`` and
-draws its inputs as whole arrays, so a ``run_all`` entry depends only on the
-configuration and the check's ID: run alone, or with the registry in another
-order, a check must give its entry bit for bit.
+Each check owns the generator ``default_rng([seed, crc32(test_id)])``, which
+``run_all`` builds from the same uint32 words, and draws its inputs as whole
+arrays, so a ``run_all`` entry depends only on the configuration and the
+check's ID: run alone, or with the registry in another order, a check must
+give its entry bit for bit.
 """
 
 import zlib
@@ -58,6 +59,23 @@ def test_check_alone_matches_its_run_all_entry(entry, report):
     (want,) = [e for e in report.entries if e.test_id == test_id]
     assert float(residual).hex() == want.max_residual.hex()
     assert samples == want.samples
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_run_all_streams_match_the_documented_generator(seed):
+    # run_all hands default_rng the uint32 words SeedSequence makes of
+    # [seed, crc32(test_id)]: the seed's 32-bit words, lowest first, and one
+    # word for 0.  These seeds sit at the word boundaries, where a slip in
+    # splitting the seed changes every sampled check's stream.
+    cfg = SuiteConfig(gamma_values=(0.0, 0.45), beta_values=(0.7,), samples=3, seed=seed)
+    entries = run_all(cfg).entries
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (test_id, _, check, _), want in zip(REGISTRY, entries, strict=True):
+            rng = np.random.default_rng([seed, zlib.crc32(test_id.encode())])
+            terms, samples = check(cfg, rng)
+            residual, _ = worst_term(terms)
+            assert float(residual).hex() == want.max_residual.hex(), test_id
+            assert samples == want.samples, test_id
 
 
 def test_registry_order_does_not_change_entries(report, monkeypatch):
