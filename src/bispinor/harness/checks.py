@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from .. import biortho, ideal, momenta, spectrum, susy, timereversal
+from .. import biortho, ideal, momenta, spectrum, timereversal
 from ..multivector import (
     GRADES,
     MATRIX_INVOLUTIONS,
@@ -415,10 +415,10 @@ def check_continuity(cfg, rng):
     wave, branch = np.arange(4), np.array([0, 1, 0, 1])
     amps = eigen_amplitudes(*phi_angles(g, p))[wave, branch]
     lam = stacked(eigenvalues(1.0, p))[wave, branch]
-    mix = list(zip((0.7, 0.5j, 0.6, 0.8), amps, p, lam))
-    cases = {"gamma_zero_mixture": (0.0, mix[:2]), "opposite_p2_pair": (0.6, mix[2:])}
-    return {name: spectrum.continuity_residual(gamma, 1.0, waves, grid)
-            for name, (gamma, waves) in cases.items()}, len(cases)
+    c = np.array([0.7, 0.5j, 0.6, 0.8])
+    cases = {"gamma_zero_mixture": (0.0, slice(0, 2)), "opposite_p2_pair": (0.6, slice(2, 4))}
+    return {name: spectrum.continuity_residual(gamma, 1.0, c[w], amps[w], p[w], lam[w], grid)
+            for name, (gamma, w) in cases.items()}, len(cases)
 
 
 def check_gamma_zero_limit(cfg, rng):
@@ -553,18 +553,14 @@ def check_invariance_groups(cfg, rng):
 # --------------------------------------------------------------------- susy
 
 def check_susy_algebra(cfg, rng):
-    """H = {Theta+, Theta-} is diag((1/2) P^B P^A, (1/2) P^A P^B): the lower
-    block against R^-, and the 4x4 anticommutator against the block
-    diagonal of the two products.  The upper block is R^+, which
-    momenta.rashba_product_form checks with the same operands."""
+    """H = {Theta+, Theta-} is diag((1/2) P^B P^A, (1/2) P^A P^B) for any
+    blocks (see :mod:`bispinor.momenta`): the lower block against R^-.  The
+    upper block is R^+, which momenta.rashba_product_form checks with the
+    same operands."""
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    pb_pa = momenta.clifford_momentum(g, momenta.rashba_shifts(b), p)
-    upper, lower = 0.5 * matmul2(pb_pa, pb_pa[::-1])
-    h = susy.anticommutator(*susy.supercharges(g, b, p))
-    diagonal = np.zeros(h.shape, dtype=complex)
-    diagonal[:, :2, :2], diagonal[:, 2:, 2:] = upper, lower
-    return {"lower_block": lower - momenta.rashba(g, b, p, sign=-1),
-            "assembled": h - diagonal}, cfg.samples
+    p_b, p_a = momenta.clifford_momentum(g, momenta.rashba_shifts(b), p)
+    lower = 0.5 * matmul2(p_a, p_b)
+    return {"lower_block": lower - momenta.rashba(g, b, p, sign=-1)}, cfg.samples
 
 
 def check_pseudo_susy(cfg, rng):

@@ -6,16 +6,37 @@ All operators act on plane waves, so each is a function that returns its
 charge), evaluated over leading batch axes of p, gamma and the shifts alike.
 Each operator is a multivector, a scalar s plus a vector v, which it hands
 straight to :func:`~bispinor.multivector.pauli_matrix` at gamma.
+
+The SUSY structure over the two Rashba sectors R^+ (beta) and R^- (-beta)
+is a set of identities between the 2x2 Clifford momenta P^B and P^A (the
+factors :func:`rashba_shifts` gives).  The 4x4 supercharges
+Theta+ = [[0, P^B], [0, 0]] / sqrt 2 and Theta- = [[0, 0], [P^A, 0]] / sqrt 2
+anticommute to
+
+    H = {Theta+, Theta-} = diag((1/2) P^B P^A, (1/2) P^A P^B) = diag(R^+, R^-),
+
+and [H, Theta+-] = 0, for any blocks.  Pseudo-SUSY keeps Lambda+ = Theta+;
+its T-pseudo-adjoint Lambda- is Theta- because (P^B)^#(p), the Clifford
+conjugate of P^B(-p)
+(:func:`~bispinor.multivector.clifford_conjugation_matrix`), is P^A(p).
+The intertwinings R^+ P^B = P^B R^- and R^- P^A = P^A R^+ then hold by
+associativity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformed_generators, in_plane, offdiag, pauli_matrix, stack_variants
+from .multivector import deformed_generators, in_plane, pauli_matrix, stack_variants
 
-_GAMMA4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-_LAMBDA = offdiag(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+# The gamma-free linearization matrices from their 2x2 blocks: L = L' =
+# -i E21 (x) 1 and N = N' = 2i E12 (x) 1, then M4 = M4' = i(L + N/2) and
+# M5 = M5' = L - N/2.  Read-only, as build_linearization hands them out.
+_L = np.kron([[0, 0], [-1j, 0]], np.eye(2))
+_N = np.kron([[0, 2j], [0, 0]], np.eye(2))
+_M4_M5 = np.array([1j * (_L + _N / 2.0), _L - _N / 2.0])
+for _constant in (_L, _N, _M4_M5):
+    _constant.flags.writeable = False
 
 
 def build_linearization(gamma: float = 0.0):
@@ -26,27 +47,18 @@ def build_linearization(gamma: float = 0.0):
     L'L = 0,  N'N = 0,  L'N + N'L = 2,  L'M_j + M_j'L = 0,
     N'M_i + M_i'N = 0,  M_i'M_j + M_j'M_i = -2 delta_ij
 
-    hold for every deformation parameter since they are similarity images of
-    the undeformed system.
+    hold for every deformation parameter.  Only the spatial M_j =
+    diag(e_j, e_j) = -M_j' depend on gamma, through the deformed
+    generators e_j; l = l_prime, n = n_prime and M_4, M_5 (equal to their
+    primes) are read-only constants.  The spatial rows of the last relation
+    are -diag({e_i, e_j}, {e_i, e_j}), the deformed Clifford relations.
     """
     e = deformed_generators(gamma)[1:4]
-    gammas = offdiag(e, e)
-    lam_inv = _LAMBDA  # Lambda is its own inverse
-
-    m5 = -1j * _LAMBDA
-    m5_prime = -1j * lam_inv
-    m4 = _LAMBDA @ _GAMMA4
-    m4_prime = -_GAMMA4 @ lam_inv
-    m = np.array([_LAMBDA @ g for g in gammas] + [m4, m5])
-    m_prime = np.array([-g @ lam_inv for g in gammas] + [m4_prime, m5_prime])
-
-    # Invert the identifications M4 = i(L + N/2), M5 = L - N/2.
-    l = (m5 - 1j * m4) / 2.0
-    n = -1j * m4 - m5
-    l_prime = (m5_prime - 1j * m4_prime) / 2.0
-    n_prime = -1j * m4_prime - m5_prime
-
-    return l, l_prime, n, n_prime, m, m_prime
+    m = np.zeros((2, 5, 4, 4), dtype=complex)
+    m[0, :3, :2, :2] = m[0, :3, 2:, 2:] = e
+    m[1, :3, :2, :2] = m[1, :3, 2:, 2:] = -e
+    m[:, 3:] = _M4_M5
+    return _L, _L, _N, _N, m[0], m[1]
 
 
 def _pad3(p) -> np.ndarray:

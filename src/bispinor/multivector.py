@@ -110,18 +110,6 @@ def unitary2(m) -> np.ndarray:
                 first[..., 1], np.conj(first[..., 0]) * phase)
 
 
-def offdiag(upper=None, lower=None) -> np.ndarray:
-    """The (..., 4, 4) operators [[0, upper], [lower, 0]] for (..., 2, 2)
-    blocks (a missing block is zero)."""
-    block = upper if upper is not None else lower
-    out = np.zeros(np.shape(block)[:-2] + (4, 4), dtype=complex)
-    if upper is not None:
-        out[..., :2, 2:] = upper
-    if lower is not None:
-        out[..., 2:, :2] = lower
-    return out
-
-
 def matvec(m, v) -> np.ndarray:
     """Matrices (..., n, n) applied to vectors (..., n), broadcasting."""
     return (np.asarray(m) @ np.asarray(v)[..., None])[..., 0]

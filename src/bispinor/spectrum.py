@@ -183,25 +183,27 @@ def spin_expectations(amps) -> np.ndarray:
     return amplitude_inner(a[..., None, :], matvec(PAULI, a[..., None, :])).real
 
 
-def continuity_residual(gamma: float, beta: float, mix, sample_grid) -> float:
+def continuity_residual(gamma: float, beta: float, coefficients, amplitudes, momenta,
+                        energies, sample_grid) -> float:
     """Residual of d(rho)/dt + div<J> = 0 for a superposition of plane-wave
     eigenstates of the deformed Rashba model, largest over the points
     ``sample_grid`` (n, 2) at the time t = 0.2.
 
-    ``mix`` is a sequence of (coefficient, amplitudes (2,), momentum (2,),
-    energy) entries, each the plane wave c a e^{i(k.x - E t)}; the e^{-ip.x}
-    family is written with momentum -p.
+    The mixture is given as four arrays over its waves: coefficients c (w,),
+    amplitudes a (w, 2), momenta k (w, 2) and energies E (w,), each wave the
+    plane wave c a e^{i(k.x - E t)}; the e^{-ip.x} family is written with
+    momentum -p.
     The current has the paramagnetic piece Im psi^dagger d_j psi plus the
     beta-dependent spin piece with weights (-beta sigma2, beta/omega sigma1).
     A plane-wave sum has exact derivatives, so d(rho)/dt = 2 Re psi^dagger
     d_t psi, d_j Im psi^dagger d_j psi = Im psi^dagger d_j^2 psi and
     d_j (psi^dagger A psi) = 2 Re psi^dagger A d_j psi for Hermitian A.
     """
-    if not mix:
+    c = np.asarray(coefficients, dtype=complex)
+    if not c.size:
         raise ValueError("empty mixture")
-    c, amps, k, energy = zip(*mix)
-    c, amps = np.asarray(c, dtype=complex), np.asarray(amps, dtype=complex)
-    k, energy = np.asarray(k, dtype=float), np.asarray(energy, dtype=float)
+    amps = np.asarray(amplitudes, dtype=complex)
+    k, energy = np.asarray(momenta, dtype=float), np.asarray(energies, dtype=float)
     x = np.asarray(sample_grid, dtype=float)
     waves = (c[:, None] * amps) * np.exp(1j * (x @ k.T - energy * _T0))[..., None]
     # per wave: the factors of psi, d_t psi, d_1 psi, d_2 psi and the Laplacian

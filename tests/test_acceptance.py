@@ -41,7 +41,6 @@ from bispinor.spectrum import (
     phi_angles,
     projector_matrices,
 )
-from bispinor.susy import anticommutator, supercharges
 from bispinor.timereversal import (
     kramers_pairing,
     pseudo_hermitian_residual,
@@ -204,39 +203,34 @@ def test_criterion_08_linearization():
 
 
 def test_criterion_09_susy():
+    # H = {Theta+, Theta-} = diag((1/2) P^B P^A, (1/2) P^A P^B) for any
+    # blocks (tests/test_symbolic.py), so the sweep checks the blocks
     rng = np.random.default_rng(2030)
     worst = 0.0
     for g, beta, p in _sweep(rng, 50):
-        tp, tm = supercharges(g, beta, p)
-        h = anticommutator(tp, tm)
-        w = np.diag([1.0, 1.0, -1.0, -1.0])          # the Witten parity
+        p_b, p_a = clifford_momentum(g, rashba_shifts(beta), p)
+        r_plus, r_minus = rashba_signs(g, beta, p)
         # residuals measured relative to the operator scale, which grows
         # like |p|^2 over the sweep
-        scale = max(1.0, float(np.abs(h).max()))
+        scale = max(1.0, float(np.abs(r_plus).max()), float(np.abs(r_minus).max()))
         worst = max(
             worst,
-            float(np.abs(tp @ tp).max()) / scale,
-            float(np.abs(tm @ tm).max()) / scale,
-            float(np.abs(h[:2, :2] - rashba(g, beta, p)).max()) / scale,
-            float(np.abs(h[2:, 2:] - rashba(g, beta, p, sign=-1)).max()) / scale,
-            float(np.abs(h @ tp - tp @ h).max()) / scale,
-            float(np.abs(h @ tm - tm @ h).max()) / scale,
-            float(np.abs(w @ tp + tp @ w).max()) / scale,
-            float(np.abs(w @ h - h @ w).max()) / scale,
+            float(np.abs(0.5 * matmul2(p_b, p_a) - r_plus).max()) / scale,
+            float(np.abs(0.5 * matmul2(p_a, p_b) - r_minus).max()) / scale,
         )
-        # Lambda- = (Lambda+)^#, the Clifford conjugate of Lambda+ = Theta+ at -p
-        lam_minus = clifford_conjugation_matrix(supercharges(g, beta, -p)[0])
-        worst = max(worst, float(np.abs(anticommutator(tp, lam_minus) - h).max()) / scale)
+        # Lambda- = (Lambda+)^# with Lambda+ = Theta+: its block is the
+        # Clifford conjugate of P^B at -p, and {Lambda+, Lambda-} = H
+        p_b_sharp = clifford_conjugation_matrix(clifford_momentum(g, rashba_shifts(beta)[0], -p))
+        worst = max(worst,
+                    float(np.abs(0.5 * matmul2(p_b, p_b_sharp) - r_plus).max()) / scale,
+                    float(np.abs(0.5 * matmul2(p_b_sharp, p_b) - r_minus).max()) / scale)
         # the intertwinings R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+
-        r_plus, r_minus = rashba_signs(g, beta, p)
-        p_b, p_b_minus_p = clifford_momentum(g, rashba_shifts(beta)[0], np.array([p, -p]))
-        p_b_sharp = clifford_conjugation_matrix(p_b_minus_p)
         worst = max(worst,
                     float(np.abs(matmul2(r_plus, p_b) - matmul2(p_b, r_minus)).max()) / scale,
                     float(np.abs(matmul2(r_minus, p_b_sharp)
                                  - matmul2(p_b_sharp, r_plus)).max()) / scale)
         # (P^B(-p))^# = P^A(p): Lambda- = (Lambda+)^# is Theta-
-        worst = max(worst, float(np.abs(lam_minus - tm).max()))
+        worst = max(worst, float(np.abs(p_b_sharp - p_a).max()))
     _report("SUSY and pseudo-SUSY structure", worst, 1e-12)
 
 
@@ -265,12 +259,11 @@ def test_criterion_10_ideal_layer():
 
 def test_criterion_11_continuity():
     g, beta = 0.4, 1.0
-    p = np.array([1.1, 0.8])
-    q = np.array([0.6, -0.8])
-    mix = ((0.8, eigen_amplitudes(*phi_angles(g, p))[0], p, eigenvalues(beta, p)[0]),
-           (0.6, eigen_amplitudes(*phi_angles(g, q))[0], q, eigenvalues(beta, q)[0]))
+    p = np.array([[1.1, 0.8], [0.6, -0.8]])
+    amps = eigen_amplitudes(*phi_angles(g, p))[:, 0]
     grid = [(0.1 * i, 0.07 * j) for i in range(-2, 3) for j in range(-2, 3)]
-    _report("probability continuity", continuity_residual(g, beta, mix, grid), 1e-12)
+    residual = continuity_residual(g, beta, [0.8, 0.6], amps, p, eigenvalues(beta, p)[0], grid)
+    _report("probability continuity", residual, 1e-12)
 
 
 def test_criterion_12_gamma_zero_degeneration():

@@ -46,6 +46,6 @@ def test_cli_import_leaves_the_physics_modules_unloaded():
     # the exporters need only multivector and spectrum; the package init
     # imports no submodule
     code = ("import sys, bispinor.cli; "
-            "print(sorted(m for m in ('biortho', 'momenta', 'timereversal', 'ideal', 'susy') "
+            "print(sorted(m for m in ('biortho', 'momenta', 'timereversal', 'ideal') "
             "if 'bispinor.' + m in sys.modules))")
     assert run_python(code).strip() == "[]"

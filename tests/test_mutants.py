@@ -9,7 +9,7 @@ must turn to "fail" and name the sub-identity (term) that caught it.
 import numpy as np
 import pytest
 
-from bispinor import biortho, ideal, momenta, multivector, spectrum, susy, timereversal
+from bispinor import biortho, ideal, momenta, multivector, spectrum, timereversal
 from bispinor.harness import checks, run_all
 from bispinor.harness.config import SuiteConfig
 
@@ -26,6 +26,7 @@ _build_ideal_basis = ideal.build_ideal_basis
 _synthesize_generators = biortho.synthesize_generators
 _build_linearization = momenta.build_linearization
 _magnetic_shifts = momenta.magnetic_shifts
+_rashba_shifts = momenta.rashba_shifts
 _eigen_amplitudes = spectrum.eigen_amplitudes
 _c2_form = ideal.c2_form
 
@@ -108,6 +109,11 @@ def amplitudes_with_dual_angles_swapped(phi_plus, phi_minus):
     return amps
 
 
+def rashba_shifts_swapped(beta):
+    # the shifts of P^A and P^B where those of P^B and P^A belong
+    return _rashba_shifts(beta)[::-1]
+
+
 def magnetic_shifts_without_branch(beta, a_vec, branch):
     # every branch, a stacked array of them too, becomes +1
     return _magnetic_shifts(beta, a_vec, np.ones_like(branch))
@@ -164,10 +170,11 @@ MUTANTS = {
     # two Clifford momenta
     "magnetic_with_v1_and_v2_swapped": ("momenta.rashba_product_form", "product_form", momenta,
                                         "magnetic", magnetic_with_v1_and_v2_swapped),
-    # the SUSY checks on 2x2 blocks: the 1/sqrt 2 of the supercharges, which
-    # the 4x4 anticommutator alone sees (reads 17), and the transpose in the
+    # the SUSY checks on 2x2 blocks: the order of the two Clifford momenta,
+    # which puts R^+ in the lower block (reads 34), and the transpose in the
     # Clifford conjugation behind Lambda- = Theta- (reads 5.9)
-    "supercharges_without_sqrt2": ("susy.algebra", "assembled", susy, "_SQRT2", 1.0),
+    "rashba_shifts_swapped": ("susy.algebra", "lower_block", momenta, "rashba_shifts",
+                              rashba_shifts_swapped),
     "lambda_minus_without_transpose": ("susy.pseudo_susy", "pseudo_adjoint", checks,
                                        "clifford_conjugation_matrix",
                                        pseudo_adjoint_without_transpose),

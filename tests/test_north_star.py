@@ -4,7 +4,9 @@ through multivector.time_reverse_matrix, and none takes a conjugate
 transpose except through multivector.reversion_matrix.  The one adjoint
 that composes the two, Clifford conjugation (the T-pseudo-adjoint), is
 multivector.clifford_conjugation_matrix.  Every public function of the
-package has a caller in the package."""
+package has a caller in the package.  The library's operators are 2x2: only
+momenta builds a (..., 4, 4) array (the linearization matrices), and the
+registry's only 4x4 products are the linearization check's."""
 
 import ast
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bispinor"
-PHYSICS = ("multivector", "momenta", "spectrum", "timereversal", "ideal", "susy", "biortho")
+PHYSICS = ("multivector", "momenta", "spectrum", "timereversal", "ideal", "biortho")
 
 
 @pytest.mark.parametrize("module", PHYSICS)
@@ -135,3 +137,58 @@ def test_every_public_function_has_a_caller():
                 and not any(top.name in _references(other) for other in tops if other is not top)):
             uncalled.append(top.name)
     assert uncalled == []
+
+
+# numpy's array constructors, and the calls that lay out 2x2 blocks
+_ARRAY_BUILDERS = ("zeros", "empty", "ones", "full", "eye", "identity", "kron", "block")
+
+
+def _is_four(x):
+    return isinstance(x, ast.Constant) and x.value == 4
+
+
+def _builds_4x4(n):
+    """Whether ``n`` is a constructor call of a 4x4 array: np.eye(4), a
+    shape that ends in the literal (4, 4), or a block layout."""
+    if _is_call_to(n, ("kron", "block")):
+        return True
+    if _is_call_to(n, ("eye", "identity")):
+        return bool(n.args) and _is_four(n.args[0])
+    return _is_call_to(n, _ARRAY_BUILDERS) and any(
+        isinstance(x, ast.Tuple) and len(x.elts) >= 2 and all(map(_is_four, x.elts[-2:]))
+        for arg in n.args for x in ast.walk(arg))
+
+
+def _owners(path, found):
+    """The top-level function, or the module-level name assigned, that holds
+    each node ``found`` picks out of ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            owner = top.name
+        elif isinstance(top, ast.Assign):
+            owner = ",".join(getattr(t, "id", "?") for t in top.targets)
+        else:
+            owner = None
+        owners += [owner for n in ast.walk(top) if found(n)]
+    return tree, owners
+
+
+def test_only_the_linearization_check_multiplies_with_matmul():
+    _, owners = _owners(PACKAGE / "harness" / "checks.py",
+                        lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult))
+    assert owners and set(owners) == {"check_linearization"}
+
+
+def test_only_momenta_builds_4x4_arrays():
+    # the linearization check's right-hand sides are the one exception: the
+    # module constants that only check_linearization reads
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "momenta.py":
+            continue
+        tree, owners = _owners(path, _builds_4x4)
+        readers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                   for name in set(owners) if name in set(_references(top))}
+        allowed = path.name == "checks.py" and readers <= {"check_linearization"}
+        assert not owners or allowed, (path.name, owners, readers)

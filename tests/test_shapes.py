@@ -35,7 +35,6 @@ from bispinor.spectrum import (
     projector_matrices,
     spin_expectations,
 )
-from bispinor.susy import supercharges
 from bispinor.timereversal import (
     generator_reversal,
     kramers_pairing,
@@ -175,15 +174,6 @@ def test_pseudo_adjoint(inputs):
     g, b, p, scale = inputs
     batched = clifford_conjugation_matrix(rashba(g, b, -p))
     singles = [clifford_conjugation_matrix(rashba(x, y, -q)) for x, y, q in zip(g, b, p)]
-    assert_stacked(batched, singles, scale)
-
-
-@EXAMPLES
-@given(rashba_inputs())
-def test_supercharges(inputs):
-    g, b, p, scale = inputs
-    batched = np.stack(supercharges(g, b, p), axis=1)
-    singles = [np.stack(supercharges(x, y, q)) for x, y, q in zip(g, b, p)]
     assert_stacked(batched, singles, scale)
 
 

@@ -220,47 +220,49 @@ class TestSpinVector:
         assert np.abs(base - moved).max() > 0.05
 
 
-def waves(gamma, beta, p):
-    """The plus and minus plane waves (amplitudes, momentum, energy) of
-    R^+_gamma at momentum p."""
-    p = np.asarray(p)
-    amps = eigen_amplitudes(*phi_angles(gamma, p))
-    lam_p, lam_m = eigenvalues(beta, p)
-    return (amps[0], p, lam_p), (amps[1], p, lam_m)
+def mixture(gamma, beta, coefficients, momenta, branches):
+    """The four arrays of a plane-wave mixture of R^+_gamma: coefficients,
+    amplitudes, momenta and energies, wave k on branch branches[k] (0 plus,
+    1 minus) at momenta[k]."""
+    p = np.asarray(momenta, dtype=float)
+    wave = np.arange(len(p))
+    amps = eigen_amplitudes(*phi_angles(gamma, p))[wave, branches]
+    energies = np.array(eigenvalues(beta, p))[branches, wave]
+    return coefficients, amps, p, energies
 
 
 class TestContinuity:
     GRID = [(0.2, -0.4), (1.0, 0.6), (-0.7, 1.1)]
 
     def test_single_eigenstate_stationary(self):
-        plus, _ = waves(0.5, 1.0, [1.0, 0.4])
-        assert continuity_residual(0.5, 1.0, [(1.0, *plus)], self.GRID) < TOL
+        mix = mixture(0.5, 1.0, [1.0], [[1.0, 0.4]], [0])
+        assert continuity_residual(0.5, 1.0, *mix, self.GRID) < TOL
 
     def test_two_state_mixture_gamma_zero(self):
-        plus, minus = waves(0.0, 1.0, [0.8, 0.5])
-        mix = [(0.7, *plus), (0.5j, *minus)]
-        assert continuity_residual(0.0, 1.0, mix, self.GRID) < TOL
+        mix = mixture(0.0, 1.0, [0.7, 0.5j], [[0.8, 0.5], [0.8, 0.5]], [0, 1])
+        assert continuity_residual(0.0, 1.0, *mix, self.GRID) < TOL
 
     def test_two_momentum_mixture_deformed(self):
         g = 0.6
-        mix = [(0.6, *waves(g, 1.0, [0.9, 0.4])[0]),
-               (0.8, *waves(g, 1.0, [0.3, -0.4])[1])]
-        assert continuity_residual(g, 1.0, mix, self.GRID) < TOL
+        mix = mixture(g, 1.0, [0.6, 0.8], [[0.9, 0.4], [0.3, -0.4]], [0, 1])
+        assert continuity_residual(g, 1.0, *mix, self.GRID) < TOL
 
     def test_same_p2_pair_fails(self):
         # at gamma != 0 the identity needs opposite p2; a same-p2 pair
         # misses it by about 0.56 on the registry's grid
         g = 0.6
-        mix = [(0.6, *waves(g, 1.0, [0.9, 0.4])[0]),
-               (0.8, *waves(g, 1.0, [0.3, 0.4])[1])]
+        mix = mixture(g, 1.0, [0.6, 0.8], [[0.9, 0.4], [0.3, 0.4]], [0, 1])
         grid = [(0.3, -0.2), (1.1, 0.7), (-0.4, 0.9)]
-        assert continuity_residual(g, 1.0, mix, grid) == pytest.approx(0.56, abs=0.01)
+        assert continuity_residual(g, 1.0, *mix, grid) == pytest.approx(0.56, abs=0.01)
 
     def test_free_particle(self):
-        plus, minus = waves(0.0, 1e-6, [1.0, 0.7])
         # beta ~ 0: plain free-particle continuity
-        mix = [(1.0, *plus), (0.4, *minus)]
-        assert continuity_residual(0.0, 1e-6, mix, self.GRID) < TOL
+        mix = mixture(0.0, 1e-6, [1.0, 0.4], [[1.0, 0.7], [1.0, 0.7]], [0, 1])
+        assert continuity_residual(0.0, 1e-6, *mix, self.GRID) < TOL
+
+    def test_empty_mixture_rejected(self):
+        with pytest.raises(ValueError, match="empty mixture"):
+            continuity_residual(0.0, 1.0, [], np.empty((0, 2)), np.empty((0, 2)), [], self.GRID)
 
 
 def test_generic_isospectral_biorthogonality():

@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba, rashba_signs
 from bispinor.multivector import mat2, stack_variants, to_matrix
 from bispinor.spectrum import eigen_amplitudes, phi_angles
-from bispinor.susy import supercharges
 
 EXAMPLES = settings(max_examples=60)
 
@@ -136,12 +135,6 @@ def test_phi_angles(call):
 @given(variant_call(["angle", "angle"], shared=False))    # the angles do not broadcast
 def test_eigen_amplitudes(call):
     check_stacking(eigen_amplitudes, call)
-
-
-@EXAMPLES
-@given(variant_call(["gamma", "beta", "p"]))
-def test_supercharges(call):
-    check_stacking(supercharges, call)
 
 
 def test_stack_variants_lines_up_behind_the_batch_axes():

@@ -1,20 +1,35 @@
+"""The SUSY and pseudo-SUSY identities on the 2x2 Clifford momenta.
+
+With Theta+ = [[0, P^B], [0, 0]] / sqrt 2 and Theta- = [[0, 0], [P^A, 0]] / sqrt 2,
+H = {Theta+, Theta-} = diag((1/2) P^B P^A, (1/2) P^A P^B) for any blocks
+(tests/test_symbolic.py proves the 4x4 statement), so each test below is a
+statement about the two blocks: they are R^+ and R^-, and P^A, P^B carry
+eigenvectors from one sector to the other.
+"""
+
 import numpy as np
 
 from bispinor.momenta import clifford_momentum, rashba, rashba_shifts, rashba_signs
 from bispinor.multivector import clifford_conjugation_matrix, matmul2
 from bispinor.spectrum import eigenvalues
-from bispinor.susy import anticommutator, supercharges
 
 TOL = 1e-12
 
 
-def susy_hamiltonian(g, beta, p):
-    return anticommutator(*supercharges(g, beta, p))
+def momenta_pair(g, beta, p):
+    """P^B and P^A, the Clifford momenta Theta+ and Theta- carry."""
+    return clifford_momentum(g, rashba_shifts(beta), p)
 
 
-def lambda_minus(g, beta, p):
-    """Lambda- = (Lambda+)^#, the Clifford conjugate of Lambda+ = Theta+ at -p."""
-    return clifford_conjugation_matrix(supercharges(g, beta, -p)[0])
+def susy_blocks(g, beta, p):
+    """The diagonal blocks (1/2) P^B P^A and (1/2) P^A P^B of H = {Theta+, Theta-}."""
+    p_b, p_a = momenta_pair(g, beta, p)
+    return 0.5 * matmul2(p_b, p_a), 0.5 * matmul2(p_a, p_b)
+
+
+def lambda_minus_block(g, beta, p):
+    """The block of Lambda- = (Lambda+)^#: the Clifford conjugate of P^B at -p."""
+    return clifford_conjugation_matrix(clifford_momentum(g, rashba_shifts(beta)[0], -p))
 
 
 def intertwining(g, beta, p):
@@ -35,66 +50,47 @@ def _cases(rng, n):
 
 
 class TestAlgebra:
-    def test_supercharges_nilpotent(self):
-        rng = np.random.default_rng(163)
-        for g, beta, p in _cases(rng, 30):
-            tp, tm = supercharges(g, beta, p)
-            assert np.abs(tp @ tp).max() < TOL
-            assert np.abs(tm @ tm).max() < TOL
-
     def test_anticommutator_is_sector_diagonal(self):
+        # the diagonal blocks of {Theta+, Theta-} are R^+ and R^-
         rng = np.random.default_rng(167)
         for g, beta, p in _cases(rng, 30):
-            h = susy_hamiltonian(g, beta, p)
-            assert np.abs(h[:2, 2:]).max() < TOL
-            assert np.abs(h[2:, :2]).max() < TOL
-            assert np.abs(h[:2, :2] - rashba(g, beta, p)).max() < 1e-11
-            assert np.abs(h[2:, 2:] - rashba(g, beta, p, sign=-1)).max() < 1e-11
-
-    def test_witten_parity_relations(self):
-        w = np.diag([1.0, 1.0, -1.0, -1.0])    # the Witten parity: +1 on R^+, -1 on R^-
-        assert np.abs(w @ w - np.eye(4)).max() < TOL
-        g, beta, p = 0.4, 1.1, np.array([0.8, -0.5])
-        tp, tm = supercharges(g, beta, p)
-        for q in (tp, tm):
-            assert np.abs(w @ q + q @ w).max() < TOL
-        h = susy_hamiltonian(g, beta, p)
-        assert np.abs(w @ h - h @ w).max() < TOL
+            upper, lower = susy_blocks(g, beta, p)
+            assert np.abs(upper - rashba(g, beta, p)).max() < 1e-11
+            assert np.abs(lower - rashba(g, beta, p, sign=-1)).max() < 1e-11
 
 
 class TestSpectrum:
     def test_four_eigenvalues_are_two_rashba_doublets(self):
         rng = np.random.default_rng(179)
         for g, beta, p in _cases(rng, 30):
-            got = np.sort(np.linalg.eigvals(susy_hamiltonian(g, beta, p)).real)
+            got = np.sort(np.linalg.eigvals(np.array(susy_blocks(g, beta, p))).real.ravel())
             lp, lm = eigenvalues(beta, p)
             lp2, lm2 = eigenvalues(-beta, p)
             want = np.sort([lp, lm, lp2, lm2])
             assert np.abs(got - want).max() < 1e-10
 
     def test_gamma_zero_is_hermitian(self):
-        h = susy_hamiltonian(0.0, 1.0, np.array([0.7, 0.2]))
-        assert np.abs(h - h.conj().T).max() < TOL
+        for h in susy_blocks(0.0, 1.0, np.array([0.7, 0.2])):
+            assert np.abs(h - h.conj().T).max() < TOL
 
 
 class TestPseudoSusy:
     def test_reproduces_susy_hamiltonian(self):
+        # {Lambda+, Lambda-} with Lambda+ = Theta+ has the blocks
+        # (1/2) P^B (P^B)^# and (1/2) (P^B)^# P^B
         rng = np.random.default_rng(181)
         for g, beta, p in _cases(rng, 30):
-            # {Lambda+, Lambda-} with Lambda+ = Theta+
-            h_psusy = anticommutator(supercharges(g, beta, p)[0], lambda_minus(g, beta, p))
-            assert np.abs(h_psusy[:2, 2:]).max() < TOL
-            assert np.abs(h_psusy[2:, :2]).max() < TOL
-            assert np.abs(h_psusy[:2, :2] - rashba(g, beta, p)).max() < 1e-11
-            assert np.abs(h_psusy[2:, 2:] - rashba(g, beta, p, sign=-1)).max() < 1e-11
+            p_b = momenta_pair(g, beta, p)[0]
+            lam = lambda_minus_block(g, beta, p)
+            assert np.abs(0.5 * matmul2(p_b, lam) - rashba(g, beta, p)).max() < 1e-11
+            assert np.abs(0.5 * matmul2(lam, p_b) - rashba(g, beta, p, sign=-1)).max() < 1e-11
 
     def test_lambda_minus_is_pseudo_adjoint_of_lambda_plus(self):
         g, beta = 0.6, 1.3
         p = np.array([1.2, -0.4])
 
         # (P^B(-p))^# = P^A(p): Lambda- is Theta-, bit for bit
-        lam_minus = lambda_minus(g, beta, p)
-        assert np.array_equal(lam_minus, supercharges(g, beta, p)[1])
+        assert np.array_equal(lambda_minus_block(g, beta, p), momenta_pair(g, beta, p)[1])
 
     def test_intertwining(self):
         rng = np.random.default_rng(191)
@@ -104,38 +100,40 @@ class TestPseudoSusy:
             assert r2 < 1e-10
 
     def test_hamiltonian_block_pseudo_hermitian(self):
+        # H(p) = H^#(p) block by block: each block is the Clifford
+        # conjugate of itself at -p
         g, beta = 0.5, 0.9
 
         p = np.array([1.0, 1.5])
-        h_p, h_minus_p = susy_hamiltonian(g, beta, p), susy_hamiltonian(g, beta, -p)
-        assert np.abs(clifford_conjugation_matrix(h_minus_p) - h_p).max() < 1e-11
+        for h_p, h_minus_p in zip(susy_blocks(g, beta, p), susy_blocks(g, beta, -p)):
+            assert np.abs(clifford_conjugation_matrix(h_minus_p) - h_p).max() < 1e-11
 
 
 class TestSectorPairing:
     def test_theta_minus_maps_plus_sector_to_minus_sector(self):
+        # Theta- takes (psi, 0) to (0, P^A psi / sqrt 2)
         g, beta = 0.4, 1.2
         p = np.array([1.1, -0.7])
-        h = susy_hamiltonian(g, beta, p)
-        _, tm = supercharges(g, beta, p)
-        vals, vecs = np.linalg.eig(h[:2, :2])
+        upper, lower = susy_blocks(g, beta, p)
+        p_a = momenta_pair(g, beta, p)[1]
+        vals, vecs = np.linalg.eig(upper)
         for k in range(2):
-            v4 = np.concatenate([vecs[:, k], np.zeros(2)])
-            mapped = (tm @ v4)[2:]
+            mapped = p_a @ vecs[:, k] / np.sqrt(2.0)
             if np.linalg.norm(mapped) < 1e-9:
                 continue
-            resid = h[2:, 2:] @ mapped - vals[k] * mapped
+            resid = lower @ mapped - vals[k] * mapped
             assert np.abs(resid).max() < 1e-9
 
     def test_theta_plus_maps_minus_sector_to_plus_sector(self):
+        # Theta+ takes (0, psi) to (P^B psi / sqrt 2, 0)
         g, beta = -0.3, 0.8
         p = np.array([0.6, 1.4])
-        h = susy_hamiltonian(g, beta, p)
-        tp, _ = supercharges(g, beta, p)
-        vals, vecs = np.linalg.eig(h[2:, 2:])
+        upper, lower = susy_blocks(g, beta, p)
+        p_b = momenta_pair(g, beta, p)[0]
+        vals, vecs = np.linalg.eig(lower)
         for k in range(2):
-            v4 = np.concatenate([np.zeros(2), vecs[:, k]])
-            mapped = (tp @ v4)[:2]
+            mapped = p_b @ vecs[:, k] / np.sqrt(2.0)
             if np.linalg.norm(mapped) < 1e-9:
                 continue
-            resid = h[:2, :2] @ mapped - vals[k] * mapped
+            resid = upper @ mapped - vals[k] * mapped
             assert np.abs(resid).max() < 1e-9

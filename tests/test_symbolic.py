@@ -22,17 +22,33 @@ the intertwinings follow from the block products.  It proves that the
 T-pseudo-adjoint U X^T U^-1 (U = e13) of a symbolic 2x2 X is its adjugate,
 the Clifford conjugate :func:`~bispinor.multivector.clifford_conjugation_matrix`
 forms; and, for symbolic gamma, p and beta, that (P^B)^#(p) = P^A(p), so the
-pseudo-SUSY charge Lambda- = (Lambda+)^# is Theta-.  sympy stays a test-only
-dependency.
+pseudo-SUSY charge Lambda- = (Lambda+)^# is Theta-.
+
+For the first-order (Levy-Leblond) linearization, sympy builds L, N and
+M_1..M_5 with their primes from Lambda = offdiag(1, 1), Gamma4 =
+diag(1, 1, -1, -1) and symbolic spatial blocks e_j, and proves that
+L = L' = -i E21 (x) 1, N = N' = 2i E12 (x) 1 and M_j = diag(e_j, e_j) = -M_j';
+that L'L = 0, N'N = 0, L'N + N'L = 2 and the M4/M5 relations hold exactly;
+and that the cross relations hold for any blocks, with
+M_i'M_j + M_j'M_i = -diag({e_i, e_j}, {e_i, e_j}), which the closed-form
+generators turn into -2 delta_ij at every theta.
+:func:`bispinor.momenta.build_linearization` equals the proof's matrices at
+its deformed generators.  sympy stays a test-only dependency.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba_shifts
-from bispinor.multivector import clifford_conjugation_matrix, to_matrix
-from bispinor.susy import anticommutator, supercharges
+from bispinor.momenta import (
+    build_linearization,
+    clifford_momentum,
+    magnetic,
+    momentum_product,
+    rashba_shifts,
+    rashba_signs,
+)
+from bispinor.multivector import clifford_conjugation_matrix, deformed_generators, to_matrix
 
 C, S = sp.symbols("c s", real=True)               # cos(theta/2), sin(theta/2)
 SCALAR, V1, V2, V3 = sp.symbols("scalar v1 v2 v3")  # complex
@@ -225,17 +241,18 @@ def test_intertwinings_hold_for_any_blocks():
                                             (0.7, 2.5, (-2.0, 0.4)),
                                             (-0.9, 0.6, (1.5, 1.5))])
 def test_supercharges_match_the_proof(gamma, beta, p):
+    # the proof's H = {Theta+, Theta-} at the library's blocks P^B, P^A has
+    # the library's R^+ and R^- on its diagonal and nothing off it
     p_b, p_a = clifford_momentum(gamma, rashba_shifts(beta), np.array(p))
     tp, tm = supercharges_of_blocks()
     blocks = (*A_BLOCK, *B_BLOCK)
-    values = (*p_a.ravel(), *p_b.ravel())
-    got_tp, got_tm = supercharges(gamma, beta, np.array(p))
-    want_tp, want_tm = (np.array(sp.lambdify(blocks, q)(*values), dtype=complex) for q in (tp, tm))
-    want_h = np.array(sp.lambdify(blocks, tp * tm + tm * tp)(*values), dtype=complex)
+    want_h = np.array(sp.lambdify(blocks, tp * tm + tm * tp)(*p_a.ravel(), *p_b.ravel()),
+                      dtype=complex)
+    r_plus, r_minus = rashba_signs(gamma, beta, np.array(p))
     scale = 1 + np.abs(p_a).max() * np.abs(p_b).max()
-    assert np.abs(got_tp - want_tp).max() < 1e-14 * scale
-    assert np.abs(got_tm - want_tm).max() < 1e-14 * scale
-    assert np.abs(anticommutator(got_tp, got_tm) - want_h).max() < 1e-14 * scale
+    assert np.abs(want_h[:2, :2] - r_plus).max() < 1e-14 * scale / (1 - gamma**2)
+    assert np.abs(want_h[2:, 2:] - r_minus).max() < 1e-14 * scale / (1 - gamma**2)
+    assert not want_h[:2, 2:].any() and not want_h[2:, :2].any()
 
 
 E13_SYM = sp.Matrix([[0, -1], [1, 0]])
@@ -273,3 +290,90 @@ def test_pseudo_adjoint_matches_the_proof(gamma, beta, p):
     scale = 1 + np.abs(p).max() + beta
     got = clifford_conjugation_matrix(p_b_minus_p)
     assert np.abs(got - want).max() < 1e-13 * scale / (1 - gamma**2)
+
+
+# ------------------------------------------------------ the linearization
+
+E_BLOCKS = tuple(sp.Matrix(2, 2, sp.symbols(f"e{j}_:4")) for j in (1, 2, 3))   # complex e_j
+LAMBDA = offdiag(I2, I2)
+GAMMA4 = sp.diag(1, 1, -1, -1)
+I4 = sp.eye(4)
+
+
+def linearization(e) -> tuple:
+    """(L, L', N, N', M, M') of the first-order system for the spatial
+    blocks e: M_j = Lambda Gamma_j and M_j' = -Gamma_j Lambda^-1 with
+    Gamma_j = offdiag(e_j, e_j), M4 = Lambda Gamma4, M4' = -Gamma4 Lambda^-1,
+    M5 = -i Lambda, M5' = -i Lambda^-1, and L, N (L', N') from
+    M4 = i(L + N/2) and M5 = L - N/2."""
+    lam_inv = LAMBDA.inv()
+    gammas = [offdiag(x, x) for x in e] + [GAMMA4]
+    m = [LAMBDA * g for g in gammas] + [-sp.I * LAMBDA]
+    m_prime = [-g * lam_inv for g in gammas] + [-sp.I * lam_inv]
+    l, n = (m[4] - sp.I * m[3]) / 2, -sp.I * m[3] - m[4]
+    l_prime, n_prime = (m_prime[4] - sp.I * m_prime[3]) / 2, -sp.I * m_prime[3] - m_prime[4]
+    return l, l_prime, n, n_prime, m, m_prime
+
+
+def is_zero(m) -> bool:
+    return sp.expand(m) == sp.zeros(*m.shape)
+
+
+def test_linearization_blocks():
+    # L = L' = -i E21 (x) 1, N = N' = 2i E12 (x) 1, M_j = diag(e_j, e_j) = -M_j',
+    # and M4 = M4', M5 = M5' do not depend on the e_j
+    l, l_prime, n, n_prime, m, m_prime = linearization(E_BLOCKS)
+    zero = sp.zeros(2)
+    assert l == l_prime == sp.Matrix(sp.BlockMatrix([[zero, zero], [-sp.I * I2, zero]]))
+    assert n == n_prime == sp.Matrix(sp.BlockMatrix([[zero, 2 * sp.I * I2], [zero, zero]]))
+    for x, m_j, m_j_prime in zip(E_BLOCKS, m, m_prime):
+        assert m_j == -m_j_prime == sp.diag(x, x)
+    assert m[3] == m_prime[3] and m[4] == m_prime[4]
+    assert not (m[3].free_symbols | m[4].free_symbols)
+
+
+def test_linearization_constant_relations():
+    # L'L = 0, N'N = 0, L'N + N'L = 2, and the M4/M5 anticommutators -2 delta
+    l, l_prime, n, n_prime, m, m_prime = linearization(E_BLOCKS)
+    assert is_zero(l_prime * l) and is_zero(n_prime * n)
+    assert is_zero(l_prime * n + n_prime * l - 2 * I4)
+    for i in (3, 4):
+        for j in (3, 4):
+            assert is_zero(m_prime[i] * m[j] + m_prime[j] * m[i] + 2 * (i == j) * I4)
+
+
+def test_linearization_relations_for_any_spatial_blocks():
+    # L'M_j + M_j'L = 0, N'M_j + M_j'N = 0 and {M4, M_j} = {M5, M_j} = 0 for
+    # any blocks e_j; M_i'M_j + M_j'M_i = -diag({e_i, e_j}, {e_i, e_j}), the
+    # deformed Clifford relations clifford.deformed_relations checks
+    l, l_prime, n, n_prime, m, m_prime = linearization(E_BLOCKS)
+    for j in range(3):
+        assert is_zero(l_prime * m[j] + m_prime[j] * l)
+        assert is_zero(n_prime * m[j] + m_prime[j] * n)
+        for k in (3, 4):
+            assert is_zero(m_prime[k] * m[j] + m_prime[j] * m[k])
+        for i in range(3):
+            anti = E_BLOCKS[i] * E_BLOCKS[j] + E_BLOCKS[j] * E_BLOCKS[i]
+            assert is_zero(m_prime[i] * m[j] + m_prime[j] * m[i] + sp.diag(anti, anti))
+
+
+def test_deformed_generators_obey_the_clifford_relations():
+    # {e_i, e_j} = 2 delta_ij for the closed-form generators at every theta,
+    # so the spatial rows of the condensed relation read -2 delta_ij
+    e = [closed_form_at(0, [int(k == j) for k in range(3)]) for j in range(3)]
+    for i in range(3):
+        for j in range(3):
+            assert holds_for_every_theta(e[i] * e[j] + e[j] * e[i] - 2 * (i == j) * I2)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7, -0.9])
+def test_linearization_matches_the_proof(gamma):
+    # the proof's matrices at the library's deformed generators, exactly
+    e = deformed_generators(gamma)[1:4]
+    symbols = [x for block in E_BLOCKS for x in block]
+    want = sp.lambdify(symbols, linearization(E_BLOCKS), modules="numpy")(*e.ravel())
+    got = build_linearization(gamma)
+    for w, g in zip(want[:4], got[:4]):
+        assert np.array_equal(np.array(w, dtype=complex), g)
+    for w, g in zip(want[4:], got[4:]):
+        assert np.array_equal(np.array([np.array(x, dtype=complex) for x in w]), g)
