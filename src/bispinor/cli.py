@@ -1,8 +1,9 @@
 """Command line front-end.
 
 Subcommands:
-  verify    run the full check registry, print one line per check
-  report    run the checks and write the machine-readable report
+  verify    run the full check registry, print one line per check; with
+            --out also write the machine-readable JSON report
+  report    the same code path as verify (JSON only with --out)
   spectrum  export the eigenvalue sweep as CSV/JSON
   texture   export the spin-texture field as CSV/JSON
 

@@ -51,8 +51,6 @@ from .report import ConformanceReport, ReportEntry
 
 _I2 = np.eye(2, dtype=complex)
 _TWO_DELTA_3 = 2.0 * np.eye(3)[..., None, None] * _I2      # 2 delta_ij, (3, 3, 2, 2)
-_TWO_I4 = 2.0 * np.eye(4)
-_TWO_DELTA_5 = 2.0 * np.eye(5)[..., None, None] * np.eye(4)  # 2 delta_ij, (5, 5, 4, 4)
 _ODD_BLADES = np.isin(GRADES, (1, 3))
 _SPLIT = np.diag([1.0, -1.0])
 _NONUNITARY = np.diag([2.0, 1.0])
@@ -213,18 +211,14 @@ def check_generator_synthesis(cfg, rng):
 # ----------------------------------------------------------------- momenta
 
 def check_linearization(cfg, rng):
-    l, l_prime, n, n_prime, m, m_prime = momenta.build_linearization()
-    # The L/N cross relations involve the three spatial M's; M4 and M5 are
-    # built out of L and N themselves and join only the condensed relation.
-    anti = m_prime[:, None] @ m[None, :] + m_prime[None, :] @ m[:, None]
-    return {
-        "l_nilpotent": l_prime @ l,
-        "n_nilpotent": n_prime @ n,
-        "l_n_cross": l_prime @ n + n_prime @ l - _TWO_I4,
-        "l_m_cross": l_prime @ m[:3] + m_prime[:3] @ l,
-        "n_m_cross": n_prime @ m[:3] + m_prime[:3] @ n,
-        "m_anticommutators": anti + _TWO_DELTA_5,
-    }, 1
+    """The linearization's relations on its 2x2 factors (the module
+    docstring of momenta): ELL^2 = NU^2 = 0 and {ELL, NU} = 2.  Its
+    L/N-with-M_j cross relations hold for any blocks, and its M rows are
+    clifford.deformed_relations plus constant M4/M5 rows."""
+    ell, nu = momenta.ELL, momenta.NU
+    return {"l_nilpotent": matmul2(ell, ell),
+            "n_nilpotent": matmul2(nu, nu),
+            "l_n_cross": matmul2(ell, nu) + matmul2(nu, ell) - 2.0 * _I2}, 1
 
 
 def check_factorization(cfg, rng):

@@ -56,6 +56,8 @@ class SuiteConfig:
                 )
         if not self.beta_values:
             raise ConfigError("at least one beta value is required")
+        if not any(self.beta_values):
+            raise ConfigError("beta_values are all zero: degenerate splitting")
         for count, minimum, message in (
                 (self.samples, 1, "samples must be an integer >= 1"),
                 (self.seed, 0, "seed must be a non-negative integer"),
@@ -76,7 +78,4 @@ class SuiteConfig:
                 raise ConfigError("momentum range width hi - lo must be finite")
 
     def nonzero_betas(self) -> tuple[float, ...]:
-        betas = tuple(b for b in self.beta_values if b != 0.0)
-        if not betas:
-            raise ConfigError("degenerate splitting")
-        return betas
+        return tuple(b for b in self.beta_values if b != 0.0)

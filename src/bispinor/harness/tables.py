@@ -51,7 +51,6 @@ def spectrum_columns(cfg: SuiteConfig) -> tuple[np.ndarray, ...]:
 
 
 def texture_columns(cfg: SuiteConfig) -> tuple[np.ndarray, ...]:
-    cfg.nonzero_betas()    # the texture needs a split spectrum, not beta itself
     gammas = np.array(cfg.gamma_values)[:, None]
     pts = _grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):

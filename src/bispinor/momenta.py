@@ -1,5 +1,5 @@
-"""Galilean linearization matrices, Clifford momenta and the Hamiltonian
-factories (generalized, Rashba and magnetic/Zeeman variants).
+"""Clifford momenta, the Hamiltonian factories (generalized, Rashba and
+magnetic/Zeeman variants) and the 2x2 factors of the Galilean linearization.
 
 All operators act on plane waves, so each is a function that returns its
 (..., 2, 2) matrices at the classical momentum label p (hbar = m = 1, unit
@@ -21,44 +21,31 @@ conjugate of P^B(-p)
 (:func:`~bispinor.multivector.clifford_conjugation_matrix`), is P^A(p).
 The intertwinings R^+ P^B = P^B R^- and R^- P^A = P^A R^+ then hold by
 associativity.
+
+The first-order (Levy-Leblond) linearization is made of Kronecker products
+of 2x2 blocks: L = L' = ELL (x) 1 with ELL = -i E21, N = N' = NU (x) 1 with
+NU = 2i E12, M_j = -M_j' = 1 (x) e_j^gamma (j = 1..3),
+M4 = M4' = i(ELL + NU/2) (x) 1 and M5 = M5' = (ELL - NU/2) (x) 1.  As
+(A (x) B)(C (x) D) = AC (x) BD, its defining relations
+
+    L'L = 0,  N'N = 0,  L'N + N'L = 2,  L'M_j + M_j'L = 0,
+    N'M_j + M_j'N = 0,  M_i'M_j + M_j'M_i = -2 delta_ij
+
+reduce to ELL^2 = NU^2 = 0 and {ELL, NU} = 2, to the deformed Clifford
+relations {e_i, e_j} = 2 delta_ij, and to cross terms that vanish for any
+blocks.  So the library keeps only the two factors ELL and NU, read-only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformed_generators, in_plane, pauli_matrix, stack_variants
+from .multivector import in_plane, pauli_matrix, stack_variants
 
-# The gamma-free linearization matrices from their 2x2 blocks: L = L' =
-# -i E21 (x) 1 and N = N' = 2i E12 (x) 1, then M4 = M4' = i(L + N/2) and
-# M5 = M5' = L - N/2.  Read-only, as build_linearization hands them out.
-_L = np.kron([[0, 0], [-1j, 0]], np.eye(2))
-_N = np.kron([[0, 2j], [0, 0]], np.eye(2))
-_M4_M5 = np.array([1j * (_L + _N / 2.0), _L - _N / 2.0])
-for _constant in (_L, _N, _M4_M5):
-    _constant.flags.writeable = False
-
-
-def build_linearization(gamma: float = 0.0):
-    """The 4x4 matrices (l, l_prime, n, n_prime, m, m_prime) of the
-    first-order (linearized) Schroedinger system, with m = M_1..M_5 and
-    m_prime = M_1'..M_5' stacked (5, 4, 4); the defining relations
-
-    L'L = 0,  N'N = 0,  L'N + N'L = 2,  L'M_j + M_j'L = 0,
-    N'M_i + M_i'N = 0,  M_i'M_j + M_j'M_i = -2 delta_ij
-
-    hold for every deformation parameter.  Only the spatial M_j =
-    diag(e_j, e_j) = -M_j' depend on gamma, through the deformed
-    generators e_j; l = l_prime, n = n_prime and M_4, M_5 (equal to their
-    primes) are read-only constants.  The spatial rows of the last relation
-    are -diag({e_i, e_j}, {e_i, e_j}), the deformed Clifford relations.
-    """
-    e = deformed_generators(gamma)[1:4]
-    m = np.zeros((2, 5, 4, 4), dtype=complex)
-    m[0, :3, :2, :2] = m[0, :3, 2:, 2:] = e
-    m[1, :3, :2, :2] = m[1, :3, 2:, 2:] = -e
-    m[:, 3:] = _M4_M5
-    return _L, _L, _N, _N, m[0], m[1]
+# The 2x2 factors of the linearization: L = L' = ELL (x) 1 and N = N' = NU (x) 1.
+ELL = np.array([[0.0, 0.0], [-1j, 0.0]])        # -i E21
+NU = np.array([[0.0, 2j], [0.0, 0.0]])          # 2i E12
+ELL.flags.writeable = NU.flags.writeable = False
 
 
 def _pad3(p) -> np.ndarray:

@@ -17,9 +17,9 @@ bivector and the pseudoscalar); to_matrix(a, gamma) is its front end for
 its time-reversed partner set is time_reverse_matrix of it.
 
 Shapes: every kernel works over leading batch axes.  Coefficient arrays are
-(..., 8), matrices (..., 2, 2) (or (..., 2n, 2n) for time reversal) and
-deformation parameters (...).  A single multivector is an (8,) array, e.g.
-the blade e12 is np.eye(8)[BASIS_NAMES.index("e12")].
+(..., 8), matrices (..., 2, 2) and deformation parameters (...).  A single
+multivector is an (8,) array, e.g. the blade e12 is
+np.eye(8)[BASIS_NAMES.index("e12")].
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ def det2(m) -> np.ndarray:
 
 
 def inv2(m) -> np.ndarray:
-    """Inverses of (..., 2, 2) matrices: the adjugate over the determinant
-    (inf or NaN entries where it vanishes)."""
-    adjugate = mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
-    return adjugate / det2(m)[..., None, None]
+    """Inverses of (..., 2, 2) matrices: the adjugate
+    (:func:`clifford_conjugation_matrix`) over the determinant (inf or NaN
+    entries where it vanishes)."""
+    return clifford_conjugation_matrix(m) / det2(m)[..., None, None]
 
 
 def unitary2(m) -> np.ndarray:
@@ -153,27 +153,20 @@ def reversion_matrix(m: np.ndarray) -> np.ndarray:
 E13 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 
-def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
-    """Conjugation of constant (..., 2n, 2n) operators by time reversal:
-    U conj(m) U^-1 with U = diag(e13, ..., e13).  As e13^-1 = -e13, each 2x2
-    block [[a, b], [c, d]] of conj(m) becomes [[d, -c], [-b, a]].  On 2x2
-    matrices this is the matrix form of grade inversion."""
-    c = np.conj(np.asarray(m, dtype=complex))
-    out = np.empty_like(c)
-    out[..., 0::2, 0::2] = c[..., 1::2, 1::2]
-    np.negative(c[..., 1::2, 0::2], out=out[..., 0::2, 1::2])
-    np.negative(c[..., 0::2, 1::2], out=out[..., 1::2, 0::2])
-    out[..., 1::2, 1::2] = c[..., 0::2, 0::2]
-    return out
-
-
 def clifford_conjugation_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix form of Clifford conjugation, reversion after grade inversion:
-    U m^T U^-1 with U = diag(e13, ..., e13) on (..., 2n, 2n) operators, on
-    2x2 matrices the adjugate [[m22, -m12], [-m21, m11]].  For an operator
+    """Matrix form of Clifford conjugation on (..., 2, 2) matrices, the
+    adjugate [[m11, -m01], [-m10, m00]] = e13 m^T e13^-1.  For an operator
     family X(p), the T-pseudo-adjoint X^#(p) is the Clifford conjugate of
     X(-p)."""
-    return reversion_matrix(time_reverse_matrix(m))
+    return mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
+
+
+def time_reverse_matrix(m: np.ndarray) -> np.ndarray:
+    """Conjugation of constant (..., 2, 2) operators by time reversal,
+    e13 conj(m) e13^-1 = [[conj m11, -conj m10], [-conj m01, conj m00]]:
+    the reversion of the Clifford conjugate, and so the matrix form of
+    grade inversion."""
+    return reversion_matrix(clifford_conjugation_matrix(m))
 
 
 MATRIX_INVOLUTIONS = {

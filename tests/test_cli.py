@@ -138,6 +138,13 @@ class TestVerify:
         with pytest.raises(ConfigError, match=message):
             SuiteConfig(**{field: value})
 
+    @pytest.mark.parametrize("betas", [(0.0,), (0.0, -0.0)])
+    def test_config_rejects_all_zero_betas(self, betas):
+        # the splitting vanishes; this used to pass construction and raise
+        # from the first check or export that drew beta
+        with pytest.raises(ConfigError, match="beta_values .*degenerate"):
+            SuiteConfig(beta_values=betas)
+
     def test_config_holds_ranges_as_float_pairs(self):
         # a list range used to be kept as a list, so the frozen config could
         # not be hashed

@@ -1,4 +1,5 @@
-"""The closed-form kernels: matmul2, det2, inv2, unitary2, the eigenpair
+"""The closed-form kernels: matmul2, det2, inv2, unitary2, the two 2x2
+adjoints (Clifford conjugation and time reversal), the eigenpair
 oracles, the geometric product, the operator assembly and the momentum
 draw, and the registry's independence from np.linalg and einsum.
 
@@ -138,6 +139,41 @@ def test_det2_and_inv2(m):
     assume((np.abs(det) > 1e-3 * scale).all())
     residual = np.abs(matmul2(inv2(m), m) - np.eye(2)).max(axis=(-1, -2))
     assert (residual <= 64 * EPS * scale / np.abs(det)).all()
+
+
+# The two 2x2 adjoints, entry by entry: (row, column) of the source entry
+# and whether it is negated.  Clifford conjugation is the adjugate; time
+# reversal is its conjugate transpose, the conjugated entries.
+ADJUGATE = {(0, 0): ((1, 1), False), (0, 1): ((0, 1), True),
+            (1, 0): ((1, 0), True), (1, 1): ((0, 0), False)}
+TIME_REVERSAL = {(0, 0): ((1, 1), False), (0, 1): ((1, 0), True),
+                 (1, 0): ((0, 1), True), (1, 1): ((0, 0), False)}
+
+
+def signed_entries(m, table, conjugate=False):
+    """Each entry of the result copied from its source entry of m,
+    conjugated if asked and negated where the table says."""
+    out = np.empty(m.shape, dtype=complex)
+    for (i, j), ((k, l), negate) in table.items():
+        x = np.conj(m[..., k, l]) if conjugate else m[..., k, l]
+        out[..., i, j] = -x if negate else x
+    return out
+
+
+@EXAMPLES
+@given(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=5).flatmap(
+    lambda shape: complex_arrays(shape + (2, 2), special)))
+@example(complex_from(np.array([[[0.0, -0.0], [np.inf, np.nan]], [[-np.inf, 1.0], [-0.0, 2.0]]]),
+                      np.array([[[-0.0, np.nan], [0.0, -np.inf]], [[np.nan, -0.0], [np.inf, 0.0]]])))
+def test_adjoints_are_the_signed_entries(m):
+    for got, want in ((multivector.clifford_conjugation_matrix(m), signed_entries(m, ADJUGATE)),
+                      (multivector.time_reverse_matrix(m),
+                       signed_entries(m, TIME_REVERSAL, conjugate=True))):
+        assert got.shape == m.shape and got.tobytes() == want.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = inv2(m), signed_entries(m, ADJUGATE) / det2(m)[..., None, None]
+    # the division makes NaNs whose sign depends on the machine loop
+    assert got.shape == m.shape and bits(got) == bits(want)
 
 
 def test_inv2_of_a_singular_matrix_is_not_finite():

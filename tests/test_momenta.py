@@ -3,7 +3,8 @@ import pytest
 
 from bispinor import spectrum
 from bispinor.momenta import (
-    build_linearization,
+    ELL,
+    NU,
     clifford_momentum,
     magnetic,
     magnetic_shifts,
@@ -22,44 +23,13 @@ TOL = 1e-12
 
 
 class TestLinearization:
-    def test_condensed_relation_full_sweep(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization()
-        for i in range(5):
-            for j in range(5):
-                anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
-                want = -2.0 * (i == j) * np.eye(4)
-                assert np.abs(anti - want).max() < TOL
-
-    def test_m5_diagonal_relation(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization()
-        anti = m_prime[4] @ m[4] + m_prime[4] @ m[4]
-        assert np.abs(anti + 2.0 * np.eye(4)).max() < TOL
-
-    def test_nilpotency(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization()
-        assert np.abs(l_prime @ l).max() < TOL
-        assert np.abs(n_prime @ n).max() < TOL
-
-    def test_ln_cross_relation(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization()
-        expr = l_prime @ n + n_prime @ l
-        assert np.abs(expr - 2.0 * np.eye(4)).max() < TOL
-
-    def test_spatial_m_cross_relations(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization()
-        for i in range(3):
-            assert np.abs(l_prime @ m[i] + m_prime[i] @ l).max() < TOL
-            assert np.abs(n_prime @ m[i] + m_prime[i] @ n).max() < TOL
-
-    def test_m4_m5_consistent_with_l_n(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization()
-        assert np.abs(m[3] - 1j * (l + n / 2.0)).max() < TOL
-        assert np.abs(m[4] - (l - n / 2.0)).max() < TOL
-        assert np.abs(m_prime[3] - 1j * (l_prime + n_prime / 2.0)).max() < TOL
-        assert np.abs(m_prime[4] - (l_prime - n_prime / 2.0)).max() < TOL
-
     def test_relations_survive_deformation(self):
-        l, l_prime, n, n_prime, m, m_prime = build_linearization(0.7)
+        # M_j = 1 (x) e_j = -M_j' at gamma = 0.7, M4 = i(ELL + NU/2) (x) 1 and
+        # M5 = (ELL - NU/2) (x) 1, each equal to its prime
+        i2 = np.eye(2)
+        m = np.array([np.kron(i2, e) for e in deformed_generators(0.7)[1:4]]
+                     + [np.kron(1j * (ELL + NU / 2.0), i2), np.kron(ELL - NU / 2.0, i2)])
+        m_prime = np.array([-1.0, -1.0, -1.0, 1.0, 1.0])[:, None, None] * m
         for i in range(5):
             for j in range(5):
                 anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
@@ -247,8 +217,8 @@ class TestGeneratorCache:
         def no_stack(gamma):
             raise AssertionError("generator stack built")
 
+        # momenta does not import deformed_generators, so this is its only source
         monkeypatch.setattr("bispinor.multivector.deformed_generators", no_stack)
-        monkeypatch.setattr("bispinor.momenta.deformed_generators", no_stack)
         for name, call in calls.items():
             assert np.array_equal(call(), want[name]), name
 

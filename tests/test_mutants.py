@@ -24,7 +24,6 @@ _to_matrix = multivector.to_matrix
 _pauli_matrix = multivector.pauli_matrix
 _build_ideal_basis = ideal.build_ideal_basis
 _synthesize_generators = biortho.synthesize_generators
-_build_linearization = momenta.build_linearization
 _magnetic_shifts = momenta.magnetic_shifts
 _rashba_shifts = momenta.rashba_shifts
 _eigen_amplitudes = spectrum.eigen_amplitudes
@@ -77,11 +76,6 @@ def ideal_basis_with_g1_and_g2_swapped(gamma):
 
 def generators_conjugated(theta):
     return np.conj(_synthesize_generators(theta))
-
-
-def linearization_with_m_prime_flipped(gamma=0.0):
-    *rest, m_prime = _build_linearization(gamma)
-    return (*rest, -m_prime)
 
 
 def reversal_without_minus(amps):
@@ -146,9 +140,9 @@ MUTANTS = {
                                            ideal_basis_with_g1_and_g2_swapped),
     "generators_conjugated": ("biortho.generator_synthesis", "generators", biortho,
                               "synthesize_generators", generators_conjugated),
-    "linearization_with_m_prime_flipped": ("momenta.linearization_relations", "n_m_cross",
-                                           momenta, "build_linearization",
-                                           linearization_with_m_prime_flipped),
+    # the factor NU of N = N' = NU (x) 1 halved: {ELL, NU} - 2 reads -1
+    "linearization_with_nu_halved": ("momenta.linearization_relations", "l_n_cross",
+                                      momenta, "NU", momenta.NU / 2.0),
     # sign, conjugation and argument-order slips in the time reversal, the
     # flip and the inner products
     "reversal_without_minus": ("timereversal.anti_involution", "t_squared", timereversal,

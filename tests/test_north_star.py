@@ -1,12 +1,13 @@
 """The physics modules are formulas over plain arrays: none of them defines
 a class or imports dataclasses, none conjugates by time reversal except
 through multivector.time_reverse_matrix, and none takes a conjugate
-transpose except through multivector.reversion_matrix.  The one adjoint
-that composes the two, Clifford conjugation (the T-pseudo-adjoint), is
-multivector.clifford_conjugation_matrix.  Every public function of the
-package has a caller in the package.  The library's operators are 2x2: only
-momenta builds a (..., 4, 4) array (the linearization matrices), and the
-registry's only 4x4 products are the linearization check's."""
+transpose except through multivector.reversion_matrix.  The one adjoint,
+Clifford conjugation (the T-pseudo-adjoint), is the closed-form
+multivector.clifford_conjugation_matrix, and the only composition of two
+involution maps is time reversal, its reversion.  Every public function of
+the package has a caller in the package.  The library's operators are 2x2:
+no module builds a (..., 4, 4) array, and the registry multiplies only
+through matmul2, never with ``@``."""
 
 import ast
 from pathlib import Path
@@ -27,8 +28,12 @@ def test_physics_module_is_plain_functions(module):
     assert not any(name and name.split(".")[0] == "dataclasses" for name in imported)
 
 
+def _name(func):
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def _is_call_to(n, names):
-    return isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) in names
+    return isinstance(n, ast.Call) and _name(n.func) in names
 
 
 def _e13_products(module):
@@ -93,27 +98,31 @@ def test_one_conjugate_transpose(module):
     assert owners == (["reversion_matrix"] if module == "multivector" else [])
 
 
+_INVOLUTION_MAPS = ("time_reverse_matrix", "reversion_matrix", "clifford_conjugation_matrix")
+
+
 def _involution_compositions(path):
-    """(function, line) of every call of time_reverse_matrix on a call of
-    reversion_matrix, or the other way round, by the top-level function it
-    sits in (None at module level)."""
+    """(function, outer map, inner map) of every call of an involution map
+    on a call of another, by the top-level function it sits in (None at
+    module level)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    pair = {"time_reverse_matrix": "reversion_matrix", "reversion_matrix": "time_reverse_matrix"}
     found = []
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
         for n in ast.walk(top):
-            outer = getattr(n, "func", None)
-            name = getattr(outer, "id", getattr(outer, "attr", None))
-            if name in pair and any(_is_call_to(a, (pair[name],)) for a in n.args):
-                found.append((owner, n.lineno))
+            if _is_call_to(n, _INVOLUTION_MAPS):
+                found += [(owner, _name(n.func), _name(a.func))
+                          for a in n.args if _is_call_to(a, _INVOLUTION_MAPS)]
     return found
 
 
 def test_one_clifford_conjugation():
-    found = [(path.name, owner) for path in sorted(PACKAGE.rglob("*.py"))
-             for owner, _ in _involution_compositions(path)]
-    assert found == [("multivector.py", "clifford_conjugation_matrix")]
+    # Clifford conjugation is the 2x2 adjugate, written out; time reversal
+    # is its reversion, the one composition
+    found = [(path.name, *composition) for path in sorted(PACKAGE.rglob("*.py"))
+             for composition in _involution_compositions(path)]
+    assert found == [("multivector.py", "time_reverse_matrix",
+                      "reversion_matrix", "clifford_conjugation_matrix")]
 
 
 def _references(node):
@@ -159,36 +168,20 @@ def _builds_4x4(n):
         for arg in n.args for x in ast.walk(arg))
 
 
-def _owners(path, found):
-    """The top-level function, or the module-level name assigned, that holds
-    each node ``found`` picks out of ``path``."""
+def _lines(path, found):
+    """Line numbers of the nodes ``found`` picks out of ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    owners = []
-    for top in tree.body:
-        if isinstance(top, ast.FunctionDef):
-            owner = top.name
-        elif isinstance(top, ast.Assign):
-            owner = ",".join(getattr(t, "id", "?") for t in top.targets)
-        else:
-            owner = None
-        owners += [owner for n in ast.walk(top) if found(n)]
-    return tree, owners
+    return [n.lineno for n in ast.walk(tree) if found(n)]
 
 
-def test_only_the_linearization_check_multiplies_with_matmul():
-    _, owners = _owners(PACKAGE / "harness" / "checks.py",
-                        lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult))
-    assert owners and set(owners) == {"check_linearization"}
+def test_checks_never_multiply_with_matmul():
+    # every product in the registry is a 2x2 one, through matmul2
+    matmuls = _lines(PACKAGE / "harness" / "checks.py",
+                     lambda n: isinstance(getattr(n, "op", None), ast.MatMult))
+    assert matmuls == []
 
 
-def test_only_momenta_builds_4x4_arrays():
-    # the linearization check's right-hand sides are the one exception: the
-    # module constants that only check_linearization reads
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "momenta.py":
-            continue
-        tree, owners = _owners(path, _builds_4x4)
-        readers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-                   for name in set(owners) if name in set(_references(top))}
-        allowed = path.name == "checks.py" and readers <= {"check_linearization"}
-        assert not owners or allowed, (path.name, owners, readers)
+def test_no_module_builds_4x4_arrays():
+    found = [(path.name, line) for path in sorted(PACKAGE.rglob("*.py"))
+             for line in _lines(path, _builds_4x4)]
+    assert found == []

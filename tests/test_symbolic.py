@@ -32,8 +32,10 @@ that L'L = 0, N'N = 0, L'N + N'L = 2 and the M4/M5 relations hold exactly;
 and that the cross relations hold for any blocks, with
 M_i'M_j + M_j'M_i = -diag({e_i, e_j}, {e_i, e_j}), which the closed-form
 generators turn into -2 delta_ij at every theta.
-:func:`bispinor.momenta.build_linearization` equals the proof's matrices at
-its deformed generators.  sympy stays a test-only dependency.
+At the library's deformed generators, the proof's matrices equal the
+Kronecker products of the library's 2x2 factors
+:data:`bispinor.momenta.ELL` and :data:`~bispinor.momenta.NU` with the
+identity, and of the identity with e_j.  sympy stays a test-only dependency.
 """
 
 import numpy as np
@@ -41,7 +43,8 @@ import pytest
 import sympy as sp
 
 from bispinor.momenta import (
-    build_linearization,
+    ELL,
+    NU,
     clifford_momentum,
     magnetic,
     momentum_product,
@@ -368,12 +371,20 @@ def test_deformed_generators_obey_the_clifford_relations():
 
 @pytest.mark.parametrize("gamma", [0.0, 0.7, -0.9])
 def test_linearization_matches_the_proof(gamma):
-    # the proof's matrices at the library's deformed generators, exactly
+    # the proof's matrices at the library's deformed generators equal the
+    # Kronecker products of the library's factors, exactly: L = L' = ELL (x) 1,
+    # N = N' = NU (x) 1, M_j = -M_j' = 1 (x) e_j, M4 = M4' = i(ELL + NU/2) (x) 1
+    # and M5 = M5' = (ELL - NU/2) (x) 1
     e = deformed_generators(gamma)[1:4]
     symbols = [x for block in E_BLOCKS for x in block]
-    want = sp.lambdify(symbols, linearization(E_BLOCKS), modules="numpy")(*e.ravel())
-    got = build_linearization(gamma)
-    for w, g in zip(want[:4], got[:4]):
-        assert np.array_equal(np.array(w, dtype=complex), g)
-    for w, g in zip(want[4:], got[4:]):
-        assert np.array_equal(np.array([np.array(x, dtype=complex) for x in w]), g)
+    got = sp.lambdify(symbols, linearization(E_BLOCKS), modules="numpy")(*e.ravel())
+    l, l_prime, n, n_prime = (np.array(x, dtype=complex) for x in got[:4])
+    m, m_prime = (np.array([np.array(x, dtype=complex) for x in ms]) for ms in got[4:])
+    i2 = np.eye(2)
+    assert np.array_equal(l, np.kron(ELL, i2)) and np.array_equal(l_prime, l)
+    assert np.array_equal(n, np.kron(NU, i2)) and np.array_equal(n_prime, n)
+    for j in range(3):
+        assert np.array_equal(m[j], np.kron(i2, e[j])) and np.array_equal(m_prime[j], -m[j])
+    assert np.array_equal(m[3], np.kron(1j * (ELL + NU / 2.0), i2))
+    assert np.array_equal(m[4], np.kron(ELL - NU / 2.0, i2))
+    assert np.array_equal(m_prime[3:], m[3:])
