@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import deformation_transform, det2, inv2, matvec, reversion_matrix, stacked
-from .spectrum import amplitude_inner
+from .multivector import amplitude_inner, deformation_transform, det2, inv2, matmul2, stacked
 
 _SEED_TOL = 1e-10
 _I2 = np.eye(2)
@@ -45,9 +44,8 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
     if (np.abs(gram(seeds, seeds) - _I2) > _SEED_TOL).any():
         raise ValueError("seed vectors not orthonormal")
 
-    t_inv_dag = reversion_matrix(inv2(t))
-    return (stacked((matvec(t, v1), matvec(t, v2)), axis=-2),
-            stacked((matvec(t_inv_dag, v1), matvec(t_inv_dag, v2)), axis=-2))
+    # the rows T v_j and (T^-1)^dagger v_j: the seed rows times T^T and conj(T^-1)
+    return matmul2(seeds, t.swapaxes(-1, -2)), matmul2(seeds, np.conj(inv2(t)))
 
 
 def canonical_pair(gamma):
@@ -72,8 +70,8 @@ _SYNTH_PHASES = np.array([(1j) ** (m + 1) for m in (1, 2, 3)])
 def synthesize_generators(gamma) -> np.ndarray:
     """The three deformed vector generators at deformation parameters gamma
     (...), stacked (..., 3, 2, 2), assembled from the rank-one projectors of
-    the canonical pair."""
+    the canonical pair as i^(m+1) phi^T c^(m) conj(chi), rows phi_j, chi_k."""
     phi, chi = canonical_pair(gamma)
-    # |phi_j><chi_k| over (..., j, k, a, b)
-    outer = phi[..., :, None, :, None] * np.conj(chi)[..., None, :, None, :]
-    return _SYNTH_PHASES[:, None, None] * np.einsum("mjk,...jkab->...mab", _SYNTH_COEFFS, outer)
+    sums = matmul2(matmul2(phi.swapaxes(-1, -2)[..., None, :, :], _SYNTH_COEFFS),
+                   np.conj(chi)[..., None, :, :])
+    return _SYNTH_PHASES[:, None, None] * sums

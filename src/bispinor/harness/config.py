@@ -17,13 +17,13 @@ class ConfigError(ValueError):
 
 def _floats(name: str, values, size: int | None = None) -> tuple[float, ...]:
     """``values`` as a tuple of floats; ConfigError for a string, a non-iterable,
-    an entry that is not a real number or a length other than ``size``."""
+    an entry that is not a real number (or is a bool) or a length other than ``size``."""
     try:
         entries = None if isinstance(values, (str, bytes)) else tuple(values)
     except TypeError:
         entries = None
     if (entries is None or size not in (None, len(entries))
-            or not all(isinstance(x, Real) for x in entries)):
+            or not all(isinstance(x, Real) and not isinstance(x, bool) for x in entries)):
         shape = "a pair (lo, hi)" if size else "a sequence"
         raise ConfigError(f"{name} must be {shape} of numbers")
     return tuple(float(x) for x in entries)

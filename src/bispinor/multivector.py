@@ -16,10 +16,10 @@ bivector and the pseudoscalar); to_matrix(a, gamma) is its front end for
 (..., 8) coefficients.  The generator set is the image of the unit blades;
 its time-reversed partner set is time_reverse_matrix of it.
 
-Shapes: every kernel works over leading batch axes.  Coefficient arrays are
-(..., 8), matrices (..., 2, 2) and deformation parameters (...).  A single
-multivector is an (8,) array, e.g. the blade e12 is
-np.eye(8)[BASIS_NAMES.index("e12")].
+Shapes: kernels work over leading batch axes: coefficients (..., 8), matrices
+(..., 2, 2), amplitudes (..., 2), deformation parameters (...).  matmul2,
+matvec and amplitude_inner are two-term closed forms; the only @ are
+geometric_product's contraction with the Cayley table and the table's build.
 """
 
 from __future__ import annotations
@@ -111,8 +111,14 @@ def unitary2(m) -> np.ndarray:
 
 
 def matvec(m, v) -> np.ndarray:
-    """Matrices (..., n, n) applied to vectors (..., n), broadcasting."""
-    return (np.asarray(m) @ np.asarray(v)[..., None])[..., 0]
+    """m_i0 v_0 + m_i1 v_1: matrices (..., 2, 2) on vectors (..., 2), broadcasting."""
+    return m[..., :, 0] * v[..., :1] + m[..., :, 1] * v[..., 1:]
+
+
+def amplitude_inner(a, b) -> np.ndarray:
+    """<a|b> = conj(a_0) b_0 + conj(a_1) b_1 of amplitudes (..., 2), broadcasting."""
+    products = np.conj(a) * b
+    return products[..., 0] + products[..., 1]
 
 
 def decompose(m) -> np.ndarray:

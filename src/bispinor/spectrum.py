@@ -2,8 +2,9 @@
 bi-orthogonal eigenspinors, projectors, angle (flip) relations, associated
 expectations, spin vectors and the current-density continuity check.
 
-Spinors are their finite parts, complex amplitude arrays (..., 2); the
-plane-wave factor e^{ip.x} is carried by the momentum p alongside them.
+Spinors are their finite parts, complex amplitude arrays (..., 2), paired by
+multivector.amplitude_inner; the plane-wave factor e^{ip.x} is carried by
+the momentum p alongside them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .multivector import (
     PAULI,
     SIGMA1,
     SIGMA2,
+    amplitude_inner,
     deformation_omega,
     det2,
     in_plane,
@@ -25,13 +27,6 @@ from .multivector import (
 
 _SQRT2 = np.sqrt(2.0)
 _T0 = 0.2                # the time at which continuity_residual is evaluated
-
-
-def amplitude_inner(a, b):
-    """<a|b> over the last axis of amplitude arrays (..., n), conjugate-linear
-    in a; the same arithmetic as numpy.vdot on a single pair."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _xy(p):
@@ -205,11 +200,11 @@ def continuity_residual(gamma: float, beta: float, coefficients, amplitudes, mom
     amps = np.asarray(amplitudes, dtype=complex)
     k, energy = np.asarray(momenta, dtype=float), np.asarray(energies, dtype=float)
     x = np.asarray(sample_grid, dtype=float)
-    waves = (c[:, None] * amps) * np.exp(1j * (x @ k.T - energy * _T0))[..., None]
+    waves = c[:, None] * amps * np.exp(1j * ((x[:, None] * k).sum(-1) - energy * _T0))[..., None]
     # per wave: the factors of psi, d_t psi, d_1 psi, d_2 psi and the Laplacian
     factors = stacked((1.0, -1j * energy, 1j * k[:, 0], 1j * k[:, 1], -(k * k).sum(axis=-1)),
                       axis=-2)
-    psi, dt_psi, d1_psi, d2_psi, lap_psi = np.einsum("dw,pwi->dpi", factors, waves)
+    psi, dt_psi, d1_psi, d2_psi, lap_psi = (factors[:, None, :, None] * waves).sum(axis=-2)
     omega = deformation_omega(gamma)
     residual = (2.0 * amplitude_inner(psi, dt_psi).real
                 + amplitude_inner(psi, lap_psi).imag

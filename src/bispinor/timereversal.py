@@ -18,6 +18,7 @@ import numpy as np
 
 from .momenta import rashba
 from .multivector import (
+    amplitude_inner,
     clifford_conjugation_matrix,
     deformed_generators,
     matvec,
@@ -26,7 +27,7 @@ from .multivector import (
     stacked,
     time_reverse_matrix,
 )
-from .spectrum import amplitude_inner, eigen_amplitudes, eigenvalues, phi_angles
+from .spectrum import eigen_amplitudes, eigenvalues, phi_angles
 
 
 def reverse_amplitudes(amps) -> np.ndarray:

@@ -27,13 +27,13 @@ from bispinor.multivector import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    amplitude_inner,
     clifford_conjugation_matrix,
     deformed_generators,
     matmul2,
     time_reverse_matrix,
 )
 from bispinor.spectrum import (
-    amplitude_inner,
     continuity_residual,
     eigen_amplitudes,
     eigenvalue_oracle,

@@ -22,6 +22,7 @@ from bispinor.harness import checks
 from bispinor.harness.checks import _momenta, _nonzero_witness, run_all, worst_term
 from bispinor.harness.config import SuiteConfig
 from bispinor.multivector import (
+    amplitude_inner,
     deformation_omega,
     deformed_generators,
     matmul2,
@@ -98,10 +99,13 @@ def loop_gamma_zero_limit(cfg, rng):
         pi1, pi2, _ = spectrum.projector_matrices(*angles)
         psi, psi_minus, dual, _ = spectrum.eigen_amplitudes(*angles)
         terms["hermitian_h"].append(h - reversion_matrix(h))
-        terms["orthogonal_psi"].append(np.vdot(psi, psi_minus))
+        # the library's own inner product, one point at a time: this loop
+        # holds the batching, not amplitude_inner's arithmetic
+        terms["orthogonal_psi"].append(amplitude_inner(psi, psi_minus))
         terms["hermitian_pi1"].append(pi1 - reversion_matrix(pi1))
         terms["hermitian_pi2"].append(pi2 - reversion_matrix(pi2))
-        terms["dual_is_psi"].append(psi - dual * np.vdot(dual, psi) / np.vdot(dual, dual))
+        terms["dual_is_psi"].append(
+            psi - dual * amplitude_inner(dual, psi) / amplitude_inner(dual, dual))
     return terms, len(betas)
 
 

@@ -129,6 +129,8 @@ class TestVerify:
         ("tolerance", "1e-3", "tolerance must be a number"),
         ("tolerance", True, "tolerance must be a number"),
         ("beta_values", ("x",), "beta_values must be a sequence of numbers"),
+        ("beta_values", (True,), "beta_values must be a sequence of numbers"),
+        ("p1_range", (False, True), "p1_range must be a pair"),
         ("gamma_values", "0.3", "gamma_values must be a sequence of numbers"),
         ("gamma_values", None, "gamma_values must be a sequence of numbers"),
     ])

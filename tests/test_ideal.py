@@ -8,8 +8,8 @@ from bispinor.ideal import (
     ideal_matrix,
     invariance_group_defects,
 )
-from bispinor.multivector import E13
-from bispinor.spectrum import amplitude_inner, eigen_amplitudes, phi_angles
+from bispinor.multivector import E13, amplitude_inner
+from bispinor.spectrum import eigen_amplitudes, phi_angles
 from bispinor.timereversal import reverse_amplitudes
 
 TOL = 1e-12

@@ -1,16 +1,19 @@
-"""The closed-form kernels: matmul2, det2, inv2, unitary2, the two 2x2
-adjoints (Clifford conjugation and time reversal), the eigenpair
-oracles, the geometric product, the operator assembly and the momentum
-draw, and the registry's independence from np.linalg and einsum.
+"""The closed-form kernels: matmul2, matvec, amplitude_inner, det2, inv2,
+unitary2, the two 2x2 adjoints (Clifford conjugation and time reversal),
+the eigenpair oracles, the geometric product, the operator assembly and
+the momentum draw, and the registry's independence from np.linalg and
+einsum.
 
-matmul2 is the entrywise formula a_i0 b_0k + a_i1 b_1k evaluated as
-whole-array operations, so it is held to that formula bit for bit and to
-np.matmul (one BLAS call per matrix) within the two-term rounding bound.
-The bit claim covers the formula on operands broadcast to the product's
-shape, as matmul2 sees them: numpy picks its complex-multiply inner loop by
-operand layout, and on hosts with FMA some loops fuse the multiply and the
-subtract of a c - b d while others round twice, so the same product on
-another layout (batch shapes (1, 1) against (1,)) can differ by 1 ulp.
+matmul2, matvec and amplitude_inner are the entrywise formulas
+a_i0 b_0k + a_i1 b_1k, m_i0 v_0 + m_i1 v_1 and conj(a_0) b_0 + conj(a_1) b_1
+evaluated as whole-array operations, so each is held to its formula bit for
+bit and to np.matmul or np.vdot (one BLAS call per matrix or pair) within
+the two-term rounding bound.  The bit claim covers the formula on operands
+broadcast to the result's shape, as the kernels see them: numpy picks its
+complex-multiply inner loop by operand layout, and on hosts with FMA some
+loops fuse the multiply and the subtract of a c - b d while others round
+twice, so the same product on another layout (batch shapes (1, 1) against
+(1,)) can differ by 1 ulp.
 
 The geometric product, the Clifford momenta, the Rashba and magnetic
 Hamiltonians and the momentum draw replaced slower forms of the same
@@ -19,8 +22,6 @@ the einsum over the Cayley table, to_matrix of the operators' explicit 8
 coefficients, the momentum product of the two factors' shifts, and
 rng.uniform.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -38,7 +39,16 @@ from bispinor.momenta import (
     momentum_product,
     rashba,
 )
-from bispinor.multivector import det2, geometric_product, inv2, matmul2, to_matrix, unitary2
+from bispinor.multivector import (
+    amplitude_inner,
+    det2,
+    geometric_product,
+    inv2,
+    matmul2,
+    matvec,
+    to_matrix,
+    unitary2,
+)
 from bispinor.spectrum import eigenvalue_oracle, eigenvector_oracle
 
 EPS = np.finfo(float).eps
@@ -85,6 +95,7 @@ def entrywise_product(a, b):
 def bits(z):
     """The bytes of a complex array with every NaN made the same NaN: the
     sign of a NaN from 0 * inf depends on the machine loop that made it."""
+    z = np.asarray(z)
     re, im = z.real.copy(), z.imag.copy()
     re[np.isnan(re)], im[np.isnan(im)] = np.nan, np.nan
     return complex_from(re, im).tobytes()
@@ -116,6 +127,92 @@ def test_matmul2_agrees_with_matmul(pair):
     # 4 ulp relative, plus a few units of the gradual-underflow spacing
     bound = 4 * EPS * frobenius(a) * frobenius(b) + 8 * np.finfo(float).smallest_subnormal
     assert (np.abs(matmul2(a, b) - a @ b).max(axis=(-1, -2)) <= bound).all()
+
+
+@st.composite
+def matrix_and_vector(draw, elements):
+    (sm, sv), _ = draw(batch_pairs)
+    return (draw(complex_arrays(sm + (2, 2), elements)),
+            draw(complex_arrays(sv + (2,), elements)))
+
+
+@st.composite
+def vector_pair(draw, elements):
+    (sa, sb), _ = draw(batch_pairs)
+    return (draw(complex_arrays(sa + (2,), elements)),
+            draw(complex_arrays(sb + (2,), elements)))
+
+
+def entrywise_matvec(m, v):
+    """Entry i = m_i0 v_0 + m_i1 v_1, one entry at a time, on the operands
+    broadcast to the result's shape (v as the row of each entry)."""
+    m, v = np.broadcast_arrays(m, v[..., None, :])
+    out = np.empty(m.shape[:-1], dtype=complex)
+    for i in range(2):
+        out[..., i] = m[..., i, 0] * v[..., i, 0] + m[..., i, 1] * v[..., i, 1]
+    return out
+
+
+def entrywise_inner(a, b):
+    """conj(a_0) b_0 + conj(a_1) b_1 on the operands broadcast to the
+    result's shape."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.conj(a[..., 0]) * b[..., 0] + np.conj(a[..., 1]) * b[..., 1]
+
+
+# the (1, 1)/(1,) layouts of the matmul2 example, and signed zeros, inf and NaN
+ZERO_INF_NAN = complex_from(np.array([[0.0, -0.0], [np.inf, np.nan]]),
+                            np.array([[-0.0, np.nan], [0.0, -np.inf]]))
+
+
+@EXAMPLES
+@given(matrix_and_vector(special))
+@example((np.full((1, 1, 2, 2), 370727.76953125 + 1j), np.full((1, 2), 370727.76953125 + 125630j)))
+@example((ZERO_INF_NAN, ZERO_INF_NAN[::-1].T))
+def test_matvec_is_the_entrywise_formula(pair):
+    m, v = pair
+    with np.errstate(all="ignore"):
+        got, want = matvec(m, v), entrywise_matvec(m, v)
+    assert got.shape == np.broadcast_shapes(m.shape[:-1], v.shape)
+    assert bits(got) == bits(want)
+
+
+@EXAMPLES
+@given(vector_pair(special))
+@example((np.full((1, 1, 2), 370727.76953125 + 1j), np.full((1, 2), 370727.76953125 + 125630j)))
+@example((ZERO_INF_NAN, ZERO_INF_NAN[::-1]))
+def test_amplitude_inner_is_the_entrywise_formula(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        got, want = amplitude_inner(a, b), entrywise_inner(a, b)
+    assert got.shape == np.broadcast_shapes(a.shape, b.shape)[:-1]
+    assert bits(got) == bits(want)
+
+
+def norm2(v):
+    """Euclidean norms (...) of (..., 2) vectors, without underflow."""
+    return np.hypot(np.abs(v[..., 0]), np.abs(v[..., 1]))
+
+
+# 4 ulp relative, plus a few units of the gradual-underflow spacing
+TINY = 8 * np.finfo(float).smallest_subnormal
+
+
+@EXAMPLES
+@given(matrix_and_vector(finite))
+def test_matvec_agrees_with_matmul(pair):
+    m, v = pair
+    bound = 4 * EPS * frobenius(m) * norm2(v) + TINY
+    assert (np.abs(matvec(m, v) - (m @ v[..., None])[..., 0]).max(axis=-1) <= bound).all()
+
+
+@EXAMPLES
+@given(vector_pair(finite))
+def test_amplitude_inner_agrees_with_vdot(pair):
+    a, b = np.broadcast_arrays(*pair)
+    want = np.array([np.vdot(x, y) for x, y in zip(a.reshape(-1, 2), b.reshape(-1, 2))])
+    bound = 4 * EPS * norm2(a) * norm2(b) + TINY
+    assert (np.abs(amplitude_inner(a, b) - want.reshape(a.shape[:-1])) <= bound).all()
 
 
 def test_matmul2_keeps_real_dtype_and_broadcasts_a_constant():
@@ -235,20 +332,11 @@ def test_eigenvector_oracle_picks_the_longer_candidate():
                          ids=["default", "samples300_seed3"])
 def test_registry_needs_no_np_linalg(cfg, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the registry calls np.linalg")
+        raise AssertionError("the registry calls np.linalg or np.einsum")
 
     for name in ("eig", "eigvals", "eigh", "eigvalsh", "inv", "det", "qr", "norm"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    # the multivector kernel (geometric_product) calls no einsum; the two
-    # other library einsums (continuity_residual, synthesize_generators) may
-    einsum = np.einsum
-
-    def einsum_outside_the_kernel(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == multivector.__name__:
-            raise AssertionError("the multivector kernel calls np.einsum")
-        return einsum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", einsum_outside_the_kernel)
+    monkeypatch.setattr(np, "einsum", refuse)
     report = checks.run_all(cfg)
     assert [e.test_id for e in report.entries if e.status != "pass" or e.error] == []
 

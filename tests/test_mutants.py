@@ -28,6 +28,7 @@ _magnetic_shifts = momenta.magnetic_shifts
 _rashba_shifts = momenta.rashba_shifts
 _eigen_amplitudes = spectrum.eigen_amplitudes
 _c2_form = ideal.c2_form
+_matvec = multivector.matvec
 
 
 def spin_without_plane(amps):
@@ -103,6 +104,21 @@ def amplitudes_with_dual_angles_swapped(phi_plus, phi_minus):
     return amps
 
 
+def amplitudes_with_dual_phases_conjugated(phi_plus, phi_minus):
+    # dual_pm = (+-1, e^{+i phi_mp})/sqrt2, the phase sign of psi_mp
+    amps = _eigen_amplitudes(phi_plus, phi_minus)
+    amps[..., 2:, 1] = np.conj(amps[..., 2:, 1])
+    return amps
+
+
+def matvec_transposed(m, v):
+    return _matvec(np.swapaxes(m, -1, -2), v)
+
+
+def inner_without_conjugation(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
 def rashba_shifts_swapped(beta):
     # the shifts of P^A and P^B where those of P^B and P^A belong
     return _rashba_shifts(beta)[::-1]
@@ -157,6 +173,15 @@ MUTANTS = {
     "amplitudes_with_dual_angles_swapped": ("spectrum.eigen_identity", "dual", checks,
                                             "eigen_amplitudes",
                                             amplitudes_with_dual_angles_swapped),
+    # the cross terms read exactly 0 on correct duals
+    "amplitudes_with_dual_phases_conjugated": ("spectrum.biorthogonality", "dual_plus_psi_minus",
+                                               checks, "eigen_amplitudes",
+                                               amplitudes_with_dual_phases_conjugated),
+    # the two closed-form contractions of multivector
+    "matvec_transposed": ("ideal.left_ideal_closure", "closure", checks, "matvec",
+                          matvec_transposed),
+    "inner_without_conjugation": ("ideal.inner_products", "c1_inner", checks, "amplitude_inner",
+                                  inner_without_conjugation),
     # the branch of the shifts the closed form is checked against
     "magnetic_shifts_without_branch": ("momenta.magnetic_consistency", "branch_minus", momenta,
                                        "magnetic_shifts", magnetic_shifts_without_branch),

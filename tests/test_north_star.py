@@ -6,8 +6,10 @@ Clifford conjugation (the T-pseudo-adjoint), is the closed-form
 multivector.clifford_conjugation_matrix, and the only composition of two
 involution maps is time reversal, its reversion.  Every public function of
 the package has a caller in the package.  The library's operators are 2x2:
-no module builds a (..., 4, 4) array, and the registry multiplies only
-through matmul2, never with ``@``."""
+no module builds a (..., 4, 4) array, and it contracts 2x2 stacks and
+2-vectors in one way, the closed forms of multivector (matmul2, matvec,
+amplitude_inner): no einsum anywhere, and ``@`` only in geometric_product's
+Cayley contraction and the table's build."""
 
 import ast
 from pathlib import Path
@@ -174,14 +176,37 @@ def _lines(path, found):
     return [n.lineno for n in ast.walk(tree) if found(n)]
 
 
-def test_checks_never_multiply_with_matmul():
-    # every product in the registry is a 2x2 one, through matmul2
-    matmuls = _lines(PACKAGE / "harness" / "checks.py",
-                     lambda n: isinstance(getattr(n, "op", None), ast.MatMult))
-    assert matmuls == []
-
-
 def test_no_module_builds_4x4_arrays():
     found = [(path.name, line) for path in sorted(PACKAGE.rglob("*.py"))
              for line in _lines(path, _builds_4x4)]
     assert found == []
+
+
+def _owner(top):
+    """The name of a top-level statement: the function or class it defines,
+    or the first name it assigns (None for anything else)."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return top.name
+    return getattr(top.targets[0], "id", None) if isinstance(top, ast.Assign) else None
+
+
+def _contractions(tree):
+    """(owner, kind) of every ``@`` and every mention of einsum, by the
+    top-level statement it sits in."""
+    found = []
+    for top in tree.body:
+        for n in ast.walk(top):
+            if isinstance(getattr(n, "op", None), ast.MatMult):
+                found.append((_owner(top), "@"))
+        if "einsum" in _references(top):
+            found.append((_owner(top), "einsum"))
+    return found
+
+
+def test_one_way_to_contract():
+    # every other product of 2x2 stacks and 2-vectors is matmul2, matvec or
+    # amplitude_inner; the Cayley table's own build stays as its oracle
+    found = [(path.name, *c) for path in sorted(PACKAGE.rglob("*.py"))
+             for c in _contractions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("multivector.py", "_CAYLEY", "@"),
+                     ("multivector.py", "geometric_product", "@")]

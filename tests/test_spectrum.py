@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor.momenta import rashba
-from bispinor.multivector import deformation_omega
+from bispinor.multivector import amplitude_inner, deformation_omega
 from bispinor.spectrum import (
-    amplitude_inner,
     continuity_residual,
     eigen_amplitudes,
     eigenvalue_oracle,
