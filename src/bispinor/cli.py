@@ -4,8 +4,8 @@ Subcommands:
   verify    run the full check registry, print one line per check; with
             --out also write the machine-readable JSON report
   report    the same code path as verify (JSON only with --out)
-  spectrum  export the eigenvalue sweep as CSV/JSON
-  texture   export the spin-texture field as CSV/JSON
+  spectrum  export the eigenvalue sweep as CSV/JSON (--format)
+  texture   export the spin-texture field as CSV/JSON (--format)
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage/config error
 (an export too large to allocate included).
@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
+        if name in ("spectrum", "texture"):
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                           default="csv")
     return parser
 
 

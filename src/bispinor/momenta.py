@@ -7,7 +7,8 @@ charge), evaluated over leading batch axes of p, gamma and the shifts alike.
 Each operator is a multivector, a scalar s plus a vector v, which it hands
 straight to :func:`~bispinor.multivector.pauli_matrix` at gamma.
 
-The SUSY structure over the two Rashba sectors R^+ (beta) and R^- (-beta)
+The SUSY structure over the two Rashba sectors R^+ (beta) and R^- (-beta),
+:func:`rashba` at beta and at -beta (beta alone carries the sector),
 is a set of identities between the 2x2 Clifford momenta P^B and P^A (the
 factors :func:`rashba_shifts` gives).  The 4x4 supercharges
 Theta+ = [[0, P^B], [0, 0]] / sqrt 2 and Theta- = [[0, 0], [P^A, 0]] / sqrt 2
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import in_plane, pauli_matrix, stack_variants
+from .multivector import in_plane, pauli_matrix
 
 # The 2x2 factors of the linearization: L = L' = ELL (x) 1 and N = N' = NU (x) 1.
 ELL = np.array([[0.0, 0.0], [-1j, 0.0]])        # -i E21
@@ -52,15 +53,6 @@ def _pad3(p) -> np.ndarray:
     """Momenta (..., 2) as (..., 3), the third component 0."""
     p = in_plane(p, "momentum")
     return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
-
-
-def _branch_sign(branch):
-    """The branch of rashba(sign=) and magnetic(branch=), once checked to be
-    +1, -1 or an array of them."""
-    if not (branch in (1, -1) if np.isscalar(branch)
-            else np.logical_or(branch == 1, branch == -1).all()):
-        raise ValueError(f"branch sign must be +1 or -1, got {branch!r}")
-    return branch
 
 
 def clifford_momentum(gamma, shift, p) -> np.ndarray:
@@ -96,34 +88,27 @@ def rashba_shifts(beta):
     """The left and right shifts of R^+, those of P^B and P^A, stacked
     (2, ..., 3): B = +i(0, 0, beta), A = -i(0, 0, beta), the zero-field
     magnetic shifts."""
-    return magnetic_shifts(beta, (0.0, 0.0), 1)
+    return magnetic_shifts(beta, (0.0, 0.0))
 
 
-def rashba(gamma, beta, p, *, sign: int = 1) -> np.ndarray:
-    """The deformed Rashba Hamiltonian R^sign_gamma(p) = (1/2) P^B P^A,
+def rashba(gamma, beta, p) -> np.ndarray:
+    """The deformed Rashba Hamiltonian R_gamma(p) = (1/2) P^B P^A,
     (..., 2, 2) for broadcastable gamma, beta (...) and momenta p (..., 2):
     the zero-field magnetic Hamiltonian.
 
-    sign=-1 flips beta; an array of signs broadcasts with beta.  The adjoint
-    of the +gamma operator equals the -gamma one entrywise.
+    The sector lives in beta: R^+ is rashba(gamma, beta, p) and its SUSY
+    partner R^- = (1/2) P^A P^B is rashba(gamma, -beta, p).  The adjoint of
+    the +gamma operator equals the -gamma one entrywise.
     """
-    return magnetic(gamma, beta, (0.0, 0.0), 0.0, p, branch=sign)
+    return magnetic(gamma, beta, (0.0, 0.0), 0.0, p)
 
 
-def rashba_signs(gamma, beta, p) -> np.ndarray:
-    """R^+ and R^- stacked (2, ..., 2, 2) from one :func:`rashba` call over
-    both signs; each slice equals its single-sign call bit for bit."""
-    ndim = np.broadcast(gamma, beta, np.asarray(p)[..., 0]).ndim
-    return rashba(gamma, beta, p, sign=stack_variants((1, -1), ndim))
-
-
-def magnetic_shifts(beta, a_vec, branch):
+def magnetic_shifts(beta, a_vec):
     """The left and right shifts of the magnetic Hamiltonian, stacked
-    (2, ..., 3): the gauge shift a_vec (..., 2) in plane and +-i branch beta
-    on the third component; branch is +1, -1 or an array of them that
-    broadcasts with beta."""
+    (2, ..., 3): the gauge shift a_vec (..., 2) in plane and +-i beta on the
+    third component; beta (...) broadcasts with a_vec."""
     a_vec = in_plane(a_vec, "gauge shift")
-    shift3 = 1j * np.asarray(beta) * _branch_sign(branch)
+    shift3 = 1j * np.asarray(beta)
     shifts = np.empty((2,) + np.broadcast(a_vec[..., 0], shift3).shape + (3,), dtype=complex)
     shifts[..., :2] = a_vec
     shifts[0, ..., 2] = shift3
@@ -131,25 +116,24 @@ def magnetic_shifts(beta, a_vec, branch):
     return shifts
 
 
-def magnetic(gamma, beta, a_vec, b3, p, *, branch: int = 1) -> np.ndarray:
+def magnetic(gamma, beta, a_vec, b3, p) -> np.ndarray:
     """Rashba Hamiltonian with a constant in-plane gauge shift and Zeeman term,
 
-    H^branch = (1/2)[(p1+A1)^2 + (p2+A2)^2 + beta^2]
-               + branch beta [(p2+A2) e1 - (p1+A1) e2] + B3 e3,
+    H = (1/2)[(p1+A1)^2 + (p2+A2)^2 + beta^2]
+        + beta [(p2+A2) e1 - (p1+A1) e2] + B3 e3,
 
     the real closed form of (1/2) P_l P_r + B3 e3 for the two shifted
-    Clifford momenta l, r = p + A +- i branch beta e3 (their shifts are
-    :func:`magnetic_shifts`), handed to pauli_matrix as s and v.  At
-    B3 = 0 it has the bits of :func:`momentum_product` of those shifts on
-    finite inputs whose products do not overflow.  gamma, beta and B3
-    (...), a_vec (..., 2) and momenta p (..., 2) broadcast; the result is
-    (..., 2, 2).
+    Clifford momenta l, r = p + A +- i beta e3 (their shifts are
+    :func:`magnetic_shifts`), handed to pauli_matrix as s and v.  The sector
+    lives in beta: -beta swaps l and r.  At B3 = 0 it has the bits of
+    :func:`momentum_product` of those shifts on finite inputs whose products
+    do not overflow.  gamma, beta and B3 (...), a_vec (..., 2) and momenta
+    p (..., 2) broadcast; the result is (..., 2, 2).
     """
     q = in_plane(p, "momentum") + in_plane(a_vec, "gauge shift")
     u, w = q[..., 0], q[..., 1]
     beta = np.asarray(beta, dtype=float)
-    b_beta = _branch_sign(branch) * beta
     # + 0.0 turns a -0 in v1 into +0, as the product form's + 0j does; with
     # v1 at +0, a -0 in v2 or v3 does not reach the matrix
-    return pauli_matrix(0.5 * (u * u + w * w + beta * beta), b_beta * w + 0.0,
-                        -b_beta * u, np.asarray(b3, dtype=float), gamma)
+    return pauli_matrix(0.5 * (u * u + w * w + beta * beta), beta * w + 0.0,
+                        -beta * u, np.asarray(b3, dtype=float), gamma)

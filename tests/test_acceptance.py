@@ -20,7 +20,6 @@ from bispinor.momenta import (
     clifford_momentum,
     rashba,
     rashba_shifts,
-    rashba_signs,
 )
 from bispinor.multivector import (
     E13,
@@ -135,8 +134,8 @@ def test_criterion_05_pseudo_hermiticity():
     worst = 0.0
     for g, beta, p in _sweep(rng):
         for gg in (g, -g):
-            for sign in (1, -1):
-                h_minus_p, h_p = (rashba(gg, beta, q, sign=sign) for q in (-p, p))
+            for b in (beta, -beta):
+                h_minus_p, h_p = (rashba(gg, b, q) for q in (-p, p))
                 worst = max(worst, pseudo_hermitian_residual(h_minus_p, h_p))
         adj = rashba(g, beta, p).conj().T
         worst = max(worst, float(np.abs(adj - rashba(-g, beta, p)).max()))
@@ -221,7 +220,7 @@ def test_criterion_09_susy():
     worst = 0.0
     for g, beta, p in _sweep(rng, 50):
         p_b, p_a = clifford_momentum(g, rashba_shifts(beta), p)
-        r_plus, r_minus = rashba_signs(g, beta, p)
+        r_plus, r_minus = rashba(g, beta, p), rashba(g, -beta, p)
         # residuals measured relative to the operator scale, which grows
         # like |p|^2 over the sweep
         scale = max(1.0, float(np.abs(r_plus).max()), float(np.abs(r_minus).max()))

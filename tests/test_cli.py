@@ -161,6 +161,12 @@ class TestVerify:
     def test_non_integer_count_is_usage_error(self, command, option, capsys):
         assert exit_code([command, option], capsys) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_format_is_an_export_option(self, command, capsys):
+        # the reports have one text form and one JSON form (--out); a
+        # --format they would ignore is refused
+        assert exit_code([command, "--format=json"], capsys) == 2
+
     @pytest.mark.parametrize("command", ["verify", "spectrum", "texture"])
     def test_infinite_grid_width_is_usage_error(self, command, capsys):
         # both bounds are finite, but hi - lo overflows to inf

@@ -393,14 +393,13 @@ def explicit_product(left_shift, right_shift, p):
     return coeffs
 
 
-def explicit_magnetic(beta, a_vec, b3, p, branch):
+def explicit_magnetic(beta, a_vec, b3, p):
     """The 8 coefficients of the magnetic Hamiltonian's closed form: the
     scalar ((p1+A1)^2 + (p2+A2)^2 + beta^2) / 2 and the vector
-    (b beta (p2+A2), -b beta (p1+A1), B3)."""
+    (beta (p2+A2), -beta (p1+A1), B3)."""
     q = p + a_vec
-    b_beta = branch * beta
     scalar = 0.5 * (q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1] + beta * beta)
-    vector = (b_beta * q[..., 1], -b_beta * q[..., 0], b3)
+    vector = (beta * q[..., 1], -beta * q[..., 0], b3)
     coeffs = np.zeros(np.broadcast_shapes(scalar.shape, *(np.shape(v) for v in vector)) + (8,))
     coeffs[..., 0] = scalar
     coeffs[..., 1], coeffs[..., 2], coeffs[..., 3] = vector
@@ -474,44 +473,42 @@ below_overflow = st.floats(-1e150, 1e150)
 
 
 @EXAMPLES
-@given(broadcastable(5).flatmap(lambda shapes: st.tuples(
+@given(broadcastable(4).flatmap(lambda shapes: st.tuples(
     hnp.arrays(np.float64, shapes.input_shapes[0], elements=st.floats(-0.99, 0.99)),
     hnp.arrays(np.float64, shapes.input_shapes[1], elements=below_overflow),
     hnp.arrays(np.float64, shapes.input_shapes[2] + (2,), elements=below_overflow),
-    hnp.arrays(np.float64, shapes.input_shapes[3] + (2,), elements=below_overflow),
-    hnp.arrays(np.int64, shapes.input_shapes[4], elements=st.sampled_from([1, -1])))))
+    hnp.arrays(np.float64, shapes.input_shapes[3] + (2,), elements=below_overflow))))
 @example((np.array([0.3]), np.array([-0.0, 0.0]), np.array([[-0.0, 0.0]]),
-          np.array([[0.0, -0.0], [-0.0, -0.0]]), np.array([1, -1])))
+          np.array([[0.0, -0.0], [-0.0, -0.0]])))
 def test_rashba_and_magnetic_are_the_product_of_their_factors(operands):
     """rashba, and magnetic at B3 = 0, give the bits of momentum_product
-    of their two factors' shifts.  On inputs whose squares overflow, the
-    closed form's diagonal reads inf where the complex product's also has a
-    NaN imaginary part (0 * inf); both are non-finite, so a check over them
-    still FAILs."""
-    gamma, beta, a_vec, p, branch = operands
-    got = magnetic(gamma, beta, a_vec, 0.0, p, branch=branch)
-    want = momentum_product(gamma, *magnetic_shifts(beta, a_vec, branch), p)
+    of their two factors' shifts, in both sectors (beta of either sign).
+    On inputs whose squares overflow, the closed form's diagonal reads inf
+    where the complex product's also has a NaN imaginary part (0 * inf);
+    both are non-finite, so a check over them still FAILs."""
+    gamma, beta, a_vec, p = operands
+    got = magnetic(gamma, beta, a_vec, 0.0, p)
+    want = momentum_product(gamma, *magnetic_shifts(beta, a_vec), p)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    got = rashba(gamma, beta, p, sign=branch)
-    want = momentum_product(gamma, *magnetic_shifts(beta, (0.0, 0.0), branch), p)
+    got = rashba(gamma, beta, p)
+    want = momentum_product(gamma, *magnetic_shifts(beta, (0.0, 0.0)), p)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @EXAMPLES
-@given(broadcastable(6).flatmap(lambda shapes: st.tuples(
+@given(broadcastable(5).flatmap(lambda shapes: st.tuples(
     hnp.arrays(np.float64, shapes.input_shapes[0], elements=st.floats(-0.99, 0.99)),
     hnp.arrays(np.float64, shapes.input_shapes[1], elements=below_overflow),
     hnp.arrays(np.float64, shapes.input_shapes[2] + (2,), elements=below_overflow),
     hnp.arrays(np.float64, shapes.input_shapes[3], elements=below_overflow),
-    hnp.arrays(np.float64, shapes.input_shapes[4] + (2,), elements=below_overflow),
-    hnp.arrays(np.int64, shapes.input_shapes[5], elements=st.sampled_from([1, -1])))))
-# a -0 in b beta (p2 + A2) that reaches the (0, 1) entry once B3 is nonzero
+    hnp.arrays(np.float64, shapes.input_shapes[4] + (2,), elements=below_overflow))))
+# a -0 in beta (p2 + A2) that reaches the (0, 1) entry once B3 is nonzero
 @example((np.array([0.3]), np.array([1.0]), np.array([[0.0, -0.0]]), np.array([-0.0, 1.0]),
-          np.array([[0.5, -0.0]]), np.array([1])))
+          np.array([[0.5, -0.0]])))
 def test_magnetic_is_the_map_of_its_coefficients(operands):
     """At any B3, magnetic gives the bits to_matrix gives for its closed
     form's coefficients, every -0 among them made +0 as the map does."""
-    gamma, beta, a_vec, b3, p, branch = operands
-    got = magnetic(gamma, beta, a_vec, b3, p, branch=branch)
-    want = to_matrix(explicit_magnetic(beta, a_vec, b3, p, branch), gamma)
+    gamma, beta, a_vec, b3, p = operands
+    got = magnetic(gamma, beta, a_vec, b3, p)
+    want = to_matrix(explicit_magnetic(beta, a_vec, b3, p), gamma)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -88,11 +88,11 @@ class TestRashba:
             assert np.abs(lhs - rhs).max() < TOL
 
     def test_sign_flips_beta(self):
+        # R^- = (1/2) P^A P^B, the SUSY partner of R^+, is R^+ at -beta
         g, beta = 0.5, 1.1
         p = np.array([0.4, 0.9])
-        minus = rashba(g, beta, p, sign=-1)
-        flipped = rashba(g, -beta, p)
-        assert np.abs(minus - flipped).max() < TOL
+        p_b, p_a = clifford_momentum(g, rashba_shifts(beta), p)
+        assert np.abs(rashba(g, -beta, p) - 0.5 * p_a @ p_b).max() < TOL
 
     def test_beta_zero_is_free(self):
         p = np.array([2.0, -1.0])
@@ -124,9 +124,9 @@ class TestMagnetic:
     def test_zero_field_reduces_to_rashba(self):
         g, beta = 0.45, 1.2
         p = np.array([0.8, -0.3])
-        for sign in (1, -1):
-            h = magnetic(g, beta, (0.0, 0.0), 0.0, p, branch=sign)
-            assert np.abs(h - rashba(g, beta, p, sign=sign)).max() < TOL
+        for b in (beta, -beta):
+            h = magnetic(g, b, (0.0, 0.0), 0.0, p)
+            assert np.abs(h - rashba(g, b, p)).max() < TOL
 
     def test_zeeman_only(self):
         p = np.array([1.0, 1.0])
@@ -141,12 +141,12 @@ class TestMagnetic:
             a_vec = rng.normal(size=2)
             b3 = float(rng.normal())
             p = rng.uniform(-3, 3, size=2)
-            for sign in (1, -1):
-                left, right = magnetic_shifts(beta, a_vec, sign)
+            for b in (beta, -beta):
+                left, right = magnetic_shifts(b, a_vec)
                 e3 = deformed_generators(g)[3]
                 want = (0.5 * clifford_momentum(g, left, p) @ clifford_momentum(g, right, p)
                         + b3 * e3)
-                h = magnetic(g, beta, a_vec, b3, p, branch=sign)
+                h = magnetic(g, b, a_vec, b3, p)
                 assert np.abs(h - want).max() < 1e-11
 
 
@@ -207,8 +207,8 @@ class TestGeneratorCache:
         g, p = np.array([0.0, 0.4, -0.7]), np.array([[0.3, -1.2], [2.0, 0.5], [-0.8, 0.1]])
         shift = (0.2, -0.1, 0.5j)
         calls = {
-            "rashba": lambda: rashba(g, 1.3, p, sign=-1),
-            "magnetic": lambda: magnetic(g, 0.8, (0.3, -0.2), 0.5, p, branch=-1),
+            "rashba": lambda: rashba(g, -1.3, p),
+            "magnetic": lambda: magnetic(g, -0.8, (0.3, -0.2), 0.5, p),
             "clifford_momentum": lambda: clifford_momentum(g, shift, p),
             "momentum_product": lambda: momentum_product(g, shift, (0.0, 1.0, -0.5j), p),
         }
@@ -221,18 +221,3 @@ class TestGeneratorCache:
         monkeypatch.setattr("bispinor.multivector.deformed_generators", no_stack)
         for name, call in calls.items():
             assert np.array_equal(call(), want[name]), name
-
-
-SIGNED_ENTRY_POINTS = {
-    "rashba": lambda s: rashba(0.3, 1.0, (0.5, -0.3), sign=s),
-    "magnetic": lambda s: magnetic(0.3, 1.0, (0.2, 0.1), 0.4, (0.5, -0.3), branch=s),
-}
-
-
-@pytest.mark.parametrize("s", [0, 2, -2])
-@pytest.mark.parametrize("entry", list(SIGNED_ENTRY_POINTS))
-def test_branch_sign_must_be_plus_or_minus_one(entry, s):
-    # rashba(sign=), through magnetic, and magnetic(branch=) share the one
-    # validator, momenta._branch_sign, which magnetic_shifts also calls
-    with pytest.raises(ValueError, match=rf"branch sign must be \+1 or -1, got {s}"):
-        SIGNED_ENTRY_POINTS[entry](s)

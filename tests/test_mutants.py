@@ -43,16 +43,16 @@ def time_reversal_without_conjugation(m):
     return multivector.time_reverse_matrix(np.conj(m))
 
 
-def rashba_with_stray_zeeman(gamma, beta, p, *, sign=1):
-    return momenta.magnetic(gamma, beta, (0.0, 0.0), 0.3, p, branch=sign)
+def rashba_with_stray_zeeman(gamma, beta, p):
+    return momenta.magnetic(gamma, beta, (0.0, 0.0), 0.3, p)
 
 
-def magnetic_with_v1_and_v2_swapped(gamma, beta, a_vec, b3, p, *, branch=1):
+def magnetic_with_v1_and_v2_swapped(gamma, beta, a_vec, b3, p):
     # the closed form with the e1 and e2 coefficients trading places
     q = np.asarray(p) + a_vec
-    b_beta = branch * np.asarray(beta)
-    return _pauli_matrix(0.5 * (q[..., 0] ** 2 + q[..., 1] ** 2 + b_beta ** 2),
-                         -b_beta * q[..., 0], b_beta * q[..., 1], b3, gamma)
+    beta = np.asarray(beta)
+    return _pauli_matrix(0.5 * (q[..., 0] ** 2 + q[..., 1] ** 2 + beta ** 2),
+                         -beta * q[..., 0], beta * q[..., 1], b3, gamma)
 
 
 def map_with_gamma_mirrored(s, v1, v2, v3, gamma=0.0):
@@ -124,9 +124,9 @@ def rashba_shifts_swapped(beta):
     return _rashba_shifts(beta)[::-1]
 
 
-def magnetic_shifts_without_branch(beta, a_vec, branch):
-    # every branch, a stacked array of them too, becomes +1
-    return _magnetic_shifts(beta, a_vec, np.ones_like(branch))
+def magnetic_shifts_without_branch(beta, a_vec):
+    # the shifts drop the sign of beta, so both sectors get those of +|beta|
+    return _magnetic_shifts(np.abs(beta), a_vec)
 
 
 MUTANTS = {
@@ -182,7 +182,7 @@ MUTANTS = {
                           matvec_transposed),
     "inner_without_conjugation": ("ideal.inner_products", "c1_inner", checks, "amplitude_inner",
                                   inner_without_conjugation),
-    # the branch of the shifts the closed form is checked against
+    # the sector, the sign of beta, of the shifts the closed form is checked against
     "magnetic_shifts_without_branch": ("momenta.magnetic_consistency", "branch_minus", momenta,
                                        "magnetic_shifts", magnetic_shifts_without_branch),
     # the closed form behind rashba and magnetic, against the product of the

@@ -4,8 +4,10 @@ through multivector.time_reverse_matrix, and none takes a conjugate
 transpose except through multivector.reversion_matrix.  The one adjoint,
 Clifford conjugation (the T-pseudo-adjoint), is the closed-form
 multivector.clifford_conjugation_matrix, and the only composition of two
-involution maps is time reversal, its reversion.  Every public function of
-the package has a caller in the package.  The library's operators are 2x2:
+involution maps is time reversal, its reversion.  No public physics
+function takes a keyword-only option: a variant is a value of its inputs.
+Every public function of the package has a caller in the package.  The
+library's operators are 2x2:
 no module builds a (..., 4, 4) array, and it contracts 2x2 stacks and
 2-vectors in one way, the closed forms of multivector (matmul2, matvec,
 amplitude_inner): no einsum anywhere, and ``@`` only in geometric_product's
@@ -28,6 +30,17 @@ def test_physics_module_is_plain_functions(module):
     imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert classes == []
     assert not any(name and name.split(".")[0] == "dataclasses" for name in imported)
+
+
+@pytest.mark.parametrize("module", PHYSICS)
+def test_variants_are_values_of_the_inputs(module):
+    # an operator's variants (the Rashba sector is the sign of beta) are
+    # values of its inputs, not keyword-only options
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    options = [f"{top.name}({arg.arg}=)" for top in tree.body
+               if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+               for arg in top.args.kwonlyargs]
+    assert options == []
 
 
 def _name(func):

@@ -21,3 +21,14 @@ def test_overflowing_momenta_fail():
     for test_id in ("spectrum.eigen_identity", "timereversal.pseudo_hermiticity",
                     "momenta.isospectrality", "momenta.factorization", "susy.algebra"):
         assert status[test_id] == "fail", test_id
+
+
+def test_non_finite_residuals_fail_at_any_tolerance():
+    # tolerance * multiplier overflows to inf at tol = 1e308, and inf <= inf;
+    # a residual that is not finite must fail all the same
+    cfg = SuiteConfig(p1_range=(-1e160, 1e160), p2_range=(-1e160, 1e160), tolerance=1e308)
+    with np.errstate(all="ignore"):
+        report = run_all(cfg)
+    unbounded = [e for e in report.entries if not np.isfinite(e.max_residual)]
+    assert unbounded
+    assert [e.test_id for e in unbounded if e.status != "fail"] == []

@@ -68,12 +68,14 @@ def assert_stacked(batched, singles, scale):
 
 @st.composite
 def rashba_inputs(draw):
-    """(gamma, beta, p) stacks and the scale of the Hamiltonian entries."""
+    """(gamma, beta, p) stacks and the scale of the Hamiltonian entries; beta
+    takes both signs, |beta| in [0.1, 4], so both Rashba sectors are drawn."""
     n = draw(sizes)
     g = draw(stack((n,), -0.95, 0.95))
-    b = draw(stack((n,), 0.1, 4.0))
+    signs = draw(arrays(np.float64, (n,), elements=st.sampled_from([1.0, -1.0])))
+    b = draw(stack((n,), 0.1, 4.0)) * signs
     p = draw(stack((n, 2), -5.0, 5.0))
-    scale = (1.0 + np.abs(p).max() + b.max()) ** 2 / (1.0 - np.abs(g).max() ** 2)
+    scale = (1.0 + np.abs(p).max() + np.abs(b).max()) ** 2 / (1.0 - np.abs(g).max() ** 2)
     return g, b, p, scale
 
 
@@ -131,9 +133,8 @@ def test_clifford_momentum_and_product(inputs, data):
 @given(rashba_inputs())
 def test_rashba_evaluate(inputs):
     g, b, p, scale = inputs
-    for sign in (1, -1):
-        singles = [rashba(x, y, q, sign=sign) for x, y, q in zip(g, b, p)]
-        assert_stacked(rashba(g, b, p, sign=sign), singles, scale)
+    singles = [rashba(x, y, q) for x, y, q in zip(g, b, p)]
+    assert_stacked(rashba(g, b, p), singles, scale)
 
 
 @EXAMPLES
@@ -142,9 +143,8 @@ def test_magnetic_evaluate(inputs, data):
     g, b, p, scale = inputs
     a_vec = data.draw(stack(p.shape, -2.0, 2.0))
     b3 = data.draw(stack(b.shape, -2.0, 2.0))
-    for branch in (1, -1):
-        singles = [magnetic(*args, branch=branch) for args in zip(g, b, a_vec, b3, p)]
-        assert_stacked(magnetic(g, b, a_vec, b3, p, branch=branch), singles, 4 * scale)
+    singles = [magnetic(*args) for args in zip(g, b, a_vec, b3, p)]
+    assert_stacked(magnetic(g, b, a_vec, b3, p), singles, 4 * scale)
 
 
 @EXAMPLES

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba, rashba_signs
+from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba
 from bispinor.multivector import mat2, stack_variants, to_matrix
 from bispinor.spectrum import eigen_amplitudes, phi_angles
 
@@ -81,9 +81,9 @@ def assert_slices_equal(stacked, separate):
         assert piece.shape == want.shape and piece.tobytes() == want.tobytes()
 
 
-def check_stacking(fn, call, **kwargs):
+def check_stacking(fn, call):
     operands, parts = call
-    assert_slices_equal(fn(*operands, **kwargs), [fn(*part, **kwargs) for part in parts])
+    assert_slices_equal(fn(*operands), [fn(*part) for part in parts])
 
 
 @EXAMPLES
@@ -104,25 +104,17 @@ def test_momentum_product(call):
     check_stacking(momentum_product, call)
 
 
-@EXAMPLES
-@given(variant_call(["gamma", "beta", "p"]), st.sampled_from([1, -1]))
-def test_rashba(call, sign):
-    check_stacking(rashba, call, sign=sign)
-
-
+# beta spans [-4, 4]: a stack over beta holds both Rashba sectors
 @EXAMPLES
 @given(variant_call(["gamma", "beta", "p"]))
-def test_rashba_signs(call):
-    # both signs from one call over a stacked sign, each as its own call
-    operands, _ = call
-    assert_slices_equal(rashba_signs(*operands),
-                        [rashba(*operands, sign=sign) for sign in (1, -1)])
+def test_rashba(call):
+    check_stacking(rashba, call)
 
 
 @EXAMPLES
-@given(variant_call(["gamma", "beta", "a_vec", "field", "p"]), st.sampled_from([1, -1]))
-def test_magnetic(call, branch):
-    check_stacking(magnetic, call, branch=branch)
+@given(variant_call(["gamma", "beta", "a_vec", "field", "p"]))
+def test_magnetic(call):
+    check_stacking(magnetic, call)
 
 
 @EXAMPLES

@@ -9,7 +9,7 @@ eigenvectors from one sector to the other.
 
 import numpy as np
 
-from bispinor.momenta import clifford_momentum, rashba, rashba_shifts, rashba_signs
+from bispinor.momenta import clifford_momentum, rashba, rashba_shifts
 from bispinor.multivector import clifford_conjugation_matrix, matmul2
 from bispinor.spectrum import eigenvalues
 
@@ -35,7 +35,7 @@ def lambda_minus_block(g, beta, p):
 def intertwining(g, beta, p):
     """Residuals of R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+, with
     (P^B)^#(p) the Clifford conjugate of P^B(-p)."""
-    r_plus, r_minus = rashba_signs(g, beta, p)
+    r_plus, r_minus = rashba(g, beta, p), rashba(g, -beta, p)
     p_b, p_b_minus_p = clifford_momentum(g, rashba_shifts(beta)[0], np.array([p, -p]))
     p_b_sharp = clifford_conjugation_matrix(p_b_minus_p)
     return (np.abs(matmul2(r_plus, p_b) - matmul2(p_b, r_minus)).max(),
@@ -56,7 +56,7 @@ class TestAlgebra:
         for g, beta, p in _cases(rng, 30):
             upper, lower = susy_blocks(g, beta, p)
             assert np.abs(upper - rashba(g, beta, p)).max() < 1e-11
-            assert np.abs(lower - rashba(g, beta, p, sign=-1)).max() < 1e-11
+            assert np.abs(lower - rashba(g, -beta, p)).max() < 1e-11
 
 
 class TestSpectrum:
@@ -83,7 +83,7 @@ class TestPseudoSusy:
             p_b = momenta_pair(g, beta, p)[0]
             lam = lambda_minus_block(g, beta, p)
             assert np.abs(0.5 * matmul2(p_b, lam) - rashba(g, beta, p)).max() < 1e-11
-            assert np.abs(0.5 * matmul2(lam, p_b) - rashba(g, beta, p, sign=-1)).max() < 1e-11
+            assert np.abs(0.5 * matmul2(lam, p_b) - rashba(g, -beta, p)).max() < 1e-11
 
     def test_lambda_minus_is_pseudo_adjoint_of_lambda_plus(self):
         g, beta = 0.6, 1.3

@@ -9,9 +9,10 @@ evaluates (behind :func:`~bispinor.multivector.to_matrix`), for symbolic
 complex s and v, and that the closed form at s = l.r / 2 and
 v = (i/2) l x r is (1/2) P_l P_r, the product of the two shifted Clifford
 momenta that :func:`bispinor.momenta.momentum_product` evaluates.  For
-symbolic p, A, beta, B3 and each branch b = +-1, it proves that
-(1/2) P_l P_r + B3 e3^gamma with l, r = p + A +- i b beta e3 is the real
-closed form :func:`bispinor.momenta.magnetic` evaluates (and
+symbolic p, A, B3 and real beta of either sign (the sign of beta is the
+Rashba sector), it proves that (1/2) P_l P_r + B3 e3^gamma with
+l, r = p + A +- i beta e3 is the real closed form
+:func:`bispinor.momenta.magnetic` evaluates (and
 :func:`~bispinor.momenta.rashba` at A = 0, B3 = 0).
 
 For symbolic 2x2 blocks P^A and P^B, sympy also proves that the supercharges
@@ -48,8 +49,8 @@ from bispinor.momenta import (
     clifford_momentum,
     magnetic,
     momentum_product,
+    rashba,
     rashba_shifts,
-    rashba_signs,
 )
 from bispinor.multivector import clifford_conjugation_matrix, deformed_generators, to_matrix
 
@@ -172,23 +173,25 @@ P1, P2, BETA = sp.symbols("p1 p2 beta", real=True)
 A1, A2, B3 = sp.symbols("a1 a2 b3", real=True)    # the gauge shift A and the Zeeman term
 
 
-def magnetic_product(branch) -> sp.Matrix:
-    """(1/2) P_l P_r + B3 e3^gamma with l, r = p + A +- i branch beta e3."""
+def magnetic_product() -> sp.Matrix:
+    """(1/2) P_l P_r + B3 e3^gamma with l, r = p + A +- i beta e3."""
     u, w = P1 + A1, P2 + A2
-    return (product_form((u, w, sp.I * branch * BETA), (u, w, -sp.I * branch * BETA))
-            + B3 * similarity(PAULI[2]))
+    return product_form((u, w, sp.I * BETA), (u, w, -sp.I * BETA)) + B3 * similarity(PAULI[2])
 
 
-def magnetic_closed_form(branch) -> sp.Matrix:
+def magnetic_closed_form() -> sp.Matrix:
     """s = ((p1+A1)^2 + (p2+A2)^2 + beta^2) / 2 and
-    v = (b beta (p2+A2), -b beta (p1+A1), B3)."""
+    v = (beta (p2+A2), -beta (p1+A1), B3)."""
     u, w = P1 + A1, P2 + A2
-    return closed_form_at((u**2 + w**2 + BETA**2) / 2, (branch * BETA * w, -branch * BETA * u, B3))
+    return closed_form_at((u**2 + w**2 + BETA**2) / 2, (BETA * w, -BETA * u, B3))
 
 
-@pytest.mark.parametrize("branch", [1, -1])
-def test_magnetic_is_the_closed_form_of_the_product(branch):
-    assert holds_for_every_theta(magnetic_closed_form(branch) - magnetic_product(branch))
+@pytest.mark.parametrize("sector", [1, -1])
+def test_magnetic_is_the_closed_form_of_the_product(sector):
+    # the sector is the sign of beta: prove each with beta = sector * |beta|
+    size = sp.Symbol("beta_size", positive=True)
+    difference = magnetic_closed_form() - magnetic_product()
+    assert holds_for_every_theta(difference.subs(BETA, sector * size))
 
 
 @pytest.mark.parametrize("gamma, beta, a_vec, b3, p", [(0.0, 1.0, (0.0, 0.0), 0.0, (0.3, -1.2)),
@@ -196,11 +199,11 @@ def test_magnetic_is_the_closed_form_of_the_product(branch):
                                                        (-0.9, -0.6, (-1.1, 0.2), -0.8, (1.5, 1.5))])
 def test_magnetic_matches_the_proof(gamma, beta, a_vec, b3, p):
     half = np.arcsin(gamma) / 2.0
-    for branch in (1, -1):
-        image = sp.lambdify((P1, P2, A1, A2, BETA, B3), magnetic_product(branch).subs(
-            {C: np.cos(half), S: np.sin(half)}))
-        want = np.array(image(*p, *a_vec, beta, b3), dtype=complex)
-        got = magnetic(gamma, beta, a_vec, b3, np.array(p), branch=branch)
+    image = sp.lambdify((P1, P2, A1, A2, BETA, B3), magnetic_product().subs(
+        {C: np.cos(half), S: np.sin(half)}))
+    for b in (beta, -beta):                       # both sectors
+        want = np.array(image(*p, *a_vec, b, b3), dtype=complex)
+        got = magnetic(gamma, b, a_vec, b3, np.array(p))
         scale = 1 + (np.abs(p).max() + np.abs(a_vec).max() + abs(beta)) ** 2 + abs(b3)
         assert np.abs(got - want).max() < 1e-13 * scale / (1 - gamma**2)
 
@@ -251,7 +254,7 @@ def test_supercharges_match_the_proof(gamma, beta, p):
     blocks = (*A_BLOCK, *B_BLOCK)
     want_h = np.array(sp.lambdify(blocks, tp * tm + tm * tp)(*p_a.ravel(), *p_b.ravel()),
                       dtype=complex)
-    r_plus, r_minus = rashba_signs(gamma, beta, np.array(p))
+    r_plus, r_minus = rashba(gamma, np.array([beta, -beta]), np.array(p))
     scale = 1 + np.abs(p_a).max() * np.abs(p_b).max()
     assert np.abs(want_h[:2, :2] - r_plus).max() < 1e-14 * scale / (1 - gamma**2)
     assert np.abs(want_h[2:, 2:] - r_minus).max() < 1e-14 * scale / (1 - gamma**2)

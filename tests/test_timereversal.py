@@ -71,8 +71,8 @@ class TestPseudoHermiticity:
             beta = float(rng.uniform(0.1, 4.0))
             p = rng.uniform(-3, 3, size=2)
             for gg in (g, -g):
-                for sign in (1, -1):
-                    h_minus_p, h_p = (rashba(gg, beta, q, sign=sign) for q in (-p, p))
+                for b in (beta, -beta):
+                    h_minus_p, h_p = (rashba(gg, b, q) for q in (-p, p))
                     assert pseudo_hermitian_residual(h_minus_p, h_p) < TOL
 
     def test_gamma_zero_also_hermitian(self):
