@@ -466,9 +466,7 @@ def check_pseudo_hermiticity(cfg, rng):
 
 def check_kramers(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    _, terms = timereversal.kramers_pairing(g, b, p)      # dual matching at p or -p
-    return {"dual_matching": np.minimum(terms.pop("same_p"), terms.pop("flipped_p")),
-            **terms}, cfg.samples
+    return timereversal.kramers_pairing(g, b, p), cfg.samples
 
 
 def check_noncommutation_witness(cfg, rng):

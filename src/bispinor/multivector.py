@@ -66,16 +66,6 @@ def stacked(parts, axis: int = -1) -> np.ndarray:
     return out
 
 
-def stack_variants(variants, ndim: int, core: int = 0) -> np.ndarray:
-    """Variants of one operand, each of shape (...) + ``core`` trailing
-    axes, stacked on a new leading axis, with unit axes inserted behind it
-    up to ``ndim`` batch axes.  The stack then broadcasts against the other
-    operands of a call (at most ``ndim`` batch axes), so one call evaluates
-    every variant, with the same arithmetic per entry as separate calls."""
-    x = np.array(variants)
-    return x.reshape(x.shape[:1] + (1,) * (ndim + core + 1 - x.ndim) + x.shape[1:])
-
-
 def matmul2(a, b) -> np.ndarray:
     """Products a b of (..., 2, 2) matrices, broadcasting, in closed form:
     entry (i, k) is a_i0 b_0k + a_i1 b_1k, as whole-array operations rather

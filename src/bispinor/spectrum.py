@@ -21,12 +21,12 @@ from .multivector import (
     in_plane,
     mat2,
     matvec,
-    stack_variants,
     stacked,
 )
 
 _SQRT2 = np.sqrt(2.0)
 _T0 = 0.2                # the time at which continuity_residual is evaluated
+_FLIP_GAMMA_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])   # gamma's sign per flip
 
 
 def _xy(p):
@@ -99,7 +99,7 @@ def eigen_amplitudes(phi_plus, phi_minus) -> np.ndarray:
 
     psi_pm = (+-e^{i phi_pm}, 1)/sqrt2,  dual_pm = (+-1, e^{-i phi_mp})/sqrt2.
     """
-    out = np.empty(np.shape(phi_plus) + (4, 2), dtype=complex)
+    out = np.empty(np.broadcast(phi_plus, phi_minus).shape + (4, 2), dtype=complex)
     out[..., 0, 0] = np.exp(1j * phi_plus) / _SQRT2
     out[..., 1, 0] = -np.exp(1j * phi_minus) / _SQRT2
     out[..., :2, 1], out[..., 2:, 0] = 1.0 / _SQRT2, (1.0 / _SQRT2, -1.0 / _SQRT2)
@@ -141,13 +141,13 @@ def flip_relations(gamma, p) -> dict:
     def wrap(x):
         return np.abs(np.angle(np.exp(1j * x)))
 
-    # the angles at (p, g), (-p, g), (p, -g), (-p, -g), (-p1, p2) and (p1, -p2)
-    ndim = np.broadcast(gamma, p[..., 0]).ndim
-    gammas = stack_variants((gamma, gamma, -gamma, -gamma, gamma, gamma), ndim)
-    flipped = stack_variants((p, -p, p, -p, p * [-1.0, 1.0], p * [1.0, -1.0]), ndim, core=1)
+    # the angles at (p, g), (-p, g), (p, -g), (-p, -g), (-p1, p2) and (p1, -p2),
+    # stacked on a trailing axis behind the batch axes of gamma and p
+    gammas = np.asarray(gamma, dtype=float)[..., None] * _FLIP_GAMMA_SIGNS
+    flipped = stacked((p, -p, p, -p, p * [-1.0, 1.0], p * [1.0, -1.0]), axis=-2)
     plus, minus = phi_angles_principal(gammas, flipped)
-    fp, fp_mp, fp_mg, fp_mpmg, fp_m1, fp_m2 = plus
-    fm, fm_mp, fm_mg, fm_mpmg, fm_m1, fm_m2 = minus
+    fp, fp_mp, fp_mg, fp_mpmg, fp_m1, fp_m2 = (plus[..., k] for k in range(6))
+    fm, fm_mp, fm_mg, fm_mpmg, fm_m1, fm_m2 = (minus[..., k] for k in range(6))
 
     res_a = np.maximum.reduce([wrap(fm - fp_mp), wrap(fm - fp_mg),
                                wrap(fp - fm_mp), wrap(fp - fm_mg)])

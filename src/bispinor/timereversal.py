@@ -1,7 +1,7 @@
 """Fermionic time reversal: action on spinors and momentum-space operators,
-pseudo-Hermiticity residuals, time-reversed generators, the Kramers-type
-pairing of eigenspinors and the reversed Schroedinger equation, all in
-closed form.
+pseudo-Hermiticity residuals, time-reversed generators, the Kramers analogue
+T psi_+ = dual_-, T psi_- = -dual_+ at the same momentum label, and the
+reversed Schroedinger equation, all in closed form.
 
 The operator is T = e13 * K with K complex conjugation; on a plane-wave
 spinor it conjugates the amplitudes and applies the e13 matrix
@@ -23,7 +23,6 @@ from .multivector import (
     deformed_generators,
     matvec,
     reversion_matrix,
-    stack_variants,
     stacked,
     time_reverse_matrix,
 )
@@ -80,42 +79,29 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
 
 
 def kramers_pairing(gamma, beta, p):
-    """Match T psi_pm against the dual family (eigenvectors of the adjoint),
-    elementwise over gamma, beta (...) and momenta (..., 2).
+    """Residuals of the Kramers analogue T psi_+ = dual_- and
+    T psi_- = -dual_+, the eigenspinors of R^+_gamma(p) against the duals
+    (eigenvectors of the adjoint) at the same momentum label p, elementwise
+    over gamma, beta (...) and momenta (..., 2).
 
-    At the amplitude level T psi_+ equals +- the dual_- finite part and
-    T psi_- equals +- dual_+; the sign exponent n in the factor (-1)^n is
-    measured per branch.  Returns the exponents (..., 2) of the + and -
-    branch and a dict of residual terms, each (...): 'same_p' and
-    'flipped_p', the matchings against the duals at p and at -p;
+    Returns a dict of residual terms, each (...): 'dual_matching', the
+    largest entry of T psi_pm - (dual_-, -dual_+) over both branches;
     'orthogonality', <T psi | psi> = 0; and 'eigen_identity', that the
     time-reversed state, which lives at -p, is an eigenvector of
     R^+_{-gamma}(-p) = H^dagger(-p) with the same eigenvalue
     (:func:`reversed_schrodinger_residual`).
+
+    The first two read exactly 0: conj(e^{i phi}) and e^{-i phi} round
+    alike (cos is even, sin is odd), and the two products of <T psi | psi>
+    are the same products in the other order.
     """
     p = np.asarray(p, dtype=float)
-    ndim = np.broadcast(gamma, p[..., 0]).ndim
-    amps, flipped = eigen_amplitudes(*phi_angles(stack_variants((gamma, -gamma), ndim),
-                                                 stack_variants((p, -p), ndim, core=1)))
+    amps = eigen_amplitudes(*phi_angles(gamma, p))
     t_psi = reverse_amplitudes(amps[..., :2, :])          # T psi_+, T psi_-
-
-    def match(target):
-        """Sign exponents and residuals of T psi_pm against target rows."""
-        r0 = _maxabs(t_psi - target, -1)
-        r1 = _maxabs(t_psi + target, -1)
-        return np.where(r0 <= r1, 0, 1), np.where(r0 <= r1, r0, r1).max(axis=-1)
-
-    # Matching against the duals carrying the same momentum label p
-    # (dual_-, dual_+), and against the duals of the system at -p.
-    n, same_p = match(amps[..., 3:1:-1, :])
-    _, flipped_p = match(flipped[..., 3:1:-1, :])
-
-    # Orthogonality <T psi | psi> = 0 at amplitude level.
-    ortho = np.abs(amplitude_inner(t_psi, amps[..., :2, :])).max(axis=-1)
-
-    return n, {"same_p": same_p[()], "flipped_p": flipped_p[()],
-               "orthogonality": ortho[()],
-               "eigen_identity": _reversed_eigen_residual(gamma, beta, p, t_psi)}
+    dual_matching = _maxabs(t_psi - [[1.0], [-1.0]] * amps[..., 3:1:-1, :], (-1, -2))
+    ortho = _maxabs(amplitude_inner(t_psi, amps[..., :2, :]), -1)
+    return {"dual_matching": dual_matching, "orthogonality": ortho,
+            "eigen_identity": _reversed_eigen_residual(gamma, beta, p, t_psi)}
 
 
 def noncommutation_witness(gamma, beta, p):
@@ -124,10 +110,10 @@ def noncommutation_witness(gamma, beta, p):
     momenta (..., 2)); nonzero for gamma != 0 (the reason a plain Kramers
     degeneracy argument fails) and zero at gamma = 0."""
     p = np.asarray(p, dtype=float)
-    mirrored = stack_variants((-p, p), np.broadcast(gamma, beta, p[..., 0]).ndim, core=1)
-    h_minus_p, h_p = rashba(gamma, beta, mirrored)
+    h = rashba(np.asarray(gamma)[..., None], np.asarray(beta)[..., None],
+               stacked((-p, p), axis=-2))
     # U conj(H(-p)) U^-1 realizes T^-1 H T at momentum label p
-    return _maxabs(time_reverse_matrix(h_minus_p) - h_p, (-1, -2))
+    return _maxabs(time_reverse_matrix(h[..., 0, :, :]) - h[..., 1, :, :], (-1, -2))
 
 
 def reversed_schrodinger_residual(gamma, beta, p):

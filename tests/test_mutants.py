@@ -29,6 +29,7 @@ _rashba_shifts = momenta.rashba_shifts
 _eigen_amplitudes = spectrum.eigen_amplitudes
 _c2_form = ideal.c2_form
 _matvec = multivector.matvec
+_reverse_amplitudes = timereversal.reverse_amplitudes
 
 
 def spin_without_plane(amps):
@@ -82,6 +83,12 @@ def generators_conjugated(theta):
 def reversal_without_minus(amps):
     c = np.conj(np.asarray(amps, dtype=complex))
     return np.stack([c[..., 1], c[..., 0]], axis=-1)
+
+
+def reversal_negated(amps):
+    # -T is antiunitary and squares to -1 like T; of the time-reversal
+    # checks only the fixed signs of the Kramers analogue tell it apart
+    return -_reverse_amplitudes(amps)
 
 
 def flip_without_conjugation(u):
@@ -163,6 +170,8 @@ MUTANTS = {
     # flip and the inner products
     "reversal_without_minus": ("timereversal.anti_involution", "t_squared", timereversal,
                                "reverse_amplitudes", reversal_without_minus),
+    "reversal_negated": ("timereversal.kramers_analogue", "dual_matching", timereversal,
+                         "reverse_amplitudes", reversal_negated),
     "flip_without_conjugation": ("ideal.flip_consistency", "flip_is_time_reversal", ideal,
                                  "basis_flip", flip_without_conjugation),
     "pseudo_adjoint_without_transpose": ("timereversal.pseudo_hermiticity", "r_plus_gamma",

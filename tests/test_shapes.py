@@ -216,12 +216,11 @@ def test_projectors_and_expectation(inputs):
 @given(rashba_inputs())
 def test_kramers_pairing(inputs):
     g, b, p, scale = inputs
-    n, terms = kramers_pairing(g, b, p)
+    terms = kramers_pairing(g, b, p)
     singles = [kramers_pairing(x, y, q) for x, y, q in zip(g, b, p)]
-    assert np.array_equal(n, [s_n for s_n, _ in singles])
-    assert list(terms) == ["same_p", "flipped_p", "orthogonality", "eigen_identity"]
+    assert list(terms) == ["dual_matching", "orthogonality", "eigen_identity"]
     for name in terms:
-        assert_stacked(terms[name], [s_terms[name] for _, s_terms in singles], scale)
+        assert_stacked(terms[name], [s_terms[name] for s_terms in singles], scale)
 
 
 gamma_stacks = sizes.flatmap(lambda n: stack((n,), -0.99, 0.99))

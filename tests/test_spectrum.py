@@ -246,7 +246,7 @@ class TestContinuity:
         mix = mixture(g, 1.0, [0.6, 0.8], [[0.9, 0.4], [0.3, -0.4]], [0, 1])
         assert continuity_residual(g, 1.0, *mix, self.GRID) < TOL
 
-    def test_same_p2_pair_fails(self):
+    def test_equal_p2_pair_fails(self):
         # at gamma != 0 the identity needs opposite p2; a same-p2 pair
         # misses it by about 0.56 on the registry's grid
         g = 0.6

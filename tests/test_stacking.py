@@ -12,13 +12,15 @@ replaced, scalar entries and inf/NaN included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba
-from bispinor.multivector import mat2, stack_variants, to_matrix
-from bispinor.spectrum import eigen_amplitudes, phi_angles
+from bispinor.multivector import mat2, to_matrix
+from bispinor.spectrum import eigen_amplitudes, flip_relations, phi_angles
+from bispinor.timereversal import kramers_pairing, noncommutation_witness
 
 EXAMPLES = settings(max_examples=60)
 
@@ -124,19 +126,31 @@ def test_phi_angles(call):
 
 
 @EXAMPLES
-@given(variant_call(["angle", "angle"], shared=False))    # the angles do not broadcast
+@given(variant_call(["angle", "angle"]))
 def test_eigen_amplitudes(call):
     check_stacking(eigen_amplitudes, call)
 
 
-def test_stack_variants_lines_up_behind_the_batch_axes():
-    gamma, p = np.array([0.1, 0.2, 0.3]), np.array([1.0, -2.0])
-    assert stack_variants((p, -p), 1, core=1).shape == (2, 1, 2)
-    assert stack_variants((gamma, -gamma), 1).shape == (2, 3)
-    assert stack_variants((0.5, -0.5), 2).shape == (2, 1, 1)
-    plus, _ = phi_angles(gamma, stack_variants((p, -p), 1, core=1))
-    assert plus.shape == (2, 3)
-    assert plus[1].tobytes() == phi_angles(gamma, np.broadcast_to(-p, (3, 2)))[0].tobytes()
+# A library function stacks its variants behind its callers' batch axes.
+# Size 2 is where a stack on a leading axis would line up with gamma instead;
+# the single-gamma calls are 0-d and still give the same bits.
+VARIANT_FAMILIES = {
+    "flip_relations": lambda g, b, p: flip_relations(g, p),
+    "kramers_pairing": kramers_pairing,
+    "noncommutation_witness": lambda g, b, p: {"witness": noncommutation_witness(g, b, p)},
+}
+
+
+@pytest.mark.parametrize("name", list(VARIANT_FAMILIES))
+def test_variants_line_up_behind_the_batch_axes(name):
+    family = VARIANT_FAMILIES[name]
+    gamma, p = np.array([0.3, -0.6]), np.array([1.0, -2.0])
+    terms = family(gamma, 0.8, p)
+    singles = [family(g, 0.8, p) for g in gamma]
+    for term, value in terms.items():
+        assert value.shape == (2,)
+        for got, single in zip(value, singles):
+            assert got.tobytes() == single[term].tobytes()
 
 
 # ------------------------------------------------------------------- mat2

@@ -13,6 +13,7 @@ from bispinor.multivector import (
     deformed_generators,
     time_reverse_matrix,
 )
+from bispinor.spectrum import eigen_amplitudes, phi_angles
 from bispinor.timereversal import (
     generator_reversal,
     kramers_pairing,
@@ -138,23 +139,23 @@ class TestKramers:
         rng = np.random.default_rng(97)
         for _ in range(100):
             g = float(rng.uniform(-0.95, 0.95))
-            beta = float(rng.uniform(0.1, 4.0))
+            beta = float(rng.uniform(0.1, 4.0) * rng.choice([-1.0, 1.0]))
             p = rng.uniform(-3, 3, size=2)
             if np.hypot(*p) < 0.05:
                 continue
-            n, terms = kramers_pairing(g, beta, p)
-            assert min(terms["same_p"], terms["flipped_p"]) < 1e-10
-            assert terms["orthogonality"] < 1e-10 and terms["eigen_identity"] < 1e-10
-            assert set(n) <= {0, 1}
-
-    def test_same_momentum_matching_wins(self):
-        _, terms = kramers_pairing(0.6, 1.0, np.array([1.2, -0.8]))
-        assert terms["same_p"] < 1e-10
+            terms = kramers_pairing(g, beta, p)
+            assert list(terms) == ["dual_matching", "orthogonality", "eigen_identity"]
+            # exact by the docstring's reasons, not to a tolerance
+            assert terms["dual_matching"] == 0.0 and terms["orthogonality"] == 0.0
+            assert terms["eigen_identity"] < 1e-10
 
     def test_sign_pattern(self):
-        n, _ = kramers_pairing(0.3, 1.0, np.array([0.9, 0.4]))
-        # plus branch maps with +, minus branch with -
-        assert tuple(n) == (0, 1)
+        # T psi_+ = dual_- and T psi_- = -dual_+ at the same momentum label,
+        # entry for entry (a zero imaginary part may differ in its sign bit)
+        psi_plus, psi_minus, dual_plus, dual_minus = eigen_amplitudes(
+            *phi_angles(0.3, np.array([0.9, 0.4])))
+        assert np.array_equal(reverse_amplitudes(psi_plus), dual_minus)
+        assert np.array_equal(reverse_amplitudes(psi_minus), -dual_plus)
 
 
 class TestDynamics:
