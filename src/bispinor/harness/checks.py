@@ -397,22 +397,20 @@ def check_associated_expectation(cfg, rng):
 
 
 def check_continuity(cfg, rng):
-    """Two-eigenstate superpositions on which the deformed current identity
-    is exact: arbitrary mixtures at gamma = 0, and opposite-p2 momentum
-    pairs at gamma != 0.  The derivatives are exact, so the residual is
-    rounding only."""
-    grid = [(0.3, -0.2), (1.1, 0.7), (-0.4, 0.9)]
-    # the waves psi_+, psi_- at one momentum (gamma = 0), then psi_+ and
-    # psi_- at momenta with opposite p2 (gamma = 0.6); beta = 1 throughout
-    g = np.array([0.0, 0.0, 0.6, 0.6])
-    p = np.array([[0.8, 0.5], [0.8, 0.5], [0.9, 0.4], [0.3, -0.4]])
-    wave, branch = np.arange(4), np.array([0, 1, 0, 1])
-    amps = eigen_amplitudes(*phi_angles(g, p))[wave, branch]
-    lam = stacked(eigenvalues(1.0, p))[wave, branch]
-    c = np.array([0.7, 0.5j, 0.6, 0.8])
-    cases = {"gamma_zero_mixture": (0.0, slice(0, 2)), "opposite_p2_pair": (0.6, slice(2, 4))}
-    return {name: spectrum.continuity_residual(gamma, 1.0, c[w], amps[w], p[w], lam[w], grid)
-            for name, (gamma, w) in cases.items()}, len(cases)
+    """The pair kernel of the deformed current identity on the two pairs
+    where the paper has it vanish: any two momenta at gamma = 0, and a
+    momentum with a partner of opposite p2 at gamma != 0, each wave on a
+    drawn branch.  The kernel is exact, so the residual is rounding only."""
+    g = np.array([0.0, *_gammas(rng, 1)])                     # (case,)
+    b = _betas(cfg, rng, 2)
+    k = _momenta(cfg, rng, 4).reshape(2, 2, 2)                 # (case, wave, 2)
+    k[1, 1, 1] = -k[1, 0, 1]
+    branch = rng.integers(2, size=(2, 2))
+    amps = np.take_along_axis(eigen_amplitudes(*phi_angles(g[:, None], k)),
+                              branch[..., None, None], axis=-2)[..., 0, :]
+    lam_p, lam_m = eigenvalues(b[:, None], k)
+    residual = spectrum.continuity_residual(g, b, amps, k, np.where(branch, lam_m, lam_p))
+    return {"gamma_zero_mixture": residual[0], "opposite_p2_pair": residual[1]}, 2
 
 
 def check_gamma_zero_limit(cfg, rng):

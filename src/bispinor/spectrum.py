@@ -1,6 +1,7 @@
 """Closed-form spectrum of the deformed Rashba Hamiltonian: eigenvalues,
 bi-orthogonal eigenspinors, projectors, angle (flip) relations, associated
-expectations, spin vectors and the current-density continuity check.
+expectations, spin vectors and the pair kernel of the current-density
+continuity identity.
 
 Spinors are their finite parts, complex amplitude arrays (..., 2), paired by
 multivector.amplitude_inner; the plane-wave factor e^{ip.x} is carried by
@@ -25,7 +26,6 @@ from .multivector import (
 )
 
 _SQRT2 = np.sqrt(2.0)
-_T0 = 0.2                # the time at which continuity_residual is evaluated
 _FLIP_GAMMA_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])   # gamma's sign per flip
 
 
@@ -82,17 +82,6 @@ def phi_angles(gamma, p):
     return np.arctan2(num - num_g, den + den_g), np.arctan2(num + num_g, den - den_g)
 
 
-def phi_angles_principal(gamma, p):
-    """Principal-branch angles tan^-1(num/den), folded into [-pi/2, pi/2).
-
-    The angle relations under momentum and gamma flips hold exactly on this
-    branch (they are tan-level identities); the eigen branch above can differ
-    from it by pi.
-    """
-    return tuple((raw + np.pi / 2.0) % np.pi - np.pi / 2.0
-                 for raw in phi_angles(gamma, p))
-
-
 def eigen_amplitudes(phi_plus, phi_minus) -> np.ndarray:
     """Finite parts of (psi_plus, psi_minus, dual_plus, dual_minus) as the
     rows of a (..., 4, 2) array, elementwise over the angles:
@@ -128,24 +117,27 @@ def projector_matrices(phi_plus, phi_minus):
 
 
 def flip_relations(gamma, p) -> dict:
-    """Residuals (modulo 2 pi) of the angle relations under momentum and
-    gamma flips, evaluated on the principal branch, elementwise over gamma
-    (...) and momenta (..., 2):
+    """Residuals (modulo pi) of the angle relations under momentum and gamma
+    flips, elementwise over gamma (...) and momenta (..., 2):
 
     (a) phi_-+(p, g) = phi_+-(-p, g) = phi_+-(p, -g)
     (b) phi_pm(-p, -g) = phi_pm(p, g)
     (c) phi_pm(-p1, p2) + phi_-+(p1, p2) = 0 = phi_pm(p1, -p2) + phi_pm(p1, p2)
+
+    They are relations between the tangents, and tan is pi-periodic, so they
+    hold modulo pi on any branch; the eigen branch of :func:`phi_angles`,
+    which can differ by pi, is pinned by the eigen-identity instead.
     """
     p = in_plane(p, "momentum")
 
     def wrap(x):
-        return np.abs(np.angle(np.exp(1j * x)))
+        return np.abs(np.angle(np.exp(2j * x))) / 2.0
 
     # the angles at (p, g), (-p, g), (p, -g), (-p, -g), (-p1, p2) and (p1, -p2),
     # stacked on a trailing axis behind the batch axes of gamma and p
     gammas = np.asarray(gamma, dtype=float)[..., None] * _FLIP_GAMMA_SIGNS
     flipped = stacked((p, -p, p, -p, p * [-1.0, 1.0], p * [1.0, -1.0]), axis=-2)
-    plus, minus = phi_angles_principal(gammas, flipped)
+    plus, minus = phi_angles(gammas, flipped)
     fp, fp_mp, fp_mg, fp_mpmg, fp_m1, fp_m2 = (plus[..., k] for k in range(6))
     fm, fm_mp, fm_mg, fm_mpmg, fm_m1, fm_m2 = (minus[..., k] for k in range(6))
 
@@ -178,36 +170,35 @@ def spin_expectations(amps) -> np.ndarray:
     return amplitude_inner(a[..., None, :], matvec(PAULI, a[..., None, :])).real
 
 
-def continuity_residual(gamma: float, beta: float, coefficients, amplitudes, momenta,
-                        energies, sample_grid) -> float:
-    """Residual of d(rho)/dt + div<J> = 0 for a superposition of plane-wave
-    eigenstates of the deformed Rashba model, largest over the points
-    ``sample_grid`` (n, 2) at the time t = 0.2.
+def continuity_residual(gamma, beta, amplitudes, momenta, energies):
+    """|K| of the pair kernel of the continuity identity d(rho)/dt + div<J> = 0
+    of the deformed Rashba current, elementwise over stacked pairs (...).
 
-    The mixture is given as four arrays over its waves: coefficients c (w,),
-    amplitudes a (w, 2), momenta k (w, 2) and energies E (w,), each wave the
-    plane wave c a e^{i(k.x - E t)}; the e^{-ip.x} family is written with
-    momentum -p.
-    The current has the paramagnetic piece Im psi^dagger d_j psi plus the
-    beta-dependent spin piece with weights (-beta sigma2, beta/omega sigma1).
-    A plane-wave sum has exact derivatives, so d(rho)/dt = 2 Re psi^dagger
-    d_t psi, d_j Im psi^dagger d_j psi = Im psi^dagger d_j^2 psi and
-    d_j (psi^dagger A psi) = 2 Re psi^dagger A d_j psi for Hermitian A.
+    A pair is two plane-wave eigenstates a e^{i theta}, b e^{i theta'} with
+    theta = k.x - E t: amplitudes (..., 2, 2), momenta (..., 2, 2) and
+    energies (..., 2), the pair on axis -2 (the e^{-ip.x} family is written
+    with momentum -p).  The current has the paramagnetic piece
+    Im psi^dagger d_j psi plus the spin piece with weights (-beta sigma2,
+    beta/omega sigma1), so for psi = c a e^{i theta} + c' b e^{i theta'}
+
+        d(rho)/dt + div<J> = 2 Re psi^dagger d_t psi + Im psi^dagger lap psi
+            - 2 beta Re psi^dagger sigma2 d_1 psi + (2 beta/omega) Re psi^dagger sigma1 d_2 psi
+          = 2 Re[conj(c) c' e^{i(theta' - theta)} i K],
+
+        K = (E - E' + (|k'|^2 - |k|^2)/2) <a|b> - beta (k'_1 - k_1) <a|sigma2 b>
+            + (beta/omega) (k'_2 - k_2) <a|sigma1 b>,
+
+    whose largest value over x and t is 2 |c| |c'| |K|: the coefficients,
+    the points and the time drop out.  K(w, w) = 0, so the residual of a
+    larger mixture is the sum of its pairs' terms.
     """
-    c = np.asarray(coefficients, dtype=complex)
-    if not c.size:
-        raise ValueError("empty mixture")
-    amps = np.asarray(amplitudes, dtype=complex)
-    k, energy = np.asarray(momenta, dtype=float), np.asarray(energies, dtype=float)
-    x = np.asarray(sample_grid, dtype=float)
-    waves = c[:, None] * amps * np.exp(1j * ((x[:, None] * k).sum(-1) - energy * _T0))[..., None]
-    # per wave: the factors of psi, d_t psi, d_1 psi, d_2 psi and the Laplacian
-    factors = stacked((1.0, -1j * energy, 1j * k[:, 0], 1j * k[:, 1], -(k * k).sum(axis=-1)),
-                      axis=-2)
-    psi, dt_psi, d1_psi, d2_psi, lap_psi = (factors[:, None, :, None] * waves).sum(axis=-2)
-    omega = deformation_omega(gamma)
-    residual = (2.0 * amplitude_inner(psi, dt_psi).real
-                + amplitude_inner(psi, lap_psi).imag
-                - 2.0 * beta * amplitude_inner(psi, matvec(SIGMA2, d1_psi)).real
-                + 2.0 * beta / omega * amplitude_inner(psi, matvec(SIGMA1, d2_psi)).real)
-    return float(np.abs(residual).max())
+    amplitudes, k = np.asarray(amplitudes, dtype=complex), in_plane(momenta, "momentum")
+    energies = np.asarray(energies, dtype=float)
+    a, b = amplitudes[..., 0, :], amplitudes[..., 1, :]
+    dk, k2 = k[..., 1, :] - k[..., 0, :], (k * k).sum(axis=-1)
+    weight = energies[..., 0] - energies[..., 1] + 0.5 * (k2[..., 1] - k2[..., 0])
+    kernel = (weight * amplitude_inner(a, b)
+              - beta * dk[..., 0] * amplitude_inner(a, matvec(SIGMA2, b))
+              + beta / deformation_omega(gamma) * dk[..., 1]
+              * amplitude_inner(a, matvec(SIGMA1, b)))
+    return np.abs(kernel)

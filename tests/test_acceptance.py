@@ -270,8 +270,7 @@ def test_criterion_11_continuity():
     g, beta = 0.4, 1.0
     p = np.array([[1.1, 0.8], [0.6, -0.8]])
     amps = eigen_amplitudes(*phi_angles(g, p))[:, 0]
-    grid = [(0.1 * i, 0.07 * j) for i in range(-2, 3) for j in range(-2, 3)]
-    residual = continuity_residual(g, beta, [0.8, 0.6], amps, p, eigenvalues(beta, p)[0], grid)
+    residual = continuity_residual(g, beta, amps, p, eigenvalues(beta, p)[0])
     _report("probability continuity", residual, 1e-12)
 
 

@@ -30,6 +30,7 @@ _eigen_amplitudes = spectrum.eigen_amplitudes
 _c2_form = ideal.c2_form
 _matvec = multivector.matvec
 _reverse_amplitudes = timereversal.reverse_amplitudes
+_phi_angles = spectrum.phi_angles
 
 
 def spin_without_plane(amps):
@@ -136,6 +137,28 @@ def magnetic_shifts_without_branch(beta, a_vec):
     return _magnetic_shifts(np.abs(beta), a_vec)
 
 
+def continuity_with_weights(sigma2_weight, sigma1_weight):
+    """The continuity pair kernel with the weights of the spin current's
+    sigma2 and sigma1 pieces, functions of (beta, omega), in place of beta
+    and beta/omega."""
+    def residual(gamma, beta, amplitudes, momenta, energies):
+        a, b = amplitudes[..., 0, :], amplitudes[..., 1, :]
+        dk, k2 = momenta[..., 1, :] - momenta[..., 0, :], (momenta * momenta).sum(axis=-1)
+        weight = energies[..., 0] - energies[..., 1] + 0.5 * (k2[..., 1] - k2[..., 0])
+        omega = multivector.deformation_omega(gamma)
+        return np.abs(weight * multivector.amplitude_inner(a, b)
+                      - sigma2_weight(beta, omega) * dk[..., 0]
+                      * multivector.amplitude_inner(a, _matvec(multivector.SIGMA2, b))
+                      + sigma1_weight(beta, omega) * dk[..., 1]
+                      * multivector.amplitude_inner(a, _matvec(multivector.SIGMA1, b)))
+    return residual
+
+
+def phi_plus_shifted_by_half_pi(gamma, p):
+    plus, minus = _phi_angles(gamma, p)
+    return plus + np.pi / 2.0, minus
+
+
 MUTANTS = {
     # (test_id, term, module, attribute, broken implementation)
     "spin_without_plane": ("spectrum.spin_vector_planar", "closed_form", spectrum,
@@ -206,6 +229,19 @@ MUTANTS = {
     "lambda_minus_without_transpose": ("susy.pseudo_susy", "pseudo_adjoint", checks,
                                        "clifford_conjugation_matrix",
                                        pseudo_adjoint_without_transpose),
+    # the spin current's weights (-beta sigma2, beta/omega sigma1): 2 beta -> 2/beta
+    # on the sigma2 piece, and beta/omega -> 1/(beta omega) on the sigma1 piece
+    "continuity_with_inverse_beta_sigma2": ("spectrum.continuity", "opposite_p2_pair", spectrum,
+                                            "continuity_residual",
+                                            continuity_with_weights(lambda b, w: 1 / b,
+                                                                    lambda b, w: b / w)),
+    "continuity_with_inverse_beta_sigma1": ("spectrum.continuity", "opposite_p2_pair", spectrum,
+                                            "continuity_residual",
+                                            continuity_with_weights(lambda b, w: b,
+                                                                    lambda b, w: 1 / (b * w))),
+    # tan is pi-periodic, so the flip relations hold modulo pi; a pi/2 slip breaks them
+    "phi_plus_shifted_by_half_pi": ("spectrum.flip_relations", "a", spectrum, "phi_angles",
+                                    phi_plus_shifted_by_half_pi),
     "involutions_with_grade_inversion_unconjugated": (
         "clifford.involutions", "grade_inversion_matrix", checks, "MATRIX_INVOLUTIONS",
         {**multivector.MATRIX_INVOLUTIONS, "grade_inversion": time_reversal_without_conjugation}),

@@ -219,49 +219,34 @@ class TestSpinVector:
         assert np.abs(base - moved).max() > 0.05
 
 
-def mixture(gamma, beta, coefficients, momenta, branches):
-    """The four arrays of a plane-wave mixture of R^+_gamma: coefficients,
-    amplitudes, momenta and energies, wave k on branch branches[k] (0 plus,
-    1 minus) at momenta[k]."""
+def pair(gamma, beta, momenta, branches):
+    """The amplitudes, momenta and energies of a pair of plane-wave
+    eigenstates of R^+_gamma, wave k on branch branches[k] (0 plus, 1 minus)
+    at momenta[k]."""
     p = np.asarray(momenta, dtype=float)
-    wave = np.arange(len(p))
+    wave = np.arange(2)
     amps = eigen_amplitudes(*phi_angles(gamma, p))[wave, branches]
     energies = np.array(eigenvalues(beta, p))[branches, wave]
-    return coefficients, amps, p, energies
+    return amps, p, energies
 
 
 class TestContinuity:
-    GRID = [(0.2, -0.4), (1.0, 0.6), (-0.7, 1.1)]
-
-    def test_single_eigenstate_stationary(self):
-        mix = mixture(0.5, 1.0, [1.0], [[1.0, 0.4]], [0])
-        assert continuity_residual(0.5, 1.0, *mix, self.GRID) < TOL
-
     def test_two_state_mixture_gamma_zero(self):
-        mix = mixture(0.0, 1.0, [0.7, 0.5j], [[0.8, 0.5], [0.8, 0.5]], [0, 1])
-        assert continuity_residual(0.0, 1.0, *mix, self.GRID) < TOL
+        assert continuity_residual(0.0, 1.0, *pair(0.0, 1.0, [[0.8, 0.5]] * 2, [0, 1])) < TOL
 
     def test_two_momentum_mixture_deformed(self):
         g = 0.6
-        mix = mixture(g, 1.0, [0.6, 0.8], [[0.9, 0.4], [0.3, -0.4]], [0, 1])
-        assert continuity_residual(g, 1.0, *mix, self.GRID) < TOL
+        assert continuity_residual(g, 1.0, *pair(g, 1.0, [[0.9, 0.4], [0.3, -0.4]], [0, 1])) < TOL
 
     def test_equal_p2_pair_fails(self):
-        # at gamma != 0 the identity needs opposite p2; a same-p2 pair
-        # misses it by about 0.56 on the registry's grid
+        # at gamma != 0 the identity needs opposite p2; a same-p2 pair misses it
         g = 0.6
-        mix = mixture(g, 1.0, [0.6, 0.8], [[0.9, 0.4], [0.3, 0.4]], [0, 1])
-        grid = [(0.3, -0.2), (1.1, 0.7), (-0.4, 0.9)]
-        assert continuity_residual(g, 1.0, *mix, grid) == pytest.approx(0.56, abs=0.01)
+        got = continuity_residual(g, 1.0, *pair(g, 1.0, [[0.9, 0.4], [0.3, 0.4]], [0, 1]))
+        assert got == pytest.approx(0.593, abs=0.01)
 
     def test_free_particle(self):
         # beta ~ 0: plain free-particle continuity
-        mix = mixture(0.0, 1e-6, [1.0, 0.4], [[1.0, 0.7], [1.0, 0.7]], [0, 1])
-        assert continuity_residual(0.0, 1e-6, *mix, self.GRID) < TOL
-
-    def test_empty_mixture_rejected(self):
-        with pytest.raises(ValueError, match="empty mixture"):
-            continuity_residual(0.0, 1.0, [], np.empty((0, 2)), np.empty((0, 2)), [], self.GRID)
+        assert continuity_residual(0.0, 1e-6, *pair(0.0, 1e-6, [[1.0, 0.7]] * 2, [0, 1])) < TOL
 
 
 def test_generic_isospectral_biorthogonality():

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba
 from bispinor.multivector import mat2, to_matrix
-from bispinor.spectrum import eigen_amplitudes, flip_relations, phi_angles
+from bispinor.spectrum import continuity_residual, eigen_amplitudes, flip_relations, phi_angles
 from bispinor.timereversal import kramers_pairing, noncommutation_witness
 
 EXAMPLES = settings(max_examples=60)
@@ -39,8 +39,12 @@ OPERANDS = {
     "coeffs": ((8,), reals(-10.0, 10.0)),
     "shift": ((3,), reals(-3.0, 3.0)),
     "angle": ((), reals(-7.0, 7.0)),
+    # a pair of plane waves: amplitudes, momenta and energies, the pair on axis -2
+    "pair_amps": ((2, 2), reals(-2.0, 2.0)),
+    "pair_p": ((2, 2), reals(-5.0, 5.0)),
+    "pair_energies": ((2,), reals(-20.0, 20.0)),
 }
-COMPLEX = {"shift"}
+COMPLEX = {"shift", "pair_amps"}
 
 
 def complex_from(re, im):
@@ -129,6 +133,12 @@ def test_phi_angles(call):
 @given(variant_call(["angle", "angle"]))
 def test_eigen_amplitudes(call):
     check_stacking(eigen_amplitudes, call)
+
+
+@EXAMPLES
+@given(variant_call(["gamma", "beta", "pair_amps", "pair_p", "pair_energies"]))
+def test_continuity_residual(call):
+    check_stacking(continuity_residual, call)
 
 
 # A library function stacks its variants behind its callers' batch axes.

@@ -1,5 +1,6 @@
-"""Exact symbolic proofs of the closed-form map, of the momentum product and
-of the SUSY block identities, checked against the library.
+"""Exact symbolic proofs of the closed-form map, of the momentum product, of
+the SUSY block identities and of the continuity pair kernel, checked against
+the library.
 
 For gamma = sin(theta) with |theta| < pi/2 (so omega = sqrt(1 - gamma^2) =
 cos(theta)), the similarity witness is T = cos(theta/2) + sin(theta/2) sigma_2
@@ -36,7 +37,16 @@ generators turn into -2 delta_ij at every theta.
 At the library's deformed generators, the proof's matrices equal the
 Kronecker products of the library's 2x2 factors
 :data:`bispinor.momenta.ELL` and :data:`~bispinor.momenta.NU` with the
-identity, and of the identity with e_j.  sympy stays a test-only dependency.
+identity, and of the identity with e_j.
+
+For the continuity identity of the deformed Rashba current, sympy proves
+that d(rho)/dt + div<J> of a pair psi = c a e^{i theta} + c' b e^{i theta'}
+(theta = k.x - E t), built from the current's definition with symbolic
+derivatives, is 2 Re[conj(c) c' e^{i(theta' - theta)} i K] for symbolic
+a, b, c, c', real k, k', E, E', beta, x, t and omega > 0, with K the pair
+kernel :func:`bispinor.spectrum.continuity_residual` evaluates.  So the
+kernel is the residual's envelope over x, t and the coefficients, and the
+check needs no grid.  sympy stays a test-only dependency.
 """
 
 import numpy as np
@@ -53,6 +63,7 @@ from bispinor.momenta import (
     rashba_shifts,
 )
 from bispinor.multivector import clifford_conjugation_matrix, deformed_generators, to_matrix
+from bispinor.spectrum import continuity_residual
 
 C, S = sp.symbols("c s", real=True)               # cos(theta/2), sin(theta/2)
 SCALAR, V1, V2, V3 = sp.symbols("scalar v1 v2 v3")  # complex
@@ -391,3 +402,68 @@ def test_linearization_matches_the_proof(gamma):
     assert np.array_equal(m[3], np.kron(1j * (ELL + NU / 2.0), i2))
     assert np.array_equal(m[4], np.kron(ELL - NU / 2.0, i2))
     assert np.array_equal(m_prime[3:], m[3:])
+
+
+# ------------------------------------------------ the continuity identity
+
+K1, K2, Q1, Q2, E, E_PRIME, BETA_C, X1, X2, TIME = sp.symbols(
+    "k1 k2 q1 q2 E E' beta x1 x2 t", real=True)      # wave momenta k and k' = q
+OMEGA = sp.symbols("omega", positive=True)
+
+
+def complex_symbol(name):
+    re, im = sp.symbols(f"{name}_re {name}_im", real=True)
+    return re + sp.I * im
+
+
+def bra_ket(u, v):
+    return (u.H * v)[0]
+
+
+def pair_kernel(a, b) -> sp.Expr:
+    """K = (E - E' + (|k'|^2 - |k|^2)/2) <a|b> - beta (k'_1 - k_1) <a|sigma2 b>
+    + (beta/omega) (k'_2 - k_2) <a|sigma1 b>."""
+    return ((E - E_PRIME + (Q1**2 + Q2**2 - K1**2 - K2**2) / 2) * bra_ket(a, b)
+            - BETA_C * (Q1 - K1) * bra_ket(a, PAULI[1] * b)
+            + BETA_C / OMEGA * (Q2 - K2) * bra_ket(a, PAULI[0] * b))
+
+
+def test_continuity_residual_is_the_pair_kernel():
+    # d(rho)/dt + div<J> of psi = c a e^{i theta} + c' b e^{i theta'}, from the
+    # current's definition with sympy derivatives, is 2 Re[conj(c) c' e^{i(theta'
+    # - theta)} i K] for any a, b, c, c': the residual's largest value over x and
+    # t is 2 |c| |c'| |K|, so the check needs no grid, time or coefficients
+    def re(z):
+        return (z + sp.conjugate(z)) / 2
+
+    def im(z):
+        return (z - sp.conjugate(z)) / (2 * sp.I)
+
+    a, b = (sp.Matrix([complex_symbol(f"{v}0"), complex_symbol(f"{v}1")]) for v in "ab")
+    c, c_prime = complex_symbol("c"), complex_symbol("c'")
+    theta, theta_prime = K1 * X1 + K2 * X2 - E * TIME, Q1 * X1 + Q2 * X2 - E_PRIME * TIME
+    psi = c * a * sp.exp(sp.I * theta) + c_prime * b * sp.exp(sp.I * theta_prime)
+    residual = (2 * re(bra_ket(psi, psi.diff(TIME)))
+                + im(bra_ket(psi, psi.diff(X1, 2) + psi.diff(X2, 2)))
+                - 2 * BETA_C * re(bra_ket(psi, PAULI[1] * psi.diff(X1)))
+                + 2 * BETA_C / OMEGA * re(bra_ket(psi, PAULI[0] * psi.diff(X2))))
+    phase = sp.exp(sp.I * (theta_prime - theta))
+    want = 2 * re(sp.conjugate(c) * c_prime * phase * sp.I * pair_kernel(a, b))
+    assert sp.expand(residual - want) == 0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.6, -0.93])
+def test_continuity_kernel_matches_the_proof(gamma):
+    # any amplitudes, momenta and energies, not only eigenstates
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    k, energies = rng.uniform(-3.0, 3.0, size=(5, 2, 2)), rng.uniform(-9.0, 9.0, size=(5, 2))
+    beta = rng.uniform(-3.0, 3.0, size=5)
+    a, b = (sp.Matrix(sp.symbols(f"{v}0:2")) for v in "ab")
+    kernel = sp.lambdify((*a, *b, K1, K2, Q1, Q2, E, E_PRIME, BETA_C, OMEGA),
+                         pair_kernel(a, b), modules="numpy")
+    got = continuity_residual(gamma, beta, amps, k, energies)
+    for n in range(5):
+        want = kernel(*amps[n].ravel(), *k[n].ravel(), *energies[n], beta[n],
+                      np.sqrt(1 - gamma**2))
+        assert got[n] == pytest.approx(abs(want), rel=1e-12)
