@@ -3,7 +3,6 @@
 Subcommands:
   verify    run the full check registry, print one line per check; with
             --out also write the machine-readable JSON report
-  report    the same code path as verify (JSON only with --out)
   spectrum  export the eigenvalue sweep as CSV/JSON (--format)
   texture   export the spin-texture field as CSV/JSON (--format)
 
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification harness for the deformed Clifford/Rashba model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "report", "spectrum", "texture"):
+    for name in ("verify", "spectrum", "texture"):
         p = sub.add_parser(name)
         p.add_argument("--gamma", default=None,
                        help="comma-separated deformation values in (-1, 1)")
@@ -114,12 +113,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command in ("verify", "report"):
+        if args.command == "verify":
             from .harness.checks import run_all     # the registry loads only here
             report = run_all(cfg)
             sys.stdout.write(report.to_text())
             if args.out:
-                report.write(args.out)
+                _write_or_print(report.to_json(), args.out)
             return 0 if report.all_passed else 1
         header, columns = {"spectrum": (tables.SPECTRUM_HEADER, tables.spectrum_columns),
                            "texture": (tables.TEXTURE_HEADER, tables.texture_columns)}[args.command]

@@ -464,7 +464,8 @@ def check_pseudo_hermiticity(cfg, rng):
 
 def check_kramers(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    return timereversal.kramers_pairing(g, b, p), cfg.samples
+    return {**timereversal.kramers_pairing(g, p),
+            "eigen_identity": timereversal.reversed_schrodinger_residual(g, b, p)}, cfg.samples
 
 
 def check_noncommutation_witness(cfg, rng):
@@ -563,7 +564,9 @@ def check_pseudo_susy(cfg, rng):
 
 def check_susy_sector_pairing(cfg, rng):
     """Theta^- maps an upper-sector eigenvector psi to the lower-sector
-    eigenvector P^A psi / sqrt 2 with the same energy (nonzero modes)."""
+    eigenvector P^A psi / sqrt 2 with the same energy.  The residual
+    vanishes for every psi, zero modes P^A psi = 0 included, as
+    R^- P^A = (1/2) P^A P^B P^A = P^A R^+, so no sample is skipped."""
     n = cfg.samples // 2 + 1
     g, b, p = _gamma_beta_p(cfg, rng, n)
     psi = eigen_amplitudes(*phi_angles(g, p))[:, :2]
@@ -571,8 +574,7 @@ def check_susy_sector_pairing(cfg, rng):
     r_minus = momenta.rashba(g, -b, p)
     mapped = matvec(p_a[:, None], psi) / np.sqrt(2.0)
     residual = matvec(r_minus[:, None], mapped) - _eigen_lambdas(b, p) * mapped
-    keep = ~(np.abs(mapped).max(axis=-1) < 1e-8)      # zero modes are skipped
-    return {"eigen_identity": residual[keep]}, n
+    return {"eigen_identity": residual}, n
 
 
 # ------------------------------------------------------------------ registry

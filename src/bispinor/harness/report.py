@@ -82,7 +82,3 @@ class ConformanceReport:
             f"(tolerance {self.tolerance:g}, seed {self.seed})"
         )
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())

@@ -30,11 +30,9 @@ _FLIP_GAMMA_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])   # gamma's sign 
 
 
 def _xy(p):
-    """Components (p1, p2) of momenta (..., 2): numpy scalars for a single
-    momentum, which keeps single-point calls on numpy's scalar fast path.
-    Any other shape raises."""
+    """Components (p1, p2) of momenta (..., 2); any other shape raises."""
     p = in_plane(p, "momentum")
-    return p[..., 0][()], p[..., 1][()]
+    return p[..., 0], p[..., 1]
 
 
 def eigenvalues(beta, p):
@@ -153,8 +151,9 @@ def mixture_expectation(c_plus, c_minus, k, amps):
     """Expectation <assoc | K | psi> / <assoc | psi> for the mixture
     psi = c+ psi_+ + c- psi_- and its associated state built from the duals,
     over (..., 4, 2) stacks of :func:`eigen_amplitudes` rows and operators
-    K of shape (..., 2, 2).  NaN where the associated norm <assoc | psi>
-    vanishes (below 1e-12)."""
+    K of shape (..., 2, 2), with coefficients c+- of shape (...).  NaN where
+    the associated norm <assoc | psi> vanishes (below 1e-12)."""
+    c_plus, c_minus = np.asarray(c_plus)[..., None], np.asarray(c_minus)[..., None]
     a = c_plus * amps[..., 0, :] + c_minus * amps[..., 1, :]
     d = c_plus * amps[..., 2, :] + c_minus * amps[..., 3, :]
     den = amplitude_inner(d, a)

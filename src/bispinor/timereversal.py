@@ -38,7 +38,7 @@ def reverse_amplitudes(amps) -> np.ndarray:
 
 def _maxabs(x, axes):
     """Largest |entry| over ``axes``, per leading index."""
-    return np.abs(x).max(axis=axes)[()]
+    return np.abs(x).max(axis=axes)
 
 
 def pseudo_hermitian_residual(h_minus_p, h_p):
@@ -78,30 +78,27 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     return {"vector_rule": vector_rule, "listed_set": listed_set}
 
 
-def kramers_pairing(gamma, beta, p):
+def kramers_pairing(gamma, p):
     """Residuals of the Kramers analogue T psi_+ = dual_- and
     T psi_- = -dual_+, the eigenspinors of R^+_gamma(p) against the duals
     (eigenvectors of the adjoint) at the same momentum label p, elementwise
-    over gamma, beta (...) and momenta (..., 2).
+    over gamma (...) and momenta (..., 2).  The eigenspinors depend on gamma
+    and p alone; that the time-reversed state is an eigenvector of
+    R^+_{-gamma}(-p) = H^dagger(-p) with the same eigenvalue is
+    :func:`reversed_schrodinger_residual`.
 
     Returns a dict of residual terms, each (...): 'dual_matching', the
-    largest entry of T psi_pm - (dual_-, -dual_+) over both branches;
-    'orthogonality', <T psi | psi> = 0; and 'eigen_identity', that the
-    time-reversed state, which lives at -p, is an eigenvector of
-    R^+_{-gamma}(-p) = H^dagger(-p) with the same eigenvalue
-    (:func:`reversed_schrodinger_residual`).
-
-    The first two read exactly 0: conj(e^{i phi}) and e^{-i phi} round
-    alike (cos is even, sin is odd), and the two products of <T psi | psi>
-    are the same products in the other order.
+    largest entry of T psi_pm - (dual_-, -dual_+) over both branches, and
+    'orthogonality', <T psi | psi> = 0.  Both read exactly 0:
+    conj(e^{i phi}) and e^{-i phi} round alike (cos is even, sin is odd),
+    and the two products of <T psi | psi> are the same products in the
+    other order.
     """
-    p = np.asarray(p, dtype=float)
     amps = eigen_amplitudes(*phi_angles(gamma, p))
     t_psi = reverse_amplitudes(amps[..., :2, :])          # T psi_+, T psi_-
     dual_matching = _maxabs(t_psi - [[1.0], [-1.0]] * amps[..., 3:1:-1, :], (-1, -2))
-    ortho = _maxabs(amplitude_inner(t_psi, amps[..., :2, :]), -1)
-    return {"dual_matching": dual_matching, "orthogonality": ortho,
-            "eigen_identity": _reversed_eigen_residual(gamma, beta, p, t_psi)}
+    return {"dual_matching": dual_matching,
+            "orthogonality": _maxabs(amplitude_inner(t_psi, amps[..., :2, :]), -1)}
 
 
 def noncommutation_witness(gamma, beta, p):
@@ -126,16 +123,10 @@ def reversed_schrodinger_residual(gamma, beta, p):
     psi*.  The residual is the largest entry of H^dagger(-p) e13 psi_pm* -
     lambda_pm e13 psi_pm* over both branches, one per row.  Since
     R^+_{-gamma}(-p) = H^dagger(-p), it is also the eigen-identity term of
-    :func:`kramers_pairing`.
+    the Kramers analogue.
     """
     p = np.asarray(p, dtype=float)
     chi = reverse_amplitudes(eigen_amplitudes(*phi_angles(gamma, p))[..., :2, :])
-    return _reversed_eigen_residual(gamma, beta, p, chi)
-
-
-def _reversed_eigen_residual(gamma, beta, p, chi):
-    """The residual of :func:`reversed_schrodinger_residual` given the
-    reversed eigenstates chi = T psi_pm, (..., 2, 2)."""
     h_adj = reversion_matrix(rashba(gamma, beta, -p))
     lam = stacked(eigenvalues(beta, p))[..., None]
     return _maxabs(matvec(h_adj[..., None, :, :], chi) - lam * chi, (-1, -2))

@@ -11,7 +11,7 @@ is first on the path:
 * verify_reference.json (tests/test_verify_parity.py) holds the same
   configuration spelled as command-line options, the exit code, and the
   sha256 and byte length of the ``bispinor verify`` standard output and of
-  the JSON file ``bispinor report --out`` writes.
+  the JSON file ``bispinor verify --out`` writes.
 
 Only a change that moves residuals on purpose (a new draw, stream or
 formula) regenerates them, from the checkout under test, and says so in
@@ -76,11 +76,11 @@ def verify_stdout(args: list[str]) -> tuple[int, bytes]:
 
 
 def report_json(args: list[str]) -> bytes:
-    """The JSON file ``bispinor report --out`` writes."""
+    """The JSON file ``bispinor verify --out`` writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["report", *args, f"--out={path}"])
+            cli.main(["verify", *args, f"--out={path}"])
         with open(path, "rb") as fh:
             return fh.read()
 

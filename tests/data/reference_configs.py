@@ -2,7 +2,7 @@
 
 Each entry is a set of ``SuiteConfig`` keyword arguments; ``cli_args``
 spells the same configuration as ``bispinor`` options, so the term digest
-and the verify/report reference cannot pin different inputs.  Both are
+and the verify reference cannot pin different inputs.  Both are
 written by make_registry_references.py.
 """
 

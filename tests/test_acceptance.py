@@ -45,6 +45,7 @@ from bispinor.timereversal import (
     kramers_pairing,
     pseudo_hermitian_residual,
     reverse_amplitudes,
+    reversed_schrodinger_residual,
 )
 
 GAMMAS = (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9)
@@ -162,7 +163,8 @@ def test_criterion_06_time_reversal():
             worst = max(worst,
                         float(np.abs(conj + mirror[m]).max()))
     for g, beta, p in _sweep(rng, 100):
-        worst = max(worst, *kramers_pairing(g, beta, p).values())
+        worst = max(worst, *kramers_pairing(g, p).values(),
+                    reversed_schrodinger_residual(g, beta, p))
     _report("time reversal and Kramers analogue", worst, 1e-10)
 
 

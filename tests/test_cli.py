@@ -161,11 +161,14 @@ class TestVerify:
     def test_non_integer_count_is_usage_error(self, command, option, capsys):
         assert exit_code([command, option], capsys) == 2
 
-    @pytest.mark.parametrize("command", ["verify", "report"])
-    def test_format_is_an_export_option(self, command, capsys):
-        # the reports have one text form and one JSON form (--out); a
-        # --format they would ignore is refused
-        assert exit_code([command, "--format=json"], capsys) == 2
+    def test_format_is_an_export_option(self, capsys):
+        # the report has one text form and one JSON form (--out); a
+        # --format it would ignore is refused
+        assert exit_code(["verify", "--format=json"], capsys) == 2
+
+    def test_report_is_not_a_command(self, capsys):
+        # verify --out writes the JSON report; there is no second command for it
+        assert exit_code(["report"], capsys) == 2
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "texture"])
     def test_infinite_grid_width_is_usage_error(self, command, capsys):
@@ -232,7 +235,7 @@ class TestVerify:
 class TestReport:
     def test_written_report_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
-        code, _, _ = run(["report", *FAST, "--out", str(out_path)], capsys)
+        code, _, _ = run(["verify", *FAST, "--out", str(out_path)], capsys)
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["tolerance"] == 1e-10
@@ -241,14 +244,14 @@ class TestReport:
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["report", *FAST, "--out", str(a)], capsys)
-        run(["report", *FAST, "--out", str(b)], capsys)
+        run(["verify", *FAST, "--out", str(a)], capsys)
+        run(["verify", *FAST, "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_residuals_not_verdicts(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["report", *FAST[:-1], "11", "--out", str(a)], capsys)
-        run(["report", *FAST[:-1], "12", "--out", str(b)], capsys)
+        run(["verify", *FAST[:-1], "11", "--out", str(a)], capsys)
+        run(["verify", *FAST[:-1], "12", "--out", str(b)], capsys)
         pa = json.loads(a.read_text())
         pb = json.loads(b.read_text())
         assert [e["status"] for e in pa["entries"]] == \
@@ -256,7 +259,7 @@ class TestReport:
 
     def test_entry_fields(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
-        run(["report", *FAST, "--out", str(out_path)], capsys)
+        run(["verify", *FAST, "--out", str(out_path)], capsys)
         payload = json.loads(out_path.read_text())
         for entry in payload["entries"]:
             assert set(entry) >= {"test_id", "paper_ref", "status",
@@ -266,7 +269,7 @@ class TestReport:
     def test_nonfinite_residuals_are_written_as_null(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
         with np.errstate(all="ignore"):
-            code, out, _ = run(["report", "--grid=-1e160:1e160:12", "--samples", "5",
+            code, out, _ = run(["verify", "--grid=-1e160:1e160:12", "--samples", "5",
                                 "--out", str(out_path)], capsys)
         assert code == 1
 
@@ -286,7 +289,7 @@ class TestReport:
 
         monkeypatch.setattr("bispinor.spectrum.mixture_expectation", raising)
         out_path = tmp_path / "r.json"
-        code, out, _ = run(["report", "--out", str(out_path)], capsys)
+        code, out, _ = run(["verify", "--out", str(out_path)], capsys)
         assert code == 1
         lines = out.splitlines()
         assert len(lines) == len(REGISTRY) + 1
@@ -327,7 +330,7 @@ class TestReport:
             (test_id, ref, broken if fn is checks.check_projectors else fn, scale)
             for test_id, ref, fn, scale in REGISTRY))
         out_path = tmp_path / "r.json"
-        code, out, _ = run(["report", "--out", str(out_path)], capsys)
+        code, out, _ = run(["verify", "--out", str(out_path)], capsys)
         assert code == 1
         (failed,) = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
         assert "spectrum.projectors" in failed

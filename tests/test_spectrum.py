@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bispinor.momenta import rashba
@@ -144,6 +144,18 @@ class TestProjectors:
         p = 10.0 ** log_r * np.array([np.cos(angle), np.sin(angle)])
         den = projector_matrices(*phi_angles(gamma, p))[2]
         assert abs(den) >= 2.0 * deformation_omega(gamma) * (1.0 - 1e-9)
+
+    @settings(max_examples=40)
+    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    # numpy's scalar complex product rounded Pi1[0, 1] to 0.4949504024674745 here,
+    # its array loop to 0.49495040246747446
+    @example(0.14224092203885907, 0.14224092203885907)
+    def test_single_point_projectors_equal_the_one_element_stack(self, phi_plus, phi_minus):
+        single = projector_matrices(phi_plus, phi_minus)
+        stacked = projector_matrices(np.array([phi_plus]), np.array([phi_minus]))
+        assert single[0].shape == (2, 2) and np.shape(single[2]) == ()
+        for got, want in zip(single, stacked):
+            assert got.tobytes() == want[0].tobytes()
 
     def test_hermitian_point(self):
         angles = phi_angles(0.0, np.array([1.0, 0.0]))

@@ -1,15 +1,24 @@
-"""Variants stacked on a new leading axis give the same bits as separate calls.
+"""One batching contract for every public function of the physics modules.
 
-The registry evaluates each family of operator variants -- H at (gamma, p)
-and (-gamma, -p), P^B and P^A, the two magnetic field conventions, ... --
-with one call over a stack.  Each slice of a stacked call must equal its
-separate call bit for bit (``tobytes``), not to a tolerance.  Every variant
-here holds N >= 1 samples, so both sides run numpy's array loops; a 0-d
-input would take numpy's scalar path, which rounds complex products
-differently (see the projector_matrices single-point test in
-test_shapes.py).  ``mat2`` is also held to the broadcast-and-stack form it
-replaced, scalar entries and inf/NaN included.
+``STACKED`` gives, for each public function of multivector, momenta,
+spectrum, timereversal, ideal and biortho, the kinds of its operands
+(``OPERANDS``), or a one-line call around it.  One property draws k = 2..4
+variants of N = 1..5 samples, each operand stacked (k, N, ...) or shared
+(N, ...), and holds bit for bit (``tobytes``, every NaN made the same NaN):
+(a) each slice of the stacked call equals its own N >= 1 call, and (b) each
+single point, ``x[i]`` of every operand, equals its row of the stack.  A
+single point runs numpy's scalar path, which rounds complex products and
+quotients differently from its array loop: a row whose single-point
+intermediates are 0-d complex products is marked ``SCALAR_PATH`` and holds
+(b) to 1e-14 of its unit-sized result; (a) has no tolerance.  A completeness
+test fails on a public function that is neither a row nor ``EXEMPT``.
+``mat2`` and ``stacked`` are held to the forms they replaced, inf and NaN
+included, and the variant families to their callers' batch axes.
 """
+
+import ast
+import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +26,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bispinor.momenta import clifford_momentum, magnetic, momentum_product, rashba
-from bispinor.multivector import mat2, to_matrix
-from bispinor.spectrum import continuity_residual, eigen_amplitudes, flip_relations, phi_angles
+from bispinor import biortho, ideal, momenta, multivector, spectrum, timereversal
+from bispinor.multivector import mat2, stacked
+from bispinor.spectrum import flip_relations
 from bispinor.timereversal import kramers_pairing, noncommutation_witness
 
-EXAMPLES = settings(max_examples=60)
+MODULES = (multivector, momenta, spectrum, timereversal, ideal, biortho)
+
+
+def public_functions(module):
+    """The names of the top-level functions of ``module`` without a leading _."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return [top.name for top in tree.body
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")]
+
+
+FUNCTIONS = {name: getattr(module, name) for module in MODULES
+             for name in public_functions(module)}
 
 
 def reals(lo, hi):
@@ -34,17 +54,93 @@ OPERANDS = {
     "gamma": ((), reals(-0.99, 0.99)),
     "beta": ((), reals(-4.0, 4.0)),
     "field": ((), reals(-4.0, 4.0)),
+    "angle": ((), reals(-7.0, 7.0)),
+    "complex": ((), reals(-2.0, 2.0)),
     "p": ((2,), reals(-5.0, 5.0)),
     "a_vec": ((2,), reals(-3.0, 3.0)),
+    "amps": ((2,), reals(-2.0, 2.0)),
     "coeffs": ((8,), reals(-10.0, 10.0)),
     "shift": ((3,), reals(-3.0, 3.0)),
-    "angle": ((), reals(-7.0, 7.0)),
+    "matrix": ((2, 2), reals(-2.0, 2.0)),
     # a pair of plane waves: amplitudes, momenta and energies, the pair on axis -2
     "pair_amps": ((2, 2), reals(-2.0, 2.0)),
     "pair_p": ((2, 2), reals(-5.0, 5.0)),
     "pair_energies": ((2,), reals(-20.0, 20.0)),
 }
-COMPLEX = {"shift", "pair_amps"}
+COMPLEX = {"complex", "amps", "shift", "matrix", "pair_amps"}
+
+
+def rotated_seeds(angle):
+    """Orthonormal seeds (cos a, sin a) and (-sin a, cos a) at angles (...)."""
+    return stacked((np.cos(angle), np.sin(angle))), stacked((-np.sin(angle), np.cos(angle)))
+
+
+# Row name: the operand kinds of the function of that name, or (call, kinds)
+# for a call around it; a name "f.variant" is one of several rows of f.
+# beta spans [-4, 4], so a stack over beta holds both Rashba sectors.
+STACKED = {
+    **dict.fromkeys(("det2", "inv2", "unitary2", "decompose", "reversion_matrix",
+                     "clifford_conjugation_matrix", "time_reverse_matrix", "basis_flip",
+                     "invariance_group_defects"), ("matrix",)),
+    **dict.fromkeys(("matmul2", "pseudo_hermitian_residual", "gram"), ("matrix", "matrix")),
+    **dict.fromkeys(("reverse_amplitudes", "ideal_matrix", "spin_expectations"), ("amps",)),
+    **dict.fromkeys(("deformation_omega", "deformation_transform", "deformed_generators",
+                     "generator_reversal", "build_ideal_basis", "canonical_pair",
+                     "synthesize_generators"), ("gamma",)),
+    **dict.fromkeys(("phi_angles", "flip_relations", "kramers_pairing"), ("gamma", "p")),
+    **dict.fromkeys(("rashba", "noncommutation_witness", "reversed_schrodinger_residual"),
+                    ("gamma", "beta", "p")),
+    **dict.fromkeys(("eigen_amplitudes", "projector_matrices"), ("angle", "angle")),
+    "matvec": ("matrix", "amps"),
+    "amplitude_inner": ("amps", "amps"),
+    "eigenvector_oracle": ("matrix", "complex"),
+    "pauli_matrix": ("complex", "complex", "complex", "complex", "gamma"),
+    "geometric_product": ("coeffs", "coeffs"),
+    "to_matrix": ("coeffs", "gamma"),
+    "eigenvalues": ("beta", "p"),
+    "clifford_momentum": ("gamma", "shift", "p"),
+    "momentum_product": ("gamma", "shift", "shift", "p"),
+    "magnetic": ("gamma", "beta", "a_vec", "field", "p"),
+    "continuity_residual": ("gamma", "beta", "pair_amps", "pair_p", "pair_energies"),
+    **{f"involute.{kind}": (lambda a, kind=kind: multivector.involute(a, kind), ("coeffs",))
+       for kind in multivector.MATRIX_INVOLUTIONS},
+    "in_plane": (lambda p: multivector.in_plane(p, "momentum"), ("p",)),
+    "rashba_shifts": (lambda b: tuple(momenta.rashba_shifts(b)), ("beta",)),
+    "magnetic_shifts": (lambda b, a: tuple(momenta.magnetic_shifts(b, a)), ("beta", "a_vec")),
+    "eigenvalue_oracle": (lambda g, b, p: spectrum.eigenvalue_oracle(momenta.rashba(g, b, p)),
+                          ("gamma", "beta", "p")),
+    "mixture_expectation": (
+        lambda c, d, k, f, g: spectrum.mixture_expectation(c, d, k, spectrum.eigen_amplitudes(f, g)),
+        ("complex", "complex", "matrix", "angle", "angle")),
+    "c1_form": (lambda a, b: ideal.c1_form(ideal.ideal_matrix(a), ideal.ideal_matrix(b)),
+                ("amps", "amps")),
+    "c2_form": (lambda a, b: ideal.c2_form(ideal.ideal_matrix(a), ideal.ideal_matrix(b)),
+                ("amps", "amps")),
+    # |m| < 3, so m + 3 is invertible and build_pair does not refuse it
+    "build_pair": (lambda a, m: biortho.build_pair(*rotated_seeds(a), m + 3.0 * np.eye(2)),
+                   ("angle", "matrix")),
+}
+
+EXEMPT = {
+    "mat2": "held below to the broadcast-and-stack form it replaced",
+    "stacked": "held below to np.stack, whose layout it writes",
+}
+
+# NaN where a drawn matrix is singular (a zero determinant or column), or
+# inf where a subnormal is divided by its norm, with the floating-point
+# warnings that come with them
+SINGULAR = {"inv2", "unitary2", "eigenvector_oracle"}
+
+# The single points of these rows go through 0-d complex intermediates:
+# unitary2's determinant m00 m11 - m01 m10, its phase det / |det| and its
+# first column over its norm
+SCALAR_PATH = {"unitary2"}
+
+
+def row(name):
+    """(function, operand kinds) of a row of STACKED."""
+    entry = STACKED[name]
+    return (FUNCTIONS[name], entry) if isinstance(entry[0], str) else entry
 
 
 def complex_from(re, im):
@@ -54,91 +150,82 @@ def complex_from(re, im):
     return z
 
 
+def operand(kind, batch):
+    """The strategy of an operand of a kind with batch shape ``batch``; a
+    complex one is drawn as pairs of floats on a trailing axis."""
+    core, elements = OPERANDS[kind]
+    return arrays(np.float64, batch + core + ((2,) if kind in COMPLEX else ()), elements=elements)
+
+
 @st.composite
-def variant_call(draw, kinds, shared=True):
-    """Operands for one stacked call of k = 2..4 variants of N = 1..5
-    samples: each operand is either stacked (k, N, ...) or, if ``shared``,
-    possibly shared (N, ...) by every variant, at least one stacked.
-    Returns the stacked call's operands and each variant's own."""
+def variant_call(draw, kinds):
+    """One stacked call of k = 2..4 variants of N = 1..5 samples: each
+    operand either stacked (k, N, ...) or shared (N, ...) by every variant,
+    at least one stacked.  Returns k, N and the (operand, is_stacked) pairs."""
     k, n = draw(st.integers(2, 4)), draw(st.integers(1, 5))
-    stacked = draw(st.lists(st.booleans() if shared else st.just(True),
-                            min_size=len(kinds), max_size=len(kinds)).filter(any))
+    flags = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)).filter(any))
     operands = []
-    for kind, is_stacked in zip(kinds, stacked):
-        core, elements = OPERANDS[kind]
-        shape = ((k,) if is_stacked else ()) + (n,) + core
-        x = draw(arrays(np.float64, shape + ((2,) if kind in COMPLEX else ()),
-                        elements=elements))
-        operands.append((complex_from(x[..., 0], x[..., 1]) if kind in COMPLEX else x,
-                         is_stacked))
-    parts = [[x[i] if is_stacked else x for x, is_stacked in operands] for i in range(k)]
-    return [x for x, _ in operands], parts
+    for kind, is_stacked in zip(kinds, flags):
+        x = draw(operand(kind, ((k,) if is_stacked else ()) + (n,)))
+        operands.append(complex_from(x[..., 0], x[..., 1]) if kind in COMPLEX else x)
+    return k, n, list(zip(operands, flags))
 
 
-def assert_slices_equal(stacked, separate):
-    """Each slice of a stacked result (or tuple of results) equals its
-    separate call, bit for bit."""
-    if isinstance(stacked, tuple):
-        for j, out in enumerate(stacked):
-            assert_slices_equal(out, [parts[j] for parts in separate])
-        return
-    assert len(stacked) == len(separate)
-    for piece, want in zip(stacked, separate):
-        assert piece.shape == want.shape and piece.tobytes() == want.tobytes()
+def terms(result):
+    """A result as named arrays: a dict's items, a tuple's entries by
+    position, or the one array."""
+    if isinstance(result, dict):
+        return result
+    return dict(enumerate(result)) if isinstance(result, tuple) else {None: result}
 
 
-def check_stacking(fn, call):
-    operands, parts = call
-    assert_slices_equal(fn(*operands), [fn(*part) for part in parts])
+def bits(x):
+    """dtype, shape and bytes of an array with every NaN made the same NaN:
+    the sign of a NaN from 0 / 0 depends on the machine loop that made it."""
+    x = np.array(x)
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        part[np.isnan(part)] = np.nan
+    return x.dtype, x.shape, x.tobytes()
 
 
-@EXAMPLES
-@given(variant_call(["coeffs", "gamma"]))
-def test_to_matrix(call):
-    check_stacking(to_matrix, call)
+def assert_row(got, stack, index, scalar_path=False):
+    """Each term of a result equals its row ``index`` of the stacked result,
+    bit for bit; on the scalar path NaN and inf where the row has them, and
+    1e-14 of the unit-sized result elsewhere."""
+    got, stack = terms(got), terms(stack)
+    assert list(got) == list(stack)
+    for key, value in got.items():
+        want = stack[key][index]
+        if not scalar_path:
+            assert bits(value) == bits(want)
+            continue
+        value = np.asarray(value)
+        assert value.dtype == want.dtype and value.shape == want.shape
+        assert np.array_equal(np.isnan(value), np.isnan(want))
+        with np.errstate(invalid="ignore"):                     # inf - inf
+            assert np.all((value == want) | (np.abs(value - want) <= 1e-14) | np.isnan(want))
 
 
-@EXAMPLES
-@given(variant_call(["gamma", "shift", "p"]))
-def test_clifford_momentum(call):
-    check_stacking(clifford_momentum, call)
+@pytest.mark.parametrize("name", list(STACKED))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_stack_equals_its_slices_and_points(name, data):
+    fn, kinds = row(name)
+    k, n, pairs = data.draw(variant_call(kinds))
+    with np.errstate(all="ignore") if name in SINGULAR else contextlib.nullcontext():
+        whole = fn(*(x for x, _ in pairs))
+        for i in range(k):
+            assert_row(fn(*[x[i] if on else x for x, on in pairs]), whole, i)        # (a)
+            for j in range(n):
+                assert_row(fn(*[x[i, j] if on else x[j] for x, on in pairs]),         # (b)
+                           whole, (i, j), name in SCALAR_PATH)
 
 
-@EXAMPLES
-@given(variant_call(["gamma", "shift", "shift", "p"]))
-def test_momentum_product(call):
-    check_stacking(momentum_product, call)
-
-
-# beta spans [-4, 4]: a stack over beta holds both Rashba sectors
-@EXAMPLES
-@given(variant_call(["gamma", "beta", "p"]))
-def test_rashba(call):
-    check_stacking(rashba, call)
-
-
-@EXAMPLES
-@given(variant_call(["gamma", "beta", "a_vec", "field", "p"]))
-def test_magnetic(call):
-    check_stacking(magnetic, call)
-
-
-@EXAMPLES
-@given(variant_call(["gamma", "p"]))
-def test_phi_angles(call):
-    check_stacking(phi_angles, call)
-
-
-@EXAMPLES
-@given(variant_call(["angle", "angle"]))
-def test_eigen_amplitudes(call):
-    check_stacking(eigen_amplitudes, call)
-
-
-@EXAMPLES
-@given(variant_call(["gamma", "beta", "pair_amps", "pair_p", "pair_energies"]))
-def test_continuity_residual(call):
-    check_stacking(continuity_residual, call)
+def test_every_public_function_is_a_row_or_exempt():
+    rows = {name.partition(".")[0] for name in STACKED}
+    assert not rows & set(EXEMPT)
+    assert sorted(rows | set(EXEMPT)) == sorted(FUNCTIONS)
+    assert SINGULAR | SCALAR_PATH <= set(STACKED)
 
 
 # A library function stacks its variants behind its callers' batch axes.
@@ -146,7 +233,7 @@ def test_continuity_residual(call):
 # the single-gamma calls are 0-d and still give the same bits.
 VARIANT_FAMILIES = {
     "flip_relations": lambda g, b, p: flip_relations(g, p),
-    "kramers_pairing": kramers_pairing,
+    "kramers_pairing": lambda g, b, p: kramers_pairing(g, p),
     "noncommutation_witness": lambda g, b, p: {"witness": noncommutation_witness(g, b, p)},
 }
 
@@ -163,7 +250,7 @@ def test_variants_line_up_behind_the_batch_axes(name):
             assert got.tobytes() == single[term].tobytes()
 
 
-# ------------------------------------------------------------------- mat2
+# ------------------------------------------------------------ mat2, stacked
 
 def mat2_oracle(a, b, c, d):
     """The form mat2 replaced: broadcast, stack on a last axis, reshape."""
@@ -196,3 +283,13 @@ def test_mat2_broadcasts_mixed_shapes():
     got = mat2(np.arange(3.0), 1.0, np.array([[2j], [3j]]), np.nan)
     want = mat2_oracle(np.arange(3.0), 1.0, np.array([[2j], [3j]]), np.nan)
     assert got.shape == (2, 3, 2, 2) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50)
+@given(st.sampled_from([(), (1,), (3,), (2, 3)]).flatmap(
+    lambda shape: st.lists(entries_with(shape), min_size=1, max_size=4)), st.data())
+def test_stacked_equals_np_stack(parts, data):
+    axis = data.draw(st.integers(-np.broadcast(*parts).ndim - 1, -1))
+    got, want = stacked(parts, axis), np.stack(np.broadcast_arrays(*parts), axis=axis)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

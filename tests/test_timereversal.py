@@ -143,11 +143,11 @@ class TestKramers:
             p = rng.uniform(-3, 3, size=2)
             if np.hypot(*p) < 0.05:
                 continue
-            terms = kramers_pairing(g, beta, p)
-            assert list(terms) == ["dual_matching", "orthogonality", "eigen_identity"]
+            terms = kramers_pairing(g, p)
+            assert list(terms) == ["dual_matching", "orthogonality"]
             # exact by the docstring's reasons, not to a tolerance
             assert terms["dual_matching"] == 0.0 and terms["orthogonality"] == 0.0
-            assert terms["eigen_identity"] < 1e-10
+            assert reversed_schrodinger_residual(g, beta, p) < 1e-10
 
     def test_sign_pattern(self):
         # T psi_+ = dual_- and T psi_- = -dual_+ at the same momentum label,
@@ -169,6 +169,15 @@ class TestDynamics:
         with np.errstate(all="ignore"):
             r = reversed_schrodinger_residual(0.5, 1.0, np.array([np.nan, 1.0]))
         assert checks.worst_term({"reversed_eigen_identity": r})[0] == np.inf
+
+    def test_reversed_schrodinger_check_marks_nonfinite_rows(self):
+        # the overflowing row stays non-finite; the registry's reducer reads it as inf
+        p = np.array([[1.0, 0.5], [1e160, 1e160], [0.3, -2.0]])
+        with np.errstate(all="ignore"):
+            r = reversed_schrodinger_residual(0.4, 1.0, p)
+        assert not np.isfinite(r[1])
+        assert checks.worst_term({"reversed_eigen_identity": r}) == (np.inf, "reversed_eigen_identity")
+        assert np.all(r[[0, 2]] < 1e-12)
 
     def test_undaggered_hamiltonian_fails(self, monkeypatch):
         # with H(-p) in place of H^dagger(-p) the registry's default draws

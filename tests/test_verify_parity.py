@@ -1,8 +1,8 @@
-"""``bispinor verify`` and ``bispinor report`` against a stored reference.
+"""``bispinor verify`` and its JSON report against a stored reference.
 
 tests/data/verify_reference.json holds, for three configurations, the exit
 code and the sha256 and byte length of the ``verify`` standard output and of
-the JSON file ``report --out`` writes.  Changes meant to leave every draw
+the JSON file ``verify --out`` writes.  Changes meant to leave every draw
 and residual as it was must reproduce both byte for byte; a change that
 moves residuals on purpose regenerates this file and the term digest with
 
@@ -53,7 +53,7 @@ def test_verify_stdout_matches_reference(name, capsys):
 def test_report_json_matches_reference(name, tmp_path, capsys):
     block = REFERENCE[name]
     path = tmp_path / "report.json"
-    code = cli.main(["report", *block["args"], f"--out={path}"])
+    code = cli.main(["verify", *block["args"], f"--out={path}"])
     capsys.readouterr()
     assert code == block["exit_code"]
     check(path.read_bytes(), block["report_json"])
