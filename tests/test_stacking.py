@@ -12,6 +12,8 @@ quotients differently from its array loop: a row whose single-point
 intermediates are 0-d complex products is marked ``SCALAR_PATH`` and holds
 (b) to 1e-14 of its unit-sized result; (a) has no tolerance.  A completeness
 test fails on a public function that is neither a row nor ``EXEMPT``.
+``test_rashba``, ``test_magnetic`` and ``test_momentum_product`` hold the
+same two comparisons at hand-picked points the draws seldom land on.
 ``mat2`` and ``stacked`` are held to the forms they replaced, inf and NaN
 included, and the variant families to their callers' batch axes.
 """
@@ -206,12 +208,9 @@ def assert_row(got, stack, index, scalar_path=False):
             assert np.all((value == want) | (np.abs(value - want) <= 1e-14) | np.isnan(want))
 
 
-@pytest.mark.parametrize("name", list(STACKED))
-@settings(max_examples=30)
-@given(data=st.data())
-def test_a_stack_equals_its_slices_and_points(name, data):
-    fn, kinds = row(name)
-    k, n, pairs = data.draw(variant_call(kinds))
+def check_row(name, k, n, pairs):
+    """(a) and (b) for one stacked call of row ``name``."""
+    fn, _ = row(name)
     with np.errstate(all="ignore") if name in SINGULAR else contextlib.nullcontext():
         whole = fn(*(x for x, _ in pairs))
         for i in range(k):
@@ -219,6 +218,46 @@ def test_a_stack_equals_its_slices_and_points(name, data):
             for j in range(n):
                 assert_row(fn(*[x[i, j] if on else x[j] for x, on in pairs]),         # (b)
                            whole, (i, j), name in SCALAR_PATH)
+
+
+@pytest.mark.parametrize("name", list(STACKED))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_stack_equals_its_slices_and_points(name, data):
+    check_row(name, *data.draw(variant_call(row(name)[1])))
+
+
+# Points the draws seldom land on, as k = 2 variants of N = 3 samples:
+# p = 0 (where the two bands cross), beta = 0 and both signs of beta (the two
+# Rashba sectors) in one stack, gamma at the ends of its range, zero fields.
+EDGES = {
+    "gamma": np.array([[0.0, 0.99, -0.99], [-0.5, 0.5, 0.0]]),
+    "beta": np.array([[0.0, 1.5, -1.5], [4.0, -4.0, 0.0]]),
+    "field": np.array([[0.0, 2.0, -2.0], [0.0, 0.0, 4.0]]),
+    "p": np.array([[[0.0, 0.0], [3.0, -4.0], [-0.0, 5.0]],
+                   [[1.5, 0.0], [0.0, 0.0], [-5.0, -5.0]]]),
+    "a_vec": np.array([[[0.0, 0.0], [1.0, -1.0], [3.0, 0.0]],
+                       [[0.0, -3.0], [0.0, 0.0], [-2.0, 2.0]]]),
+    "shift": np.array([[[0.0, 0.0, 0.0], [1j, -1.0, 2.0 + 1j], [3.0, -3j, 0.0]],
+                       [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2j, 0.0, -2.0 - 2j]]]),
+}
+
+
+def check_edges(name):
+    """(a) and (b) for row ``name`` on EDGES, each operand stacked."""
+    check_row(name, 2, 3, [(EDGES[kind], True) for kind in row(name)[1]])
+
+
+def test_rashba():
+    check_edges("rashba")
+
+
+def test_magnetic():
+    check_edges("magnetic")
+
+
+def test_momentum_product():
+    check_edges("momentum_product")
 
 
 def test_every_public_function_is_a_row_or_exempt():
