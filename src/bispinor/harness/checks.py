@@ -242,11 +242,10 @@ def check_rashba_product_form(cfg, rng):
 
 def check_isospectrality(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
-    # the oracle runs per variant: on the stack, numpy's vector loops and their
-    # scalar tails meet other entries, and overflowed NaNs come out with other signs
-    lam, lam_mirrored, lam_zero = (np.array(spectrum.eigenvalue_oracle(h)) for h in
-                                   momenta.rashba(np.array([g, -g, np.zeros(cfg.samples)]), b, p))
-    return {"mirrored_gamma": lam - lam_mirrored, "gamma_zero": lam - lam_zero}, cfg.samples
+    lam = np.array(spectrum.eigenvalue_oracle(
+        momenta.rashba(np.array([g, -g, np.zeros(cfg.samples)]), b, p)))   # (root, variant, sample)
+    return ({"mirrored_gamma": lam[:, 0] - lam[:, 1], "gamma_zero": lam[:, 0] - lam[:, 2]},
+            cfg.samples)
 
 
 def check_levy_leblond_system(cfg, rng):
@@ -330,7 +329,7 @@ def check_biorthogonality(cfg, rng):
 def check_projectors(cfg, rng):
     g, b, p = _gamma_beta_p(cfg, rng, cfg.samples)
     # |e^{i phi+} + e^{i phi-}| >= 2 omega, so no drawn pair is singular
-    pi1, pi2, _ = spectrum.projector_matrices(*phi_angles(g, p))
+    pi1, pi2 = spectrum.projector_matrices(*phi_angles(g, p))
     lam_p, lam_m = eigenvalues(b, p)
     h = momenta.rashba(g, b, p)
     return {
@@ -420,7 +419,7 @@ def check_gamma_zero_limit(cfg, rng):
     p = _momenta(cfg, rng, len(b))
     phi_plus, phi_minus = phi_angles(0.0, p)
     h = momenta.rashba(0.0, b, p)
-    pi1, pi2, _ = spectrum.projector_matrices(phi_plus, phi_minus)
+    pi1, pi2 = spectrum.projector_matrices(phi_plus, phi_minus)
     psi, psi_minus, dual, _ = eigen_amplitudes(phi_plus, phi_minus).swapaxes(0, 1)
     return {
         "hermitian_h": h - reversion_matrix(h),

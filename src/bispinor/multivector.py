@@ -86,18 +86,42 @@ def inv2(m) -> np.ndarray:
     return clifford_conjugation_matrix(m) / det2(m)[..., None, None]
 
 
+def _largest_part(z) -> np.ndarray:
+    """max(|Re z|, |Im z|), elementwise."""
+    return np.maximum(np.abs(z.real), np.abs(z.imag))
+
+
+def _ldexp(z, exponent) -> np.ndarray:
+    """z 2^exponent of complex z, exact where no part leaves the normal
+    range: the real and imaginary parts are scaled apart."""
+    out = np.empty(np.broadcast(z, exponent).shape, dtype=complex)
+    out.real, out.imag = np.ldexp(z.real, exponent), np.ldexp(z.imag, exponent)
+    return out
+
+
 def unitary2(m) -> np.ndarray:
     """The unitary factor Q of m = QR, R upper triangular with a positive
     diagonal, for (..., 2, 2) matrices: Gram-Schmidt on the two columns.
     The first column of Q is m's first over its norm; in C^2 the second is
     the unit normal (-conj(q10), conj(q00)) of the first times the phase of
     det m, the direction Gram-Schmidt leaves.  R itself is not formed (NaN
-    where m is singular)."""
-    first = m[..., :, 0] / np.hypot(np.abs(m[..., 0, 0]), np.abs(m[..., 1, 0]))[..., None]
-    det = det2(m)
+    where m is singular).
+
+    The batch is evaluated as one flat stack, so a single matrix gets the
+    bits of its row in a stack (numpy's scalar complex arithmetic rounds
+    differently from its array loop).  Each matrix is first scaled by the
+    power of two that puts its largest part in [1/2, 1): Q does not change,
+    and a subnormal m no longer overflows its quotient by the norm or
+    underflows its determinant."""
+    m = np.asarray(m, dtype=complex)
+    flat = m.reshape(-1, 2, 2)
+    _, exponent = np.frexp(_largest_part(flat).max(axis=(1, 2)))
+    flat = _ldexp(flat, -exponent[:, None, None])
+    first = flat[:, :, 0] / np.hypot(np.abs(flat[:, 0, 0]), np.abs(flat[:, 1, 0]))[:, None]
+    det = det2(flat)
     phase = det / np.abs(det)
-    return mat2(first[..., 0], -np.conj(first[..., 1]) * phase,
-                first[..., 1], np.conj(first[..., 0]) * phase)
+    q = mat2(first[:, 0], -np.conj(first[:, 1]) * phase, first[:, 1], np.conj(first[:, 0]) * phase)
+    return q.reshape(m.shape)
 
 
 def matvec(m, v) -> np.ndarray:

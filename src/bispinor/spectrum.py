@@ -16,6 +16,8 @@ from .multivector import (
     PAULI,
     SIGMA1,
     SIGMA2,
+    _largest_part,
+    _ldexp,
     amplitude_inner,
     deformation_omega,
     det2,
@@ -58,7 +60,13 @@ def eigenvector_oracle(h: np.ndarray, lam) -> np.ndarray:
     """Unit eigenvectors (..., 2) of (..., 2, 2) matrices h at their
     eigenvalues lam (...): of the two closed-form null vectors (b, lam - a)
     and (lam - d, c) of h - lam = [[a - lam, b], [c, d - lam]], the longer,
-    scaled to unit length (the phase is left as it comes)."""
+    scaled to unit length (the phase is left as it comes).  h and lam are
+    first scaled together by the power of two that puts their largest part
+    in [1/2, 1), which leaves the unit vectors as they are and keeps a
+    subnormal input from overflowing its quotient by the norm."""
+    h, lam = np.asarray(h, dtype=complex), np.asarray(lam, dtype=complex)
+    _, exponent = np.frexp(np.maximum(_largest_part(h).max(axis=(-2, -1)), _largest_part(lam)))
+    h, lam = _ldexp(h, -exponent[..., None, None]), _ldexp(lam, -exponent)
     a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
     first, second = (b, lam - a), (lam - d, c)
     n1, n2 = (np.hypot(np.abs(x), np.abs(y)) for x, y in (first, second))
@@ -97,9 +105,9 @@ def eigen_amplitudes(phi_plus, phi_minus) -> np.ndarray:
 
 def projector_matrices(phi_plus, phi_minus):
     """Finite parts (pi1, pi2) of the bi-orthogonal spectral projectors of
-    R^+_gamma(p), (..., 2, 2) over angles of shape (...), and the
-    normalization e^{i phi+} + e^{i phi-} they divide by; the pair is
-    singular where it vanishes.
+    R^+_gamma(p), (..., 2, 2) over angles of shape (...).  Both divide by
+    the normalization e^{i phi+} + e^{i phi-}, so the pair is singular
+    where it vanishes.
 
     Single angles are evaluated as one-element arrays: numpy's scalar
     complex product rounds differently from its array loop, and this keeps
@@ -111,7 +119,7 @@ def projector_matrices(phi_plus, phi_minus):
     with np.errstate(divide="ignore", invalid="ignore"):
         pi1 = mat2(ep, ep * em, 1.0, em) / den[..., None, None]
         pi2 = mat2(em, -ep * em, -1.0, ep) / den[..., None, None]
-    return pi1.reshape(shape + (2, 2)), pi2.reshape(shape + (2, 2)), den.reshape(shape)[()]
+    return pi1.reshape(shape + (2, 2)), pi2.reshape(shape + (2, 2))
 
 
 def flip_relations(gamma, p) -> dict:
@@ -159,7 +167,7 @@ def mixture_expectation(c_plus, c_minus, k, amps):
     den = amplitude_inner(d, a)
     vanishing = np.abs(den) < 1e-12
     return np.where(vanishing, np.nan,
-                    amplitude_inner(d, matvec(k, a)) / np.where(vanishing, 1.0, den))
+                    amplitude_inner(d, matvec(k, a)) / np.where(vanishing, 1.0, den))[()]
 
 
 def spin_expectations(amps) -> np.ndarray:

@@ -114,8 +114,9 @@ def test_criterion_04_projectors():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for g, beta, p in _sweep(rng):
-        pi1, pi2, den = projector_matrices(*phi_angles(g, p))
-        assert abs(den) >= 1e-9, "projector singular"
+        angles = phi_angles(g, p)
+        pi1, pi2 = projector_matrices(*angles)
+        assert abs(sum(np.exp(1j * phi) for phi in angles)) >= 1e-9, "projector singular"
         h = rashba(g, beta, p)
         lam_p, lam_m = eigenvalues(beta, p)
         worst = max(
@@ -285,8 +286,8 @@ def test_criterion_12_gamma_zero_degeneration():
         angles = phi_angles(0.0, p)
         amps = eigen_amplitudes(*angles)
         worst = max(worst, abs(np.vdot(amps[0], amps[1])))
-        pi1, pi2, den = projector_matrices(*angles)
-        assert abs(den) >= 1e-9, "projector singular"
+        pi1, pi2 = projector_matrices(*angles)
+        assert abs(sum(np.exp(1j * phi) for phi in angles)) >= 1e-9, "projector singular"
         worst = max(worst,
                     float(np.abs(pi1 - pi1.conj().T).max()),
                     float(np.abs(pi2 - pi2.conj().T).max()))

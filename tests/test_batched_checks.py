@@ -96,7 +96,7 @@ def loop_gamma_zero_limit(cfg, rng):
     for b, p in zip(betas, _momenta(cfg, rng, len(betas))):
         angles = spectrum.phi_angles(0.0, p)
         h = momenta.rashba(0.0, b, p)
-        pi1, pi2, _ = spectrum.projector_matrices(*angles)
+        pi1, pi2 = spectrum.projector_matrices(*angles)
         psi, psi_minus, dual, _ = spectrum.eigen_amplitudes(*angles)
         terms["hermitian_h"].append(h - reversion_matrix(h))
         # the library's own inner product, one point at a time: this loop

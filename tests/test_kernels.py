@@ -304,6 +304,11 @@ def test_unitary2_of_a_singular_matrix_is_not_finite():
         assert not np.isfinite(unitary2(np.array([[1.0, 2.0], [2.0, 4.0]]))[..., 1]).any()
 
 
+def test_unitary2_of_a_subnormal_matrix_is_the_identity():
+    # the norm of the first column is subnormal: the column over it overflows unless scaled first
+    assert np.array_equal(unitary2(np.diag([2e-311, 2e-311]).astype(complex)), np.eye(2))
+
+
 @EXAMPLES
 @given(hnp.array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=5).flatmap(
     lambda shape: complex_arrays(shape + (2, 2), well_posed)))
@@ -316,6 +321,12 @@ def test_closed_form_eigenpairs(h):
     assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=4 * EPS)
     residual = np.abs((h @ v[..., None])[..., 0] - lam[..., None] * v).max(axis=-1)
     assert (residual <= 64 * EPS * norm * (1.0 + norm / gap)).all()
+
+
+def test_eigenvector_oracle_at_a_subnormal_eigenvalue_is_a_unit_vector():
+    # |lam| is subnormal: the null vector (0, lam) over it overflows unless scaled first
+    v = eigenvector_oracle(np.zeros((2, 2)), 2.2e-309 * (1 + 1j))
+    assert np.allclose(v, [0.0, (1 + 1j) / np.sqrt(2.0)], rtol=0, atol=2 * EPS)
 
 
 def test_eigenvector_oracle_picks_the_longer_candidate():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from bispinor import spectrum
 from bispinor.momenta import (
@@ -163,61 +162,23 @@ def test_levy_leblond_first_order_system():
             assert np.abs(left @ eta - 1j * energy * v).max() < 1e-11
 
 
-MOMENTUM_ENTRY_POINTS = {
-    "clifford_momentum": lambda p: clifford_momentum(0.3, (0.0, 0.0, 0.5j), p),
-    "momentum_product": lambda p: momentum_product(0.3, (0.0, 0.0, 0.5j),
-                                                   (0.0, 0.0, -0.5j), p),
-    "rashba": lambda p: rashba(0.3, 1.0, p),
-    # the spectrum reads momenta through the same guard
-    "eigenvalues": lambda p: spectrum.eigenvalues(1.0, p),
-    "phi_angles": lambda p: spectrum.phi_angles(0.3, p),
-    "flip_relations": lambda p: spectrum.flip_relations(0.3, p),
-}
+def test_operators_need_no_generator_stack(monkeypatch):
+    # each operator is to_matrix of its coefficients: none of them builds
+    # the (..., 8, 2, 2) generator stack, and none changes without it
+    g, p = np.array([0.0, 0.4, -0.7]), np.array([[0.3, -1.2], [2.0, 0.5], [-0.8, 0.1]])
+    shift = (0.2, -0.1, 0.5j)
+    calls = {
+        "rashba": lambda: rashba(g, -1.3, p),
+        "magnetic": lambda: magnetic(g, -0.8, (0.3, -0.2), 0.5, p),
+        "clifford_momentum": lambda: clifford_momentum(g, shift, p),
+        "momentum_product": lambda: momentum_product(g, shift, (0.0, 1.0, -0.5j), p),
+    }
+    want = {name: call() for name, call in calls.items()}
 
+    def no_stack(gamma):
+        raise AssertionError("generator stack built")
 
-@pytest.mark.parametrize("shape", [(1,), (4, 3), (2, 5, 4)])
-@pytest.mark.parametrize("entry", list(MOMENTUM_ENTRY_POINTS))
-def test_momentum_needs_two_components(entry, shape):
-    with pytest.raises(ValueError, match="momentum must have 2 components"):
-        MOMENTUM_ENTRY_POINTS[entry](np.ones(shape))
-
-
-class TestGeneratorCache:
-    """There is no generator cache: every request is a fresh closed-form
-    build, so a failed build raises on every call."""
-
-    @pytest.mark.parametrize("bad", [[0.2, 1.0], [-1.0, 0.0], [0.5, np.nan]])
-    def test_invalid_gamma_raises_on_every_call(self, bad):
-        for _ in range(3):
-            with pytest.raises(ValueError):
-                deformed_generators(np.array(bad))
-            with pytest.raises(ValueError):
-                rashba(np.array(bad), 1.0, (0.5, -0.3))
-
-    def test_single_gamma_is_a_zero_d_stack(self):
-        # a single gamma gives the (8, 2, 2) row of the one-element stack, bit for bit
-        for g in (0.0, 0.6, -0.37, np.float64(0.9), np.array(-0.25)):
-            got = deformed_generators(g)
-            assert got.shape == (8, 2, 2)
-            assert got.tobytes() == deformed_generators(np.reshape(g, 1))[0].tobytes()
-
-    def test_operators_need_no_generator_stack(self, monkeypatch):
-        # each operator is to_matrix of its coefficients: none of them builds
-        # the (..., 8, 2, 2) generator stack, and none changes without it
-        g, p = np.array([0.0, 0.4, -0.7]), np.array([[0.3, -1.2], [2.0, 0.5], [-0.8, 0.1]])
-        shift = (0.2, -0.1, 0.5j)
-        calls = {
-            "rashba": lambda: rashba(g, -1.3, p),
-            "magnetic": lambda: magnetic(g, -0.8, (0.3, -0.2), 0.5, p),
-            "clifford_momentum": lambda: clifford_momentum(g, shift, p),
-            "momentum_product": lambda: momentum_product(g, shift, (0.0, 1.0, -0.5j), p),
-        }
-        want = {name: call() for name, call in calls.items()}
-
-        def no_stack(gamma):
-            raise AssertionError("generator stack built")
-
-        # momenta does not import deformed_generators, so this is its only source
-        monkeypatch.setattr("bispinor.multivector.deformed_generators", no_stack)
-        for name, call in calls.items():
-            assert np.array_equal(call(), want[name]), name
+    # momenta does not import deformed_generators, so this is its only source
+    monkeypatch.setattr("bispinor.multivector.deformed_generators", no_stack)
+    for name, call in calls.items():
+        assert np.array_equal(call(), want[name]), name

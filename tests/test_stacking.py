@@ -4,18 +4,19 @@
 spectrum, timereversal, ideal and biortho, the kinds of its operands
 (``OPERANDS``), or a one-line call around it.  One property draws k = 2..4
 variants of N = 1..5 samples, each operand stacked (k, N, ...) or shared
-(N, ...), and holds bit for bit (``tobytes``, every NaN made the same NaN):
-(a) each slice of the stacked call equals its own N >= 1 call, and (b) each
-single point, ``x[i]`` of every operand, equals its row of the stack.  A
-single point runs numpy's scalar path, which rounds complex products and
-quotients differently from its array loop: a row whose single-point
-intermediates are 0-d complex products is marked ``SCALAR_PATH`` and holds
-(b) to 1e-14 of its unit-sized result; (a) has no tolerance.  A completeness
-test fails on a public function that is neither a row nor ``EXEMPT``.
-``test_rashba``, ``test_magnetic`` and ``test_momentum_product`` hold the
-same two comparisons at hand-picked points the draws seldom land on.
-``mat2`` and ``stacked`` are held to the forms they replaced, inf and NaN
-included, and the variant families to their callers' batch axes.
+(N, ...), and holds bit for bit (``tobytes``, every NaN made the same NaN)
+and type for type: (a) each slice of the stacked call equals its own N >= 1
+call, and (b) each single point equals its row of the stack, its 0-d
+operands given in one of three ``POINT_FORMS`` drawn per example (numpy
+scalars as indexed, Python scalars or 0-d arrays).  There is no tolerance
+and no exception.  A completeness test fails on a public function that is
+neither a row nor ``EXEMPT``.  ``test_rashba``, ``test_magnetic``,
+``test_momentum_product`` and ``test_projector_matrices`` hold the same two
+comparisons, in every point form, at hand-picked points the draws seldom
+land on.  ``test_every_guarded_operand_refuses_a_bad_value`` holds the two
+input guards at every operand of the table that reads one.  ``mat2`` and
+``stacked`` are held to the forms they replaced, inf and NaN included, and
+the variant families to their callers' batch axes.
 """
 
 import ast
@@ -128,15 +129,17 @@ EXEMPT = {
     "stacked": "held below to np.stack, whose layout it writes",
 }
 
-# NaN where a drawn matrix is singular (a zero determinant or column), or
-# inf where a subnormal is divided by its norm, with the floating-point
-# warnings that come with them
+# NaN where a drawn matrix is singular (a zero determinant or column), with
+# the floating-point warnings that come with it
 SINGULAR = {"inv2", "unitary2", "eigenvector_oracle"}
 
-# The single points of these rows go through 0-d complex intermediates:
-# unitary2's determinant m00 m11 - m01 m10, its phase det / |det| and its
-# first column over its norm
-SCALAR_PATH = {"unitary2"}
+# A single point's 0-d operands as indexed (numpy scalars), as Python
+# scalars, or as 0-d arrays; operands with a core shape stay arrays
+POINT_FORMS = {
+    "indexed": lambda x: x,
+    "python": lambda x: x.item() if np.ndim(x) == 0 else x,
+    "0-d array": np.asarray,
+}
 
 
 def row(name):
@@ -190,46 +193,46 @@ def bits(x):
     return x.dtype, x.shape, x.tobytes()
 
 
-def assert_row(got, stack, index, scalar_path=False):
+def assert_row(got, stack, index):
     """Each term of a result equals its row ``index`` of the stacked result,
-    bit for bit; on the scalar path NaN and inf where the row has them, and
-    1e-14 of the unit-sized result elsewhere."""
+    bit for bit and of the same type (a point's row is a numpy scalar where
+    the row is 0-d)."""
     got, stack = terms(got), terms(stack)
     assert list(got) == list(stack)
     for key, value in got.items():
         want = stack[key][index]
-        if not scalar_path:
-            assert bits(value) == bits(want)
-            continue
-        value = np.asarray(value)
-        assert value.dtype == want.dtype and value.shape == want.shape
-        assert np.array_equal(np.isnan(value), np.isnan(want))
-        with np.errstate(invalid="ignore"):                     # inf - inf
-            assert np.all((value == want) | (np.abs(value - want) <= 1e-14) | np.isnan(want))
+        assert type(value) is type(want)
+        assert bits(value) == bits(want)
 
 
-def check_row(name, k, n, pairs):
-    """(a) and (b) for one stacked call of row ``name``."""
+def check_row(name, k, n, pairs, form="indexed"):
+    """(a) and (b) for one stacked call of row ``name``, the points in the
+    point form ``form``."""
     fn, _ = row(name)
+    point = POINT_FORMS[form]
     with np.errstate(all="ignore") if name in SINGULAR else contextlib.nullcontext():
         whole = fn(*(x for x, _ in pairs))
         for i in range(k):
             assert_row(fn(*[x[i] if on else x for x, on in pairs]), whole, i)        # (a)
             for j in range(n):
-                assert_row(fn(*[x[i, j] if on else x[j] for x, on in pairs]),         # (b)
-                           whole, (i, j), name in SCALAR_PATH)
+                assert_row(fn(*[point(x[i, j] if on else x[j]) for x, on in pairs]),  # (b)
+                           whole, (i, j))
 
 
 @pytest.mark.parametrize("name", list(STACKED))
 @settings(max_examples=30)
 @given(data=st.data())
 def test_a_stack_equals_its_slices_and_points(name, data):
-    check_row(name, *data.draw(variant_call(row(name)[1])))
+    call = data.draw(variant_call(row(name)[1]))
+    check_row(name, *call, data.draw(st.sampled_from(list(POINT_FORMS)), label="form"))
 
 
 # Points the draws seldom land on, as k = 2 variants of N = 3 samples:
 # p = 0 (where the two bands cross), beta = 0 and both signs of beta (the two
-# Rashba sectors) in one stack, gamma at the ends of its range, zero fields.
+# Rashba sectors) in one stack, gamma at the ends of its range, zero fields,
+# and the angle pair (0.14224092203885907, twice), at which numpy's scalar
+# complex product rounds Pi1[0, 1] to 0.4949504024674745 and its array loop
+# to 0.49495040246747446.
 EDGES = {
     "gamma": np.array([[0.0, 0.99, -0.99], [-0.5, 0.5, 0.0]]),
     "beta": np.array([[0.0, 1.5, -1.5], [4.0, -4.0, 0.0]]),
@@ -240,12 +243,15 @@ EDGES = {
                        [[0.0, -3.0], [0.0, 0.0], [-2.0, 2.0]]]),
     "shift": np.array([[[0.0, 0.0, 0.0], [1j, -1.0, 2.0 + 1j], [3.0, -3j, 0.0]],
                        [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2j, 0.0, -2.0 - 2j]]]),
+    "angle": np.array([[0.14224092203885907, 0.0, np.pi], [-np.pi / 2, 7.0, -7.0]]),
 }
 
 
 def check_edges(name):
-    """(a) and (b) for row ``name`` on EDGES, each operand stacked."""
-    check_row(name, 2, 3, [(EDGES[kind], True) for kind in row(name)[1]])
+    """(a) and (b) for row ``name`` on EDGES, each operand stacked, in every
+    point form."""
+    for form in POINT_FORMS:
+        check_row(name, 2, 3, [(EDGES[kind], True) for kind in row(name)[1]], form)
 
 
 def test_rashba():
@@ -260,11 +266,44 @@ def test_momentum_product():
     check_edges("momentum_product")
 
 
+def test_projector_matrices():
+    check_edges("projector_matrices")
+
+
 def test_every_public_function_is_a_row_or_exempt():
     rows = {name.partition(".")[0] for name in STACKED}
     assert not rows & set(EXEMPT)
     assert sorted(rows | set(EXEMPT)) == sorted(FUNCTIONS)
-    assert SINGULAR | SCALAR_PATH <= set(STACKED)
+    assert SINGULAR <= set(STACKED)
+
+
+# The two input guards, each written once: multivector.deformation_omega
+# refuses a gamma with |gamma| >= 1 or NaN, and multivector.in_plane an
+# in-plane vector (a momentum or a gauge shift) of other than 2 components.
+# (bad values, message) per guarded operand kind; an in-plane bad value is
+# the length of the trailing axis.
+GUARDS = {
+    "gamma": ((1.0, -1.0, 1.2, np.nan), r"\|gamma\| < 1"),
+    **dict.fromkeys(("p", "pair_p", "a_vec"), ((1, 3), "must have 2 components")),
+}
+GUARDED = [(name, kind, bad) for name in STACKED for kind in row(name)[1] if kind in GUARDS
+           for bad in GUARDS[kind][0]]
+
+
+@pytest.mark.parametrize("name, kind, bad", GUARDED)
+def test_every_guarded_operand_refuses_a_bad_value(name, kind, bad):
+    # zeros elsewhere: three samples, the bad value in the second
+    fn, kinds = row(name)
+    operands = [np.zeros((3,) + OPERANDS[k][0], complex if k in COMPLEX else float) for k in kinds]
+    position = kinds.index(kind)
+    if kind == "gamma":
+        operands[position][1] = bad
+    else:
+        operands[position] = np.zeros(operands[position].shape[:-1] + (bad,))
+    # the stack with its bad row, and that row alone
+    for call in (operands, [x[1] for x in operands]):
+        with pytest.raises(ValueError, match=GUARDS[kind][1]):
+            fn(*call)
 
 
 # A library function stacks its variants behind its callers' batch axes.
