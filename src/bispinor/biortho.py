@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import amplitude_inner, deformation_transform, det2, inv2, matmul2, stacked
+from .multivector import _ID, amplitude_inner, deformation_transform, det2, inv2, matmul2, stacked
 
 _SEED_TOL = 1e-10
-_I2 = np.eye(2)
 
 # The canonical seeds v_j = (1, (-1)^(j-1))/sqrt(2), one per row.
 _CANONICAL_SEEDS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -41,7 +40,7 @@ def build_pair(v1: np.ndarray, v2: np.ndarray, transform: np.ndarray):
         raise ValueError("non-invertible transform")
 
     seeds = stacked((v1, v2), axis=-2)
-    if (np.abs(gram(seeds, seeds) - _I2) > _SEED_TOL).any():
+    if (np.abs(gram(seeds, seeds) - _ID) > _SEED_TOL).any():
         raise ValueError("seed vectors not orthonormal")
 
     # the rows T v_j and (T^-1)^dagger v_j: the seed rows times T^T and conj(T^-1)

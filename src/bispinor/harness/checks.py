@@ -1,10 +1,12 @@
 """The check registry: one entry per declared library invariant.
 
 Every check is a pure function (config, rng) -> (terms, samples): ``terms``
-maps the name of each sub-identity it tests to a residual array (the sample
-axis first where it samples).  The runner reduces terms through :func:`worst_term`, the one
-place a residual becomes a verdict, against the configured tolerance times
-the check's multiplier in the registry.
+maps the name of each sub-identity it tests to its unreduced difference,
+lhs - rhs (the sample axis first where it samples); the physics functions a
+check calls return such differences.  The runner reduces terms through
+:func:`worst_term`, the one place a residual becomes a number and a verdict,
+against the configured tolerance times the check's multiplier in the
+registry.
 
 Each check draws from its own generator, ``default_rng([seed,
 crc32(test_id)])``, so its samples depend only on the seed and its ID: a
@@ -14,7 +16,7 @@ makes of that list, which gives the same stream.  A sampled
 check draws each input as one array over all its samples (momenta inside
 the small disc around the origin are redrawn row by row) and then
 evaluates its identity once over the stack.  A "must be nonzero" witness
-is an ordinary term (:func:`_nonzero_witness`).
+is an ordinary term over matrix differences (:func:`_nonzero_witness`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .. import biortho, ideal, momenta, spectrum, timereversal
 from ..multivector import (
     GRADES,
     MATRIX_INVOLUTIONS,
+    _ID,
     amplitude_inner,
     clifford_conjugation_matrix,
     decompose,
@@ -49,8 +52,7 @@ from ..spectrum import eigen_amplitudes, eigenvalues, phi_angles
 from .config import GAMMA_MARGIN, ConfigError, SuiteConfig
 from .report import ConformanceReport, ReportEntry
 
-_I2 = np.eye(2, dtype=complex)
-_TWO_DELTA_3 = 2.0 * np.eye(3)[..., None, None] * _I2      # 2 delta_ij, (3, 3, 2, 2)
+_TWO_DELTA_3 = 2.0 * np.eye(3)[..., None, None] * _ID      # 2 delta_ij, (3, 3, 2, 2)
 _ODD_BLADES = np.isin(GRADES, (1, 3))
 _SPLIT = np.diag([1.0, -1.0])
 _NONUNITARY = np.diag([2.0, 1.0])
@@ -132,10 +134,11 @@ def worst_term(terms: dict) -> tuple[float, str | None]:
 
 
 def _nonzero_witness(witness) -> np.ndarray:
-    """The term of a "must be nonzero" witness: 1.0 on each entry that is
-    not finite or is below 1e-6, else 0.0."""
-    witness = np.asarray(witness)
-    return np.where(np.isfinite(witness) & (witness >= 1e-6), 0.0, 1.0)
+    """The term of a "must be nonzero" witness over (..., 2, 2) matrix
+    differences: per matrix, 1.0 when its largest |entry| is not finite or
+    is below 1e-6, else 0.0."""
+    largest = np.abs(witness).max(axis=(-2, -1))
+    return np.where(np.isfinite(largest) & (largest >= 1e-6), 0.0, 1.0)
 
 
 def _eigen_lambdas(beta, p) -> np.ndarray:
@@ -196,16 +199,16 @@ def check_biortho_gram(cfg, rng):
     m = _complex_normal(rng, (cfg.samples, 2, 2, 2))   # per sample: seed, transform
     q = unitary2(m[:, 0])
     t = m[:, 1]
-    t = np.where((np.abs(det2(t)) < 1e-3)[:, None, None], t + 2.0 * _I2, t)
+    t = np.where((np.abs(det2(t)) < 1e-3)[:, None, None], t + 2.0 * _ID, t)
     phi, chi = biortho.build_pair(q[..., :, 0], q[..., :, 1], t)
-    return {"gram": biortho.gram(phi, chi) - _I2}, cfg.samples
+    return {"gram": biortho.gram(phi, chi) - _ID}, cfg.samples
 
 
 def check_generator_synthesis(cfg, rng):
     gammas = np.array(cfg.gamma_values)
     made = biortho.synthesize_generators(gammas)
     return {"generators": made - deformed_generators(gammas)[:, 1:4],
-            "squares": matmul2(made, made) - _I2}, len(cfg.gamma_values)
+            "squares": matmul2(made, made) - _ID}, len(cfg.gamma_values)
 
 
 # ----------------------------------------------------------------- momenta
@@ -218,7 +221,7 @@ def check_linearization(cfg, rng):
     ell, nu = momenta.ELL, momenta.NU
     return {"l_nilpotent": matmul2(ell, ell),
             "n_nilpotent": matmul2(nu, nu),
-            "l_n_cross": matmul2(ell, nu) + matmul2(nu, ell) - 2.0 * _I2}, 1
+            "l_n_cross": matmul2(ell, nu) + matmul2(nu, ell) - 2.0 * _ID}, 1
 
 
 def check_factorization(cfg, rng):
@@ -333,7 +336,7 @@ def check_projectors(cfg, rng):
     lam_p, lam_m = eigenvalues(b, p)
     h = momenta.rashba(g, b, p)
     return {
-        "completeness": pi1 + pi2 - _I2,
+        "completeness": pi1 + pi2 - _ID,
         "orthogonality": matmul2(pi1, pi2),
         "pi1_idempotent": matmul2(pi1, pi1) - pi1,
         "pi2_idempotent": matmul2(pi2, pi2) - pi2,
@@ -361,7 +364,7 @@ def check_isospectral_pairs_generic(cfg, rng):
     high, low = spectrum.eigenvalue_oracle(herm)
     herm = np.where(((high - low).real < 0.1)[:, None, None], herm + _SPLIT, herm)
     s = m[:, 1]
-    s = np.where((np.abs(det2(s)) < 1e-2)[:, None, None], s + 2.0 * _I2, s)
+    s = np.where((np.abs(det2(s)) < 1e-2)[:, None, None], s + 2.0 * _ID, s)
     h = matmul2(matmul2(s, herm), inv2(s))
     # unit eigenvectors (2, n, 2) at the higher, then the lower eigenvalue
     right, left = (spectrum.eigenvector_oracle(x, np.array(spectrum.eigenvalue_oracle(x)))
@@ -391,7 +394,7 @@ def check_associated_expectation(cfg, rng):
     return {
         "pure_plus": spectrum.mixture_expectation(1.0, 0.0, h, amps) - lam_p,
         "even_mixture": spectrum.mixture_expectation(c, c, h, amps) - 0.5 * (lam_p + lam_m),
-        "identity": spectrum.mixture_expectation(0.3, 0.7j, _I2, amps) - 1.0,
+        "identity": spectrum.mixture_expectation(0.3, 0.7j, _ID, amps) - 1.0,
     }, cfg.samples
 
 
@@ -476,7 +479,7 @@ def check_noncommutation_witness(cfg, rng):
     gammas = np.concatenate([[0.0], gammas[gammas != 0.0]])     # gamma = 0 first
     witness = timereversal.noncommutation_witness(gammas, betas[:, None], p[:, None])
     return {"commutes_at_gamma_zero": witness[:, 0],
-            "witness_nonzero_gamma": _nonzero_witness(witness[:, 1:])}, witness.size
+            "witness_nonzero_gamma": _nonzero_witness(witness[:, 1:])}, len(betas) * len(gammas)
 
 
 def check_reversed_schrodinger(cfg, rng):

@@ -44,9 +44,6 @@ class SuiteConfig:
         for name in ("gamma_values", "beta_values", "p1_range", "p2_range"):
             size = 2 if name.endswith("_range") else None
             object.__setattr__(self, name, _floats(name, getattr(self, name), size))
-        self.validate()
-
-    def validate(self) -> None:
         if not self.gamma_values:
             raise ConfigError("at least one gamma value is required")
         for g in self.gamma_values:

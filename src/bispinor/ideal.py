@@ -14,6 +14,7 @@ import numpy as np
 
 from .multivector import (
     E13,
+    _ID,
     clifford_conjugation_matrix,
     deformation_omega,
     deformed_generators,
@@ -24,7 +25,6 @@ from .multivector import (
 )
 
 _E31 = -E13.astype(complex)  # e31 = -e13 in the matrix representation
-_I2 = np.eye(2, dtype=complex)
 
 
 def build_ideal_basis(gamma) -> np.ndarray:
@@ -42,7 +42,7 @@ def build_ideal_basis(gamma) -> np.ndarray:
     _, e1, e2, e3, e12, e23, e31, e123 = (generators[..., k, :, :] for k in range(8))
     reversed_set = time_reverse_matrix(generators)
     r1, r3, r12, r23 = (reversed_set[..., k, :, :] for k in (1, 3, 4, 5))
-    return stacked((0.5 * _I2 + 0.25 * w * (e3 - r3),
+    return stacked((0.5 * _ID + 0.25 * w * (e3 - r3),
                     0.5 * e2 + 0.25 * w * (e23 + r23),
                     0.5 * e31 - 0.25 * w * (e1 - r1),
                     0.5 * e123 + 0.25 * w * (e12 + r12)), axis=-3)
@@ -76,8 +76,8 @@ def c2_form(a: np.ndarray, b: np.ndarray):
 
 
 def invariance_group_defects(u: np.ndarray):
-    """The defects (...) of (..., 2, 2) matrices from the two invariance groups,
-    the largest entry of each defining product minus the identity.
+    """The defects (..., 2, 2) of (..., 2, 2) matrices from the two invariance
+    groups, each defining product minus the identity.
 
     G: reversion(u) u = 1, equivalent to unitarity (preserves C1).
     G': conj_cl(u) u_flat = 1 with the flip taken at operator level,
@@ -86,5 +86,5 @@ def invariance_group_defects(u: np.ndarray):
     """
     u = np.asarray(u, dtype=complex)
     u_flat = time_reverse_matrix(u)
-    return (np.abs(matmul2(reversion_matrix(u), u) - _I2).max(axis=(-1, -2)),
-            np.abs(matmul2(clifford_conjugation_matrix(u), u_flat) - _I2).max(axis=(-1, -2)))
+    return (matmul2(reversion_matrix(u), u) - _ID,
+            matmul2(clifford_conjugation_matrix(u), u_flat) - _ID)

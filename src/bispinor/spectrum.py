@@ -123,12 +123,13 @@ def projector_matrices(phi_plus, phi_minus):
 
 
 def flip_relations(gamma, p) -> dict:
-    """Residuals (modulo pi) of the angle relations under momentum and gamma
-    flips, elementwise over gamma (...) and momenta (..., 2):
+    """Differences (signed, modulo pi, in [-pi/2, pi/2]) of the angle
+    relations under momentum and gamma flips, elementwise over gamma (...)
+    and momenta (..., 2), each relation's parts on a trailing axis:
 
-    (a) phi_-+(p, g) = phi_+-(-p, g) = phi_+-(p, -g)
-    (b) phi_pm(-p, -g) = phi_pm(p, g)
-    (c) phi_pm(-p1, p2) + phi_-+(p1, p2) = 0 = phi_pm(p1, -p2) + phi_pm(p1, p2)
+    (a) phi_-+(p, g) = phi_+-(-p, g) = phi_+-(p, -g), (..., 4)
+    (b) phi_pm(-p, -g) = phi_pm(p, g), (..., 2)
+    (c) phi_pm(-p1, p2) + phi_-+(p1, p2) = 0 = phi_pm(p1, -p2) + phi_pm(p1, p2), (..., 4)
 
     They are relations between the tangents, and tan is pi-periodic, so they
     hold modulo pi on any branch; the eigen branch of :func:`phi_angles`,
@@ -136,8 +137,8 @@ def flip_relations(gamma, p) -> dict:
     """
     p = in_plane(p, "momentum")
 
-    def wrap(x):
-        return np.abs(np.angle(np.exp(2j * x))) / 2.0
+    def wrap(*parts):
+        return np.angle(np.exp(2j * stacked(parts))) / 2.0
 
     # the angles at (p, g), (-p, g), (p, -g), (-p, -g), (-p1, p2) and (p1, -p2),
     # stacked on a trailing axis behind the batch axes of gamma and p
@@ -146,13 +147,9 @@ def flip_relations(gamma, p) -> dict:
     plus, minus = phi_angles(gammas, flipped)
     fp, fp_mp, fp_mg, fp_mpmg, fp_m1, fp_m2 = (plus[..., k] for k in range(6))
     fm, fm_mp, fm_mg, fm_mpmg, fm_m1, fm_m2 = (minus[..., k] for k in range(6))
-
-    res_a = np.maximum.reduce([wrap(fm - fp_mp), wrap(fm - fp_mg),
-                               wrap(fp - fm_mp), wrap(fp - fm_mg)])
-    res_b = np.maximum(wrap(fp_mpmg - fp), wrap(fm_mpmg - fm))
-    res_c = np.maximum.reduce([wrap(fp_m1 + fm), wrap(fm_m1 + fp),
-                               wrap(fp_m2 + fp), wrap(fm_m2 + fm)])
-    return {"a": res_a, "b": res_b, "c": res_c}
+    return {"a": wrap(fm - fp_mp, fm - fp_mg, fp - fm_mp, fp - fm_mg),
+            "b": wrap(fp_mpmg - fp, fm_mpmg - fm),
+            "c": wrap(fp_m1 + fm, fm_m1 + fp, fp_m2 + fp, fm_m2 + fm)}
 
 
 def mixture_expectation(c_plus, c_minus, k, amps):
@@ -178,7 +175,7 @@ def spin_expectations(amps) -> np.ndarray:
 
 
 def continuity_residual(gamma, beta, amplitudes, momenta, energies):
-    """|K| of the pair kernel of the continuity identity d(rho)/dt + div<J> = 0
+    """The complex pair kernel K of the continuity identity d(rho)/dt + div<J> = 0
     of the deformed Rashba current, elementwise over stacked pairs (...).
 
     A pair is two plane-wave eigenstates a e^{i theta}, b e^{i theta'} with
@@ -204,8 +201,7 @@ def continuity_residual(gamma, beta, amplitudes, momenta, energies):
     a, b = amplitudes[..., 0, :], amplitudes[..., 1, :]
     dk, k2 = k[..., 1, :] - k[..., 0, :], (k * k).sum(axis=-1)
     weight = energies[..., 0] - energies[..., 1] + 0.5 * (k2[..., 1] - k2[..., 0])
-    kernel = (weight * amplitude_inner(a, b)
-              - beta * dk[..., 0] * amplitude_inner(a, matvec(SIGMA2, b))
-              + beta / deformation_omega(gamma) * dk[..., 1]
-              * amplitude_inner(a, matvec(SIGMA1, b)))
-    return np.abs(kernel)
+    return (weight * amplitude_inner(a, b)
+            - beta * dk[..., 0] * amplitude_inner(a, matvec(SIGMA2, b))
+            + beta / deformation_omega(gamma) * dk[..., 1]
+            * amplitude_inner(a, matvec(SIGMA1, b)))

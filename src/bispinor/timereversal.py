@@ -36,20 +36,16 @@ def reverse_amplitudes(amps) -> np.ndarray:
     return stacked((-c[..., 1], c[..., 0]))
 
 
-def _maxabs(x, axes):
-    """Largest |entry| over ``axes``, per leading index."""
-    return np.abs(x).max(axis=axes)
-
-
 def pseudo_hermitian_residual(h_minus_p, h_p):
-    """Max-entry residual of H(p) = H^#(p), the fixed-momentum form of
-    T^-1 H T = H^dagger, per matrix of the (..., 2, 2) stacks H(-p) and H(p)."""
-    return _maxabs(h_p - clifford_conjugation_matrix(h_minus_p), (-1, -2))
+    """The difference H(p) - H^#(p), (..., 2, 2), of the fixed-momentum form
+    of T^-1 H T = H^dagger over the (..., 2, 2) stacks H(-p) and H(p)."""
+    return h_p - clifford_conjugation_matrix(h_minus_p)
 
 
 def generator_reversal(gamma) -> dict[str, np.ndarray]:
-    """Residuals of the time-reversed generator identities at deformation
-    parameters gamma (...), each of shape (...).
+    """Differences of the time-reversed generator identities at deformation
+    parameters gamma (...): 'vector_rule' (..., 3, 2, 2) and 'listed_set'
+    (..., 8, 2, 2).
 
     'vector_rule' covers T^-1 sigma_m^g T = -sigma_m^{-g} for m = 1, 2, 3;
     'listed_set' compares the conjugated generator set against its closed
@@ -60,8 +56,7 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
     """
     gamma = np.asarray(gamma, dtype=float)
     generators, mirrored = deformed_generators(np.array([gamma, -gamma]))
-    vector_rule = _maxabs(time_reverse_matrix(generators[..., 1:4, :, :])
-                          + mirrored[..., 1:4, :, :], (-1, -2, -3))
+    vector_rule = time_reverse_matrix(generators[..., 1:4, :, :]) + mirrored[..., 1:4, :, :]
 
     reversed_vectors = reversion_matrix(generators[..., :4, :, :])
     one, r1, r2, r3 = (reversed_vectors[..., k, :, :] for k in range(4))
@@ -74,8 +69,7 @@ def generator_reversal(gamma) -> dict[str, np.ndarray]:
         1j * r2,                  # e31 <- sigma2~
         -1j * one,                # the pseudoscalar flips
     ), axis=-3)
-    listed_set = _maxabs(time_reverse_matrix(generators) - expected, (-1, -2, -3))
-    return {"vector_rule": vector_rule, "listed_set": listed_set}
+    return {"vector_rule": vector_rule, "listed_set": time_reverse_matrix(generators) - expected}
 
 
 def kramers_pairing(gamma, p):
@@ -87,22 +81,21 @@ def kramers_pairing(gamma, p):
     R^+_{-gamma}(-p) = H^dagger(-p) with the same eigenvalue is
     :func:`reversed_schrodinger_residual`.
 
-    Returns a dict of residual terms, each (...): 'dual_matching', the
-    largest entry of T psi_pm - (dual_-, -dual_+) over both branches, and
-    'orthogonality', <T psi | psi> = 0.  Both read exactly 0:
+    Returns a dict of differences: 'dual_matching' (..., 2, 2), T psi_pm -
+    (dual_-, -dual_+) with the branch on axis -2, and 'orthogonality'
+    (..., 2), <T psi_pm | psi_pm>.  Both read exactly 0:
     conj(e^{i phi}) and e^{-i phi} round alike (cos is even, sin is odd),
     and the two products of <T psi | psi> are the same products in the
     other order.
     """
     amps = eigen_amplitudes(*phi_angles(gamma, p))
     t_psi = reverse_amplitudes(amps[..., :2, :])          # T psi_+, T psi_-
-    dual_matching = _maxabs(t_psi - [[1.0], [-1.0]] * amps[..., 3:1:-1, :], (-1, -2))
-    return {"dual_matching": dual_matching,
-            "orthogonality": _maxabs(amplitude_inner(t_psi, amps[..., :2, :]), -1)}
+    return {"dual_matching": t_psi - [[1.0], [-1.0]] * amps[..., 3:1:-1, :],
+            "orthogonality": amplitude_inner(t_psi, amps[..., :2, :])}
 
 
 def noncommutation_witness(gamma, beta, p):
-    """Norm of the difference between T-conjugation of R^+_gamma and
+    """The difference (..., 2, 2) between T-conjugation of R^+_gamma and
     R^+_gamma itself at momentum p (elementwise over gamma, beta and
     momenta (..., 2)); nonzero for gamma != 0 (the reason a plain Kramers
     degeneracy argument fails) and zero at gamma = 0."""
@@ -110,18 +103,18 @@ def noncommutation_witness(gamma, beta, p):
     h = rashba(np.asarray(gamma)[..., None], np.asarray(beta)[..., None],
                stacked((-p, p), axis=-2))
     # U conj(H(-p)) U^-1 realizes T^-1 H T at momentum label p
-    return _maxabs(time_reverse_matrix(h[..., 0, :, :]) - h[..., 1, :, :], (-1, -2))
+    return time_reverse_matrix(h[..., 0, :, :]) - h[..., 1, :, :]
 
 
 def reversed_schrodinger_residual(gamma, beta, p):
-    """Residual of the reversed Schroedinger equation for the eigenstates of
+    """Difference of the reversed Schroedinger equation for the eigenstates of
     R^+_gamma(p), elementwise over gamma, beta (...) and momenta (..., 2).
 
     An eigenstate psi(t) = e^{-i lambda t} psi with lambda real reverses to
     chi(t) = T psi(-t) = e^{-i lambda t} e13 psi*, so i d(chi)/dt =
     H^dagger(-p) chi holds exactly when H^dagger(-p) e13 psi* = lambda e13
-    psi*.  The residual is the largest entry of H^dagger(-p) e13 psi_pm* -
-    lambda_pm e13 psi_pm* over both branches, one per row.  Since
+    psi*.  The difference is H^dagger(-p) e13 psi_pm* - lambda_pm e13
+    psi_pm*, (..., 2, 2) with the branch on axis -2.  Since
     R^+_{-gamma}(-p) = H^dagger(-p), it is also the eigen-identity term of
     the Kramers analogue.
     """
@@ -129,4 +122,4 @@ def reversed_schrodinger_residual(gamma, beta, p):
     chi = reverse_amplitudes(eigen_amplitudes(*phi_angles(gamma, p))[..., :2, :])
     h_adj = reversion_matrix(rashba(gamma, beta, -p))
     lam = stacked(eigenvalues(beta, p))[..., None]
-    return _maxabs(matvec(h_adj[..., None, :, :], chi) - lam * chi, (-1, -2))
+    return matvec(h_adj[..., None, :, :], chi) - lam * chi

@@ -138,7 +138,7 @@ def test_criterion_05_pseudo_hermiticity():
         for gg in (g, -g):
             for b in (beta, -beta):
                 h_minus_p, h_p = (rashba(gg, b, q) for q in (-p, p))
-                worst = max(worst, pseudo_hermitian_residual(h_minus_p, h_p))
+                worst = max(worst, np.abs(pseudo_hermitian_residual(h_minus_p, h_p)).max())
         adj = rashba(g, beta, p).conj().T
         worst = max(worst, float(np.abs(adj - rashba(-g, beta, p)).max()))
     _report("pseudo-Hermiticity", worst, 1e-12)
@@ -164,8 +164,8 @@ def test_criterion_06_time_reversal():
             worst = max(worst,
                         float(np.abs(conj + mirror[m]).max()))
     for g, beta, p in _sweep(rng, 100):
-        worst = max(worst, *kramers_pairing(g, p).values(),
-                    reversed_schrodinger_residual(g, beta, p))
+        worst = max(worst, *(np.abs(r).max() for r in kramers_pairing(g, p).values()),
+                    np.abs(reversed_schrodinger_residual(g, beta, p)).max())
     _report("time reversal and Kramers analogue", worst, 1e-10)
 
 
@@ -173,7 +173,7 @@ def test_criterion_07_flip_relations():
     rng = np.random.default_rng(2029)
     worst = 0.0
     for g, _, p in _sweep(rng):
-        worst = max(worst, max(flip_relations(g, p).values()))
+        worst = max(worst, *(np.abs(r).max() for r in flip_relations(g, p).values()))
     for sign in (1.0, -1.0):
         angles = [phi_angles(0.45, r * np.array([1.0, sign]) / np.sqrt(2))
                   for r in (0.5, 1.0, 3.0)]
@@ -273,7 +273,7 @@ def test_criterion_11_continuity():
     g, beta = 0.4, 1.0
     p = np.array([[1.1, 0.8], [0.6, -0.8]])
     amps = eigen_amplitudes(*phi_angles(g, p))[:, 0]
-    residual = continuity_residual(g, beta, amps, p, eigenvalues(beta, p)[0])
+    residual = abs(continuity_residual(g, beta, amps, p, eigenvalues(beta, p)[0]))
     _report("probability continuity", residual, 1e-12)
 
 

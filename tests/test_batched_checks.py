@@ -38,13 +38,12 @@ _I2 = np.eye(2, dtype=complex)
 def generator_reversal_at(g):
     generators = deformed_generators(g)
     mirrored = deformed_generators(-g)
-    vector_rule = float(np.abs(time_reverse_matrix(generators[1:4]) + mirrored[1:4]).max())
     rev = reversion_matrix(generators)
     expected = np.stack((rev[0], -rev[1], -rev[2], -rev[3],
                          1j * rev[3], 1j * rev[1], 1j * rev[2],
                          -1j * np.eye(2, dtype=complex)))
-    listed_set = float(np.abs(time_reverse_matrix(generators) - expected).max())
-    return {"vector_rule": vector_rule, "listed_set": listed_set}
+    return {"vector_rule": time_reverse_matrix(generators[1:4]) + mirrored[1:4],
+            "listed_set": time_reverse_matrix(generators) - expected}
 
 
 def ideal_basis_at(g):
@@ -116,6 +115,7 @@ def loop_noncommutation_witness(cfg, rng):
         residuals.append(timereversal.noncommutation_witness(0.0, b, p))
         witnesses += [timereversal.noncommutation_witness(g, b, p)
                       for g in cfg.gamma_values if g != 0.0]
+    witnesses = np.reshape(witnesses, (-1, 2, 2))          # (0, 2, 2) when no gamma is nonzero
     return {"commutes_at_gamma_zero": residuals,
             "witness_nonzero_gamma": _nonzero_witness(witnesses)}, len(witnesses) + len(betas)
 

@@ -15,6 +15,7 @@ from bispinor import cli
 from bispinor.harness import checks, tables
 from bispinor.harness.checks import (
     REGISTRY,
+    _nonzero_witness,
     check_magnetic_trs_convention,
     check_noncommutation_witness,
     run_all,
@@ -482,6 +483,14 @@ class TestRegistry:
             assert worst_term(terms)[0] > cfg.tolerance
             witnesses = {name: t for name, t in terms.items() if name.startswith("witness")}
             assert witnesses and worst_term(witnesses)[0] == 1.0
+
+    def test_witness_threshold_edge(self):
+        # one value per matrix, from its largest |entry| against 1e-6: at the
+        # edge it is visibly nonzero (0.0), one ulp below it or at 0 it is not
+        largest = np.array([1e-6, np.nextafter(1e-6, 0), 0.0, 1e-6j])
+        m = np.zeros((4, 4), dtype=complex) + 0.25 * largest[:, None]
+        m[np.arange(4), np.arange(4)] = largest          # a different entry per matrix
+        assert _nonzero_witness(m.reshape(4, 2, 2)).tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_worst_term_rule(self):
         # max |.| per term; the first non-finite term wins, else the first

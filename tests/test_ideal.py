@@ -132,11 +132,14 @@ class TestInvarianceGroups:
         alpha = 0.6
         u = np.cos(alpha) * np.eye(2) + 1j * np.sin(alpha) * np.array(
             [[0.0, -1j], [1j, 0.0]])
-        assert max(invariance_group_defects(u)) < TOL
+        assert np.abs(invariance_group_defects(u)).max() < TOL
 
     def test_nonunitary_rejected(self):
-        # reversion(u) u - 1 = diag(3, 0) for u = diag(2, 1), in both groups
-        assert invariance_group_defects(np.diag([2.0, 1.0])) == (3.0, 3.0)
+        # for u = diag(2, 1): reversion(u) u - 1 = diag(3, 0) and
+        # conj_cl(u) u_flat - 1 = diag(1, 2) diag(1, 2) - 1 = diag(0, 3)
+        defect_g, defect_gp = invariance_group_defects(np.diag([2.0, 1.0]))
+        assert np.array_equal(defect_g, np.diag([3.0, 0.0]))
+        assert np.array_equal(defect_gp, np.diag([0.0, 3.0]))
 
     def test_scaled_unitary_defect(self):
         # (1+eps) Q is off the groups by (1+eps)^2 - 1, about 2 eps
@@ -144,15 +147,16 @@ class TestInvarianceGroups:
         q, _ = np.linalg.qr(rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2)))
         for eps in (1e-3, -1e-6, 0.1):
             for defect in invariance_group_defects((1 + eps) * q):
-                assert defect.shape == (20,)
-                assert np.abs(defect - abs(2 * eps + eps * eps)).max() < 1e-12
+                assert defect.shape == (20, 2, 2)
+                largest = np.abs(defect).max(axis=(-2, -1))
+                assert np.abs(largest - abs(2 * eps + eps * eps)).max() < 1e-12
 
     def test_members_preserve_inner_products(self):
         rng = np.random.default_rng(157)
         for _ in range(50):
             z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             q, _ = np.linalg.qr(z)
-            assert max(invariance_group_defects(q)) < TOL
+            assert np.abs(invariance_group_defects(q)).max() < TOL
             a, b = random_spinor(rng), random_spinor(rng)
             ia, ib = ideal_matrix(a), ideal_matrix(b)
             ra, rb = q @ ia, q @ ib

@@ -24,6 +24,7 @@ _to_matrix = multivector.to_matrix
 _pauli_matrix = multivector.pauli_matrix
 _build_ideal_basis = ideal.build_ideal_basis
 _synthesize_generators = biortho.synthesize_generators
+_magnetic = momenta.magnetic
 _magnetic_shifts = momenta.magnetic_shifts
 _rashba_shifts = momenta.rashba_shifts
 _eigen_amplitudes = spectrum.eigen_amplitudes
@@ -70,7 +71,7 @@ def map_with_e23_and_e31_swapped(a, gamma=0.0):
 
 
 def group_defects_zeroed(u):
-    return np.zeros(np.shape(u)[:-2]), np.zeros(np.shape(u)[:-2])
+    return np.zeros(np.shape(u)), np.zeros(np.shape(u))
 
 
 def ideal_basis_with_g1_and_g2_swapped(gamma):
@@ -132,6 +133,11 @@ def rashba_shifts_swapped(beta):
     return _rashba_shifts(beta)[::-1]
 
 
+def magnetic_without_fields(gamma, beta, a_vec, b3, p):
+    # the vector potential and the field dropped: the Rashba Hamiltonian
+    return _magnetic(gamma, beta, (0.0, 0.0), 0.0, p)
+
+
 def magnetic_shifts_without_branch(beta, a_vec):
     # the shifts drop the sign of beta, so both sectors get those of +|beta|
     return _magnetic_shifts(np.abs(beta), a_vec)
@@ -146,11 +152,11 @@ def continuity_with_weights(sigma2_weight, sigma1_weight):
         dk, k2 = momenta[..., 1, :] - momenta[..., 0, :], (momenta * momenta).sum(axis=-1)
         weight = energies[..., 0] - energies[..., 1] + 0.5 * (k2[..., 1] - k2[..., 0])
         omega = multivector.deformation_omega(gamma)
-        return np.abs(weight * multivector.amplitude_inner(a, b)
-                      - sigma2_weight(beta, omega) * dk[..., 0]
-                      * multivector.amplitude_inner(a, _matvec(multivector.SIGMA2, b))
-                      + sigma1_weight(beta, omega) * dk[..., 1]
-                      * multivector.amplitude_inner(a, _matvec(multivector.SIGMA1, b)))
+        return (weight * multivector.amplitude_inner(a, b)
+                - sigma2_weight(beta, omega) * dk[..., 0]
+                * multivector.amplitude_inner(a, _matvec(multivector.SIGMA2, b))
+                + sigma1_weight(beta, omega) * dk[..., 1]
+                * multivector.amplitude_inner(a, _matvec(multivector.SIGMA1, b)))
     return residual
 
 
@@ -217,6 +223,11 @@ MUTANTS = {
     # the sector, the sign of beta, of the shifts the closed form is checked against
     "magnetic_shifts_without_branch": ("momenta.magnetic_consistency", "branch_minus", momenta,
                                        "magnetic_shifts", magnetic_shifts_without_branch),
+    # a magnetic Hamiltonian that ignores its fields is pseudo-Hermitian under
+    # either convention, so the fixed-field difference is 0 and its witness
+    # reads 1.0 (the only mutant that moves the two magnetic witnesses)
+    "magnetic_without_fields": ("momenta.magnetic_trs_convention", "witness_fixed_field_plus",
+                                momenta, "magnetic", magnetic_without_fields),
     # the closed form behind rashba and magnetic, against the product of the
     # two Clifford momenta
     "magnetic_with_v1_and_v2_swapped": ("momenta.rashba_product_form", "product_form", momenta,

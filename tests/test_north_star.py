@@ -11,7 +11,9 @@ library's operators are 2x2:
 no module builds a (..., 4, 4) array, and it contracts 2x2 stacks and
 2-vectors in one way, the closed forms of multivector (matmul2, matvec,
 amplitude_inner): no einsum anywhere, and ``@`` only in geometric_product's
-Cayley contraction and the table's build."""
+Cayley contraction and the table's build.  A physics function that states an
+identity returns its difference: the registry's worst_term takes every
+magnitude and maximum, and a physics module max-reduces only to scale."""
 
 import ast
 from pathlib import Path
@@ -223,3 +225,20 @@ def test_one_way_to_contract():
              for c in _contractions(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == [("multivector.py", "_CAYLEY", "@"),
                      ("multivector.py", "geometric_product", "@")]
+
+
+def _reductions(tree):
+    """(owner, name) of every max, amax or ufunc ``reduce`` call, by the
+    top-level statement it sits in."""
+    return [(_owner(top), _name(n.func)) for top in tree.body for n in ast.walk(top)
+            if _is_call_to(n, ("max", "amax", "reduce"))]
+
+
+def test_one_reducer():
+    # the scaling of unitary2 and eigenvector_oracle by a power of two, and
+    # build_pair's scale for its invertibility guard; no residual is reduced
+    found = [(module, *r) for module in PHYSICS for r in _reductions(
+        ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))]
+    assert found == [("multivector", "unitary2", "max"),
+                     ("spectrum", "eigenvector_oracle", "max"),
+                     ("biortho", "build_pair", "max")]

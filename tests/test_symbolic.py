@@ -466,4 +466,4 @@ def test_continuity_kernel_matches_the_proof(gamma):
     for n in range(5):
         want = kernel(*amps[n].ravel(), *k[n].ravel(), *energies[n], beta[n],
                       np.sqrt(1 - gamma**2))
-        assert got[n] == pytest.approx(abs(want), rel=1e-12)
+        assert got[n] == pytest.approx(want, rel=1e-12)
