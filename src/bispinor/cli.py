@@ -16,7 +16,6 @@ import argparse
 import sys
 
 from .harness.config import ConfigError, SuiteConfig
-from .harness import tables
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -120,6 +119,7 @@ def main(argv=None) -> int:
             if args.out:
                 _write_or_print(report.to_json(), args.out)
             return 0 if report.all_passed else 1
+        from .harness import tables                 # numpy loads only for valid work
         header, columns = {"spectrum": (tables.SPECTRUM_HEADER, tables.spectrum_columns),
                            "texture": (tables.TEXTURE_HEADER, tables.texture_columns)}[args.command]
         rows = tables.cells(args.command, columns(cfg), args.fmt)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Real
 
 # Random gamma draws are clipped away from +-1 by this margin (1/omega
@@ -29,21 +29,27 @@ def _floats(name: str, values, size: int | None = None) -> tuple[float, ...]:
     return tuple(float(x) for x in entries)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    gamma_values: tuple[float, ...] = (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9)
-    beta_values: tuple[float, ...] = (0.5, 1.0, 2.0)
-    p1_range: tuple[float, float] = (-3.0, 3.0)
-    p2_range: tuple[float, float] = (-3.0, 3.0)
-    grid_points: int = 12
-    samples: int = 50
-    seed: int = 7
-    tolerance: float = 1e-10
+class SuiteConfig(namedtuple("SuiteConfig", (
+    "gamma_values", "beta_values", "p1_range", "p2_range",
+    "grid_points", "samples", "seed", "tolerance",
+), defaults=(
+    (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9), (0.5, 1.0, 2.0), (-3.0, 3.0), (-3.0, 3.0),
+    12, 50, 7, 1e-10,
+))):
+    """The suite's inputs, an immutable tuple of fields compared and hashed by
+    value: gamma_values and beta_values (tuples of floats), p1_range and
+    p2_range (float pairs lo < hi), grid_points, samples and seed (ints) and
+    tolerance (a positive number).  Every way of making one (keywords,
+    positions, ``_make``, ``_replace``, copy, pickle) coerces the four float
+    fields and validates them all, raising ConfigError at the first fault."""
 
-    def __post_init__(self):
-        for name in ("gamma_values", "beta_values", "p1_range", "p2_range"):
-            size = 2 if name.endswith("_range") else None
-            object.__setattr__(self, name, _floats(name, getattr(self, name), size))
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        given = super().__new__(cls, *args, **kwargs)
+        self = super().__new__(cls, *(
+            _floats(name, value, 2 if name.endswith("_range") else None)
+            for name, value in zip(cls._fields[:4], given)), *given[4:])
         if not self.gamma_values:
             raise ConfigError("at least one gamma value is required")
         for g in self.gamma_values:
@@ -73,6 +79,11 @@ class SuiteConfig:
                 raise ConfigError("momentum range must satisfy lo < hi")
             if not math.isfinite(hi - lo):
                 raise ConfigError("momentum range width hi - lo must be finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def nonzero_betas(self) -> tuple[float, ...]:
         return tuple(b for b in self.beta_values if b != 0.0)

@@ -11,34 +11,28 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class ReportEntry:
-    test_id: str
-    paper_ref: str
-    status: str            # "pass" | "fail"
-    max_residual: float
-    samples: int
-    term: str | None = None    # the worst term of a failing check
-    error: str | None = None   # the exception of a check that raised
+# status is "pass" or "fail"; term is the worst term of a failing check and
+# error the exception of a check that raised, both None when unset
+ReportEntry = namedtuple("ReportEntry", (
+    "test_id", "paper_ref", "status", "max_residual", "samples", "term", "error",
+), defaults=(None, None))
 
 
 def _entry_dict(entry: ReportEntry) -> dict:
     """The entry as JSON-ready fields: a non-finite max_residual becomes
     None (JSON null), and an unset term or error is left out."""
-    out = {key: value for key, value in asdict(entry).items() if value is not None}
+    out = {key: value for key, value in entry._asdict().items() if value is not None}
     if not math.isfinite(out["max_residual"]):
         out["max_residual"] = None
     return out
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
-    entries: tuple[ReportEntry, ...]
-    tolerance: float
-    seed: int
+class ConformanceReport(namedtuple("ConformanceReport", ("entries", "tolerance", "seed"))):
+    """The entries of one run, in registry order, with its tolerance and seed."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> int:

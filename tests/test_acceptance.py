@@ -2,10 +2,15 @@
 
 Each test covers one acceptance criterion, computes a worst-case residual
 over its sweep, and prints a single PASS/FAIL line with the residual and
-the tolerance before asserting.
+the tolerance before asserting.  Two tests hold that reporter to refusing
+a residual that is not a real number and to failing NaN.
 """
 
+import math
+from numbers import Real
+
 import numpy as np
+import pytest
 
 from bispinor.ideal import (
     basis_flip,
@@ -62,9 +67,26 @@ def _sweep(rng, n=200):
 
 
 def _report(name: str, residual: float, tol: float) -> None:
+    """Print the criterion's verdict and assert it.  A residual that is not a
+    real number is refused (numpy orders complex numbers by their real part
+    first, so -1 + 0j would pass any tolerance), and NaN fails."""
+    if isinstance(residual, bool) or not isinstance(residual, Real):
+        raise TypeError(f"{name}: residual {residual!r} is not a real number")
     verdict = "PASS" if residual <= tol else "FAIL"
     print(f"{verdict} {name}: max residual {residual:.3e} (tol {tol:.0e})")
     assert residual <= tol, f"{name}: {residual} > {tol}"
+
+
+@pytest.mark.parametrize("residual", [-1 + 0j, np.complex128(-1), np.array(-1.0), True])
+def test_report_refuses_a_residual_that_is_not_a_real_number(residual):
+    with pytest.raises(TypeError, match="not a real number"):
+        _report("x", residual, 1e-12)
+
+
+@pytest.mark.parametrize("residual", [math.nan, np.float64(np.nan), 2e-12])
+def test_report_fails_nan_and_residuals_above_tolerance(residual):
+    with pytest.raises(AssertionError):
+        _report("x", residual, 1e-12)
 
 
 def test_criterion_01_deformed_generators():

@@ -50,6 +50,36 @@ def test_bad_seeds_rejected():
         build_pair(np.array([2.0, 0.0]), np.array([0.0, 1.0]), np.eye(2))
 
 
+# Each guard of build_pair just either side of its threshold, so a mutant that
+# moves the threshold (2e-12, scale / scale, no floor, a 2e-10 seed tolerance)
+# fails one of these.
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_determinant_guard_edge(scale):
+    # reject |det T| < 1e-12 scale^2, scale the largest |entry| of T
+    seeds = np.eye(2)
+    for factor, rejected in ((0.9, True), (1.1, False)):
+        t = np.diag([scale, factor * 1e-12 * scale])
+        if rejected:
+            with pytest.raises(ValueError, match="non-invertible"):
+                build_pair(*seeds, t)
+        else:
+            build_pair(*seeds, t)
+
+
+def test_determinant_guard_scale_floor():
+    # the scale is at least 1: without the floor 1e-7 I (det 1e-14, scale 1e-7)
+    # would pass 1e-12 scale^2 = 1e-26
+    with pytest.raises(ValueError, match="non-invertible"):
+        build_pair(*np.eye(2), 1e-7 * np.eye(2))
+
+
+def test_seed_tolerance_edge():
+    # the seeds (1, 0) and (d, 1) are d off orthonormal: <v1|v2> = d, |v2|^2 - 1 = d^2
+    build_pair(np.array([1.0, 0.0]), np.array([0.9e-10, 1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        build_pair(np.array([1.0, 0.0]), np.array([1.1e-10, 1.0]), np.eye(2))
+
+
 def test_synthesis_theta_zero_gives_pauli():
     made = synthesize_generators(0.0)
     for got, want in zip(made, (SIGMA1, SIGMA2, SIGMA3)):

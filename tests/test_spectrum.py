@@ -196,6 +196,15 @@ class TestAssociated:
         assert abs(val[0] - eigenvalues(1.2, p)[0]) < 1e-11
         assert np.isnan(val[1])
 
+    def test_vanishing_norm_threshold_edge(self):
+        # <assoc | psi> = d for psi = (1, 0) and dual (d, 0): NaN below 1e-12,
+        # and K = 1 gives exactly 1 just above it
+        amps = np.array([[[1.0, 0.0], [0.0, 1.0], [d, 0.0], [0.0, 1.0]]
+                         for d in (0.9e-12, 1.1e-12)])
+        below, above = mixture_expectation(1.0, 0.0, np.eye(2), amps)
+        assert np.isnan(below)
+        assert above == 1.0
+
 
 class TestSpinVector:
     def test_sigma1_eigenstate(self):
