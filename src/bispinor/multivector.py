@@ -18,8 +18,9 @@ its time-reversed partner set is time_reverse_matrix of it.
 
 Shapes: kernels work over leading batch axes: coefficients (..., 8), matrices
 (..., 2, 2), amplitudes (..., 2), deformation parameters (...).  matmul2,
-matvec and amplitude_inner are two-term closed forms; the only @ are
-geometric_product's contraction with the Cayley table and the table's build.
+matvec and amplitude_inner are two-term closed forms; the only @ is
+geometric_product's contraction with the Cayley table, which is built from
+the defining relations alone.
 """
 
 from __future__ import annotations
@@ -282,10 +283,31 @@ def deformed_generators(gamma) -> np.ndarray:
     return to_matrix(_UNIT_BLADES, np.asarray(gamma, dtype=float)[..., None])
 
 
-# Structure constants as a dense (8, 8, 8) tensor: blade_i blade_j =
-# sum_k C[i, j, k] blade_k, with one entry +-1 per (i, j).
-_BLADES = to_matrix(_UNIT_BLADES)
-_CAYLEY = np.round(decompose(_BLADES[:, None] @ _BLADES[None, :]))
+# Each basis slot as +-1 times a sorted blade, the bitmap of its generators
+# (e1, e2, e3 = bits 1, 2, 4): e31 = -e13.
+_BITMAPS = np.array([0, 1, 2, 4, 3, 6, 5, 7])
+_ORIENTATIONS = np.array([1, 1, 1, 1, 1, 1, -1, 1])
+
+
+def _cayley_table() -> np.ndarray:
+    """Structure constants as a dense (8, 8, 8) tensor, blade_i blade_j =
+    sum_k C[i, j, k] blade_k with one entry +-1 per (i, j), from e_i^2 = 1
+    and e_i e_j = -e_j e_i alone: the product of two sorted blades is the
+    blade of their bitmaps' XOR, signed by the parity of the swaps that sort
+    its generators (the bitmap blade product of Dorst, Fontijne and Mann,
+    Geometric Algebra for Computer Science, 2007, ch. 19)."""
+    left, right = _BITMAPS[:, None], _BITMAPS[None, :]
+    bit_count = np.array([0, 1, 1, 2, 1, 2, 2, 3])
+    # each generator of the left blade passes the right blade's lower ones
+    swaps = sum(((left >> k) & 1) * bit_count[right & ((1 << k) - 1)] for k in (1, 2))
+    slot = np.argsort(_BITMAPS)[left ^ right]
+    table = np.zeros((8, 8, 8))
+    table[np.arange(8)[:, None], np.arange(8), slot] = (
+        _ORIENTATIONS[:, None] * _ORIENTATIONS * _ORIENTATIONS[slot] * (-1) ** swaps)
+    return table
+
+
+_CAYLEY = _cayley_table()
 _CAYLEY_64 = _CAYLEY.reshape(64, 8)
 
 

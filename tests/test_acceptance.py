@@ -1,16 +1,12 @@
 """End-to-end acceptance checks.
 
-Each test covers one acceptance criterion, computes a worst-case residual
-over its sweep, and prints a single PASS/FAIL line with the residual and
-the tolerance before asserting.  Two tests hold that reporter to refusing
-a residual that is not a real number and to failing NaN.
+Each test covers one acceptance criterion: it evaluates the criterion's
+identities as named terms over its sweep, stacked where the draws allow,
+and judges them with ``assert_small`` against the criterion's tolerance.
+A failure names the term and its worst residual.
 """
 
-import math
-from numbers import Real
-
 import numpy as np
-import pytest
 
 from bispinor.ideal import (
     basis_flip,
@@ -53,156 +49,109 @@ from bispinor.timereversal import (
     reversed_schrodinger_residual,
 )
 
-GAMMAS = (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9)
+from conftest import assert_small, random_spinor, uniform_draws
+
+GAMMAS = np.array([0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
 
 
 def _sweep(rng, n=200):
-    for _ in range(n):
-        g = float(rng.uniform(-0.999, 0.999))
-        beta = float(rng.uniform(0.1, 5.0))
-        angle = float(rng.uniform(0, 2 * np.pi))
-        radius = float(rng.uniform(0.1, 10.0))
-        p = radius * np.array([np.cos(angle), np.sin(angle)])
-        yield g, beta, p
+    """n points (g, beta, p) as arrays (n,), (n,) and (n, 2), p at a uniform
+    angle and radius in [0.1, 10)."""
+    g, beta, angle, radius = uniform_draws(rng, n, (-0.999, 0.1, 0.0, 0.1),
+                                           (0.999, 5.0, 2 * np.pi, 10.0)).T
+    return g, beta, radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
 
 
-def _report(name: str, residual: float, tol: float) -> None:
-    """Print the criterion's verdict and assert it.  A residual that is not a
-    real number is refused (numpy orders complex numbers by their real part
-    first, so -1 + 0j would pass any tolerance), and NaN fails."""
-    if isinstance(residual, bool) or not isinstance(residual, Real):
-        raise TypeError(f"{name}: residual {residual!r} is not a real number")
-    verdict = "PASS" if residual <= tol else "FAIL"
-    print(f"{verdict} {name}: max residual {residual:.3e} (tol {tol:.0e})")
-    assert residual <= tol, f"{name}: {residual} > {tol}"
+def _adjoint(m):
+    """Conjugate transposes of (..., 2, 2) matrices."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-@pytest.mark.parametrize("residual", [-1 + 0j, np.complex128(-1), np.array(-1.0), True])
-def test_report_refuses_a_residual_that_is_not_a_real_number(residual):
-    with pytest.raises(TypeError, match="not a real number"):
-        _report("x", residual, 1e-12)
-
-
-@pytest.mark.parametrize("residual", [math.nan, np.float64(np.nan), 2e-12])
-def test_report_fails_nan_and_residuals_above_tolerance(residual):
-    with pytest.raises(AssertionError):
-        _report("x", residual, 1e-12)
+def _projectors(angles):
+    """The spectral projectors at the angles, after asserting that their
+    common denominator does not vanish."""
+    assert (np.abs(sum(np.exp(1j * phi) for phi in angles)) >= 1e-9).all(), "projector singular"
+    return projector_matrices(*angles)
 
 
 def test_criterion_01_deformed_generators():
-    worst = 0.0
-    for g in GAMMAS:
-        omega = np.sqrt(1.0 - g * g)
-        want = ((SIGMA1 - 1j * g * SIGMA3) / omega,
-                SIGMA2,
-                (SIGMA3 + 1j * g * SIGMA1) / omega)
-        got = deformed_generators(g)[1:4]
-        for a, b in zip(got, want):
-            worst = max(worst, float(np.abs(a - b).max()))
-        for i in range(3):
-            for j in range(3):
-                anti = got[i] @ got[j] + got[j] @ got[i]
-                anti -= 2.0 * (i == j) * np.eye(2)
-                worst = max(worst, float(np.abs(anti).max()))
-    _report("deformed-generator reproduction", worst, 1e-12)
+    omega = np.sqrt(1.0 - GAMMAS * GAMMAS)[:, None, None]
+    g = GAMMAS[:, None, None]
+    want = np.stack(np.broadcast_arrays((SIGMA1 - 1j * g * SIGMA3) / omega, SIGMA2,
+                                        (SIGMA3 + 1j * g * SIGMA1) / omega), axis=1)
+    got = deformed_generators(GAMMAS)[:, 1:4]
+    products = got[:, :, None] @ got[:, None, :]
+    assert_small({"reproduction": got - want,
+                  "anticommutators": products + np.swapaxes(products, 1, 2)
+                  - 2.0 * np.eye(3)[:, :, None, None] * np.eye(2)}, 1e-12)
 
 
 def test_criterion_02_spectrum():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for g, beta, p in _sweep(rng):
-        lp, lm = eigenvalues(beta, p)
-        for gg in (g, -g, 0.0):
-            op, om = eigenvalue_oracle(rashba(gg, beta, p))
-            worst = max(worst, abs(lp - op), abs(lm - om))
-    _report("closed-form spectrum vs oracle", worst, 1e-10)
+    g, beta, p = _sweep(np.random.default_rng(2024))
+    lp, lm = eigenvalues(beta, p)
+    terms = {}
+    for name, gg in (("g", g), ("-g", -g), ("0", 0.0 * g)):
+        op, om = eigenvalue_oracle(rashba(gg, beta, p))
+        terms |= {f"lambda_plus at {name}": lp - op, f"lambda_minus at {name}": lm - om}
+    assert_small(terms, 1e-10)
 
 
 def test_criterion_03_biorthogonality():
-    rng = np.random.default_rng(2025)
-    worst = 0.0
-    for g, beta, p in _sweep(rng):
-        amps = eigen_amplitudes(*phi_angles(g, p))
-        worst = max(worst,
-                    abs(amplitude_inner(amps[3], amps[0])),
-                    abs(amplitude_inner(amps[2], amps[1])))
-        pp, pm, dp, dm = ideal_matrix(amps)
-        worst = max(worst, abs(c1_form(dm, pp)), abs(c1_form(dp, pm)),
-                    abs(c2_form(dm, pp)), abs(c2_form(dp, pm)))
-    _report("bi-orthogonality (direct, C1, C2)", worst, 1e-12)
+    g, _, p = _sweep(np.random.default_rng(2025))
+    amps = eigen_amplitudes(*phi_angles(g, p))
+    pp, pm, dp, dm = np.moveaxis(ideal_matrix(amps), -3, 0)
+    assert_small({"direct -+": amplitude_inner(amps[:, 3], amps[:, 0]),
+                  "direct +-": amplitude_inner(amps[:, 2], amps[:, 1]),
+                  "C1 -+": c1_form(dm, pp), "C1 +-": c1_form(dp, pm),
+                  "C2 -+": c2_form(dm, pp), "C2 +-": c2_form(dp, pm)}, 1e-12)
 
 
 def test_criterion_04_projectors():
-    rng = np.random.default_rng(2026)
-    worst = 0.0
-    for g, beta, p in _sweep(rng):
-        angles = phi_angles(g, p)
-        pi1, pi2 = projector_matrices(*angles)
-        assert abs(sum(np.exp(1j * phi) for phi in angles)) >= 1e-9, "projector singular"
-        h = rashba(g, beta, p)
-        lam_p, lam_m = eigenvalues(beta, p)
-        worst = max(
-            worst,
-            float(np.abs(pi1 + pi2 - np.eye(2)).max()),
-            float(np.abs(pi1 @ pi2).max()),
-            float(np.abs(pi1 @ pi1 - pi1).max()),
-            float(np.abs(pi2 @ pi2 - pi2).max()),
-            float(np.abs(h - lam_p * pi1 - lam_m * pi2).max())
-            / max(1.0, abs(lam_p)),
-        )
-    _report("spectral projectors", worst, 1e-12)
+    g, beta, p = _sweep(np.random.default_rng(2026))
+    pi1, pi2 = _projectors(phi_angles(g, p))
+    lam_p, lam_m = (lam[:, None, None] for lam in eigenvalues(beta, p))
+    assert_small({"resolution": pi1 + pi2 - np.eye(2),
+                  "orthogonality": pi1 @ pi2,
+                  "idempotence 1": pi1 @ pi1 - pi1,
+                  "idempotence 2": pi2 @ pi2 - pi2,
+                  "spectral decomposition": np.abs(rashba(g, beta, p) - lam_p * pi1 - lam_m * pi2)
+                  / np.maximum(1.0, np.abs(lam_p))}, 1e-12)
 
 
 def test_criterion_05_pseudo_hermiticity():
-    rng = np.random.default_rng(2027)
-    worst = 0.0
-    for g, beta, p in _sweep(rng):
-        for gg in (g, -g):
-            for b in (beta, -beta):
-                h_minus_p, h_p = (rashba(gg, b, q) for q in (-p, p))
-                worst = max(worst, np.abs(pseudo_hermitian_residual(h_minus_p, h_p)).max())
-        adj = rashba(g, beta, p).conj().T
-        worst = max(worst, float(np.abs(adj - rashba(-g, beta, p)).max()))
-    _report("pseudo-Hermiticity", worst, 1e-12)
+    g, beta, p = _sweep(np.random.default_rng(2027))
+    terms = {f"H^# = H at {sg}g, {sb}beta": pseudo_hermitian_residual(
+        rashba(sg * g, sb * beta, -p), rashba(sg * g, sb * beta, p))
+        for sg in (1, -1) for sb in (1, -1)}
+    terms["H^dagger(g) = H(-g)"] = _adjoint(rashba(g, beta, p)) - rashba(-g, beta, p)
+    assert_small(terms, 1e-12)
 
 
 def test_criterion_06_time_reversal():
     rng = np.random.default_rng(2028)
-    worst = 0.0
     for _ in range(50):
         rng.uniform(-3, 3, size=2)        # the momentum draw, kept for the stream
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi = random_spinor(rng)
         tpsi = reverse_amplitudes(psi)
-        worst = max(worst,
-                    float(np.abs(reverse_amplitudes(tpsi) + psi).max()),
-                    abs(np.vdot(tpsi, psi)))
-        phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lhs = np.vdot(reverse_amplitudes(phi), tpsi)
-        worst = max(worst, abs(lhs - np.vdot(psi, phi)))
-    for g in GAMMAS:
-        generators, mirror = deformed_generators(g), deformed_generators(-g)
-        for m in (1, 2, 3):
-            conj = time_reverse_matrix(generators[m])
-            worst = max(worst,
-                        float(np.abs(conj + mirror[m]).max()))
-    for g, beta, p in _sweep(rng, 100):
-        worst = max(worst, *(np.abs(r).max() for r in kramers_pairing(g, p).values()),
-                    np.abs(reversed_schrodinger_residual(g, beta, p)).max())
-    _report("time reversal and Kramers analogue", worst, 1e-10)
+        phi = random_spinor(rng)
+        assert_small({"T^2 = -1": reverse_amplitudes(tpsi) + psi,
+                      "<T psi|psi> = 0": np.vdot(tpsi, psi),
+                      "antiunitarity": np.vdot(reverse_amplitudes(phi), tpsi) - np.vdot(psi, phi)},
+                     1e-10)
+    g, beta, p = _sweep(rng, 100)
+    assert_small({"generators": time_reverse_matrix(deformed_generators(GAMMAS)[:, 1:4])
+                  + deformed_generators(-GAMMAS)[:, 1:4],
+                  **kramers_pairing(g, p),
+                  "reversed Schrodinger": reversed_schrodinger_residual(g, beta, p)}, 1e-10)
 
 
 def test_criterion_07_flip_relations():
-    rng = np.random.default_rng(2029)
-    worst = 0.0
-    for g, _, p in _sweep(rng):
-        worst = max(worst, *(np.abs(r).max() for r in flip_relations(g, p).values()))
-    for sign in (1.0, -1.0):
-        angles = [phi_angles(0.45, r * np.array([1.0, sign]) / np.sqrt(2))
-                  for r in (0.5, 1.0, 3.0)]
-        for other in angles[1:]:
-            worst = max(worst,
-                        float(np.abs(np.array(other) - np.array(angles[0])).max()))
-    _report("angle flip relations", worst, 1e-10)
+    g, _, p = _sweep(np.random.default_rng(2029))
+    # the diagonal momenta r (1, +-1) / sqrt 2 at r = 0.5, 1, 3
+    r = np.array([0.5, 1.0, 3.0])[:, None, None]
+    angles = np.array(phi_angles(0.45, r * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)))
+    assert_small({**flip_relations(g, p),
+                  "diagonal independence": angles[:, 1:] - angles[:, :1]}, 1e-10)
 
 
 def _linearization(g):
@@ -217,104 +166,84 @@ def _linearization(g):
 
 
 def test_criterion_08_linearization():
-    worst = 0.0
+    terms = {}
     for g in (0.0, 0.5):
         l, l_prime, n, n_prime, m, m_prime = _linearization(g)
-        worst = max(worst,
-                    float(np.abs(l_prime @ l).max()),
-                    float(np.abs(n_prime @ n).max()),
-                    float(np.abs(l_prime @ n + n_prime @ l - 2.0 * np.eye(4)).max()))
-        for i in range(3):
-            worst = max(worst,
-                        float(np.abs(l_prime @ m[i] + m_prime[i] @ l).max()),
-                        float(np.abs(n_prime @ m[i] + m_prime[i] @ n).max()))
-        for i in range(5):
-            for j in range(5):
-                anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
-                anti += 2.0 * (i == j) * np.eye(4)
-                worst = max(worst, float(np.abs(anti).max()))
-    _report("first-order linearization relations", worst, 1e-12)
+        products = m_prime[:, None] @ m[None, :]
+        terms |= {f"L'L at {g}": l_prime @ l,
+                  f"N'N at {g}": n_prime @ n,
+                  f"L'N + N'L at {g}": l_prime @ n + n_prime @ l - 2.0 * np.eye(4),
+                  f"L'M + M'L at {g}": l_prime @ m[:3] + m_prime[:3] @ l,
+                  f"N'M + M'N at {g}": n_prime @ m[:3] + m_prime[:3] @ n,
+                  f"M'M + M'M at {g}": products + np.swapaxes(products, 0, 1)
+                  + 2.0 * np.eye(5)[:, :, None, None] * np.eye(4)}
+    assert_small(terms, 1e-12)
 
 
 def test_criterion_09_susy():
     # H = {Theta+, Theta-} = diag((1/2) P^B P^A, (1/2) P^A P^B) for any
     # blocks (tests/test_symbolic.py), so the sweep checks the blocks
-    rng = np.random.default_rng(2030)
-    worst = 0.0
-    for g, beta, p in _sweep(rng, 50):
-        p_b, p_a = clifford_momentum(g, rashba_shifts(beta), p)
-        r_plus, r_minus = rashba(g, beta, p), rashba(g, -beta, p)
-        # residuals measured relative to the operator scale, which grows
-        # like |p|^2 over the sweep
-        scale = max(1.0, float(np.abs(r_plus).max()), float(np.abs(r_minus).max()))
-        worst = max(
-            worst,
-            float(np.abs(0.5 * matmul2(p_b, p_a) - r_plus).max()) / scale,
-            float(np.abs(0.5 * matmul2(p_a, p_b) - r_minus).max()) / scale,
-        )
-        # Lambda- = (Lambda+)^# with Lambda+ = Theta+: its block is the
-        # Clifford conjugate of P^B at -p, and {Lambda+, Lambda-} = H
-        p_b_sharp = clifford_conjugation_matrix(clifford_momentum(g, rashba_shifts(beta)[0], -p))
-        worst = max(worst,
-                    float(np.abs(0.5 * matmul2(p_b, p_b_sharp) - r_plus).max()) / scale,
-                    float(np.abs(0.5 * matmul2(p_b_sharp, p_b) - r_minus).max()) / scale)
+    g, beta, p = _sweep(np.random.default_rng(2030), 50)
+    p_b, p_a = clifford_momentum(g, rashba_shifts(beta), p)
+    r_plus, r_minus = rashba(g, beta, p), rashba(g, -beta, p)
+    # residuals measured relative to the operator scale, which grows
+    # like |p|^2 over the sweep
+    scale = np.maximum(1.0, np.maximum(np.abs(r_plus).max(axis=(-2, -1)),
+                                       np.abs(r_minus).max(axis=(-2, -1))))[:, None, None]
+    # Lambda- = (Lambda+)^# with Lambda+ = Theta+: its block is the
+    # Clifford conjugate of P^B at -p, and {Lambda+, Lambda-} = H
+    p_b_sharp = clifford_conjugation_matrix(clifford_momentum(g, rashba_shifts(beta)[0], -p))
+    relative = {
+        "P^B P^A / 2 = R+": 0.5 * matmul2(p_b, p_a) - r_plus,
+        "P^A P^B / 2 = R-": 0.5 * matmul2(p_a, p_b) - r_minus,
+        "P^B (P^B)^# / 2 = R+": 0.5 * matmul2(p_b, p_b_sharp) - r_plus,
+        "(P^B)^# P^B / 2 = R-": 0.5 * matmul2(p_b_sharp, p_b) - r_minus,
         # the intertwinings R^+ P^B = P^B R^- and R^- (P^B)^# = (P^B)^# R^+
-        worst = max(worst,
-                    float(np.abs(matmul2(r_plus, p_b) - matmul2(p_b, r_minus)).max()) / scale,
-                    float(np.abs(matmul2(r_minus, p_b_sharp)
-                                 - matmul2(p_b_sharp, r_plus)).max()) / scale)
-        # (P^B(-p))^# = P^A(p): Lambda- = (Lambda+)^# is Theta-
-        worst = max(worst, float(np.abs(p_b_sharp - p_a).max()))
-    _report("SUSY and pseudo-SUSY structure", worst, 1e-12)
+        "R+ P^B = P^B R-": matmul2(r_plus, p_b) - matmul2(p_b, r_minus),
+        "R- (P^B)^# = (P^B)^# R+": matmul2(r_minus, p_b_sharp) - matmul2(p_b_sharp, r_plus),
+    }
+    assert_small({**{name: np.abs(x) / scale for name, x in relative.items()},
+                  # (P^B(-p))^# = P^A(p): Lambda- = (Lambda+)^# is Theta-
+                  "(P^B(-p))^# = P^A(p)": p_b_sharp - p_a}, 1e-12)
 
 
 def test_criterion_10_ideal_layer():
     rng = np.random.default_rng(2031)
-    worst = 0.0
     g_want = np.array([[[1, 0], [0, 0]], [[0, 0], [1j, 0]],
                        [[0, 0], [-1, 0]], [[1j, 0], [0, 0]]])
-    for g in rng.uniform(-0.99, 0.99, size=20):
-        worst = max(worst, float(np.abs(build_ideal_basis(float(g)) - g_want).max()))
-    for _ in range(200):
-        u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        s = ideal_matrix(rng.normal(size=2) + 1j * rng.normal(size=2))
-        worst = max(worst, float(np.abs((u @ s)[:, 1]).max()))
-        worst = max(worst, float(np.abs(basis_flip(basis_flip(u)) + u).max()))
+    g = rng.uniform(-0.99, 0.99, size=20)
+    # per sample, u's real and imaginary parts, then the spinor's
+    z = rng.normal(size=(200, 12))
+    u = (z[:, 0:4] + 1j * z[:, 4:8]).reshape(200, 2, 2)
+    s = ideal_matrix(z[:, 8:10] + 1j * z[:, 10:12])
+    assert_small({"basis": build_ideal_basis(g) - g_want,
+                  "left ideal": (u @ s)[..., 1],
+                  "double flip": basis_flip(basis_flip(u)) + u}, 1e-12)
     for _ in range(100):
         rng.uniform(-3, 3, size=2)        # the momentum draw, kept for the stream
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        worst = max(worst, abs(c1_form(ideal_matrix(a), ideal_matrix(b))
-                               - amplitude_inner(a, b)))
-        via_flip = basis_flip(ideal_matrix(a))[:, 0]
-        worst = max(worst, float(np.abs(via_flip - reverse_amplitudes(a)).max()))
-    _report("minimal-left-ideal spinor layer", worst, 1e-12)
+        a, b = random_spinor(rng), random_spinor(rng)
+        assert_small({"C1 = <a|b>": c1_form(ideal_matrix(a), ideal_matrix(b))
+                      - amplitude_inner(a, b),
+                      "flip = T": basis_flip(ideal_matrix(a))[:, 0] - reverse_amplitudes(a)},
+                     1e-12)
 
 
 def test_criterion_11_continuity():
     g, beta = 0.4, 1.0
     p = np.array([[1.1, 0.8], [0.6, -0.8]])
     amps = eigen_amplitudes(*phi_angles(g, p))[:, 0]
-    residual = abs(continuity_residual(g, beta, amps, p, eigenvalues(beta, p)[0]))
-    _report("probability continuity", residual, 1e-12)
+    assert_small(continuity_residual(g, beta, amps, p, eigenvalues(beta, p)[0]), 1e-12)
 
 
 def test_criterion_12_gamma_zero_degeneration():
-    rng = np.random.default_rng(2032)
-    worst = 0.0
-    for _, beta, p in _sweep(rng, 50):
-        h = rashba(0.0, beta, p)
-        worst = max(worst, float(np.abs(h - h.conj().T).max()))
-        angles = phi_angles(0.0, p)
-        amps = eigen_amplitudes(*angles)
-        worst = max(worst, abs(np.vdot(amps[0], amps[1])))
-        pi1, pi2 = projector_matrices(*angles)
-        assert abs(sum(np.exp(1j * phi) for phi in angles)) >= 1e-9, "projector singular"
-        worst = max(worst,
-                    float(np.abs(pi1 - pi1.conj().T).max()),
-                    float(np.abs(pi2 - pi2.conj().T).max()))
-        u = E13
-        worst = max(worst,
-                    float(np.abs(rashba(0.0, beta, -p) @ u
-                                 - u @ h.T).max()))
-    _report("Hermitian degeneration at gamma = 0", worst, 1e-12)
+    _, beta, p = _sweep(np.random.default_rng(2032), 50)
+    h = rashba(0.0, beta, p)
+    angles = phi_angles(0.0, p)
+    amps = eigen_amplitudes(*angles)
+    pi1, pi2 = _projectors(angles)
+    assert_small({"H Hermitian": h - _adjoint(h),
+                  "eigenvectors orthogonal": amplitude_inner(amps[:, 0], amps[:, 1]),
+                  "projector 1 Hermitian": pi1 - _adjoint(pi1),
+                  "projector 2 Hermitian": pi2 - _adjoint(pi2),
+                  "E13 intertwines H(-p) and H^T": rashba(0.0, beta, -p) @ E13
+                  - E13 @ np.swapaxes(h, -1, -2)}, 1e-12)

@@ -4,7 +4,7 @@ import pytest
 from bispinor.biortho import build_pair, canonical_pair, gram, synthesize_generators
 from bispinor.multivector import SIGMA1, SIGMA2, SIGMA3, deformation_transform, deformed_generators
 
-TOL = 1e-12
+from conftest import TOL, assert_small
 
 
 def test_identity_transform_fixed_points():
@@ -16,7 +16,7 @@ def test_identity_transform_fixed_points():
 
 
 def test_canonical_seeds_with_deformation_transform():
-    assert np.abs(gram(*canonical_pair(0.5)) - np.eye(2)).max() < TOL
+    assert_small(gram(*canonical_pair(0.5)) - np.eye(2), TOL)
 
 
 def test_random_gram_identity():
@@ -27,14 +27,14 @@ def test_random_gram_identity():
         t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         if abs(np.linalg.det(t)) < 1e-3:
             t = t + 2 * np.eye(2)
-        assert np.abs(gram(*build_pair(q[:, 0], q[:, 1], t)) - np.eye(2)).max() < 1e-10
+        assert_small(gram(*build_pair(q[:, 0], q[:, 1], t)) - np.eye(2), 1e-10)
 
 
 def test_hermitian_transform_branch():
     # transform equal to its own adjoint: the construction of the theorem
     t = deformation_transform(0.45)
-    assert np.abs(t - t.conj().T).max() < TOL
-    assert np.abs(gram(*canonical_pair(0.45)) - np.eye(2)).max() < TOL
+    assert_small(t - t.conj().T, TOL)
+    assert_small(gram(*canonical_pair(0.45)) - np.eye(2), TOL)
 
 
 def test_singular_transform_rejected():
@@ -82,36 +82,29 @@ def test_seed_tolerance_edge():
 
 def test_synthesis_theta_zero_gives_pauli():
     made = synthesize_generators(0.0)
-    for got, want in zip(made, (SIGMA1, SIGMA2, SIGMA3)):
-        assert np.abs(got - want).max() < TOL
+    assert_small(made - np.array([SIGMA1, SIGMA2, SIGMA3]), TOL)
 
 
 def test_synthesis_printed_sigma3():
     made = synthesize_generators(0.6)
     want = np.array([[1.25, 0.75j], [0.75j, -1.25]])
-    assert np.abs(made[2] - want).max() < TOL
+    assert_small(made[2] - want, TOL)
 
 
 def test_synthesis_matches_deformed_basis():
-    for g in (-0.9, -0.3, 0.0, 0.5, 0.95):
-        made = synthesize_generators(g)
-        want = deformed_generators(g)[1:4]
-        for a, b in zip(made, want):
-            assert np.abs(a - b).max() < TOL
+    g = np.array([-0.9, -0.3, 0.0, 0.5, 0.95])
+    assert_small(synthesize_generators(g) - deformed_generators(g)[:, 1:4], TOL)
 
 
 def test_synthesis_squares_to_identity():
     made = synthesize_generators(0.8)
-    for m in made:
-        assert np.abs(m @ m - np.eye(2)).max() < TOL
+    assert_small(made @ made - np.eye(2), TOL)
 
 
 def test_synthesis_clifford_relations():
     made = synthesize_generators(-0.4)
-    for i in range(3):
-        for j in range(3):
-            anti = made[i] @ made[j] + made[j] @ made[i]
-            assert np.abs(anti - 2.0 * (i == j) * np.eye(2)).max() < TOL
+    anti = made[:, None] @ made[None, :] + made[None, :] @ made[:, None]
+    assert_small(anti - 2.0 * np.eye(3)[:, :, None, None] * np.eye(2), TOL)
 
 
 def test_synthesis_equals_rank_one_loop():

@@ -24,6 +24,9 @@ from bispinor.harness.checks import (
 from bispinor.harness.config import ConfigError, SuiteConfig
 from bispinor.spectrum import eigenvalues
 
+from conftest import assert_small
+
+
 FAST = ["--gamma", "0.0,0.5", "--beta", "1.0", "--grid=-2:2:5",
         "--samples", "10", "--seed", "3"]
 
@@ -355,8 +358,8 @@ class TestSpectrumExport:
         for row in rows:
             p = (float(row["p1"]), float(row["p2"]))
             lp, lm = eigenvalues(float(row["beta"]), p)
-            assert abs(float(row["lambda_plus"]) - lp) < 1e-12
-            assert abs(float(row["lambda_minus"]) - lm) < 1e-12
+            assert_small(float(row["lambda_plus"]) - lp, 1e-12)
+            assert_small(float(row["lambda_minus"]) - lm, 1e-12)
 
     def test_eigenvalues_independent_of_gamma(self, capsys):
         _, out, _ = run(["spectrum", "--gamma", "0.0,0.8", "--beta", "1.0",
@@ -370,7 +373,7 @@ class TestSpectrumExport:
         g0, g8 = by_gamma[0.0], by_gamma[0.8]
         assert g0.keys() == g8.keys()
         for key in g0:
-            assert np.abs(np.array(g0[key]) - np.array(g8[key])).max() < 1e-12
+            assert_small(np.array(g0[key]) - np.array(g8[key]), 1e-12)
 
     def test_all_betas_zero_rejected(self, capsys):
         code, _, err = run(["spectrum", "--beta", "0.0"], capsys)
@@ -430,7 +433,7 @@ class TestTextureExport:
         _, out, _ = run(["texture", "--gamma", "0.0,0.6", "--beta", "1.0",
                          "--grid=-2:2:4", "--format", "json"], capsys)
         for row in json.loads(out):
-            assert abs(row["v3"]) < 1e-12
+            assert_small(row["v3"], 1e-12)
 
     def test_undeformed_winding(self, capsys):
         _, out, _ = run(["texture", "--gamma", "0.0", "--beta", "1.0",
@@ -438,8 +441,8 @@ class TestTextureExport:
         for row in json.loads(out):
             phi = np.arctan2(row["p1"], row["p2"])
             sign = 1.0 if row["branch"] == "plus" else -1.0
-            assert abs(row["v1"] - sign * np.cos(phi)) < 1e-10
-            assert abs(row["v2"] + sign * np.sin(phi)) < 1e-10
+            assert_small(row["v1"] - sign * np.cos(phi), 1e-10)
+            assert_small(row["v2"] + sign * np.sin(phi), 1e-10)
 
     def test_csv_unit_spin_vectors(self, capsys):
         code, out, _ = run(["texture", "--gamma", "0.0,0.6", "--beta", "1.0",
@@ -450,7 +453,7 @@ class TestTextureExport:
         assert [r["branch"] for r in rows] == ["plus", "minus"] * (len(rows) // 2)
         for r in rows:
             v = np.array([float(r["v1"]), float(r["v2"]), float(r["v3"])])
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            assert_small(np.linalg.norm(v) - 1.0, 1e-12)
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "texture.json"

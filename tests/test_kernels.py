@@ -51,15 +51,11 @@ from bispinor.multivector import (
 )
 from bispinor.spectrum import eigenvalue_oracle, eigenvector_oracle
 
+from conftest import assert_small, bits, complex_from
+
+
 EPS = np.finfo(float).eps
 EXAMPLES = settings(max_examples=150, deadline=None)
-
-
-def complex_from(re, im):
-    """re + i im entry by entry, with no arithmetic on inf or NaN."""
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
 
 
 def complex_arrays(shape, elements):
@@ -92,15 +88,6 @@ def entrywise_product(a, b):
     return out
 
 
-def bits(z):
-    """The bytes of a complex array with every NaN made the same NaN: the
-    sign of a NaN from 0 * inf depends on the machine loop that made it."""
-    z = np.asarray(z)
-    re, im = z.real.copy(), z.imag.copy()
-    re[np.isnan(re)], im[np.isnan(im)] = np.nan, np.nan
-    return complex_from(re, im).tobytes()
-
-
 @EXAMPLES
 @given(operand_pair(special))
 # batch shapes (1, 1) and (1,): an unbroadcast oracle rounds a c - b d twice
@@ -126,7 +113,7 @@ def test_matmul2_agrees_with_matmul(pair):
     a, b = pair
     # 4 ulp relative, plus a few units of the gradual-underflow spacing
     bound = 4 * EPS * frobenius(a) * frobenius(b) + 8 * np.finfo(float).smallest_subnormal
-    assert (np.abs(matmul2(a, b) - a @ b).max(axis=(-1, -2)) <= bound).all()
+    assert_small(matmul2(a, b) - a @ b, bound[..., None, None])
 
 
 @st.composite
@@ -203,7 +190,7 @@ TINY = 8 * np.finfo(float).smallest_subnormal
 def test_matvec_agrees_with_matmul(pair):
     m, v = pair
     bound = 4 * EPS * frobenius(m) * norm2(v) + TINY
-    assert (np.abs(matvec(m, v) - (m @ v[..., None])[..., 0]).max(axis=-1) <= bound).all()
+    assert_small(matvec(m, v) - (m @ v[..., None])[..., 0], bound[..., None])
 
 
 @EXAMPLES
@@ -212,7 +199,7 @@ def test_amplitude_inner_agrees_with_vdot(pair):
     a, b = np.broadcast_arrays(*pair)
     want = np.array([np.vdot(x, y) for x, y in zip(a.reshape(-1, 2), b.reshape(-1, 2))])
     bound = 4 * EPS * norm2(a) * norm2(b) + TINY
-    assert (np.abs(amplitude_inner(a, b) - want.reshape(a.shape[:-1])) <= bound).all()
+    assert_small(amplitude_inner(a, b) - want.reshape(a.shape[:-1]), bound)
 
 
 def test_matmul2_keeps_real_dtype_and_broadcasts_a_constant():
@@ -232,10 +219,9 @@ well_posed = st.integers(-10_000, 10_000).map(lambda k: k / 1000)
 def test_det2_and_inv2(m):
     scale = frobenius(m) ** 2
     det = det2(m)
-    assert (np.abs(det - np.linalg.det(m)) <= 8 * EPS * scale).all()
+    assert_small(det - np.linalg.det(m), 8 * EPS * scale)
     assume((np.abs(det) > 1e-3 * scale).all())
-    residual = np.abs(matmul2(inv2(m), m) - np.eye(2)).max(axis=(-1, -2))
-    assert (residual <= 64 * EPS * scale / np.abs(det)).all()
+    assert_small(matmul2(inv2(m), m) - np.eye(2), (64 * EPS * scale / np.abs(det))[..., None, None])
 
 
 # The two 2x2 adjoints, entry by entry: (row, column) of the source entry
@@ -286,13 +272,13 @@ def test_unitary2_is_the_unitary_factor_of_qr(m):
     assume((np.abs(det2(m)) > 1e-3 * scale).all())
     q = unitary2(m)
     q_h = np.conj(np.swapaxes(q, -1, -2))
-    assert (np.abs(matmul2(q_h, q) - np.eye(2)).max(axis=(-1, -2)) <= 8 * EPS).all()
+    assert_small(matmul2(q_h, q) - np.eye(2), 8 * EPS)
     # Q^H M is upper triangular with a positive real diagonal
     r = matmul2(q_h, m)
-    assert (np.abs(r[..., 1, 0]) <= 16 * EPS * frobenius(m)).all()
+    assert_small(r[..., 1, 0], 16 * EPS * frobenius(m))
     diagonal = r[..., [0, 1], [0, 1]]
     assert (diagonal.real > 0).all()
-    assert (np.abs(diagonal.imag) <= 16 * EPS * frobenius(m)[..., None]).all()
+    assert_small(diagonal.imag, 16 * EPS * frobenius(m)[..., None])
     # each column is LAPACK's up to a phase, so the first is parallel to M's
     q_lapack, _ = np.linalg.qr(m)
     overlaps = np.abs((np.conj(q) * q_lapack).sum(axis=-2))
@@ -319,8 +305,8 @@ def test_closed_form_eigenpairs(h):
     assume((gap > 1e-3 * np.maximum(norm, 1.0)).all())
     v = eigenvector_oracle(h, lam)                           # (2, n, 2)
     assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=4 * EPS)
-    residual = np.abs((h @ v[..., None])[..., 0] - lam[..., None] * v).max(axis=-1)
-    assert (residual <= 64 * EPS * norm * (1.0 + norm / gap)).all()
+    assert_small((h @ v[..., None])[..., 0] - lam[..., None] * v,
+                 (64 * EPS * norm * (1.0 + norm / gap))[..., None])
 
 
 def test_eigenvector_oracle_at_a_subnormal_eigenvalue_is_a_unit_vector():

@@ -18,7 +18,7 @@ from bispinor.multivector import (
     deformed_generators,
 )
 
-TOL = 1e-12
+from conftest import TOL, assert_small, uniform_draws
 
 
 class TestLinearization:
@@ -29,10 +29,8 @@ class TestLinearization:
         m = np.array([np.kron(i2, e) for e in deformed_generators(0.7)[1:4]]
                      + [np.kron(1j * (ELL + NU / 2.0), i2), np.kron(ELL - NU / 2.0, i2)])
         m_prime = np.array([-1.0, -1.0, -1.0, 1.0, 1.0])[:, None, None] * m
-        for i in range(5):
-            for j in range(5):
-                anti = m_prime[i] @ m[j] + m_prime[j] @ m[i]
-                assert np.abs(anti + 2.0 * (i == j) * np.eye(4)).max() < TOL
+        anti = m_prime[:, None] @ m[None, :] + m_prime[None, :] @ m[:, None]
+        assert_small(anti + 2.0 * np.eye(5)[:, :, None, None] * np.eye(4), TOL)
 
 
 class TestFactorize:
@@ -40,7 +38,7 @@ class TestFactorize:
         p = np.array([1.5, -2.0])
         h = momentum_product(0.3, (0, 0, 0), (0, 0, 0), p)
         want = 0.5 * (p @ p) * np.eye(2)
-        assert np.abs(h - want).max() < TOL
+        assert_small(h - want, TOL)
 
     def test_rashba_shift_reproduces_printed_hamiltonian(self):
         g, beta = 0.4, 1.3
@@ -50,7 +48,7 @@ class TestFactorize:
         e23, e31 = deformed_generators(g)[5:7]
         want = (0.5 * (p @ p + beta**2) * np.eye(2)
                 + 1j * beta * (e31 * p[0] - e23 * p[1]))
-        assert np.abs(h_ab - want).max() < TOL
+        assert_small(h_ab - want, TOL)
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(23)
@@ -60,77 +58,69 @@ class TestFactorize:
             sb = tuple(rng.normal() + 1j * rng.normal() for _ in range(3))
             p = rng.uniform(-3, 3, size=2)
             a, b = clifford_momentum(g, sa, p), clifford_momentum(g, sb, p)
-            assert np.abs(momentum_product(g, sb, sa, p) - 0.5 * b @ a).max() < 1e-11
-            assert np.abs(momentum_product(g, sa, sb, p) - 0.5 * a @ b).max() < 1e-11
+            assert_small(momentum_product(g, sb, sa, p) - 0.5 * b @ a, 1e-11)
+            assert_small(momentum_product(g, sa, sb, p) - 0.5 * a @ b, 1e-11)
 
 
 class TestRashba:
     def test_undeformed_point_value(self):
         got = rashba(0.0, 1.0, np.array([0.0, 1.0]))
-        assert np.abs(got - np.ones((2, 2))).max() < TOL
+        assert_small(got - np.ones((2, 2)), TOL)
 
     def test_undeformed_closed_form(self):
         beta = 0.8
         p = np.array([1.2, -0.5])
         want = (0.5 * (p @ p + beta**2) * np.eye(2)
                 + beta * (SIGMA1 * p[1] - SIGMA2 * p[0]))
-        assert np.abs(rashba(0.0, beta, p) - want).max() < TOL
+        assert_small(rashba(0.0, beta, p) - want, TOL)
 
     def test_adjoint_flips_gamma(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            g = float(rng.uniform(-0.95, 0.95))
-            beta = float(rng.uniform(0.1, 3.0))
-            p = rng.uniform(-3, 3, size=2)
-            lhs = rashba(g, beta, p).conj().T
-            rhs = rashba(-g, beta, p)
-            assert np.abs(lhs - rhs).max() < TOL
+        g, beta, *p = uniform_draws(np.random.default_rng(29), 50, (-0.95, 0.1, -3, -3),
+                                    (0.95, 3.0, 3, 3)).T
+        p = np.stack(p, axis=-1)
+        assert_small(np.swapaxes(rashba(g, beta, p).conj(), -1, -2) - rashba(-g, beta, p), TOL)
 
     def test_sign_flips_beta(self):
         # R^- = (1/2) P^A P^B, the SUSY partner of R^+, is R^+ at -beta
         g, beta = 0.5, 1.1
         p = np.array([0.4, 0.9])
         p_b, p_a = clifford_momentum(g, rashba_shifts(beta), p)
-        assert np.abs(rashba(g, -beta, p) - 0.5 * p_a @ p_b).max() < TOL
+        assert_small(rashba(g, -beta, p) - 0.5 * p_a @ p_b, TOL)
 
     def test_beta_zero_is_free(self):
         p = np.array([2.0, -1.0])
-        assert np.abs(rashba(0.6, 0.0, p) - 0.5 * (p @ p) * np.eye(2)).max() < TOL
+        assert_small(rashba(0.6, 0.0, p) - 0.5 * (p @ p) * np.eye(2), TOL)
 
     def test_hermitian_at_gamma_zero(self):
         m = rashba(0.0, 2.0, np.array([0.3, 0.4]))
-        assert np.abs(m - m.conj().T).max() < TOL
+        assert_small(m - m.conj().T, TOL)
 
     def test_product_form(self):
         g, beta = -0.7, 0.9
         left, right = rashba_shifts(beta)
         p = np.array([1.0, 2.0])
         product = clifford_momentum(g, left, p) @ clifford_momentum(g, right, p)
-        assert np.abs(rashba(g, beta, p) - 0.5 * product).max() < TOL
+        assert_small(rashba(g, beta, p) - 0.5 * product, TOL)
 
     def test_isospectral_in_gamma(self):
         beta = 1.4
         p = np.array([0.9, -1.7])
-        base = sorted(np.linalg.eigvals(rashba(0.0, beta, p)).real)
-        for g in (0.3, -0.6, 0.9):
-            vals = np.linalg.eigvals(rashba(g, beta, p))
-            assert np.abs(vals.imag).max() < 1e-10
-            got = sorted(vals.real)
-            assert np.abs(np.array(got) - np.array(base)).max() < 1e-10
+        base = np.sort(np.linalg.eigvals(rashba(0.0, beta, p)).real)
+        vals = np.linalg.eigvals(rashba(np.array([0.3, -0.6, 0.9]), beta, p))
+        assert_small({"imag": vals.imag, "spectrum": np.sort(vals.real, axis=-1) - base}, 1e-10)
 
 
 class TestMagnetic:
     def test_zero_field_reduces_to_rashba(self):
         g, beta = 0.45, 1.2
         p = np.array([0.8, -0.3])
-        for b in (beta, -beta):
-            h = magnetic(g, b, (0.0, 0.0), 0.0, p)
-            assert np.abs(h - rashba(g, b, p)).max() < TOL
+        b = np.array([beta, -beta])
+        assert_small(magnetic(g, b, (0.0, 0.0), 0.0, p) - rashba(g, b, p), TOL)
 
     def test_zeeman_only(self):
         p = np.array([1.0, 1.0])
         want = 0.5 * (p @ p) * np.eye(2) + SIGMA3
-        assert np.abs(magnetic(0.0, 0.0, (0.0, 0.0), 1.0, p) - want).max() < TOL
+        assert_small(magnetic(0.0, 0.0, (0.0, 0.0), 1.0, p) - want, TOL)
 
     def test_product_form_with_fields(self):
         rng = np.random.default_rng(31)
@@ -146,7 +136,7 @@ class TestMagnetic:
                 want = (0.5 * clifford_momentum(g, left, p) @ clifford_momentum(g, right, p)
                         + b3 * e3)
                 h = magnetic(g, b, a_vec, b3, p)
-                assert np.abs(h - want).max() < 1e-11
+                assert_small(h - want, 1e-11)
 
 
 def test_levy_leblond_first_order_system():
@@ -158,8 +148,8 @@ def test_levy_leblond_first_order_system():
         left, right = (clifford_momentum(g, shift, p) for shift in rashba_shifts(beta))
         for v, energy in zip(amps[:2], spectrum.eigenvalues(beta, p)):
             eta = 0.5j * right @ v
-            assert np.abs(right @ v + 2j * eta).max() < TOL
-            assert np.abs(left @ eta - 1j * energy * v).max() < 1e-11
+            assert_small(right @ v + 2j * eta, TOL)
+            assert_small(left @ eta - 1j * energy * v, 1e-11)
 
 
 def test_operators_need_no_generator_stack(monkeypatch):

@@ -32,6 +32,7 @@ _c2_form = ideal.c2_form
 _matvec = multivector.matvec
 _reverse_amplitudes = timereversal.reverse_amplitudes
 _phi_angles = spectrum.phi_angles
+_decompose = multivector.decompose
 
 
 def spin_without_plane(amps):
@@ -68,6 +69,14 @@ def map_with_e2_flipped(s, v1, v2, v3, gamma=0.0):
 
 def map_with_e23_and_e31_swapped(a, gamma=0.0):
     return _to_matrix(np.asarray(a)[..., [0, 1, 2, 3, 4, 6, 5, 7]], gamma)
+
+
+def map_with_e23_negated(a, gamma=0.0):
+    return _to_matrix(np.asarray(a) * [1, 1, 1, 1, 1, -1, 1, 1], gamma)
+
+
+def decompose_with_e23_negated(m):
+    return _decompose(m) * [1, 1, 1, 1, 1, -1, 1, 1]
 
 
 def group_defects_zeroed(u):
@@ -166,7 +175,8 @@ def phi_plus_shifted_by_half_pi(gamma, p):
 
 
 MUTANTS = {
-    # (test_id, term, module, attribute, broken implementation)
+    # (test_id, term, module, attribute, broken implementation), or a tuple
+    # of attributes and one of their broken implementations
     "spin_without_plane": ("spectrum.spin_vector_planar", "closed_form", spectrum,
                            "spin_expectations", spin_without_plane),
     "spin_with_x_and_y_swapped": ("spectrum.spin_vector_planar", "closed_form", spectrum,
@@ -184,6 +194,11 @@ MUTANTS = {
     # the map the generators are built with (reads 2.5)
     "map_with_e23_and_e31_swapped": ("clifford.reversed_generators", "listed_set", multivector,
                                      "to_matrix", map_with_e23_and_e31_swapped),
+    # the convention e23 -> -i sigma1 in the map and in its inverse alike:
+    # the Cayley table, built from the defining relations, disagrees
+    "map_and_inverse_with_e23_negated": ("clifford.matrix_homomorphism", "product", checks,
+                                         ("to_matrix", "decompose"),
+                                         (map_with_e23_negated, decompose_with_e23_negated)),
     # one per array builder
     "group_defects_zeroed": ("ideal.invariance_groups", "nonunitary_rejected", ideal,
                              "invariance_group_defects", group_defects_zeroed),
@@ -261,9 +276,12 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_check_fails_under_mutant(name, monkeypatch):
-    test_id, term, module, attribute, broken = MUTANTS[name]
+    test_id, term, module, attributes, broken = MUTANTS[name]
     assert entry(test_id).status == "pass"
-    monkeypatch.setattr(module, attribute, broken)
+    if isinstance(attributes, str):
+        attributes, broken = (attributes,), (broken,)
+    for attribute, implementation in zip(attributes, broken):
+        monkeypatch.setattr(module, attribute, implementation)
     got = entry(test_id)
     assert got.status == "fail"
     assert got.max_residual > 0.5

@@ -11,16 +11,19 @@ library's operators are 2x2:
 no module builds a (..., 4, 4) array, and it contracts 2x2 stacks and
 2-vectors in one way, the closed forms of multivector (matmul2, matvec,
 amplitude_inner): no einsum anywhere, and ``@`` only in geometric_product's
-Cayley contraction and the table's build.  A physics function that states an
-identity returns its difference: the registry's worst_term takes every
-magnitude and maximum, and a physics module max-reduces only to scale."""
+Cayley contraction.  A physics function that states an identity returns
+its difference: the registry's worst_term takes every magnitude and
+maximum, and a physics module max-reduces only to scale.  The tests judge
+a residual in one way too, conftest's assert_small."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bispinor"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "bispinor"
 PHYSICS = ("multivector", "momenta", "spectrum", "timereversal", "ideal", "biortho")
 
 
@@ -227,11 +230,10 @@ def _contractions(tree):
 
 def test_one_way_to_contract():
     # every other product of 2x2 stacks and 2-vectors is matmul2, matvec or
-    # amplitude_inner; the Cayley table's own build stays as its oracle
+    # amplitude_inner
     found = [(path.name, *c) for path in sorted(PACKAGE.rglob("*.py"))
              for c in _contractions(ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == [("multivector.py", "_CAYLEY", "@"),
-                     ("multivector.py", "geometric_product", "@")]
+    assert found == [("multivector.py", "geometric_product", "@")]
 
 
 def _reductions(tree):
@@ -249,3 +251,46 @@ def test_one_reducer():
     assert found == [("multivector", "unitary2", "max"),
                      ("spectrum", "eigenvector_oracle", "max"),
                      ("biortho", "build_pair", "max")]
+
+
+_REDUCERS = ("abs", "fabs", "absolute", "max", "amax", "norm")
+_TOLERANCE_NAME = re.compile(r"(?i)\w*(tol|eps|bound)\w*")
+
+
+def _is_reduction(n):
+    return any(_is_call_to(x, _REDUCERS) for x in ast.walk(n))
+
+
+def _is_tolerance(n):
+    return any((isinstance(x, ast.Constant) and type(x.value) is float)
+               or (isinstance(x, (ast.Name, ast.Attribute))
+                   and _TOLERANCE_NAME.fullmatch(_name(x)) is not None)
+               for x in ast.walk(n))
+
+
+def _bare_tolerance_asserts(tree):
+    """(owner, line) of every assert that compares with < or <= a reduction
+    (abs, max or norm) on its left or a tolerance (a float literal, or a
+    name such as TOL, tol, EPS or bound) on its right."""
+    def bare(c):
+        return isinstance(c, ast.Compare) and any(
+            isinstance(op, (ast.Lt, ast.LtE)) and (_is_reduction(left) or _is_tolerance(right))
+            for left, op, right in zip([c.left, *c.comparators], c.ops, c.comparators))
+    return [(_owner(top), n.lineno) for top in tree.body for n in ast.walk(top)
+            if isinstance(n, ast.Assert) and any(map(bare, ast.walk(n.test)))]
+
+
+def test_one_tolerance_assertion():
+    # a residual is judged by conftest's assert_small, which takes the modulus
+    # of every entry and fails NaN and inf; a bare compare passes
+    # (-5 + 3j) < 1e-12.  The helper itself compares outside any assert.
+    found = [(path.relative_to(TESTS).as_posix(), *site) for path in sorted(TESTS.rglob("*.py"))
+             for site in _bare_tolerance_asserts(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+@pytest.mark.parametrize("statement", ["assert r < 1e-10", "assert np.abs(x).max() < TOL",
+                                       "assert (np.abs(x) <= bound).all()", "assert abs(z) <= tol",
+                                       "assert 0.0 <= r <= eps", "assert np.linalg.norm(v) < 2"])
+def test_one_tolerance_assertion_finds_the_bare_forms(statement):
+    assert _bare_tolerance_asserts(ast.parse(f"def test():\n    {statement}\n")) == [("test", 2)]

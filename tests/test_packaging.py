@@ -27,11 +27,12 @@ def test_console_script_resolves_to_cli_main():
 
 
 def test_test_extra_covers_the_test_imports():
-    # a module a test imports is the standard library's, the package's, a
-    # tests/data helper's, or a runtime or test requirement's
+    # a module a test imports is the standard library's, the package's, the
+    # test directory's own (conftest's shared helpers, a tests/data helper),
+    # or a runtime or test requirement's
     requirements = PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"]
     allowed = (set(sys.stdlib_module_names) | {"bispinor"}
-               | {path.stem for path in (TESTS / "data").glob("*.py")}
+               | {path.stem for path in TESTS.rglob("*.py")}
                | {re.match(r"[\w.-]+", requirement).group() for requirement in requirements})
     imported = set()
     for path in TESTS.rglob("*.py"):

@@ -34,6 +34,9 @@ from bispinor.multivector import mat2, stacked
 from bispinor.spectrum import flip_relations
 from bispinor.timereversal import kramers_pairing, noncommutation_witness
 
+from conftest import bits, complex_from
+
+
 MODULES = (multivector, momenta, spectrum, timereversal, ideal, biortho)
 
 
@@ -148,13 +151,6 @@ def row(name):
     return (FUNCTIONS[name], entry) if isinstance(entry[0], str) else entry
 
 
-def complex_from(re, im):
-    """re + i im entry by entry, with no arithmetic on inf or NaN."""
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
 def operand(kind, batch):
     """The strategy of an operand of a kind with batch shape ``batch``; a
     complex one is drawn as pairs of floats on a trailing axis."""
@@ -182,15 +178,6 @@ def terms(result):
     if isinstance(result, dict):
         return result
     return dict(enumerate(result)) if isinstance(result, tuple) else {None: result}
-
-
-def bits(x):
-    """dtype, shape and bytes of an array with every NaN made the same NaN:
-    the sign of a NaN from 0 / 0 depends on the machine loop that made it."""
-    x = np.array(x)
-    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
-        part[np.isnan(part)] = np.nan
-    return x.dtype, x.shape, x.tobytes()
 
 
 def assert_row(got, stack, index):

@@ -65,6 +65,9 @@ from bispinor.momenta import (
 from bispinor.multivector import clifford_conjugation_matrix, deformed_generators, to_matrix
 from bispinor.spectrum import continuity_residual
 
+from conftest import assert_small
+
+
 C, S = sp.symbols("c s", real=True)               # cos(theta/2), sin(theta/2)
 SCALAR, V1, V2, V3 = sp.symbols("scalar v1 v2 v3")  # complex
 I2 = sp.eye(2)
@@ -112,7 +115,7 @@ def test_library_matches_the_proof(gamma):
         s, v1, v2, v3 = (row[0] + 1j * row[7], row[1] + 1j * row[5],
                          row[2] + 1j * row[6], row[3] + 1j * row[4])
         want = np.array(image(s, v1, v2, v3), dtype=complex)
-        assert np.abs(got - want).max() < 1e-13 * (1 + np.abs(row).max()) / (1 - gamma**2)
+        assert_small(got - want, 1e-13 * (1 + np.abs(row).max()) / (1 - gamma**2))
 
 
 # ---------------------------------------------------- the momentum product
@@ -175,7 +178,7 @@ def test_momentum_product_matches_the_proof(gamma):
     for l, r, h in zip(p3 + left, p3 + right, got):
         want = np.array(image(*l, *r), dtype=complex)
         scale = 1 + np.abs(l).max() * np.abs(r).max()
-        assert np.abs(h - want).max() < 1e-13 * scale / (1 - gamma**2)
+        assert_small(h - want, 1e-13 * scale / (1 - gamma**2))
 
 
 # ------------------------------------------- the magnetic closed form
@@ -216,7 +219,7 @@ def test_magnetic_matches_the_proof(gamma, beta, a_vec, b3, p):
         want = np.array(image(*p, *a_vec, b, b3), dtype=complex)
         got = magnetic(gamma, b, a_vec, b3, np.array(p))
         scale = 1 + (np.abs(p).max() + np.abs(a_vec).max() + abs(beta)) ** 2 + abs(b3)
-        assert np.abs(got - want).max() < 1e-13 * scale / (1 - gamma**2)
+        assert_small(got - want, 1e-13 * scale / (1 - gamma**2))
 
 
 # ----------------------------------------------------- the SUSY identities
@@ -267,8 +270,8 @@ def test_supercharges_match_the_proof(gamma, beta, p):
                       dtype=complex)
     r_plus, r_minus = rashba(gamma, np.array([beta, -beta]), np.array(p))
     scale = 1 + np.abs(p_a).max() * np.abs(p_b).max()
-    assert np.abs(want_h[:2, :2] - r_plus).max() < 1e-14 * scale / (1 - gamma**2)
-    assert np.abs(want_h[2:, 2:] - r_minus).max() < 1e-14 * scale / (1 - gamma**2)
+    assert_small(want_h[:2, :2] - r_plus, 1e-14 * scale / (1 - gamma**2))
+    assert_small(want_h[2:, 2:] - r_minus, 1e-14 * scale / (1 - gamma**2))
     assert not want_h[:2, 2:].any() and not want_h[2:, :2].any()
 
 
@@ -306,7 +309,7 @@ def test_pseudo_adjoint_matches_the_proof(gamma, beta, p):
     want = np.array(sharp(*p, beta), dtype=complex)
     scale = 1 + np.abs(p).max() + beta
     got = clifford_conjugation_matrix(p_b_minus_p)
-    assert np.abs(got - want).max() < 1e-13 * scale / (1 - gamma**2)
+    assert_small(got - want, 1e-13 * scale / (1 - gamma**2))
 
 
 # ------------------------------------------------------ the linearization
